@@ -6,7 +6,6 @@ from .engine import (
     ConsensusStats,
     FloodState,
     MassState,
-    WireMessage,
     active_backend,
     check_stop,
     consensus_round,
@@ -23,7 +22,6 @@ __all__ = [
     "ConsensusStats",
     "FloodState",
     "MassState",
-    "WireMessage",
     "active_backend",
     "check_stop",
     "consensus_round",

@@ -10,10 +10,13 @@ basis-relative level, so the network-wide ratio sum(y)/sum(z) equals the
 average quantized value in basis-relative delta units) and ``z = 2``.
 Masses stay integers forever — every transmitted piece is a floor of a
 ratio — which is what makes the stop test reachable and the protocol
-finite-time.  Each round:
+finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node ends
+every split with ``z = 1`` and only gains count mass, so every node keeps
+``z >= 1`` and the round sends exactly ``sum(z) - n = n`` pieces.  Each
+round:
 
-1. at epoch starts (``lambda mod D' == 1``) every node with mass resets its
-   flood values to ``M = ceil(y/z)``, ``m = floor(y/z)``;
+1. at epoch starts (``lambda mod D' == 1``) every node resets its flood
+   values to ``M = ceil(y/z)``, ``m = floor(y/z)``;
 2. every node broadcasts ``(M, m)`` to its out-neighbors and absorbs the
    max/min of what it received and held;
 3. every node with ``z > 1`` splits its mass into near-equal integer pieces
@@ -27,14 +30,23 @@ finite-time.  Each round:
 
 ``D' = max(diameter, 2)`` so a full epoch always floods the extremes to
 every node and the reset/check cadence stays meaningful on diameter-1
-graphs.  Nodes that hold no mass (``z = 0``; cannot happen from the standard
-init but tolerated defensively) skip the reset and split phases and keep
-relaying their last flood values.
+graphs.
 
-A compiled kernel (``_speedups``) runs the same loop on C integers when the
-extension is built; it consumes the identical RNG stream, so results are
-bit-for-bit equal to the pure path.  Tracing and instrumentation always use
-the pure path.
+Untraced runs skip steps 1-2 and take one snapshot per epoch instead: at
+the epoch start, ``M = max ceil(y_i/z_i)`` and ``m = min floor(y_i/z_i)``
+over all nodes, in O(n) rather than O(E) per round.  This is exact: the
+flood resets only at epoch starts and absorbs only max/min, and an epoch
+has ``D' >= diameter`` rounds, so at the epoch end every node's flood value
+equals these global extremes; and flooding draws no randomness, so the
+split phase consumes the identical RNG stream.  The per-round flood
+(``consensus_round`` + ``check_stop``) runs when a trace or round hook is
+requested, and is the oracle the snapshot path is tested against.  Both
+paths split and deliver through one function, the only consumer of the RNG.
+
+A compiled kernel (``_speedups``) runs the flood loop on C integers when
+the extension is built; it consumes the identical RNG stream, so results
+are bit-for-bit equal to the pure paths.  Tracing and instrumentation
+always use the pure flood path.
 """
 
 from __future__ import annotations
@@ -55,7 +67,6 @@ __all__ = [
     "MassState",
     "FloodState",
     "ConsensusStats",
-    "WireMessage",
     "ConsensusCapError",
     "ROUND_CAP",
     "init_consensus",
@@ -89,18 +100,6 @@ class ConsensusStats:
     mass_transmissions: int = 0
     flood_broadcasts: int = 0
     measured_alphabet: set = field(default_factory=set)
-
-
-@dataclass(frozen=True)
-class WireMessage:
-    """What actually crosses an edge: an integer mass piece or an (M, m) pair."""
-
-    kind: str  # "mass" | "flood"
-    payload: object
-
-    def __post_init__(self):
-        if self.kind == "mass" and not isinstance(self.payload, int):
-            raise ValueError("mass payload must be an integer")
 
 
 class ConsensusCapError(RuntimeError):
@@ -139,8 +138,36 @@ def init_consensus(x_half, q: QuantizerState) -> list[MassState]:
 
 def sample_out_target(node: int, g: Digraph, rng: PCG32) -> int:
     """Self or one out-neighbor, each with probability 1/(1 + out-degree)."""
-    k = rng.randbelow(1 + g.out_degree(node))
-    return node if k == 0 else g.out_adj[node][k - 1]
+    adj = g.out_adj[node]
+    k = rng.randbelow(1 + len(adj))
+    return node if k == 0 else adj[k - 1]
+
+
+def _split_and_deliver(
+    states: list[MassState], g: Digraph, rng: PCG32, alphabet: set
+) -> list[tuple[int, int]]:
+    """Split phase then delivery; returns the (target, piece) pairs delivered.
+
+    Every node with ``z > 1`` sheds ``z - 1`` pieces ``c = floor(y/z)``, each
+    to itself or a random out-neighbor; the send phase completes for every
+    node before any delivery.  Each piece is added to ``alphabet``.  This is
+    the protocol's only use of the RNG, shared by both pure paths.
+    """
+    queue = []
+    for i, st in enumerate(states):
+        y, z = st.y, st.z
+        while z > 1:
+            c = y // z
+            y -= c
+            z -= 1
+            queue.append((sample_out_target(i, g, rng), c))
+        st.y, st.z = y, z
+    for tgt, c in queue:
+        st = states[tgt]
+        st.y += c
+        st.z += 1
+    alphabet.update(c for _, c in queue)
+    return queue
 
 
 def consensus_round(
@@ -152,9 +179,10 @@ def consensus_round(
     rng: PCG32,
     stats: ConsensusStats | None = None,
     record: dict | None = None,
-) -> list[tuple[int, WireMessage]]:
-    """Run one synchronous round; returns the mass messages delivered.
+) -> list[tuple[int, int]]:
+    """Run one synchronous flood round; returns the (target, piece) pairs delivered.
 
+    ``stats``, when given, collects the pieces in ``measured_alphabet``.
     ``record``, when given, is filled with phase snapshots (for tracing and
     instrumentation tests): post-reset flood values, post-flood values, and
     per-node send counts.
@@ -163,11 +191,9 @@ def consensus_round(
 
     # (a) epoch start: reset flood values from the current ratio
     if lam % d_eff == 1:
-        for i, st in enumerate(states):
-            if st.z >= 1:
-                fl = flood[i]
-                fl.m = st.y // st.z
-                fl.M = -((-st.y) // st.z)
+        for st, fl in zip(states, flood):
+            fl.m = st.y // st.z
+            fl.M = -((-st.y) // st.z)
         if record is not None:
             record["reset_M"] = [fl.M for fl in flood]
             record["reset_m"] = [fl.m for fl in flood]
@@ -181,37 +207,21 @@ def consensus_round(
         fl = flood[i]
         fl.M = max(fl.M, new_M[i])
         fl.m = min(fl.m, new_m[i])
-    if stats is not None:
-        stats.flood_broadcasts += n
 
-    # (c) split: send phase for every node completes before any delivery
-    queue: list[tuple[int, int]] = []
-    sent = [0] * n
-    for i, st in enumerate(states):
-        while st.z > 1:
-            c = st.y // st.z
-            st.y -= c
-            st.z -= 1
-            queue.append((sample_out_target(i, g, rng), c))
-            sent[i] += 1
-            if stats is not None:
-                stats.mass_transmissions += 1
-                stats.measured_alphabet.add(c)
-
-    # (d) deliver
-    for tgt, c in queue:
-        states[tgt].y += c
-        states[tgt].z += 1
+    # (c)+(d) split and deliver; every node keeps z >= 1, so it sends z - 1
+    if record is not None:
+        record["sent"] = [st.z - 1 for st in states]
+    alphabet = stats.measured_alphabet if stats is not None else set()
+    delivered = _split_and_deliver(states, g, rng, alphabet)
 
     if record is not None:
         record["M"] = [fl.M for fl in flood]
         record["m"] = [fl.m for fl in flood]
         record["y"] = [st.y for st in states]
         record["z"] = [st.z for st in states]
-        record["sent"] = sent
-        record["delivered"] = [(tgt, c) for tgt, c in queue]
+        record["delivered"] = delivered
 
-    return [(tgt, WireMessage("mass", c)) for tgt, c in queue]
+    return delivered
 
 
 def check_stop(
@@ -252,8 +262,9 @@ def run_consensus(
     All returned results are identical rationals on the delta-grid.  The
     compiled kernel is used when available unless tracing/instrumentation is
     requested or ``force_backend="pure"``; ``force_backend="compiled"``
-    demands the kernel.  Either backend yields identical output and leaves
-    the RNG in the identical state.
+    demands the kernel.  Without the kernel, untraced runs take the
+    epoch-snapshot path and traced or hooked runs the per-round flood.  Every
+    path yields identical output and leaves the RNG in the identical state.
     """
     if force_backend not in (None, "pure", "compiled"):
         raise ValueError(f"unknown backend {force_backend!r}")
@@ -272,17 +283,50 @@ def run_consensus(
             return out
         # kernel bailed (would exceed its integer range); replay purely
 
+    if trace is None and round_hook is None:
+        return _run_snapshot(x_half, q, g, rng, max_rounds)
     return _run_reference(x_half, q, g, rng, max_rounds, trace, round_hook)
 
 
+def _derived_stats(n: int, rounds: int, alphabet: set) -> ConsensusStats:
+    """Every round sends exactly n pieces and n flood broadcasts (sum z = 2n)."""
+    return ConsensusStats(
+        rounds=rounds,
+        mass_transmissions=n * rounds,
+        flood_broadcasts=n * rounds,
+        measured_alphabet=alphabet,
+    )
+
+
+def _run_snapshot(x_half, q, g, rng, max_rounds):
+    """Untraced pure path: one O(n) extremes snapshot per epoch, no flood."""
+    states = init_consensus(x_half, q)
+    n = g.n
+    y0 = sum(st.y for st in states)
+    d_eff = effective_epoch(g.diameter)
+    alphabet: set = set()
+
+    for lam in range(1, max_rounds + 1):
+        if lam % d_eff == 1:
+            M = max(-((-st.y) // st.z) for st in states)
+            m = min(st.y // st.z for st in states)
+        _split_and_deliver(states, g, rng, alphabet)
+        if lam % d_eff == 0 and M - m <= 1:
+            assert sum(st.z for st in states) == 2 * n, "count mass not conserved"
+            assert sum(st.y for st in states) == y0, "value mass not conserved"
+            return [q.b_q + m * q.delta] * n, _derived_stats(n, lam, alphabet)
+    raise ConsensusCapError(max_rounds)
+
+
 def _run_reference(x_half, q, g, rng, max_rounds, trace, round_hook):
+    """Per-round flood path: serves tracing and round hooks, and is the oracle."""
     states = init_consensus(x_half, q)
     flood = [FloodState(0, 0) for _ in range(g.n)]
     d_eff = effective_epoch(g.diameter)
     stats = ConsensusStats()
 
     for lam in range(1, max_rounds + 1):
-        record = {} if (trace is not None or round_hook is not None) else None
+        record = {}
         consensus_round(states, flood, g, d_eff, lam, rng, stats, record)
         if trace is not None:
             trace.writerow(
@@ -298,8 +342,7 @@ def _run_reference(x_half, q, g, rng, max_rounds, trace, round_hook):
         results = check_stop(flood, lam, d_eff, q)
         if results is not None:
             assert len(set(results)) == 1, "stop fired with disagreeing nodes"
-            stats.rounds = lam
-            return results, stats
+            return results, _derived_stats(g.n, lam, stats.measured_alphabet)
     raise ConsensusCapError(max_rounds)
 
 
