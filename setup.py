@@ -1,22 +1,19 @@
-"""Build script: compiles the optional consensus speedup kernel.
+"""Build script: compiles the optional consensus kernel.
 
-The package is pure Python by default; if Cython and a C compiler are
-available the integer round kernel in ``zoomgrad/consensus/_speedups.pyx``
-is compiled and picked up automatically at import time.  Installation
-must succeed either way, so any failure here downgrades to a pure build.
+The package is pure Python by default.  With a C compiler, setuptools also
+builds ``zoomgrad/consensus/_ckernel.c``, a hand-written C99 extension that
+the engine picks up at import time.  The extension is optional, so a missing
+compiler or a failed compile downgrades to a pure install.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/zoomgrad/consensus/_speedups.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    print(f"speedup kernel skipped ({exc}); using pure-Python consensus loop")
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "zoomgrad.consensus._ckernel",
+            ["src/zoomgrad/consensus/_ckernel.c"],
+            optional=True,
+        )
+    ]
+)

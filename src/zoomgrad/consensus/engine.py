@@ -43,10 +43,13 @@ split phase consumes the identical RNG stream.  The per-round flood
 requested, and is the oracle the snapshot path is tested against.  Both
 paths split and deliver through one function, the only consumer of the RNG.
 
-A compiled kernel (``_speedups``) runs the flood loop on C integers when
-the extension is built; it consumes the identical RNG stream, so results
-are bit-for-bit equal to the pure paths.  Tracing and instrumentation
-always use the pure flood path.
+A hand-written C extension (``_ckernel.c``) ports the snapshot path to
+int64 when it is built: same node order, same PCG32 draws, same stop rule,
+so results, rounds, alphabet and RNG state are bit-for-bit equal to the
+pure paths.  It declines instances that could overflow int64 (n > 4096, or
+a mass beyond ``W_SAFE = 2**45`` at any round start) without advancing the
+caller's RNG, and the pure snapshot path then replays them.  Tracing and
+round hooks always use the pure flood path.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from ..quantizer import QuantizerState, quantize
 from ..rng import PCG32
 
 try:
-    from . import _speedups as _kernel
+    from . import _ckernel as _kernel
 except ImportError:  # pragma: no cover - build-environment dependent
     _kernel = None
 
@@ -98,7 +101,6 @@ class FloodState:
 class ConsensusStats:
     rounds: int = 0
     mass_transmissions: int = 0
-    flood_broadcasts: int = 0
     measured_alphabet: set = field(default_factory=set)
 
 
@@ -289,13 +291,8 @@ def run_consensus(
 
 
 def _derived_stats(n: int, rounds: int, alphabet: set) -> ConsensusStats:
-    """Every round sends exactly n pieces and n flood broadcasts (sum z = 2n)."""
-    return ConsensusStats(
-        rounds=rounds,
-        mass_transmissions=n * rounds,
-        flood_broadcasts=n * rounds,
-        measured_alphabet=alphabet,
-    )
+    """Every round sends exactly n pieces (sum z = 2n)."""
+    return ConsensusStats(rounds=rounds, mass_transmissions=n * rounds, measured_alphabet=alphabet)
 
 
 def _run_snapshot(x_half, q, g, rng, max_rounds):
@@ -347,39 +344,16 @@ def _run_reference(x_half, q, g, rng, max_rounds, trace, round_hook):
 
 
 def _run_kernel(x_half, q, g, rng, max_rounds):
-    """int64 fast path.  Returns None when the kernel declines the instance.
+    """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
-    The kernel re-checks its headroom every round and bails out (status 1)
-    if any mass approaches the int64 limit; the RNG snapshot taken here
-    makes the pure replay bit-identical.
+    The kernel runs on a copy of the RNG state, so a decline leaves ``rng``
+    untouched and the pure replay is bit-identical.
     """
     w = [st.y for st in init_consensus(x_half, q)]
-    if g.n > 4096 or max(abs(v) for v in w) > _kernel.W_SAFE:
+    out = _kernel.run_rounds(w, g.out_adj, effective_epoch(g.diameter), max_rounds, rng.state, rng.inc)
+    if out is None:
         return None
-
-    snapshot = rng.getstate()
-    status, rounds, m_common, mass_tx, alphabet, st_out, inc_out = _kernel.run_rounds(
-        w,
-        list(g.out_adj),
-        list(g.in_adj),
-        effective_epoch(g.diameter),
-        max_rounds,
-        rng.state,
-        rng.inc,
-    )
-    if status == 1:  # overflow bail: restore the stream and let pure redo it
-        rng.setstate(snapshot)
-        return None
-    rng.setstate((st_out, inc_out))
-    if status == 2:
+    stopped, rounds, m, alphabet, rng.state = out
+    if not stopped:
         raise ConsensusCapError(max_rounds)
-    if status == 3:  # pragma: no cover - protocol bug guard
-        raise AssertionError("stop fired with disagreeing nodes")
-    stats = ConsensusStats(
-        rounds=rounds,
-        mass_transmissions=mass_tx,
-        flood_broadcasts=g.n * rounds,
-        measured_alphabet=set(alphabet),
-    )
-    result = q.b_q + m_common * q.delta
-    return [result] * g.n, stats
+    return [q.b_q + m * q.delta] * g.n, _derived_stats(g.n, rounds, set(alphabet))

@@ -1,4 +1,4 @@
-"""Directed graphs: generation, connectivity, diameter, edge-list IO.
+"""Directed graphs: generation, connectivity, diameter.
 
 Graphs are immutable once built.  Random generation is cycle-first: a
 directed Hamiltonian cycle over a seeded random permutation guarantees strong
@@ -18,8 +18,6 @@ __all__ = [
     "generate_random_digraph",
     "is_strongly_connected",
     "diameter",
-    "write_edge_list",
-    "read_edge_list",
 ]
 
 
@@ -59,9 +57,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return len(self.out_adj[u])
-
-    def transpose(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self.edges()))
 
     @property
     def diameter(self) -> int:
@@ -147,21 +142,3 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     assert is_strongly_connected(g)
     return g
 
-
-def write_edge_list(g: Digraph, path) -> None:
-    """Text export: first line ``n``, then one ``src dst`` pair per line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{g.n}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path) -> Digraph:
-    with open(path) as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln]
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Digraph(n, edges)

@@ -14,20 +14,6 @@ from fractions import Fraction
 
 
 @dataclass(frozen=True)
-class BitAccount:
-    """Total communicated bits decomposed as steps x width x messages."""
-
-    c_s: object  # steps to convergence
-    b_pm: object  # bits per message
-    n_tt: object  # transmissions per consensus execution (average)
-    total_bits: object
-
-    @classmethod
-    def of(cls, c_s, b_pm, n_tt):
-        return cls(c_s, b_pm, n_tt, bits_total(c_s, b_pm, n_tt))
-
-
-@dataclass(frozen=True)
 class EnvelopePoint:
     k: int
     bound: object  # theoretical distance bound (exact rational)

@@ -4,13 +4,30 @@ The acceptance tests (tests/test_acceptance.py) record one PASS/FAIL line
 per criterion through the ``acceptance`` fixture; the lines are replayed in
 a dedicated section at the end of the pytest run so they are visible even
 for passing tests (pytest normally swallows stdout of passing tests).
+
+The ``kernel`` fixture builds the C consensus kernel from this checkout into
+a temporary directory once per session, so the compiled path is checked
+wherever a C compiler exists, whether or not an in-place build is present.
 """
 
+import glob
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from fractions import Fraction
 
 import pytest
 
+from zoomgrad.consensus import engine
 from zoomgrad.graph import Digraph
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The compiler setuptools will call: $CC, else the one Python was built with.
+CC = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")[0]
 
 
 def pytest_configure(config):
@@ -41,6 +58,40 @@ def acceptance(request):
         return ok
 
     return record
+
+
+@pytest.fixture(scope="session")
+def built_kernel(tmp_path_factory):
+    """The ``_ckernel`` module built into a temp dir, or None without a C compiler.
+
+    Nothing is written under ``src/``.  A build that fails while a compiler
+    exists fails every test that uses the kernel.
+    """
+    if shutil.which(CC) is None:
+        return None
+    tmp = tmp_path_factory.mktemp("ckernel")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    built = glob.glob(str(tmp / "lib" / "zoomgrad" / "consensus" / "_ckernel*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail("C compiler %r found but the kernel did not build:\n%s%s" % (CC, proc.stdout, proc.stderr))
+    spec = importlib.util.spec_from_file_location("zoomgrad.consensus._ckernel", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def kernel(built_kernel, monkeypatch):
+    """The freshly built kernel, installed as the engine's compiled backend."""
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled consensus kernel was not built or checked" % CC)
+    monkeypatch.setattr(engine, "_kernel", built_kernel)
+    return built_kernel
 
 
 def ring(n):

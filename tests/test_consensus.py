@@ -20,7 +20,6 @@ from zoomgrad.consensus import (
     ConsensusCapError,
     FloodState,
     MassState,
-    active_backend,
     check_stop,
     consensus_round,
     effective_epoch,
@@ -29,13 +28,12 @@ from zoomgrad.consensus import (
     sample_out_target,
     trace_header,
 )
+from zoomgrad.consensus import engine
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
 Q_HALF = QuantizerState(b_q=F(0), delta=F(1, 2))
-
-HAVE_KERNEL = active_backend() == "compiled"
 
 
 def oracle_mean(x_half, q):
@@ -205,7 +203,6 @@ def test_agreement_accuracy_conservation(n):
             # output is a grid point: integer number of steps from the basis
             assert ((result[0] - q.b_q) / q.delta).denominator == 1
             assert stats.rounds >= 1
-            assert stats.flood_broadcasts == n * stats.rounds
             assert stats.mass_transmissions == n * stats.rounds
 
 
@@ -302,10 +299,11 @@ PARITY_QUANTIZERS = [
     st.integers(min_value=0, max_value=2**32),
     st.data(),
 )
-def test_snapshot_matches_flood(g, q, seed, data):
+def test_snapshot_matches_flood(built_kernel, g, q, seed, data):
     # The untraced path snapshots the extremes once per epoch instead of
     # flooding; a no-op round hook forces the per-round flood, the oracle.
-    # Equal results, counts, alphabet and RNG position prove the snapshot
+    # The compiled kernel, when a C compiler built it, is the third path.
+    # Equal results, counts, alphabet and RNG position prove every path
     # stops in the same round and consumed exactly the same draws.
     xs = data.draw(
         st.lists(
@@ -315,10 +313,12 @@ def test_snapshot_matches_flood(g, q, seed, data):
         )
     )
 
-    def run(max_rounds=ROUND_CAP, **kw):
+    def run(max_rounds=ROUND_CAP, backend="pure", **kw):
         rng = PCG32(seed, STREAM_PROTOCOL)
         try:
-            out = run_consensus(xs, q, g, rng, max_rounds=max_rounds, force_backend="pure", **kw)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_kernel", built_kernel)
+                out = run_consensus(xs, q, g, rng, max_rounds=max_rounds, force_backend=backend, **kw)
         except ConsensusCapError as exc:
             return "cap", exc.rounds, rng.getstate()
         res, stats = out
@@ -334,11 +334,26 @@ def test_snapshot_matches_flood(g, q, seed, data):
     capped = run(rounds - 1)
     assert capped[:2] == ("cap", rounds - 1)
     assert capped == run(rounds - 1, round_hook=noop)
+    if built_kernel is not None:
+        assert snap == run(backend="compiled")
+        assert capped == run(rounds - 1, backend="compiled")
 
 
-@pytest.mark.skipif(not HAVE_KERNEL, reason="compiled kernel not built")
+def assert_same_run(x, q, g, seed):
+    """The default path and force_backend="pure" agree on everything observable."""
+    rng_auto = PCG32(seed, STREAM_PROTOCOL)
+    rng_pure = PCG32(seed, STREAM_PROTOCOL)
+    res_auto, st_auto = run_consensus(x, q, g, rng_auto)
+    res_pure, st_pure = run_consensus(x, q, g, rng_pure, force_backend="pure")
+    assert res_auto == res_pure
+    assert st_auto.rounds == st_pure.rounds
+    assert st_auto.mass_transmissions == st_pure.mass_transmissions
+    assert st_auto.measured_alphabet == st_pure.measured_alphabet
+    assert rng_auto.getstate() == rng_pure.getstate()
+
+
 @pytest.mark.parametrize("n", [3, 5, 10, 20])
-def test_backend_parity(n):
+def test_backend_parity(kernel, n):
     # Same inputs + same seed: the compiled kernel must reproduce the pure
     # path bit-for-bit -- results, stats, and the RNG position afterwards
     # (proving it consumed exactly the same draws).
@@ -353,26 +368,35 @@ def test_backend_parity(n):
         assert res_pure == res_fast
         assert st_pure.rounds == st_fast.rounds
         assert st_pure.mass_transmissions == st_fast.mass_transmissions
-        assert st_pure.flood_broadcasts == st_fast.flood_broadcasts
         assert st_pure.measured_alphabet == st_fast.measured_alphabet
         assert rng_pure.getstate() == rng_fast.getstate()
 
 
-@pytest.mark.skipif(not HAVE_KERNEL, reason="compiled kernel not built")
-def test_kernel_bails_to_pure_on_huge_masses():
-    # Offsets beyond the kernel's int64 headroom: the kernel must decline,
-    # rewind the RNG, and let the exact path replay the identical run.
+def test_kernel_bails_to_pure_on_huge_masses(kernel):
+    # Offsets beyond the kernel's int64 headroom: the kernel must decline
+    # before drawing, and the exact path replays the identical run.
     q = QuantizerState(b_q=F(0), delta=F(1, 2), width=None)
-    g = ring(4)
     x = [F(2) ** 50, F(1, 4), -(F(2) ** 49), F(3, 4)]
-    rng_auto = PCG32(3, STREAM_PROTOCOL)
-    rng_pure = PCG32(3, STREAM_PROTOCOL)
-    res_auto, st_auto = run_consensus(x, q, g, rng_auto)
-    res_pure, st_pure = run_consensus(x, q, g, rng_pure, force_backend="pure")
-    assert res_auto == res_pure
-    assert st_auto.rounds == st_pure.rounds
-    assert st_auto.mass_transmissions == st_pure.mass_transmissions
-    assert rng_auto.getstate() == rng_pure.getstate()
+    assert_same_run(x, q, ring(4), 3)
+    # More than 4096 nodes void the headroom argument: declined up front.
+    assert kernel.run_rounds([1] * 4097, ring(4097).out_adj, 2, 10, 0, 1) is None
+
+
+def test_kernel_bails_to_pure_mid_run(kernel):
+    # Offsets of W_SAFE - 1 pass the upfront headroom check, but round 1's
+    # deliveries on complete(4) push some holding past it: the kernel runs
+    # round 1, declines at the start of round 2 without touching the
+    # caller's RNG, and the pure path replays the identical run.
+    q = QuantizerState(b_q=F(0), delta=F(1), width=None)
+    x = [F(2**44) - F(1, 2)] * 4
+    g = complete(4)
+    w = [st.y for st in init_consensus(x, q)]
+    assert w == [kernel.W_SAFE - 1] * 4
+    for seed in range(5):
+        state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
+        assert kernel.run_rounds(w, g.out_adj, 2, 1, state, inc) is not None
+        assert kernel.run_rounds(w, g.out_adj, 2, 2, state, inc) is None
+        assert_same_run(x, q, g, seed)
 
 
 def test_force_backend_validation():
@@ -381,8 +405,8 @@ def test_force_backend_validation():
         run_consensus(x, Q_HALF, g, rng, force_backend="gpu")
 
 
-@pytest.mark.skipif(HAVE_KERNEL, reason="covers the no-kernel build only")
-def test_force_compiled_without_kernel_errors():
+def test_force_compiled_without_kernel_errors(monkeypatch):
+    monkeypatch.setattr(engine, "_kernel", None)
     g, x, rng = random_instance(1, 3)
     with pytest.raises(RuntimeError, match="not available"):
         run_consensus(x, Q_HALF, g, rng, force_backend="compiled")
@@ -391,12 +415,12 @@ def test_force_compiled_without_kernel_errors():
 # --- failure modes and plumbing -------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "backend", ["pure"] + (["compiled"] if HAVE_KERNEL else [])
-)
-def test_round_cap_raises(backend):
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_round_cap_raises(backend, request):
     # No epoch-end check can fire within a single round (d_eff >= 2), so a
     # one-round budget must always trip the cap, on either backend.
+    if backend == "compiled":
+        request.getfixturevalue("kernel")
     g, x, rng = random_instance(2, 5)
     with pytest.raises(ConsensusCapError) as exc:
         run_consensus(x, Q_HALF, g, rng, max_rounds=1, force_backend=backend)

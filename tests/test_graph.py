@@ -16,8 +16,6 @@ from zoomgrad.graph import (
     diameter,
     generate_random_digraph,
     is_strongly_connected,
-    read_edge_list,
-    write_edge_list,
 )
 
 
@@ -104,21 +102,6 @@ def test_adjacency_is_sorted_and_deduplicated():
     assert g.out_adj[2] == (1, 3)
     assert g.in_adj[1] == (0, 2)
     assert g.edge_count() == 5
-
-
-def test_transpose_reverses_edges():
-    g = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-    t = g.transpose()
-    assert sorted(t.edges()) == sorted((v, u) for u, v in g.edges())
-
-
-def test_edge_list_roundtrip(tmp_path):
-    g = generate_random_digraph(11, Fraction(2, 5), 8)
-    path = tmp_path / "g.txt"
-    write_edge_list(g, path)
-    assert read_edge_list(path) == g
-    first = path.read_text().splitlines()[0]
-    assert first == "11"
 
 
 def test_graph_stream_isolated_from_other_draws():

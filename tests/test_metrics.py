@@ -12,7 +12,6 @@ import pytest
 
 from zoomgrad.metrics import (
     ADAPTIVE_TABLE_STEPS,
-    BitAccount,
     EnvelopePoint,
     FIXED_TABLE_ROWS,
     REFINE_TABLE_SEGMENTS,
@@ -91,12 +90,6 @@ def test_avg_bits_reference():
     assert avg_bits_per_node_per_step(5, F(10), 1) == 50
     with pytest.raises(ValueError):
         avg_bits_per_node_per_step(3, N_TT, 0)
-
-
-def test_bit_account_of():
-    acct = BitAccount.of(18, 3, N_TT)
-    assert acct.total_bits == F(1144152, 100)
-    assert (acct.c_s, acct.b_pm, acct.n_tt) == (18, 3, N_TT)
 
 
 # --- contraction envelope ---------------------------------------------------
