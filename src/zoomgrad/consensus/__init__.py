@@ -1,33 +1,9 @@
-"""Quantized average consensus subsystem (pure engine + optional C kernel)."""
+"""Quantized average consensus subsystem (pure engine + optional C kernel).
 
-from .engine import (
-    ROUND_CAP,
-    ConsensusCapError,
-    ConsensusStats,
-    FloodState,
-    MassState,
-    active_backend,
-    check_stop,
-    consensus_round,
-    effective_epoch,
-    init_consensus,
-    run_consensus,
-    sample_out_target,
-    trace_header,
-)
+Only the product's entry points are exported here; the engine's internals
+are imported from ``zoomgrad.consensus.engine``.
+"""
 
-__all__ = [
-    "ROUND_CAP",
-    "ConsensusCapError",
-    "ConsensusStats",
-    "FloodState",
-    "MassState",
-    "active_backend",
-    "check_stop",
-    "consensus_round",
-    "effective_epoch",
-    "init_consensus",
-    "run_consensus",
-    "sample_out_target",
-    "trace_header",
-]
+from .engine import ConsensusCapError, active_backend, run_consensus
+
+__all__ = ["ConsensusCapError", "active_backend", "run_consensus"]

@@ -1,6 +1,7 @@
 """Directed graphs: generation, connectivity, diameter.
 
-Graphs are immutable once built.  Random generation is cycle-first: a
+Graphs are immutable once built and hold one adjacency, the sorted
+out-neighbor lists ``out_adj``.  Random generation is cycle-first: a
 directed Hamiltonian cycle over a seeded random permutation guarantees strong
 connectivity, then every remaining ordered pair is added independently with
 probability ``edge_prob``.  Construction therefore never retries and is fully
@@ -22,41 +23,30 @@ __all__ = [
 
 
 class Digraph:
-    """Immutable digraph on nodes 0..n-1 with sorted adjacency lists.
+    """Immutable digraph on nodes 0..n-1 with sorted out-adjacency lists.
 
     Self-loops are rejected: the consensus layer models self-delivery in its
     sampling set instead, keeping BFS/diameter standard.
     """
 
-    __slots__ = ("n", "out_adj", "in_adj", "_diameter")
+    __slots__ = ("n", "out_adj", "_diameter")
 
     def __init__(self, n: int, edges):
         if n < 2:
             raise ValueError(f"n: need at least 2 nodes, got {n}")
         out_adj = [set() for _ in range(n)]
-        in_adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at node {u} not allowed")
             out_adj[u].add(v)
-            in_adj[v].add(u)
         self.out_adj = tuple(tuple(sorted(s)) for s in out_adj)
-        self.in_adj = tuple(tuple(sorted(s)) for s in in_adj)
         self.n = n
         self._diameter = None
 
-    def edges(self):
-        for u in range(self.n):
-            for v in self.out_adj[u]:
-                yield (u, v)
-
     def edge_count(self) -> int:
         return sum(len(a) for a in self.out_adj)
-
-    def out_degree(self, u: int) -> int:
-        return len(self.out_adj[u])
 
     @property
     def diameter(self) -> int:
@@ -70,9 +60,6 @@ class Digraph:
             and self.n == other.n
             and self.out_adj == other.out_adj
         )
-
-    def __hash__(self):
-        return hash((self.n, self.out_adj))
 
 
 def _bfs_dists(adj, src: int, n: int):
@@ -93,8 +80,12 @@ def _bfs_dists(adj, src: int, n: int):
 
 def is_strongly_connected(g: Digraph) -> bool:
     """Every node reaches every node: BFS from 0 forward and backward."""
+    rev_adj = [[] for _ in range(g.n)]
+    for u, targets in enumerate(g.out_adj):
+        for v in targets:
+            rev_adj[v].append(u)
     return all(d >= 0 for d in _bfs_dists(g.out_adj, 0, g.n)) and all(
-        d >= 0 for d in _bfs_dists(g.in_adj, 0, g.n)
+        d >= 0 for d in _bfs_dists(rev_adj, 0, g.n)
     )
 
 

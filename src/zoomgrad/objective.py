@@ -26,9 +26,6 @@ class QuadraticCost:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    def value(self, x: Fraction) -> Fraction:
-        return self.beta * (x - self.x0) ** 2 / 2
-
     def grad(self, x: Fraction) -> Fraction:
         return self.beta * (x - self.x0)
 
@@ -56,10 +53,6 @@ class CostSuite:
     def global_optimum(self) -> Fraction:
         """argmin of sum f_i: curvature-weighted mean of the x0_i (exact)."""
         return sum(c.beta * c.x0 for c in self.costs) / self.total_curvature
-
-    def max_step_size(self) -> Fraction:
-        """Largest admissible gradient step 2n/(mu+L) = n/sum(beta)."""
-        return Fraction(len(self.costs), 1) / self.total_curvature
 
 
 def random_cost_suite(

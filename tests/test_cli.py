@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from zoomgrad import optimizer
 from zoomgrad.cli import _parse_seeds, main
 from zoomgrad.config import RunConfig
+from zoomgrad.consensus import ConsensusCapError
 from zoomgrad.runner import SUMMARY_COLUMNS, SWEEP_COLUMNS
 
 
@@ -105,6 +107,27 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_round_cap_failure_exits_1(command, tmp_path, monkeypatch, capsys):
+    # A consensus that hits its round cap aborts the command: exit 1, the
+    # cap and the failing step on stderr, and no report written.
+    real = optimizer.run_consensus
+    calls = []
+
+    def capped_third_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ConsensusCapError(7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "run_consensus", capped_third_call)
+    rc = main([command, "--seed", "1", "--nodes", "4", "--max-steps", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "consensus did not settle (round cap 7) at optimization step 3" in capsys.readouterr().err
+    assert not (tmp_path / "history.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_choice_is_usage_error(capsys):

@@ -22,7 +22,7 @@ from zoomgrad.graph import (
 def to_nx(g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges())
+    G.add_edges_from((u, v) for u, targets in enumerate(g.out_adj) for v in targets)
     return G
 
 
@@ -46,7 +46,6 @@ def test_generation_deterministic():
     a = generate_random_digraph(12, Fraction(1, 2), 3)
     b = generate_random_digraph(12, Fraction(1, 2), 3)
     assert a == b
-    assert hash(a) == hash(b)
     c = generate_random_digraph(12, Fraction(1, 2), 4)
     assert a != c
 
@@ -60,7 +59,7 @@ def test_edge_prob_accepts_strings_and_floats():
 def test_p_zero_gives_hamiltonian_cycle():
     g = generate_random_digraph(9, 0, 5)
     assert g.edge_count() == 9
-    assert all(g.out_degree(u) == 1 for u in range(9))
+    assert all(len(g.out_adj[u]) == 1 for u in range(9))
     assert is_strongly_connected(g)
     assert diameter(g) == 8
 
@@ -91,16 +90,19 @@ def test_digraph_rejects_bad_edges():
 
 
 def test_not_strongly_connected_detected():
-    g = Digraph(3, [(0, 1), (1, 0), (1, 2)])  # node 2 is a sink
+    # Node 0 reaches every node, so only the backward search from 0 (over
+    # the reversed edges) can tell that the sink 2 never gets back.
+    g = Digraph(3, [(0, 1), (1, 0), (1, 2)])
     assert not is_strongly_connected(g)
     with pytest.raises(ValueError, match="not strongly connected"):
         diameter(g)
+    # Here the forward search from 0 misses node 2.
+    assert not is_strongly_connected(Digraph(3, [(0, 1), (1, 0), (2, 0)]))
 
 
 def test_adjacency_is_sorted_and_deduplicated():
     g = Digraph(4, [(2, 1), (2, 3), (2, 1), (0, 1), (1, 0), (3, 0)])
-    assert g.out_adj[2] == (1, 3)
-    assert g.in_adj[1] == (0, 2)
+    assert g.out_adj == ((1,), (0,), (1, 3), (0,))
     assert g.edge_count() == 5
 
 
