@@ -1,9 +1,10 @@
-"""Build script: compiles the optional consensus kernel.
+"""Build script: compiles the optional C kernel.
 
 The package is pure Python by default.  With a C compiler, setuptools also
-builds ``zoomgrad/consensus/_ckernel.c``, a hand-written C99 extension that
-the engine picks up at import time.  The extension is optional, so a missing
-compiler or a failed compile downgrades to a pure install.
+builds ``zoomgrad/_ckernel.c``, a hand-written C99 extension that holds the
+consensus rounds and the random digraph's edge draws; the consensus engine
+and the graph module pick it up at import time.  The extension is optional,
+so a missing compiler or a failed compile downgrades to a pure install.
 """
 
 from setuptools import Extension, setup
@@ -11,8 +12,8 @@ from setuptools import Extension, setup
 setup(
     ext_modules=[
         Extension(
-            "zoomgrad.consensus._ckernel",
-            ["src/zoomgrad/consensus/_ckernel.c"],
+            "zoomgrad._ckernel",
+            ["src/zoomgrad/_ckernel.c"],
             optional=True,
         )
     ]

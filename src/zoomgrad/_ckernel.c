@@ -1,15 +1,23 @@
-/* int64 port of the epoch-snapshot consensus loop (engine._run_snapshot).
+/* The simulator's two hot loops in C: the epoch-snapshot consensus
+ * (engine._run_snapshot) and the random digraph's edge draws
+ * (graph.generate_random_digraph).  Both consume the same PCG32 stream as
+ * the pure paths, draw for draw, so every result and the final RNG state
+ * are bit-for-bit equal.
  *
- * Mirrors the pure path round for round: same node order, same PCG32 draw
- * sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at each epoch
- * start and the stop test M - m <= 1 at each epoch end.  Masses are plain
- * int64; the loop re-checks its headroom every round and declines the
- * instance (returns None) before anything could overflow.  It works on a
- * copy of the RNG state, so a decline leaves the caller's generator where
+ * run_rounds mirrors the pure consensus round for round: same node order,
+ * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
+ * each epoch start and the stop test M - m <= 1 at each epoch end.  Masses
+ * are plain int64; the loop re-checks its headroom every round and declines
+ * the instance (returns None) before anything could overflow.  It works on
+ * a copy of the RNG state, so a decline leaves the caller's generator where
  * it was and the pure path replays the identical run.
  *
- * Build: setup.py compiles it as the optional extension
- * zoomgrad.consensus._ckernel; no code generator is involved.
+ * random_out_adj runs the generator's lexicographic (u, v) scan after the
+ * Hamiltonian cycle is laid down: one draw per pair that is neither a
+ * self-pair nor a cycle pair, kept when it falls below the threshold.
+ *
+ * Build: setup.py compiles it as the optional extension zoomgrad._ckernel;
+ * no code generator is involved.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -252,6 +260,69 @@ done:
     return ret;
 }
 
+static PyObject *random_out_adj(PyObject *self, PyObject *args)
+{
+    PyObject *succ_obj, *succ = NULL, *rows = NULL, *ret = NULL, **nodes = NULL;
+    unsigned long long threshold, state_in, inc_in;
+    uint64_t state, inc;
+    Py_ssize_t n, u, v, k, *keep = NULL;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OKKK", &succ_obj, &threshold, &state_in, &inc_in))
+        return NULL;
+    state = state_in;
+    inc = inc_in;
+    succ = PySequence_Fast(succ_obj, "succ must be a sequence");
+    if (succ == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(succ);
+    nodes = PyMem_Calloc((size_t)(n ? n : 1), sizeof(PyObject *));
+    keep = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(Py_ssize_t));
+    rows = PyTuple_New(n);
+    if (nodes == NULL || keep == NULL || rows == NULL) {
+        if (rows != NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    /* one int object per node id, shared by every row that holds it */
+    for (v = 0; v < n; v++)
+        if ((nodes[v] = PyLong_FromSsize_t(v)) == NULL)
+            goto done;
+
+    for (u = 0; u < n; u++) {
+        PyObject *row;
+        Py_ssize_t s = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(succ, u));
+        if (s == -1 && PyErr_Occurred())
+            goto done;
+        k = 0;
+        for (v = 0; v < n; v++) {
+            /* the cycle pair is kept without a draw; threshold is compared
+               as uint64 because p = 1 gives 2**32 */
+            if (v != u && (v == s || (uint64_t)next_u32(&state, inc) < threshold))
+                keep[k++] = v;
+        }
+        if ((row = PyTuple_New(k)) == NULL)
+            goto done;
+        for (v = 0; v < k; v++) {
+            Py_INCREF(nodes[keep[v]]);
+            PyTuple_SET_ITEM(row, v, nodes[keep[v]]);
+        }
+        PyTuple_SET_ITEM(rows, u, row);
+    }
+    /* (rows, rng state): sorted out-adjacency tuples and the state after the last draw */
+    ret = Py_BuildValue("(OK)", rows, (unsigned long long)state);
+
+done:
+    if (nodes != NULL)
+        for (v = 0; v < n; v++)
+            Py_XDECREF(nodes[v]);
+    Py_XDECREF(rows);
+    Py_XDECREF(succ);
+    PyMem_Free(nodes);
+    PyMem_Free(keep);
+    return ret;
+}
+
 static PyMethodDef methods[] = {
     {"run_rounds", run_rounds, METH_VARARGS,
      "run_rounds(w, out_adj, d_eff, max_rounds, rng_state, rng_inc)\n\n"
@@ -260,6 +331,14 @@ static PyMethodDef methods[] = {
      "or a mass beyond W_SAFE at any round start), else (stopped, rounds, m,\n"
      "alphabet, rng_state): the common floor m on a stop, the sorted distinct\n"
      "pieces sent, and the generator state after the last round."},
+    {"random_out_adj", random_out_adj, METH_VARARGS,
+     "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
+     "Out-adjacency of the random digraph on n = len(succ) nodes whose\n"
+     "Hamiltonian cycle sends u to succ[u].  Scans the pairs (u, v) in\n"
+     "lexicographic order: skips u == v, keeps v == succ[u] without a draw,\n"
+     "and keeps any other pair when the next 32-bit draw is below threshold.\n"
+     "Returns (rows, rng_state): a tuple of sorted int tuples and the\n"
+     "generator state after the last draw."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -43,13 +43,15 @@ when a round hook is given, and is the oracle the snapshot path is tested
 against.  Both paths split and deliver through one function, the only
 consumer of the RNG.
 
-A hand-written C extension (``_ckernel.c``) ports the snapshot path to
-int64 when it is built: same node order, same PCG32 draws, same stop rule,
-so results, rounds, alphabet and RNG state are bit-for-bit equal to the
-pure paths.  It declines instances that could overflow int64 (n > 4096, or
-a mass beyond ``W_SAFE = 2**45`` at any round start) without advancing the
-caller's RNG, and the pure snapshot path then replays them from the same
-initial masses.  Round hooks always use the pure flood path.
+The package's optional C extension (``zoomgrad/_ckernel.c``, shared with
+the graph generator's edge draws) ports the snapshot path to int64 as
+``run_rounds`` when it is built: same node order, same PCG32 draws, same
+stop rule, so results, rounds, alphabet and RNG state are bit-for-bit equal
+to the pure paths, which run whenever the extension is not built.  It
+declines instances that could overflow int64 (n > 4096, or a mass beyond
+``W_SAFE = 2**45`` at any round start) without advancing the caller's RNG,
+and the pure snapshot path then replays them from the same initial masses.
+Round hooks always use the pure flood path.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ..quantizer import QuantizerState, quantize
 from ..rng import PCG32
 
 try:
-    from . import _ckernel as _kernel
+    from .. import _ckernel as _kernel
 except ImportError:  # pragma: no cover - build-environment dependent
     _kernel = None
 

@@ -5,7 +5,12 @@ out-neighbor lists ``out_adj``.  Random generation is cycle-first: a
 directed Hamiltonian cycle over a seeded random permutation guarantees strong
 connectivity, then every remaining ordered pair is added independently with
 probability ``edge_prob``.  Construction therefore never retries and is fully
-determined by ``(n, edge_prob, seed)``.
+determined by ``(n, edge_prob, seed)``.  The n(n-1) pair draws run in the C
+kernel (``_ckernel.random_out_adj``) when it is built, else in a pure loop
+over the same PCG32 stream; both give the same rows and RNG state.
+
+The diameter, which sets the consensus flooding epoch, is computed by
+bitset unions over out-edges: O(D*E) big-int ORs, no all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rng import PCG32, STREAM_GRAPH
+
+try:
+    from . import _ckernel as _kernel
+except ImportError:  # pragma: no cover - build-environment dependent
+    _kernel = None
 
 __all__ = [
     "Digraph",
@@ -44,6 +54,15 @@ class Digraph:
         self.out_adj = tuple(tuple(sorted(s)) for s in out_adj)
         self.n = n
         self._diameter = None
+
+    @classmethod
+    def _from_rows(cls, out_adj: tuple) -> Digraph:
+        """Wrap rows that are already sorted, in range and loop-free."""
+        g = cls.__new__(cls)
+        g.n = len(out_adj)
+        g.out_adj = out_adj
+        g._diameter = None
+        return g
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.out_adj)
@@ -90,15 +109,33 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def diameter(g: Digraph) -> int:
-    """Longest shortest directed path over all ordered pairs (all-pairs BFS)."""
-    best = 0
-    for src in range(g.n):
-        dist = _bfs_dists(g.out_adj, src, g.n)
-        ecc = max(dist)
-        if min(dist) < 0:
+    """Longest shortest directed path over all ordered pairs.
+
+    Node sets are int bitsets.  ``reach_d[u]``, the nodes within distance
+    ``d`` of ``u``, starts at ``{u}`` and follows the recurrence
+    ``reach_{d+1}[u] = reach_d[u] | OR over v in out_adj[u] of reach_d[v]``:
+    a node is within ``d + 1`` of ``u`` exactly when it is ``u`` or within
+    ``d`` of an out-neighbor.  Every level is computed from the previous
+    one only, so the first ``d`` at which every row holds all ``n`` nodes is
+    exactly the diameter.  A level that changes no row is a fixed point; if
+    a row is still short there, some node never reaches another and
+    ``ValueError`` is raised.
+    """
+    full = (1 << g.n) - 1
+    reach = [1 << u for u in range(g.n)]
+    d = 0
+    while any(r != full for r in reach):
+        nxt = []
+        for r, targets in zip(reach, g.out_adj):
+            if r != full:
+                for v in targets:
+                    r |= reach[v]
+            nxt.append(r)
+        if nxt == reach:
             raise ValueError("diameter undefined: digraph is not strongly connected")
-        best = max(best, ecc)
-    return best
+        reach = nxt
+        d += 1
+    return d
 
 
 def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
@@ -108,28 +145,42 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     first; each remaining ordered pair (u, v), scanned in lexicographic
     order, then draws one 32-bit variate and keeps the edge when it falls
     below ``edge_prob * 2**32``.  ``edge_prob`` may be int, float, Fraction,
-    or a decimal/ratio string; it is converted exactly.
+    or a decimal/ratio string; it is converted exactly.  Both arguments are
+    validated before the first draw.
     """
     p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(str(edge_prob))
     if not 0 <= p <= 1:
         raise ValueError(f"edge_prob: expected probability in [0,1], got {edge_prob}")
+    if n < 2:
+        raise ValueError(f"n: need at least 2 nodes, got {n}")
     rng = PCG32(seed, STREAM_GRAPH)
 
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         j = rng.randbelow(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    cycle = {(perm[k], perm[(k + 1) % n]) for k in range(n)}
+    succ = [0] * n
+    for k in range(n):
+        succ[perm[k]] = perm[(k + 1) % n]
 
     threshold = (p.numerator << 32) // p.denominator
-    edges = set(cycle)
-    for u in range(n):
-        for v in range(n):
-            if u == v or (u, v) in cycle:
-                continue
-            if rng.next_u32() < threshold:
-                edges.add((u, v))
-    g = Digraph(n, edges)
-    assert is_strongly_connected(g)
-    return g
+    return Digraph._from_rows(_draw_out_adj(succ, threshold, rng))
 
+
+def _draw_out_adj(succ: list[int], threshold: int, rng: PCG32) -> tuple:
+    """Sorted out-rows of the cycle ``u -> succ[u]`` plus the drawn pairs.
+
+    Pairs (u, v) are scanned in lexicographic order: ``u == v`` is skipped,
+    the cycle pair ``v == succ[u]`` is kept without a draw, and any other
+    pair is kept when the next 32-bit draw is below ``threshold``.  The C
+    kernel runs the scan when it is built; otherwise this loop does, on the
+    same stream, leaving ``rng`` in the same state.
+    """
+    if _kernel is not None:
+        out_adj, rng.state = _kernel.random_out_adj(succ, threshold, rng.state, rng.inc)
+        return out_adj
+    n = len(succ)
+    rows = []
+    for u, s in enumerate(succ):
+        rows.append(tuple(v for v in range(n) if v != u and (v == s or rng.next_u32() < threshold)))
+    return tuple(rows)

@@ -5,9 +5,10 @@ per criterion through the ``acceptance`` fixture; the lines are replayed in
 a dedicated section at the end of the pytest run so they are visible even
 for passing tests (pytest normally swallows stdout of passing tests).
 
-The ``kernel`` fixture builds the C consensus kernel from this checkout into
-a temporary directory once per session, so the compiled path is checked
-wherever a C compiler exists, whether or not an in-place build is present.
+The ``kernel`` fixture builds the C kernel (consensus rounds and the graph's
+edge draws) from this checkout into a temporary directory once per session,
+so the compiled paths are checked wherever a C compiler exists, whether or
+not an in-place build is present.
 """
 
 import glob
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from zoomgrad import graph
 from zoomgrad.consensus import engine
 from zoomgrad.graph import Digraph
 
@@ -64,8 +66,9 @@ def acceptance(request):
 def built_kernel(tmp_path_factory):
     """The ``_ckernel`` module built into a temp dir, or None without a C compiler.
 
-    Nothing is written under ``src/``.  A build that fails while a compiler
-    exists fails every test that uses the kernel.
+    Nothing is written under ``src/``.  A build that fails, or that makes the
+    compiler warn, while a compiler exists fails every test that uses the
+    kernel.
     """
     if shutil.which(CC) is None:
         return None
@@ -76,10 +79,12 @@ def built_kernel(tmp_path_factory):
         capture_output=True,
         text=True,
     )
-    built = glob.glob(str(tmp / "lib" / "zoomgrad" / "consensus" / "_ckernel*"))
+    built = glob.glob(str(tmp / "lib" / "zoomgrad" / "_ckernel*"))
     if proc.returncode != 0 or not built:
         pytest.fail("C compiler %r found but the kernel did not build:\n%s%s" % (CC, proc.stdout, proc.stderr))
-    spec = importlib.util.spec_from_file_location("zoomgrad.consensus._ckernel", built[0])
+    if "warning:" in proc.stdout + proc.stderr:
+        pytest.fail("the kernel built with compiler warnings:\n%s%s" % (proc.stdout, proc.stderr))
+    spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -87,11 +92,19 @@ def built_kernel(tmp_path_factory):
 
 @pytest.fixture
 def kernel(built_kernel, monkeypatch):
-    """The freshly built kernel, installed as the engine's compiled backend."""
+    """The freshly built kernel, installed as the engine's and the graph's backend."""
     if built_kernel is None:
-        pytest.skip("no C compiler %r found, so the compiled consensus kernel was not built or checked" % CC)
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     monkeypatch.setattr(engine, "_kernel", built_kernel)
+    monkeypatch.setattr(graph, "_kernel", built_kernel)
     return built_kernel
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Neither the engine nor the graph module sees a compiled kernel."""
+    monkeypatch.setattr(engine, "_kernel", None)
+    monkeypatch.setattr(graph, "_kernel", None)
 
 
 def ring(n):

@@ -397,8 +397,7 @@ def test_force_backend_validation():
         run_consensus(x, Q_HALF, g, rng, force_backend="gpu")
 
 
-def test_force_compiled_without_kernel_errors(monkeypatch):
-    monkeypatch.setattr(engine, "_kernel", None)
+def test_force_compiled_without_kernel_errors(no_kernel):
     g, x, rng = random_instance(1, 3)
     with pytest.raises(RuntimeError, match="not available"):
         run_consensus(x, Q_HALF, g, rng, force_backend="compiled")

@@ -1,22 +1,59 @@
-"""Digraph generation and analysis, cross-checked against networkx.
+"""Digraph generation and analysis, cross-checked against oracles.
 
-networkx is the independent oracle for strong connectivity and diameter;
-the generator's own guarantees (cycle-first construction, determinism,
-exact edge probabilities at p in {0, 1}) are asserted directly.
+networkx and an all-pairs BFS (``bfs_diameter``) are the independent
+oracles for strong connectivity and diameter; the pure edge-draw loop is
+the oracle for the C kernel's ``random_out_adj``.  The generator's own
+guarantees (cycle-first construction, determinism, exact edge probabilities
+at p in {0, 1}, pinned output bytes) are asserted directly.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete, ring
+from zoomgrad import graph
 from zoomgrad.graph import (
     Digraph,
     diameter,
     generate_random_digraph,
     is_strongly_connected,
 )
+from zoomgrad.rng import PCG32, STREAM_GRAPH
+
+
+def bfs_diameter(g):
+    """All-pairs BFS: the largest eccentricity, or ValueError if some pair is unreachable."""
+    best = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.out_adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if len(dist) < g.n:
+            raise ValueError("not strongly connected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+def assert_diameter_matches_bfs(g):
+    try:
+        want = bfs_diameter(g)
+    except ValueError:
+        with pytest.raises(ValueError, match="diameter undefined: digraph is not strongly connected"):
+            diameter(g)
+    else:
+        assert diameter(g) == want
 
 
 def to_nx(g):
@@ -70,14 +107,54 @@ def test_p_one_gives_complete_digraph():
     assert diameter(g) == 1
 
 
-def test_edge_prob_out_of_range():
-    with pytest.raises(ValueError, match="edge_prob"):
-        generate_random_digraph(5, Fraction(3, 2), 0)
+def no_draws(*args):
+    raise AssertionError("a generator was created before the arguments were validated")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_too_few_nodes_rejected_before_drawing(n, monkeypatch):
+    monkeypatch.setattr(graph, "PCG32", no_draws)
+    with pytest.raises(ValueError, match="need at least 2 nodes"):
+        generate_random_digraph(n, Fraction(1, 2), 0)
+
+
+def test_edge_prob_out_of_range(monkeypatch):
+    monkeypatch.setattr(graph, "PCG32", no_draws)
+    for p in (Fraction(-1, 10), Fraction(11, 10), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="edge_prob"):
+            generate_random_digraph(5, p, 0)
 
 
 def test_ring_and_complete_diameters():
-    assert diameter(ring(7)) == 6
-    assert diameter(complete(5)) == 1
+    # Rings give D = n - 1, the longest run of levels before every row is full.
+    for n in range(2, 61):
+        assert diameter(ring(n)) == bfs_diameter(ring(n)) == n - 1
+    for n in range(2, 13):
+        assert diameter(complete(n)) == bfs_diameter(complete(n)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_diameter_matches_bfs_on_random_digraphs(n, p, seed):
+    # Low p leaves most of these not strongly connected: both must raise.
+    rnd = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p]
+    assert_diameter_matches_bfs(Digraph(n, edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_diameter_matches_bfs_on_generated_instances(n, p, seed):
+    g = generate_random_digraph(n, p, seed)
+    assert diameter(g) == bfs_diameter(g)
 
 
 def test_digraph_rejects_bad_edges():
@@ -90,14 +167,21 @@ def test_digraph_rejects_bad_edges():
 
 
 def test_not_strongly_connected_detected():
-    # Node 0 reaches every node, so only the backward search from 0 (over
-    # the reversed edges) can tell that the sink 2 never gets back.
-    g = Digraph(3, [(0, 1), (1, 0), (1, 2)])
-    assert not is_strongly_connected(g)
-    with pytest.raises(ValueError, match="not strongly connected"):
-        diameter(g)
-    # Here the forward search from 0 misses node 2.
-    assert not is_strongly_connected(Digraph(3, [(0, 1), (1, 0), (2, 0)]))
+    for edges in (
+        # Node 0 reaches every node, so only the backward search from 0
+        # (over the reversed edges) can tell that the sink 2 never gets back.
+        [(0, 1), (1, 0), (1, 2)],
+        # Here only the forward search from 0 misses node 2.
+        [(0, 1), (1, 0), (2, 0)],
+        # An isolated sink.
+        [(0, 1), (1, 0)],
+    ):
+        g = Digraph(3, edges)
+        assert not is_strongly_connected(g)
+        with pytest.raises(ValueError, match="not strongly connected"):
+            bfs_diameter(g)
+        with pytest.raises(ValueError, match="diameter undefined: digraph is not strongly connected"):
+            diameter(g)
 
 
 def test_adjacency_is_sorted_and_deduplicated():
@@ -113,3 +197,66 @@ def test_graph_stream_isolated_from_other_draws():
     g = generate_random_digraph(5, Fraction(1, 2), 1)
     assert g == generate_random_digraph(5, Fraction(1, 2), 1)
     assert is_strongly_connected(g)
+
+
+# Thresholds at both ends of the 32-bit range: p = 1/2**32 keeps a pair only
+# on a zero draw, and p = 1 gives threshold 2**32, which no draw reaches.
+DRAW_PROBS = [
+    Fraction(0),
+    Fraction(1, 2**32),
+    Fraction(1, 50),
+    Fraction(1, 2),
+    Fraction(2**32 - 1, 2**32),
+    Fraction(1),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("p", DRAW_PROBS)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32])
+def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    succ = [0] * n
+    for k in range(n):
+        succ[perm[k]] = perm[(k + 1) % n]
+    threshold = (p.numerator << 32) // p.denominator
+
+    pure_rng = PCG32(seed, STREAM_GRAPH)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", None)
+        want = graph._draw_out_adj(succ, threshold, pure_rng)
+    rng = PCG32(seed, STREAM_GRAPH)
+    got = graph._draw_out_adj(succ, threshold, rng)
+    assert got == want
+    assert rng.getstate() == pure_rng.getstate()
+    assert all(succ[u] in row and u not in row for u, row in enumerate(got))
+    if p == 1:
+        assert all(len(row) == n - 1 for row in got)
+    if p == 0:
+        assert all(row == (succ[u],) for u, row in enumerate(got))
+
+
+# sha256(repr(out_adj)) of generated instances, pinned from the all-Python
+# generator so that a change breaking both backends the same way still fails.
+PINNED = [
+    pytest.param(
+        400, Fraction(1, 2), 0, "19e4ba08ba882d6e72e975a004c846c25c8d4be52995fba8ad877b112644b364", 79677, 2, id="n400"
+    ),
+    pytest.param(
+        1000, Fraction(1, 50), 0, "7021c0394f6b3fadaac58b71c5aee3f2995953277fd7b4af2122221ba34e6c5f", 20964, 4, id="n1000"
+    ),
+    pytest.param(
+        2000, Fraction(1, 50), 0, "65f3bd2930b2517464c19c0d1d4a90d58758be3fdc749b85fc66b79a87a43c39", 82265, 3, id="n2000"
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("n, p, seed, digest, edges, diam", PINNED)
+def test_generated_bytes_pinned(backend, n, p, seed, digest, edges, diam, request):
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    g = generate_random_digraph(n, p, seed)
+    assert hashlib.sha256(repr(g.out_adj).encode()).hexdigest() == digest
+    assert g.edge_count() == edges
+    assert g.diameter == diam
