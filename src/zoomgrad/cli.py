@@ -74,10 +74,12 @@ def _build_config(args):
 def _parse_seeds(spec, default):
     if spec is None:
         return list(default)
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    lo, sep, hi = spec.partition(":")
+    tokens = [lo, hi] if sep else [tok for tok in spec.split(",") if tok.strip()]
+    if not all(tok.strip().isdecimal() for tok in tokens):
+        raise ConfigError("seeds", '"lo:hi" or comma-separated nonnegative integers, got %r' % spec)
+    seeds = [int(tok) for tok in tokens]
+    return list(range(*seeds)) if sep else seeds
 
 
 def main(argv=None):
@@ -101,6 +103,8 @@ def main(argv=None):
         if args.command == "table1":
             return cmd_table1(args.out)
         config = _build_config(args)
+        if args.command == "sweep":
+            seeds = _parse_seeds(args.seeds, [config.seed])
     except ConfigError as exc:
         print("error: invalid config - %s" % exc, file=sys.stderr)
         return 1
@@ -110,7 +114,7 @@ def main(argv=None):
     if args.command == "run":
         return cmd_run(config)
     if args.command == "sweep":
-        return cmd_sweep(config, _parse_seeds(args.seeds, [config.seed]))
+        return cmd_sweep(config, seeds)
     return cmd_compare(config)
 
 

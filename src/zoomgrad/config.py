@@ -68,11 +68,11 @@ class RunConfig:
     out_dir: str = ""
 
     def validate(self):
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ConfigError("n", "need an integer node count >= 2")
         if not 0 <= self.edge_prob <= 1:
             raise ConfigError("edge_prob", "must lie in [0, 1]")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError("seed", "need a nonnegative integer")
         if self.alpha <= 0:
             raise ConfigError("alpha", "step size must be positive")
@@ -116,14 +116,14 @@ class RunConfig:
         target = self.stop.get("target_error")
         if max_steps is None and target is None:
             raise ConfigError("stop", "need max_steps and/or target_error")
-        if max_steps is not None and (not isinstance(max_steps, int) or max_steps < 0):
+        if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ConfigError("stop.max_steps", "need a nonnegative integer")
-        if target is not None and not target > 0:
-            raise ConfigError("stop.target_error", "need a positive error target")
+        if target is not None and not 0 < target < float("inf"):
+            raise ConfigError("stop.target_error", "need a positive, finite error target")
         mode = self.accounting.get("mode")
         if mode == "paper_faithful":
             b_pm = self.accounting.get("b_pm", 3)
-            if not isinstance(b_pm, int) or b_pm < 1:
+            if type(b_pm) is not int or b_pm < 1:
                 raise ConfigError("accounting.b_pm", "need a positive integer width")
         elif mode != "measured":
             raise ConfigError(

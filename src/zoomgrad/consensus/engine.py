@@ -26,7 +26,7 @@ Each round:
 5. at epoch ends (``lambda mod D' == 0``) all nodes hold the flooded global
    extremes; if ``M - m <= 1`` every node stops and outputs
    ``b_q + m * delta`` (a grid point within delta of the average quantized
-   input).
+   input).  ``run_consensus`` returns that common value once.
 
 ``D' = max(diameter, 2)`` so a full epoch always floods the extremes to
 every node and the reset/check cadence stays meaningful on diameter-1
@@ -46,7 +46,7 @@ consumer of the RNG.
 The package's optional C extension (``zoomgrad/_ckernel.c``, shared with
 the graph generator's edge draws) ports the snapshot path to int64 as
 ``run_rounds`` when it is built: same node order, same PCG32 draws, same
-stop rule, so results, rounds, alphabet and RNG state are bit-for-bit equal
+stop rule, so the output, rounds, alphabet and RNG state are bit-for-bit equal
 to the pure paths, which run whenever the extension is not built.  It
 declines instances that could overflow int64 (n > 4096, or a mass beyond
 ``W_SAFE = 2**45`` at any round start) without advancing the caller's RNG,
@@ -167,15 +167,16 @@ def run_consensus(
     round_hook=None,
     force_backend: str | None = None,
 ):
-    """Run the whole protocol; returns (per-node results, ConsensusStats).
+    """Run the whole protocol; returns (common value, ConsensusStats).
 
-    All returned results are identical rationals on the delta-grid.  The
-    compiled kernel is used when available unless a ``round_hook`` is given
-    or ``force_backend="pure"``; ``force_backend="compiled"`` demands the
-    kernel.  Without the kernel, unhooked runs take the epoch-snapshot path
-    and hooked runs the per-round flood, which calls ``round_hook(lambda,
-    record)`` after every round.  Every path yields identical output and
-    leaves the RNG in the identical state.
+    Every node stops holding the same rational ``b_q + m * delta`` on the
+    delta-grid, which is returned once.  The compiled kernel is used when
+    available unless a ``round_hook`` is given or ``force_backend="pure"``;
+    ``force_backend="compiled"`` demands the kernel.  Without the kernel,
+    unhooked runs take the epoch-snapshot path and hooked runs the per-round
+    flood, which calls ``round_hook(lambda, record)`` after every round.
+    Every path yields identical output and leaves the RNG in the identical
+    state.
     """
     if force_backend not in (None, "pure", "compiled"):
         raise ValueError(f"unknown backend {force_backend!r}")
@@ -193,7 +194,7 @@ def run_consensus(
         else:
             out = _run_flood(y, g, d_eff, rng, max_rounds, round_hook)
     rounds, m, alphabet = out
-    return [q.b_q + m * q.delta] * g.n, ConsensusStats(g.n, rounds, alphabet)
+    return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, alphabet)
 
 
 def _run_snapshot(y, g, d_eff, rng, max_rounds):

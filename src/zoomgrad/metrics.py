@@ -20,24 +20,15 @@ class EnvelopePoint:
     empirical: object  # measured |x_hat - x*| (exact rational)
 
 
-def error_metric(x, x_init, x_star):
-    """Normalized distance sqrt(sum_j ((x_j - x*)/(x_init_j - x*))^2).
+def error_metric(x, x_star, spread):
+    """Normalized distance sqrt(sum_j ((x - x*)/(x_init_j - x*))^2).
 
-    Summed exactly over rationals, rooted in double precision.  Every
-    initial estimate must differ from the optimum, otherwise its term
-    divides by zero.
+    Every node holds the common estimate ``x``, so the sum is the exact
+    rational ``(x - x*)^2 * spread``, where ``spread`` is
+    sum_j 1/(x_init_j - x*)^2, computed once per run; the root is taken in
+    double precision.
     """
-    total = Fraction(0)
-    for j, (xj, x0j) in enumerate(zip(x, x_init)):
-        den = x0j - x_star
-        if den == 0:
-            raise ValueError(
-                "initial estimate at node %d equals the optimum; "
-                "error metric undefined" % j
-            )
-        r = Fraction(xj - x_star, 1) / den
-        total += r * r
-    return math.sqrt(float(total))
+    return math.sqrt(float((x - x_star) ** 2 * spread))
 
 
 def bits_total(c_s, b_pm, n_tt):

@@ -3,12 +3,13 @@ quantized consensus subroutine, plus the zoom policies that re-parameterize
 the quantizer between steps.
 
 One iteration is: every node takes a gradient step on its private cost,
-the half-step values go through ``run_consensus`` (so all nodes land on a
-common grid point), and then the shared quantizer is updated according to
-the active zoom policy.  The adaptive policy zooms out (coarser, recentered)
-when the common value sits in a saturated outer cell and zooms in (finer,
-recentered) when it repeats inside the range; the two baseline policies
-either only refine the step size on repeats or never touch it.
+the half-step values go through ``run_consensus`` (so all nodes land on one
+common grid point, the estimate the state keeps), and then the shared
+quantizer is updated according to the active zoom policy.  The adaptive
+policy zooms out (coarser, recentered) when the common value sits in a
+saturated outer cell and zooms in (finer, recentered) when it repeats
+inside the range; the two baseline policies either only refine the step
+size on repeats or never touch it.
 
 All estimate arithmetic is exact (``fractions.Fraction``); floats appear
 only in the logged error column.
@@ -108,14 +109,14 @@ class RunRecord:
 
 @dataclass
 class OptimizerState:
-    x: list  # per-node Fraction estimates
+    x_init: tuple  # per-node starting estimates
     q: QuantizerState
-    k: int = 0
-    history: list = field(default_factory=list)
+    x: Fraction | None = None  # the common estimate; None before step 1
+    history: list = field(default_factory=list)  # one RunRecord per step taken
 
 
 def initial_state(x_init, q):
-    return OptimizerState(x=list(x_init), q=q, k=0, history=[])
+    return OptimizerState(x_init=tuple(x_init), q=q)
 
 
 def gradient_step(x, s, alpha):
@@ -151,11 +152,12 @@ def zoom_decide(q, x_new, x_old, policy):
 def step(state, g, s, alpha, policy, rng, error_fn=None):
     """Advance one full iteration in place and append its RunRecord.
 
-    ``error_fn`` maps the post-step per-node estimates to the logged error
+    ``error_fn`` maps the post-step common estimate to the logged error
     (NaN when absent, e.g. in unit tests that only exercise dynamics).
     """
     pre_q = state.q
-    x_half = gradient_step(state.x, s, alpha)
+    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
+    x_half = gradient_step(xs, s, alpha)
     # The averaging subroutine exchanges integer offsets on the (b_q, delta)
     # grid without clamping them to the quantizer's dynamic range.  Clamping
     # would collapse every out-of-range half-step to a +/- extreme, and near
@@ -163,26 +165,22 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below and the idealized per-message bit price.
-    result, stats = run_consensus(x_half, replace(pre_q, width=None), g, rng)
-    x_new = result[0]
+    x_new, stats = run_consensus(x_half, replace(pre_q, width=None), g, rng)
 
-    # The zoom test is a per-node comparison against each node's own
-    # previous estimate; with distinct estimates (only possible before the
-    # first consensus) no node-consistent repeat exists, so comparing
-    # against any differing value disables the event for everyone alike.
-    x_old = next((xi for xi in state.x if xi != x_new), x_new)
+    # A repeat needs every node's previous estimate to equal x_new; before
+    # the first consensus those are the starts.
+    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
     new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
 
-    state.x = list(result)
+    k = len(state.history)
+    width = policy.message_width(k, pre_q.delta)
+    state.x = x_new
     state.q = new_q
-    state.k += 1
-
-    width = policy.message_width(state.k - 1, pre_q.delta)
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
-    error = float("nan") if error_fn is None else error_fn(state.x)
+    error = float("nan") if error_fn is None else error_fn(x_new)
     rec = RunRecord(
-        k=state.k,
+        k=k + 1,
         x_value=x_new,
         error=error,
         delta=pre_q.delta,
@@ -202,8 +200,8 @@ def run_until(state, g, s, alpha, policy, stop, rng):
 
     ``stop`` carries ``max_steps`` and/or ``target_error``; at least one
     must be set (a non-finite target_error counts as unset).  The error is
-    measured against the closed-form optimum with the entry-time estimates
-    as the reference spread, so this expects a fresh state (k = 0).
+    measured against the closed-form optimum, normalized by the spread of
+    the starting estimates.
     """
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
@@ -214,13 +212,17 @@ def run_until(state, g, s, alpha, policy, stop, rng):
     if max_steps is None and target is None:
         raise ValueError("stop needs max_steps or a finite target_error")
 
-    x_init = list(state.x)
     x_star = s.global_optimum
+    spread = Fraction(0)  # sum_j 1/(x_init_j - x*)^2, the error's normalizer
+    for j, x0 in enumerate(state.x_init):
+        if x0 == x_star:
+            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
+        spread += Fraction(1, (x0 - x_star) ** 2)
 
-    def error_fn(xs):
-        return error_metric(xs, x_init, x_star)
+    def error_fn(x):
+        return error_metric(x, x_star, spread)
 
-    while max_steps is None or state.k < max_steps:
+    while max_steps is None or len(state.history) < max_steps:
         _, rec = step(state, g, s, alpha, policy, rng, error_fn=error_fn)
         if target is not None and rec.error <= target:
             break

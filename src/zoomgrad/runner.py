@@ -121,7 +121,7 @@ def run_single(config):
     try:
         history = run_until(state, g, s, config.alpha, policy, config.stop, rng)
     except ConsensusCapError as exc:
-        raise StepFailure(state.k + 1, exc) from exc
+        raise StepFailure(len(state.history) + 1, exc) from exc
     return {
         "history": history,
         "state": state,

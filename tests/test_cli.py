@@ -103,6 +103,21 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_infinite_target_error_exits_1(tmp_path, capsys):
+    rc = main(["run", "--target-error", "inf", "--max-steps", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "invalid config - stop.target_error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["abc", "-3,1", "-3:2", "0:x", "1:2:3", "1.5"])
+def test_bad_seeds_exit_1(spec, tmp_path, capsys):
+    rc = main(["sweep", "--nodes", "4", "--max-steps", "5", "--seeds=" + spec, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: invalid config - seeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 1

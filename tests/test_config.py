@@ -77,6 +77,13 @@ def test_parse_rational_rejects(bad):
         ({"stop": {"max_steps": 10, "target_error": 0.0}}, "stop.target_error"),
         ({"accounting": {"mode": "estimated"}}, "accounting.mode"),
         ({"accounting": {"mode": "paper_faithful", "b_pm": 0}}, "accounting.b_pm"),
+        # non-finite targets and bools standing in for integers
+        ({"stop": {"max_steps": 10, "target_error": float("inf")}}, "stop.target_error"),
+        ({"stop": {"target_error": float("nan")}}, "stop.target_error"),
+        ({"n": True}, "n"),
+        ({"seed": True}, "seed"),
+        ({"stop": {"max_steps": True}}, "stop.max_steps"),
+        ({"accounting": {"mode": "paper_faithful", "b_pm": True}}, "accounting.b_pm"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -154,6 +161,21 @@ def test_from_json_rejects_non_objects():
         RunConfig.from_json("{")
     with pytest.raises(ConfigError, match="top level"):
         RunConfig.from_json("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"stop": {"target_error": Infinity}}', "stop.target_error"),
+        ('{"stop": {"max_steps": 5, "target_error": -Infinity}}', "stop.target_error"),
+        ('{"seed": true}', "seed"),
+        ('{"n": false}', "n"),
+    ],
+)
+def test_json_rejects_non_finite_and_bool_values(text, field):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_json(text)
+    assert exc.value.field == field
 
 
 def test_x_init_range_shape_checked():

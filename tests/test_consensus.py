@@ -108,7 +108,7 @@ def test_all_equal_inputs_trace():
         PCG32(1, STREAM_PROTOCOL),
         round_hook=lambda lam, rec: records.append((lam, dict(rec))),
     )
-    assert result == [F(0)] * 3
+    assert result == F(0)
     d_eff = effective_epoch(g.diameter)
     assert stats.rounds == d_eff  # stops at the first epoch end
     lam1, rec1 = records[0]
@@ -122,7 +122,7 @@ def test_all_equal_on_complete_graph():
     result, _ = run_consensus(
         [F(1, 4)] * 5, Q_HALF, complete(5), PCG32(2, STREAM_PROTOCOL)
     )
-    assert result == [F(0)] * 5
+    assert result == F(0)
 
 
 def test_three_node_split_outcomes():
@@ -133,9 +133,7 @@ def test_three_node_split_outcomes():
     seen = set()
     for seed in range(40):
         for g in (ring(3), complete(3)):
-            result, _ = run_consensus(x, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
-            assert len(set(result)) == 1
-            out = result[0]
+            out, _ = run_consensus(x, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
             assert abs(out - F(3, 4)) <= F(1, 2)
             assert out in (F(1, 2), F(1))
             seen.add(out)
@@ -180,17 +178,20 @@ def test_agreement_accuracy_conservation(n):
             q = QuantizerState(b_q=F(0), delta=F(1, 2), width=width)
             y0 = sum(init_consensus(x, q))
             violations = []
+            final_m = []
 
-            def hook(lam, rec, y0=y0, n=n):
+            def hook(lam, rec, y0=y0, n=n, final_m=final_m):
                 if sum(rec["y"]) != y0 or sum(rec["z"]) != 2 * n:
                     violations.append(lam)
+                final_m[:] = rec["m"]
 
             result, stats = run_consensus(x, q, g, rng, round_hook=hook)
             assert not violations
-            assert len(set(result)) == 1
-            assert abs(result[0] - oracle_mean(x, q)) <= q.delta
+            # every node's flooded minimum, hence its output, is the same
+            assert set(final_m) == {(result - q.b_q) / q.delta}
+            assert abs(result - oracle_mean(x, q)) <= q.delta
             # output is a grid point: integer number of steps from the basis
-            assert ((result[0] - q.b_q) / q.delta).denominator == 1
+            assert ((result - q.b_q) / q.delta).denominator == 1
             assert stats.rounds >= 1
             assert stats.mass_transmissions == n * stats.rounds
 
@@ -211,8 +212,7 @@ def test_consensus_property_randomized(n, seed, data):
         )
     )
     result, stats = run_consensus(xs, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
-    assert len(set(result)) == 1
-    assert abs(result[0] - oracle_mean(xs, Q_HALF)) <= Q_HALF.delta
+    assert abs(result - oracle_mean(xs, Q_HALF)) <= Q_HALF.delta
     assert stats.mass_transmissions >= 0
 
 
@@ -247,9 +247,8 @@ def test_non_grid_basis_instance():
     g = generate_random_digraph(6, F(1, 2), 11)
     x = [F(573, 256) + F(k, 8) for k in (-9, -2, 0, 3, 5, 12)]
     result, _ = run_consensus(x, q, g, PCG32(11, STREAM_PROTOCOL))
-    assert len(set(result)) == 1
-    assert ((result[0] - q.b_q) / q.delta).denominator == 1
-    assert abs(result[0] - oracle_mean(x, q)) <= q.delta
+    assert ((result - q.b_q) / q.delta).denominator == 1
+    assert abs(result - oracle_mean(x, q)) <= q.delta
 
 
 # --- determinism and backends ---------------------------------------------

@@ -9,7 +9,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import bidirectional_pair
+from zoomgrad.config import RunConfig
 from zoomgrad.metrics import (
     ADAPTIVE_TABLE_STEPS,
     EnvelopePoint,
@@ -27,7 +30,11 @@ from zoomgrad.metrics import (
     table_bits_rows,
     zoom_out_bound,
 )
-from zoomgrad.optimizer import RunRecord
+from zoomgrad.objective import CostSuite, QuadraticCost
+from zoomgrad.optimizer import AdaptiveZoom, RunRecord, initial_state, run_until
+from zoomgrad.quantizer import QuantizerState
+from zoomgrad.rng import PCG32, STREAM_PROTOCOL
+from zoomgrad.runner import run_single
 
 N_TT = F(21188, 100)  # the reference mean transmissions per consensus
 
@@ -35,32 +42,91 @@ N_TT = F(21188, 100)  # the reference mean transmissions per consensus
 # --- error metric -----------------------------------------------------------
 
 
+def per_node_error(x, x_init, x_star):
+    """Oracle: sqrt(sum_j ((x_j - x*)/(x_init_j - x*))^2), one term per node.
+
+    Summed exactly over rationals and rooted in double precision, as the
+    metric was computed before the optimizer kept one common estimate.
+    """
+    total = F(0)
+    for j, (xj, x0j) in enumerate(zip(x, x_init)):
+        den = x0j - x_star
+        if den == 0:
+            raise ValueError("initial estimate at node %d equals the optimum" % j)
+        r = F(xj - x_star, 1) / den
+        total += r * r
+    return math.sqrt(float(total))
+
+
+def spread(x_init, x_star):
+    """sum_j 1/(x_init_j - x*)^2, the normalizer ``run_until`` passes in."""
+    return sum(F(1, (x0 - x_star) ** 2) for x0 in x_init)
+
+
 def test_error_zero_at_optimum():
-    assert error_metric([F(3), F(3)], [F(1), F(5)], F(3)) == 0.0
+    assert error_metric(F(3), F(3), spread([F(1), F(5)], F(3))) == 0.0
+    assert per_node_error([F(3), F(3)], [F(1), F(5)], F(3)) == 0.0
 
 
 def test_error_is_sqrt_n_at_start():
+    # every node at its own start contributes 1
     x0 = [F(k) for k in (1, 2, 4, 5)]
-    assert error_metric(x0, x0, F(3)) == math.sqrt(4)
+    assert per_node_error(x0, x0, F(3)) == math.sqrt(4)
     x20 = [F(k % 4 + 1) for k in range(20)]
-    assert error_metric(x20, x20, F(-7)) == pytest.approx(4.4721, abs=5e-5)
+    assert per_node_error(x20, x20, F(-7)) == pytest.approx(4.4721, abs=5e-5)
+    # so does a common estimate as far from x* as every start
+    assert error_metric(F(1), F(3), spread([F(1), F(5), F(5), F(1)], F(3))) == math.sqrt(4)
+    assert error_metric(F(1), F(-7), spread([F(1), F(-15)] * 10, F(-7))) == pytest.approx(4.4721, abs=5e-5)
 
 
 def test_error_hand_example():
-    got = error_metric([F(1, 2), F(3, 2)], [F(0), F(2)], F(1))
+    got = error_metric(F(1, 2), F(1), spread([F(0), F(2)], F(1)))
     assert got == math.sqrt(0.5)  # sqrt(1/4 + 1/4)
+    assert per_node_error([F(1, 2), F(3, 2)], [F(0), F(2)], F(1)) == math.sqrt(0.5)
 
 
 def test_error_rejects_degenerate_start():
+    # run_until computes the normalizer once, before the first step, and
+    # names the node whose start sits on the optimum
+    g = bidirectional_pair()
+    s = CostSuite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
+    state = initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)))
     with pytest.raises(ValueError, match="node 1"):
-        error_metric([F(0), F(0)], [F(1), F(2)], F(2))
+        run_until(state, g, s, F(3, 25), AdaptiveZoom(), {"max_steps": 3}, PCG32(1, STREAM_PROTOCOL))
+    assert state.history == []
+    with pytest.raises(ValueError, match="node 1"):
+        per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 
 
 def test_error_normalizes_per_node():
     # a node that starts close to the optimum dominates the metric
-    loose = error_metric([F(1, 10)] * 2, [F(1), F(1)], F(0))
-    tight = error_metric([F(1, 10)] * 2, [F(1), F(1, 5)], F(0))
+    loose = error_metric(F(1, 10), F(0), spread([F(1), F(1)], F(0)))
+    tight = error_metric(F(1, 10), F(0), spread([F(1), F(1, 5)], F(0)))
     assert tight > loose
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=30), RATIONALS, RATIONALS)
+def test_error_metric_matches_per_node_oracle(x_init, x, x_star):
+    # (x - x*)^2 * S is the per-node sum's rational, so the floats are equal
+    assume(all(x0 != x_star for x0 in x_init))
+    got = error_metric(x, x_star, spread(x_init, x_star))
+    assert got == per_node_error([x] * len(x_init), x_init, x_star)
+
+
+@pytest.mark.parametrize(
+    "policy,delta0", [("adaptive_zoom", F(1, 2)), ("refine_only", F(1, 10)), ("fixed_level", F(1, 10))]
+)
+def test_logged_error_matches_per_node_oracle(policy, delta0):
+    # every logged error of a run equals the per-node sum over its starts
+    config = RunConfig(n=6, seed=4, delta0=delta0, policy={"variant": policy}, stop={"max_steps": 60})
+    result = run_single(config)
+    x_init, x_star = result["x_init"], result["x_star"]
+    for rec in result["history"]:
+        assert rec.error == per_node_error([rec.x_value] * 6, x_init, x_star)
 
 
 # --- bit accounting ---------------------------------------------------------

@@ -149,8 +149,8 @@ def test_step_agreement_and_grid():
     state = initial_state([F(1), F(2)], Q0)
     rng = PCG32(3, STREAM_PROTOCOL)
     state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), rng)
-    assert state.x[0] == state.x[1] == rec.x_value
-    assert state.k == 1 == rec.k
+    assert state.x == rec.x_value  # one common estimate, stored once
+    assert len(state.history) == 1 == rec.k
     # consensus output is a whole number of steps from the pre-step basis
     assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
     assert rec.delta == Q0.delta and rec.b_q == Q0.b_q  # pre-zoom values logged
@@ -167,7 +167,7 @@ def test_step_counts_and_bits():
     result, stats = run_consensus(
         x_half, replace(Q0, width=None), g, PCG32(seed, STREAM_PROTOCOL)
     )
-    assert rec.x_value == result[0]
+    assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
     assert rec.mass_transmissions == stats.mass_transmissions
     assert rec.bits_paper_mode == 3 * stats.mass_transmissions
@@ -207,6 +207,8 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
             events.append(rec.zoom_event)
             assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
         assert any(e != "none" for e in events)
+        # every start equals the step-1 output, so step 1 is already a repeat
+        assert events[0] == "zoom_in"
 
 
 def test_zoom_exclusivity_and_counter_sync():
@@ -248,7 +250,7 @@ def test_per_node_quantizer_copies_stay_identical():
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
-        x_prev = list(state.x)
+        x_prev = state.x_init if state.x is None else [state.x] * 5
         state, rec = step(state, g, s, ALPHA, policy, rng)
         per_node = [
             zoom_decide(q, rec.x_value, x_prev[i], policy)[0]
@@ -322,7 +324,7 @@ def test_run_until_stops_at_target():
     assert all(r.error > 1e-4 for r in history[:-1])
     assert len(history) < 200
     # distance to the known optimum shrank accordingly
-    assert abs(state.x[0] - F(3, 2)) < F(1, 100)
+    assert abs(state.x - F(3, 2)) < F(1, 100)
 
 
 def test_run_record_is_frozen():
@@ -335,5 +337,6 @@ def test_initial_state_copies_inputs():
     xs = [F(1), F(2)]
     st = initial_state(xs, Q0)
     xs.append(F(3))
-    assert len(st.x) == 2
+    assert st.x_init == (F(1), F(2))
+    assert st.x is None and st.history == []  # no common estimate before step 1
     assert isinstance(st, OptimizerState)
