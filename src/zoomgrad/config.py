@@ -92,6 +92,9 @@ class RunConfig:
             raise ConfigError(
                 "policy.variant", "expected one of %s, got %r" % (_POLICY_VARIANTS, variant)
             )
+        width = self.policy.get("quantizer_width", 3)
+        if type(width) is not int or width < 1:
+            raise ConfigError("policy.quantizer_width", "need an integer width >= 1")
         if variant == "refine_only" and parse_rational(
             self.policy.get("c_refine", 10), "policy.c_refine"
         ) <= 1:
@@ -118,7 +121,11 @@ class RunConfig:
             raise ConfigError("stop", "need max_steps and/or target_error")
         if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ConfigError("stop.max_steps", "need a nonnegative integer")
-        if target is not None and not 0 < target < float("inf"):
+        if target is not None and (
+            isinstance(target, bool)
+            or not isinstance(target, (int, float))
+            or not 0 < target < float("inf")
+        ):
             raise ConfigError("stop.target_error", "need a positive, finite error target")
         mode = self.accounting.get("mode")
         if mode == "paper_faithful":

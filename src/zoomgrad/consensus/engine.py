@@ -5,12 +5,15 @@ common value within one quantization level of the average of the nodes'
 quantized inputs, using only integer-valued messages.
 
 State: two int lists, the value masses ``y`` and the count masses ``z``.
-Node i starts at ``y[i] = 2*(Q(x_i) - b_q)/delta`` (an odd integer: twice
-the quantized basis-relative level, so the network-wide ratio sum(y)/sum(z)
-equals the average quantized value in basis-relative delta units) and
-``z[i] = 2``.  Masses stay integers forever — every transmitted piece is a
-floor of a ratio — which is what makes the stop test reachable and the
-protocol finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
+``run_consensus`` takes the initial value masses, not the inputs: node i
+starts at ``y[i] = 2*(Q(x_i) - b_q)/delta`` (an odd integer: twice the
+quantized basis-relative level, so the network-wide ratio sum(y)/sum(z)
+equals the average quantized value in basis-relative delta units, as
+``init_consensus`` computes it from the inputs) and ``z[i] = 2``.  The
+quantizer is only read to map the output level back to ``b_q + m*delta``.
+Masses stay integers forever — every transmitted piece is a floor of a
+ratio — which is what makes the stop test reachable and the protocol
+finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
 ends every split with ``z = 1`` and only gains count mass, so every node
 keeps ``z >= 1`` and the round sends exactly ``sum(z) - n = n`` pieces.
 Each round:
@@ -158,7 +161,7 @@ def _split_and_deliver(y: list[int], z: list[int], g: Digraph, rng: PCG32, alpha
 
 
 def run_consensus(
-    x_half,
+    y,
     q: QuantizerState,
     g: Digraph,
     rng: PCG32,
@@ -167,10 +170,13 @@ def run_consensus(
     round_hook=None,
     force_backend: str | None = None,
 ):
-    """Run the whole protocol; returns (common value, ConsensusStats).
+    """Run the whole protocol from the initial value masses ``y``.
 
-    Every node stops holding the same rational ``b_q + m * delta`` on the
-    delta-grid, which is returned once.  The compiled kernel is used when
+    Returns (common value, ConsensusStats).  ``y`` holds one odd integer per
+    node (see ``init_consensus``) and is never modified, so a caller may run
+    the same masses again.  ``q`` is only read for the output: every node
+    stops holding the same rational ``b_q + m * delta`` on the delta-grid,
+    which is returned once.  The compiled kernel is used when
     available unless a ``round_hook`` is given or ``force_backend="pure"``;
     ``force_backend="compiled"`` demands the kernel.  Without the kernel,
     unhooked runs take the epoch-snapshot path and hooked runs the per-round
@@ -183,7 +189,7 @@ def run_consensus(
     if force_backend == "compiled" and _kernel is None:
         raise RuntimeError("compiled consensus kernel is not available")
 
-    y = init_consensus(x_half, q)
+    y = list(y)  # the pure paths update their masses in place
     d_eff = effective_epoch(g.diameter)
     out = None
     if _kernel is not None and round_hook is None and force_backend != "pure":

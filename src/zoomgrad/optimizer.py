@@ -3,22 +3,31 @@ quantized consensus subroutine, plus the zoom policies that re-parameterize
 the quantizer between steps.
 
 One iteration is: every node takes a gradient step on its private cost,
-the half-step values go through ``run_consensus`` (so all nodes land on one
-common grid point, the estimate the state keeps), and then the shared
-quantizer is updated according to the active zoom policy.  The adaptive
-policy zooms out (coarser, recentered) when the common value sits in a
-saturated outer cell and zooms in (finer, recentered) when it repeats
-inside the range; the two baseline policies either only refine the step
-size on repeats or never touch it.
+the quantized half-steps enter ``run_consensus`` as integer masses (so all
+nodes land on one common grid point, the estimate the state keeps), and
+then the shared quantizer is updated according to the active zoom policy.
+The adaptive policy zooms out (coarser, recentered) when the common value
+sits in a saturated outer cell and zooms in (finer, recentered) when it
+repeats inside the range; the two baseline policies either only refine the
+step size on repeats or never touch it.
 
-All estimate arithmetic is exact (``fractions.Fraction``); floats appear
-only in the logged error column.
+Step 1 starts from the distinct per-node estimates and takes the exact
+per-node path: ``gradient_step`` then ``init_consensus``.  From step 2 on
+every node holds the one common estimate, so a node's half-step, and hence
+its initial mass, depends only on its cost class (beta, x0).  The
+``CostClasses`` table, built once per run and kept on the state, turns each
+class's mass into one integer floor division (``grid_masses``); the per-node
+path stays as the oracle it is tested against.
+
+All estimate arithmetic is exact (``fractions.Fraction`` or integers);
+floats appear only in the logged error column.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .consensus import run_consensus
+from .consensus import engine, run_consensus
 from .metrics import error_metric
 from .quantizer import QuantizerState, saturation_half_range, zoom_in, zoom_out
 
@@ -107,12 +116,60 @@ class RunRecord:
     bits_measured_mode: int
 
 
+@dataclass(frozen=True)
+class CostClasses:
+    """The distinct cost classes (beta, x0) of one run, in integer form.
+
+    From a common estimate x, class c's half-step is
+    ``x - alpha*beta_c*(x - x0_c) = (u_c*x + v_c) / lcm`` with the integers
+    ``u_c = lcm*(1 - alpha*beta_c)`` and ``v_c = lcm*alpha*beta_c*x0_c``;
+    ``lcm`` is the least common denominator of all the classes' rationals.
+    """
+
+    node_class: tuple  # class index of each node
+    lcm: int
+    coeffs: tuple  # (u_c, v_c) per class
+
+
+def cost_classes(s, alpha):
+    """The ``CostClasses`` table of suite ``s`` under step size ``alpha``."""
+    index = {}
+    node_class = tuple(index.setdefault((c.beta, c.x0), len(index)) for c in s.costs)
+    pulls = [(1 - alpha * beta, alpha * beta * x0) for beta, x0 in index]
+    lcm = math.lcm(*(r.denominator for pair in pulls for r in pair))
+    coeffs = tuple((int(u * lcm), int(v * lcm)) for u, v in pulls)
+    return CostClasses(node_class, lcm, coeffs)
+
+
+def grid_masses(classes, x, q):
+    """Initial consensus masses of every node from the common estimate ``x``.
+
+    Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` on the
+    unsaturated grid of ``q``: class c's bin index is
+    ``t_c = floor((half_c - b_q)/delta)`` and its mass ``2*t_c + 1``.  With
+    ``x`` and ``b_q`` over their common denominator ``d`` and
+    ``delta = dn/dd``, ``t_c = (u_c*a + v_c*w + k) // den`` in integers,
+    where ``a = x*d*dd``, ``w = d*dd``, ``k = -lcm*b_q*d*dd`` and
+    ``den = lcm*d*dn``.  Nothing assumes that ``x - b_q`` is a whole number
+    of steps.
+    """
+    dn, dd = q.delta.numerator, q.delta.denominator
+    d = math.lcm(x.denominator, q.b_q.denominator)
+    a = x.numerator * (d // x.denominator) * dd
+    w = d * dd
+    k = -classes.lcm * q.b_q.numerator * (d // q.b_q.denominator) * dd
+    den = classes.lcm * d * dn
+    ys = [2 * ((u * a + v * w + k) // den) + 1 for u, v in classes.coeffs]
+    return [ys[c] for c in classes.node_class]
+
+
 @dataclass
 class OptimizerState:
     x_init: tuple  # per-node starting estimates
     q: QuantizerState
     x: Fraction | None = None  # the common estimate; None before step 1
     history: list = field(default_factory=list)  # one RunRecord per step taken
+    classes: CostClasses | None = None  # built at step 1 for the run's (s, alpha)
 
 
 def initial_state(x_init, q):
@@ -138,10 +195,8 @@ def zoom_decide(q, x_new, x_old, policy):
     if isinstance(policy, AdaptiveZoom):
         half = saturation_half_range(q)
         if x_new >= q.b_q + half or x_new < q.b_q - half:
-            q2, event = zoom_out(q, x_new), "zoom_out"
-        else:
-            q2, event = zoom_in(q, x_new), "zoom_in"
-        return replace(q2, nu_total=q.nu_total + 1), event
+            return zoom_out(q, x_new), "zoom_out"
+        return zoom_in(q, x_new), "zoom_in"
     if isinstance(policy, RefineOnly):
         return replace(q, delta=q.delta / policy.c_refine), "refine"
     if isinstance(policy, FixedLevel):
@@ -152,12 +207,12 @@ def zoom_decide(q, x_new, x_old, policy):
 def step(state, g, s, alpha, policy, rng, error_fn=None):
     """Advance one full iteration in place and append its RunRecord.
 
+    ``s`` and ``alpha`` must stay the same for all steps of one state: the
+    cost-class table built at step 1 serves every later step.
     ``error_fn`` maps the post-step common estimate to the logged error
     (NaN when absent, e.g. in unit tests that only exercise dynamics).
     """
     pre_q = state.q
-    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
-    x_half = gradient_step(xs, s, alpha)
     # The averaging subroutine exchanges integer offsets on the (b_q, delta)
     # grid without clamping them to the quantizer's dynamic range.  Clamping
     # would collapse every out-of-range half-step to a +/- extreme, and near
@@ -165,7 +220,15 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below and the idealized per-message bit price.
-    x_new, stats = run_consensus(x_half, replace(pre_q, width=None), g, rng)
+    if state.x is None:
+        # Called through the engine module so that a hook on
+        # ``engine.init_consensus`` sees step 1's mass init.
+        x_half = gradient_step(state.x_init, s, alpha)
+        y = engine.init_consensus(x_half, replace(pre_q, width=None))
+        state.classes = cost_classes(s, alpha)
+    else:
+        y = grid_masses(state.classes, state.x, pre_q)
+    x_new, stats = run_consensus(y, pre_q, g, rng)
 
     # A repeat needs every node's previous estimate to equal x_new; before
     # the first consensus those are the starts.

@@ -36,9 +36,8 @@ class QuantizerState:
     """Shared quantizer parameters plus zoom counters.
 
     ``nu_total`` counts repeat events (each triggers exactly one zoom), so
-    ``nu_total == nu_in + nu_out`` between events; the zoom ops themselves
-    only bump their own counter — the caller bumps ``nu_total`` before
-    branching.
+    ``nu_total == nu_in + nu_out``; each zoom op bumps its own counter and
+    ``nu_total`` in the one state it builds.
     """
 
     b_q: Fraction
@@ -99,10 +98,14 @@ def level_index(q: QuantizerState, xi: Fraction) -> int:
 
 
 def zoom_out(q: QuantizerState, x_new: Fraction) -> QuantizerState:
-    """Re-center on x_new and widen the range: delta *= c_out, nu_out += 1."""
-    return replace(q, b_q=x_new, delta=q.delta * q.c_out, nu_out=q.nu_out + 1)
+    """Re-center on x_new and widen the range: delta *= c_out, nu_out and nu_total += 1."""
+    return replace(
+        q, b_q=x_new, delta=q.delta * q.c_out, nu_out=q.nu_out + 1, nu_total=q.nu_total + 1
+    )
 
 
 def zoom_in(q: QuantizerState, x_new: Fraction) -> QuantizerState:
-    """Re-center on x_new and refine the grid: delta /= c_in, nu_in += 1."""
-    return replace(q, b_q=x_new, delta=q.delta / q.c_in, nu_in=q.nu_in + 1)
+    """Re-center on x_new and refine the grid: delta /= c_in, nu_in and nu_total += 1."""
+    return replace(
+        q, b_q=x_new, delta=q.delta / q.c_in, nu_in=q.nu_in + 1, nu_total=q.nu_total + 1
+    )

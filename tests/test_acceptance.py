@@ -17,6 +17,7 @@ import pytest
 
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus import run_consensus
+from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.metrics import (
     FIXED_TABLE_ROWS,
@@ -151,7 +152,7 @@ def consensus_batch():
                 final_m[:] = record["m"]
 
             try:
-                result, stats = run_consensus(x, q, g, rng, round_hook=hook)
+                result, stats = run_consensus(init_consensus(x, q), q, g, rng, round_hook=hook)
             except Exception:
                 batch["nonterminating"] += 1
                 continue

@@ -110,6 +110,26 @@ def test_infinite_target_error_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        ({"stop": {"max_steps": 3, "target_error": "1e-5"}}, "stop.target_error"),
+        (
+            {"policy": {"variant": "adaptive_zoom", "quantizer_width": 0}, "stop": {"max_steps": 3}},
+            "policy.quantizer_width",
+        ),
+    ],
+)
+def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "invalid config - " + field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["abc", "-3,1", "-3:2", "0:x", "1:2:3", "1.5"])
 def test_bad_seeds_exit_1(spec, tmp_path, capsys):
     rc = main(["sweep", "--nodes", "4", "--max-steps", "5", "--seeds=" + spec, "--out", str(tmp_path)])

@@ -84,6 +84,12 @@ def test_parse_rational_rejects(bad):
         ({"seed": True}, "seed"),
         ({"stop": {"max_steps": True}}, "stop.max_steps"),
         ({"accounting": {"mode": "paper_faithful", "b_pm": True}}, "accounting.b_pm"),
+        # a target that is not a number, and quantizer widths that are not >= 1
+        ({"stop": {"max_steps": 3, "target_error": "1e-5"}}, "stop.target_error"),
+        ({"stop": {"max_steps": 3, "target_error": True}}, "stop.target_error"),
+        ({"policy": {"variant": "adaptive_zoom", "quantizer_width": 0}}, "policy.quantizer_width"),
+        ({"policy": {"variant": "adaptive_zoom", "quantizer_width": True}}, "policy.quantizer_width"),
+        ({"policy": {"variant": "adaptive_zoom", "quantizer_width": "3"}}, "policy.quantizer_width"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

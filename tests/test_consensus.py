@@ -102,7 +102,7 @@ def test_all_equal_inputs_trace():
     g = ring(3)
     records = []
     result, stats = run_consensus(
-        [F(1, 4)] * 3,
+        init_consensus([F(1, 4)] * 3, Q_HALF),
         Q_HALF,
         g,
         PCG32(1, STREAM_PROTOCOL),
@@ -120,7 +120,7 @@ def test_all_equal_inputs_trace():
 
 def test_all_equal_on_complete_graph():
     result, _ = run_consensus(
-        [F(1, 4)] * 5, Q_HALF, complete(5), PCG32(2, STREAM_PROTOCOL)
+        init_consensus([F(1, 4)] * 5, Q_HALF), Q_HALF, complete(5), PCG32(2, STREAM_PROTOCOL)
     )
     assert result == F(0)
 
@@ -133,7 +133,7 @@ def test_three_node_split_outcomes():
     seen = set()
     for seed in range(40):
         for g in (ring(3), complete(3)):
-            out, _ = run_consensus(x, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
+            out, _ = run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
             assert abs(out - F(3, 4)) <= F(1, 2)
             assert out in (F(1, 2), F(1))
             seen.add(out)
@@ -146,7 +146,7 @@ def test_two_node_conservation_forever():
     g = bidirectional_pair()
     sums = []
     run_consensus(
-        [F(1, 4), F(3, 4)],
+        init_consensus([F(1, 4), F(3, 4)], Q_HALF),
         Q_HALF,
         g,
         PCG32(5, STREAM_PROTOCOL),
@@ -185,7 +185,7 @@ def test_agreement_accuracy_conservation(n):
                     violations.append(lam)
                 final_m[:] = rec["m"]
 
-            result, stats = run_consensus(x, q, g, rng, round_hook=hook)
+            result, stats = run_consensus(init_consensus(x, q), q, g, rng, round_hook=hook)
             assert not violations
             # every node's flooded minimum, hence its output, is the same
             assert set(final_m) == {(result - q.b_q) / q.delta}
@@ -211,7 +211,7 @@ def test_consensus_property_randomized(n, seed, data):
             max_size=n,
         )
     )
-    result, stats = run_consensus(xs, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
+    result, stats = run_consensus(init_consensus(xs, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
     assert abs(result - oracle_mean(xs, Q_HALF)) <= Q_HALF.delta
     assert stats.mass_transmissions >= 0
 
@@ -236,7 +236,7 @@ def test_epoch_flooding_reaches_global_extremes():
                 assert all(M == want[0] for M in rec["M"])
                 assert all(m == want[1] for m in rec["m"])
 
-        run_consensus(x, Q_HALF, g, rng, round_hook=hook)
+        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, round_hook=hook)
         assert epochs
 
 
@@ -246,7 +246,7 @@ def test_non_grid_basis_instance():
     q = QuantizerState(b_q=F(573, 256), delta=F(27, 64), width=None)
     g = generate_random_digraph(6, F(1, 2), 11)
     x = [F(573, 256) + F(k, 8) for k in (-9, -2, 0, 3, 5, 12)]
-    result, _ = run_consensus(x, q, g, PCG32(11, STREAM_PROTOCOL))
+    result, _ = run_consensus(init_consensus(x, q), q, g, PCG32(11, STREAM_PROTOCOL))
     assert ((result - q.b_q) / q.delta).denominator == 1
     assert abs(result - oracle_mean(x, q)) <= q.delta
 
@@ -256,8 +256,10 @@ def test_non_grid_basis_instance():
 
 def test_identical_runs_identical_outcomes():
     g, x, _ = random_instance(7, 12)
-    a = run_consensus(x, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
-    b = run_consensus(x, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
+    y = init_consensus(x, Q_HALF)
+    a = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
+    b = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
+    assert y == init_consensus(x, Q_HALF)  # the caller's masses are never modified
     assert a[0] == b[0]
     assert a[1].rounds == b[1].rounds
     assert a[1].mass_transmissions == b[1].mass_transmissions
@@ -304,12 +306,14 @@ def test_snapshot_matches_flood(built_kernel, g, q, seed, data):
         )
     )
 
+    y = init_consensus(xs, q)  # every run below starts from this one list
+
     def run(max_rounds=ROUND_CAP, backend="pure", **kw):
         rng = PCG32(seed, STREAM_PROTOCOL)
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "_kernel", built_kernel)
-                out = run_consensus(xs, q, g, rng, max_rounds=max_rounds, force_backend=backend, **kw)
+                out = run_consensus(y, q, g, rng, max_rounds=max_rounds, force_backend=backend, **kw)
         except ConsensusCapError as exc:
             return "cap", exc.rounds, rng.getstate()
         res, stats = out
@@ -334,8 +338,8 @@ def assert_same_run(x, q, g, seed):
     """The default path and force_backend="pure" agree on everything observable."""
     rng_auto = PCG32(seed, STREAM_PROTOCOL)
     rng_pure = PCG32(seed, STREAM_PROTOCOL)
-    res_auto, st_auto = run_consensus(x, q, g, rng_auto)
-    res_pure, st_pure = run_consensus(x, q, g, rng_pure, force_backend="pure")
+    res_auto, st_auto = run_consensus(init_consensus(x, q), q, g, rng_auto)
+    res_pure, st_pure = run_consensus(init_consensus(x, q), q, g, rng_pure, force_backend="pure")
     assert res_auto == res_pure
     assert st_auto.rounds == st_pure.rounds
     assert st_auto.mass_transmissions == st_pure.mass_transmissions
@@ -352,10 +356,9 @@ def test_backend_parity(kernel, n):
         g, x, _ = random_instance(seed, n)
         rng_pure = PCG32(seed, STREAM_PROTOCOL)
         rng_fast = PCG32(seed, STREAM_PROTOCOL)
-        res_pure, st_pure = run_consensus(x, Q_HALF, g, rng_pure, force_backend="pure")
-        res_fast, st_fast = run_consensus(
-            x, Q_HALF, g, rng_fast, force_backend="compiled"
-        )
+        y = init_consensus(x, Q_HALF)
+        res_pure, st_pure = run_consensus(y, Q_HALF, g, rng_pure, force_backend="pure")
+        res_fast, st_fast = run_consensus(y, Q_HALF, g, rng_fast, force_backend="compiled")
         assert res_pure == res_fast
         assert st_pure.rounds == st_fast.rounds
         assert st_pure.mass_transmissions == st_fast.mass_transmissions
@@ -393,13 +396,13 @@ def test_kernel_bails_to_pure_mid_run(kernel):
 def test_force_backend_validation():
     g, x, rng = random_instance(1, 3)
     with pytest.raises(ValueError, match="unknown backend"):
-        run_consensus(x, Q_HALF, g, rng, force_backend="gpu")
+        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
 
 
 def test_force_compiled_without_kernel_errors(no_kernel):
     g, x, rng = random_instance(1, 3)
     with pytest.raises(RuntimeError, match="not available"):
-        run_consensus(x, Q_HALF, g, rng, force_backend="compiled")
+        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
 
 
 # --- failure modes and plumbing -------------------------------------------
@@ -413,7 +416,7 @@ def test_round_cap_raises(backend, request):
         request.getfixturevalue("kernel")
     g, x, rng = random_instance(2, 5)
     with pytest.raises(ConsensusCapError) as exc:
-        run_consensus(x, Q_HALF, g, rng, max_rounds=1, force_backend=backend)
+        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
     assert exc.value.rounds == 1
     assert "1 rounds" in str(exc.value)
 

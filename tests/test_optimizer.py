@@ -7,9 +7,12 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bidirectional_pair
-from zoomgrad.consensus import run_consensus
+from zoomgrad import optimizer
+from zoomgrad.consensus import engine, run_consensus
+from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import (
@@ -18,7 +21,9 @@ from zoomgrad.optimizer import (
     OptimizerState,
     RefineOnly,
     RunRecord,
+    cost_classes,
     gradient_step,
+    grid_masses,
     initial_state,
     run_until,
     step,
@@ -164,9 +169,8 @@ def test_step_counts_and_bits():
     state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
-    result, stats = run_consensus(
-        x_half, replace(Q0, width=None), g, PCG32(seed, STREAM_PROTOCOL)
-    )
+    q = replace(Q0, width=None)
+    result, stats = run_consensus(init_consensus(x_half, q), q, g, PCG32(seed, STREAM_PROTOCOL))
     assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
     assert rec.mass_transmissions == stats.mass_transmissions
@@ -340,3 +344,171 @@ def test_initial_state_copies_inputs():
     assert st.x_init == (F(1), F(2))
     assert st.x is None and st.history == []  # no common estimate before step 1
     assert isinstance(st, OptimizerState)
+
+
+# --- grid-index half-steps against the per-node oracle ---------------------
+
+BETAS = st.fractions(min_value=F(1, 100), max_value=10, max_denominator=100)
+X0S = st.fractions(min_value=-20, max_value=20, max_denominator=100)
+
+
+def draw_suite(data, n, betas=BETAS, x0s=X0S):
+    """n costs drawn from a pool of classes: duplicates, or all distinct."""
+    pool = data.draw(st.lists(st.tuples(betas, x0s), min_size=1, max_size=n))
+    extra = n - len(pool)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=extra, max_size=extra))
+    return CostSuite(QuadraticCost(b, x0) for b, x0 in pool + [pool[i] for i in picks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_masses_match_the_per_node_path(data):
+    # The masses come from one integer floor per cost class; the oracle is
+    # n exact gradient steps, each quantized on the unsaturated grid.  x and
+    # b_q are drawn independently, so x - b_q need not be a whole number of
+    # steps.
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    s = draw_suite(data, n)
+    alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
+    x = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000))
+    q = QuantizerState(
+        b_q=data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
+        delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
+        width=data.draw(st.sampled_from([3, 5, None])),
+    )
+    want = init_consensus(gradient_step([x] * n, s, alpha), replace(q, width=None))
+    assert grid_masses(cost_classes(s, alpha), x, q) == want
+
+
+def test_cost_classes_group_equal_costs():
+    s = suite([(2, 1), (1, 4), (2, 1), (1, "-1/3"), (1, 4)])
+    classes = cost_classes(s, F(1, 10))
+    assert classes.node_class == (0, 1, 0, 2, 1)
+    assert len(classes.coeffs) == 3
+
+
+def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
+    """The per-node step that the grid-index path replaced: the oracle.
+
+    Every node takes its own exact gradient step from the estimate it holds
+    and quantizes it on the unsaturated grid, at every step.
+    """
+    pre_q = state.q
+    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
+    grid = replace(pre_q, width=None)
+    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), grid), grid, g, rng)
+    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
+    new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
+    k = len(state.history)
+    width = policy.message_width(k, pre_q.delta)
+    n_symbols = len(stats.measured_alphabet)
+    measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
+    rec = RunRecord(
+        k=k + 1,
+        x_value=x_new,
+        error=float("nan") if error_fn is None else error_fn(x_new),
+        delta=pre_q.delta,
+        b_q=pre_q.b_q,
+        zoom_event=event,
+        consensus_rounds=stats.rounds,
+        mass_transmissions=stats.mass_transmissions,
+        bits_paper_mode=width * stats.mass_transmissions,
+        bits_measured_mode=measured_width * stats.mass_transmissions,
+    )
+    state.x, state.q = x_new, new_q
+    state.history.append(rec)
+    return state, rec
+
+
+POLICIES = [
+    AdaptiveZoom(),
+    AdaptiveZoom(quantizer_width=5),
+    RefineOnly(),
+    RefineOnly(c_refine=F(5, 2)),
+    FixedLevel(b_pm=7),
+]
+
+
+@st.composite
+def run_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    p = draw(st.sampled_from([F(1, 3), F(1, 2), F(1)]))
+    g = generate_random_digraph(n, p, draw(st.integers(0, 1000)))
+    data = draw(st.data())
+    s = draw_suite(
+        data,
+        n,
+        st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
+        st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    )
+    starts = st.fractions(min_value=-5, max_value=5, max_denominator=16)
+    x_init = draw(st.lists(starts, min_size=n, max_size=n))
+    policy = draw(st.sampled_from(POLICIES))
+    q = QuantizerState(
+        b_q=draw(st.fractions(min_value=-2, max_value=2, max_denominator=8)),
+        delta=draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)),
+        c_in=draw(st.sampled_from([F(4, 3), F(7, 5)])),
+        c_out=draw(st.sampled_from([F(2), F(5, 2)])),
+        width=policy.quantizer_width if isinstance(policy, AdaptiveZoom) else None,
+    )
+    alpha = draw(st.fractions(min_value=F(1, 50), max_value=F(1, 4), max_denominator=50))
+    return g, s, x_init, q, alpha, policy, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
+def test_runs_match_the_per_node_oracle(backend, request):
+    # Every RunRecord (estimate, error, quantizer, event, rounds, bits), the
+    # final quantizer and the RNG position equal the per-node step's, for
+    # all three policies, widths 3 and 5 and a non-integer refine factor.
+    request.getfixturevalue(backend)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run_instances())
+    def check(instance):
+        g, s, x_init, q, alpha, policy, seed = instance
+        if s.global_optimum in x_init:
+            return  # run_until rejects a start at the optimum
+
+        def run():
+            state = initial_state(x_init, q)
+            rng = PCG32(seed, STREAM_PROTOCOL)
+            run_until(state, g, s, alpha, policy, {"max_steps": 15, "target_error": 1e-9}, rng)
+            return state.history, state.q, rng.getstate()
+
+        got = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "step", per_node_step)
+            assert run() == got
+
+    check()
+
+
+def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
+    # delta0 = 2**-60 puts every step's masses far beyond the kernel's
+    # W_SAFE = 2**45: each call declines without drawing, and the pure path
+    # must replay it from the same masses, so the run equals a run without
+    # the kernel.
+    g = generate_random_digraph(5, F(1, 2), 4)
+    s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
+    q = QuantizerState(b_q=F(0), delta=F(1, 2**60))
+    masses = []
+
+    def recording(y, *args, **kwargs):
+        masses.append(list(y))
+        return run_consensus(y, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "run_consensus", recording)
+
+    def run():
+        state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q)
+        rng = PCG32(4, STREAM_PROTOCOL)
+        run_until(state, g, s, ALPHA, AdaptiveZoom(), {"max_steps": 4}, rng)
+        return state.history, state.q, rng.getstate()
+
+    compiled = run()
+    assert len(masses) == 4
+    for y in masses:
+        assert max(map(abs, y)) > kernel.W_SAFE
+        assert kernel.run_rounds(y, g.out_adj, 2, 10, 0, 1) is None
+    monkeypatch.setattr(engine, "_kernel", None)
+    assert run() == compiled

@@ -93,20 +93,20 @@ def test_unsaturated_variant():
 
 def test_zoom_out_examples():
     q1 = zoom_out(Q0, F(2))
-    assert (q1.b_q, q1.delta, q1.nu_out, q1.nu_in) == (F(2), F(1), 1, 0)
+    assert (q1.b_q, q1.delta, q1.nu_out, q1.nu_in, q1.nu_total) == (F(2), F(1), 1, 0, 1)
     q2 = zoom_out(Q0, F(-5))
     assert (q2.b_q, q2.delta) == (F(-5), F(1))
     q3 = zoom_out(q1, q1.b_q)
     assert q3.delta == F(2)  # delta_0 * c_out^2
-    assert q3.nu_out == 2
+    assert q3.nu_out == 2 == q3.nu_total
 
 
 def test_zoom_in_examples():
     q1 = zoom_in(Q0, F(1))
-    assert (q1.b_q, q1.delta, q1.nu_in) == (F(1), F(3, 8), 1)
+    assert (q1.b_q, q1.delta, q1.nu_in, q1.nu_total) == (F(1), F(3, 8), 1, 1)
     q2 = zoom_in(q1, q1.b_q)
     assert q2.delta == F(9, 32)
-    assert q2.nu_in == 2
+    assert q2.nu_in == 2 == q2.nu_total
     assert q2.nu_out == 0
 
 
@@ -184,4 +184,4 @@ def test_delta_trajectory_identity(zoom_sequence):
     n_out = sum(zoom_sequence)
     n_in = len(zoom_sequence) - n_out
     assert q.delta == Q0.delta * q.c_out**n_out / q.c_in**n_in
-    assert (q.nu_out, q.nu_in) == (n_out, n_in)
+    assert (q.nu_out, q.nu_in, q.nu_total) == (n_out, n_in, len(zoom_sequence))
