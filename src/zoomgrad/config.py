@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
+from .metrics import FIXED_LEVEL_WIDTHS
+
 
 class ConfigError(ValueError):
     """Invalid configuration; ``field`` names the offending entry."""
@@ -87,6 +89,8 @@ class RunConfig:
             raise ConfigError("x_init_range", "lower bound exceeds upper bound")
         if self.x_init_grid <= 0:
             raise ConfigError("x_init_grid", "grid resolution must be positive")
+        if (hi - lo) // self.x_init_grid >= 1 << 32:
+            raise ConfigError("x_init_grid", "[lo, hi] holds more than 2**32 grid points")
         variant = self.policy.get("variant")
         if variant not in _POLICY_VARIANTS:
             raise ConfigError(
@@ -99,10 +103,19 @@ class RunConfig:
             self.policy.get("c_refine", 10), "policy.c_refine"
         ) <= 1:
             raise ConfigError("policy.c_refine", "refine factor must exceed 1")
+        if variant == "fixed_level":
+            b_pm = self.policy.get("b_pm")
+            if b_pm is None and self.delta0 not in FIXED_LEVEL_WIDTHS:
+                raise ConfigError(
+                    "delta0", "no standard message width for fixed level %s; set policy.b_pm"
+                    % self.delta0
+                )
+            if b_pm is not None and (type(b_pm) is not int or b_pm < 1):
+                raise ConfigError("policy.b_pm", "need a positive integer width")
         kind = self.cost_spec.get("kind")
         if kind == "random":
             vs = self.cost_spec.get("value_set", [1, 2, 3, 4, 5])
-            if not vs or any((not isinstance(v, int)) or v <= 0 for v in vs):
+            if not vs or any(type(v) is not int or v <= 0 for v in vs):
                 raise ConfigError("cost_spec.value_set", "need positive integers")
         elif kind == "explicit":
             costs = self.cost_spec.get("costs")

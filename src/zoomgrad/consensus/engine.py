@@ -117,6 +117,9 @@ def effective_epoch(diam: int) -> int:
 def init_consensus(x_half, q: QuantizerState) -> list[int]:
     """Per-node initial value masses y = 2*(Q(x_i) - b_q)/delta (z starts at 2).
 
+    Q is the unclamped midpoint quantizer of the grid ``q``; a caller that
+    wants a width-bit range clamps the inputs with ``quantize`` first.
+
     y is always an odd integer (twice a quantizer midpoint offset).  When
     b_q = 0 this is exactly 2*Q(x_i)/delta; keeping the basis out of the
     circulating masses keeps them integral for every (b_q, delta), which the

@@ -1,4 +1,4 @@
-"""Directed graphs: generation, connectivity, diameter.
+"""Directed graphs: generation and diameter.
 
 Graphs are immutable once built and hold one adjacency, the sorted
 out-neighbor lists ``out_adj``.  Random generation is cycle-first: a
@@ -27,7 +27,6 @@ except ImportError:  # pragma: no cover - build-environment dependent
 __all__ = [
     "Digraph",
     "generate_random_digraph",
-    "is_strongly_connected",
     "diameter",
 ]
 
@@ -79,33 +78,6 @@ class Digraph:
             and self.n == other.n
             and self.out_adj == other.out_adj
         )
-
-
-def _bfs_dists(adj, src: int, n: int):
-    dist = [-1] * n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """Every node reaches every node: BFS from 0 forward and backward."""
-    rev_adj = [[] for _ in range(g.n)]
-    for u, targets in enumerate(g.out_adj):
-        for v in targets:
-            rev_adj[v].append(u)
-    return all(d >= 0 for d in _bfs_dists(g.out_adj, 0, g.n)) and all(
-        d >= 0 for d in _bfs_dists(rev_adj, 0, g.n)
-    )
 
 
 def diameter(g: Digraph) -> int:

@@ -31,6 +31,15 @@ def error_metric(x, x_star, spread):
     return math.sqrt(float((x - x_star) ** 2 * spread))
 
 
+# Standard message width (bits) of each fixed quantizer level: what the
+# fixed-level baseline charges per transmission unless b_pm is given.
+FIXED_LEVEL_WIDTHS = {
+    Fraction(1, 10): 7,
+    Fraction(1, 100): 10,
+    Fraction(1, 1000): 14,
+}
+
+
 def bits_total(c_s, b_pm, n_tt):
     """Total bits = steps x bits-per-message x messages-per-step."""
     if c_s < 0 or b_pm < 0 or n_tt < 0:

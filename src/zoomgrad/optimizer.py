@@ -24,23 +24,21 @@ floats appear only in the logged error column.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .consensus import engine, run_consensus
-from .metrics import error_metric
+from .metrics import FIXED_LEVEL_WIDTHS, error_metric
 from .quantizer import QuantizerState, saturation_half_range, zoom_in, zoom_out
-
-_FIXED_LEVEL_WIDTHS = {
-    Fraction(1, 10): 7,
-    Fraction(1, 100): 10,
-    Fraction(1, 1000): 14,
-}
 
 
 @dataclass(frozen=True)
 class AdaptiveZoom:
-    """Zoom-in/zoom-out policy driven by the saturating quantizer.
+    """Zoom-in/zoom-out policy driven by a saturating quantizer.
+
+    The policy owns the zoom rule: the ``quantizer_width``-bit dynamic range
+    around the grid's basis, and the factors ``c_in`` and ``c_out`` by which
+    a zoom-in divides and a zoom-out multiplies the grid's step.
 
     ``b_pm`` is the message width charged per mass transmission in the
     idealized accounting mode; it defaults to the quantizer width (a w-bit
@@ -49,7 +47,15 @@ class AdaptiveZoom:
     """
 
     quantizer_width: int = 3
+    c_in: Fraction = Fraction(4, 3)
+    c_out: Fraction = Fraction(2)
     b_pm: int | None = None
+
+    def __post_init__(self):
+        if self.quantizer_width < 1:
+            raise ValueError("width must be >= 1 bit")
+        if self.c_in <= 1 or self.c_out <= 1:
+            raise ValueError("zoom factors must exceed 1")
 
     def message_width(self, k, delta):
         return self.quantizer_width if self.b_pm is None else self.b_pm
@@ -78,8 +84,9 @@ class RefineOnly:
 class FixedLevel:
     """Baseline: the quantizer is never re-parameterized.
 
-    ``b_pm`` may be given explicitly; otherwise it is looked up from the
-    standard level table (7/10/14 bits for steps 0.1/0.01/0.001).
+    ``b_pm`` may be given explicitly; otherwise it is looked up in the
+    standard level table ``metrics.FIXED_LEVEL_WIDTHS`` (7/10/14 bits for
+    steps 0.1/0.01/0.001), which ``RunConfig.validate`` checks against.
     """
 
     b_pm: int | None = None
@@ -88,7 +95,7 @@ class FixedLevel:
         if self.b_pm is not None:
             return self.b_pm
         try:
-            return _FIXED_LEVEL_WIDTHS[delta]
+            return FIXED_LEVEL_WIDTHS[delta]
         except KeyError:
             raise ValueError(
                 "no standard message width for fixed level %s; set b_pm" % delta
@@ -193,12 +200,12 @@ def zoom_decide(q, x_new, x_old, policy):
     if x_new != x_old:
         return q, "none"
     if isinstance(policy, AdaptiveZoom):
-        half = saturation_half_range(q)
+        half = saturation_half_range(q, policy.quantizer_width)
         if x_new >= q.b_q + half or x_new < q.b_q - half:
-            return zoom_out(q, x_new), "zoom_out"
-        return zoom_in(q, x_new), "zoom_in"
+            return zoom_out(q, x_new, policy.c_out), "zoom_out"
+        return zoom_in(q, x_new, policy.c_in), "zoom_in"
     if isinstance(policy, RefineOnly):
-        return replace(q, delta=q.delta / policy.c_refine), "refine"
+        return QuantizerState(q.b_q, q.delta / policy.c_refine), "refine"
     if isinstance(policy, FixedLevel):
         return q, "none"
     raise TypeError("unknown zoom policy %r" % (policy,))
@@ -224,7 +231,7 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
         # Called through the engine module so that a hook on
         # ``engine.init_consensus`` sees step 1's mass init.
         x_half = gradient_step(state.x_init, s, alpha)
-        y = engine.init_consensus(x_half, replace(pre_q, width=None))
+        y = engine.init_consensus(x_half, pre_q)
         state.classes = cost_classes(s, alpha)
     else:
         y = grid_masses(state.classes, state.x, pre_q)

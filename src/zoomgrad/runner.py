@@ -50,7 +50,10 @@ def build_policy(config):
         if config.accounting.get("mode") == "paper_faithful":
             b_pm = config.accounting.get("b_pm", 3)
         return AdaptiveZoom(
-            quantizer_width=spec.get("quantizer_width", 3), b_pm=b_pm
+            quantizer_width=spec.get("quantizer_width", 3),
+            c_in=config.c_in,
+            c_out=config.c_out,
+            b_pm=b_pm,
         )
     if variant == "refine_only":
         return RefineOnly(
@@ -108,15 +111,7 @@ def run_single(config):
     s = build_costs(config)
     x_star = s.global_optimum
     x_init = sample_x_init(config, x_star)
-    width = policy.quantizer_width if isinstance(policy, AdaptiveZoom) else None
-    q0 = QuantizerState(
-        b_q=config.b_q0,
-        delta=config.delta0,
-        c_in=config.c_in,
-        c_out=config.c_out,
-        width=width,
-    )
-    state = initial_state(x_init, q0)
+    state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0))
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
         history = run_until(state, g, s, config.alpha, policy, config.stop, rng)

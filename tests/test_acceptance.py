@@ -126,8 +126,10 @@ def fixed_level_runs():
 @pytest.fixture(scope="module")
 def consensus_batch():
     """500 seeded consensus runs on random strongly connected digraphs,
-    instrumented with a per-round mass-conservation check."""
-    q = QuantizerState(b_q=F(0), delta=F(1, 2), c_in=F(4, 3), c_out=F(2), width=3)
+    instrumented with a per-round mass-conservation check.  The inputs go
+    through the 3-bit quantizer, clamped to its range, before the masses are
+    formed."""
+    q = QuantizerState(b_q=F(0), delta=F(1, 2))
     batch = {
         "runs": 0,
         "agreement_failures": 0,
@@ -141,7 +143,8 @@ def consensus_batch():
             rng = PCG32(seed, STREAM_PROTOCOL)
             g = generate_random_digraph(n, F(1, 2), seed)
             x = [F(rng.randbelow(65) - 32, 4) for _ in range(n)]
-            expected_y = sum(4 * quantize(q, xi) for xi in x)
+            x_q = [quantize(q, xi, 3) for xi in x]
+            expected_y = sum(4 * xq for xq in x_q)
             assert expected_y == int(expected_y)
 
             final_m = []
@@ -152,7 +155,7 @@ def consensus_batch():
                 final_m[:] = record["m"]
 
             try:
-                result, stats = run_consensus(init_consensus(x, q), q, g, rng, round_hook=hook)
+                result, stats = run_consensus(init_consensus(x_q, q), q, g, rng, round_hook=hook)
             except Exception:
                 batch["nonterminating"] += 1
                 continue
@@ -160,7 +163,7 @@ def consensus_batch():
             # every node's flooded minimum, hence its output, is the returned value
             if set(final_m) != {(result - q.b_q) / q.delta}:
                 batch["agreement_failures"] += 1
-            target = sum(quantize(q, xi) for xi in x) / n
+            target = sum(x_q) / n
             err = abs(result - target)
             if err > batch["worst_error_over_delta"] * q.delta:
                 batch["worst_error_over_delta"] = err / q.delta
@@ -170,7 +173,7 @@ def consensus_batch():
 
 def test_criterion_01_quantizer_branch_table(acceptance):
     t0 = time.perf_counter()
-    q = QuantizerState(b_q=F(0), delta=F(1, 2), c_in=F(4, 3), c_out=F(2), width=3)
+    q = QuantizerState(b_q=F(0), delta=F(1, 2))
     # (input, quantized midpoint, level code) for every cell of the 8-cell
     # window, each left-closed cell boundary, and both saturation regions
     table = [
@@ -195,10 +198,10 @@ def test_criterion_01_quantizer_branch_table(acceptance):
     ]
     ok = True
     for xi, mid, code in table:
-        ok = ok and quantize(q, xi) == mid and level_index(q, xi) == code
-    # re-parameterization arithmetic used by the adaptive policy
-    ok = ok and zoom_out(q, F(7, 4)).delta == F(1)
-    ok = ok and zoom_in(q, F(1, 4)).delta == F(3, 8)
+        ok = ok and quantize(q, xi, 3) == mid and level_index(q, xi, 3) == code
+    # re-parameterization arithmetic used by the adaptive policy (c_out=2, c_in=4/3)
+    ok = ok and zoom_out(q, F(7, 4), F(2)).delta == F(1)
+    ok = ok and zoom_in(q, F(1, 4), F(4, 3)).delta == F(3, 8)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     acceptance(1, ok, "18 branch/boundary/saturation rows exact, %.3fs" % elapsed)

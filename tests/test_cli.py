@@ -118,6 +118,16 @@ def test_infinite_target_error_exits_1(tmp_path, capsys):
             {"policy": {"variant": "adaptive_zoom", "quantizer_width": 0}, "stop": {"max_steps": 3}},
             "policy.quantizer_width",
         ),
+        ({"policy": {"variant": "fixed_level"}, "delta0": "1/7", "stop": {"max_steps": 3}}, "delta0"),
+        (
+            {"policy": {"variant": "fixed_level", "b_pm": "x"}, "delta0": "1/10", "stop": {"max_steps": 3}},
+            "policy.b_pm",
+        ),
+        ({"x_init_grid": "1/10000000000", "stop": {"max_steps": 3}}, "x_init_grid"),
+        (
+            {"cost_spec": {"kind": "random", "value_set": [True, 2]}, "stop": {"max_steps": 3}},
+            "cost_spec.value_set",
+        ),
     ],
 )
 def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):
@@ -127,6 +137,15 @@ def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):
     rc = main(["run", "--config", str(path), "--out", str(out)])
     assert rc == 1
     assert "invalid config - " + field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0:2"]])
+def test_fixed_level_without_standard_width_exits_1(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(command + ["--policy", "fixed_level", "--delta0", "1/7", "--out", str(out)])
+    assert rc == 1
+    assert "invalid config - delta0" in capsys.readouterr().err
     assert not out.exists()
 
 

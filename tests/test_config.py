@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from zoomgrad.config import ConfigError, RunConfig, parse_rational
+from zoomgrad.metrics import FIXED_LEVEL_WIDTHS
 
 
 def test_defaults():
@@ -90,6 +91,19 @@ def test_parse_rational_rejects(bad):
         ({"policy": {"variant": "adaptive_zoom", "quantizer_width": 0}}, "policy.quantizer_width"),
         ({"policy": {"variant": "adaptive_zoom", "quantizer_width": True}}, "policy.quantizer_width"),
         ({"policy": {"variant": "adaptive_zoom", "quantizer_width": "3"}}, "policy.quantizer_width"),
+        # fixed levels without a standard message width, and message widths
+        # that are not integers >= 1
+        ({"policy": {"variant": "fixed_level"}, "delta0": F(1, 7)}, "delta0"),
+        ({"policy": {"variant": "fixed_level"}}, "delta0"),  # the default 1/2 has no width either
+        ({"policy": {"variant": "fixed_level", "b_pm": "x"}}, "policy.b_pm"),
+        ({"policy": {"variant": "fixed_level", "b_pm": 0}}, "policy.b_pm"),
+        ({"policy": {"variant": "fixed_level", "b_pm": True}}, "policy.b_pm"),
+        ({"policy": {"variant": "fixed_level", "b_pm": 7.0}, "delta0": F(1, 10)}, "policy.b_pm"),
+        # more start-grid points than one 32-bit draw can pick from, and bools
+        # standing in for cost values
+        ({"x_init_grid": F(1, 10**10)}, "x_init_grid"),
+        ({"x_init_grid": F(4, 2**32)}, "x_init_grid"),
+        ({"cost_spec": {"kind": "random", "value_set": [True, 2]}}, "cost_spec.value_set"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -98,6 +112,17 @@ def test_validation_names_the_offending_field(patch, field):
     with pytest.raises(ConfigError) as exc:
         c.validate()
     assert exc.value.field == field
+
+
+def test_fixed_level_widths_and_fine_grids_that_validate():
+    # every level in FixedLevel's width table, and any level with b_pm set
+    for level in FIXED_LEVEL_WIDTHS:
+        RunConfig(policy={"variant": "fixed_level"}, delta0=level).validate()
+    RunConfig(policy={"variant": "fixed_level", "b_pm": 6}, delta0=F(1, 7)).validate()
+    # the other policies never read a fixed level's width
+    RunConfig(policy={"variant": "refine_only"}, delta0=F(1, 7)).validate()
+    # [1, 5] on a grid of 4/(2**32 - 1) holds exactly 2**32 points
+    RunConfig(x_init_grid=F(4, 2**32 - 1)).validate()
 
 
 def test_explicit_costs_validate():

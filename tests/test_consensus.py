@@ -29,8 +29,17 @@ from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 Q_HALF = QuantizerState(b_q=F(0), delta=F(1, 2))
 
 
-def oracle_mean(x_half, q):
-    return sum(quantize(q, xi) for xi in x_half) / len(x_half)
+def masses(x_half, q, width=3):
+    """Initial masses of a width-bit quantizer on the grid q.
+
+    The inputs are clamped to the width-bit range first; ``width=None`` is
+    the unsaturated grid, on which ``init_consensus`` alone gives the masses.
+    """
+    return init_consensus([quantize(q, xi, width) for xi in x_half], q)
+
+
+def oracle_mean(x_half, q, width=3):
+    return sum(quantize(q, xi, width) for xi in x_half) / len(x_half)
 
 
 # --- initialization -------------------------------------------------------
@@ -41,7 +50,8 @@ def test_init_basic():
 
 
 def test_init_saturated():
-    assert init_consensus([F(-10)], Q_HALF) == [-7]
+    assert masses([F(-10)], Q_HALF) == [-7]
+    assert init_consensus([F(-10)], Q_HALF) == [-39]  # the grid alone never clamps
 
 
 def test_init_three_nodes():
@@ -59,8 +69,8 @@ def test_init_three_nodes():
 def test_init_masses_are_odd_integers(b_q, delta, xs, width):
     # y is twice a midpoint offset: 2*((2t+1)*delta/2)/delta = 2t+1, for any
     # basis -- including the non-grid-aligned bases left behind by zooms.
-    q = QuantizerState(b_q=b_q, delta=delta, width=width)
-    for y in init_consensus(xs, q):
+    q = QuantizerState(b_q=b_q, delta=delta)
+    for y in masses(xs, q, width):
         assert type(y) is int
         assert y % 2 == 1
 
@@ -175,8 +185,8 @@ def test_agreement_accuracy_conservation(n):
     for seed in range(15):
         g, x, rng = random_instance(seed, n)
         for width in (3, None):
-            q = QuantizerState(b_q=F(0), delta=F(1, 2), width=width)
-            y0 = sum(init_consensus(x, q))
+            q = QuantizerState(b_q=F(0), delta=F(1, 2))
+            y0 = sum(masses(x, q, width))
             violations = []
             final_m = []
 
@@ -185,11 +195,11 @@ def test_agreement_accuracy_conservation(n):
                     violations.append(lam)
                 final_m[:] = rec["m"]
 
-            result, stats = run_consensus(init_consensus(x, q), q, g, rng, round_hook=hook)
+            result, stats = run_consensus(masses(x, q, width), q, g, rng, round_hook=hook)
             assert not violations
             # every node's flooded minimum, hence its output, is the same
             assert set(final_m) == {(result - q.b_q) / q.delta}
-            assert abs(result - oracle_mean(x, q)) <= q.delta
+            assert abs(result - oracle_mean(x, q, width)) <= q.delta
             # output is a grid point: integer number of steps from the basis
             assert ((result - q.b_q) / q.delta).denominator == 1
             assert stats.rounds >= 1
@@ -211,7 +221,7 @@ def test_consensus_property_randomized(n, seed, data):
             max_size=n,
         )
     )
-    result, stats = run_consensus(init_consensus(xs, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
+    result, stats = run_consensus(masses(xs, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
     assert abs(result - oracle_mean(xs, Q_HALF)) <= Q_HALF.delta
     assert stats.mass_transmissions >= 0
 
@@ -236,19 +246,19 @@ def test_epoch_flooding_reaches_global_extremes():
                 assert all(M == want[0] for M in rec["M"])
                 assert all(m == want[1] for m in rec["m"])
 
-        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, round_hook=hook)
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, round_hook=hook)
         assert epochs
 
 
 def test_non_grid_basis_instance():
     # After zoom events the basis is generally not a multiple of delta; the
     # offsets stay integral and the output stays on the shifted grid.
-    q = QuantizerState(b_q=F(573, 256), delta=F(27, 64), width=None)
+    q = QuantizerState(b_q=F(573, 256), delta=F(27, 64))
     g = generate_random_digraph(6, F(1, 2), 11)
     x = [F(573, 256) + F(k, 8) for k in (-9, -2, 0, 3, 5, 12)]
     result, _ = run_consensus(init_consensus(x, q), q, g, PCG32(11, STREAM_PROTOCOL))
     assert ((result - q.b_q) / q.delta).denominator == 1
-    assert abs(result - oracle_mean(x, q)) <= q.delta
+    assert abs(result - oracle_mean(x, q, None)) <= q.delta
 
 
 # --- determinism and backends ---------------------------------------------
@@ -256,10 +266,10 @@ def test_non_grid_basis_instance():
 
 def test_identical_runs_identical_outcomes():
     g, x, _ = random_instance(7, 12)
-    y = init_consensus(x, Q_HALF)
+    y = masses(x, Q_HALF)
     a = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
     b = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
-    assert y == init_consensus(x, Q_HALF)  # the caller's masses are never modified
+    assert y == masses(x, Q_HALF)  # the caller's masses are never modified
     assert a[0] == b[0]
     assert a[1].rounds == b[1].rounds
     assert a[1].mass_transmissions == b[1].mass_transmissions
@@ -278,10 +288,10 @@ def parity_graphs(draw):
     return generate_random_digraph(n, p, draw(st.integers(0, 10_000)))
 
 
-PARITY_QUANTIZERS = [
-    QuantizerState(b_q=F(0), delta=F(1, 2), width=3),
-    QuantizerState(b_q=F(0), delta=F(1, 2), width=None),
-    QuantizerState(b_q=F(573, 256), delta=F(27, 64), width=None),  # non-grid basis
+PARITY_QUANTIZERS = [  # (grid, width)
+    (QuantizerState(b_q=F(0), delta=F(1, 2)), 3),
+    (QuantizerState(b_q=F(0), delta=F(1, 2)), None),
+    (QuantizerState(b_q=F(573, 256), delta=F(27, 64)), None),  # non-grid basis
 ]
 
 
@@ -292,7 +302,7 @@ PARITY_QUANTIZERS = [
     st.integers(min_value=0, max_value=2**32),
     st.data(),
 )
-def test_snapshot_matches_flood(built_kernel, g, q, seed, data):
+def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     # The unhooked path snapshots the extremes once per epoch instead of
     # flooding; a no-op round hook forces the per-round flood, the oracle.
     # The compiled kernel, when a C compiler built it, is the third path.
@@ -306,7 +316,8 @@ def test_snapshot_matches_flood(built_kernel, g, q, seed, data):
         )
     )
 
-    y = init_consensus(xs, q)  # every run below starts from this one list
+    q, width = q_width
+    y = masses(xs, q, width)  # every run below starts from this one list
 
     def run(max_rounds=ROUND_CAP, backend="pure", **kw):
         rng = PCG32(seed, STREAM_PROTOCOL)
@@ -356,7 +367,7 @@ def test_backend_parity(kernel, n):
         g, x, _ = random_instance(seed, n)
         rng_pure = PCG32(seed, STREAM_PROTOCOL)
         rng_fast = PCG32(seed, STREAM_PROTOCOL)
-        y = init_consensus(x, Q_HALF)
+        y = masses(x, Q_HALF)
         res_pure, st_pure = run_consensus(y, Q_HALF, g, rng_pure, force_backend="pure")
         res_fast, st_fast = run_consensus(y, Q_HALF, g, rng_fast, force_backend="compiled")
         assert res_pure == res_fast
@@ -369,7 +380,7 @@ def test_backend_parity(kernel, n):
 def test_kernel_bails_to_pure_on_huge_masses(kernel):
     # Offsets beyond the kernel's int64 headroom: the kernel must decline
     # before drawing, and the exact path replays the identical run.
-    q = QuantizerState(b_q=F(0), delta=F(1, 2), width=None)
+    q = QuantizerState(b_q=F(0), delta=F(1, 2))
     x = [F(2) ** 50, F(1, 4), -(F(2) ** 49), F(3, 4)]
     assert_same_run(x, q, ring(4), 3)
     # More than 4096 nodes void the headroom argument: declined up front.
@@ -381,7 +392,7 @@ def test_kernel_bails_to_pure_mid_run(kernel):
     # deliveries on complete(4) push some holding past it: the kernel runs
     # round 1, declines at the start of round 2 without touching the
     # caller's RNG, and the pure path replays the identical run.
-    q = QuantizerState(b_q=F(0), delta=F(1), width=None)
+    q = QuantizerState(b_q=F(0), delta=F(1))
     x = [F(2**44) - F(1, 2)] * 4
     g = complete(4)
     w = init_consensus(x, q)
@@ -396,13 +407,13 @@ def test_kernel_bails_to_pure_mid_run(kernel):
 def test_force_backend_validation():
     g, x, rng = random_instance(1, 3)
     with pytest.raises(ValueError, match="unknown backend"):
-        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
 
 
 def test_force_compiled_without_kernel_errors(no_kernel):
     g, x, rng = random_instance(1, 3)
     with pytest.raises(RuntimeError, match="not available"):
-        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
 
 
 # --- failure modes and plumbing -------------------------------------------
@@ -416,7 +427,7 @@ def test_round_cap_raises(backend, request):
         request.getfixturevalue("kernel")
     g, x, rng = random_instance(2, 5)
     with pytest.raises(ConsensusCapError) as exc:
-        run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
     assert exc.value.rounds == 1
     assert "1 rounds" in str(exc.value)
 

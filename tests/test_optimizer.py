@@ -72,22 +72,21 @@ def test_no_event_without_repeat():
 def test_adaptive_out_of_range_zooms_out():
     q, event = zoom_decide(Q0, F(2), F(2), AdaptiveZoom())
     assert event == "zoom_out"
-    assert (q.b_q, q.delta) == (F(2), F(1))
-    assert (q.nu_out, q.nu_in, q.nu_total) == (1, 0, 1)
+    assert q == QuantizerState(F(2), F(1))
 
 
 def test_adaptive_in_range_zooms_in():
     q, event = zoom_decide(Q0, F(1), F(1), AdaptiveZoom())
     assert event == "zoom_in"
-    assert (q.b_q, q.delta) == (F(1), F(3, 8))
-    assert (q.nu_in, q.nu_out, q.nu_total) == (1, 0, 1)
+    assert q == QuantizerState(F(1), F(3, 8))
 
 
 def test_adaptive_range_boundaries():
     # dynamic range is [b_q - 3d, b_q + 3d): the upper edge saturates, the
     # lower edge is still inside
-    hi, _ = zoom_decide(Q0, F(3, 2), F(3, 2), AdaptiveZoom())
-    assert hi.nu_out == 1
+    hi, event = zoom_decide(Q0, F(3, 2), F(3, 2), AdaptiveZoom())
+    assert event == "zoom_out"
+    assert hi.delta == F(1)
     lo, event = zoom_decide(Q0, F(-3, 2), F(-3, 2), AdaptiveZoom())
     assert event == "zoom_in"
     below, event = zoom_decide(Q0, F(-8, 5), F(-8, 5), AdaptiveZoom())
@@ -100,7 +99,6 @@ def test_refine_only_shrinks_in_place():
     assert event == "refine"
     assert q.delta == F(1, 20)
     assert q.b_q == Q0.b_q  # basis never moves
-    assert q.nu_total == 0
 
 
 def test_fixed_level_never_changes():
@@ -169,8 +167,7 @@ def test_step_counts_and_bits():
     state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
-    q = replace(Q0, width=None)
-    result, stats = run_consensus(init_consensus(x_half, q), q, g, PCG32(seed, STREAM_PROTOCOL))
+    result, stats = run_consensus(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
     assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
     assert rec.mass_transmissions == stats.mass_transmissions
@@ -193,7 +190,7 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
         )
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
-        assert state.q.nu_total == 0
+        assert state.q == Q0
 
 
 def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
@@ -215,9 +212,9 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
         assert events[0] == "zoom_in"
 
 
-def test_zoom_exclusivity_and_counter_sync():
+def test_zoom_exclusivity_and_delta_sync():
     # Across a real multi-step run: at most one event per step, and the
-    # shared quantizer's counters advance exactly with the logged events.
+    # shared quantizer's step moves exactly with the logged events.
     g = generate_random_digraph(6, F(1, 2), 9)
     s = suite([(2, 1), (1, 4), (3, 2), (1, 5), (2, 3), (4, 2)])
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5, 1)], Q0)
@@ -226,9 +223,8 @@ def test_zoom_exclusivity_and_counter_sync():
         step(state, g, s, ALPHA, AdaptiveZoom(), rng)
     ins = sum(1 for r in state.history if r.zoom_event == "zoom_in")
     outs = sum(1 for r in state.history if r.zoom_event == "zoom_out")
-    assert state.q.nu_in == ins
-    assert state.q.nu_out == outs
-    assert state.q.nu_total == ins + outs
+    assert ins > 0
+    assert state.q.delta == Q0.delta * F(2) ** outs / F(4, 3) ** ins
     assert all(
         r.zoom_event in ("none", "zoom_in", "zoom_out", "refine")
         for r in state.history
@@ -268,7 +264,7 @@ def test_fixed_level_repeat_is_absorbing():
     # again -- the mechanism behind the error floor.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
-    q = QuantizerState(b_q=F(0), delta=F(1, 10), width=None)
+    q = QuantizerState(b_q=F(0), delta=F(1, 10))
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
@@ -374,9 +370,8 @@ def test_grid_masses_match_the_per_node_path(data):
     q = QuantizerState(
         b_q=data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
         delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
-        width=data.draw(st.sampled_from([3, 5, None])),
     )
-    want = init_consensus(gradient_step([x] * n, s, alpha), replace(q, width=None))
+    want = init_consensus(gradient_step([x] * n, s, alpha), q)
     assert grid_masses(cost_classes(s, alpha), x, q) == want
 
 
@@ -395,8 +390,7 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     """
     pre_q = state.q
     xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
-    grid = replace(pre_q, width=None)
-    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), grid), grid, g, rng)
+    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
     x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
     new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
     k = len(state.history)
@@ -447,10 +441,11 @@ def run_instances(draw):
     q = QuantizerState(
         b_q=draw(st.fractions(min_value=-2, max_value=2, max_denominator=8)),
         delta=draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)),
-        c_in=draw(st.sampled_from([F(4, 3), F(7, 5)])),
-        c_out=draw(st.sampled_from([F(2), F(5, 2)])),
-        width=policy.quantizer_width if isinstance(policy, AdaptiveZoom) else None,
     )
+    c_in = draw(st.sampled_from([F(4, 3), F(7, 5)]))
+    c_out = draw(st.sampled_from([F(2), F(5, 2)]))
+    if isinstance(policy, AdaptiveZoom):
+        policy = replace(policy, c_in=c_in, c_out=c_out)
     alpha = draw(st.fractions(min_value=F(1, 50), max_value=F(1, 4), max_denominator=50))
     return g, s, x_init, q, alpha, policy, draw(st.integers(0, 2**32 - 1))
 

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from zoomgrad.optimizer import AdaptiveZoom
 from zoomgrad.quantizer import (
     QuantizerState,
     level_index,
@@ -18,6 +19,7 @@ from zoomgrad.quantizer import (
 )
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
+C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
 
 # (input, midpoint, code) for b_q=0, delta=1/2: every one of the 8 output
 # cells is hit in its interior and at its left (closed) boundary, plus both
@@ -49,65 +51,59 @@ BRANCH_TABLE = [
 
 @pytest.mark.parametrize("xi,midpoint,code", BRANCH_TABLE)
 def test_branch_table(xi, midpoint, code):
-    assert quantize(Q0, xi) == midpoint
-    assert level_index(Q0, xi) == code
+    assert quantize(Q0, xi, 3) == midpoint
+    assert level_index(Q0, xi, 3) == code
 
 
 def test_shifted_basis():
     q = QuantizerState(b_q=F(2), delta=F(1, 2))
-    assert quantize(q, F(2)) == F(9, 4)  # basis input -> b_q + d/2
-    assert quantize(q, F(2) - F(1, 100)) == F(7, 4)
-    assert level_index(q, F(100)) == 7
-    assert level_index(q, F(-100)) == 0
+    assert quantize(q, F(2), 3) == F(9, 4)  # basis input -> b_q + d/2
+    assert quantize(q, F(2) - F(1, 100), 3) == F(7, 4)
+    assert level_index(q, F(100), 3) == 7
+    assert level_index(q, F(-100), 3) == 0
 
 
 def test_non_dyadic_grid():
     q = QuantizerState(b_q=F(1), delta=F(3, 8))
-    assert quantize(q, F(1)) == F(1) + F(3, 16)
-    assert quantize(q, F(1) - F(3, 8)) == F(1) - F(3, 16)
-    assert saturation_half_range(q) == F(9, 8)
+    assert quantize(q, F(1), 3) == F(1) + F(3, 16)
+    assert quantize(q, F(1) - F(3, 8), 3) == F(1) - F(3, 16)
+    assert saturation_half_range(q, 3) == F(9, 8)
 
 
 def test_wider_quantizer():
-    q = QuantizerState(b_q=F(0), delta=F(1), width=4)
-    assert saturation_half_range(q) == F(7)  # (2^3 - 1) * delta
-    assert quantize(q, F(100)) == F(15, 2)  # (2*15 - 15)/2
-    assert quantize(q, F(-100)) == F(-15, 2)
-    assert level_index(q, F(0)) == 8
+    q = QuantizerState(b_q=F(0), delta=F(1))
+    assert saturation_half_range(q, 4) == F(7)  # (2^3 - 1) * delta
+    assert quantize(q, F(100), 4) == F(15, 2)  # (2*15 - 15)/2
+    assert quantize(q, F(-100), 4) == F(-15, 2)
+    assert level_index(q, F(0), 4) == 8
 
 
 def test_unsaturated_variant():
-    qu = QuantizerState(b_q=F(0), delta=F(1, 2), width=None)
-    # agrees with the 3-bit quantizer inside its range ...
+    # no width: agrees with the 3-bit quantizer inside its range ...
     for xi, midpoint, _ in BRANCH_TABLE:
         if F(-3, 2) <= xi < F(3, 2):
-            assert quantize(qu, xi) == midpoint
+            assert quantize(Q0, xi) == midpoint
     # ... but never clamps outside it
-    assert quantize(qu, F(-10)) == F(-39, 4)
-    assert quantize(qu, F(100)) == F(401, 4)
-    with pytest.raises(ValueError):
-        saturation_half_range(qu)
-    with pytest.raises(ValueError):
-        level_index(qu, F(0))
+    assert quantize(Q0, F(-10)) == F(-39, 4)
+    assert quantize(Q0, F(100)) == F(401, 4)
 
 
 def test_zoom_out_examples():
-    q1 = zoom_out(Q0, F(2))
-    assert (q1.b_q, q1.delta, q1.nu_out, q1.nu_in, q1.nu_total) == (F(2), F(1), 1, 0, 1)
-    q2 = zoom_out(Q0, F(-5))
+    q1 = zoom_out(Q0, F(2), C_OUT)
+    assert q1 == QuantizerState(F(2), F(1))
+    q2 = zoom_out(Q0, F(-5), C_OUT)
     assert (q2.b_q, q2.delta) == (F(-5), F(1))
-    q3 = zoom_out(q1, q1.b_q)
+    q3 = zoom_out(q1, q1.b_q, C_OUT)
     assert q3.delta == F(2)  # delta_0 * c_out^2
-    assert q3.nu_out == 2 == q3.nu_total
+    assert zoom_out(Q0, F(2), F(5, 2)).delta == F(5, 4)
 
 
 def test_zoom_in_examples():
-    q1 = zoom_in(Q0, F(1))
-    assert (q1.b_q, q1.delta, q1.nu_in, q1.nu_total) == (F(1), F(3, 8), 1, 1)
-    q2 = zoom_in(q1, q1.b_q)
+    q1 = zoom_in(Q0, F(1), C_IN)
+    assert q1 == QuantizerState(F(1), F(3, 8))
+    q2 = zoom_in(q1, q1.b_q, C_IN)
     assert q2.delta == F(9, 32)
-    assert q2.nu_in == 2 == q2.nu_total
-    assert q2.nu_out == 0
+    assert zoom_in(Q0, F(1), F(7, 5)).delta == F(5, 14)
 
 
 def test_validation():
@@ -115,12 +111,13 @@ def test_validation():
         QuantizerState(b_q=F(0), delta=F(0))
     with pytest.raises(ValueError):
         QuantizerState(b_q=F(0), delta=F(-1, 2))
+    # the zoom rule's factors and width are checked by the policy that owns them
     with pytest.raises(ValueError):
-        QuantizerState(b_q=F(0), delta=F(1), c_in=F(1))
+        AdaptiveZoom(c_in=F(1))
     with pytest.raises(ValueError):
-        QuantizerState(b_q=F(0), delta=F(1), c_out=F(9, 10))
+        AdaptiveZoom(c_out=F(9, 10))
     with pytest.raises(ValueError):
-        QuantizerState(b_q=F(0), delta=F(1), width=0)
+        AdaptiveZoom(quantizer_width=0)
 
 
 # --- property tests -------------------------------------------------------
@@ -136,14 +133,14 @@ def test_in_range_accuracy(b_q, delta, off):
     xi = b_q + off * delta  # off in [-4, 4] spans the range and beyond
     if not (b_q - 3 * delta <= xi < b_q + 3 * delta):
         return
-    assert abs(quantize(q, xi) - xi) <= delta / 2
+    assert abs(quantize(q, xi, 3) - xi) <= delta / 2
 
 
 @given(bases, deltas, st.fractions(min_value=-3, max_value=F(295, 100), max_denominator=512))
 def test_idempotent_in_range(b_q, delta, off):
     q = QuantizerState(b_q=b_q, delta=delta)
-    y = quantize(q, b_q + off * delta)
-    assert quantize(q, y) == y
+    y = quantize(q, b_q + off * delta, 3)
+    assert quantize(q, y, 3) == y
 
 
 @given(
@@ -155,24 +152,24 @@ def test_idempotent_in_range(b_q, delta, off):
 def test_monotone(b_q, delta, a, b):
     q = QuantizerState(b_q=b_q, delta=delta)
     lo, hi = min(a, b), max(a, b)
-    assert quantize(q, lo) <= quantize(q, hi)
+    assert quantize(q, lo, 3) <= quantize(q, hi, 3)
 
 
 @given(bases, deltas, st.fractions(min_value=-20, max_value=20, max_denominator=512))
 def test_output_is_always_one_of_the_8_midpoints(b_q, delta, xi):
     q = QuantizerState(b_q=b_q, delta=delta)
     midpoints = [b_q + F(2 * c - 7, 2) * delta for c in range(8)]
-    y = quantize(q, xi)
+    y = quantize(q, xi, 3)
     assert y in midpoints
-    assert midpoints[level_index(q, xi)] == y
+    assert midpoints[level_index(q, xi, 3)] == y
 
 
 @given(bases, deltas, st.integers(min_value=0, max_value=7))
 def test_code_midpoint_bijection(b_q, delta, c):
     q = QuantizerState(b_q=b_q, delta=delta)
     midpoint = b_q + F(2 * c - 7, 2) * delta
-    assert level_index(q, midpoint) == c
-    assert quantize(q, midpoint) == midpoint
+    assert level_index(q, midpoint, 3) == c
+    assert quantize(q, midpoint, 3) == midpoint
 
 
 @given(st.lists(st.booleans(), max_size=40))
@@ -180,8 +177,7 @@ def test_delta_trajectory_identity(zoom_sequence):
     # delta = delta_0 * c_out^nu_out / c_in^nu_in after any interleaving
     q = Q0
     for out in zoom_sequence:
-        q = zoom_out(q, q.b_q + 5) if out else zoom_in(q, q.b_q)
+        q = zoom_out(q, q.b_q + 5, C_OUT) if out else zoom_in(q, q.b_q, C_IN)
     n_out = sum(zoom_sequence)
     n_in = len(zoom_sequence) - n_out
-    assert q.delta == Q0.delta * q.c_out**n_out / q.c_in**n_in
-    assert (q.nu_out, q.nu_in, q.nu_total) == (n_out, n_in, len(zoom_sequence))
+    assert q.delta == Q0.delta * C_OUT**n_out / C_IN**n_in

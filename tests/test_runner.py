@@ -120,6 +120,26 @@ def default_run():
     return config, run_single(config)
 
 
+def test_zoom_factors_reach_the_zoom_rule():
+    # c_in and c_out travel from the config through build_policy to the
+    # adaptive zoom rule: every logged zoom re-centers the grid on the
+    # estimate and rescales the next row's step by exactly its factor.
+    c_in, c_out = F(7, 5), F(5, 2)
+    config = RunConfig(seed=2, n=6, c_in=c_in, c_out=c_out, stop={"max_steps": 40})
+    history = run_single(config)["history"]
+    events = [r.zoom_event for r in history]
+    assert "zoom_in" in events and "zoom_out" in events
+    factor = {"zoom_in": 1 / c_in, "zoom_out": c_out, "none": 1}
+    for row, nxt in zip(history, history[1:]):
+        assert nxt.delta == row.delta * factor[row.zoom_event]
+        assert nxt.b_q == (row.b_q if row.zoom_event == "none" else row.x_value)
+    # the baselines never read the zoom factors
+    for policy in ({"variant": "refine_only"}, {"variant": "fixed_level"}):
+        base = RunConfig(seed=2, n=6, policy=policy, delta0=F(1, 10), stop={"max_steps": 40})
+        other = dc_replace(base, c_in=c_in, c_out=c_out)
+        assert run_single(base)["history"] == run_single(other)["history"]
+
+
 def test_run_single_structure(default_run):
     config, result = default_run
     history = result["history"]
