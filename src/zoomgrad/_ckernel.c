@@ -7,10 +7,11 @@
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
  * each epoch start and the stop test M - m <= 1 at each epoch end.  Masses
- * are plain int64; the loop re-checks its headroom every round and declines
- * the instance (returns None) before anything could overflow.  It works on
- * a copy of the RNG state, so a decline leaves the caller's generator where
- * it was and the pure path replays the identical run.
+ * are plain int64.  One check before the first round bounds every value the
+ * run computes by the initial sum of |y|; an instance whose sum does not fit
+ * int64 is declined (returns None) before any draw.  The kernel works on a
+ * copy of the RNG state, so a decline leaves the caller's generator where it
+ * was and the pure path replays the identical run.
  *
  * random_out_adj runs the generator's lexicographic (u, v) scan after the
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
@@ -24,11 +25,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Masses at or below this bound cannot overflow int64 within one round even
- * if every node forwards its whole holding to one target: n is at most
- * N_MAX, and 2**45 * (4096 + 1) is still well under 2**63. */
-#define W_SAFE (((int64_t)1) << 45)
-#define N_MAX 4096
 #define PCG_MULT 6364136223846793005ULL
 
 static uint32_t next_u32(uint64_t *state, uint64_t inc)
@@ -121,7 +117,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL, *abuf = NULL;
-    int64_t M = 0, m = 0;
+    int64_t M = 0, m = 0, abs_sum = 0;
     Py_ssize_t *o_ptr = NULL;
     int *o_idx = NULL;
     int stopped = 0, overflow;
@@ -136,10 +132,6 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     if (w == NULL || adj == NULL)
         goto done;
     n = PySequence_Fast_GET_SIZE(w);
-    if (n > N_MAX) { /* outside the headroom argument: decline */
-        ret = Py_NewRef(Py_None);
-        goto done;
-    }
     if (n < 1 || d_eff < 2 || PySequence_Fast_GET_SIZE(adj) != n) {
         PyErr_SetString(PyExc_ValueError, "need 1 <= n == len(out_adj) and d_eff >= 2");
         goto done;
@@ -154,29 +146,30 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    /* Headroom.  A piece floor(y/z) and the remainder it leaves both lie
+       between 0 and the holder's y, so a split keeps sum |y|; a delivery only
+       adds pieces, which can cancel, so sum |y| never grows.  Every holding,
+       every dy accumulator and the snapshot span M - m therefore stay within
+       the initial S = sum |y| for the whole run.  Decline unless S fits int64:
+       a mass beyond int64, a mass equal to INT64_MIN, or a running sum that
+       would pass INT64_MAX (tested before the add, so the sum never wraps).
+       Python builds extensions with -fwrapv, where an overflow would wrap
+       silently rather than trap, so nothing else would catch one. */
     for (i = 0; i < n; i++) {
         y[i] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(w, i), &overflow);
         if (y[i] == -1 && PyErr_Occurred())
             goto done;
-        if (overflow) { /* far beyond the headroom: decline */
+        if (overflow || y[i] == INT64_MIN || (y[i] < 0 ? -y[i] : y[i]) > INT64_MAX - abs_sum) {
             ret = Py_NewRef(Py_None);
             goto done;
         }
+        abs_sum += y[i] < 0 ? -y[i] : y[i];
         z[i] = 2;
     }
     if (load_adjacency(adj, n, &o_ptr, &o_idx) < 0)
         goto done;
 
     for (lam = 1; lam <= max_rounds; lam++) {
-        /* headroom guard: decline before any chance of overflow
-           (deliveries can grow a holding by a factor ~n) */
-        for (i = 0; i < n; i++) {
-            if (y[i] > W_SAFE || y[i] < -W_SAFE) {
-                ret = Py_NewRef(Py_None);
-                goto done;
-            }
-        }
-
         /* epoch start: snapshot the global extremes of ceil/floor(y/z) */
         if (lam % d_eff == 1) {
             M = -floor_div(-y[0], z[0]);
@@ -327,10 +320,11 @@ static PyMethodDef methods[] = {
     {"run_rounds", run_rounds, METH_VARARGS,
      "run_rounds(w, out_adj, d_eff, max_rounds, rng_state, rng_inc)\n\n"
      "Run the epoch-snapshot consensus on initial value masses w (count mass 2\n"
-     "each).  Returns None when the instance exceeds the int64 headroom (n > 4096\n"
-     "or a mass beyond W_SAFE at any round start), else (stopped, rounds, m,\n"
-     "alphabet, rng_state): the common floor m on a stop, the sorted distinct\n"
-     "pieces sent, and the generator state after the last round."},
+     "each).  Returns None, before any draw, when the sum of |w| exceeds int64:\n"
+     "no value in the run can exceed that sum, so every other instance runs in\n"
+     "int64.  Otherwise returns (stopped, rounds, m, alphabet, rng_state): the\n"
+     "common floor m on a stop, the sorted distinct pieces sent, and the\n"
+     "generator state after the last round."},
     {"random_out_adj", random_out_adj, METH_VARARGS,
      "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
      "Out-adjacency of the random digraph on n = len(succ) nodes whose\n"
@@ -346,10 +340,5 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1,
 
 PyMODINIT_FUNC PyInit__ckernel(void)
 {
-    PyObject *mod = PyModule_Create(&module);
-    if (mod != NULL && PyModule_AddObject(mod, "W_SAFE", PyLong_FromLongLong(W_SAFE)) < 0) {
-        Py_DECREF(mod);
-        return NULL;
-    }
-    return mod;
+    return PyModule_Create(&module);
 }

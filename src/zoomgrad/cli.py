@@ -9,14 +9,15 @@ Subcommands:
             + table_avg_bits.csv
 
 Configuration comes from an optional JSON file (--config) with individual
-flag overrides on top; every run is fully determined by the resulting
-config.  Rational-valued flags accept "num/den" or decimal strings.
+flag overrides on top; the merged config is validated once, and every run is
+fully determined by it.  compare drops the policy block, since it runs its
+own five.  Rational-valued flags accept "num/den" or decimal strings.
 """
 
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, json_object
 from .runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
 
 
@@ -42,12 +43,10 @@ def _add_common(p):
 
 
 def _build_config(args):
+    d = RunConfig().to_dict()
     if args.config:
         with open(args.config) as f:
-            config = RunConfig.from_json(f.read())
-    else:
-        config = RunConfig()
-    d = config.to_dict()
+            d.update(json_object(f.read()))
     if args.seed is not None:
         d["seed"] = args.seed
     if args.nodes is not None:
@@ -58,10 +57,12 @@ def _build_config(args):
             d[key] = value
     if args.policy is not None:
         d["policy"] = {"variant": args.policy}
-    if args.max_steps is not None:
-        d["stop"] = dict(d["stop"], max_steps=args.max_steps)
-    if args.target_error is not None:
-        d["stop"] = dict(d["stop"], target_error=args.target_error)
+    if args.command == "compare":
+        del d["policy"]  # neither run nor validated
+    if isinstance(d["stop"], dict):  # else from_dict reports the bad block
+        for key in ("max_steps", "target_error"):
+            if getattr(args, key) is not None:
+                d["stop"] = dict(d["stop"], **{key: getattr(args, key)})
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}
         if args.accounting == "paper_faithful":

@@ -204,10 +204,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", "not valid JSON: %s" % exc)
-        if not isinstance(d, dict):
-            raise ConfigError("<file>", "top level must be an object")
-        return cls.from_dict(d)
+        return cls.from_dict(json_object(text))
+
+
+def json_object(text):
+    """The top-level object of a JSON config text, not yet validated."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<file>", "not valid JSON: %s" % exc)
+    if not isinstance(d, dict):
+        raise ConfigError("<file>", "top level must be an object")
+    return d

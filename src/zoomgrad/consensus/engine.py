@@ -18,43 +18,36 @@ ends every split with ``z = 1`` and only gains count mass, so every node
 keeps ``z >= 1`` and the round sends exactly ``sum(z) - n = n`` pieces.
 Each round:
 
-1. at epoch starts (``lambda mod D' == 1``) every node resets its flood
-   values to ``M = ceil(y/z)``, ``m = floor(y/z)``;
-2. every node pushes ``(M, m)`` along its out-edges and keeps the max/min
-   of its own values and what it received;
-3. every node with ``z > 1`` splits its mass into near-equal integer pieces
+1. at epoch starts (``lambda mod D' == 1``) the extremes are snapshot once,
+   over all nodes: ``M = max ceil(y_i/z_i)``, ``m = min floor(y_i/z_i)``;
+2. every node with ``z > 1`` splits its mass into near-equal integer pieces
    ``c = floor(y/z)``, sending each piece to itself or a uniformly random
    out-neighbor (send phase completes network-wide before any delivery);
-4. queued pieces are delivered (``y += c``, ``z += 1``);
-5. at epoch ends (``lambda mod D' == 0``) all nodes hold the flooded global
-   extremes; if ``M - m <= 1`` every node stops and outputs
-   ``b_q + m * delta`` (a grid point within delta of the average quantized
-   input).  ``run_consensus`` returns that common value once.
+3. queued pieces are delivered (``y += c``, ``z += 1``);
+4. at epoch ends (``lambda mod D' == 0``), if ``M - m <= 1`` every node
+   stops and outputs ``b_q + m * delta`` (a grid point within delta of the
+   average quantized input).  ``run_consensus`` returns that common value
+   once.
 
-``D' = max(diameter, 2)`` so a full epoch always floods the extremes to
-every node and the reset/check cadence stays meaningful on diameter-1
-graphs.
+``D' = max(diameter, 2)`` so the reset/check cadence stays meaningful on
+diameter-1 graphs.  In the protocol each node floods ``(M, m)`` along its
+out-edges every round, resetting to its own ``ceil(y/z)``, ``floor(y/z)`` at
+epoch starts.  The snapshot is exact in its place: the flood resets only at
+epoch starts and absorbs only max/min, and an epoch has ``D' >= diameter``
+rounds, so at the epoch end every node's flood value equals these global
+extremes; and flooding draws no randomness, so the split phase consumes the
+identical RNG stream.  The per-round flood lives in the tests, as the oracle
+this path is checked against.
 
-Unhooked runs skip steps 1-2 and take one snapshot per epoch instead: at
-the epoch start, ``M = max ceil(y_i/z_i)`` and ``m = min floor(y_i/z_i)``
-over all nodes, in O(n) rather than O(E) per round.  This is exact: the
-flood resets only at epoch starts and absorbs only max/min, and an epoch
-has ``D' >= diameter`` rounds, so at the epoch end every node's flood value
-equals these global extremes; and flooding draws no randomness, so the
-split phase consumes the identical RNG stream.  The per-round flood runs
-when a round hook is given, and is the oracle the snapshot path is tested
-against.  Both paths split and deliver through one function, the only
-consumer of the RNG.
-
-The package's optional C extension (``zoomgrad/_ckernel.c``, shared with
-the graph generator's edge draws) ports the snapshot path to int64 as
-``run_rounds`` when it is built: same node order, same PCG32 draws, same
-stop rule, so the output, rounds, alphabet and RNG state are bit-for-bit equal
-to the pure paths, which run whenever the extension is not built.  It
-declines instances that could overflow int64 (n > 4096, or a mass beyond
-``W_SAFE = 2**45`` at any round start) without advancing the caller's RNG,
-and the pure snapshot path then replays them from the same initial masses.
-Round hooks always use the pure flood path.
+Two implementations run these rounds.  The package's optional C extension
+(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws)
+runs them in int64 as ``run_rounds`` when it is built: same node order, same
+PCG32 draws, same stop rule, so the output, rounds, alphabet and RNG state
+are bit-for-bit equal to the pure snapshot path.  No value in a run exceeds
+the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it), so
+the kernel's one decline rule is that sum exceeding int64; it declines before
+any draw, and the pure path, which runs whenever the extension is not built,
+then replays the instance from the same initial masses.
 """
 
 from __future__ import annotations
@@ -105,7 +98,7 @@ class ConsensusCapError(RuntimeError):
 
 
 def active_backend() -> str:
-    """Which implementation unhooked runs use: 'compiled' or 'pure'."""
+    """Which implementation runs use by default: 'compiled' or 'pure'."""
     return "compiled" if _kernel is not None else "pure"
 
 
@@ -146,7 +139,7 @@ def _split_and_deliver(y: list[int], z: list[int], g: Digraph, rng: PCG32, alpha
     Every node with ``z > 1`` sheds ``z - 1`` pieces ``c = floor(y/z)``, each
     to itself or a random out-neighbor; the send phase completes for every
     node before any delivery.  Each piece is added to ``alphabet``.  This is
-    the protocol's only use of the RNG, shared by both pure paths.
+    the protocol's only use of the RNG.
     """
     queue = []
     for i in range(len(y)):
@@ -170,7 +163,6 @@ def run_consensus(
     rng: PCG32,
     *,
     max_rounds: int = ROUND_CAP,
-    round_hook=None,
     force_backend: str | None = None,
 ):
     """Run the whole protocol from the initial value masses ``y``.
@@ -179,35 +171,30 @@ def run_consensus(
     node (see ``init_consensus``) and is never modified, so a caller may run
     the same masses again.  ``q`` is only read for the output: every node
     stops holding the same rational ``b_q + m * delta`` on the delta-grid,
-    which is returned once.  The compiled kernel is used when
-    available unless a ``round_hook`` is given or ``force_backend="pure"``;
-    ``force_backend="compiled"`` demands the kernel.  Without the kernel,
-    unhooked runs take the epoch-snapshot path and hooked runs the per-round
-    flood, which calls ``round_hook(lambda, record)`` after every round.
-    Every path yields identical output and leaves the RNG in the identical
-    state.
+    which is returned once.  The compiled kernel is used when available
+    unless ``force_backend="pure"``; ``force_backend="compiled"`` demands it.
+    The pure snapshot path runs when the kernel is not built, not chosen, or
+    declines the instance (its ``sum(|y|)`` exceeds int64).  Both paths yield
+    identical output and leave the RNG in the identical state.
     """
     if force_backend not in (None, "pure", "compiled"):
         raise ValueError(f"unknown backend {force_backend!r}")
     if force_backend == "compiled" and _kernel is None:
         raise RuntimeError("compiled consensus kernel is not available")
 
-    y = list(y)  # the pure paths update their masses in place
+    y = list(y)  # the pure path updates its masses in place
     d_eff = effective_epoch(g.diameter)
     out = None
-    if _kernel is not None and round_hook is None and force_backend != "pure":
+    if _kernel is not None and force_backend != "pure":
         out = _run_kernel(y, g, d_eff, rng, max_rounds)
-    if out is None:  # no kernel, or it declined (would exceed its integer range)
-        if round_hook is None:
-            out = _run_snapshot(y, g, d_eff, rng, max_rounds)
-        else:
-            out = _run_flood(y, g, d_eff, rng, max_rounds, round_hook)
+    if out is None:  # no kernel, or it declined (sum |y| beyond int64)
+        out = _run_snapshot(y, g, d_eff, rng, max_rounds)
     rounds, m, alphabet = out
     return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, alphabet)
 
 
 def _run_snapshot(y, g, d_eff, rng, max_rounds):
-    """Unhooked pure path: one O(n) extremes snapshot per epoch, no flood.
+    """Pure path: one O(n) extremes snapshot per epoch, no flood.
 
     Returns (rounds, m, alphabet) at the stop; raises at the round cap.
     """
@@ -225,39 +212,6 @@ def _run_snapshot(y, g, d_eff, rng, max_rounds):
             assert sum(z) == 2 * n, "count mass not conserved"
             assert sum(y) == y0, "value mass not conserved"
             return lam, m, alphabet
-    raise ConsensusCapError(max_rounds)
-
-
-def _run_flood(y, g, d_eff, rng, max_rounds, round_hook):
-    """Per-round flood path: serves round hooks, and is the oracle.
-
-    The flood values ``M`` and ``m`` are pushed along out-edges each round.
-    The hook's record holds the post-reset values (``reset_M``, ``reset_m``;
-    None off epoch starts) and the end-of-round ``M``, ``m``, ``y`` and ``z``.
-    """
-    n = g.n
-    z = [2] * n
-    alphabet: set = set()
-
-    for lam in range(1, max_rounds + 1):
-        reset_M = reset_m = None
-        if lam % d_eff == 1:
-            M = reset_M = [-(-yi // zi) for yi, zi in zip(y, z)]
-            m = reset_m = [yi // zi for yi, zi in zip(y, z)]
-        new_M, new_m = M[:], m[:]
-        for u, targets in enumerate(g.out_adj):
-            Mu, mu = M[u], m[u]
-            for v in targets:
-                if Mu > new_M[v]:
-                    new_M[v] = Mu
-                if mu < new_m[v]:
-                    new_m[v] = mu
-        M, m = new_M, new_m
-        _split_and_deliver(y, z, g, rng, alphabet)
-        round_hook(lam, {"reset_M": reset_M, "reset_m": reset_m, "M": M, "m": m, "y": y[:], "z": z[:]})
-        if lam % d_eff == 0 and all(Mi - mi <= 1 for Mi, mi in zip(M, m)):
-            assert len(set(m)) == 1, "stop fired with disagreeing nodes"
-            return lam, m[0], alphabet
     raise ConsensusCapError(max_rounds)
 
 

@@ -138,11 +138,12 @@ REFINE_TABLE_SEGMENTS = ((3, 7), (5, 10), (8, 14))
 ADAPTIVE_TABLE_STEPS = (18, 27, 40)
 ADAPTIVE_TABLE_WIDTH = 3
 
-# label, message width, steps to reach each threshold (None = never)
+# label, quantizer level (its message width is FIXED_LEVEL_WIDTHS[level]),
+# steps to reach each threshold (None = never)
 FIXED_TABLE_ROWS = (
-    ("fixed_0.1", 7, (3, None, None)),
-    ("fixed_0.01", 10, (3, 5, None)),
-    ("fixed_0.001", 14, (3, 5, 11)),
+    ("fixed_0.1", Fraction(1, 10), (3, None, None)),
+    ("fixed_0.01", Fraction(1, 100), (3, 5, None)),
+    ("fixed_0.001", Fraction(1, 1000), (3, 5, 11)),
 )
 
 
@@ -167,7 +168,8 @@ def table_bits_rows(n_tt=TABLE_N_TT):
         units += count * width
         cells.append((steps, units * n_tt))
     rows.append(("refine_only", cells))
-    for label, width, step_list in FIXED_TABLE_ROWS:
+    for label, level, step_list in FIXED_TABLE_ROWS:
+        width = FIXED_LEVEL_WIDTHS[level]
         cells = [
             (c, bits_total(c, width, n_tt)) if c is not None else (None, None)
             for c in step_list
@@ -188,8 +190,8 @@ def table_avg_bits_rows(n_tt=TABLE_N_TT, n=20):
         units += count * width
         cells.append(Fraction(units * n_tt, 1) / (steps * n))
     rows.append(("refine_only", cells))
-    for label, width, _ in FIXED_TABLE_ROWS:
-        rows.append((label, [avg_bits_per_node_per_step(width, n_tt, n)] * 3))
+    for label, level, _ in FIXED_TABLE_ROWS:
+        rows.append((label, [avg_bits_per_node_per_step(FIXED_LEVEL_WIDTHS[level], n_tt, n)] * 3))
     return rows
 
 

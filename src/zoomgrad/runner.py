@@ -398,10 +398,11 @@ def compare(config):
 
 
 def cmd_compare(config):
+    # compare replaces the policy block (and delta0 for the fixed levels), so
+    # only what it runs is validated: each variant, in run_single.
     try:
-        config.validate()
-        out = resolve_out_dir(config)
         histories = compare(config)
+        out = resolve_out_dir(config)
     except ConfigError as exc:
         return _fail("invalid config - %s" % exc)
     except StepFailure as exc:

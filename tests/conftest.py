@@ -9,6 +9,10 @@ The ``kernel`` fixture builds the C kernel (consensus rounds and the graph's
 edge draws) from this checkout into a temporary directory once per session,
 so the compiled paths are checked wherever a C compiler exists, whether or
 not an in-place build is present.
+
+``flood_consensus`` is the per-round flood, the protocol as specified: the
+oracle that the engine's epoch-snapshot path and the kernel are checked
+against.
 """
 
 import glob
@@ -25,6 +29,7 @@ import pytest
 
 from zoomgrad import graph
 from zoomgrad.consensus import engine
+from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -62,29 +67,40 @@ def acceptance(request):
     return record
 
 
-@pytest.fixture(scope="session")
-def built_kernel(tmp_path_factory):
-    """The ``_ckernel`` module built into a temp dir, or None without a C compiler.
+def build_kernel(tmp, env=None):
+    """Build ``_ckernel`` from this checkout under ``tmp``.
 
-    Nothing is written under ``src/``.  A build that fails, or that makes the
-    compiler warn, while a compiler exists fails every test that uses the
-    kernel.
+    Returns (path of the built module, compiler output) and fails the
+    calling test when the build fails.  ``env`` replaces the build's
+    environment (e.g. to set ``CFLAGS``).  Nothing is written under ``src/``.
     """
-    if shutil.which(CC) is None:
-        return None
-    tmp = tmp_path_factory.mktemp("ckernel")
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
         cwd=ROOT,
         capture_output=True,
         text=True,
+        env=env,
     )
     built = glob.glob(str(tmp / "lib" / "zoomgrad" / "_ckernel*"))
+    log = proc.stdout + proc.stderr
     if proc.returncode != 0 or not built:
-        pytest.fail("C compiler %r found but the kernel did not build:\n%s%s" % (CC, proc.stdout, proc.stderr))
-    if "warning:" in proc.stdout + proc.stderr:
-        pytest.fail("the kernel built with compiler warnings:\n%s%s" % (proc.stdout, proc.stderr))
-    spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", built[0])
+        pytest.fail("C compiler %r found but the kernel did not build:\n%s" % (CC, log))
+    return built[0], log
+
+
+@pytest.fixture(scope="session")
+def built_kernel(tmp_path_factory):
+    """The ``_ckernel`` module built into a temp dir, or None without a C compiler.
+
+    A build that fails, or that makes the compiler warn, while a compiler
+    exists fails every test that uses the kernel.
+    """
+    if shutil.which(CC) is None:
+        return None
+    path, log = build_kernel(tmp_path_factory.mktemp("ckernel"))
+    if "warning:" in log:
+        pytest.fail("the kernel built with compiler warnings:\n%s" % log)
+    spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -105,6 +121,47 @@ def no_kernel(monkeypatch):
     """Neither the engine nor the graph module sees a compiled kernel."""
     monkeypatch.setattr(engine, "_kernel", None)
     monkeypatch.setattr(graph, "_kernel", None)
+
+
+def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
+    """The per-round flood: ``run_consensus``'s oracle, with a round hook.
+
+    Every node keeps flood values ``M`` and ``m``, resets them to its own
+    ``ceil(y/z)`` and ``floor(y/z)`` at epoch starts, and pushes them along
+    its out-edges every round; at an epoch end the run stops when every node
+    has ``M - m <= 1``.  Splits and deliveries go through the engine's own
+    ``_split_and_deliver``, so the RNG is consumed exactly as in
+    ``run_consensus``, and the return value is the same (common value,
+    ConsensusStats).  ``round_hook(lambda, record)`` runs after every round;
+    the record holds the post-reset values (``reset_M``, ``reset_m``; None
+    off epoch starts) and the end-of-round ``M``, ``m``, ``y`` and ``z``.
+    """
+    y = list(y)
+    n = g.n
+    z = [2] * n
+    d_eff = effective_epoch(g.diameter)
+    alphabet = set()
+
+    for lam in range(1, max_rounds + 1):
+        reset_M = reset_m = None
+        if lam % d_eff == 1:
+            M = reset_M = [-(-yi // zi) for yi, zi in zip(y, z)]
+            m = reset_m = [yi // zi for yi, zi in zip(y, z)]
+        new_M, new_m = M[:], m[:]
+        for u, targets in enumerate(g.out_adj):
+            Mu, mu = M[u], m[u]
+            for v in targets:
+                if Mu > new_M[v]:
+                    new_M[v] = Mu
+                if mu < new_m[v]:
+                    new_m[v] = mu
+        M, m = new_M, new_m
+        engine._split_and_deliver(y, z, g, rng, alphabet)
+        round_hook(lam, {"reset_M": reset_M, "reset_m": reset_m, "M": M, "m": m, "y": y[:], "z": z[:]})
+        if lam % d_eff == 0 and all(Mi - mi <= 1 for Mi, mi in zip(M, m)):
+            assert len(set(m)) == 1, "stop fired with disagreeing nodes"
+            return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, alphabet)
+    raise ConsensusCapError(max_rounds)
 
 
 def ring(n):

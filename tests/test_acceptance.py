@@ -15,8 +15,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import flood_consensus
 from zoomgrad.config import RunConfig
-from zoomgrad.consensus import run_consensus
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.metrics import (
@@ -155,7 +155,7 @@ def consensus_batch():
                 final_m[:] = record["m"]
 
             try:
-                result, stats = run_consensus(init_consensus(x_q, q), q, g, rng, round_hook=hook)
+                result, stats = flood_consensus(init_consensus(x_q, q), q, g, rng, hook)
             except Exception:
                 batch["nonterminating"] += 1
                 continue

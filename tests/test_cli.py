@@ -140,6 +140,14 @@ def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_malformed_stop_block_with_a_stop_flag_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"stop": 5}))
+    rc = main(["run", "--config", str(path), "--max-steps", "3", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "invalid config - stop: expected an object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0:2"]])
 def test_fixed_level_without_standard_width_exits_1(command, tmp_path, capsys):
     out = tmp_path / "out"
@@ -231,6 +239,33 @@ def test_compare_smoke(tmp_path):
     summary = (tmp_path / "compare_summary.csv").read_text().splitlines()
     assert summary[0] == ",".join(SUMMARY_COLUMNS)
     assert len(summary) == 6
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (["--policy", "fixed_level"], None),  # no standard width at delta0 = 1/2
+        ([], {"policy": {"variant": "refine_only", "c_refine": 1}}),
+    ],
+)
+def test_compare_ignores_the_policy_it_replaces(flags, config, tmp_path):
+    # compare runs its own five policies, so a policy block that run would
+    # refuse does not stop it.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = flags + ["--config", str(path)]
+    rc = main(["compare", "--seed", "5", "--nodes", "4", "--max-steps", "25", "--out", str(tmp_path / "out")] + flags)
+    assert rc == 0
+    assert len((tmp_path / "out" / "compare_summary.csv").read_text().splitlines()) == 6
+
+
+def test_compare_refuses_a_field_it_uses(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["compare", "--alpha", "0", "--out", str(out)])
+    assert rc == 1
+    assert "invalid config - alpha" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table1_smoke(tmp_path):

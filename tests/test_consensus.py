@@ -7,12 +7,17 @@ inputs: the protocol must land every node on one grid point within one
 quantization step of that average.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bidirectional_pair, complete, ring
+from conftest import CC, bidirectional_pair, build_kernel, complete, flood_consensus, ring
 from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
@@ -111,12 +116,12 @@ def test_all_equal_inputs_trace():
     # check fires with output b_q + 0*delta = 0.
     g = ring(3)
     records = []
-    result, stats = run_consensus(
+    result, stats = flood_consensus(
         init_consensus([F(1, 4)] * 3, Q_HALF),
         Q_HALF,
         g,
         PCG32(1, STREAM_PROTOCOL),
-        round_hook=lambda lam, rec: records.append((lam, dict(rec))),
+        lambda lam, rec: records.append((lam, dict(rec))),
     )
     assert result == F(0)
     d_eff = effective_epoch(g.diameter)
@@ -155,12 +160,12 @@ def test_two_node_conservation_forever():
     # every round regardless of how the pieces bounce.
     g = bidirectional_pair()
     sums = []
-    run_consensus(
+    flood_consensus(
         init_consensus([F(1, 4), F(3, 4)], Q_HALF),
         Q_HALF,
         g,
         PCG32(5, STREAM_PROTOCOL),
-        round_hook=lambda lam, rec: sums.append((sum(rec["y"]), sum(rec["z"]))),
+        lambda lam, rec: sums.append((sum(rec["y"]), sum(rec["z"]))),
     )
     assert sums
     assert set(sums) == {(4, 4)}
@@ -195,7 +200,7 @@ def test_agreement_accuracy_conservation(n):
                     violations.append(lam)
                 final_m[:] = rec["m"]
 
-            result, stats = run_consensus(masses(x, q, width), q, g, rng, round_hook=hook)
+            result, stats = flood_consensus(masses(x, q, width), q, g, rng, hook)
             assert not violations
             # every node's flooded minimum, hence its output, is the same
             assert set(final_m) == {(result - q.b_q) / q.delta}
@@ -246,7 +251,7 @@ def test_epoch_flooding_reaches_global_extremes():
                 assert all(M == want[0] for M in rec["M"])
                 assert all(m == want[1] for m in rec["m"])
 
-        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, round_hook=hook)
+        flood_consensus(masses(x, Q_HALF), Q_HALF, g, rng, hook)
         assert epochs
 
 
@@ -295,6 +300,20 @@ PARITY_QUANTIZERS = [  # (grid, width)
 ]
 
 
+def outcome(run, y, q, g, seed, max_rounds=ROUND_CAP, **kw):
+    """Everything observable of one run from a fresh generator.
+
+    (result, rounds, transmissions, alphabet, RNG state) on a stop, and
+    ("cap", rounds, RNG state) when the round cap is hit.
+    """
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    try:
+        res, stats = run(y, q, g, rng, max_rounds=max_rounds, **kw)
+    except ConsensusCapError as exc:
+        return "cap", exc.rounds, rng.getstate()
+    return res, stats.rounds, stats.mass_transmissions, stats.measured_alphabet, rng.getstate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     parity_graphs(),
@@ -303,11 +322,12 @@ PARITY_QUANTIZERS = [  # (grid, width)
     st.data(),
 )
 def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
-    # The unhooked path snapshots the extremes once per epoch instead of
-    # flooding; a no-op round hook forces the per-round flood, the oracle.
-    # The compiled kernel, when a C compiler built it, is the third path.
-    # Equal results, counts, alphabet and RNG position prove every path
-    # stops in the same round and consumed exactly the same draws.
+    # The pure path snapshots the extremes once per epoch instead of
+    # flooding; the per-round flood is the oracle.  The compiled kernel,
+    # when a C compiler built it, is the third path.  Equal results, counts,
+    # alphabet and RNG position prove every path stops in the same round and
+    # consumed exactly the same draws.  The flood's hook also checks the
+    # kernel's headroom argument: sum |y| never grows from round to round.
     xs = data.draw(
         st.lists(
             st.fractions(min_value=-6, max_value=6, max_denominator=16),
@@ -319,43 +339,44 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     q, width = q_width
     y = masses(xs, q, width)  # every run below starts from this one list
 
-    def run(max_rounds=ROUND_CAP, backend="pure", **kw):
-        rng = PCG32(seed, STREAM_PROTOCOL)
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine, "_kernel", built_kernel)
-                out = run_consensus(y, q, g, rng, max_rounds=max_rounds, force_backend=backend, **kw)
-        except ConsensusCapError as exc:
-            return "cap", exc.rounds, rng.getstate()
-        res, stats = out
-        return res, stats.rounds, stats.mass_transmissions, stats.measured_alphabet, rng.getstate()
+    def flood(max_rounds=ROUND_CAP):
+        abs_sums = [sum(map(abs, y))]
 
-    def noop(lam, rec):
-        pass
+        def abs_sum_never_grows(lam, rec):
+            abs_sums.append(sum(map(abs, rec["y"])))
+            assert abs_sums[-1] <= abs_sums[-2]
+
+        return outcome(flood_consensus, y, q, g, seed, max_rounds, round_hook=abs_sum_never_grows)
+
+    def run(max_rounds=ROUND_CAP, backend="pure"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_kernel", built_kernel)
+            return outcome(run_consensus, y, q, g, seed, max_rounds, force_backend=backend)
 
     snap = run()
-    assert snap == run(round_hook=noop)
+    assert snap == flood()
     rounds = snap[1]
     assert rounds >= effective_epoch(g.diameter)
     capped = run(rounds - 1)
     assert capped[:2] == ("cap", rounds - 1)
-    assert capped == run(rounds - 1, round_hook=noop)
+    assert capped == flood(rounds - 1)
     if built_kernel is not None:
         assert snap == run(backend="compiled")
         assert capped == run(rounds - 1, backend="compiled")
 
 
-def assert_same_run(x, q, g, seed):
-    """The default path and force_backend="pure" agree on everything observable."""
-    rng_auto = PCG32(seed, STREAM_PROTOCOL)
-    rng_pure = PCG32(seed, STREAM_PROTOCOL)
-    res_auto, st_auto = run_consensus(init_consensus(x, q), q, g, rng_auto)
-    res_pure, st_pure = run_consensus(init_consensus(x, q), q, g, rng_pure, force_backend="pure")
-    assert res_auto == res_pure
-    assert st_auto.rounds == st_pure.rounds
-    assert st_auto.mass_transmissions == st_pure.mass_transmissions
-    assert st_auto.measured_alphabet == st_pure.measured_alphabet
-    assert rng_auto.getstate() == rng_pure.getstate()
+def kernel_run(kernel, y, g, seed, max_rounds=ROUND_CAP):
+    """The kernel's raw output on masses ``y``, or None when it declines."""
+    state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
+    return kernel.run_rounds(y, g.out_adj, effective_epoch(g.diameter), max_rounds, state, inc)
+
+
+def assert_same_run(y, g, seed, max_rounds=ROUND_CAP):
+    """The default path stops within ``max_rounds`` and agrees with
+    force_backend="pure" on everything observable."""
+    auto = outcome(run_consensus, y, Q_HALF, g, seed, max_rounds)
+    assert auto[0] != "cap"
+    assert auto == outcome(run_consensus, y, Q_HALF, g, seed, max_rounds, force_backend="pure")
 
 
 @pytest.mark.parametrize("n", [3, 5, 10, 20])
@@ -365,43 +386,100 @@ def test_backend_parity(kernel, n):
     # (proving it consumed exactly the same draws).
     for seed in range(6):
         g, x, _ = random_instance(seed, n)
-        rng_pure = PCG32(seed, STREAM_PROTOCOL)
-        rng_fast = PCG32(seed, STREAM_PROTOCOL)
         y = masses(x, Q_HALF)
-        res_pure, st_pure = run_consensus(y, Q_HALF, g, rng_pure, force_backend="pure")
-        res_fast, st_fast = run_consensus(y, Q_HALF, g, rng_fast, force_backend="compiled")
-        assert res_pure == res_fast
-        assert st_pure.rounds == st_fast.rounds
-        assert st_pure.mass_transmissions == st_fast.mass_transmissions
-        assert st_pure.measured_alphabet == st_fast.measured_alphabet
-        assert rng_pure.getstate() == rng_fast.getstate()
+        assert outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure") == outcome(
+            run_consensus, y, Q_HALF, g, seed, force_backend="compiled"
+        )
 
 
 def test_kernel_bails_to_pure_on_huge_masses(kernel):
-    # Offsets beyond the kernel's int64 headroom: the kernel must decline
-    # before drawing, and the exact path replays the identical run.
-    q = QuantizerState(b_q=F(0), delta=F(1, 2))
-    x = [F(2) ** 50, F(1, 4), -(F(2) ** 49), F(3, 4)]
-    assert_same_run(x, q, ring(4), 3)
-    # More than 4096 nodes void the headroom argument: declined up front.
-    assert kernel.run_rounds([1] * 4097, ring(4097).out_adj, 2, 10, 0, 1) is None
+    # Offsets of 2**50 fit the kernel's int64 headroom and run compiled.
+    # Offsets whose sum |y| passes int64 are declined before any draw, and
+    # the exact path replays the identical run.
+    g = ring(4)
+    fits = init_consensus([F(2) ** 50, F(1, 4), -(F(2) ** 49), F(3, 4)], Q_HALF)
+    beyond = init_consensus([F(2) ** 61, F(1, 4), -(F(2) ** 61), F(3, 4)], Q_HALF)
+    assert sum(map(abs, beyond)) > 2**63 - 1
+    for y, declined in ((fits, False), (beyond, True)):
+        assert (kernel_run(kernel, y, g, 3) is None) == declined
+        assert_same_run(y, g, 3)
 
 
-def test_kernel_bails_to_pure_mid_run(kernel):
-    # Offsets of W_SAFE - 1 pass the upfront headroom check, but round 1's
-    # deliveries on complete(4) push some holding past it: the kernel runs
-    # round 1, declines at the start of round 2 without touching the
-    # caller's RNG, and the pure path replays the identical run.
-    q = QuantizerState(b_q=F(0), delta=F(1))
-    x = [F(2**44) - F(1, 2)] * 4
+# Masses on complete(4) at the edge of the kernel's one decline rule: the
+# sum of |y| must fit int64.
+ABS_SUM_FITS = [
+    [2**63 - 4, 1, 1, 1],  # sum |y| = 2**63 - 1, the largest accepted
+    [-(2**63 - 4), -1, -1, -1],
+    [2**45 - 1] * 4,  # once declined mid-run by a per-round |y| <= 2**45 bound
+]
+ABS_SUM_BEYOND = [
+    [2**61, -(2**61), 2**61, -(2**61)],  # sum |y| = 2**63, split across nodes
+    [2**63 - 1] * 4,
+    [-(2**63), 0, 0, 0],  # INT64_MIN itself: its negation overflows
+    [2**63, 0, 0, 0],  # beyond int64
+    [0, 0, 0, -(2**63) - 1],
+]
+
+
+@pytest.mark.parametrize("y", ABS_SUM_FITS, ids=["sum-max", "sum-max-negative", "old-per-round-bound"])
+def test_kernel_accepts_every_abs_sum_within_int64(kernel, y):
     g = complete(4)
-    w = init_consensus(x, q)
-    assert w == [kernel.W_SAFE - 1] * 4
     for seed in range(5):
-        state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
-        assert kernel.run_rounds(w, g.out_adj, 2, 1, state, inc) is not None
-        assert kernel.run_rounds(w, g.out_adj, 2, 2, state, inc) is None
-        assert_same_run(x, q, g, seed)
+        assert kernel_run(kernel, y, g, seed) is not None
+        assert_same_run(y, g, seed)
+
+
+@pytest.mark.parametrize("y", ABS_SUM_BEYOND, ids=["split", "max-each", "int64-min", "above-int64", "below-int64"])
+def test_kernel_declines_an_abs_sum_beyond_int64(kernel, y):
+    # A decline happens before any draw: the pure replay is the whole run.
+    g = complete(4)
+    assert kernel_run(kernel, y, g, 0) is None
+    assert_same_run(y, g, 0)
+
+
+def test_kernel_runs_more_than_4096_nodes(kernel):
+    # No node-count limit: masses in {-1, 1, 3} on 4097 nodes stop within a
+    # few epochs, compiled, and match the pure path on every observable.
+    g = generate_random_digraph(4097, F(1, 100), 0)
+    rng = PCG32(1, STREAM_PROTOCOL)
+    y = [2 * rng.randbelow(3) - 1 for _ in range(g.n)]
+    cap = 6 * effective_epoch(g.diameter)
+    assert kernel_run(kernel, y, g, 0, cap)[0] is True
+    assert_same_run(y, g, 0, cap)
+
+
+SANITIZED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+adj = [[v for v in range(4) if v != u] for u in range(4)]
+for y in json.loads(sys.argv[2]):
+    for seed in range(5):
+        kernel.run_rounds(y, adj, 2, 100000, seed, 2 * seed + 1)
+"""
+
+
+def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
+    # The headroom argument, checked at run time: the kernel built with
+    # signed overflow undefined (-fno-wrapv) and trapping under UBSan runs
+    # every boundary case, accepted or declined, without an overflow.
+    # Without the decline rule, [2**63 - 1] * 4 traps with "signed integer
+    # overflow".
+    if shutil.which(CC) is None:
+        pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
+    runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("compiler %r has no UBSan runtime (libubsan.so)" % CC)
+    env = dict(os.environ, CFLAGS="-fno-wrapv -fsanitize=signed-integer-overflow -fno-sanitize-recover=all")
+    path, _ = build_kernel(tmp_path, env)
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, path, json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, LD_PRELOAD=runtime),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_force_backend_validation():

@@ -479,10 +479,10 @@ def test_runs_match_the_per_node_oracle(backend, request):
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
-    # delta0 = 2**-60 puts every step's masses far beyond the kernel's
-    # W_SAFE = 2**45: each call declines without drawing, and the pure path
-    # must replay it from the same masses, so the run equals a run without
-    # the kernel.
+    # delta0 = 2**-60 puts the sum of |y| of every step's masses beyond
+    # int64: each call declines without drawing, and the pure path must
+    # replay it from the same masses, so the run equals a run without the
+    # kernel.
     g = generate_random_digraph(5, F(1, 2), 4)
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
     q = QuantizerState(b_q=F(0), delta=F(1, 2**60))
@@ -503,7 +503,7 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     compiled = run()
     assert len(masses) == 4
     for y in masses:
-        assert max(map(abs, y)) > kernel.W_SAFE
+        assert sum(map(abs, y)) > 2**63 - 1
         assert kernel.run_rounds(y, g.out_adj, 2, 10, 0, 1) is None
     monkeypatch.setattr(engine, "_kernel", None)
     assert run() == compiled
