@@ -9,8 +9,9 @@ State: two int lists, the value masses ``y`` and the count masses ``z``.
 starts at ``y[i] = 2*(Q(x_i) - b_q)/delta`` (an odd integer: twice the
 quantized basis-relative level, so the network-wide ratio sum(y)/sum(z)
 equals the average quantized value in basis-relative delta units, as
-``init_consensus`` computes it from the inputs) and ``z[i] = 2``.  The
-quantizer is only read to map the output level back to ``b_q + m*delta``.
+``init_consensus`` computes it from the inputs; the optimizer computes the
+same masses in integers) and ``z[i] = 2``.  The quantizer is only read to
+map the output level back to ``b_q + m*delta``.
 Masses stay integers forever — every transmitted piece is a floor of a
 ratio — which is what makes the stop test reachable and the protocol
 finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
@@ -117,6 +118,12 @@ def init_consensus(x_half, q: QuantizerState) -> list[int]:
     b_q = 0 this is exactly 2*Q(x_i)/delta; keeping the basis out of the
     circulating masses keeps them integral for every (b_q, delta), which the
     finite-time stop test depends on.
+
+    The optimizer computes its masses in integers (``start_masses`` and
+    ``grid_masses``); this per-node path is the oracle they are tested
+    against.  It stays here, rather than in ``tests/``, while the
+    benchmark's tracing hooks (``perfbench/tracing.py``) still name it and
+    ``quantize`` in this module.
     """
     out = []
     for xh in x_half:
@@ -172,10 +179,11 @@ def run_consensus(
     the same masses again.  ``q`` is only read for the output: every node
     stops holding the same rational ``b_q + m * delta`` on the delta-grid,
     which is returned once.  The compiled kernel is used when available
-    unless ``force_backend="pure"``; ``force_backend="compiled"`` demands it.
-    The pure snapshot path runs when the kernel is not built, not chosen, or
-    declines the instance (its ``sum(|y|)`` exceeds int64).  Both paths yield
-    identical output and leave the RNG in the identical state.
+    unless ``force_backend="pure"``.  By default the pure snapshot path runs
+    when the kernel is not built or declines the instance (its ``sum(|y|)``
+    exceeds int64); ``force_backend="compiled"`` demands the kernel and
+    raises RuntimeError in both cases instead.  Both paths yield identical
+    output and leave the RNG in the identical state.
     """
     if force_backend not in (None, "pure", "compiled"):
         raise ValueError(f"unknown backend {force_backend!r}")
@@ -187,6 +195,8 @@ def run_consensus(
     out = None
     if _kernel is not None and force_backend != "pure":
         out = _run_kernel(y, g, d_eff, rng, max_rounds)
+        if out is None and force_backend == "compiled":
+            raise RuntimeError("compiled consensus kernel declined: sum(|y|) exceeds int64")
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
         out = _run_snapshot(y, g, d_eff, rng, max_rounds)
     rounds, m, alphabet = out

@@ -8,6 +8,7 @@ summed objective coincide: mu = L = sum(beta_i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,8 +52,16 @@ class CostSuite:
 
     @cached_property
     def global_optimum(self) -> Fraction:
-        """argmin of sum f_i: curvature-weighted mean of the x0_i (exact)."""
-        return sum(c.beta * c.x0 for c in self.costs) / self.total_curvature
+        """argmin of sum f_i: curvature-weighted mean of the x0_i (exact).
+
+        Both sums run in integers over the common denominator ``d`` of every
+        ``beta_i * x0_i``; one ``Fraction`` is built at the end.
+        """
+        parts = [(c.beta.numerator, c.beta.denominator, c.x0.numerator, c.x0.denominator) for c in self.costs]
+        d = math.lcm(*(bd * xd for _, bd, _, xd in parts))
+        weighted = sum(bn * xn * (d // (bd * xd)) for bn, bd, xn, xd in parts)
+        curvature = sum(bn * (d // bd) for bn, bd, _, _ in parts)
+        return Fraction(weighted, curvature)
 
 
 def random_cost_suite(

@@ -11,23 +11,28 @@ sits in a saturated outer cell and zooms in (finer, recentered) when it
 repeats inside the range; the two baseline policies either only refine the
 step size on repeats or never touch it.
 
-Step 1 starts from the distinct per-node estimates and takes the exact
-per-node path: ``gradient_step`` then ``init_consensus``.  From step 2 on
-every node holds the one common estimate, so a node's half-step, and hence
-its initial mass, depends only on its cost class (beta, x0).  The
-``CostClasses`` table, built once per run and kept on the state, turns each
-class's mass into one integer floor division (``grid_masses``); the per-node
-path stays as the oracle it is tested against.
+A node's half-step is a linear function of the estimate it holds, with
+coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table,
+built once per run and kept on the state, holds those coefficients as
+integers, so each initial mass is one integer floor division over a common
+denominator.  Step 1 applies the floor to every node's own start
+(``start_masses``); from step 2 on every node holds the one common estimate,
+so the floor runs once per class (``grid_masses``).  The per-node path, an
+exact ``Fraction`` gradient step (``gradient_step``) quantized node by node
+(``engine.init_consensus``), is the oracle both are tested against; no step
+calls it.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
-from .consensus import engine, run_consensus
+from .consensus import run_consensus
 from .metrics import FIXED_LEVEL_WIDTHS, error_metric
 from .quantizer import QuantizerState, saturation_half_range, zoom_in, zoom_out
 
@@ -140,34 +145,80 @@ class CostClasses:
 
 def cost_classes(s, alpha):
     """The ``CostClasses`` table of suite ``s`` under step size ``alpha``."""
-    index = {}
-    node_class = tuple(index.setdefault((c.beta, c.x0), len(index)) for c in s.costs)
-    pulls = [(1 - alpha * beta, alpha * beta * x0) for beta, x0 in index]
+    index = {}  # keyed on integers: hashing a Fraction computes a modular inverse
+    node_class = tuple(
+        index.setdefault((c.beta.numerator, c.beta.denominator, c.x0.numerator, c.x0.denominator), len(index))
+        for c in s.costs
+    )
+    pulls = []
+    for bn, bd, xn, xd in index:
+        pull = alpha * Fraction(bn, bd)
+        pulls.append((1 - pull, pull * Fraction(xn, xd)))
     lcm = math.lcm(*(r.denominator for pair in pulls for r in pair))
     coeffs = tuple((int(u * lcm), int(v * lcm)) for u, v in pulls)
     return CostClasses(node_class, lcm, coeffs)
 
 
-def grid_masses(classes, x, q):
-    """Initial consensus masses of every node from the common estimate ``x``.
+def _masses(classes, q, d, points):
+    """Initial consensus mass of the half-step of each point ``((u_c, v_c), a)``.
 
-    Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` on the
-    unsaturated grid of ``q``: class c's bin index is
-    ``t_c = floor((half_c - b_q)/delta)`` and its mass ``2*t_c + 1``.  With
-    ``x`` and ``b_q`` over their common denominator ``d`` and
-    ``delta = dn/dd``, ``t_c = (u_c*a + v_c*w + k) // den`` in integers,
-    where ``a = x*d*dd``, ``w = d*dd``, ``k = -lcm*b_q*d*dd`` and
-    ``den = lcm*d*dn``.  Nothing assumes that ``x - b_q`` is a whole number
-    of steps.
+    A node of class c holding the estimate x has the half-step
+    ``(u_c*x + v_c) / lcm``; on the unsaturated grid of ``q`` its bin index
+    is ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``.  With x
+    and ``b_q`` over their common denominator ``d`` and ``delta = dn/dd``,
+    ``t = (u_c*a + v_c*w + k) // den`` in integers, where ``a = x*d*dd``,
+    ``w = d*dd``, ``k = -lcm*b_q*d*dd`` and ``den = lcm*d*dn``.  Nothing
+    assumes that ``x - b_q`` is a whole number of steps.
     """
     dn, dd = q.delta.numerator, q.delta.denominator
-    d = math.lcm(x.denominator, q.b_q.denominator)
-    a = x.numerator * (d // x.denominator) * dd
     w = d * dd
     k = -classes.lcm * q.b_q.numerator * (d // q.b_q.denominator) * dd
     den = classes.lcm * d * dn
-    ys = [2 * ((u * a + v * w + k) // den) + 1 for u, v in classes.coeffs]
+    return [2 * ((u * a + v * w + k) // den) + 1 for (u, v), a in points]
+
+
+def start_masses(classes, x_init, q):
+    """Step 1's initial masses: every node's half-step from its own start.
+
+    Equal to ``init_consensus(gradient_step(x_init, s, alpha), q)``, over one
+    denominator shared by ``b_q`` and every start.
+    """
+    d = math.lcm(q.b_q.denominator, *(x.denominator for x in x_init))
+    dd = q.delta.denominator
+    pulls = map(classes.coeffs.__getitem__, classes.node_class)
+    return _masses(classes, q, d, zip(pulls, (x.numerator * (d // x.denominator) * dd for x in x_init)))
+
+
+def grid_masses(classes, x, q):
+    """Initial masses of every node from the common estimate ``x``.
+
+    Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)``, with one
+    floor per class.
+    """
+    d = math.lcm(x.denominator, q.b_q.denominator)
+    a = x.numerator * (d // x.denominator) * q.delta.denominator
+    ys = _masses(classes, q, d, zip(classes.coeffs, repeat(a)))
     return [ys[c] for c in classes.node_class]
+
+
+def start_spread(x_init, x_star):
+    """``sum_j 1/(x_init_j - x*)^2``, the error's normalizer, exact.
+
+    Summed over the distinct starts, each weighted by its multiplicity: the
+    same rational as the per-node sum.  Raises ValueError, naming the first
+    node, when a start equals the optimum.
+    """
+    # Keyed on integers: hashing a Fraction computes a modular inverse.
+    counts = Counter((x0.numerator, x0.denominator) for x0 in x_init)
+    sn, sd = x_star.numerator, x_star.denominator
+    spread = Fraction(0)
+    for (xn, xd), k in counts.items():
+        gap = xn * sd - sn * xd  # (x0 - x*) * xd * sd
+        if gap == 0:
+            j = next(j for j, x0 in enumerate(x_init) if x0 == x_star)
+            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
+        spread += Fraction(k * (xd * sd) ** 2, gap**2)
+    return spread
 
 
 @dataclass
@@ -184,7 +235,13 @@ def initial_state(x_init, q):
 
 
 def gradient_step(x, s, alpha):
-    """Per-node local update x_i - alpha * grad f_i(x_i), exact."""
+    """Per-node local update x_i - alpha * grad f_i(x_i), exact.
+
+    No step calls it: the masses come from ``start_masses`` and
+    ``grid_masses``, which the tests check against this per-node path.  It
+    stays here, rather than in ``tests/``, while the benchmark's tracing
+    hooks (``perfbench/tracing.py``) still name it.
+    """
     return [xi - alpha * c.grad(xi) for xi, c in zip(x, s.costs)]
 
 
@@ -228,11 +285,8 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below and the idealized per-message bit price.
     if state.x is None:
-        # Called through the engine module so that a hook on
-        # ``engine.init_consensus`` sees step 1's mass init.
-        x_half = gradient_step(state.x_init, s, alpha)
-        y = engine.init_consensus(x_half, pre_q)
         state.classes = cost_classes(s, alpha)
+        y = start_masses(state.classes, state.x_init, pre_q)
     else:
         y = grid_masses(state.classes, state.x, pre_q)
     x_new, stats = run_consensus(y, pre_q, g, rng)
@@ -283,11 +337,7 @@ def run_until(state, g, s, alpha, policy, stop, rng):
         raise ValueError("stop needs max_steps or a finite target_error")
 
     x_star = s.global_optimum
-    spread = Fraction(0)  # sum_j 1/(x_init_j - x*)^2, the error's normalizer
-    for j, x0 in enumerate(state.x_init):
-        if x0 == x_star:
-            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
-        spread += Fraction(1, (x0 - x_star) ** 2)
+    spread = start_spread(state.x_init, x_star)
 
     def error_fn(x):
         return error_metric(x, x_star, spread)

@@ -88,17 +88,23 @@ def sample_x_init(config, x_star):
 
     A draw that lands exactly on the optimum is nudged one grid cell (up,
     or down at the top of the range) so the normalized error metric stays
-    well defined.
+    well defined.  Each node draws one grid index; each distinct index is
+    turned into its point, and checked against the optimum, once.
     """
     lo, hi = config.x_init_range
     grid = config.x_init_grid
     count = int((hi - lo) // grid) + 1
     rng = PCG32(config.seed, STREAM_XINIT)
+    points = {}  # grid index -> start
     xs = []
     for _ in range(config.n):
-        x = lo + rng.randbelow(count) * grid
-        if x == x_star:
-            x = x + grid if x + grid <= hi else x - grid
+        r = rng.randbelow(count)
+        x = points.get(r)
+        if x is None:
+            x = lo + r * grid
+            if x == x_star:
+                x = x + grid if x + grid <= hi else x - grid
+            points[r] = x
         xs.append(x)
     return xs
 

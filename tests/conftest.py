@@ -13,6 +13,12 @@ not an in-place build is present.
 ``flood_consensus`` is the per-round flood, the protocol as specified: the
 oracle that the engine's epoch-snapshot path and the kernel are checked
 against.
+
+The per-node oracles below are the product's former exact-``Fraction``
+paths, which its integer and distinct-value paths are checked against:
+``per_node_step`` (one outer step from ``optimizer.gradient_step`` and
+``engine.init_consensus``), ``per_node_spread``, ``per_node_optimum`` and
+``per_draw_x_init``.
 """
 
 import glob
@@ -28,9 +34,12 @@ from fractions import Fraction
 import pytest
 
 from zoomgrad import graph
-from zoomgrad.consensus import engine
+from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
+from zoomgrad.consensus.engine import init_consensus
+from zoomgrad.optimizer import RunRecord, gradient_step, zoom_decide
+from zoomgrad.rng import PCG32, STREAM_XINIT
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The compiler setuptools will call: $CC, else the one Python was built with.
@@ -162,6 +171,69 @@ def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
             assert len(set(m)) == 1, "stop fired with disagreeing nodes"
             return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, alphabet)
     raise ConsensusCapError(max_rounds)
+
+
+def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
+    """``optimizer.step`` on the per-node path: the oracle.
+
+    Every node takes its own exact gradient step from the estimate it holds
+    and quantizes it on the unsaturated grid, at every step, step 1
+    included.
+    """
+    pre_q = state.q
+    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
+    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
+    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
+    new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
+    k = len(state.history)
+    width = policy.message_width(k, pre_q.delta)
+    n_symbols = len(stats.measured_alphabet)
+    measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
+    rec = RunRecord(
+        k=k + 1,
+        x_value=x_new,
+        error=float("nan") if error_fn is None else error_fn(x_new),
+        delta=pre_q.delta,
+        b_q=pre_q.b_q,
+        zoom_event=event,
+        consensus_rounds=stats.rounds,
+        mass_transmissions=stats.mass_transmissions,
+        bits_paper_mode=width * stats.mass_transmissions,
+        bits_measured_mode=measured_width * stats.mass_transmissions,
+    )
+    state.x, state.q = x_new, new_q
+    state.history.append(rec)
+    return state, rec
+
+
+def per_node_spread(x_init, x_star):
+    """``optimizer.start_spread`` as one ``Fraction`` term per node."""
+    spread = Fraction(0)
+    for j, x0 in enumerate(x_init):
+        if x0 == x_star:
+            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
+        spread += Fraction(1, (x0 - x_star) ** 2)
+    return spread
+
+
+def per_node_optimum(s):
+    """``CostSuite.global_optimum`` as a ``Fraction`` sum over the nodes."""
+    return sum(c.beta * c.x0 for c in s.costs) / sum(c.beta for c in s.costs)
+
+
+def per_draw_x_init(config, x_star):
+    """``runner.sample_x_init`` with every draw built and nudged on its own."""
+    lo, hi = config.x_init_range
+    grid = config.x_init_grid
+    count = int((hi - lo) // grid) + 1
+    rng = PCG32(config.seed, STREAM_XINIT)
+    xs = []
+    for _ in range(config.n):
+        x = lo + rng.randbelow(count) * grid
+        if x == x_star:
+            x = x + grid if x + grid <= hi else x - grid
+        xs.append(x)
+    return xs
 
 
 def ring(n):

@@ -494,6 +494,16 @@ def test_force_compiled_without_kernel_errors(no_kernel):
         run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
 
 
+def test_force_compiled_refuses_a_declined_instance(kernel):
+    # A decline means the kernel did not run, so "compiled" raises instead of
+    # letting the pure path stand in for it; the default still replays.
+    y = [2**63 - 1] * 4
+    g = complete(4)
+    with pytest.raises(RuntimeError, match="declined"):
+        run_consensus(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
+    assert_same_run(y, g, 0)
+
+
 # --- failure modes and plumbing -------------------------------------------
 
 

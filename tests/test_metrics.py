@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bidirectional_pair
+from conftest import bidirectional_pair, per_node_spread
 from zoomgrad.config import RunConfig
 from zoomgrad.metrics import (
     ADAPTIVE_TABLE_STEPS,
@@ -58,13 +58,8 @@ def per_node_error(x, x_init, x_star):
     return math.sqrt(float(total))
 
 
-def spread(x_init, x_star):
-    """sum_j 1/(x_init_j - x*)^2, the normalizer ``run_until`` passes in."""
-    return sum(F(1, (x0 - x_star) ** 2) for x0 in x_init)
-
-
 def test_error_zero_at_optimum():
-    assert error_metric(F(3), F(3), spread([F(1), F(5)], F(3))) == 0.0
+    assert error_metric(F(3), F(3), per_node_spread([F(1), F(5)], F(3))) == 0.0
     assert per_node_error([F(3), F(3)], [F(1), F(5)], F(3)) == 0.0
 
 
@@ -75,12 +70,12 @@ def test_error_is_sqrt_n_at_start():
     x20 = [F(k % 4 + 1) for k in range(20)]
     assert per_node_error(x20, x20, F(-7)) == pytest.approx(4.4721, abs=5e-5)
     # so does a common estimate as far from x* as every start
-    assert error_metric(F(1), F(3), spread([F(1), F(5), F(5), F(1)], F(3))) == math.sqrt(4)
-    assert error_metric(F(1), F(-7), spread([F(1), F(-15)] * 10, F(-7))) == pytest.approx(4.4721, abs=5e-5)
+    assert error_metric(F(1), F(3), per_node_spread([F(1), F(5), F(5), F(1)], F(3))) == math.sqrt(4)
+    assert error_metric(F(1), F(-7), per_node_spread([F(1), F(-15)] * 10, F(-7))) == pytest.approx(4.4721, abs=5e-5)
 
 
 def test_error_hand_example():
-    got = error_metric(F(1, 2), F(1), spread([F(0), F(2)], F(1)))
+    got = error_metric(F(1, 2), F(1), per_node_spread([F(0), F(2)], F(1)))
     assert got == math.sqrt(0.5)  # sqrt(1/4 + 1/4)
     assert per_node_error([F(1, 2), F(3, 2)], [F(0), F(2)], F(1)) == math.sqrt(0.5)
 
@@ -100,8 +95,8 @@ def test_error_rejects_degenerate_start():
 
 def test_error_normalizes_per_node():
     # a node that starts close to the optimum dominates the metric
-    loose = error_metric(F(1, 10), F(0), spread([F(1), F(1)], F(0)))
-    tight = error_metric(F(1, 10), F(0), spread([F(1), F(1, 5)], F(0)))
+    loose = error_metric(F(1, 10), F(0), per_node_spread([F(1), F(1)], F(0)))
+    tight = error_metric(F(1, 10), F(0), per_node_spread([F(1), F(1, 5)], F(0)))
     assert tight > loose
 
 
@@ -113,7 +108,7 @@ RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
 def test_error_metric_matches_per_node_oracle(x_init, x, x_star):
     # (x - x*)^2 * S is the per-node sum's rational, so the floats are equal
     assume(all(x0 != x_star for x0 in x_init))
-    got = error_metric(x, x_star, spread(x_init, x_star))
+    got = error_metric(x, x_star, per_node_spread(x_init, x_star))
     assert got == per_node_error([x] * len(x_init), x_init, x_star)
 
 

@@ -3,7 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import per_node_optimum
 from zoomgrad.objective import CostSuite, QuadraticCost, random_cost_suite
 from zoomgrad.rng import PCG32, STREAM_COSTS
 
@@ -41,6 +43,27 @@ def test_optimum_is_curvature_weighted_mean():
     s = CostSuite(QuadraticCost(b, x) for b, x in zip(betas, x0s))
     want = sum(b * x for b, x in zip(betas, x0s)) / sum(betas)
     assert s.global_optimum == want
+
+
+DENOMINATORS = st.integers(min_value=1, max_value=1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(F, st.integers(min_value=1, max_value=50_000), DENOMINATORS),
+            st.builds(F, st.integers(min_value=-50_000, max_value=50_000), DENOMINATORS),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_integer_optimum_matches_the_fraction_sums(pairs):
+    # Two integer sums over one common denominator give the same rational as
+    # sum(beta*x0)/sum(beta) in Fractions, for fractional betas and optima.
+    s = CostSuite(QuadraticCost(b, x) for b, x in pairs)
+    assert s.global_optimum == per_node_optimum(s)
 
 
 def test_random_suite_deterministic():

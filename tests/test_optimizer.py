@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bidirectional_pair
+from conftest import bidirectional_pair, per_node_spread, per_node_step
 from zoomgrad import optimizer
 from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import init_consensus
@@ -26,6 +26,8 @@ from zoomgrad.optimizer import (
     grid_masses,
     initial_state,
     run_until,
+    start_masses,
+    start_spread,
     step,
     zoom_decide,
 )
@@ -375,43 +377,55 @@ def test_grid_masses_match_the_per_node_path(data):
     assert grid_masses(cost_classes(s, alpha), x, q) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_start_masses_match_the_per_node_path(data):
+    # Step 1: every node takes the integer floor from its own start, over
+    # one denominator shared by b_q and every start.  The starts are drawn
+    # distinct, fractional, and independent of b_q.
+    ratios = st.builds(F, st.integers(min_value=-50_000, max_value=50_000), st.integers(min_value=1, max_value=1000))
+    x_init = data.draw(st.lists(ratios, min_size=1, max_size=40, unique=True))
+    s = draw_suite(data, len(x_init))
+    alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
+    q = QuantizerState(
+        b_q=data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
+        delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
+    )
+    want = init_consensus(gradient_step(x_init, s, alpha), q)
+    assert start_masses(cost_classes(s, alpha), x_init, q) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_spread_over_distinct_starts_matches_the_per_node_sum(data):
+    # The same rational from a few repeated values or all-distinct starts;
+    # a start at the optimum raises the same error, naming the same node.
+    pool = data.draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=60), min_size=1, max_size=8))
+    x_init = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    x_star = data.draw(st.one_of(st.sampled_from(pool), st.fractions(min_value=-20, max_value=20, max_denominator=90)))
+    try:
+        want = per_node_spread(x_init, x_star)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            start_spread(x_init, x_star)
+        assert str(got.value) == str(exc)
+    else:
+        assert start_spread(x_init, x_star) == want
+
+
+def test_spread_names_the_first_node_at_the_optimum():
+    with pytest.raises(ValueError, match="node 2 equals the optimum"):
+        start_spread([F(1), F(3, 2), F(2), F(5, 2), F(2)], F(2))
+
+
 def test_cost_classes_group_equal_costs():
     s = suite([(2, 1), (1, 4), (2, 1), (1, "-1/3"), (1, 4)])
     classes = cost_classes(s, F(1, 10))
     assert classes.node_class == (0, 1, 0, 2, 1)
     assert len(classes.coeffs) == 3
-
-
-def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
-    """The per-node step that the grid-index path replaced: the oracle.
-
-    Every node takes its own exact gradient step from the estimate it holds
-    and quantizes it on the unsaturated grid, at every step.
-    """
-    pre_q = state.q
-    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
-    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
-    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
-    new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
-    k = len(state.history)
-    width = policy.message_width(k, pre_q.delta)
-    n_symbols = len(stats.measured_alphabet)
-    measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
-    rec = RunRecord(
-        k=k + 1,
-        x_value=x_new,
-        error=float("nan") if error_fn is None else error_fn(x_new),
-        delta=pre_q.delta,
-        b_q=pre_q.b_q,
-        zoom_event=event,
-        consensus_rounds=stats.rounds,
-        mass_transmissions=stats.mass_transmissions,
-        bits_paper_mode=width * stats.mass_transmissions,
-        bits_measured_mode=measured_width * stats.mass_transmissions,
-    )
-    state.x, state.q = x_new, new_q
-    state.history.append(rec)
-    return state, rec
+    # Keys are the reduced integers, so 4/2 and 2 are one class.
+    again = cost_classes(CostSuite([QuadraticCost(F(4, 2), F(1)), QuadraticCost(F(2), F(2, 2))]), F(1, 10))
+    assert again.node_class == (0, 0)
 
 
 POLICIES = [
@@ -453,8 +467,9 @@ def run_instances(draw):
 @pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
 def test_runs_match_the_per_node_oracle(backend, request):
     # Every RunRecord (estimate, error, quantizer, event, rounds, bits), the
-    # final quantizer and the RNG position equal the per-node step's, for
-    # all three policies, widths 3 and 5 and a non-integer refine factor.
+    # final quantizer and the RNG position equal the per-node path's, step 1
+    # and the error's spread included, for all three policies, widths 3 and
+    # 5 and a non-integer refine factor.
     request.getfixturevalue(backend)
 
     @settings(max_examples=40, deadline=None)
@@ -473,6 +488,7 @@ def test_runs_match_the_per_node_oracle(backend, request):
         got = run()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "step", per_node_step)
+            mp.setattr(optimizer, "start_spread", per_node_spread)
             assert run() == got
 
     check()

@@ -1,5 +1,6 @@
 """Pinned report bytes: the SHA-256 of every CSV that acceptance criterion
-10's ``run``, ``sweep`` and ``compare`` commands write, on both backends.
+10's ``run``, ``sweep`` and ``compare`` commands write, and of two n=400
+``run`` reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -8,6 +9,7 @@ every other byte is covered.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,21 @@ COMMANDS = {
     "run": lambda d: cmd_run(RunConfig(seed=1, out_dir=d)),
     "sweep": lambda d: cmd_sweep(RunConfig(out_dir=d), [2, 3]),
     "compare": lambda d: cmd_compare(RunConfig(seed=5, n=5, out_dir=d, stop={"max_steps": 40})),
+    # n=400: step 1's masses, the spread, the optimum and the start draws
+    # take their large-n paths.
+    "run-n400": lambda d: cmd_run(RunConfig(n=400, seed=0, out_dir=d, stop={"max_steps": 6})),
+    "run-n400-fractional": lambda d: cmd_run(
+        RunConfig(
+            n=400,
+            edge_prob=Fraction(1, 20),
+            seed=3,
+            b_q0=Fraction(1, 3),
+            x_init_range=(Fraction(-7, 3), Fraction(9, 2)),
+            x_init_grid=Fraction(1, 60),
+            out_dir=d,
+            stop={"max_steps": 6},
+        )
+    ),
 }
 
 DIGESTS = {
@@ -27,6 +44,10 @@ DIGESTS = {
     ("sweep", "sweep_seeds.csv"): "7b41eee174e68e32695e83264affa3d6f5b17ff834909ae90d934000a7c64a4c",
     ("compare", "compare.csv"): "f1defd9a5c3f65f9c6673a510d3dcbe9e308063ba8c1cc4bf4601e33a7213803",
     ("compare", "compare_summary.csv"): "33325431d5a28f607b83659c2e300560c5783949fffe24f5c5a407a4b7ca3cbe",
+    ("run-n400", "history.csv"): "cfc5fae70732249cae2bcf60b6ff6cda412b9e0fbdcd159122a87322e45d403c",
+    ("run-n400", "summary.csv"): "c14a6938745993e46f35a2cd2d9db42182a2d5eb9d5e7e2b13ba62d09cddf21c",
+    ("run-n400-fractional", "history.csv"): "e45561d821dcd7cc356a3eacb7395170e77773b6f1747fd61839b12ed772fb4b",
+    ("run-n400-fractional", "summary.csv"): "77551816d19bcda72db0635ba84e2616e1d90571365e88dbbaa2c73c85178505",
 }
 
 

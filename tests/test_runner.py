@@ -7,9 +7,12 @@ from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
+from zoomgrad import optimizer
 from zoomgrad.config import ConfigError, RunConfig
-from zoomgrad.objective import QuadraticCost
+from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord
 from zoomgrad.runner import (
     AGGREGATE_COLUMNS,
@@ -109,6 +112,95 @@ def test_sample_x_init_nudges_off_optimum():
     assert sample_x_init(c, F(2)) == [F(199, 100)] * 3  # top of range: nudged down
     c = RunConfig(n=5, x_init_range=(F(2), F(3)), x_init_grid=F(1))
     assert sample_x_init(c, F(2)) == [F(3)] * 5  # every draw lands on or above x*
+
+
+@st.composite
+def start_grids(draw):
+    """(x_init_range, x_init_grid, x*) with x* on the grid, off it, or at an edge."""
+    grid = draw(st.fractions(min_value=F(1, 60), max_value=2, max_denominator=60))
+    lo = draw(st.fractions(min_value=-5, max_value=5, max_denominator=30))
+    cells = draw(st.integers(min_value=0, max_value=6))
+    hi = lo + cells * grid + draw(st.sampled_from([0, grid / 2]))
+    x_star = draw(
+        st.one_of(
+            st.builds(lambda i: lo + i * grid, st.integers(min_value=0, max_value=cells)),
+            st.fractions(min_value=math.floor(lo) - 1, max_value=math.ceil(hi) + 1, max_denominator=90),
+        )
+    )
+    return (lo, hi), grid, x_star
+
+
+@settings(max_examples=200, deadline=None)
+@given(start_grids(), st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
+def test_memoized_starts_match_the_per_draw_loop(grid_case, n, seed):
+    # One draw per node either way, so the same stream gives the same
+    # starts, nudges off x* (up, or down at the top of the range) included.
+    x_range, grid, x_star = grid_case
+    c = RunConfig(n=n, seed=seed, x_init_range=x_range, x_init_grid=grid)
+    assert sample_x_init(c, x_star) == per_draw_x_init(c, x_star)
+
+
+@st.composite
+def fractional_configs(draw):
+    """Small run configs: explicit fractional costs, b_q0 != 0, a fractional
+    start grid around x*, so draws often land on it and are nudged."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    costs = draw(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6),
+                st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    x_star = per_node_optimum(CostSuite(QuadraticCost(b, x) for b, x in costs))
+    grid = draw(st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12))
+    below, above = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    offset = draw(st.sampled_from([0, 0, grid / 3]))  # x* on the grid, mostly
+    return RunConfig(
+        n=n,
+        edge_prob=draw(st.sampled_from([F(1, 3), F(1, 2), F(1)])),
+        seed=draw(st.integers(0, 10_000)),
+        alpha=draw(st.fractions(min_value=F(1, 50), max_value=F(1, 4), max_denominator=50)),
+        delta0=draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)),
+        b_q0=draw(st.fractions(min_value=-2, max_value=2, max_denominator=9).filter(bool)),
+        policy=draw(st.sampled_from([{"variant": "adaptive_zoom"}, {"variant": "refine_only", "c_refine": "5/2"}])),
+        x_init_range=(x_star - below * grid + offset, x_star + above * grid + offset),
+        x_init_grid=grid,
+        cost_spec={"kind": "explicit", "costs": [[str(b), str(x)] for b, x in costs]},
+        stop={"max_steps": 8, "target_error": 1e-9},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(fractional_configs())
+def test_run_single_matches_the_per_node_oracles(config):
+    # The whole run, with step 1's masses, the spread, the optimum and the
+    # start draws each on its per-node Fraction path, equals the run on the
+    # integer and distinct-value paths: history, starts, final quantizer and
+    # protocol RNG state.
+    def run(mp):
+        rng_states = []
+
+        def recording(state, g, s, alpha, policy, stop, rng):
+            out = optimizer.run_until(state, g, s, alpha, policy, stop, rng)
+            rng_states.append(rng.getstate())
+            return out
+
+        mp.setattr(runner_mod, "run_until", recording)
+        result = run_single(config)
+        return result["history"], result["x_init"], result["x_star"], result["state"].q, rng_states
+
+    with pytest.MonkeyPatch.context() as mp:
+        got = run(mp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "step", per_node_step)
+        mp.setattr(optimizer, "start_spread", per_node_spread)
+        mp.setattr(CostSuite, "global_optimum", property(per_node_optimum))
+        mp.setattr(runner_mod, "sample_x_init", per_draw_x_init)
+        assert run(mp) == got
 
 
 # --- single run and summary -------------------------------------------------
