@@ -2,9 +2,11 @@
 
 The package is pure Python by default.  With a C compiler, setuptools also
 builds ``zoomgrad/_ckernel.c``, a hand-written C99 extension that holds the
-consensus rounds and the random digraph's edge draws; the consensus engine
-and the graph module pick it up at import time.  The extension is optional,
-so a missing compiler or a failed compile downgrades to a pure install.
+consensus rounds, the random digraph's edge draws and the graph's diameter;
+the consensus engine and the graph module pick it up at import time.  The
+extension is optional, so a missing compiler or a failed compile downgrades
+to a pure install.  After editing the C file, rebuild the in-place module
+with ``python3 setup.py build_ext --inplace``.
 """
 
 from setuptools import Extension, setup

@@ -1,8 +1,11 @@
-/* The simulator's two hot loops in C: the epoch-snapshot consensus
- * (engine._run_snapshot) and the random digraph's edge draws
- * (graph.generate_random_digraph).  Both consume the same PCG32 stream as
- * the pure paths, draw for draw, so every result and the final RNG state
- * are bit-for-bit equal.
+/* The simulator's three hot loops in C: the epoch-snapshot consensus
+ * (engine._run_snapshot), the random digraph's edge draws
+ * (graph.generate_random_digraph) and the graph's diameter (graph.diameter).
+ * The first two consume the same PCG32 stream as the pure paths, draw for
+ * draw, so every result and the final RNG state are bit-for-bit equal.
+ *
+ * csr flattens a graph's out-adjacency once into a CSR handle (a capsule);
+ * the graph keeps it, and run_rounds and diameter read it on every call.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
@@ -11,7 +14,11 @@
  * run computes by the initial sum of |y|; an instance whose sum does not fit
  * int64 is declined (returns None) before any draw.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where it
- * was and the pure path replays the identical run.
+ * was and the pure path replays the identical run.  The distinct pieces sent
+ * are collected in an open-addressing hash set and returned as a Python set.
+ *
+ * diameter runs graph.diameter's reach recurrence on rows of uint64 words
+ * and returns -1 when the graph is not strongly connected.
  *
  * random_out_adj runs the generator's lexicographic (u, v) scan after the
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
@@ -23,7 +30,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
-#include <stdlib.h>
+#include <limits.h>
+#include <string.h>
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -56,21 +64,27 @@ static int64_t floor_div(int64_t num, int64_t den)
     return (num % den != 0 && num < 0) ? q - 1 : q;
 }
 
-static int cmp_i64(const void *a, const void *b)
+/* A graph's out-adjacency in CSR form: node i's out-neighbours, in the order
+ * of its out_adj row, are idx[ptr[i]:ptr[i+1]].  csr() builds one per graph and hands it
+ * to Python as a capsule; run_rounds and diameter read it. */
+typedef struct {
+    Py_ssize_t n;
+    Py_ssize_t *ptr;
+    int *idx;
+} Csr;
+
+#define CSR_NAME "zoomgrad._ckernel.csr"
+
+static void csr_free(Csr *g)
 {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+    PyMem_Free(g->ptr);
+    PyMem_Free(g->idx);
+    PyMem_Free(g);
 }
 
-/* Sort and deduplicate buf[0:len] in place; returns the new length. */
-static Py_ssize_t sort_unique(int64_t *buf, Py_ssize_t len)
+static void csr_capsule_free(PyObject *capsule)
 {
-    Py_ssize_t i, k = 0;
-    qsort(buf, (size_t)len, sizeof(int64_t), cmp_i64);
-    for (i = 0; i < len; i++)
-        if (k == 0 || buf[k - 1] != buf[i])
-            buf[k++] = buf[i];
-    return k;
+    csr_free(PyCapsule_GetPointer(capsule, CSR_NAME));
 }
 
 /* Flatten the out-adjacency into CSR arrays; -1 with an exception set on error. */
@@ -110,51 +124,163 @@ static int load_adjacency(PyObject *out_adj, Py_ssize_t n, Py_ssize_t **ptr, int
     return 0;
 }
 
+static PyObject *csr(PyObject *self, PyObject *out_adj)
+{
+    PyObject *adj, *handle = NULL;
+    Csr *g;
+
+    (void)self;
+    adj = PySequence_Fast(out_adj, "out_adj must be a sequence");
+    if (adj == NULL)
+        return NULL;
+    g = PyMem_Calloc(1, sizeof(Csr));
+    if (g == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    g->n = PySequence_Fast_GET_SIZE(adj);
+    if (g->n < 1 || g->n > INT_MAX)
+        PyErr_SetString(PyExc_ValueError, "need 1 <= len(out_adj) <= INT_MAX");
+    else if (load_adjacency(adj, g->n, &g->ptr, &g->idx) == 0)
+        handle = PyCapsule_New(g, CSR_NAME, csr_capsule_free);
+    if (handle == NULL)
+        csr_free(g);
+
+done:
+    Py_DECREF(adj);
+    return handle;
+}
+
+/* Open-addressing set of the distinct pieces a run sends.  INT64_MIN marks an
+ * empty slot: the headroom check bounds every piece by sum |y| <= INT64_MAX,
+ * so no piece equals it.  The table is kept at most half full. */
+typedef struct {
+    int64_t *slot;
+    size_t mask, len;
+} PieceSet;
+
+/* Multiplicative hash, in uint64 so that it wraps without signed overflow. */
+static size_t piece_slot(int64_t c, size_t mask)
+{
+    uint64_t h = (uint64_t)c * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ (h >> 32)) & mask;
+}
+
+static int pieces_init(PieceSet *s, size_t cap)
+{
+    size_t i;
+    s->slot = PyMem_Malloc(cap * sizeof(int64_t));
+    if (s->slot == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < cap; i++)
+        s->slot[i] = INT64_MIN;
+    s->mask = cap - 1;
+    s->len = 0;
+    return 0;
+}
+
+static int pieces_add(PieceSet *s, int64_t c);
+
+/* Double the table and reinsert every piece; -1 with an exception set on error. */
+static int pieces_grow(PieceSet *s)
+{
+    PieceSet old = *s;
+    size_t i;
+    if (pieces_init(s, 2 * (old.mask + 1)) < 0) {
+        *s = old;
+        return -1;
+    }
+    for (i = 0; i <= old.mask; i++)
+        if (old.slot[i] != INT64_MIN)
+            pieces_add(s, old.slot[i]);
+    PyMem_Free(old.slot);
+    return 0;
+}
+
+/* Insert c unless present; -1 with an exception set when growing fails. */
+static int pieces_add(PieceSet *s, int64_t c)
+{
+    size_t i = piece_slot(c, s->mask);
+    while (s->slot[i] != c) {
+        if (s->slot[i] == INT64_MIN) {
+            s->slot[i] = c;
+            return 2 * ++s->len > s->mask ? pieces_grow(s) : 0;
+        }
+        i = (i + 1) & s->mask;
+    }
+    return 0;
+}
+
+/* The distinct pieces as a Python set of ints. */
+static PyObject *pieces_to_set(const PieceSet *s)
+{
+    PyObject *set = PySet_New(NULL);
+    size_t i;
+    if (set == NULL)
+        return NULL;
+    for (i = 0; i <= s->mask; i++) {
+        PyObject *v;
+        if (s->slot[i] == INT64_MIN)
+            continue;
+        v = PyLong_FromLongLong(s->slot[i]);
+        if (v == NULL || PySet_Add(set, v) < 0) {
+            Py_XDECREF(v);
+            Py_DECREF(set);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    return set;
+}
+
 static PyObject *run_rounds(PyObject *self, PyObject *args)
 {
-    PyObject *w_obj, *adj_obj, *w = NULL, *adj = NULL, *ret = NULL, *alphabet;
-    Py_ssize_t d_eff, max_rounds, n, i, lam, a_len = 0, a_cap;
+    PyObject *w_obj, *handle, *w = NULL, *ret = NULL, *alphabet;
+    Py_ssize_t d_eff, max_rounds, n, i, lam;
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
-    int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL, *abuf = NULL;
+    int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
     int64_t M = 0, m = 0, abs_sum = 0;
-    Py_ssize_t *o_ptr = NULL;
-    int *o_idx = NULL;
+    PieceSet pieces = {NULL, 0, 0};
+    const Csr *g;
     int stopped = 0, overflow;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOnnKK", &w_obj, &adj_obj, &d_eff, &max_rounds, &state_in, &inc_in))
+    if (!PyArg_ParseTuple(args, "OOnnKK", &w_obj, &handle, &d_eff, &max_rounds, &state_in, &inc_in))
         return NULL;
     state = state_in;
     inc = inc_in;
+    g = PyCapsule_GetPointer(handle, CSR_NAME);
+    if (g == NULL)
+        return NULL;
     w = PySequence_Fast(w_obj, "w must be a sequence");
-    adj = PySequence_Fast(adj_obj, "out_adj must be a sequence");
-    if (w == NULL || adj == NULL)
+    if (w == NULL)
         goto done;
     n = PySequence_Fast_GET_SIZE(w);
-    if (n < 1 || d_eff < 2 || PySequence_Fast_GET_SIZE(adj) != n) {
-        PyErr_SetString(PyExc_ValueError, "need 1 <= n == len(out_adj) and d_eff >= 2");
+    if (n != g->n || d_eff < 2) {
+        PyErr_SetString(PyExc_ValueError, "need len(w) == the graph's node count and d_eff >= 2");
         goto done;
     }
-    a_cap = 4 * n + 1024;
     y = PyMem_Malloc((size_t)n * sizeof(int64_t));
     z = PyMem_Malloc((size_t)n * sizeof(int64_t));
     dy = PyMem_Calloc((size_t)n, sizeof(int64_t));
     dz = PyMem_Calloc((size_t)n, sizeof(int64_t));
-    abuf = PyMem_Malloc((size_t)a_cap * sizeof(int64_t));
-    if (y == NULL || z == NULL || dy == NULL || dz == NULL || abuf == NULL) {
+    if (y == NULL || z == NULL || dy == NULL || dz == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     /* Headroom.  A piece floor(y/z) and the remainder it leaves both lie
        between 0 and the holder's y, so a split keeps sum |y|; a delivery only
        adds pieces, which can cancel, so sum |y| never grows.  Every holding,
-       every dy accumulator and the snapshot span M - m therefore stay within
-       the initial S = sum |y| for the whole run.  Decline unless S fits int64:
-       a mass beyond int64, a mass equal to INT64_MIN, or a running sum that
-       would pass INT64_MAX (tested before the add, so the sum never wraps).
-       Python builds extensions with -fwrapv, where an overflow would wrap
-       silently rather than trap, so nothing else would catch one. */
+       every piece, every dy accumulator and the snapshot span M - m therefore
+       stay within the initial S = sum |y| for the whole run.  Decline unless
+       S fits int64: a mass beyond int64, a mass equal to INT64_MIN, or a
+       running sum that would pass INT64_MAX (tested before the add, so the
+       sum never wraps).  Python builds extensions with -fwrapv, where an
+       overflow would wrap silently rather than trap, so nothing else would
+       catch one. */
     for (i = 0; i < n; i++) {
         y[i] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(w, i), &overflow);
         if (y[i] == -1 && PyErr_Occurred())
@@ -166,7 +292,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         abs_sum += y[i] < 0 ? -y[i] : y[i];
         z[i] = 2;
     }
-    if (load_adjacency(adj, n, &o_ptr, &o_idx) < 0)
+    if (pieces_init(&pieces, 64) < 0)
         goto done;
 
     for (lam = 1; lam <= max_rounds; lam++) {
@@ -184,29 +310,17 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         /* split: every node sheds z - 1 pieces floor(y/z) to itself or a
            random out-neighbour; deliveries wait until every node has split */
         for (i = 0; i < n; i++) {
-            uint32_t deg = (uint32_t)(o_ptr[i + 1] - o_ptr[i]);
+            uint32_t deg = (uint32_t)(g->ptr[i + 1] - g->ptr[i]);
             while (z[i] > 1) {
                 int64_t c = floor_div(y[i], z[i]);
                 uint32_t pick = randbelow(1 + deg, &state, inc);
-                Py_ssize_t tgt = pick == 0 ? i : o_idx[o_ptr[i] + pick - 1];
+                Py_ssize_t tgt = pick == 0 ? i : g->idx[g->ptr[i] + pick - 1];
                 y[i] -= c;
                 z[i] -= 1;
                 dy[tgt] += c;
                 dz[tgt] += 1;
-                if (a_len == a_cap) {
-                    a_len = sort_unique(abuf, a_len);
-                    if (2 * a_len > a_cap) {
-                        int64_t *grown = PyMem_Realloc(abuf, (size_t)(2 * a_cap) * sizeof(int64_t));
-                        if (grown == NULL) {
-                            PyErr_NoMemory();
-                            goto done;
-                        }
-                        abuf = grown;
-                        a_cap *= 2;
-                    }
-                }
-                if (a_len == 0 || abuf[a_len - 1] != c)
-                    abuf[a_len++] = c;
+                if (pieces_add(&pieces, c) < 0)
+                    goto done;
             }
         }
 
@@ -224,32 +338,93 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         }
     }
 
-    a_len = sort_unique(abuf, a_len);
-    alphabet = PyList_New(a_len);
+    alphabet = pieces_to_set(&pieces);
     if (alphabet == NULL)
         goto done;
-    for (i = 0; i < a_len; i++) {
-        PyObject *v = PyLong_FromLongLong(abuf[i]);
-        if (v == NULL) {
-            Py_DECREF(alphabet);
-            goto done;
-        }
-        PyList_SET_ITEM(alphabet, i, v);
-    }
     /* (stopped, rounds, m, alphabet, rng state); a capped run reports max_rounds */
     ret = Py_BuildValue("(OnLNK)", stopped ? Py_True : Py_False, stopped ? lam : max_rounds,
                         (long long)m, alphabet, (unsigned long long)state);
 
 done:
     Py_XDECREF(w);
-    Py_XDECREF(adj);
     PyMem_Free(y);
     PyMem_Free(z);
     PyMem_Free(dy);
     PyMem_Free(dz);
-    PyMem_Free(abuf);
-    PyMem_Free(o_ptr);
-    PyMem_Free(o_idx);
+    PyMem_Free(pieces.slot);
+    return ret;
+}
+
+/* Level-synchronous reach sets on n-bit rows of uint64 words: the same
+ * recurrence as graph.diameter's big-int loop. */
+static PyObject *diameter(PyObject *self, PyObject *handle)
+{
+    const Csr *g;
+    Py_ssize_t n, words, u, e, k, n_full = 0, d = 0;
+    uint64_t *reach, *nxt, tail;
+    char *full;
+    PyObject *ret = NULL;
+
+    (void)self;
+    g = PyCapsule_GetPointer(handle, CSR_NAME);
+    if (g == NULL)
+        return NULL;
+    n = g->n;
+    words = (n + 63) / 64;
+    tail = n % 64 ? (UINT64_C(1) << (n % 64)) - 1 : ~UINT64_C(0);
+    reach = PyMem_Calloc((size_t)(n * words), sizeof(uint64_t));
+    nxt = PyMem_Malloc((size_t)(n * words) * sizeof(uint64_t));
+    full = PyMem_Calloc((size_t)n, 1);
+    if (reach == NULL || nxt == NULL || full == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (u = 0; u < n; u++)
+        reach[u * words + u / 64] = UINT64_C(1) << (u % 64);
+    if (n == 1) {
+        full[0] = 1;
+        n_full = 1;
+    }
+
+    while (n_full < n) {
+        int changed = 0;
+        uint64_t *swap;
+        for (u = 0; u < n; u++) {
+            const uint64_t *src = reach + u * words;
+            uint64_t *dst = nxt + u * words;
+            int is_full = 1;
+            memcpy(dst, src, (size_t)words * sizeof(uint64_t));
+            if (full[u])
+                continue;
+            for (e = g->ptr[u]; e < g->ptr[u + 1]; e++) {
+                const uint64_t *r = reach + (Py_ssize_t)g->idx[e] * words;
+                for (k = 0; k < words; k++)
+                    dst[k] |= r[k];
+            }
+            for (k = 0; k < words; k++) {
+                changed |= dst[k] != src[k];
+                is_full &= dst[k] == (k == words - 1 ? tail : ~UINT64_C(0));
+            }
+            if (is_full) {
+                full[u] = 1;
+                n_full++;
+            }
+        }
+        if (!changed) {  /* a fixed point with a short row: not strongly connected */
+            d = -1;
+            break;
+        }
+        swap = reach;
+        reach = nxt;
+        nxt = swap;
+        d++;
+    }
+    ret = PyLong_FromSsize_t(d);
+
+done:
+    PyMem_Free(reach);
+    PyMem_Free(nxt);
+    PyMem_Free(full);
     return ret;
 }
 
@@ -317,14 +492,23 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"csr", csr, METH_O,
+     "csr(out_adj)\n\n"
+     "The out-adjacency rows flattened once into C, as an opaque handle that\n"
+     "run_rounds and diameter take in place of the rows."},
     {"run_rounds", run_rounds, METH_VARARGS,
-     "run_rounds(w, out_adj, d_eff, max_rounds, rng_state, rng_inc)\n\n"
+     "run_rounds(w, graph, d_eff, max_rounds, rng_state, rng_inc)\n\n"
      "Run the epoch-snapshot consensus on initial value masses w (count mass 2\n"
-     "each).  Returns None, before any draw, when the sum of |w| exceeds int64:\n"
-     "no value in the run can exceed that sum, so every other instance runs in\n"
-     "int64.  Otherwise returns (stopped, rounds, m, alphabet, rng_state): the\n"
-     "common floor m on a stop, the sorted distinct pieces sent, and the\n"
-     "generator state after the last round."},
+     "each) over the graph handle made by csr, whose node count must be\n"
+     "len(w).  Returns None, before any draw, when the sum of |w| exceeds\n"
+     "int64: no value in the run can exceed that sum, so every other instance\n"
+     "runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
+     "rng_state): the common floor m on a stop, the set of distinct pieces\n"
+     "sent, and the generator state after the last round."},
+    {"diameter", diameter, METH_O,
+     "diameter(graph)\n\n"
+     "Longest shortest directed path of the graph handle made by csr, or -1\n"
+     "when some node does not reach another."},
     {"random_out_adj", random_out_adj, METH_VARARGS,
      "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
      "Out-adjacency of the random digraph on n = len(succ) nodes whose\n"

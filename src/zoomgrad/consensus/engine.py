@@ -41,10 +41,14 @@ identical RNG stream.  The per-round flood lives in the tests, as the oracle
 this path is checked against.
 
 Two implementations run these rounds.  The package's optional C extension
-(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws)
-runs them in int64 as ``run_rounds`` when it is built: same node order, same
-PCG32 draws, same stop rule, so the output, rounds, alphabet and RNG state
-are bit-for-bit equal to the pure snapshot path.  No value in a run exceeds
+(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws and
+the diameter) runs them in int64 as ``run_rounds`` when it is built: same
+node order, same PCG32 draws, same stop rule, so the output, rounds, alphabet
+and RNG state are bit-for-bit equal to the pure snapshot path.  The kernel
+reads the graph through the handle the graph caches
+(``Digraph.kernel_handle``, flattened once per graph, not per call) and
+collects the distinct pieces in a C hash set that it returns as a Python
+``set``.  No value in a run exceeds
 the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it), so
 the kernel's one decline rule is that sum exceeding int64; it declines before
 any draw, and the pure path, which runs whenever the extension is not built,
@@ -228,13 +232,15 @@ def _run_snapshot(y, g, d_eff, rng, max_rounds):
 def _run_kernel(y, g, d_eff, rng, max_rounds):
     """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
-    The kernel copies ``y`` and runs on a copy of the RNG state, so a decline
-    leaves both untouched and the pure replay is bit-identical.
+    The kernel reads the graph through its cached handle, and returns the
+    alphabet as a set built in C.  It copies ``y`` and runs on a copy of the
+    RNG state, so a decline leaves both untouched and the pure replay is
+    bit-identical.
     """
-    out = _kernel.run_rounds(y, g.out_adj, d_eff, max_rounds, rng.state, rng.inc)
+    out = _kernel.run_rounds(y, g.kernel_handle(_kernel), d_eff, max_rounds, rng.state, rng.inc)
     if out is None:
         return None
     stopped, rounds, m, alphabet, rng.state = out
     if not stopped:
         raise ConsensusCapError(max_rounds)
-    return rounds, m, set(alphabet)
+    return rounds, m, alphabet

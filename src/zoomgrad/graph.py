@@ -10,7 +10,11 @@ kernel (``_ckernel.random_out_adj``) when it is built, else in a pure loop
 over the same PCG32 stream; both give the same rows and RNG state.
 
 The diameter, which sets the consensus flooding epoch, is computed by
-bitset unions over out-edges: O(D*E) big-int ORs, no all-pairs BFS.
+bitset unions over out-edges, O(D*E) row ORs with no all-pairs BFS: in the
+C kernel on rows of 64-bit words when it is built, else by a pure loop over
+big-int rows.  The kernel reads a graph through one handle, the out-rows
+flattened into C once per graph (``Digraph.kernel_handle``); the diameter
+and every consensus run on the graph share it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class Digraph:
     sampling set instead, keeping BFS/diameter standard.
     """
 
-    __slots__ = ("n", "out_adj", "_diameter")
+    __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle")
 
     def __init__(self, n: int, edges):
         if n < 2:
@@ -53,6 +57,7 @@ class Digraph:
         self.out_adj = tuple(tuple(sorted(s)) for s in out_adj)
         self.n = n
         self._diameter = None
+        self._kernel_handle = None
 
     @classmethod
     def _from_rows(cls, out_adj: tuple) -> Digraph:
@@ -61,6 +66,7 @@ class Digraph:
         g.n = len(out_adj)
         g.out_adj = out_adj
         g._diameter = None
+        g._kernel_handle = None
         return g
 
     def edge_count(self) -> int:
@@ -71,6 +77,21 @@ class Digraph:
         if self._diameter is None:
             self._diameter = diameter(self)
         return self._diameter
+
+    def kernel_handle(self, kernel):
+        """The out-rows flattened into C by ``kernel.csr``, built on first use.
+
+        The handle is kept with the kernel module that built it, so a kernel
+        is only ever given a handle in its own layout.
+        """
+        if self._kernel_handle is None or self._kernel_handle[0] is not kernel:
+            self._kernel_handle = (kernel, kernel.csr(self.out_adj))
+        return self._kernel_handle[1]
+
+    def __reduce__(self):
+        # The C handle can be neither copied nor pickled: a copy carries the
+        # rows only and builds its own handle on first use.
+        return Digraph._from_rows, (self.out_adj,)
 
     def __eq__(self, other):
         return (
@@ -92,7 +113,21 @@ def diameter(g: Digraph) -> int:
     exactly the diameter.  A level that changes no row is a fixed point; if
     a row is still short there, some node never reaches another and
     ``ValueError`` is raised.
+
+    The C kernel runs the recurrence on rows of 64-bit words when it is
+    built; without it ``_bigint_diameter`` runs it on big-int rows.
     """
+    if _kernel is not None:
+        d = _kernel.diameter(g.kernel_handle(_kernel))
+    else:
+        d = _bigint_diameter(g)
+    if d < 0:
+        raise ValueError("diameter undefined: digraph is not strongly connected")
+    return d
+
+
+def _bigint_diameter(g: Digraph) -> int:
+    """``diameter``'s recurrence on big-int rows; -1 at a short fixed point."""
     full = (1 << g.n) - 1
     reach = [1 << u for u in range(g.n)]
     d = 0
@@ -104,7 +139,7 @@ def diameter(g: Digraph) -> int:
                     r |= reach[v]
             nxt.append(r)
         if nxt == reach:
-            raise ValueError("diameter undefined: digraph is not strongly connected")
+            return -1
         reach = nxt
         d += 1
     return d

@@ -46,11 +46,6 @@ class CostSuite:
         return iter(self.costs)
 
     @cached_property
-    def total_curvature(self) -> Fraction:
-        """mu = L = sum of beta_i for the summed objective."""
-        return sum(c.beta for c in self.costs)
-
-    @cached_property
     def global_optimum(self) -> Fraction:
         """argmin of sum f_i: curvature-weighted mean of the x0_i (exact).
 

@@ -5,8 +5,8 @@ per criterion through the ``acceptance`` fixture; the lines are replayed in
 a dedicated section at the end of the pytest run so they are visible even
 for passing tests (pytest normally swallows stdout of passing tests).
 
-The ``kernel`` fixture builds the C kernel (consensus rounds and the graph's
-edge draws) from this checkout into a temporary directory once per session,
+The ``kernel`` fixture builds the C kernel (consensus rounds, the graph's
+edge draws and its diameter) from this checkout into a temporary directory once per session,
 so the compiled paths are checked wherever a C compiler exists, whether or
 not an in-place build is present.
 
@@ -18,7 +18,8 @@ The per-node oracles below are the product's former exact-``Fraction``
 paths, which its integer and distinct-value paths are checked against:
 ``per_node_step`` (one outer step from ``optimizer.gradient_step`` and
 ``engine.init_consensus``), ``per_node_spread``, ``per_node_optimum`` and
-``per_draw_x_init``.
+``per_draw_x_init``.  ``total_curvature`` is the suite's mu = L, which only
+the tests read.
 """
 
 import glob
@@ -102,11 +103,14 @@ def built_kernel(tmp_path_factory):
     """The ``_ckernel`` module built into a temp dir, or None without a C compiler.
 
     A build that fails, or that makes the compiler warn, while a compiler
-    exists fails every test that uses the kernel.
+    exists fails every test that uses the kernel.  The build adds strict C99
+    flags to the default ones, so a GNU extension (``__int128``,
+    ``({ ... })``) in the kernel warns and fails too.
     """
     if shutil.which(CC) is None:
         return None
-    path, log = build_kernel(tmp_path_factory.mktemp("ckernel"))
+    env = dict(os.environ, CFLAGS="-std=c99 -Wall -Wextra -pedantic")
+    path, log = build_kernel(tmp_path_factory.mktemp("ckernel"), env)
     if "warning:" in log:
         pytest.fail("the kernel built with compiler warnings:\n%s" % log)
     spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", path)
@@ -214,6 +218,11 @@ def per_node_spread(x_init, x_star):
             raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
         spread += Fraction(1, (x0 - x_star) ** 2)
     return spread
+
+
+def total_curvature(s):
+    """mu = L = sum of beta_i for the summed objective of the cost suite ``s``."""
+    return sum(c.beta for c in s.costs)
 
 
 def per_node_optimum(s):

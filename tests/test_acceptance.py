@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import flood_consensus
+from conftest import flood_consensus, total_curvature
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
@@ -337,7 +337,7 @@ def test_criterion_06_contraction_envelope_holds(acceptance, reference_default_s
     violations = 0
     points_checked = 0
     for config, result in runs:
-        curv = result["costs"].total_curvature
+        curv = total_curvature(result["costs"])
         points = envelope_from_history(
             result["history"], config.alpha, curv, curv, config.n, result["x_star"]
         )

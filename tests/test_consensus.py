@@ -7,6 +7,7 @@ inputs: the protocol must land every node on one grid point within one
 quantization step of that average.
 """
 
+import datetime
 import json
 import os
 import shutil
@@ -27,7 +28,7 @@ from zoomgrad.consensus.engine import (
     run_consensus,
     sample_out_target,
 )
-from zoomgrad.graph import generate_random_digraph
+from zoomgrad.graph import Digraph, generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
@@ -368,7 +369,7 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
 def kernel_run(kernel, y, g, seed, max_rounds=ROUND_CAP):
     """The kernel's raw output on masses ``y``, or None when it declines."""
     state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
-    return kernel.run_rounds(y, g.out_adj, effective_epoch(g.diameter), max_rounds, state, inc)
+    return kernel.run_rounds(y, g.kernel_handle(kernel), effective_epoch(g.diameter), max_rounds, state, inc)
 
 
 def assert_same_run(y, g, seed, max_rounds=ROUND_CAP):
@@ -448,12 +449,51 @@ def test_kernel_runs_more_than_4096_nodes(kernel):
     assert_same_run(y, g, 0, cap)
 
 
+def test_kernel_alphabet_survives_table_growth(kernel):
+    # Masses spread over +-10**9 send thousands of distinct pieces, so the
+    # kernel's piece table starts small and grows several times; the set it
+    # returns, the round count and the RNG state equal the pure path's.
+    g = generate_random_digraph(40, F(1, 5), 0)
+    rng = PCG32(2, STREAM_PROTOCOL)
+    y = [2 * rng.randbelow(10**9) - 10**9 + 1 for _ in range(g.n)]
+    compiled = outcome(run_consensus, y, Q_HALF, g, 0, force_backend="compiled")
+    assert type(compiled[3]) is set and len(compiled[3]) > 1000
+    assert compiled == outcome(run_consensus, y, Q_HALF, g, 0, force_backend="pure")
+
+
+def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
+    # A graph built from an edge list, not generated, gets its handle on the
+    # first kernel call, keeps it, and runs like the pure path.
+    g = Digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 0), (1, 4)])
+    assert g._kernel_handle is None
+    y = masses([F(k, 3) for k in (-4, 1, 7, 2, -1, 5)], Q_HALF)
+    compiled = outcome(run_consensus, y, Q_HALF, g, 7, force_backend="compiled")
+    handle = g.kernel_handle(kernel)
+    assert g._kernel_handle == (kernel, handle)
+    assert outcome(run_consensus, y, Q_HALF, g, 7, force_backend="compiled") == compiled
+    assert g.kernel_handle(kernel) is handle
+    assert compiled == outcome(run_consensus, y, Q_HALF, g, 7, force_backend="pure")
+
+
+def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
+    g = complete(4)
+    with pytest.raises(ValueError, match="node count"):
+        kernel.run_rounds([1, 1, 1], g.kernel_handle(kernel), 2, 10, 0, 1)
+    for not_a_handle in (g.out_adj, datetime.datetime_CAPI):
+        with pytest.raises(ValueError, match="PyCapsule_GetPointer"):
+            kernel.run_rounds([1, 1, 1, 1], not_a_handle, 2, 10, 0, 1)
+        with pytest.raises(ValueError, match="PyCapsule_GetPointer"):
+            kernel.diameter(not_a_handle)
+    with pytest.raises(ValueError, match="out of range"):
+        kernel.csr([(1,), (2,)])
+
+
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-adj = [[v for v in range(4) if v != u] for u in range(4)]
+adj = kernel.csr([[v for v in range(4) if v != u] for u in range(4)])
 for y in json.loads(sys.argv[2]):
     for seed in range(5):
         kernel.run_rounds(y, adj, 2, 100000, seed, 2 * seed + 1)

@@ -7,7 +7,9 @@ guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -164,21 +166,62 @@ def test_digraph_rejects_bad_edges():
         Digraph(1, [])
 
 
+NOT_STRONGLY_CONNECTED = [
+    # Node 0 reaches every node, but the sink 2 never gets back.
+    [(0, 1), (1, 0), (1, 2)],
+    # Node 2 reaches every node, but no node reaches it.
+    [(0, 1), (1, 0), (2, 0)],
+    # An isolated sink.
+    [(0, 1), (1, 0)],
+]
+
+
 def test_not_strongly_connected_detected():
-    for edges in (
-        # Node 0 reaches every node, but the sink 2 never gets back.
-        [(0, 1), (1, 0), (1, 2)],
-        # Node 2 reaches every node, but no node reaches it.
-        [(0, 1), (1, 0), (2, 0)],
-        # An isolated sink.
-        [(0, 1), (1, 0)],
-    ):
+    for edges in NOT_STRONGLY_CONNECTED:
         g = Digraph(3, edges)
         assert not nx.is_strongly_connected(to_nx(g))
         with pytest.raises(ValueError, match="not strongly connected"):
             bfs_diameter(g)
         with pytest.raises(ValueError, match="diameter undefined: digraph is not strongly connected"):
             diameter(g)
+
+
+# Random digraphs past one and two 64-bit words per row, at edge
+# probabilities that leave some of them not strongly connected.
+WIDE_RANDOM = [(n, p, seed) for n in (63, 64, 65, 100, 129, 200) for p in (0.03, 0.05, 0.1) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_diameter_across_word_boundaries(backend, request):
+    # The kernel packs each reach row into ceil(n / 64) words; rings give
+    # the longest run of levels, D = n - 1, at and around each boundary.
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    for n in (63, 64, 65, 127, 128, 129):
+        assert diameter(ring(n)) == bfs_diameter(ring(n)) == n - 1
+    outcomes = set()
+    for n, p, seed in WIDE_RANDOM:
+        rnd = random.Random(seed)
+        g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p])
+        assert_diameter_matches_bfs(g)
+        outcomes.add(nx.is_strongly_connected(to_nx(g)))
+    assert outcomes == {True, False}
+    for n in (65, 129, 200):
+        for p in (Fraction(0), Fraction(1, 100)):
+            g = generate_random_digraph(n, p, n)
+            assert diameter(g) == bfs_diameter(g)
+    for edges in NOT_STRONGLY_CONNECTED:
+        with pytest.raises(ValueError, match="diameter undefined: digraph is not strongly connected"):
+            diameter(Digraph(3, edges))
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_graph_copies_and_pickles_after_its_diameter(backend, request):
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    g = generate_random_digraph(70, Fraction(1, 10), 2)
+    want = g.diameter
+    for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h == g and h.n == g.n
+        assert h.diameter == want
 
 
 def test_adjacency_is_sorted_and_deduplicated():

@@ -520,6 +520,6 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     assert len(masses) == 4
     for y in masses:
         assert sum(map(abs, y)) > 2**63 - 1
-        assert kernel.run_rounds(y, g.out_adj, 2, 10, 0, 1) is None
+        assert kernel.run_rounds(y, g.kernel_handle(kernel), 2, 10, 0, 1) is None
     monkeypatch.setattr(engine, "_kernel", None)
     assert run() == compiled
