@@ -25,13 +25,17 @@
  * self-pair nor a cycle pair, kept when it falls below the threshold.
  *
  * Build: setup.py compiles it as the optional extension zoomgrad._ckernel;
- * no code generator is involved.
+ * no code generator is involved.  The module exports ABI = KERNEL_ABI;
+ * graph.py uses a build only when that equals its own KERNEL_ABI, so bump
+ * both whenever a function, its arguments or its result change.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <limits.h>
 #include <string.h>
+
+#define KERNEL_ABI 1
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -524,5 +528,10 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1,
 
 PyMODINIT_FUNC PyInit__ckernel(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "ABI", KERNEL_ABI) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

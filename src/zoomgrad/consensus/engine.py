@@ -42,9 +42,11 @@ this path is checked against.
 
 Two implementations run these rounds.  The package's optional C extension
 (``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws and
-the diameter) runs them in int64 as ``run_rounds`` when it is built: same
-node order, same PCG32 draws, same stop rule, so the output, rounds, alphabet
-and RNG state are bit-for-bit equal to the pure snapshot path.  The kernel
+the diameter; ``graph`` imports it and checks its ``ABI`` once, and the
+engine binds the same object) runs them in int64 as ``run_rounds`` when it
+is built: same node order, same PCG32 draws, same stop rule, so the output,
+rounds, alphabet and RNG state are bit-for-bit equal to the pure snapshot
+path.  The kernel
 reads the graph through the handle the graph caches
 (``Digraph.kernel_handle``, flattened once per graph, not per call) and
 collects the distinct pieces in a C hash set that it returns as a Python
@@ -59,14 +61,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graph import Digraph
+from ..graph import Digraph, _kernel
 from ..quantizer import QuantizerState, quantize
 from ..rng import PCG32
-
-try:
-    from .. import _ckernel as _kernel
-except ImportError:  # pragma: no cover - build-environment dependent
-    _kernel = None
 
 __all__ = [
     "ConsensusStats",

@@ -14,19 +14,43 @@ bitset unions over out-edges, O(D*E) row ORs with no all-pairs BFS: in the
 C kernel on rows of 64-bit words when it is built, else by a pure loop over
 big-int rows.  The kernel reads a graph through one handle, the out-rows
 flattened into C once per graph (``Digraph.kernel_handle``); the diameter
-and every consensus run on the graph share it.
+and every consensus run on the graph share it.  This module imports the
+kernel for the package: a build whose ``ABI`` differs from ``KERNEL_ABI``
+(an in-place build left from an older source) is refused with a
+``RuntimeWarning``, and the pure paths run.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 from .rng import PCG32, STREAM_GRAPH
+
+# The kernel interface this source calls; _ckernel.c exports the same number
+# as ``ABI``.  A build from another source is refused, not half used.
+KERNEL_ABI = 1
+
+
+def _checked_kernel(module):
+    """``module`` when it is missing or built for ``KERNEL_ABI``; else None, with a warning."""
+    if module is None or getattr(module, "ABI", None) == KERNEL_ABI:
+        return module
+    warnings.warn(
+        "%s was built from another kernel source (ABI %r, expected %d); running the pure "
+        "paths. Rebuild it with: python3 setup.py build_ext --inplace"
+        % (module.__file__, getattr(module, "ABI", None), KERNEL_ABI),
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return None
+
 
 try:
     from . import _ckernel as _kernel
 except ImportError:  # pragma: no cover - build-environment dependent
     _kernel = None
+_kernel = _checked_kernel(_kernel)
 
 __all__ = [
     "Digraph",

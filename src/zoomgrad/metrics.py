@@ -1,23 +1,13 @@
 """Reporting-side math: the normalized error metric, communication-bit
-accounting, the theoretical contraction envelope, and the zoom-out count
-bound.
+accounting, and the reference communication-cost tables.
 
 Everything here is a pure function.  Internal arithmetic sticks to exact
 rationals; floats appear only where a quantity is explicitly a reported
-real (square roots, logarithms, CSV cells).
+real (square roots, CSV cells).
 """
 
 import math
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class EnvelopePoint:
-    k: int
-    bound: object  # theoretical distance bound (exact rational)
-    empirical: object  # measured |x_hat - x*| (exact rational)
 
 
 def error_metric(x, x_star, spread):
@@ -51,77 +41,6 @@ def avg_bits_per_node_per_step(b_pm, n_tt, n):
     if n < 1:
         raise ValueError("need at least one node")
     return b_pm * n_tt / n
-
-
-def contraction_envelope(alpha, mu, L, n, delta_seq, d0):
-    """Theoretical distance bounds bound_0..bound_K, exact.
-
-    bound_0 = d0 and bound_{k+1} = (1 - alpha*mu/n) * bound_k
-    + (4*alpha*L/n + 2) * delta_seq[k].  Warns (does not fail) when alpha
-    lies outside the admissible interval (0, 2n/(mu+L)].
-    """
-    alpha = Fraction(alpha)
-    mu = Fraction(mu)
-    L = Fraction(L)
-    if not 0 < alpha <= Fraction(2 * n) / (mu + L):
-        warnings.warn(
-            "step size %s outside the admissible interval (0, %s]; the "
-            "contraction guarantee does not apply" % (alpha, Fraction(2 * n) / (mu + L)),
-            stacklevel=2,
-        )
-    rho = 1 - alpha * mu / n
-    coeff = 4 * alpha * L / n + 2
-    bounds = [Fraction(d0)]
-    for delta in delta_seq:
-        bounds.append(rho * bounds[-1] + coeff * Fraction(delta))
-    return bounds
-
-
-def envelope_from_history(history, alpha, mu, L, n, x_star):
-    """Per-step (bound, empirical) pairs for a completed adaptive run.
-
-    The recursion is anchored at the first common estimate (step 1), the
-    earliest point where a single network-wide distance to the optimum
-    exists; each later bound consumes the quantizer step that was in force
-    during that iteration's consensus.
-    """
-    if not history:
-        return []
-    d0 = abs(history[0].x_value - x_star)
-    delta_seq = [rec.delta for rec in history[1:]]
-    bounds = contraction_envelope(alpha, mu, L, n, delta_seq, d0)
-    return [
-        EnvelopePoint(k=rec.k, bound=b, empirical=abs(rec.x_value - x_star))
-        for rec, b in zip(history, bounds)
-    ]
-
-
-def zoom_out_bound(x_star, delta0, c_out):
-    """Upper bounds on how many zoom-outs are needed to capture x*.
-
-    Returns (literal, corrected).  The literal form evaluates
-    ceil((x* - log(3*delta0)) / log(c_out)) exactly as the bound is
-    conventionally stated, even though it mixes a raw value with
-    logarithms; the corrected form is the smallest nu >= 0 with
-    3*delta0*c_out**nu >= |x*|, computed exactly.  Both are reported so
-    the discrepancy stays visible.
-    """
-    delta0 = Fraction(delta0)
-    c_out = Fraction(c_out)
-    if delta0 <= 0 or c_out <= 1:
-        raise ValueError("need delta0 > 0 and c_out > 1")
-    if x_star == 0:
-        raise ValueError("corrected zoom-out bound undefined for x* = 0")
-    literal = math.ceil(
-        (float(x_star) - math.log(3 * float(delta0))) / math.log(float(c_out))
-    )
-    abs_x = abs(Fraction(x_star))
-    reach = 3 * delta0
-    nu = 0
-    while reach < abs_x:
-        reach *= c_out
-        nu += 1
-    return literal, nu
 
 
 # --- reference constants for the communication-cost table builders ---

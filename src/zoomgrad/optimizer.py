@@ -66,23 +66,25 @@ class AdaptiveZoom:
         return self.quantizer_width if self.b_pm is None else self.b_pm
 
 
+# The refine-only baseline's step-indexed message widths: entries are
+# (first_k_not_covered, width), with ``None`` meaning "every remaining step".
+REFINE_WIDTH_SCHEDULE = ((3, 7), (9, 10), (None, 14))
+
+
 @dataclass(frozen=True)
 class RefineOnly:
     """Baseline: on every repeated estimate, divide the step by c_refine.
 
     The basis never moves and the quantizer is unsaturated.  Accounting
-    uses a step-indexed width schedule: entries are (first_k_not_covered,
-    width), with ``None`` meaning "every remaining step".
+    follows ``REFINE_WIDTH_SCHEDULE``.
     """
 
     c_refine: Fraction = Fraction(10)
-    width_schedule: tuple = ((3, 7), (9, 10), (None, 14))
 
     def message_width(self, k, delta):
-        for end, width in self.width_schedule:
+        for end, width in REFINE_WIDTH_SCHEDULE:
             if end is None or k < end:
                 return width
-        raise ValueError("width schedule ended before step %d" % k)
 
 
 @dataclass(frozen=True)

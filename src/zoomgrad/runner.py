@@ -11,11 +11,12 @@ labeled backend column.
 import csv
 import math
 import os
+import statistics
 import sys
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
-from .config import ConfigError, RunConfig, parse_rational
+from .config import ConfigError, parse_rational
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph
 from .metrics import (
@@ -240,40 +241,57 @@ def write_rows_csv(path, columns, rows):
             w.writerow([row.get(c, "") for c in columns])
 
 
-def resolve_out_dir(config_or_path):
-    if isinstance(config_or_path, RunConfig):
-        out = config_or_path.out_dir
-    else:
-        out = config_or_path or ""
-    out = out or os.environ.get("ZOOMGRAD_OUT_DIR", "") or "out"
+def resolve_out_dir(path):
+    out = path or os.environ.get("ZOOMGRAD_OUT_DIR", "") or "out"
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _fail(message):
-    print("error: %s" % message, file=sys.stderr)
+class CommandError(Exception):
+    """A command refused its arguments; the message is printed as is."""
+
+
+def _command(out_dir, compute):
+    """The one command path: compute the reports, then write them.
+
+    ``compute()`` returns the command's reports as (file name, writer,
+    writer arguments...) tuples.  A bad config, a refused argument or a
+    consensus that hits its round cap exits 1 with one ``error:`` line,
+    before the output directory is made; otherwise every report is written
+    and one ``wrote ...`` line names them.
+    """
+    try:
+        reports = compute()
+    except ConfigError as exc:
+        error = "invalid config - %s" % exc
+    except CommandError as exc:
+        error = str(exc)
+    except StepFailure as exc:
+        error = "consensus did not settle (round cap %s) at optimization step %d"
+        error %= (exc.cause.rounds, exc.step)
+    else:
+        out = resolve_out_dir(out_dir)
+        paths = []
+        for name, write, *args in reports:
+            paths.append(os.path.join(out, name))
+            write(paths[-1], *args)
+        print("wrote %s" % " and ".join(paths))
+        return 0
+    print("error: %s" % error, file=sys.stderr)
     return 1
 
 
 def cmd_run(config):
     """Single run -> history.csv + summary.csv in the output directory."""
-    try:
-        config.validate()
-        out = resolve_out_dir(config)
+
+    def reports():
         result = run_single(config)
-    except ConfigError as exc:
-        return _fail("invalid config - %s" % exc)
-    except StepFailure as exc:
-        return _fail(
-            "consensus did not settle (round cap %s) at optimization step %d"
-            % (exc.cause.rounds, exc.step)
-        )
-    write_history_csv(os.path.join(out, "history.csv"), result["history"])
-    write_rows_csv(
-        os.path.join(out, "summary.csv"), SUMMARY_COLUMNS, [summarize(config, result)]
-    )
-    print("wrote %s and %s" % (os.path.join(out, "history.csv"), os.path.join(out, "summary.csv")))
-    return 0
+        return [
+            ("history.csv", write_history_csv, result["history"]),
+            ("summary.csv", write_rows_csv, SUMMARY_COLUMNS, [summarize(config, result)]),
+        ]
+
+    return _command(config.out_dir, reports)
 
 
 def steps_to_threshold(history, threshold):
@@ -309,73 +327,50 @@ def sweep(config, seeds):
     """Run one config across seeds; returns (per-seed rows, aggregate row).
 
     Individual failures are recorded in their row and the sweep continues.
+    The aggregate is folded from the rows and the finished runs' steps.
     """
     per_seed = []
-    reached = {label: [] for label, _ in SWEEP_THRESHOLDS}
-    total_tx = 0
-    total_rounds = 0
-    total_steps = 0
-    failures = 0
+    records = []  # every step of every run that finished
     for seed in seeds:
         c = dc_replace(config, seed=seed)
         try:
             result = run_single(c)
         except StepFailure as exc:
-            failures += 1
             per_seed.append({"seed": seed, "n": config.n, "status": str(exc)})
             continue
-        history = result["history"]
         row = summarize(c, result)
         row["status"] = "ok"
         for label, threshold in SWEEP_THRESHOLDS:
-            k = steps_to_threshold(history, threshold)
+            k = steps_to_threshold(result["history"], threshold)
             row["steps_to_%s" % label] = "" if k is None else k
-            if k is not None:
-                reached[label].append(k)
         per_seed.append(row)
-        total_tx += sum(r.mass_transmissions for r in history)
-        total_rounds += sum(r.consensus_rounds for r in history)
-        total_steps += len(history)
-    aggregate = {"runs": len(per_seed), "failures": failures}
+        records += result["history"]
+    aggregate = {"runs": len(per_seed), "failures": sum(row["status"] != "ok" for row in per_seed)}
     for label, _ in SWEEP_THRESHOLDS:
-        ks = sorted(reached[label])
+        column = "steps_to_%s" % label
+        ks = [row[column] for row in per_seed if row.get(column, "") != ""]
         aggregate["reached_%s" % label] = len(ks)
-        aggregate["median_steps_to_%s" % label] = (
-            repr(_median(ks)) if ks else ""
-        )
-    aggregate["mean_mass_tx_per_consensus"] = (
-        repr(float(Fraction(total_tx, total_steps))) if total_steps else ""
-    )
-    aggregate["mean_consensus_rounds"] = (
-        repr(float(Fraction(total_rounds, total_steps))) if total_steps else ""
-    )
+        aggregate["median_steps_to_%s" % label] = repr(float(statistics.median(ks))) if ks else ""
+    for column, attr in (
+        ("mean_mass_tx_per_consensus", "mass_transmissions"),
+        ("mean_consensus_rounds", "consensus_rounds"),
+    ):
+        total = sum(getattr(r, attr) for r in records)
+        aggregate[column] = repr(float(Fraction(total, len(records)))) if records else ""
     return per_seed, aggregate
 
 
-def _median(sorted_values):
-    k = len(sorted_values)
-    mid = k // 2
-    if k % 2:
-        return float(sorted_values[mid])
-    return (sorted_values[mid - 1] + sorted_values[mid]) / 2
-
-
 def cmd_sweep(config, seeds):
-    try:
-        config.validate()
-        out = resolve_out_dir(config)
-    except ConfigError as exc:
-        return _fail("invalid config - %s" % exc)
-    if not seeds:
-        return _fail("sweep needs a nonempty seed list")
-    per_seed, aggregate = sweep(config, seeds)
-    write_rows_csv(os.path.join(out, "sweep_seeds.csv"), SWEEP_COLUMNS, per_seed)
-    write_rows_csv(os.path.join(out, "sweep_aggregate.csv"), AGGREGATE_COLUMNS, [aggregate])
-    print(
-        "wrote %s and %s"
-        % (os.path.join(out, "sweep_seeds.csv"), os.path.join(out, "sweep_aggregate.csv"))
-    )
-    return 0
+    def reports():
+        if not seeds:
+            raise CommandError("sweep needs a nonempty seed list")
+        per_seed, aggregate = sweep(config, seeds)
+        return [
+            ("sweep_seeds.csv", write_rows_csv, SWEEP_COLUMNS, per_seed),
+            ("sweep_aggregate.csv", write_rows_csv, AGGREGATE_COLUMNS, [aggregate]),
+        ]
+
+    return _command(config.out_dir, reports)
 
 
 COMPARE_VARIANTS = (
@@ -406,38 +401,26 @@ def compare(config):
 def cmd_compare(config):
     # compare replaces the policy block (and delta0 for the fixed levels), so
     # only what it runs is validated: each variant, in run_single.
-    try:
+    def reports():
         histories = compare(config)
-        out = resolve_out_dir(config)
-    except ConfigError as exc:
-        return _fail("invalid config - %s" % exc)
-    except StepFailure as exc:
-        return _fail(
-            "consensus did not settle (round cap %s) at optimization step %d"
-            % (exc.cause.rounds, exc.step)
-        )
-    labels = [label for label, _, _ in COMPARE_VARIANTS]
-    columns = ["k"] + ["error_%s" % label for label in labels]
-    k0 = repr(math.sqrt(config.n))
-    rows = [dict({"k": 0}, **{"error_%s" % label: k0 for label in labels})]
-    deepest = max(len(res["history"]) for _, res in histories.values())
-    for i in range(deepest):
-        row = {"k": i + 1}
-        for label in labels:
-            history = histories[label][1]["history"]
-            row["error_%s" % label] = repr(history[i].error) if i < len(history) else ""
-        rows.append(row)
-    write_rows_csv(os.path.join(out, "compare.csv"), columns, rows)
-    summaries = []
-    for label in labels:
-        c, result = histories[label]
-        summaries.append(summarize(c, result))
-    write_rows_csv(os.path.join(out, "compare_summary.csv"), SUMMARY_COLUMNS, summaries)
-    print(
-        "wrote %s and %s"
-        % (os.path.join(out, "compare.csv"), os.path.join(out, "compare_summary.csv"))
-    )
-    return 0
+        labels = [label for label, _, _ in COMPARE_VARIANTS]
+        columns = ["k"] + ["error_%s" % label for label in labels]
+        k0 = repr(math.sqrt(config.n))
+        rows = [dict({"k": 0}, **{"error_%s" % label: k0 for label in labels})]
+        deepest = max(len(res["history"]) for _, res in histories.values())
+        for i in range(deepest):
+            row = {"k": i + 1}
+            for label in labels:
+                history = histories[label][1]["history"]
+                row["error_%s" % label] = repr(history[i].error) if i < len(history) else ""
+            rows.append(row)
+        summaries = [summarize(c, result) for c, result in histories.values()]
+        return [
+            ("compare.csv", write_rows_csv, columns, rows),
+            ("compare_summary.csv", write_rows_csv, SUMMARY_COLUMNS, summaries),
+        ]
+
+    return _command(config.out_dir, reports)
 
 
 def cmd_table1(out_dir=None):
@@ -447,29 +430,28 @@ def cmd_table1(out_dir=None):
     schedules in ``metrics`` at the reference average of 211.88
     transmissions per consensus execution.
     """
-    out = resolve_out_dir(out_dir)
-    columns = ["policy"]
-    for label in TABLE_THRESHOLDS:
-        columns += ["steps_to_%s" % label, "bits_to_%s" % label]
-    rows = []
-    for policy, cells in table_bits_rows():
-        row = {"policy": policy}
-        for label, (steps, bits) in zip(TABLE_THRESHOLDS, cells):
-            row["steps_to_%s" % label] = "-" if steps is None else steps
-            row["bits_to_%s" % label] = "-" if bits is None else decimal_fixed(bits, 2)
-        rows.append(row)
-    write_rows_csv(os.path.join(out, "table_bits.csv"), columns, rows)
 
-    avg_columns = ["policy"] + ["avg_bits_per_node_per_step_to_%s" % t for t in TABLE_THRESHOLDS]
-    avg_rows = []
-    for policy, cells in table_avg_bits_rows():
-        row = {"policy": policy}
-        for label, value in zip(TABLE_THRESHOLDS, cells):
-            row["avg_bits_per_node_per_step_to_%s" % label] = exact_decimal(value)
-        avg_rows.append(row)
-    write_rows_csv(os.path.join(out, "table_avg_bits.csv"), avg_columns, avg_rows)
-    print(
-        "wrote %s and %s"
-        % (os.path.join(out, "table_bits.csv"), os.path.join(out, "table_avg_bits.csv"))
-    )
-    return 0
+    def reports():
+        columns = ["policy"]
+        for label in TABLE_THRESHOLDS:
+            columns += ["steps_to_%s" % label, "bits_to_%s" % label]
+        rows = []
+        for policy, cells in table_bits_rows():
+            row = {"policy": policy}
+            for label, (steps, bits) in zip(TABLE_THRESHOLDS, cells):
+                row["steps_to_%s" % label] = "-" if steps is None else steps
+                row["bits_to_%s" % label] = "-" if bits is None else decimal_fixed(bits, 2)
+            rows.append(row)
+        avg_columns = ["policy"] + ["avg_bits_per_node_per_step_to_%s" % t for t in TABLE_THRESHOLDS]
+        avg_rows = []
+        for policy, cells in table_avg_bits_rows():
+            row = {"policy": policy}
+            for label, value in zip(TABLE_THRESHOLDS, cells):
+                row["avg_bits_per_node_per_step_to_%s" % label] = exact_decimal(value)
+            avg_rows.append(row)
+        return [
+            ("table_bits.csv", write_rows_csv, columns, rows),
+            ("table_avg_bits.csv", write_rows_csv, avg_columns, avg_rows),
+        ]
+
+    return _command(out_dir, reports)

@@ -15,17 +15,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import flood_consensus, total_curvature
+from conftest import envelope_from_history, flood_consensus, total_curvature, zoom_out_bound
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
-from zoomgrad.metrics import (
-    FIXED_TABLE_ROWS,
-    TABLE_N_TT,
-    TABLE_THRESHOLDS,
-    envelope_from_history,
-    zoom_out_bound,
-)
+from zoomgrad.metrics import FIXED_TABLE_ROWS, TABLE_N_TT, TABLE_THRESHOLDS
 from zoomgrad.quantizer import QuantizerState, level_index, quantize, zoom_in, zoom_out
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import (

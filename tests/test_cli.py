@@ -165,6 +165,14 @@ def test_bad_seeds_exit_1(spec, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_seed_list_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--seeds", "2:2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sweep needs a nonempty seed list\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -11,6 +11,8 @@ import copy
 import hashlib
 import pickle
 import random
+import types
+import warnings
 from fractions import Fraction
 
 import networkx as nx
@@ -300,3 +302,40 @@ def test_generated_bytes_pinned(backend, n, p, seed, digest, edges, diam, reques
     assert hashlib.sha256(repr(g.out_adj).encode()).hexdigest() == digest
     assert g.edge_count() == edges
     assert g.diameter == diam
+
+
+# --- the kernel's ABI check -------------------------------------------------
+
+
+def fake_kernel(tmp_path, **attrs):
+    module = types.ModuleType("zoomgrad._ckernel")
+    module.__file__ = str(tmp_path / "_ckernel.so")
+    module.__dict__.update(attrs)
+    return module
+
+
+@pytest.mark.parametrize("attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}])
+def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
+    # A build without ABI (older source) or with another one is not used:
+    # the pure paths run, and the warning names the file and the rebuild.
+    stale = fake_kernel(tmp_path, diameter=None, **attrs)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert graph._checked_kernel(stale) is None
+    message = str(caught[0].message)
+    assert stale.__file__ in message
+    assert "python3 setup.py build_ext --inplace" in message
+
+
+def test_a_kernel_built_for_this_abi_or_none_passes(tmp_path):
+    current = fake_kernel(tmp_path, ABI=graph.KERNEL_ABI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graph._checked_kernel(current) is current
+        assert graph._checked_kernel(None) is None
+
+
+def test_the_built_kernel_passes_the_abi_check(kernel):
+    assert kernel.ABI == graph.KERNEL_ABI
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graph._checked_kernel(kernel) is kernel

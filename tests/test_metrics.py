@@ -11,24 +11,27 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bidirectional_pair, per_node_spread
+from conftest import (
+    EnvelopePoint,
+    bidirectional_pair,
+    contraction_envelope,
+    envelope_from_history,
+    per_node_spread,
+    zoom_out_bound,
+)
 from zoomgrad.config import RunConfig
 from zoomgrad.metrics import (
     ADAPTIVE_TABLE_STEPS,
-    EnvelopePoint,
     FIXED_TABLE_ROWS,
     REFINE_TABLE_SEGMENTS,
     TABLE_N_TT,
     avg_bits_per_node_per_step,
     bits_total,
-    contraction_envelope,
     decimal_fixed,
-    envelope_from_history,
     error_metric,
     exact_decimal,
     table_avg_bits_rows,
     table_bits_rows,
-    zoom_out_bound,
 )
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, RunRecord, initial_state, run_until

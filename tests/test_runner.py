@@ -20,8 +20,8 @@ from zoomgrad.runner import (
     HISTORY_COLUMNS,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
+    SWEEP_THRESHOLDS,
     StepFailure,
-    _median,
     build_costs,
     build_policy,
     cmd_compare,
@@ -331,12 +331,8 @@ def test_resolve_out_dir(tmp_path, monkeypatch):
     assert resolve_out_dir(str(explicit)) == str(explicit)
     assert explicit.is_dir()  # created on demand
 
-    c = RunConfig(out_dir=str(tmp_path / "fromconfig"))
-    assert resolve_out_dir(c) == str(tmp_path / "fromconfig")
-
     monkeypatch.setenv("ZOOMGRAD_OUT_DIR", str(tmp_path / "env"))
     assert resolve_out_dir("") == str(tmp_path / "env")
-    assert resolve_out_dir(RunConfig()) == str(tmp_path / "env")
 
     monkeypatch.delenv("ZOOMGRAD_OUT_DIR")
     monkeypatch.chdir(tmp_path)
@@ -381,11 +377,24 @@ def test_cmd_run_invalid_config(tmp_path, capsys):
 # --- sweeps -----------------------------------------------------------------
 
 
-def test_median():
-    assert _median([3]) == 3.0
-    assert _median([1, 2, 9]) == 2.0
-    assert _median([1, 2]) == 1.5
-    assert _median([1, 2, 3, 10]) == 2.5
+@pytest.mark.parametrize(
+    "seeds,medians",
+    [
+        ([3, 4, 5], ["49.0", "63.0", "91.0"]),
+        ([3, 4, 5, 6], ["50.5", "65.0", "93.5"]),
+    ],
+    ids=["odd", "even"],
+)
+def test_sweep_aggregate_median(seeds, medians):
+    # An odd count's median is its middle value; an even count's is the mean
+    # of the middle two.  Both are written as repr(float).
+    per_seed, aggregate = sweep(RunConfig(), seeds)
+    for (label, _), median in zip(SWEEP_THRESHOLDS, medians):
+        ks = sorted(row["steps_to_%s" % label] for row in per_seed)
+        assert aggregate["reached_%s" % label] == len(ks) == len(seeds)
+        mid = len(ks) // 2
+        expected = float(ks[mid]) if len(ks) % 2 else (ks[mid - 1] + ks[mid]) / 2
+        assert aggregate["median_steps_to_%s" % label] == repr(expected) == median
 
 
 def test_sweep_rows_and_aggregate():
