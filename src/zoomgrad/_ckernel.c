@@ -6,6 +6,7 @@
  *
  * csr flattens a graph's out-adjacency once into a CSR handle (a capsule);
  * the graph keeps it, and run_rounds and diameter read it on every call.
+ * The handle also keeps run_rounds' piece table between calls.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
@@ -15,7 +16,10 @@
  * int64 is declined (returns None) before any draw.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where it
  * was and the pure path replays the identical run.  The distinct pieces sent
- * are collected in an open-addressing hash set and returned as a Python set.
+ * are collected in an open-addressing hash set on the handle, which a new call
+ * empties in O(1), and returned as one bytes object of native int64 values in
+ * first-send order: the copy out is O(distinct pieces), with no Python int
+ * built per piece.
  *
  * diameter runs graph.diameter's reach recurrence on rows of uint64 words
  * and returns -1 when the graph is not strongly connected.
@@ -35,7 +39,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 1
+#define KERNEL_ABI 2
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -68,13 +72,114 @@ static int64_t floor_div(int64_t num, int64_t den)
     return (num % den != 0 && num < 0) ? q - 1 : q;
 }
 
+/* Open-addressing set of the distinct pieces a run sends, kept on the graph
+ * handle and reused by every run_rounds call on it, so the table stays at its
+ * largest size instead of starting small and regrowing on each call.  A slot
+ * holds a piece of the current call only when its stamp equals the call's
+ * number; each call takes a new number, which empties every slot at once.
+ * The call's pieces are also listed in first-send order in seen, which is
+ * what the call returns.  The table is kept at most half full, so seen needs
+ * half as many entries as there are slots. */
+typedef struct {
+    int64_t piece;
+    uint64_t call;
+} Slot;
+
+typedef struct {
+    Slot *slot;
+    int64_t *seen;
+    size_t mask, len;
+    uint64_t call;
+} PieceSet;
+
+static void pieces_free(PieceSet *s)
+{
+    PyMem_Free(s->slot);
+    PyMem_Free(s->seen);
+}
+
+/* Multiplicative hash, in uint64 so that it wraps without signed overflow. */
+static size_t piece_slot(int64_t c, size_t mask)
+{
+    uint64_t h = (uint64_t)c * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ (h >> 32)) & mask;
+}
+
+/* Give s empty arrays: cap slots, all stamped 0, which no call uses, and
+ * cap / 2 seen entries.  The arrays s held are not freed.  -1 with an
+ * exception set, and s unchanged, on error. */
+static int pieces_alloc(PieceSet *s, size_t cap)
+{
+    Slot *slot = PyMem_Calloc(cap, sizeof(Slot));
+    int64_t *seen = PyMem_Malloc(cap / 2 * sizeof(int64_t));
+    if (slot == NULL || seen == NULL) {
+        PyMem_Free(slot);
+        PyMem_Free(seen);
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->slot = slot;
+    s->seen = seen;
+    s->mask = cap - 1;
+    return 0;
+}
+
+/* Start a call: the first call allocates 64 slots, every call empties the
+ * table by taking the next stamp.  O(1); -1 with an exception set on error. */
+static int pieces_begin(PieceSet *s)
+{
+    if (s->slot == NULL && pieces_alloc(s, 64) < 0)
+        return -1;
+    s->call++;
+    s->len = 0;
+    return 0;
+}
+
+/* Insert c unless this call already sent it; the table must have a free slot. */
+static void pieces_insert(PieceSet *s, int64_t c)
+{
+    size_t i = piece_slot(c, s->mask);
+    while (s->slot[i].call == s->call) {
+        if (s->slot[i].piece == c)
+            return;
+        i = (i + 1) & s->mask;
+    }
+    s->slot[i].piece = c;
+    s->slot[i].call = s->call;
+    s->seen[s->len++] = c;
+}
+
+/* Double the table and reinsert this call's pieces in first-send order; -1
+ * with an exception set on error. */
+static int pieces_grow(PieceSet *s)
+{
+    PieceSet old = *s;
+    size_t i;
+    if (pieces_alloc(s, 2 * (old.mask + 1)) < 0)
+        return -1;
+    s->len = 0;
+    for (i = 0; i < old.len; i++)
+        pieces_insert(s, old.seen[i]);
+    pieces_free(&old);
+    return 0;
+}
+
+/* Insert c unless present; -1 with an exception set when growing fails. */
+static int pieces_add(PieceSet *s, int64_t c)
+{
+    pieces_insert(s, c);
+    return 2 * s->len > s->mask ? pieces_grow(s) : 0;
+}
+
 /* A graph's out-adjacency in CSR form: node i's out-neighbours, in the order
  * of its out_adj row, are idx[ptr[i]:ptr[i+1]].  csr() builds one per graph and hands it
- * to Python as a capsule; run_rounds and diameter read it. */
+ * to Python as a capsule; run_rounds and diameter read it, and run_rounds
+ * keeps its piece table there between calls. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
     int *idx;
+    PieceSet pieces;
 } Csr;
 
 #define CSR_NAME "zoomgrad._ckernel.csr"
@@ -83,6 +188,7 @@ static void csr_free(Csr *g)
 {
     PyMem_Free(g->ptr);
     PyMem_Free(g->idx);
+    pieces_free(&g->pieces);
     PyMem_Free(g);
 }
 
@@ -155,90 +261,6 @@ done:
     return handle;
 }
 
-/* Open-addressing set of the distinct pieces a run sends.  INT64_MIN marks an
- * empty slot: the headroom check bounds every piece by sum |y| <= INT64_MAX,
- * so no piece equals it.  The table is kept at most half full. */
-typedef struct {
-    int64_t *slot;
-    size_t mask, len;
-} PieceSet;
-
-/* Multiplicative hash, in uint64 so that it wraps without signed overflow. */
-static size_t piece_slot(int64_t c, size_t mask)
-{
-    uint64_t h = (uint64_t)c * 0x9E3779B97F4A7C15ULL;
-    return (size_t)(h ^ (h >> 32)) & mask;
-}
-
-static int pieces_init(PieceSet *s, size_t cap)
-{
-    size_t i;
-    s->slot = PyMem_Malloc(cap * sizeof(int64_t));
-    if (s->slot == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < cap; i++)
-        s->slot[i] = INT64_MIN;
-    s->mask = cap - 1;
-    s->len = 0;
-    return 0;
-}
-
-static int pieces_add(PieceSet *s, int64_t c);
-
-/* Double the table and reinsert every piece; -1 with an exception set on error. */
-static int pieces_grow(PieceSet *s)
-{
-    PieceSet old = *s;
-    size_t i;
-    if (pieces_init(s, 2 * (old.mask + 1)) < 0) {
-        *s = old;
-        return -1;
-    }
-    for (i = 0; i <= old.mask; i++)
-        if (old.slot[i] != INT64_MIN)
-            pieces_add(s, old.slot[i]);
-    PyMem_Free(old.slot);
-    return 0;
-}
-
-/* Insert c unless present; -1 with an exception set when growing fails. */
-static int pieces_add(PieceSet *s, int64_t c)
-{
-    size_t i = piece_slot(c, s->mask);
-    while (s->slot[i] != c) {
-        if (s->slot[i] == INT64_MIN) {
-            s->slot[i] = c;
-            return 2 * ++s->len > s->mask ? pieces_grow(s) : 0;
-        }
-        i = (i + 1) & s->mask;
-    }
-    return 0;
-}
-
-/* The distinct pieces as a Python set of ints. */
-static PyObject *pieces_to_set(const PieceSet *s)
-{
-    PyObject *set = PySet_New(NULL);
-    size_t i;
-    if (set == NULL)
-        return NULL;
-    for (i = 0; i <= s->mask; i++) {
-        PyObject *v;
-        if (s->slot[i] == INT64_MIN)
-            continue;
-        v = PyLong_FromLongLong(s->slot[i]);
-        if (v == NULL || PySet_Add(set, v) < 0) {
-            Py_XDECREF(v);
-            Py_DECREF(set);
-            return NULL;
-        }
-        Py_DECREF(v);
-    }
-    return set;
-}
-
 static PyObject *run_rounds(PyObject *self, PyObject *args)
 {
     PyObject *w_obj, *handle, *w = NULL, *ret = NULL, *alphabet;
@@ -247,8 +269,8 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
     int64_t M = 0, m = 0, abs_sum = 0;
-    PieceSet pieces = {NULL, 0, 0};
-    const Csr *g;
+    PieceSet *pieces;
+    Csr *g;
     int stopped = 0, overflow;
 
     (void)self;
@@ -296,7 +318,8 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         abs_sum += y[i] < 0 ? -y[i] : y[i];
         z[i] = 2;
     }
-    if (pieces_init(&pieces, 64) < 0)
+    pieces = &g->pieces;
+    if (pieces_begin(pieces) < 0)
         goto done;
 
     for (lam = 1; lam <= max_rounds; lam++) {
@@ -323,7 +346,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                 z[i] -= 1;
                 dy[tgt] += c;
                 dz[tgt] += 1;
-                if (pieces_add(&pieces, c) < 0)
+                if (pieces_add(pieces, c) < 0)
                     goto done;
             }
         }
@@ -342,7 +365,8 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         }
     }
 
-    alphabet = pieces_to_set(&pieces);
+    /* the call's distinct pieces, packed as native int64 in first-send order */
+    alphabet = PyBytes_FromStringAndSize((const char *)pieces->seen, (Py_ssize_t)(pieces->len * sizeof(int64_t)));
     if (alphabet == NULL)
         goto done;
     /* (stopped, rounds, m, alphabet, rng state); a capped run reports max_rounds */
@@ -355,7 +379,6 @@ done:
     PyMem_Free(z);
     PyMem_Free(dy);
     PyMem_Free(dz);
-    PyMem_Free(pieces.slot);
     return ret;
 }
 
@@ -507,8 +530,9 @@ static PyMethodDef methods[] = {
      "len(w).  Returns None, before any draw, when the sum of |w| exceeds\n"
      "int64: no value in the run can exceed that sum, so every other instance\n"
      "runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
-     "rng_state): the common floor m on a stop, the set of distinct pieces\n"
-     "sent, and the generator state after the last round."},
+     "rng_state): the common floor m on a stop, the distinct pieces sent as\n"
+     "bytes of packed native int64 in first-send order (memoryview(alphabet)\n"
+     ".cast('q') reads them), and the generator state after the last round."},
     {"diameter", diameter, METH_O,
      "diameter(graph)\n\n"
      "Longest shortest directed path of the graph handle made by csr, or -1\n"

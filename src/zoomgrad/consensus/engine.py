@@ -45,20 +45,23 @@ Two implementations run these rounds.  The package's optional C extension
 the diameter; ``graph`` imports it and checks its ``ABI`` once, and the
 engine binds the same object) runs them in int64 as ``run_rounds`` when it
 is built: same node order, same PCG32 draws, same stop rule, so the output,
-rounds, alphabet and RNG state are bit-for-bit equal to the pure snapshot
-path.  The kernel
-reads the graph through the handle the graph caches
-(``Digraph.kernel_handle``, flattened once per graph, not per call) and
-collects the distinct pieces in a C hash set that it returns as a Python
-``set``.  No value in a run exceeds
-the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it), so
-the kernel's one decline rule is that sum exceeding int64; it declines before
-any draw, and the pure path, which runs whenever the extension is not built,
-then replays the instance from the same initial masses.
+rounds, set of distinct pieces and RNG state are bit-for-bit equal to the
+pure snapshot path.  The kernel reads the graph through the handle the graph
+caches (``Digraph.kernel_handle``, flattened once per graph, not per call)
+and collects the distinct pieces in a C hash set kept on that handle, which
+a call empties in O(1).  The pure path returns its pieces as a Python
+``set``; the kernel returns them packed as native int64, which the engine
+exposes as a ``memoryview`` of format ``'q'``, so no Python int is built per
+piece.  No value in a run exceeds the initial ``sum(|y|)`` (a split keeps it
+and a delivery never grows it), so the kernel's one decline rule is that sum
+exceeding int64; it declines before any draw, and the pure path, which runs
+whenever the extension is not built, then replays the instance from the same
+initial masses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from ..graph import Digraph, _kernel
@@ -81,9 +84,17 @@ ROUND_CAP = 100_000
 
 @dataclass
 class ConsensusStats:
+    """Counts of one consensus run.
+
+    ``measured_alphabet`` holds the distinct pieces sent, each once: a
+    ``memoryview`` of packed int64 in first-send order from the kernel, a
+    ``set`` on the pure path.  Only its length is read by the product;
+    compare two runs' alphabets as ``set(...)``.
+    """
+
     n: int
     rounds: int
-    measured_alphabet: set
+    measured_alphabet: Collection[int]
 
     @property
     def mass_transmissions(self) -> int:
@@ -229,10 +240,10 @@ def _run_snapshot(y, g, d_eff, rng, max_rounds):
 def _run_kernel(y, g, d_eff, rng, max_rounds):
     """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
-    The kernel reads the graph through its cached handle, and returns the
-    alphabet as a set built in C.  It copies ``y`` and runs on a copy of the
-    RNG state, so a decline leaves both untouched and the pure replay is
-    bit-identical.
+    The kernel reads the graph through its cached handle and returns the
+    alphabet as bytes of packed int64, exposed here as a ``memoryview``
+    of format ``'q'``.  It copies ``y`` and runs on a copy of the RNG state,
+    so a decline leaves both untouched and the pure replay is bit-identical.
     """
     out = _kernel.run_rounds(y, g.kernel_handle(_kernel), d_eff, max_rounds, rng.state, rng.inc)
     if out is None:
@@ -240,4 +251,4 @@ def _run_kernel(y, g, d_eff, rng, max_rounds):
     stopped, rounds, m, alphabet, rng.state = out
     if not stopped:
         raise ConsensusCapError(max_rounds)
-    return rounds, m, alphabet
+    return rounds, m, memoryview(alphabet).cast("q")

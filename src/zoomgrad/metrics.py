@@ -16,9 +16,15 @@ def error_metric(x, x_star, spread):
     Every node holds the common estimate ``x``, so the sum is the exact
     rational ``(x - x*)^2 * spread``, where ``spread`` is
     sum_j 1/(x_init_j - x*)^2, computed once per run; the root is taken in
-    double precision.
+    double precision.  With ``x - x* = e/d`` the rational is
+    ``e*e*Sn / (d*d*Sd)`` over the spread's numerator and denominator, and
+    int true division rounds it correctly, so the float is the one a
+    ``Fraction`` would give, without reducing the rational first.
     """
-    return math.sqrt(float((x - x_star) ** 2 * spread))
+    sn, sd = x_star.numerator, x_star.denominator
+    e = x.numerator * sd - sn * x.denominator
+    d = x.denominator * sd
+    return math.sqrt(e * e * spread.numerator / (d * d * spread.denominator))
 
 
 # Standard message width (bits) of each fixed quantizer level: what the

@@ -34,7 +34,7 @@ from itertools import repeat
 
 from .consensus import run_consensus
 from .metrics import FIXED_LEVEL_WIDTHS, error_metric
-from .quantizer import QuantizerState, saturation_half_range, zoom_in, zoom_out
+from .quantizer import QuantizerState, zoom_in, zoom_out
 
 
 @dataclass(frozen=True)
@@ -252,15 +252,24 @@ def zoom_decide(q, x_new, x_old, policy):
 
     Fires only on an exact repeat (x_new == x_old).  The adaptive policy
     then recenters on x_new and either coarsens (when x_new sits at or
-    beyond the saturation range that was in force) or refines; the refine
-    baseline shrinks the step in place; the fixed baseline does nothing.
-    Returns (updated quantizer, event string).
+    beyond the saturation range ``[b_q - H*delta, b_q + H*delta)`` that was
+    in force, ``H = 2**(width-1) - 1``) or refines; the refine baseline
+    shrinks the step in place; the fixed baseline does nothing.  Returns
+    (updated quantizer, event string).
+
+    The range test cross-multiplies integers: with ``x_new = xn/xd``,
+    ``b_q = bn/bd`` and ``delta = dn/dd``, ``x_new - b_q`` compares with
+    ``+-H*delta`` as ``(xn*bd - bn*xd)*dd`` with ``+-H*dn*xd*bd`` (every
+    denominator is positive), with no gcd taken.
     """
     if x_new != x_old:
         return q, "none"
     if isinstance(policy, AdaptiveZoom):
-        half = saturation_half_range(q, policy.quantizer_width)
-        if x_new >= q.b_q + half or x_new < q.b_q - half:
+        xn, xd = x_new.numerator, x_new.denominator
+        bn, bd = q.b_q.numerator, q.b_q.denominator
+        gap = (xn * bd - bn * xd) * q.delta.denominator
+        rim = (2 ** (policy.quantizer_width - 1) - 1) * q.delta.numerator * xd * bd
+        if gap >= rim or gap < -rim:
             return zoom_out(q, x_new, policy.c_out), "zoom_out"
         return zoom_in(q, x_new, policy.c_in), "zoom_in"
     if isinstance(policy, RefineOnly):

@@ -33,7 +33,6 @@ __all__ = [
     "level_index",
     "zoom_in",
     "zoom_out",
-    "saturation_half_range",
 ]
 
 
@@ -47,11 +46,6 @@ class QuantizerState:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-
-
-def saturation_half_range(q: QuantizerState, width: int) -> Fraction:
-    """Half-width H*delta of a width-bit dynamic range (H = 2**(w-1) - 1)."""
-    return (2 ** (width - 1) - 1) * q.delta
 
 
 def level_index(q: QuantizerState, xi: Fraction, width: int) -> int:

@@ -18,8 +18,11 @@ The per-node oracles below are the product's former exact-``Fraction``
 paths, which its integer and distinct-value paths are checked against:
 ``per_node_step`` (one outer step from ``optimizer.gradient_step`` and
 ``engine.init_consensus``), ``per_node_spread``, ``per_node_optimum`` and
-``per_draw_x_init``.  ``total_curvature`` is the suite's mu = L, which only
-the tests read.
+``per_draw_x_init``.  ``fraction_error_metric`` and
+``saturation_half_range`` are the ``Fraction`` forms of the error metric
+and of the zoom rule's range, which ``metrics.error_metric`` and
+``optimizer.zoom_decide`` evaluate by cross-multiplying integers.
+``total_curvature`` is the suite's mu = L, which only the tests read.
 
 The theory helpers ``contraction_envelope``, ``envelope_from_history``
 (with its ``EnvelopePoint``) and ``zoom_out_bound`` give the analysis's
@@ -216,6 +219,16 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     state.x, state.q = x_new, new_q
     state.history.append(rec)
     return state, rec
+
+
+def fraction_error_metric(x, x_star, spread):
+    """``metrics.error_metric`` as one ``Fraction`` expression."""
+    return math.sqrt(float((x - x_star) ** 2 * spread))
+
+
+def saturation_half_range(q, width):
+    """Half-width H*delta of a width-bit dynamic range (H = 2**(w-1) - 1)."""
+    return (2 ** (width - 1) - 1) * q.delta
 
 
 def per_node_spread(x_init, x_star):

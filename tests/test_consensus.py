@@ -131,7 +131,7 @@ def test_all_equal_inputs_trace():
     assert lam1 == 1
     assert rec1["reset_M"] == [1, 1, 1]
     assert rec1["reset_m"] == [0, 0, 0]
-    assert stats.measured_alphabet <= {0}
+    assert set(stats.measured_alphabet) <= {0}
 
 
 def test_all_equal_on_complete_graph():
@@ -279,7 +279,7 @@ def test_identical_runs_identical_outcomes():
     assert a[0] == b[0]
     assert a[1].rounds == b[1].rounds
     assert a[1].mass_transmissions == b[1].mass_transmissions
-    assert a[1].measured_alphabet == b[1].measured_alphabet
+    assert set(a[1].measured_alphabet) == set(b[1].measured_alphabet)
 
 
 @st.composite
@@ -304,15 +304,15 @@ PARITY_QUANTIZERS = [  # (grid, width)
 def outcome(run, y, q, g, seed, max_rounds=ROUND_CAP, **kw):
     """Everything observable of one run from a fresh generator.
 
-    (result, rounds, transmissions, alphabet, RNG state) on a stop, and
-    ("cap", rounds, RNG state) when the round cap is hit.
+    (result, rounds, transmissions, alphabet as a set, RNG state) on a stop,
+    and ("cap", rounds, RNG state) when the round cap is hit.
     """
     rng = PCG32(seed, STREAM_PROTOCOL)
     try:
         res, stats = run(y, q, g, rng, max_rounds=max_rounds, **kw)
     except ConsensusCapError as exc:
         return "cap", exc.rounds, rng.getstate()
-    return res, stats.rounds, stats.mass_transmissions, stats.measured_alphabet, rng.getstate()
+    return res, stats.rounds, stats.mass_transmissions, set(stats.measured_alphabet), rng.getstate()
 
 
 @settings(max_examples=150, deadline=None)
@@ -449,16 +449,44 @@ def test_kernel_runs_more_than_4096_nodes(kernel):
     assert_same_run(y, g, 0, cap)
 
 
+def spread_masses(n, seed, span):
+    """n odd masses drawn uniformly from (-span, span)."""
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    return [2 * rng.randbelow(span) - span + 1 for _ in range(n)]
+
+
 def test_kernel_alphabet_survives_table_growth(kernel):
     # Masses spread over +-10**9 send thousands of distinct pieces, so the
-    # kernel's piece table starts small and grows several times; the set it
-    # returns, the round count and the RNG state equal the pure path's.
+    # kernel's piece table starts small and grows several times.  It hands
+    # them back packed as int64, each piece once; as a set they, the round
+    # count and the RNG state equal the pure path's.
     g = generate_random_digraph(40, F(1, 5), 0)
-    rng = PCG32(2, STREAM_PROTOCOL)
-    y = [2 * rng.randbelow(10**9) - 10**9 + 1 for _ in range(g.n)]
+    y = spread_masses(g.n, 2, 10**9)
+    _, stats = run_consensus(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
+    packed = stats.measured_alphabet
+    assert type(packed) is memoryview and packed.format == "q" and packed.itemsize == 8
+    assert len(packed) > 1000 and len(set(packed)) == len(packed)
     compiled = outcome(run_consensus, y, Q_HALF, g, 0, force_backend="compiled")
-    assert type(compiled[3]) is set and len(compiled[3]) > 1000
     assert compiled == outcome(run_consensus, y, Q_HALF, g, 0, force_backend="pure")
+    assert compiled[3] == set(packed)
+
+
+def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
+    # The piece table lives on the graph's handle and keeps its largest size.
+    # A large alphabet, then small ones, then the large one again, all on
+    # one handle: each run equals the pure path, so no piece of an earlier
+    # call is left in a later call's alphabet.
+    g = generate_random_digraph(40, F(1, 5), 0)
+    handle = g.kernel_handle(kernel)
+    large = spread_masses(g.n, 2, 10**9)
+    runs = [(large, 0), (spread_masses(g.n, 5, 3), 1), ([1] * g.n, 2), (spread_masses(g.n, 6, 40), 3), (large, 0)]
+    sizes = []
+    for y, seed in runs:
+        compiled = outcome(run_consensus, y, Q_HALF, g, seed, force_backend="compiled")
+        assert compiled == outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure")
+        sizes.append(len(compiled[3]))
+    assert g.kernel_handle(kernel) is handle
+    assert sizes[0] == sizes[-1] > 1000 and max(sizes[1:-1]) < 100
 
 
 def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
@@ -488,15 +516,26 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
         kernel.csr([(1,), (2,)])
 
 
+# Masses on complete(40) whose alphabets differ in size: over a thousand
+# distinct pieces, then a handful, then the large instance again, all through
+# the one handle that keeps the piece table.
+TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, spread_masses(40, 2, 10**9)]
+
+# Runs every instance with seeds 0-4 on one complete-graph handle per node
+# count, and checks that an instance run again gives the same output.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-adj = kernel.csr([[v for v in range(4) if v != u] for u in range(4)])
+handles, seen = {}, {}
 for y in json.loads(sys.argv[2]):
+    n = len(y)
+    if n not in handles:
+        handles[n] = kernel.csr([[v for v in range(n) if v != u] for u in range(n)])
     for seed in range(5):
-        kernel.run_rounds(y, adj, 2, 100000, seed, 2 * seed + 1)
+        out = kernel.run_rounds(y, handles[n], 2, 100000, seed, 2 * seed + 1)
+        assert seen.setdefault((str(y), seed), out) == out, (n, seed)
 """
 
 
@@ -505,7 +544,8 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     # signed overflow undefined (-fno-wrapv) and trapping under UBSan runs
     # every boundary case, accepted or declined, without an overflow.
     # Without the decline rule, [2**63 - 1] * 4 traps with "signed integer
-    # overflow".
+    # overflow".  The same build then passes alphabets of different sizes
+    # through one reused handle.
     if shutil.which(CC) is None:
         pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
     runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
@@ -514,10 +554,11 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     env = dict(os.environ, CFLAGS="-fno-wrapv -fsanitize=signed-integer-overflow -fno-sanitize-recover=all")
     path, _ = build_kernel(tmp_path, env)
     proc = subprocess.run(
-        [sys.executable, "-c", SANITIZED_RUN, path, json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND)],
+        [sys.executable, "-c", SANITIZED_RUN, path, json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE)],
         capture_output=True,
         text=True,
         env=dict(os.environ, LD_PRELOAD=runtime),
+        timeout=60,  # a probe loop on a full piece table would spin forever
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -9,13 +9,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     EnvelopePoint,
     bidirectional_pair,
     contraction_envelope,
     envelope_from_history,
+    fraction_error_metric,
     per_node_spread,
     zoom_out_bound,
 )
@@ -113,6 +114,41 @@ def test_error_metric_matches_per_node_oracle(x_init, x, x_star):
     assume(all(x0 != x_star for x0 in x_init))
     got = error_metric(x, x_star, per_node_spread(x_init, x_star))
     assert got == per_node_error([x] * len(x_init), x_init, x_star)
+
+
+def scaled(magnitude, exponents):
+    """Fractions of either sign whose size is ``magnitude`` times 2**k, k in ``exponents``."""
+    return st.builds(
+        lambda m, k, sign: sign * m * F(2) ** k,
+        magnitude,
+        exponents,
+        st.sampled_from([1, -1]),
+    )
+
+
+MAGNITUDE = st.fractions(min_value=1, max_value=2, max_denominator=10**6)
+WIDE = scaled(MAGNITUDE, st.integers(-200, 200))  # 2**-200 .. 2**201 in size
+
+
+@settings(max_examples=500, deadline=None)
+@given(WIDE, WIDE, st.booleans(), scaled(MAGNITUDE, st.integers(-700, 700)).map(abs))
+@example(F(2) ** 200, F(-(2**200)), False, F(2) ** 700)  # (x - x*)^2 * S ~ 2**1102: beyond a float
+@example(F(3, 7), F(3, 7), True, F(5, 11))
+def test_error_metric_matches_the_fraction_formula(x, x_star, at_optimum, spread):
+    # error_metric divides integers it never reduces; the Fraction formula
+    # reduces first.  Both round the same rational once, so the floats agree
+    # bit for bit, from underflow to 0.0 up to the OverflowError both raise.
+    if at_optimum:
+        x = x_star
+    try:
+        want = fraction_error_metric(x, x_star, spread)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            error_metric(x, x_star, spread)
+        return
+    assert error_metric(x, x_star, spread).hex() == want.hex()
+    if at_optimum:
+        assert want == 0.0
 
 
 @pytest.mark.parametrize(

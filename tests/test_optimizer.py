@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bidirectional_pair, per_node_spread, per_node_step
+from conftest import bidirectional_pair, per_node_spread, per_node_step, saturation_half_range
 from zoomgrad import optimizer
 from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import init_consensus
@@ -31,7 +31,7 @@ from zoomgrad.optimizer import (
     step,
     zoom_decide,
 )
-from zoomgrad.quantizer import QuantizerState
+from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
@@ -112,6 +112,42 @@ def test_fixed_level_never_changes():
 def test_unknown_policy_rejected():
     with pytest.raises(TypeError):
         zoom_decide(Q0, F(1), F(1), object())
+
+
+# Where x_new sits against the width-bit range [b_q - H*delta, b_q + H*delta):
+# on either rim, a hair inside or outside it, or anywhere.
+RIM_OFFSETS = {"upper": (1, 0), "upper-": (1, -1), "lower": (-1, 0), "lower-": (-1, -1)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=997),  # negative and non-grid bases
+    st.fractions(min_value=F(1, 997), max_value=20, max_denominator=997),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(sorted(RIM_OFFSETS) + ["free"]),
+    st.fractions(min_value=-3000, max_value=3000, max_denominator=1009),
+    st.sampled_from([(F(4, 3), F(2)), (F(3, 2), F(5, 2)), (F(7), F(10, 9))]),
+)
+def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, x_free, factors):
+    # zoom_decide cross-multiplies integers; the rule it replaces compares
+    # Fractions against saturation_half_range.  Same event, same next grid.
+    q = QuantizerState(b_q, delta)
+    half = saturation_half_range(q, width)
+    if where == "free":
+        x_new = x_free
+    else:
+        side, nudge = RIM_OFFSETS[where]
+        x_new = b_q + side * half + nudge * delta / 1013
+    policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
+    if x_new >= q.b_q + half or x_new < q.b_q - half:
+        expected = zoom_out(q, x_new, policy.c_out), "zoom_out"
+    else:
+        expected = zoom_in(q, x_new, policy.c_in), "zoom_in"
+    assert zoom_decide(q, x_new, x_new, policy) == expected
+    if where in ("upper", "lower-"):
+        assert expected[1] == "zoom_out"  # the upper rim saturates, below the lower rim too
+    if where in ("lower", "upper-") and width > 1:
+        assert expected[1] == "zoom_in"  # the lower rim and just under the upper one are inside
 
 
 # --- message width schedules ------------------------------------------------

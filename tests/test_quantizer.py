@@ -8,12 +8,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import saturation_half_range
 from zoomgrad.optimizer import AdaptiveZoom
 from zoomgrad.quantizer import (
     QuantizerState,
     level_index,
     quantize,
-    saturation_half_range,
     zoom_in,
     zoom_out,
 )
