@@ -17,7 +17,7 @@ own five.  Rational-valued flags accept "num/den" or decimal strings.
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, json_object
+from .config import DEFAULT_ACCOUNTING, ConfigError, RunConfig, json_object
 from .runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
 
 
@@ -66,7 +66,7 @@ def _build_config(args):
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}
         if args.accounting == "paper_faithful":
-            d["accounting"]["b_pm"] = 3
+            d["accounting"]["b_pm"] = DEFAULT_ACCOUNTING["b_pm"]
     if args.out:
         d["out_dir"] = args.out
     return RunConfig.from_dict(d)

@@ -115,13 +115,20 @@ class RunConfig:
         kind = self.cost_spec.get("kind")
         if kind == "random":
             vs = self.cost_spec.get("value_set", [1, 2, 3, 4, 5])
-            if not vs or any(type(v) is not int or v <= 0 for v in vs):
+            if not isinstance(vs, (list, tuple)) or not vs or any(type(v) is not int or v <= 0 for v in vs):
                 raise ConfigError("cost_spec.value_set", "need positive integers")
+            seed = self.cost_spec.get("seed")
+            if seed is not None and type(seed) is not int:
+                raise ConfigError("cost_spec.seed", "need an integer seed")
+            if type(self.cost_spec.get("shared_x0", False)) is not bool:
+                raise ConfigError("cost_spec.shared_x0", "need true or false")
         elif kind == "explicit":
             costs = self.cost_spec.get("costs")
-            if not costs or len(costs) != self.n:
-                raise ConfigError("cost_spec.costs", "need one (beta, x0) pair per node")
+            if not isinstance(costs, (list, tuple)) or len(costs) != self.n:
+                raise ConfigError("cost_spec.costs", "need a list of one (beta, x0) pair per node")
             for i, pair in enumerate(costs):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError("cost_spec.costs[%d]" % i, "need a (beta, x0) pair")
                 beta = parse_rational(pair[0], "cost_spec.costs[%d].beta" % i)
                 if beta <= 0:
                     raise ConfigError("cost_spec.costs[%d].beta" % i, "must be positive")
@@ -142,7 +149,7 @@ class RunConfig:
             raise ConfigError("stop.target_error", "need a positive, finite error target")
         mode = self.accounting.get("mode")
         if mode == "paper_faithful":
-            b_pm = self.accounting.get("b_pm", 3)
+            b_pm = self.accounting.get("b_pm", DEFAULT_ACCOUNTING["b_pm"])
             if type(b_pm) is not int or b_pm < 1:
                 raise ConfigError("accounting.b_pm", "need a positive integer width")
         elif mode != "measured":

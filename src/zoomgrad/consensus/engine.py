@@ -68,16 +68,7 @@ from ..graph import Digraph, _kernel
 from ..quantizer import QuantizerState, quantize
 from ..rng import PCG32
 
-__all__ = [
-    "ConsensusStats",
-    "ConsensusCapError",
-    "ROUND_CAP",
-    "init_consensus",
-    "sample_out_target",
-    "effective_epoch",
-    "run_consensus",
-    "active_backend",
-]
+__all__ = ["ConsensusStats", "ConsensusCapError", "ROUND_CAP", "run_consensus", "active_backend"]
 
 ROUND_CAP = 100_000
 

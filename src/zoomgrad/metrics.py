@@ -1,5 +1,11 @@
-"""Reporting-side math: the normalized error metric, communication-bit
-accounting, and the reference communication-cost tables.
+"""Reporting-side math: the normalized error metric, the message widths
+that price each transmission, and the reference communication-cost table.
+
+A width that changes with the step index is a ``((end, width), ...)``
+schedule, read by ``schedule_width``: the refine-only baseline's live
+schedule and every row of Table 1 (``TABLE_ROWS``, whose cells
+``table_cells`` builds).  ``FIXED_LEVEL_WIDTHS`` holds the width that a
+fixed level charges by default.
 
 Everything here is a pure function.  Internal arithmetic sticks to exact
 rationals; floats appear only where a quantity is explicitly a reported
@@ -36,87 +42,57 @@ FIXED_LEVEL_WIDTHS = {
 }
 
 
-def bits_total(c_s, b_pm, n_tt):
-    """Total bits = steps x bits-per-message x messages-per-step."""
-    if c_s < 0 or b_pm < 0 or n_tt < 0:
-        raise ValueError("bit accounting factors must be nonnegative")
-    return c_s * b_pm * n_tt
+def schedule_width(schedule, k):
+    """Message width of 0-based step ``k`` under a width schedule.
+
+    A schedule is a tuple of ``(end, width)`` entries: ``width`` prices
+    every step before ``end`` not covered by an earlier entry, and an
+    ``end`` of ``None`` covers every remaining step.
+    """
+    for end, width in schedule:
+        if end is None or k < end:
+            return width
 
 
-def avg_bits_per_node_per_step(b_pm, n_tt, n):
-    if n < 1:
-        raise ValueError("need at least one node")
-    return b_pm * n_tt / n
-
-
-# --- reference constants for the communication-cost table builders ---
+# The refine-only baseline's live schedule, and Table 1's, which switches
+# to 14 bits one step earlier (after step 8 rather than 9); the table keeps
+# its own convention.
+REFINE_WIDTH_SCHEDULE = ((3, 7), (9, 10), (None, 14))
+TABLE_REFINE_WIDTH_SCHEDULE = ((3, 7), (8, 10), (None, 14))
 
 TABLE_N_TT = Fraction(21188, 100)  # mean transmissions per consensus execution
 TABLE_THRESHOLDS = ("1e-2", "1e-3", "1e-5")
 
-# (steps within segment, message width) consumed in order by the
-# refine-only baseline.  The table's arithmetic switches widths after
-# steps 3 and 8 — one step earlier than the live k-indexed schedule, which
-# switches at k = 9; the table builders keep the table's own convention.
-REFINE_TABLE_SEGMENTS = ((3, 7), (5, 10), (8, 14))
-
-ADAPTIVE_TABLE_STEPS = (18, 27, 40)
-ADAPTIVE_TABLE_WIDTH = 3
-
-# label, quantizer level (its message width is FIXED_LEVEL_WIDTHS[level]),
-# steps to reach each threshold (None = never)
-FIXED_TABLE_ROWS = (
-    ("fixed_0.1", Fraction(1, 10), (3, None, None)),
-    ("fixed_0.01", Fraction(1, 100), (3, 5, None)),
-    ("fixed_0.001", Fraction(1, 1000), (3, 5, 11)),
+# Table 1: label, width schedule, steps to reach each threshold (None =
+# never).  The fixed levels' widths are their FIXED_LEVEL_WIDTHS.
+TABLE_ROWS = (
+    ("adaptive_zoom", ((None, 3),), (18, 27, 40)),
+    ("refine_only", TABLE_REFINE_WIDTH_SCHEDULE, (3, 8, 16)),
+    ("fixed_0.1", ((None, 7),), (3, None, None)),
+    ("fixed_0.01", ((None, 10),), (3, 5, None)),
+    ("fixed_0.001", ((None, 14),), (3, 5, 11)),
 )
 
 
-def table_bits_rows(n_tt=TABLE_N_TT):
-    """Total-bits table: [(policy, [(steps, bits) per threshold])].
+def table_cells(n_tt=TABLE_N_TT, n=20):
+    """Table 1 as [(policy, [(steps, bits, average) per threshold])].
 
-    Cells are exact rationals; None marks thresholds a policy never
-    reaches.
+    A cell's bits are ``n_tt`` times the summed widths of its first
+    ``steps`` steps, and its average is bits per node per step, both exact
+    rationals.  A threshold a policy never reaches has steps and bits None
+    and keeps the average of the last threshold reached: only fixed levels
+    miss thresholds, and their width never changes.
     """
     rows = []
-    rows.append(
-        (
-            "adaptive_zoom",
-            [(c, bits_total(c, ADAPTIVE_TABLE_WIDTH, n_tt)) for c in ADAPTIVE_TABLE_STEPS],
-        )
-    )
-    cells = []
-    steps = 0
-    units = 0
-    for count, width in REFINE_TABLE_SEGMENTS:
-        steps += count
-        units += count * width
-        cells.append((steps, units * n_tt))
-    rows.append(("refine_only", cells))
-    for label, level, step_list in FIXED_TABLE_ROWS:
-        width = FIXED_LEVEL_WIDTHS[level]
-        cells = [
-            (c, bits_total(c, width, n_tt)) if c is not None else (None, None)
-            for c in step_list
-        ]
+    for label, schedule, step_counts in TABLE_ROWS:
+        cells = []
+        for steps in step_counts:
+            if steps is None:
+                cells.append((None, None, cells[-1][2]))
+                continue
+            bits = sum(schedule_width(schedule, k) for k in range(steps)) * n_tt
+            cells.append((steps, bits, bits / (steps * n)))
         rows.append((label, cells))
-    return rows
-
-
-def table_avg_bits_rows(n_tt=TABLE_N_TT, n=20):
-    """Average bits per node per step: [(policy, [value per threshold])]."""
-    adaptive = avg_bits_per_node_per_step(ADAPTIVE_TABLE_WIDTH, n_tt, n)
-    rows = [("adaptive_zoom", [adaptive] * 3)]
-    cells = []
-    steps = 0
-    units = 0
-    for count, width in REFINE_TABLE_SEGMENTS:
-        steps += count
-        units += count * width
-        cells.append(Fraction(units * n_tt, 1) / (steps * n))
-    rows.append(("refine_only", cells))
-    for label, level, _ in FIXED_TABLE_ROWS:
-        rows.append((label, [avg_bits_per_node_per_step(FIXED_LEVEL_WIDTHS[level], n_tt, n)] * 3))
     return rows
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .consensus import run_consensus
-from .metrics import FIXED_LEVEL_WIDTHS, error_metric
+from .metrics import REFINE_WIDTH_SCHEDULE, error_metric, schedule_width
 from .quantizer import QuantizerState, zoom_in, zoom_out
 
 
@@ -45,10 +45,11 @@ class AdaptiveZoom:
     around the grid's basis, and the factors ``c_in`` and ``c_out`` by which
     a zoom-in divides and a zoom-out multiplies the grid's step.
 
-    ``b_pm`` is the message width charged per mass transmission in the
-    idealized accounting mode; it defaults to the quantizer width (a w-bit
-    quantizer has 2**w cells, and the consensus payloads are modeled as
-    w-bit symbols in that mode).
+    ``b_pm`` is the width each mass transmission is charged in the
+    ``bits_paper_mode`` column; ``None`` charges the quantizer width (a
+    w-bit quantizer has 2**w cells, and the payloads are modeled as w-bit
+    symbols).  ``runner.build_policy`` sets it to ``accounting.b_pm`` under
+    paper_faithful accounting and leaves it ``None`` under measured.
     """
 
     quantizer_width: int = 3
@@ -62,51 +63,37 @@ class AdaptiveZoom:
         if self.c_in <= 1 or self.c_out <= 1:
             raise ValueError("zoom factors must exceed 1")
 
-    def message_width(self, k, delta):
+    def message_width(self, k):
         return self.quantizer_width if self.b_pm is None else self.b_pm
-
-
-# The refine-only baseline's step-indexed message widths: entries are
-# (first_k_not_covered, width), with ``None`` meaning "every remaining step".
-REFINE_WIDTH_SCHEDULE = ((3, 7), (9, 10), (None, 14))
 
 
 @dataclass(frozen=True)
 class RefineOnly:
     """Baseline: on every repeated estimate, divide the step by c_refine.
 
-    The basis never moves and the quantizer is unsaturated.  Accounting
-    follows ``REFINE_WIDTH_SCHEDULE``.
+    The basis never moves and the quantizer is unsaturated.  Step ``k`` is
+    priced by the width schedule ``metrics.REFINE_WIDTH_SCHEDULE``.
     """
 
     c_refine: Fraction = Fraction(10)
 
-    def message_width(self, k, delta):
-        for end, width in REFINE_WIDTH_SCHEDULE:
-            if end is None or k < end:
-                return width
+    def message_width(self, k):
+        return schedule_width(REFINE_WIDTH_SCHEDULE, k)
 
 
 @dataclass(frozen=True)
 class FixedLevel:
     """Baseline: the quantizer is never re-parameterized.
 
-    ``b_pm`` may be given explicitly; otherwise it is looked up in the
-    standard level table ``metrics.FIXED_LEVEL_WIDTHS`` (7/10/14 bits for
-    steps 0.1/0.01/0.001), which ``RunConfig.validate`` checks against.
+    Every message costs ``b_pm`` bits; a run without an explicit width
+    takes its level's standard one from ``metrics.FIXED_LEVEL_WIDTHS``
+    (``runner.build_policy``).
     """
 
-    b_pm: int | None = None
+    b_pm: int
 
-    def message_width(self, k, delta):
-        if self.b_pm is not None:
-            return self.b_pm
-        try:
-            return FIXED_LEVEL_WIDTHS[delta]
-        except KeyError:
-            raise ValueError(
-                "no standard message width for fixed level %s; set b_pm" % delta
-            ) from None
+    def message_width(self, k):
+        return self.b_pm
 
 
 @dataclass(frozen=True)
@@ -308,7 +295,7 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
 
     k = len(state.history)
-    width = policy.message_width(k, pre_q.delta)
+    width = policy.message_width(k)
     state.x = x_new
     state.q = new_q
     n_symbols = len(stats.measured_alphabet)

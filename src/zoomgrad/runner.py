@@ -16,16 +16,10 @@ import sys
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
-from .config import ConfigError, parse_rational
+from .config import DEFAULT_ACCOUNTING, ConfigError, parse_rational
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph
-from .metrics import (
-    TABLE_THRESHOLDS,
-    decimal_fixed,
-    exact_decimal,
-    table_avg_bits_rows,
-    table_bits_rows,
-)
+from .metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS, decimal_fixed, exact_decimal, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
 from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, initial_state, run_until
 from .quantizer import QuantizerState
@@ -49,7 +43,7 @@ def build_policy(config):
     if variant == "adaptive_zoom":
         b_pm = None
         if config.accounting.get("mode") == "paper_faithful":
-            b_pm = config.accounting.get("b_pm", 3)
+            b_pm = config.accounting.get("b_pm", DEFAULT_ACCOUNTING["b_pm"])
         return AdaptiveZoom(
             quantizer_width=spec.get("quantizer_width", 3),
             c_in=config.c_in,
@@ -60,7 +54,8 @@ def build_policy(config):
         return RefineOnly(
             c_refine=parse_rational(spec.get("c_refine", 10), "policy.c_refine")
         )
-    return FixedLevel(b_pm=spec.get("b_pm"))
+    b_pm = spec.get("b_pm")
+    return FixedLevel(FIXED_LEVEL_WIDTHS[config.delta0] if b_pm is None else b_pm)
 
 
 def build_costs(config):
@@ -432,23 +427,19 @@ def cmd_table1(out_dir=None):
     """
 
     def reports():
-        columns = ["policy"]
+        columns, avg_columns = ["policy"], ["policy"]
         for label in TABLE_THRESHOLDS:
             columns += ["steps_to_%s" % label, "bits_to_%s" % label]
-        rows = []
-        for policy, cells in table_bits_rows():
-            row = {"policy": policy}
-            for label, (steps, bits) in zip(TABLE_THRESHOLDS, cells):
+            avg_columns.append("avg_bits_per_node_per_step_to_%s" % label)
+        rows, avg_rows = [], []
+        for policy, cells in table_cells():
+            row, avg_row = {"policy": policy}, {"policy": policy}
+            for label, (steps, bits, avg) in zip(TABLE_THRESHOLDS, cells):
                 row["steps_to_%s" % label] = "-" if steps is None else steps
                 row["bits_to_%s" % label] = "-" if bits is None else decimal_fixed(bits, 2)
+                avg_row["avg_bits_per_node_per_step_to_%s" % label] = exact_decimal(avg)
             rows.append(row)
-        avg_columns = ["policy"] + ["avg_bits_per_node_per_step_to_%s" % t for t in TABLE_THRESHOLDS]
-        avg_rows = []
-        for policy, cells in table_avg_bits_rows():
-            row = {"policy": policy}
-            for label, value in zip(TABLE_THRESHOLDS, cells):
-                row["avg_bits_per_node_per_step_to_%s" % label] = exact_decimal(value)
-            avg_rows.append(row)
+            avg_rows.append(avg_row)
         return [
             ("table_bits.csv", write_rows_csv, columns, rows),
             ("table_avg_bits.csv", write_rows_csv, avg_columns, avg_rows),

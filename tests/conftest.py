@@ -201,7 +201,7 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
     new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
     k = len(state.history)
-    width = policy.message_width(k, pre_q.delta)
+    width = policy.message_width(k)
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
     rec = RunRecord(

@@ -19,7 +19,7 @@ from conftest import envelope_from_history, flood_consensus, total_curvature, zo
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
-from zoomgrad.metrics import FIXED_TABLE_ROWS, TABLE_N_TT, TABLE_THRESHOLDS
+from zoomgrad.metrics import TABLE_N_TT, TABLE_ROWS, TABLE_THRESHOLDS
 from zoomgrad.quantizer import QuantizerState, level_index, quantize, zoom_in, zoom_out
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import (
@@ -313,8 +313,8 @@ def test_table1_metric_matches_fixed_level_cells(fixed_level_runs):
     median lies within [0.5x, 2x] of its cell, and a cell the table leaves
     empty is never reached.  Fixed 0.1 is left out: e_T does not reproduce
     its 1e-2 cell (see ``table_error``)."""
-    for label, _, table_ks in FIXED_TABLE_ROWS:
-        if label == "fixed_0.1":
+    for label, _, table_ks in TABLE_ROWS:
+        if label not in ("fixed_0.01", "fixed_0.001"):
             continue
         level = F(label.split("_")[1])
         for threshold, table_k in zip(TABLE_THRESHOLDS, table_ks):

@@ -128,6 +128,19 @@ def test_infinite_target_error_exits_1(tmp_path, capsys):
             {"cost_spec": {"kind": "random", "value_set": [True, 2]}, "stop": {"max_steps": 3}},
             "cost_spec.value_set",
         ),
+        ({"cost_spec": {"kind": "random", "seed": "x"}, "stop": {"max_steps": 3}}, "cost_spec.seed"),
+        ({"cost_spec": {"kind": "random", "seed": True}, "stop": {"max_steps": 3}}, "cost_spec.seed"),
+        ({"cost_spec": {"kind": "random", "shared_x0": "yes"}, "stop": {"max_steps": 3}}, "cost_spec.shared_x0"),
+        (
+            {"n": 2, "cost_spec": {"kind": "explicit", "costs": ["12", "34"]}, "stop": {"max_steps": 3}},
+            "cost_spec.costs[0]",
+        ),
+        (
+            {"n": 2, "cost_spec": {"kind": "explicit", "costs": [["1", "2", "9"], ["1", "2"]]}, "stop": {"max_steps": 3}},
+            "cost_spec.costs[0]",
+        ),
+        ({"n": 2, "cost_spec": {"kind": "explicit", "costs": 5}, "stop": {"max_steps": 3}}, "cost_spec.costs: "),
+        ({"cost_spec": {"kind": "random", "value_set": 5}, "stop": {"max_steps": 3}}, "cost_spec.value_set"),
     ],
 )
 def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):

@@ -104,6 +104,15 @@ def test_parse_rational_rejects(bad):
         ({"x_init_grid": F(1, 10**10)}, "x_init_grid"),
         ({"x_init_grid": F(4, 2**32)}, "x_init_grid"),
         ({"cost_spec": {"kind": "random", "value_set": [True, 2]}}, "cost_spec.value_set"),
+        # cost seeds and flags of the wrong type, and explicit costs that are
+        # not a list of n (beta, x0) pairs
+        ({"cost_spec": {"kind": "random", "seed": "x"}}, "cost_spec.seed"),
+        ({"cost_spec": {"kind": "random", "seed": True}}, "cost_spec.seed"),
+        ({"cost_spec": {"kind": "random", "shared_x0": "yes"}}, "cost_spec.shared_x0"),
+        ({"n": 2, "cost_spec": {"kind": "explicit", "costs": ["12", "34"]}}, "cost_spec.costs[0]"),
+        ({"n": 2, "cost_spec": {"kind": "explicit", "costs": [["1", "2"], ["1", "2", "9"]]}}, "cost_spec.costs[1]"),
+        ({"n": 2, "cost_spec": {"kind": "explicit", "costs": 5}}, "cost_spec.costs"),
+        ({"cost_spec": {"kind": "random", "value_set": 5}}, "cost_spec.value_set"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

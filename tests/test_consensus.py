@@ -617,3 +617,6 @@ def test_package_exports_only_the_product_entry_points():
     import zoomgrad.consensus
 
     assert zoomgrad.consensus.__all__ == ["ConsensusCapError", "active_backend", "run_consensus"]
+    # The engine exports its product API too; the oracle init_consensus and
+    # the internals sample_out_target and effective_epoch are imported by name.
+    assert engine.__all__ == ["ConsensusStats", "ConsensusCapError", "ROUND_CAP", "run_consensus", "active_backend"]

@@ -1,5 +1,5 @@
-"""Reporting math: error metric, bit accounting, contraction envelope,
-zoom-out bounds, and the reference communication-cost table cells.
+"""Reporting math: error metric, message-width schedules, contraction
+envelope, zoom-out bounds, and the reference communication-cost table cells.
 
 All table constants are checked against independently recomputed exact
 rationals (steps x width x 211.88), not against the code's own helpers.
@@ -22,17 +22,16 @@ from conftest import (
 )
 from zoomgrad.config import RunConfig
 from zoomgrad.metrics import (
-    ADAPTIVE_TABLE_STEPS,
-    FIXED_TABLE_ROWS,
-    REFINE_TABLE_SEGMENTS,
+    FIXED_LEVEL_WIDTHS,
+    REFINE_WIDTH_SCHEDULE,
     TABLE_N_TT,
-    avg_bits_per_node_per_step,
-    bits_total,
+    TABLE_REFINE_WIDTH_SCHEDULE,
+    TABLE_ROWS,
     decimal_fixed,
     error_metric,
     exact_decimal,
-    table_avg_bits_rows,
-    table_bits_rows,
+    schedule_width,
+    table_cells,
 )
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, RunRecord, initial_state, run_until
@@ -163,33 +162,20 @@ def test_logged_error_matches_per_node_oracle(policy, delta0):
         assert rec.error == per_node_error([rec.x_value] * 6, x_init, x_star)
 
 
-# --- bit accounting ---------------------------------------------------------
+# --- message widths -------------------------------------------------------
 
 
-def test_bits_total_reference_cells():
-    assert bits_total(18, 3, N_TT) == F(1144152, 100)
-    assert bits_total(27, 3, N_TT) == F(1716228, 100)
-    assert bits_total(40, 3, N_TT) == F(2542560, 100)
-
-
-def test_bits_total_multiplicative():
-    base = bits_total(5, 3, N_TT)
-    assert bits_total(10, 3, N_TT) == 2 * base
-    assert bits_total(5, 6, N_TT) == 2 * base
-    assert bits_total(5, 3, 2 * N_TT) == 2 * base
-
-
-def test_bits_total_rejects_negative():
-    with pytest.raises(ValueError):
-        bits_total(-1, 3, N_TT)
-
-
-def test_avg_bits_reference():
-    assert avg_bits_per_node_per_step(3, N_TT, 20) == F(31782, 1000)
-    assert avg_bits_per_node_per_step(7, N_TT, 20) == F(74158, 1000)
-    assert avg_bits_per_node_per_step(5, F(10), 1) == 50
-    with pytest.raises(ValueError):
-        avg_bits_per_node_per_step(3, N_TT, 0)
+def test_table_refine_schedule_switches_one_step_earlier():
+    # Table 1 prices the refine-only baseline's step index 8 at 14 bits,
+    # the live schedule at 10; every other step of the first 40 agrees.
+    differ = [
+        k
+        for k in range(40)
+        if schedule_width(TABLE_REFINE_WIDTH_SCHEDULE, k) != schedule_width(REFINE_WIDTH_SCHEDULE, k)
+    ]
+    assert differ == [8]
+    assert schedule_width(TABLE_REFINE_WIDTH_SCHEDULE, 8) == 14
+    assert schedule_width(REFINE_WIDTH_SCHEDULE, 8) == 10
 
 
 # --- contraction envelope ---------------------------------------------------
@@ -285,7 +271,7 @@ def test_zoom_out_bound_validation():
 
 
 def test_table_bits_rows_exact():
-    rows = dict(table_bits_rows())
+    rows = {label: [cell[:2] for cell in cells] for label, cells in table_cells()}
     assert rows["adaptive_zoom"] == [
         (18, F(1144152, 100)),
         (27, F(1716228, 100)),
@@ -312,13 +298,22 @@ def test_table_bits_rows_exact():
 
 def test_table_constants():
     assert TABLE_N_TT == N_TT
-    assert ADAPTIVE_TABLE_STEPS == (18, 27, 40)
-    assert REFINE_TABLE_SEGMENTS == ((3, 7), (5, 10), (8, 14))
-    assert [r[0] for r in FIXED_TABLE_ROWS] == ["fixed_0.1", "fixed_0.01", "fixed_0.001"]
+    assert [label for label, _, _ in TABLE_ROWS] == [
+        "adaptive_zoom",
+        "refine_only",
+        "fixed_0.1",
+        "fixed_0.01",
+        "fixed_0.001",
+    ]
+    schedules = {label: schedule for label, schedule, _ in TABLE_ROWS}
+    assert schedules["adaptive_zoom"] == ((None, 3),)
+    assert schedules["refine_only"] == TABLE_REFINE_WIDTH_SCHEDULE == ((3, 7), (8, 10), (None, 14))
+    for level, width in FIXED_LEVEL_WIDTHS.items():
+        assert schedules["fixed_%s" % float(level)] == ((None, width),)
 
 
 def test_table_avg_bits_rows_exact():
-    rows = dict(table_avg_bits_rows())
+    rows = {label: [cell[2] for cell in cells] for label, cells in table_cells()}
     assert rows["adaptive_zoom"] == [F(31782, 1000)] * 3
     assert rows["refine_only"] == [
         21 * N_TT / 60,

@@ -104,7 +104,7 @@ def test_refine_only_shrinks_in_place():
 
 
 def test_fixed_level_never_changes():
-    q, event = zoom_decide(Q0, F(1), F(1), FixedLevel())
+    q, event = zoom_decide(Q0, F(1), F(1), FixedLevel(b_pm=7))
     assert event == "none"
     assert q == Q0
 
@@ -154,26 +154,24 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, x_free,
 
 
 def test_adaptive_width():
-    assert AdaptiveZoom().message_width(0, F(1, 2)) == 3
-    assert AdaptiveZoom(quantizer_width=4).message_width(9, F(1)) == 4
-    assert AdaptiveZoom(b_pm=3).message_width(5, F(1, 8)) == 3
+    assert AdaptiveZoom().message_width(0) == 3
+    assert AdaptiveZoom(quantizer_width=4).message_width(9) == 4
+    assert AdaptiveZoom(quantizer_width=5, b_pm=3).message_width(5) == 3
 
 
 def test_refine_width_schedule():
     p = RefineOnly()
-    widths = [p.message_width(k, F(1, 2)) for k in range(12)]
+    widths = [p.message_width(k) for k in range(12)]
     assert widths == [7, 7, 7, 10, 10, 10, 10, 10, 10, 14, 14, 14]
-    assert p.message_width(1000, F(1, 2)) == 14
+    assert p.message_width(1000) == 14
 
 
 def test_fixed_width_lookup():
-    p = FixedLevel()
-    assert p.message_width(0, F(1, 10)) == 7
-    assert p.message_width(0, F(1, 100)) == 10
-    assert p.message_width(0, F(1, 1000)) == 14
-    with pytest.raises(ValueError, match="set b_pm"):
-        p.message_width(0, F(1, 7))
-    assert FixedLevel(b_pm=6).message_width(0, F(1, 7)) == 6
+    # The width is fixed when the policy is built (runner.build_policy looks
+    # the level up); every step charges it.
+    assert [FixedLevel(b_pm=6).message_width(k) for k in (0, 1, 1000)] == [6, 6, 6]
+    with pytest.raises(TypeError):
+        FixedLevel()
 
 
 # --- single steps -----------------------------------------------------------
@@ -306,7 +304,7 @@ def test_fixed_level_repeat_is_absorbing():
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
-        step(state, g, s, ALPHA, FixedLevel(), rng)
+        step(state, g, s, ALPHA, FixedLevel(b_pm=7), rng)
     xs = [r.x_value for r in state.history]
     stall = next((i for i in range(1, len(xs)) if xs[i] == xs[i - 1]), None)
     assert stall is not None

@@ -1,6 +1,6 @@
 """Pinned report bytes: the SHA-256 of every CSV that acceptance criterion
-10's ``run``, ``sweep`` and ``compare`` commands write, and of two n=400
-``run`` reports, on both backends.
+10's ``run``, ``sweep`` and ``compare`` commands write, of two n=400
+``run`` reports, and of the two Table 1 reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from zoomgrad.config import RunConfig
-from zoomgrad.runner import cmd_compare, cmd_run, cmd_sweep
+from zoomgrad.runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
 
 COMMANDS = {
     "run": lambda d: cmd_run(RunConfig(seed=1, out_dir=d)),
@@ -35,6 +35,7 @@ COMMANDS = {
             stop={"max_steps": 6},
         )
     ),
+    "table1": cmd_table1,
 }
 
 DIGESTS = {
@@ -48,6 +49,8 @@ DIGESTS = {
     ("run-n400", "summary.csv"): "c14a6938745993e46f35a2cd2d9db42182a2d5eb9d5e7e2b13ba62d09cddf21c",
     ("run-n400-fractional", "history.csv"): "e45561d821dcd7cc356a3eacb7395170e77773b6f1747fd61839b12ed772fb4b",
     ("run-n400-fractional", "summary.csv"): "77551816d19bcda72db0635ba84e2616e1d90571365e88dbbaa2c73c85178505",
+    ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
+    ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
 from zoomgrad import optimizer
 from zoomgrad.config import ConfigError, RunConfig
+from zoomgrad.metrics import FIXED_LEVEL_WIDTHS
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord
 from zoomgrad.runner import (
@@ -67,8 +68,11 @@ def test_build_policy_refine_parses_ratio():
 def test_build_policy_fixed():
     p = build_policy(RunConfig(policy={"variant": "fixed_level", "b_pm": 9}))
     assert isinstance(p, FixedLevel) and p.b_pm == 9
-    p = build_policy(RunConfig(policy={"variant": "fixed_level"}))
-    assert p.b_pm is None
+    # without b_pm, the level's standard width, for every standard level
+    for level, width in FIXED_LEVEL_WIDTHS.items():
+        assert build_policy(RunConfig(policy={"variant": "fixed_level"}, delta0=level)) == FixedLevel(width)
+    p = build_policy(RunConfig(policy={"variant": "fixed_level", "b_pm": 6}, delta0=F(1, 7)))
+    assert p == FixedLevel(6)
 
 
 def test_build_costs_explicit():
@@ -278,6 +282,36 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["final_error"] == repr(history[-1].error)
     assert row["accounting_mode"] == "paper_faithful"
     assert row["backend"] in ("compiled", "pure")
+
+
+def test_accounting_mode_prices_only_the_adaptive_paper_column():
+    # Both bit columns are always logged; the mode decides only what the
+    # adaptive policy's paper-mode column charges per message: accounting.b_pm
+    # under paper_faithful, the quantizer width under measured.
+    def run(width, accounting):
+        config = RunConfig(
+            seed=3,
+            policy={"variant": "adaptive_zoom", "quantizer_width": width},
+            stop={"max_steps": 3},
+            accounting=accounting,
+        )
+        result = run_single(config)
+        return result["history"], summarize(config, result)
+
+    paper, _ = run(5, {"mode": "paper_faithful", "b_pm": 3})
+    measured, _ = run(5, {"mode": "measured"})
+    assert (paper[0].mass_transmissions, paper[0].bits_paper_mode) == (240, 720)
+    assert (measured[0].mass_transmissions, measured[0].bits_paper_mode) == (240, 1200)
+    for p, m in zip(paper, measured):
+        assert p.bits_paper_mode == 3 * p.mass_transmissions
+        assert m.bits_paper_mode == 5 * m.mass_transmissions
+        assert dc_replace(p, bits_paper_mode=0) == dc_replace(m, bits_paper_mode=0)
+    # At the defaults (3-bit quantizer, 3-bit b_pm) the summaries differ
+    # only in the accounting_mode cell.
+    _, paper_row = run(3, {"mode": "paper_faithful", "b_pm": 3})
+    _, measured_row = run(3, {"mode": "measured"})
+    differ = sorted(c for c in SUMMARY_COLUMNS if paper_row[c] != measured_row[c])
+    assert differ == ["accounting_mode"]
 
 
 def test_summarize_not_converged():
