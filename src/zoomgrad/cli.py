@@ -17,7 +17,7 @@ own five.  Rational-valued flags accept "num/den" or decimal strings.
 import argparse
 import sys
 
-from .config import DEFAULT_ACCOUNTING, ConfigError, RunConfig, json_object
+from .config import BLOCKS, ConfigError, RunConfig, json_object
 from .runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
 
 
@@ -29,12 +29,10 @@ def _add_common(p):
     p.add_argument("--delta0", help="initial quantizer step, rational")
     p.add_argument("--c-in", dest="c_in", help="zoom-in factor, rational > 1")
     p.add_argument("--c-out", dest="c_out", help="zoom-out factor, rational > 1")
-    p.add_argument(
-        "--policy", choices=["adaptive_zoom", "refine_only", "fixed_level"]
-    )
+    p.add_argument("--policy", choices=list(BLOCKS["policy"].variants))
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--target-error", type=float, dest="target_error")
-    p.add_argument("--accounting", choices=["paper_faithful", "measured"])
+    p.add_argument("--accounting", choices=list(BLOCKS["accounting"].variants))
     p.add_argument(
         "--out",
         metavar="DIR",
@@ -65,8 +63,6 @@ def _build_config(args):
                 d["stop"] = dict(d["stop"], **{key: getattr(args, key)})
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}
-        if args.accounting == "paper_faithful":
-            d["accounting"]["b_pm"] = DEFAULT_ACCOUNTING["b_pm"]
     if args.out:
         d["out_dir"] = args.out
     return RunConfig.from_dict(d)

@@ -6,7 +6,9 @@ raw JSON floats are accepted but go through their shortest decimal repr, so
 "0.1" means 1/10, never 0x1.999...p-4.
 """
 
+import copy
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
@@ -43,12 +45,29 @@ def _rat_str(fr):
     return str(Fraction(fr))
 
 
-DEFAULT_POLICY = {"variant": "adaptive_zoom"}
-DEFAULT_COSTS = {"kind": "random", "value_set": [1, 2, 3, 4, 5], "shared_x0": False}
-DEFAULT_STOP = {"max_steps": 200, "target_error": 1e-5}
-DEFAULT_ACCOUNTING = {"mode": "paper_faithful", "b_pm": 3}
+# Each nested block's selector key and, per variant, every key that variant
+# reads with its default (``stop`` has no selector).  None means unset:
+# validate, build_policy, build_costs and run_until say what that does.
+Block = namedtuple("Block", "selector variants")
+BLOCKS = {
+    "policy": Block("variant", {
+        "adaptive_zoom": {"quantizer_width": 3},
+        "refine_only": {"c_refine": 10},
+        "fixed_level": {"b_pm": None},
+    }),
+    "cost_spec": Block("kind", {
+        "random": {"value_set": [1, 2, 3, 4, 5], "seed": None, "shared_x0": False},
+        "explicit": {"costs": None},
+    }),
+    "stop": Block(None, {None: {"max_steps": None, "target_error": None}}),
+    "accounting": Block("mode", {"paper_faithful": {"b_pm": 3}, "measured": {}}),
+}
 
-_POLICY_VARIANTS = ("adaptive_zoom", "refine_only", "fixed_level")
+
+def _stored(name, variant):
+    """A fresh RunConfig's block: the selector and every set default, copied off the table."""
+    selector, variants = BLOCKS[name]
+    return copy.deepcopy({selector: variant, **{k: v for k, v in variants[variant].items() if v is not None}})
 
 
 @dataclass
@@ -61,12 +80,12 @@ class RunConfig:
     c_in: Fraction = Fraction(4, 3)
     c_out: Fraction = Fraction(2)
     b_q0: Fraction = Fraction(0)
-    policy: dict = field(default_factory=lambda: dict(DEFAULT_POLICY))
+    policy: dict = field(default_factory=lambda: {"variant": "adaptive_zoom"})
     x_init_range: tuple = (Fraction(1), Fraction(5))
     x_init_grid: Fraction = Fraction(1, 100)
-    cost_spec: dict = field(default_factory=lambda: dict(DEFAULT_COSTS))
-    stop: dict = field(default_factory=lambda: dict(DEFAULT_STOP))
-    accounting: dict = field(default_factory=lambda: dict(DEFAULT_ACCOUNTING))
+    cost_spec: dict = field(default_factory=lambda: _stored("cost_spec", "random"))
+    stop: dict = field(default_factory=lambda: {"max_steps": 200, "target_error": 1e-5})
+    accounting: dict = field(default_factory=lambda: _stored("accounting", "paper_faithful"))
     out_dir: str = ""
 
     def validate(self):
@@ -91,52 +110,44 @@ class RunConfig:
             raise ConfigError("x_init_grid", "grid resolution must be positive")
         if (hi - lo) // self.x_init_grid >= 1 << 32:
             raise ConfigError("x_init_grid", "[lo, hi] holds more than 2**32 grid points")
-        variant = self.policy.get("variant")
-        if variant not in _POLICY_VARIANTS:
-            raise ConfigError(
-                "policy.variant", "expected one of %s, got %r" % (_POLICY_VARIANTS, variant)
-            )
-        width = self.policy.get("quantizer_width", 3)
-        if type(width) is not int or width < 1:
-            raise ConfigError("policy.quantizer_width", "need an integer width >= 1")
-        if variant == "refine_only" and parse_rational(
-            self.policy.get("c_refine", 10), "policy.c_refine"
-        ) <= 1:
-            raise ConfigError("policy.c_refine", "refine factor must exceed 1")
-        if variant == "fixed_level":
-            b_pm = self.policy.get("b_pm")
-            if b_pm is None and self.delta0 not in FIXED_LEVEL_WIDTHS:
+        policy = self.block("policy")
+        if policy["variant"] == "adaptive_zoom":
+            width = policy["quantizer_width"]
+            if type(width) is not int or width < 1:
+                raise ConfigError("policy.quantizer_width", "need an integer width >= 1")
+        elif policy["variant"] == "refine_only":
+            if parse_rational(policy["c_refine"], "policy.c_refine") <= 1:
+                raise ConfigError("policy.c_refine", "refine factor must exceed 1")
+        elif policy["b_pm"] is None:
+            if self.delta0 not in FIXED_LEVEL_WIDTHS:
                 raise ConfigError(
                     "delta0", "no standard message width for fixed level %s; set policy.b_pm"
                     % self.delta0
                 )
-            if b_pm is not None and (type(b_pm) is not int or b_pm < 1):
-                raise ConfigError("policy.b_pm", "need a positive integer width")
-        kind = self.cost_spec.get("kind")
-        if kind == "random":
-            vs = self.cost_spec.get("value_set", [1, 2, 3, 4, 5])
+        elif type(policy["b_pm"]) is not int or policy["b_pm"] < 1:
+            raise ConfigError("policy.b_pm", "need a positive integer width")
+        costs = self.block("cost_spec")
+        if costs["kind"] == "random":
+            vs = costs["value_set"]
             if not isinstance(vs, (list, tuple)) or not vs or any(type(v) is not int or v <= 0 for v in vs):
                 raise ConfigError("cost_spec.value_set", "need positive integers")
-            seed = self.cost_spec.get("seed")
-            if seed is not None and type(seed) is not int:
+            if costs["seed"] is not None and type(costs["seed"]) is not int:
                 raise ConfigError("cost_spec.seed", "need an integer seed")
-            if type(self.cost_spec.get("shared_x0", False)) is not bool:
+            if type(costs["shared_x0"]) is not bool:
                 raise ConfigError("cost_spec.shared_x0", "need true or false")
-        elif kind == "explicit":
-            costs = self.cost_spec.get("costs")
-            if not isinstance(costs, (list, tuple)) or len(costs) != self.n:
+        else:
+            pairs = costs["costs"]
+            if not isinstance(pairs, (list, tuple)) or len(pairs) != self.n:
                 raise ConfigError("cost_spec.costs", "need a list of one (beta, x0) pair per node")
-            for i, pair in enumerate(costs):
+            for i, pair in enumerate(pairs):
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ConfigError("cost_spec.costs[%d]" % i, "need a (beta, x0) pair")
                 beta = parse_rational(pair[0], "cost_spec.costs[%d].beta" % i)
                 if beta <= 0:
                     raise ConfigError("cost_spec.costs[%d].beta" % i, "must be positive")
                 parse_rational(pair[1], "cost_spec.costs[%d].x0" % i)
-        else:
-            raise ConfigError("cost_spec.kind", "expected random or explicit, got %r" % kind)
-        max_steps = self.stop.get("max_steps")
-        target = self.stop.get("target_error")
+        stop = self.block("stop")
+        max_steps, target = stop["max_steps"], stop["target_error"]
         if max_steps is None and target is None:
             raise ConfigError("stop", "need max_steps and/or target_error")
         if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
@@ -147,16 +158,36 @@ class RunConfig:
             or not 0 < target < float("inf")
         ):
             raise ConfigError("stop.target_error", "need a positive, finite error target")
-        mode = self.accounting.get("mode")
-        if mode == "paper_faithful":
-            b_pm = self.accounting.get("b_pm", DEFAULT_ACCOUNTING["b_pm"])
+        accounting = self.block("accounting")
+        if accounting["mode"] == "paper_faithful":
+            b_pm = accounting["b_pm"]
             if type(b_pm) is not int or b_pm < 1:
                 raise ConfigError("accounting.b_pm", "need a positive integer width")
-        elif mode != "measured":
-            raise ConfigError(
-                "accounting.mode", "expected paper_faithful or measured, got %r" % mode
-            )
         return self
+
+    def block(self, name):
+        """Block ``name`` merged over its variant's defaults.
+
+        ConfigError names ``name.selector`` for an unknown variant and
+        ``name.key`` for a key that the variant does not read.
+        """
+        selector, variants = BLOCKS[name]
+        spec = getattr(self, name)
+        if not isinstance(spec, dict):
+            raise ConfigError(name, "expected an object")
+        variant = spec.get(selector)
+        if variant not in tuple(variants):  # a tuple: an unhashable value is no variant
+            raise ConfigError(
+                "%s.%s" % (name, selector), "expected one of %s, got %r" % (", ".join(variants), variant)
+            )
+        defaults = variants[variant]
+        for key in spec:
+            if key != selector and key not in defaults:
+                raise ConfigError(
+                    "%s.%s" % (name, key),
+                    "not read by %s; it reads %s" % (variant or name, ", ".join(defaults) or "no other key"),
+                )
+        return {**defaults, **spec}
 
     def to_dict(self):
         d = asdict(self)

@@ -327,9 +327,7 @@ def run_until(state, g, s, alpha, policy, stop, rng):
     """
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
-    if target is not None and target != target:  # NaN guard
-        target = None
-    if target is not None and not (float("-inf") < target < float("inf")):
+    if target is not None and not (float("-inf") < target < float("inf")):  # NaN fails too
         target = None
     if max_steps is None and target is None:
         raise ValueError("stop needs max_steps or a finite target_error")

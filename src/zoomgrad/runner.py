@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
-from .config import DEFAULT_ACCOUNTING, ConfigError, parse_rational
+from .config import ConfigError, parse_rational
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph
 from .metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS, decimal_fixed, exact_decimal, table_cells
@@ -38,28 +38,22 @@ class StepFailure(Exception):
 
 
 def build_policy(config):
-    spec = config.policy
-    variant = spec["variant"]
-    if variant == "adaptive_zoom":
-        b_pm = None
-        if config.accounting.get("mode") == "paper_faithful":
-            b_pm = config.accounting.get("b_pm", DEFAULT_ACCOUNTING["b_pm"])
+    spec = config.block("policy")
+    if spec["variant"] == "adaptive_zoom":
+        accounting = config.block("accounting")
         return AdaptiveZoom(
-            quantizer_width=spec.get("quantizer_width", 3),
+            quantizer_width=spec["quantizer_width"],
             c_in=config.c_in,
             c_out=config.c_out,
-            b_pm=b_pm,
+            b_pm=accounting["b_pm"] if accounting["mode"] == "paper_faithful" else None,
         )
-    if variant == "refine_only":
-        return RefineOnly(
-            c_refine=parse_rational(spec.get("c_refine", 10), "policy.c_refine")
-        )
-    b_pm = spec.get("b_pm")
-    return FixedLevel(FIXED_LEVEL_WIDTHS[config.delta0] if b_pm is None else b_pm)
+    if spec["variant"] == "refine_only":
+        return RefineOnly(c_refine=parse_rational(spec["c_refine"], "policy.c_refine"))
+    return FixedLevel(FIXED_LEVEL_WIDTHS[config.delta0] if spec["b_pm"] is None else spec["b_pm"])
 
 
 def build_costs(config):
-    spec = config.cost_spec
+    spec = config.block("cost_spec")
     if spec["kind"] == "explicit":
         return CostSuite(
             QuadraticCost(
@@ -68,14 +62,11 @@ def build_costs(config):
             )
             for b, x in spec["costs"]
         )
-    seed = spec.get("seed")
-    if seed is None:
-        seed = config.seed
     return random_cost_suite(
         config.n,
-        seed,
-        value_set=tuple(spec.get("value_set", (1, 2, 3, 4, 5))),
-        shared_x0=spec.get("shared_x0", False),
+        config.seed if spec["seed"] is None else spec["seed"],
+        value_set=tuple(spec["value_set"]),
+        shared_x0=spec["shared_x0"],
     )
 
 
@@ -116,7 +107,7 @@ def run_single(config):
     state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0))
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
-        history = run_until(state, g, s, config.alpha, policy, config.stop, rng)
+        history = run_until(state, g, s, config.alpha, policy, config.block("stop"), rng)
     except ConsensusCapError as exc:
         raise StepFailure(len(state.history) + 1, exc) from exc
     return {
@@ -155,7 +146,7 @@ SUMMARY_COLUMNS = [
 def summarize(config, result):
     history = result["history"]
     steps = len(history)
-    target = config.stop.get("target_error")
+    target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
     total_tx = sum(r.mass_transmissions for r in history)
     total_rounds = sum(r.consensus_rounds for r in history)

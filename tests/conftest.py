@@ -22,6 +22,9 @@ paths, which its integer and distinct-value paths are checked against:
 ``saturation_half_range`` are the ``Fraction`` forms of the error metric
 and of the zoom rule's range, which ``metrics.error_metric`` and
 ``optimizer.zoom_decide`` evaluate by cross-multiplying integers.
+``clamped_quantize`` (with its ``level_index``) is the width-bit quantizer
+that saturates at the ends of that range: ``quantizer.quantize`` is its
+unclamped form, and the product never clamps.
 ``total_curvature`` is the suite's mu = L, which only the tests read.
 
 The theory helpers ``contraction_envelope``, ``envelope_from_history``
@@ -229,6 +232,22 @@ def fraction_error_metric(x, x_star, spread):
 def saturation_half_range(q, width):
     """Half-width H*delta of a width-bit dynamic range (H = 2**(w-1) - 1)."""
     return (2 ** (width - 1) - 1) * q.delta
+
+
+def level_index(q, xi, width):
+    """Code c in [0, 2**width) of the width-bit bin holding ``xi``, saturated at both ends."""
+    t = (xi - q.b_q) // q.delta  # signed bin count; Fraction floor-division is exact
+    return min(max(t + 2 ** (width - 1), 0), 2**width - 1)
+
+
+def clamped_quantize(q, xi, width):
+    """``quantizer.quantize`` clamped to a width-bit range.
+
+    The 2**width midpoints are ``b_q + (2c - (2**width - 1)) * delta / 2``
+    for c = 0 .. 2**width - 1; an input outside ``[b_q - H*delta,
+    b_q + H*delta)``, H = 2**(width-1) - 1, maps to the extreme midpoint.
+    """
+    return q.b_q + (2 * level_index(q, xi, width) - (2**width - 1)) * q.delta / 2
 
 
 def per_node_spread(x_init, x_star):

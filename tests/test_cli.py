@@ -153,6 +153,23 @@ def test_invalid_config_file_exits_1(config, field, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unread_nested_keys_exit_1_and_write_nothing(tmp_path, capsys):
+    # Each misspelled or foreign key would otherwise be ignored and the run
+    # would go ahead on the defaults; the first one is named.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "policy": {"variant": "adaptive_zoom", "quantizer_widht": 5},
+        "stop": {"max_steps": 3, "taget_error": 1e-9},
+        "cost_spec": {"kind": "random", "valueset": [2]},
+        "accounting": {"mode": "measured", "b_pm": 3},
+    }))
+    out = tmp_path / "out"
+    rc = main(["run", "--seed", "3", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid config - policy.quantizer_widht: ")
+    assert not out.exists()
+
+
 def test_malformed_stop_block_with_a_stop_flag_exits_1(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"stop": 5}))

@@ -3,6 +3,7 @@ and the JSON round-trip that makes a run replayable from its config file.
 """
 
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,12 @@ def test_defaults():
     assert c.stop == {"max_steps": 200, "target_error": 1e-5}
     assert c.accounting == {"mode": "paper_faithful", "b_pm": 3}
     c.validate()  # defaults validate as-is
+
+
+def test_default_blocks_are_not_shared():
+    RunConfig().cost_spec["value_set"].append(9)
+    assert RunConfig().cost_spec["value_set"] == [1, 2, 3, 4, 5]
+    assert RunConfig().block("cost_spec")["value_set"] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize(
@@ -113,6 +120,16 @@ def test_parse_rational_rejects(bad):
         ({"n": 2, "cost_spec": {"kind": "explicit", "costs": [["1", "2"], ["1", "2", "9"]]}}, "cost_spec.costs[1]"),
         ({"n": 2, "cost_spec": {"kind": "explicit", "costs": 5}}, "cost_spec.costs"),
         ({"cost_spec": {"kind": "random", "value_set": 5}}, "cost_spec.value_set"),
+        # keys that no variant of their block reads, and keys that another
+        # variant reads but this one does not
+        ({"policy": {"variant": "adaptive_zoom", "quantizer_widht": 5}}, "policy.quantizer_widht"),
+        ({"stop": {"max_steps": 3, "taget_error": 1e-9}}, "stop.taget_error"),
+        ({"cost_spec": {"kind": "random", "valueset": [2]}}, "cost_spec.valueset"),
+        ({"policy": {"variant": "adaptive_zoom", "b_pm": 3}}, "policy.b_pm"),
+        ({"policy": {"variant": "fixed_level", "c_refine": "10"}, "delta0": F(1, 10)}, "policy.c_refine"),
+        ({"accounting": {"mode": "measured", "b_pm": 3}}, "accounting.b_pm"),
+        ({"policy": {"variant": "refine_only", "quantizer_width": 0}}, "policy.quantizer_width"),
+        ({"policy": {"variant": "refine_only", "quantizer_width": 3}}, "policy.quantizer_width"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -223,3 +240,13 @@ def test_x_init_range_shape_checked():
         RunConfig.from_dict({"x_init_range": [1, 2, 3]})
     with pytest.raises(ConfigError, match="expected an object"):
         RunConfig.from_dict({"stop": 5})
+
+
+def test_readme_example_config_loads():
+    # The README's example config file goes through the one schema, so it
+    # cannot name a key that no block reads.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = f.read()
+    example = readme.split("Example config file:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = RunConfig.from_dict(json.loads(example))
+    assert config.block("policy") == {"variant": "adaptive_zoom", "quantizer_width": 3}

