@@ -10,10 +10,22 @@
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
- * each epoch start and the stop test M - m <= 1 at each epoch end.  Masses
- * are plain int64.  One check before the first round bounds every value the
- * run computes by the initial sum of |y|; an instance whose sum does not fit
- * int64 is declined (returns None) before any draw.  The kernel works on a
+ * each epoch start and the stop test M - m <= 1 at each epoch end.  The pure
+ * path sheds a node's z - 1 pieces one floor division at a time and is the
+ * per-piece oracle; the kernel splits a node in closed form instead.  With
+ * y = q z + r and 0 <= r < z, those pieces are z - max(r, 1) copies of q and
+ * then max(r, 1) - 1 copies of q + 1, and the node keeps q + (r > 0) with
+ * z = 1.  So a node pays one division per round, none when z is 1 or 2, the
+ * snapshot one per node, and at most two piece-set inserts per node, in the
+ * oracle's first-send order.  Each piece still takes its own draw, in the
+ * same order.  The draw bound 1 + out-degree, its rejection threshold and
+ * its fastmod constant (Lemire, Kaser and Kurz, 2019) are computed once per
+ * node per call, so a draw's r % bound takes three multiplies, no division.
+ * Masses are plain int64.  One check before the first round bounds every
+ * value the run computes by the initial sum of |y|; an instance whose sum
+ * does not fit int64 is declined (returns None) before any draw.  The
+ * floor/ceil helper never forms q z, which that bound does not cover: at
+ * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where it
  * was and the pure path replays the identical run.  The distinct pieces sent
  * are collected in an open-addressing hash set on the handle, which a new call
@@ -52,24 +64,60 @@ static uint32_t next_u32(uint64_t *state, uint64_t inc)
     return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
 }
 
-/* Rejection sampling exactly like PCG32.randbelow: no draw at all for n <= 1. */
-static uint32_t randbelow(uint32_t n, uint64_t *state, uint64_t inc)
+/* A node's draw bound 1 + out-degree, with what PCG32.randbelow derives from
+ * it on every call, computed once per run_rounds call instead: the rejection
+ * threshold (2**32 - bound) % bound and Lemire's fastmod constant
+ * ceil(2**64 / bound), taken as UINT64_MAX / bound + 1 (0 for bound 1, which
+ * never draws). */
+typedef struct {
+    uint64_t fastmod;
+    uint32_t bound, threshold;
+} Bound;
+
+/* r % d from fastmod = ceil(2**64 / d), for 32-bit r and d >= 2 (Lemire,
+ * Kaser and Kurz, "Faster Remainder by Direct Computation", 2019): the high
+ * 64 bits of the 64x32 product (fastmod * r mod 2**64) * d, formed from its
+ * two 32-bit halves because C99 has no 128-bit integer. */
+static uint32_t fastmod_u32(uint32_t r, uint64_t fastmod, uint32_t d)
 {
-    uint32_t threshold, r;
-    if (n <= 1)
-        return 0;
-    threshold = (0u - n) % n;
-    do {
-        r = next_u32(state, inc);
-    } while (r < threshold);
-    return r % n;
+    uint64_t low = fastmod * r;
+    return (uint32_t)(((low >> 32) * d + (((low & 0xFFFFFFFFu) * d) >> 32)) >> 32);
 }
 
-/* Floor division for den > 0 (C division truncates toward zero). */
-static int64_t floor_div(int64_t num, int64_t den)
+/* Rejection sampling exactly like PCG32.randbelow(b->bound): the same draws,
+ * and no draw at all for bound 1. */
+static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
 {
-    int64_t q = num / den;
-    return (num % den != 0 && num < 0) ? q - 1 : q;
+    uint32_t r;
+    if (b->bound <= 1)
+        return 0;
+    do {
+        r = next_u32(state, inc);
+    } while (r < b->threshold);
+    return fastmod_u32(r, b->fastmod, b->bound);
+}
+
+/* floor(num / den) in *lo and the remainder num - *lo * den, in [0, den), in
+ * *rem, for den >= 1; returns ceil(num / den).  One truncating division, and
+ * none for den 1 or 2, the commonest holdings.  The product *lo * den is
+ * never formed: at num = -(2**63 - 1), den = 3 it is below INT64_MIN. */
+static int64_t floor_ceil(int64_t num, int64_t den, int64_t *lo, int64_t *rem)
+{
+    if (den == 1) {
+        *lo = num;
+        *rem = 0;
+    } else if (den == 2) {
+        *rem = (int64_t)((uint64_t)num & 1);
+        *lo = (num - *rem) / 2;
+    } else {
+        *lo = num / den;
+        *rem = num % den;
+        if (*rem < 0) {
+            *lo -= 1;
+            *rem += den;
+        }
+    }
+    return *lo + (*rem != 0);
 }
 
 /* Open-addressing set of the distinct pieces a run sends, kept on the graph
@@ -269,6 +317,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
     int64_t M = 0, m = 0, abs_sum = 0;
+    Bound *bounds = NULL;
     PieceSet *pieces;
     Csr *g;
     int stopped = 0, overflow;
@@ -293,7 +342,8 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     z = PyMem_Malloc((size_t)n * sizeof(int64_t));
     dy = PyMem_Calloc((size_t)n, sizeof(int64_t));
     dz = PyMem_Calloc((size_t)n, sizeof(int64_t));
-    if (y == NULL || z == NULL || dy == NULL || dz == NULL) {
+    bounds = PyMem_Malloc((size_t)n * sizeof(Bound));
+    if (y == NULL || z == NULL || dy == NULL || dz == NULL || bounds == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -318,6 +368,12 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         abs_sum += y[i] < 0 ? -y[i] : y[i];
         z[i] = 2;
     }
+    for (i = 0; i < n; i++) {
+        uint32_t bound = 1 + (uint32_t)(g->ptr[i + 1] - g->ptr[i]);
+        bounds[i].bound = bound;
+        bounds[i].threshold = (0u - bound) % bound;
+        bounds[i].fastmod = UINT64_MAX / bound + 1;
+    }
     pieces = &g->pieces;
     if (pieces_begin(pieces) < 0)
         goto done;
@@ -325,30 +381,38 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     for (lam = 1; lam <= max_rounds; lam++) {
         /* epoch start: snapshot the global extremes of ceil/floor(y/z) */
         if (lam % d_eff == 1) {
-            M = -floor_div(-y[0], z[0]);
-            m = floor_div(y[0], z[0]);
+            int64_t lo, rem;
+            M = floor_ceil(y[0], z[0], &m, &rem);
             for (i = 1; i < n; i++) {
-                int64_t hi = -floor_div(-y[i], z[i]), lo = floor_div(y[i], z[i]);
+                int64_t hi = floor_ceil(y[i], z[i], &lo, &rem);
                 M = hi > M ? hi : M;
                 m = lo < m ? lo : m;
             }
         }
 
-        /* split: every node sheds z - 1 pieces floor(y/z) to itself or a
-           random out-neighbour; deliveries wait until every node has split */
+        /* split: with y = q z + r, 0 <= r < z, shedding z - 1 pieces
+           floor(y/z) one at a time sends z - max(r, 1) pieces q, then
+           max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.
+           Each piece goes to the node itself or a random out-neighbour, by
+           one draw per piece in sending order; deliveries wait until every
+           node has split */
         for (i = 0; i < n; i++) {
-            uint32_t deg = (uint32_t)(g->ptr[i + 1] - g->ptr[i]);
-            while (z[i] > 1) {
-                int64_t c = floor_div(y[i], z[i]);
-                uint32_t pick = randbelow(1 + deg, &state, inc);
-                Py_ssize_t tgt = pick == 0 ? i : g->idx[g->ptr[i] + pick - 1];
-                y[i] -= c;
-                z[i] -= 1;
-                dy[tgt] += c;
+            int64_t q, r, k, zi = z[i];
+            const Bound *b = &bounds[i];
+            const int *adj = g->idx + g->ptr[i];
+            if (zi == 1)
+                continue;
+            floor_ceil(y[i], zi, &q, &r);
+            if (pieces_add(pieces, q) < 0 || (r > 1 && pieces_add(pieces, q + 1) < 0))
+                goto done;
+            for (k = 1; k < zi; k++) {
+                uint32_t pick = draw_below(b, &state, inc);
+                Py_ssize_t tgt = pick == 0 ? i : adj[pick - 1];
+                dy[tgt] += k <= zi - r ? q : q + 1;  /* piece k of z - 1 */
                 dz[tgt] += 1;
-                if (pieces_add(pieces, c) < 0)
-                    goto done;
             }
+            y[i] = q + (r > 0);
+            z[i] = 1;
         }
 
         /* deliver everything sent this round */
@@ -379,6 +443,7 @@ done:
     PyMem_Free(z);
     PyMem_Free(dy);
     PyMem_Free(dz);
+    PyMem_Free(bounds);
     return ret;
 }
 

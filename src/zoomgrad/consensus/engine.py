@@ -46,23 +46,35 @@ the diameter; ``graph`` imports it and checks its ``ABI`` once, and the
 engine binds the same object) runs them in int64 as ``run_rounds`` when it
 is built: same node order, same PCG32 draws, same stop rule, so the output,
 rounds, set of distinct pieces and RNG state are bit-for-bit equal to the
-pure snapshot path.  The kernel reads the graph through the handle the graph
-caches (``Digraph.kernel_handle``, flattened once per graph, not per call)
-and collects the distinct pieces in a C hash set kept on that handle, which
-a call empties in O(1).  The pure path returns its pieces as a Python
-``set``; the kernel returns them packed as native int64, which the engine
-exposes as a ``memoryview`` of format ``'q'``, so no Python int is built per
-piece.  No value in a run exceeds the initial ``sum(|y|)`` (a split keeps it
-and a delivery never grows it), so the kernel's one decline rule is that sum
-exceeding int64; it declines before any draw, and the pure path, which runs
-whenever the extension is not built, then replays the instance from the same
-initial masses.
+pure snapshot path.  The pure path sheds a node's ``z - 1`` pieces one
+floor division at a time (``_split_and_deliver``) and is the per-piece
+oracle.  The kernel splits a node in closed form instead: with
+``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
+copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
+node keeps ``q + (r > 0)`` with ``z = 1``.  So a node pays one division
+per round (none when ``z`` is 1 or 2) and at most two piece-set inserts,
+while each piece still takes its own draw in the oracle's order.  Each
+node's draw bound ``1 + out-degree``, its rejection threshold and its
+fastmod constant (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+Computation", 2019) are computed once per call, so a draw takes its
+remainder by multiplies, not by a division.  The kernel reads the graph
+through the handle the graph caches (``Digraph.kernel_handle``, flattened
+once per graph, not per call) and collects the distinct pieces in a C hash
+set kept on that handle, which a call empties in O(1).  The pure path
+returns its pieces as a Python ``set``; the kernel returns them packed as
+native int64, which the engine exposes as a ``memoryview`` of format
+``'q'``, so no Python int is built per piece.  No value in a run exceeds
+the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it),
+so the kernel's one decline rule is that sum exceeding int64; it declines
+before any draw, and the pure path, which runs whenever the extension is
+not built, then replays the instance from the same initial masses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..graph import Digraph, _kernel
 from ..quantizer import QuantizerState, quantize
@@ -193,7 +205,6 @@ def run_consensus(
     if force_backend == "compiled" and _kernel is None:
         raise RuntimeError("compiled consensus kernel is not available")
 
-    y = list(y)  # the pure path updates its masses in place
     d_eff = effective_epoch(g.diameter)
     out = None
     if _kernel is not None and force_backend != "pure":
@@ -201,9 +212,11 @@ def run_consensus(
         if out is None and force_backend == "compiled":
             raise RuntimeError("compiled consensus kernel declined: sum(|y|) exceeds int64")
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
-        out = _run_snapshot(y, g, d_eff, rng, max_rounds)
+        out = _run_snapshot(list(y), g, d_eff, rng, max_rounds)  # updates its copy in place
     rounds, m, alphabet = out
-    return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, alphabet)
+    # b_q + m*delta over the common denominator, reduced by one gcd
+    bn, bd, dn, dd = q.b_q.numerator, q.b_q.denominator, q.delta.numerator, q.delta.denominator
+    return Fraction(bn * dd + m * dn * bd, bd * dd), ConsensusStats(g.n, rounds, alphabet)
 
 
 def _run_snapshot(y, g, d_eff, rng, max_rounds):

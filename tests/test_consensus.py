@@ -411,12 +411,17 @@ def test_kernel_bails_to_pure_on_huge_masses(kernel):
         assert_same_run(y, g, 3)
 
 
-# Masses on complete(4) at the edge of the kernel's one decline rule: the
-# sum of |y| must fit int64.
+# Masses at the edge of the kernel's one decline rule, each run on
+# complete(len(y)): the sum of |y| must fit int64.
 ABS_SUM_FITS = [
     [2**63 - 4, 1, 1, 1],  # sum |y| = 2**63 - 1, the largest accepted
     [-(2**63 - 4), -1, -1, -1],
     [2**45 - 1] * 4,  # once declined mid-run by a per-round |y| <= 2**45 bound
+    # On complete(3) node 0 can hold y = -(2**63 - 1) with z = 3 after round
+    # 1, where q*z for q = floor(y/3) is below INT64_MIN: the split must
+    # never form that product.
+    [-(2**63 - 1), 0, 0],
+    [2**63 - 1, 0, 0],
 ]
 ABS_SUM_BEYOND = [
     [2**61, -(2**61), 2**61, -(2**61)],  # sum |y| = 2**63, split across nodes
@@ -427,9 +432,11 @@ ABS_SUM_BEYOND = [
 ]
 
 
-@pytest.mark.parametrize("y", ABS_SUM_FITS, ids=["sum-max", "sum-max-negative", "old-per-round-bound"])
+@pytest.mark.parametrize(
+    "y", ABS_SUM_FITS, ids=["sum-max", "sum-max-negative", "old-per-round-bound", "min-on-three", "max-on-three"]
+)
 def test_kernel_accepts_every_abs_sum_within_int64(kernel, y):
-    g = complete(4)
+    g = complete(len(y))
     for seed in range(5):
         assert kernel_run(kernel, y, g, seed) is not None
         assert_same_run(y, g, seed)
@@ -494,6 +501,144 @@ def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
     assert sizes[0] == sizes[-1] > 1000 and max(sizes[1:-1]) < 100
 
 
+# --- the kernel's closed-form split and fastmod draws ---------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def piece_by_piece(y, z):
+    """The pure path's split of one node: z - 1 pieces floor(y/z), one at a time."""
+    pieces = []
+    while z > 1:
+        c = y // z
+        y -= c
+        z -= 1
+        pieces.append(c)
+    return pieces, y
+
+
+def closed_form(y, z):
+    """The kernel's split of one node: with y = q*z + r, z - max(r, 1) pieces
+    q, then max(r, 1) - 1 pieces q + 1; the node keeps q + (r > 0)."""
+    q, r = divmod(y, z)
+    k = max(r, 1)
+    return [q] * (z - k) + [q + 1] * (k - 1), q + (r > 0)
+
+
+@settings(max_examples=500)
+@given(st.integers(-INT64_MAX, INT64_MAX), st.integers(2, 63))
+def test_closed_form_split_equals_the_piece_by_piece_split(y, z):
+    assert closed_form(y, z) == piece_by_piece(y, z)
+
+
+def fastmod_u32(r, d):
+    """The kernel's r % d for 32-bit r and 2 <= d < 2**32: the high 64 bits of
+    (ceil(2**64/d) * r mod 2**64) * d, formed from the two 32-bit halves of
+    the left factor as the C99 code forms it."""
+    low = (((2**64 - 1) // d + 1) * r) % 2**64
+    return ((low >> 32) * d + ((low & 0xFFFFFFFF) * d >> 32)) >> 32
+
+
+@settings(max_examples=500)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 2**32 - 1))
+def test_fastmod_equals_the_remainder_for_every_32_bit_bound(r, d):
+    assert fastmod_u32(r, d) == r % d
+
+
+def star(n):
+    """Hub 0 linked both ways to n - 1 leaves: the hub draws below n and,
+    fed by every leaf, holds z far above 2."""
+    return Digraph(n, [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)])
+
+
+def ladder(n):
+    """Node u sends to the next 1 + u % (n - 1) nodes around the ring, so the
+    out-degrees run through 1 .. n - 1 and the draws through every bound."""
+    return Digraph(n, [(u, (u + k) % n) for u in range(n) for k in range(1, 2 + u % (n - 1))])
+
+
+@st.composite
+def closed_form_instances(draw):
+    """(graph, masses): dense or hub graphs, many draw bounds, and masses
+    across int64 whose sum of |y| still fits it."""
+    kind = draw(st.sampled_from(["complete", "star", "ladder", "random"]))
+    if kind == "complete":
+        g = complete(draw(st.integers(2, 12)))
+    elif kind == "random":
+        p = draw(st.fractions(min_value=F(1, 2), max_value=1, max_denominator=8))
+        g = generate_random_digraph(draw(st.integers(2, 40)), p, draw(st.integers(0, 10_000)))
+    else:
+        g = (star if kind == "star" else ladder)(draw(st.integers(3, 150)))
+    y = draw(st.lists(st.integers(-INT64_MAX, INT64_MAX), min_size=g.n, max_size=g.n))
+    if sum(map(abs, y)) > INT64_MAX:  # |v| / n each, truncated: the sum then fits
+        y = [v // g.n if v >= 0 else -(-v // g.n) for v in y]
+    return g, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_form_instances(), st.integers(0, 2**32))
+def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, seed):
+    # The pure path sheds every piece by its own floor division; the kernel
+    # splits each node in closed form and draws through fastmod.  Output,
+    # rounds, alphabet and RNG state must agree.
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    g, y = instance
+    with pytest.MonkeyPatch.context() as mp:  # "compiled" raises if the kernel declines
+        mp.setattr(engine, "_kernel", built_kernel)
+        compiled = outcome(run_consensus, y, Q_HALF, g, seed, force_backend="compiled")
+    assert compiled == outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure")
+
+
+def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
+    # From state 0 the first draw is 0, below randbelow(3)'s threshold
+    # 2**32 % 3 = 1, so node 0's first piece on complete(3) takes a second
+    # draw.  A draw is rejected with probability threshold / 2**32, under
+    # 4e-8 at every bound these tests use, so only a set state shows that
+    # the kernel rejects the same draws.
+    probe = PCG32(0)
+    probe.setstate((0, 1))
+    assert probe.next_u32() == 0
+    runs = []
+    for backend in ("pure", "compiled"):
+        rng = PCG32(0)
+        rng.setstate((0, 1))
+        res, stats = run_consensus([5, -3, 1], Q_HALF, complete(3), rng, force_backend=backend)
+        runs.append((res, stats.rounds, set(stats.measured_alphabet), rng.getstate()))
+    assert runs[0] == runs[1]
+
+
+def wide_fractions(numerators):
+    """Fractions whose reduced denominator exceeds 2**64."""
+    return st.builds(F, numerators, st.integers(2**64 + 1, 2**80)).filter(lambda f: f.denominator > 2**64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parity_graphs(),
+    wide_fractions(st.integers(-(2**80), 2**80)),
+    wide_fractions(st.integers(1, 2**80)),
+    st.integers(-(2**40), 2**40),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delta, offset, seed, data):
+    # run_consensus builds b_q + m*delta from the integers of b_q and delta;
+    # on a non-grid basis with wide denominators, for m of either sign, that
+    # must be the Fraction expression, on both backends.
+    q = QuantizerState(b_q=b_q, delta=delta)
+    y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
+    d_eff = effective_epoch(g.diameter)
+    _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL), ROUND_CAP)
+    expected = q.b_q + m * q.delta
+    assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == expected
+    if built_kernel is not None:
+        assert kernel_run(built_kernel, y, g, seed)[2] == m
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_kernel", built_kernel)
+            assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="compiled")[0] == expected
+
+
 def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
     # A graph built from an edge list, not generated, gets its handle on the
     # first kernel call, keeps it, and runs like the pure path.
@@ -526,8 +671,10 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
 # the one handle that keeps the piece table.
 TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, spread_masses(40, 2, 10**9)]
 
-# Runs every instance with seeds 0-4 on one complete-graph handle per node
-# count, and checks that an instance run again gives the same output.
+# Runs every instance from the raw generator states 0-9 on one
+# complete-graph handle per node count, and checks that an instance run
+# again gives the same output.  States 0-4 never bring node 0 of
+# [-(2**63 - 1), 0, 0] to z = 3 with all the mass; state 5 does, in round 1.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -538,7 +685,7 @@ for y in json.loads(sys.argv[2]):
     n = len(y)
     if n not in handles:
         handles[n] = kernel.csr([[v for v in range(n) if v != u] for u in range(n)])
-    for seed in range(5):
+    for seed in range(10):
         out = kernel.run_rounds(y, handles[n], 2, 100000, seed, 2 * seed + 1)
         assert seen.setdefault((str(y), seed), out) == out, (n, seed)
 """
@@ -549,8 +696,9 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     # signed overflow undefined (-fno-wrapv) and trapping under UBSan runs
     # every boundary case, accepted or declined, without an overflow.
     # Without the decline rule, [2**63 - 1] * 4 traps with "signed integer
-    # overflow".  The same build then passes alphabets of different sizes
-    # through one reused handle.
+    # overflow", and a split that forms q*z traps on [-(2**63 - 1), 0, 0].
+    # The same build then passes alphabets of different sizes through one
+    # reused handle.
     if shutil.which(CC) is None:
         pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
     runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
