@@ -12,19 +12,22 @@ Configuration comes from an optional JSON file (--config) with individual
 flag overrides on top; the merged config is validated once, and every run is
 fully determined by it.  compare drops the policy block, since it runs its
 own five.  Rational-valued flags accept "num/den" or decimal strings.
+
+Every failure, of the config, the computation or the report writing, exits
+1 with the one stderr line that ``runner.report_failure`` prints.
 """
 
 import argparse
 import sys
 
 from .config import BLOCKS, ConfigError, RunConfig, json_object
-from .runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
+from .runner import FAILURES, cmd_compare, cmd_run, cmd_sweep, cmd_table1, report_failure
 
 
 def _add_common(p):
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--seed", type=int, help="master seed for all derived streams")
-    p.add_argument("--nodes", type=int, help="network size n")
+    p.add_argument("--nodes", type=int, dest="n", help="network size n")
     p.add_argument("--alpha", help='gradient step size ("3/25" or "0.12")')
     p.add_argument("--delta0", help="initial quantizer step, rational")
     p.add_argument("--c-in", dest="c_in", help="zoom-in factor, rational > 1")
@@ -33,23 +36,15 @@ def _add_common(p):
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--target-error", type=float, dest="target_error")
     p.add_argument("--accounting", choices=list(BLOCKS["accounting"].variants))
-    p.add_argument(
-        "--out",
-        metavar="DIR",
-        help="output directory (default: $ZOOMGRAD_OUT_DIR or ./out)",
-    )
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory (default: $ZOOMGRAD_OUT_DIR or ./out)")
 
 
 def _build_config(args):
     d = RunConfig().to_dict()
     if args.config:
-        with open(args.config) as f:
+        with open(args.config, "rb") as f:
             d.update(json_object(f.read()))
-    if args.seed is not None:
-        d["seed"] = args.seed
-    if args.nodes is not None:
-        d["n"] = args.nodes
-    for key in ("alpha", "delta0", "c_in", "c_out"):
+    for key in ("seed", "n", "alpha", "delta0", "c_in", "c_out", "out_dir"):
         value = getattr(args, key)
         if value is not None:
             d[key] = value
@@ -63,8 +58,6 @@ def _build_config(args):
                 d["stop"] = dict(d["stop"], **{key: getattr(args, key)})
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}
-    if args.out:
-        d["out_dir"] = args.out
     return RunConfig.from_dict(d)
 
 
@@ -93,21 +86,17 @@ def main(argv=None):
     )
     _add_common(sub.add_parser("compare", help="adaptive policy vs. baselines"))
     p_table = sub.add_parser("table1", help="reference communication-cost table")
-    p_table.add_argument("--out", metavar="DIR")
+    p_table.add_argument("--out", dest="out_dir", metavar="DIR")
     args = parser.parse_args(argv)
 
+    if args.command == "table1":
+        return cmd_table1(args.out_dir)
     try:
-        if args.command == "table1":
-            return cmd_table1(args.out)
         config = _build_config(args)
         if args.command == "sweep":
             seeds = _parse_seeds(args.seeds, [config.seed])
-    except ConfigError as exc:
-        print("error: invalid config - %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except FAILURES as exc:
+        return report_failure(exc)
     if args.command == "run":
         return cmd_run(config)
     if args.command == "sweep":

@@ -246,10 +246,10 @@ class RunConfig:
 
 
 def json_object(text):
-    """The top-level object of a JSON config text, not yet validated."""
+    """The top-level object of a JSON config (str or bytes), not yet validated."""
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError("<file>", "not valid JSON: %s" % exc)
     if not isinstance(d, dict):
         raise ConfigError("<file>", "top level must be an object")

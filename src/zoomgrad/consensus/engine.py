@@ -111,6 +111,7 @@ class ConsensusCapError(RuntimeError):
     def __init__(self, rounds: int):
         super().__init__(f"consensus did not terminate within {rounds} rounds")
         self.rounds = rounds
+        self.step = None  # the optimization step that hit it; the runner fills it in
 
 
 def active_backend() -> str:

@@ -74,14 +74,15 @@ TABLE_ROWS = (
 )
 
 
-def table_cells(n_tt=TABLE_N_TT, n=20):
+def table_cells():
     """Table 1 as [(policy, [(steps, bits, average) per threshold])].
 
-    A cell's bits are ``n_tt`` times the summed widths of its first
-    ``steps`` steps, and its average is bits per node per step, both exact
-    rationals.  A threshold a policy never reaches has steps and bits None
-    and keeps the average of the last threshold reached: only fixed levels
-    miss thresholds, and their width never changes.
+    A cell's bits are ``TABLE_N_TT`` times the summed widths of its first
+    ``steps`` steps, and its average is bits per node per step at the
+    table's n = 20, both exact rationals.  A threshold a policy never
+    reaches has steps and bits None and keeps the average of the last
+    threshold reached: only fixed levels miss thresholds, and their width
+    never changes.
     """
     rows = []
     for label, schedule, step_counts in TABLE_ROWS:
@@ -90,8 +91,8 @@ def table_cells(n_tt=TABLE_N_TT, n=20):
             if steps is None:
                 cells.append((None, None, cells[-1][2]))
                 continue
-            bits = sum(schedule_width(schedule, k) for k in range(steps)) * n_tt
-            cells.append((steps, bits, bits / (steps * n)))
+            bits = sum(schedule_width(schedule, k) for k in range(steps)) * TABLE_N_TT
+            cells.append((steps, bits, bits / (steps * 20)))
         rows.append((label, cells))
     return rows
 

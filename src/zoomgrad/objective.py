@@ -61,7 +61,7 @@ class CostSuite:
 
 def random_cost_suite(
     n: int,
-    seed_or_rng,
+    seed: int,
     value_set=(1, 2, 3, 4, 5),
     shared_x0: bool = False,
 ) -> CostSuite:
@@ -71,7 +71,7 @@ def random_cost_suite(
     stream is beta_0, x0_0, beta_1, x0_1, ...; with ``shared_x0`` the common
     x0 is drawn first, then the betas.
     """
-    rng = seed_or_rng if isinstance(seed_or_rng, PCG32) else PCG32(seed_or_rng, STREAM_COSTS)
+    rng = PCG32(seed, STREAM_COSTS)
     values = [Fraction(v) for v in value_set]
     if shared_x0:
         x0 = values[rng.randbelow(len(values))]

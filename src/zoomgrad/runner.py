@@ -25,17 +25,6 @@ from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, initial_state, run_
 from .quantizer import QuantizerState
 from .rng import PCG32, STREAM_PROTOCOL, STREAM_XINIT
 
-SWEEP_THRESHOLDS = (("1e-2", 1e-2), ("1e-3", 1e-3), ("1e-5", 1e-5))
-
-
-class StepFailure(Exception):
-    """A run aborted mid-optimization; ``step`` is the failing iteration."""
-
-    def __init__(self, step, cause):
-        self.step = step
-        self.cause = cause
-        super().__init__("step %d: %s" % (step, cause))
-
 
 def build_policy(config):
     spec = config.block("policy")
@@ -109,7 +98,8 @@ def run_single(config):
     try:
         history = run_until(state, g, s, config.alpha, policy, config.block("stop"), rng)
     except ConsensusCapError as exc:
-        raise StepFailure(len(state.history) + 1, exc) from exc
+        exc.step = len(state.history) + 1
+        raise
     return {
         "history": history,
         "state": state,
@@ -237,34 +227,43 @@ class CommandError(Exception):
     """A command refused its arguments; the message is printed as is."""
 
 
+# Every way a command can fail; ``report_failure`` gives each its line.
+FAILURES = (ConfigError, CommandError, ConsensusCapError, OSError)
+
+
+def report_failure(exc):
+    """Print a command failure (one of ``FAILURES``) as its one ``error:``
+    line on stderr and return the exit code, 1."""
+    if isinstance(exc, ConfigError):
+        error = "invalid config - %s" % exc
+    elif isinstance(exc, ConsensusCapError):
+        error = "consensus did not settle (round cap %s) at optimization step %d" % (exc.rounds, exc.step)
+    else:
+        error = str(exc)
+    print("error: %s" % error, file=sys.stderr)
+    return 1
+
+
 def _command(out_dir, compute):
     """The one command path: compute the reports, then write them.
 
     ``compute()`` returns the command's reports as (file name, writer,
-    writer arguments...) tuples.  A bad config, a refused argument or a
-    consensus that hits its round cap exits 1 with one ``error:`` line,
-    before the output directory is made; otherwise every report is written
-    and one ``wrote ...`` line names them.
+    writer arguments...) tuples.  The output directory is made only after
+    they are computed; every report is then written and one ``wrote ...``
+    line names them.  Any failure, computing or writing, goes to
+    ``report_failure`` and exits 1.
     """
     try:
         reports = compute()
-    except ConfigError as exc:
-        error = "invalid config - %s" % exc
-    except CommandError as exc:
-        error = str(exc)
-    except StepFailure as exc:
-        error = "consensus did not settle (round cap %s) at optimization step %d"
-        error %= (exc.cause.rounds, exc.step)
-    else:
         out = resolve_out_dir(out_dir)
         paths = []
         for name, write, *args in reports:
             paths.append(os.path.join(out, name))
             write(paths[-1], *args)
-        print("wrote %s" % " and ".join(paths))
-        return 0
-    print("error: %s" % error, file=sys.stderr)
-    return 1
+    except FAILURES as exc:
+        return report_failure(exc)
+    print("wrote %s" % " and ".join(paths))
+    return 0
 
 
 def cmd_run(config):
@@ -288,32 +287,22 @@ def steps_to_threshold(history, threshold):
     return None
 
 
-SWEEP_COLUMNS = SUMMARY_COLUMNS + [
-    "status",
-    "steps_to_1e-2",
-    "steps_to_1e-3",
-    "steps_to_1e-5",
-]
+SWEEP_COLUMNS = SUMMARY_COLUMNS + ["status"] + ["steps_to_%s" % label for label in TABLE_THRESHOLDS]
 
-AGGREGATE_COLUMNS = [
-    "runs",
-    "failures",
-    "median_steps_to_1e-2",
-    "median_steps_to_1e-3",
-    "median_steps_to_1e-5",
-    "reached_1e-2",
-    "reached_1e-3",
-    "reached_1e-5",
-    "mean_mass_tx_per_consensus",
-    "mean_consensus_rounds",
-]
+AGGREGATE_COLUMNS = (
+    ["runs", "failures"]
+    + ["median_steps_to_%s" % label for label in TABLE_THRESHOLDS]
+    + ["reached_%s" % label for label in TABLE_THRESHOLDS]
+    + ["mean_mass_tx_per_consensus", "mean_consensus_rounds"]
+)
 
 
 def sweep(config, seeds):
     """Run one config across seeds; returns (per-seed rows, aggregate row).
 
-    Individual failures are recorded in their row and the sweep continues.
-    The aggregate is folded from the rows and the finished runs' steps.
+    A run that hits the consensus round cap is recorded in its row's status
+    and the sweep continues.  The aggregate is folded from the rows and the
+    finished runs' steps.
     """
     per_seed = []
     records = []  # every step of every run that finished
@@ -321,18 +310,18 @@ def sweep(config, seeds):
         c = dc_replace(config, seed=seed)
         try:
             result = run_single(c)
-        except StepFailure as exc:
-            per_seed.append({"seed": seed, "n": config.n, "status": str(exc)})
+        except ConsensusCapError as exc:
+            per_seed.append({"seed": seed, "n": config.n, "status": "step %d: %s" % (exc.step, exc)})
             continue
         row = summarize(c, result)
         row["status"] = "ok"
-        for label, threshold in SWEEP_THRESHOLDS:
-            k = steps_to_threshold(result["history"], threshold)
+        for label in TABLE_THRESHOLDS:
+            k = steps_to_threshold(result["history"], float(label))
             row["steps_to_%s" % label] = "" if k is None else k
         per_seed.append(row)
         records += result["history"]
     aggregate = {"runs": len(per_seed), "failures": sum(row["status"] != "ok" for row in per_seed)}
-    for label, _ in SWEEP_THRESHOLDS:
+    for label in TABLE_THRESHOLDS:
         column = "steps_to_%s" % label
         ks = [row[column] for row in per_seed if row.get(column, "") != ""]
         aggregate["reached_%s" % label] = len(ks)
@@ -373,7 +362,8 @@ def compare(config):
 
     The graph, costs, and initial estimates are identical across variants
     (they come from dedicated seed streams); only the zoom policy and its
-    conventional starting step differ.  Returns {label: history}.
+    conventional starting step differ.  Returns {label: (config, result)},
+    each result as ``run_single`` gives it.
     """
     histories = {}
     for label, policy_spec, delta0 in COMPARE_VARIANTS:

@@ -238,17 +238,17 @@ def test_criterion_03_mass_conservation_every_round(acceptance, consensus_batch)
 
 def test_criterion_04_convergence_medians(acceptance, reference_default_sweep):
     elapsed, runs = reference_default_sweep
-    bands = {"1e-2": (1e-2, 9, 36), "1e-3": (1e-3, 14, 54), "1e-5": (1e-5, 20, 80)}
+    bands = dict(zip(TABLE_THRESHOLDS, ((9, 36), (14, 54), (20, 80))))
     medians = {}
     logged_medians = {}
     all_reach = True
-    for label, (threshold, lo, hi) in bands.items():
-        logged_ks = [steps_to_threshold(r["history"], threshold) for _, r in runs]
+    for label in bands:
+        logged_ks = [steps_to_threshold(r["history"], float(label)) for _, r in runs]
         all_reach = all_reach and None not in logged_ks
         logged_medians[label] = median_steps(logged_ks)
         medians[label] = median_steps(table_steps(r, F(label)) for _, r in runs)
     in_band = all(
-        lo <= medians[label] <= hi for label, (_, lo, hi) in bands.items()
+        lo <= medians[label] <= hi for label, (lo, hi) in bands.items()
     )
     within_200 = all(len(r["history"]) <= 200 for _, r in runs)
     ok = in_band and all_reach and within_200 and elapsed < 120

@@ -1,9 +1,13 @@
 """Command-line interface: flag parsing, config layering, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zoomgrad
 from zoomgrad import optimizer
 from zoomgrad.cli import _parse_seeds, main
 from zoomgrad.config import RunConfig
@@ -14,6 +18,13 @@ from zoomgrad.runner import SUMMARY_COLUMNS, SWEEP_COLUMNS
 def summary_row(path):
     header, row = path.read_text().splitlines()
     return dict(zip(header.split(","), row.split(",")))
+
+
+def one_error_line(capsys):
+    """The single stderr line of a failed command, which starts "error: "."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 def test_parse_seeds():
@@ -225,7 +236,7 @@ def test_round_cap_failure_exits_1(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(optimizer, "run_consensus", capped_third_call)
     rc = main([command, "--seed", "1", "--nodes", "4", "--max-steps", "10", "--out", str(tmp_path)])
     assert rc == 1
-    assert "consensus did not settle (round cap 7) at optimization step 3" in capsys.readouterr().err
+    assert one_error_line(capsys) == "error: consensus did not settle (round cap 7) at optimization step 3"
     assert not (tmp_path / "history.csv").exists()
     assert list(tmp_path.iterdir()) == []
 
@@ -311,3 +322,69 @@ def test_table1_smoke(tmp_path):
     text = (tmp_path / "table_bits.csv").read_text()
     assert "11441.52" in text and "25425.60" in text
     assert "31.782" in (tmp_path / "table_avg_bits.csv").read_text()
+
+
+# A small, fast instance of each command; table1 takes no config flags.
+COMMANDS = {
+    "run": ["run", "--nodes", "4", "--max-steps", "3"],
+    "sweep": ["sweep", "--nodes", "4", "--max-steps", "3", "--seeds", "0:2"],
+    "compare": ["compare", "--nodes", "4", "--max-steps", "3"],
+    "table1": ["table1"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_out_naming_a_file_exits_1(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(COMMANDS[command] + ["--out", str(taken)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: [Errno 17] File exists: ")
+    assert taken.read_text() == "not a directory"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_out_dir_env_naming_a_file_exits_1(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    monkeypatch.setenv("ZOOMGRAD_OUT_DIR", str(taken))
+    monkeypatch.chdir(tmp_path)
+    rc = main(COMMANDS["run"])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: [Errno 17] File exists: ")
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_undecodable_config_exits_1_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: invalid config - <file>: not valid JSON: ")
+    assert not out.exists()
+
+
+def test_empty_out_falls_back_to_env_then_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ZOOMGRAD_OUT_DIR", str(tmp_path / "env"))
+    assert main(COMMANDS["run"] + ["--out", ""]) == 0
+    assert (tmp_path / "env" / "summary.csv").exists()
+    monkeypatch.delenv("ZOOMGRAD_OUT_DIR")
+    assert main(COMMANDS["run"] + ["--out", ""]) == 0
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_module_entry_point_fails_without_traceback(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    src = os.path.dirname(os.path.dirname(zoomgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zoomgrad.cli"] + COMMANDS["run"] + ["--out", str(taken)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -99,11 +99,3 @@ def test_draw_order_contract():
         want.append((beta, x0))
     s = random_cost_suite(4, 9)
     assert [(c.beta, c.x0) for c in s] == want
-
-
-def test_accepts_rng_instance():
-    rng = PCG32(9, STREAM_COSTS)
-    s = random_cost_suite(4, rng)
-    assert [(c.beta, c.x0) for c in s] == [
-        (c.beta, c.x0) for c in random_cost_suite(4, 9)
-    ]

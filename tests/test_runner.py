@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
 from zoomgrad import optimizer
 from zoomgrad.config import ConfigError, RunConfig
-from zoomgrad.metrics import FIXED_LEVEL_WIDTHS
+from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError
+from zoomgrad.metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord
 from zoomgrad.runner import (
@@ -21,8 +22,6 @@ from zoomgrad.runner import (
     HISTORY_COLUMNS,
     SUMMARY_COLUMNS,
     SWEEP_COLUMNS,
-    SWEEP_THRESHOLDS,
-    StepFailure,
     build_costs,
     build_policy,
     cmd_compare,
@@ -423,7 +422,7 @@ def test_sweep_aggregate_median(seeds, medians):
     # An odd count's median is its middle value; an even count's is the mean
     # of the middle two.  Both are written as repr(float).
     per_seed, aggregate = sweep(RunConfig(), seeds)
-    for (label, _), median in zip(SWEEP_THRESHOLDS, medians):
+    for label, median in zip(TABLE_THRESHOLDS, medians):
         ks = sorted(row["steps_to_%s" % label] for row in per_seed)
         assert aggregate["reached_%s" % label] == len(ks) == len(seeds)
         mid = len(ks) // 2
@@ -447,18 +446,31 @@ def test_sweep_rows_and_aggregate():
 
 
 def test_sweep_records_failures_and_continues(monkeypatch):
-    real = run_single
+    # Seed 4's seventh consensus hits the round cap: its row records the
+    # step and the cap, and the sweep goes on to seed 5.
+    real, real_consensus = run_single, optimizer.run_consensus
 
     def flaky(config):
-        if config.seed == 4:
-            raise StepFailure(7, RuntimeError("boom"))
-        return real(config)
+        if config.seed != 4:
+            return real(config)
+        calls = []
+
+        def capped_seventh_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 7:
+                raise ConsensusCapError(ROUND_CAP)
+            return real_consensus(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(optimizer, "run_consensus", capped_seventh_call)
+            return real(config)
 
     monkeypatch.setattr(runner_mod, "run_single", flaky)
     per_seed, aggregate = sweep(RunConfig(), [3, 4, 5])
     assert aggregate["runs"] == 3 and aggregate["failures"] == 1
     bad = per_seed[1]
-    assert bad["seed"] == 4 and bad["status"].startswith("step 7")
+    assert bad["seed"] == 4
+    assert bad["status"] == "step 7: consensus did not terminate within %d rounds" % ROUND_CAP
     assert per_seed[0]["status"] == per_seed[2]["status"] == "ok"
     assert aggregate["reached_1e-5"] == 2
 
