@@ -150,6 +150,8 @@ class RunConfig:
         max_steps, target = stop["max_steps"], stop["target_error"]
         if max_steps is None and target is None:
             raise ConfigError("stop", "need max_steps and/or target_error")
+        if max_steps is None and policy["variant"] == "fixed_level":
+            raise ConfigError("stop.max_steps", "a fixed level's error has a floor, so its run needs a step bound")
         if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
             raise ConfigError("stop.max_steps", "need a nonnegative integer")
         if target is not None and (

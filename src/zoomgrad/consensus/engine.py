@@ -10,8 +10,11 @@ starts at ``y[i] = 2*(Q(x_i) - b_q)/delta`` (an odd integer: twice the
 quantized basis-relative level, so the network-wide ratio sum(y)/sum(z)
 equals the average quantized value in basis-relative delta units, as
 ``init_consensus`` computes it from the inputs; the optimizer computes the
-same masses in integers) and ``z[i] = 2``.  The quantizer is only read to
-map the output level back to ``b_q + m*delta``.
+same masses in integers) and ``z[i] = 2``.  The output is the level ``m``
+of the common grid point ``b_q + m*delta``; the caller, which owns the grid,
+maps it back when it needs the point.  ``run_consensus`` still takes the
+quantizer as its second argument, unread, because the benchmark's backend
+parity replay passes it positionally.
 Masses stay integers forever — every transmitted piece is a floor of a
 ratio — which is what makes the stop test reachable and the protocol
 finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
@@ -27,8 +30,8 @@ Each round:
 3. queued pieces are delivered (``y += c``, ``z += 1``);
 4. at epoch ends (``lambda mod D' == 0``), if ``M - m <= 1`` every node
    stops and outputs ``b_q + m * delta`` (a grid point within delta of the
-   average quantized input).  ``run_consensus`` returns that common value
-   once.
+   average quantized input).  ``run_consensus`` returns that common level
+   ``m`` once.
 
 ``D' = max(diameter, 2)`` so the reset/check cadence stays meaningful on
 diameter-1 graphs.  In the protocol each node floods ``(M, m)`` along its
@@ -74,7 +77,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..graph import Digraph, _kernel
 from ..quantizer import QuantizerState, quantize
@@ -190,11 +192,14 @@ def run_consensus(
 ):
     """Run the whole protocol from the initial value masses ``y``.
 
-    Returns (common value, ConsensusStats).  ``y`` holds one odd integer per
-    node (see ``init_consensus``) and is never modified, so a caller may run
-    the same masses again.  ``q`` is only read for the output: every node
-    stops holding the same rational ``b_q + m * delta`` on the delta-grid,
-    which is returned once.  The compiled kernel is used when available
+    Returns (m, ConsensusStats): every node stops holding the same grid
+    point ``b_q + m * delta``, and its integer level ``m`` is returned once.
+    ``y`` holds one odd integer per node (see ``init_consensus``) and is
+    never modified, so a caller may run the same masses again.  ``q`` is
+    not read: the level needs no grid.  It stays the second positional
+    argument because the benchmark's backend parity replay
+    (``perfbench/run.py``) calls this function positionally with it and
+    compares the returned levels.  The compiled kernel is used when available
     unless ``force_backend="pure"``.  By default the pure snapshot path runs
     when the kernel is not built or declines the instance (its ``sum(|y|)``
     exceeds int64); ``force_backend="compiled"`` demands the kernel and
@@ -215,9 +220,7 @@ def run_consensus(
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
         out = _run_snapshot(list(y), g, d_eff, rng, max_rounds)  # updates its copy in place
     rounds, m, alphabet = out
-    # b_q + m*delta over the common denominator, reduced by one gcd
-    bn, bd, dn, dd = q.b_q.numerator, q.b_q.denominator, q.delta.numerator, q.delta.denominator
-    return Fraction(bn * dd + m * dn * bd, bd * dd), ConsensusStats(g.n, rounds, alphabet)
+    return m, ConsensusStats(g.n, rounds, alphabet)
 
 
 def _run_snapshot(y, g, d_eff, rng, max_rounds):

@@ -22,6 +22,19 @@ exact ``Fraction`` gradient step (``gradient_step``) quantized node by node
 (``engine.init_consensus``), is the oracle both are tested against; no step
 calls it.
 
+The loop runs in grid coordinates.  ``run_consensus`` returns the level
+``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
+is passed, which stays for the benchmark's parity replay), and the state
+keeps the estimate as its level on the current grid
+(``OptimizerState.level``): ``m`` after a step without an event, 0 after a
+zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
+refine.  The masses, the repeat and saturation tests and the error metric
+read the level and the grid's integers, so a step without an event builds
+no ``Fraction``; the estimate itself (``OptimizerState.x``,
+``RunRecord.x_value``) is built only when read, and a zoom builds the point
+it re-centres on.  A fixed level's repeat leaves grid and estimate
+unchanged, so the next step sends the same masses again.
+
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
 """
@@ -34,7 +47,7 @@ from itertools import repeat
 
 from .consensus import run_consensus
 from .metrics import REFINE_WIDTH_SCHEDULE, error_metric, schedule_width
-from .quantizer import QuantizerState, zoom_in, zoom_out
+from .quantizer import QuantizerState, grid_point, zoom_in, zoom_out
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,12 @@ class RunRecord:
 
     ``delta`` and ``b_q`` are the quantizer parameters that were in force
     during this step's consensus (i.e. before any zoom event recorded in
-    the same row).
+    the same row), and ``level`` is the consensus output's level on that
+    grid.  The estimate ``x_value = b_q + level*delta`` is built when read.
     """
 
     k: int
-    x_value: Fraction
+    level: int
     error: float
     delta: Fraction
     b_q: Fraction
@@ -115,6 +129,10 @@ class RunRecord:
     mass_transmissions: int
     bits_paper_mode: int
     bits_measured_mode: int
+
+    @property
+    def x_value(self):
+        return grid_point(self.b_q, self.delta, self.level)
 
 
 @dataclass(frozen=True)
@@ -178,15 +196,18 @@ def start_masses(classes, x_init, q):
     return _masses(classes, q, d, zip(pulls, (x.numerator * (d // x.denominator) * dd for x in x_init)))
 
 
-def grid_masses(classes, x, q):
-    """Initial masses of every node from the common estimate ``x``.
+def grid_masses(classes, level, q):
+    """Initial masses of every node from the common estimate ``b_q + level*delta``.
 
-    Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)``, with one
-    floor per class.
+    Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` at that
+    estimate, with one floor per class.  With ``level = ln/ld`` the estimate
+    and ``b_q`` share the denominator ``d = bd*ld``, and ``x*d*dd`` is
+    ``bn*dd*ld + ln*dn*bd``.
     """
-    d = math.lcm(x.denominator, q.b_q.denominator)
-    a = x.numerator * (d // x.denominator) * q.delta.denominator
-    ys = _masses(classes, q, d, zip(classes.coeffs, repeat(a)))
+    ln, ld = level.numerator, level.denominator
+    bn, bd = q.b_q.numerator, q.b_q.denominator
+    a = bn * q.delta.denominator * ld + ln * q.delta.numerator * bd
+    ys = _masses(classes, q, bd * ld, zip(classes.coeffs, repeat(a)))
     return [ys[c] for c in classes.node_class]
 
 
@@ -214,9 +235,15 @@ def start_spread(x_init, x_star):
 class OptimizerState:
     x_init: tuple  # per-node starting estimates
     q: QuantizerState
-    x: Fraction | None = None  # the common estimate; None before step 1
+    level: int | Fraction | None = None  # the common estimate's level on q's grid; None before step 1
     history: list = field(default_factory=list)  # one RunRecord per step taken
     classes: CostClasses | None = None  # built at step 1 for the run's (s, alpha)
+    masses: list | None = None  # set after a fixed level's repeat: the next step's masses
+
+    @property
+    def x(self):
+        """The common estimate ``b_q + level*delta``; None before step 1."""
+        return None if self.level is None else grid_point(self.q.b_q, self.q.delta, self.level)
 
 
 def initial_state(x_init, q):
@@ -234,29 +261,26 @@ def gradient_step(x, s, alpha):
     return [xi - alpha * c.grad(xi) for xi, c in zip(x, s.costs)]
 
 
-def zoom_decide(q, x_new, x_old, policy):
+def zoom_decide(q, m_new, level_old, policy):
     """Quantizer update after a consensus step.
 
-    Fires only on an exact repeat (x_new == x_old).  The adaptive policy
-    then recenters on x_new and either coarsens (when x_new sits at or
-    beyond the saturation range ``[b_q - H*delta, b_q + H*delta)`` that was
-    in force, ``H = 2**(width-1) - 1``) or refines; the refine baseline
-    shrinks the step in place; the fixed baseline does nothing.  Returns
-    (updated quantizer, event string).
-
-    The range test cross-multiplies integers: with ``x_new = xn/xd``,
-    ``b_q = bn/bd`` and ``delta = dn/dd``, ``x_new - b_q`` compares with
-    ``+-H*delta`` as ``(xn*bd - bn*xd)*dd`` with ``+-H*dn*xd*bd`` (every
-    denominator is positive), with no gcd taken.
+    ``m_new`` is the consensus output's level on the grid ``q`` and
+    ``level_old`` the previous estimate's (None when the nodes held no
+    common estimate).  Fires only on an exact repeat (``m_new ==
+    level_old``).  The adaptive policy then recenters on ``x_new = b_q +
+    m_new*delta`` and either coarsens (when x_new sits at or beyond the
+    saturation range ``[b_q - H*delta, b_q + H*delta)`` that was in force,
+    ``H = 2**(width-1) - 1``, i.e. ``m_new >= H`` or ``m_new < -H``) or
+    refines; the refine baseline shrinks the step in place; the fixed
+    baseline does nothing.  Returns (updated quantizer, event string).
+    ``x_new`` is built only when a zoom fires.
     """
-    if x_new != x_old:
+    if m_new != level_old:
         return q, "none"
     if isinstance(policy, AdaptiveZoom):
-        xn, xd = x_new.numerator, x_new.denominator
-        bn, bd = q.b_q.numerator, q.b_q.denominator
-        gap = (xn * bd - bn * xd) * q.delta.denominator
-        rim = (2 ** (policy.quantizer_width - 1) - 1) * q.delta.numerator * xd * bd
-        if gap >= rim or gap < -rim:
+        rim = 2 ** (policy.quantizer_width - 1) - 1
+        x_new = grid_point(q.b_q, q.delta, m_new)
+        if m_new >= rim or m_new < -rim:
             return zoom_out(q, x_new, policy.c_out), "zoom_out"
         return zoom_in(q, x_new, policy.c_in), "zoom_in"
     if isinstance(policy, RefineOnly):
@@ -271,10 +295,12 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
 
     ``s`` and ``alpha`` must stay the same for all steps of one state: the
     cost-class table built at step 1 serves every later step.
-    ``error_fn`` maps the post-step common estimate to the logged error
-    (NaN when absent, e.g. in unit tests that only exercise dynamics).
+    ``error_fn(q, m)`` maps the post-step common estimate, the level ``m``
+    on the grid ``q`` of this step's consensus, to the logged error (NaN
+    when absent, e.g. in unit tests that only exercise dynamics).
     """
     pre_q = state.q
+    level_old = state.level
     # The averaging subroutine exchanges integer offsets on the (b_q, delta)
     # grid without clamping them to the quantizer's dynamic range.  Clamping
     # would collapse every out-of-range half-step to a +/- extreme, and near
@@ -282,36 +308,51 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below and the idealized per-message bit price.
-    if state.x is None:
+    if level_old is None:
         state.classes = cost_classes(s, alpha)
         y = start_masses(state.classes, state.x_init, pre_q)
+    elif state.masses is not None:
+        y = state.masses
     else:
-        y = grid_masses(state.classes, state.x, pre_q)
-    x_new, stats = run_consensus(y, pre_q, g, rng)
+        y = grid_masses(state.classes, level_old, pre_q)
+    m, stats = run_consensus(y, pre_q, g, rng)
 
-    # A repeat needs every node's previous estimate to equal x_new; before
-    # the first consensus those are the starts.
-    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
-    new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
+    if level_old is None:
+        # A repeat needs every node's previous estimate, its start, to equal
+        # the output.
+        x_new = grid_point(pre_q.b_q, pre_q.delta, m)
+        if all(x0 == x_new for x0 in state.x_init):
+            level_old = m
+    new_q, event = zoom_decide(pre_q, m, level_old, policy)
 
     k = len(state.history)
     width = policy.message_width(k)
-    state.x = x_new
     state.q = new_q
+    # The estimate's level on the new grid: a zoom re-centres the grid on
+    # it, a refine divides delta by c_refine.  A repeat without an event
+    # keeps grid and estimate, and with them the masses.
+    if event == "none":
+        state.level = m
+    elif event == "refine":
+        state.level = m * policy.c_refine
+    else:
+        state.level = 0
+    state.masses = y if event == "none" and m == level_old else None
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
-    error = float("nan") if error_fn is None else error_fn(x_new)
+    error = float("nan") if error_fn is None else error_fn(pre_q, m)
+    tx = stats.mass_transmissions
     rec = RunRecord(
         k=k + 1,
-        x_value=x_new,
+        level=m,
         error=error,
         delta=pre_q.delta,
         b_q=pre_q.b_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,
-        mass_transmissions=stats.mass_transmissions,
-        bits_paper_mode=width * stats.mass_transmissions,
-        bits_measured_mode=measured_width * stats.mass_transmissions,
+        mass_transmissions=tx,
+        bits_paper_mode=width * tx,
+        bits_measured_mode=measured_width * tx,
     )
     state.history.append(rec)
     return state, rec
@@ -335,8 +376,8 @@ def run_until(state, g, s, alpha, policy, stop, rng):
     x_star = s.global_optimum
     spread = start_spread(state.x_init, x_star)
 
-    def error_fn(x):
-        return error_metric(x, x_star, spread)
+    def error_fn(q, m):
+        return error_metric(q, m, x_star, spread)
 
     while max_steps is None or len(state.history) < max_steps:
         _, rec = step(state, g, s, alpha, policy, rng, error_fn=error_fn)

@@ -9,6 +9,8 @@ dynamic range is not part of the grid: ``optimizer.zoom_decide`` tests
 against that range itself, and the clamped ``width``-bit quantizer is the
 tests' oracle.
 
+A point of the grid is ``b_q + level*delta``; ``grid_point`` builds it from
+its level, which is how the optimizer keeps its estimate between zooms.
 ``zoom_in`` and ``zoom_out`` re-center the grid and divide or multiply its
 step by a factor the caller supplies; the zoom policy that fires them owns
 the factors and the width.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["QuantizerState", "quantize", "zoom_in", "zoom_out"]
+__all__ = ["QuantizerState", "grid_point", "quantize", "zoom_in", "zoom_out"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,18 @@ class QuantizerState:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+
+
+def grid_point(b_q: Fraction, delta: Fraction, level) -> Fraction:
+    """The point ``b_q + level*delta`` for a rational (int or Fraction) level.
+
+    Built over the common denominator of its three terms and reduced by the
+    one gcd of the ``Fraction`` constructor.
+    """
+    ln, ld = level.numerator, level.denominator
+    bn, bd = b_q.numerator, b_q.denominator
+    dn, dd = delta.numerator, delta.denominator
+    return Fraction(bn * dd * ld + ln * dn * bd, bd * dd * ld)
 
 
 def quantize(q: QuantizerState, xi: Fraction) -> Fraction:

@@ -190,11 +190,12 @@ def write_history_csv(path, history):
     with f:
         w.writerow(HISTORY_COLUMNS)
         for r in history:
+            x = r.x_value
             w.writerow(
                 [
                     r.k,
-                    str(r.x_value),
-                    repr(float(r.x_value)),
+                    str(x),
+                    repr(float(x)),
                     repr(r.error),
                     str(r.delta),
                     repr(float(r.delta)),

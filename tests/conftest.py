@@ -12,16 +12,18 @@ not an in-place build is present.
 
 ``flood_consensus`` is the per-round flood, the protocol as specified: the
 oracle that the engine's epoch-snapshot path and the kernel are checked
-against.
+against.  It returns the common grid point, as ``consensus_point`` does for
+``run_consensus``, which returns only the point's level.
 
 The per-node oracles below are the product's former exact-``Fraction``
-paths, which its integer and distinct-value paths are checked against:
-``per_node_step`` (one outer step from ``optimizer.gradient_step`` and
-``engine.init_consensus``), ``per_node_spread``, ``per_node_optimum`` and
-``per_draw_x_init``.  ``fraction_error_metric`` and
-``saturation_half_range`` are the ``Fraction`` forms of the error metric
-and of the zoom rule's range, which ``metrics.error_metric`` and
-``optimizer.zoom_decide`` evaluate by cross-multiplying integers.
+paths, which its integer, grid-level and distinct-value paths are checked
+against: ``per_node_step`` (one outer step from ``optimizer.gradient_step``
+and ``engine.init_consensus``, with the estimate kept as a ``Fraction``),
+``per_node_spread``, ``per_node_optimum`` and ``per_draw_x_init``.
+``fraction_error_metric``, ``saturation_half_range`` and
+``fraction_zoom_decide`` are the ``Fraction`` forms of the error metric, of
+the zoom rule's range and of the zoom rule, which ``metrics.error_metric``
+and ``optimizer.zoom_decide`` evaluate on grid levels.
 ``clamped_quantize`` (with its ``level_index``) is the width-bit quantizer
 that saturates at the ends of that range: ``quantizer.quantize`` is its
 unclamped form, and the product never clamps.
@@ -53,7 +55,8 @@ from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 from zoomgrad.consensus.engine import init_consensus
-from zoomgrad.optimizer import RunRecord, gradient_step, zoom_decide
+from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, gradient_step
+from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
 from zoomgrad.rng import PCG32, STREAM_XINIT
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -191,26 +194,63 @@ def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
     raise ConsensusCapError(max_rounds)
 
 
+def consensus_point(y, q, g, rng, **kwargs):
+    """``run_consensus`` with its level ``m`` mapped to the grid point ``b_q + m*delta``."""
+    m, stats = run_consensus(y, q, g, rng, **kwargs)
+    return q.b_q + m * q.delta, stats
+
+
+def fraction_zoom_decide(q, x_new, x_old, policy):
+    """``optimizer.zoom_decide`` on the estimates themselves.
+
+    Fires on ``x_new == x_old``; the adaptive range test cross-multiplies
+    the integers of ``x_new``, ``b_q`` and ``delta``: with ``x_new = xn/xd``,
+    ``b_q = bn/bd`` and ``delta = dn/dd``, ``x_new - b_q`` compares with
+    ``+-H*delta`` as ``(xn*bd - bn*xd)*dd`` with ``+-H*dn*xd*bd``.
+    """
+    if x_new != x_old:
+        return q, "none"
+    if isinstance(policy, AdaptiveZoom):
+        xn, xd = x_new.numerator, x_new.denominator
+        bn, bd = q.b_q.numerator, q.b_q.denominator
+        gap = (xn * bd - bn * xd) * q.delta.denominator
+        rim = (2 ** (policy.quantizer_width - 1) - 1) * q.delta.numerator * xd * bd
+        if gap >= rim or gap < -rim:
+            return zoom_out(q, x_new, policy.c_out), "zoom_out"
+        return zoom_in(q, x_new, policy.c_in), "zoom_in"
+    if isinstance(policy, RefineOnly):
+        return QuantizerState(q.b_q, q.delta / policy.c_refine), "refine"
+    if isinstance(policy, FixedLevel):
+        return q, "none"
+    raise TypeError("unknown zoom policy %r" % (policy,))
+
+
 def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     """``optimizer.step`` on the per-node path: the oracle.
 
     Every node takes its own exact gradient step from the estimate it holds
     and quantizes it on the unsaturated grid, at every step, step 1
-    included.
+    included, and the zoom rule compares estimates.  The oracle keeps its
+    estimate as a ``Fraction`` in ``state.oracle_x`` and derives the levels
+    the product keeps from it: the record's on the step's grid, the state's
+    on the next one.
     """
     pre_q = state.q
-    xs = state.x_init if state.x is None else [state.x] * len(state.x_init)
-    x_new, stats = run_consensus(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
-    x_old = x_new if state.x is None and all(x0 == x_new for x0 in state.x_init) else state.x
-    new_q, event = zoom_decide(pre_q, x_new, x_old, policy)
+    x_prev = getattr(state, "oracle_x", None)
+    xs = state.x_init if x_prev is None else [x_prev] * len(state.x_init)
+    x_new, stats = consensus_point(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
+    x_old = x_new if x_prev is None and all(x0 == x_new for x0 in state.x_init) else x_prev
+    new_q, event = fraction_zoom_decide(pre_q, x_new, x_old, policy)
+    level = (x_new - pre_q.b_q) / pre_q.delta
+    assert level.denominator == 1, "consensus output off the grid"
     k = len(state.history)
     width = policy.message_width(k)
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
     rec = RunRecord(
         k=k + 1,
-        x_value=x_new,
-        error=float("nan") if error_fn is None else error_fn(x_new),
+        level=level.numerator,
+        error=float("nan") if error_fn is None else error_fn(pre_q, level.numerator),
         delta=pre_q.delta,
         b_q=pre_q.b_q,
         zoom_event=event,
@@ -219,7 +259,8 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
         bits_paper_mode=width * stats.mass_transmissions,
         bits_measured_mode=measured_width * stats.mass_transmissions,
     )
-    state.x, state.q = x_new, new_q
+    state.oracle_x, state.q = x_new, new_q
+    state.level = (x_new - new_q.b_q) / new_q.delta
     state.history.append(rec)
     return state, rec
 

@@ -189,6 +189,17 @@ def test_malformed_stop_block_with_a_stop_flag_exits_1(tmp_path, capsys):
     assert "invalid config - stop: expected an object" in capsys.readouterr().err
 
 
+def test_fixed_level_without_a_step_bound_exits_1_and_writes_nothing(tmp_path, capsys):
+    # An error target alone never stops a fixed level, whose error has a floor.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"policy": {"variant": "fixed_level"}, "delta0": "1/10", "stop": {"target_error": 1e-9}}))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: invalid config - stop.max_steps: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0:2"]])
 def test_fixed_level_without_standard_width_exits_1(command, tmp_path, capsys):
     out = tmp_path / "out"

@@ -130,6 +130,8 @@ def test_parse_rational_rejects(bad):
         ({"accounting": {"mode": "measured", "b_pm": 3}}, "accounting.b_pm"),
         ({"policy": {"variant": "refine_only", "quantizer_width": 0}}, "policy.quantizer_width"),
         ({"policy": {"variant": "refine_only", "quantizer_width": 3}}, "policy.quantizer_width"),
+        # a fixed level's error has a floor: an error target alone never stops it
+        ({"policy": {"variant": "fixed_level"}, "delta0": F(1, 10), "stop": {"target_error": 1e-9}}, "stop.max_steps"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

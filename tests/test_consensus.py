@@ -18,7 +18,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CC, bidirectional_pair, build_kernel, clamped_quantize, complete, flood_consensus, ring
+from conftest import (
+    CC,
+    bidirectional_pair,
+    build_kernel,
+    clamped_quantize,
+    complete,
+    consensus_point,
+    flood_consensus,
+    ring,
+)
 from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
@@ -29,7 +38,7 @@ from zoomgrad.consensus.engine import (
     sample_out_target,
 )
 from zoomgrad.graph import Digraph, generate_random_digraph
-from zoomgrad.quantizer import QuantizerState, quantize
+from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
 Q_HALF = QuantizerState(b_q=F(0), delta=F(1, 2))
@@ -140,7 +149,7 @@ def test_all_equal_inputs_trace():
 
 
 def test_all_equal_on_complete_graph():
-    result, _ = run_consensus(
+    result, _ = consensus_point(
         init_consensus([F(1, 4)] * 5, Q_HALF), Q_HALF, complete(5), PCG32(2, STREAM_PROTOCOL)
     )
     assert result == F(0)
@@ -154,7 +163,7 @@ def test_three_node_split_outcomes():
     seen = set()
     for seed in range(40):
         for g in (ring(3), complete(3)):
-            out, _ = run_consensus(init_consensus(x, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
+            out, _ = consensus_point(init_consensus(x, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
             assert abs(out - F(3, 4)) <= F(1, 2)
             assert out in (F(1, 2), F(1))
             seen.add(out)
@@ -232,7 +241,7 @@ def test_consensus_property_randomized(n, seed, data):
             max_size=n,
         )
     )
-    result, stats = run_consensus(masses(xs, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
+    result, stats = consensus_point(masses(xs, Q_HALF), Q_HALF, g, PCG32(seed, STREAM_PROTOCOL))
     assert abs(result - oracle_mean(xs, Q_HALF)) <= Q_HALF.delta
     assert stats.mass_transmissions >= 0
 
@@ -267,7 +276,7 @@ def test_non_grid_basis_instance():
     q = QuantizerState(b_q=F(573, 256), delta=F(27, 64))
     g = generate_random_digraph(6, F(1, 2), 11)
     x = [F(573, 256) + F(k, 8) for k in (-9, -2, 0, 3, 5, 12)]
-    result, _ = run_consensus(init_consensus(x, q), q, g, PCG32(11, STREAM_PROTOCOL))
+    result, _ = consensus_point(init_consensus(x, q), q, g, PCG32(11, STREAM_PROTOCOL))
     assert ((result - q.b_q) / q.delta).denominator == 1
     assert abs(result - oracle_mean(x, q, None)) <= q.delta
 
@@ -278,8 +287,8 @@ def test_non_grid_basis_instance():
 def test_identical_runs_identical_outcomes():
     g, x, _ = random_instance(7, 12)
     y = masses(x, Q_HALF)
-    a = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
-    b = run_consensus(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
+    a = consensus_point(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
+    b = consensus_point(y, Q_HALF, g, PCG32(7, STREAM_PROTOCOL))
     assert y == masses(x, Q_HALF)  # the caller's masses are never modified
     assert a[0] == b[0]
     assert a[1].rounds == b[1].rounds
@@ -357,7 +366,7 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     def run(max_rounds=ROUND_CAP, backend="pure"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_kernel", built_kernel)
-            return outcome(run_consensus, y, q, g, seed, max_rounds, force_backend=backend)
+            return outcome(consensus_point, y, q, g, seed, max_rounds, force_backend=backend)
 
     snap = run()
     assert snap == flood()
@@ -380,9 +389,9 @@ def kernel_run(kernel, y, g, seed, max_rounds=ROUND_CAP):
 def assert_same_run(y, g, seed, max_rounds=ROUND_CAP):
     """The default path stops within ``max_rounds`` and agrees with
     force_backend="pure" on everything observable."""
-    auto = outcome(run_consensus, y, Q_HALF, g, seed, max_rounds)
+    auto = outcome(consensus_point, y, Q_HALF, g, seed, max_rounds)
     assert auto[0] != "cap"
-    assert auto == outcome(run_consensus, y, Q_HALF, g, seed, max_rounds, force_backend="pure")
+    assert auto == outcome(consensus_point, y, Q_HALF, g, seed, max_rounds, force_backend="pure")
 
 
 @pytest.mark.parametrize("n", [3, 5, 10, 20])
@@ -393,8 +402,8 @@ def test_backend_parity(kernel, n):
     for seed in range(6):
         g, x, _ = random_instance(seed, n)
         y = masses(x, Q_HALF)
-        assert outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure") == outcome(
-            run_consensus, y, Q_HALF, g, seed, force_backend="compiled"
+        assert outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure") == outcome(
+            consensus_point, y, Q_HALF, g, seed, force_backend="compiled"
         )
 
 
@@ -474,12 +483,12 @@ def test_kernel_alphabet_survives_table_growth(kernel):
     # count and the RNG state equal the pure path's.
     g = generate_random_digraph(40, F(1, 5), 0)
     y = spread_masses(g.n, 2, 10**9)
-    _, stats = run_consensus(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
+    _, stats = consensus_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
     packed = stats.measured_alphabet
     assert type(packed) is memoryview and packed.format == "q" and packed.itemsize == 8
     assert len(packed) > 1000 and len(set(packed)) == len(packed)
-    compiled = outcome(run_consensus, y, Q_HALF, g, 0, force_backend="compiled")
-    assert compiled == outcome(run_consensus, y, Q_HALF, g, 0, force_backend="pure")
+    compiled = outcome(consensus_point, y, Q_HALF, g, 0, force_backend="compiled")
+    assert compiled == outcome(consensus_point, y, Q_HALF, g, 0, force_backend="pure")
     assert compiled[3] == set(packed)
 
 
@@ -494,8 +503,8 @@ def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
     runs = [(large, 0), (spread_masses(g.n, 5, 3), 1), ([1] * g.n, 2), (spread_masses(g.n, 6, 40), 3), (large, 0)]
     sizes = []
     for y, seed in runs:
-        compiled = outcome(run_consensus, y, Q_HALF, g, seed, force_backend="compiled")
-        assert compiled == outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure")
+        compiled = outcome(consensus_point, y, Q_HALF, g, seed, force_backend="compiled")
+        assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
         sizes.append(len(compiled[3]))
     assert g.kernel_handle(kernel) is handle
     assert sizes[0] == sizes[-1] > 1000 and max(sizes[1:-1]) < 100
@@ -586,8 +595,8 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
     g, y = instance
     with pytest.MonkeyPatch.context() as mp:  # "compiled" raises if the kernel declines
         mp.setattr(engine, "_kernel", built_kernel)
-        compiled = outcome(run_consensus, y, Q_HALF, g, seed, force_backend="compiled")
-    assert compiled == outcome(run_consensus, y, Q_HALF, g, seed, force_backend="pure")
+        compiled = outcome(consensus_point, y, Q_HALF, g, seed, force_backend="compiled")
+    assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
 
 
 def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
@@ -603,7 +612,7 @@ def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
     for backend in ("pure", "compiled"):
         rng = PCG32(0)
         rng.setstate((0, 1))
-        res, stats = run_consensus([5, -3, 1], Q_HALF, complete(3), rng, force_backend=backend)
+        res, stats = consensus_point([5, -3, 1], Q_HALF, complete(3), rng, force_backend=backend)
         runs.append((res, stats.rounds, set(stats.measured_alphabet), rng.getstate()))
     assert runs[0] == runs[1]
 
@@ -623,20 +632,22 @@ def wide_fractions(numerators):
     st.data(),
 )
 def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delta, offset, seed, data):
-    # run_consensus builds b_q + m*delta from the integers of b_q and delta;
-    # on a non-grid basis with wide denominators, for m of either sign, that
-    # must be the Fraction expression, on both backends.
+    # run_consensus returns the common floor m on both backends, and
+    # grid_point builds b_q + m*delta from the integers of b_q and delta: on
+    # a non-grid basis with wide denominators, for m of either sign, that
+    # must be the Fraction expression.
     q = QuantizerState(b_q=b_q, delta=delta)
     y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
     d_eff = effective_epoch(g.diameter)
     _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL), ROUND_CAP)
     expected = q.b_q + m * q.delta
-    assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == expected
+    assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == m
+    assert grid_point(q.b_q, q.delta, m) == expected
     if built_kernel is not None:
         assert kernel_run(built_kernel, y, g, seed)[2] == m
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_kernel", built_kernel)
-            assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="compiled")[0] == expected
+            assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="compiled")[0] == m
 
 
 def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
@@ -645,12 +656,12 @@ def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
     g = Digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 0), (1, 4)])
     assert g._kernel_handle is None
     y = masses([F(k, 3) for k in (-4, 1, 7, 2, -1, 5)], Q_HALF)
-    compiled = outcome(run_consensus, y, Q_HALF, g, 7, force_backend="compiled")
+    compiled = outcome(consensus_point, y, Q_HALF, g, 7, force_backend="compiled")
     handle = g.kernel_handle(kernel)
     assert g._kernel_handle == (kernel, handle)
-    assert outcome(run_consensus, y, Q_HALF, g, 7, force_backend="compiled") == compiled
+    assert outcome(consensus_point, y, Q_HALF, g, 7, force_backend="compiled") == compiled
     assert g.kernel_handle(kernel) is handle
-    assert compiled == outcome(run_consensus, y, Q_HALF, g, 7, force_backend="pure")
+    assert compiled == outcome(consensus_point, y, Q_HALF, g, 7, force_backend="pure")
 
 
 def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
@@ -719,13 +730,13 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
 def test_force_backend_validation():
     g, x, rng = random_instance(1, 3)
     with pytest.raises(ValueError, match="unknown backend"):
-        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
+        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
 
 
 def test_force_compiled_without_kernel_errors(no_kernel):
     g, x, rng = random_instance(1, 3)
     with pytest.raises(RuntimeError, match="not available"):
-        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
+        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
 
 
 def test_force_compiled_refuses_a_declined_instance(kernel):
@@ -734,7 +745,7 @@ def test_force_compiled_refuses_a_declined_instance(kernel):
     y = [2**63 - 1] * 4
     g = complete(4)
     with pytest.raises(RuntimeError, match="declined"):
-        run_consensus(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
+        consensus_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
     assert_same_run(y, g, 0)
 
 
@@ -749,7 +760,7 @@ def test_round_cap_raises(backend, request):
         request.getfixturevalue("kernel")
     g, x, rng = random_instance(2, 5)
     with pytest.raises(ConsensusCapError) as exc:
-        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
+        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
     assert exc.value.rounds == 1
     assert "1 rounds" in str(exc.value)
 

@@ -61,8 +61,14 @@ def per_node_error(x, x_init, x_star):
     return math.sqrt(float(total))
 
 
+def error_at(x, x_star, spread, m=3, delta=F(1, 7)):
+    """``error_metric`` at the estimate ``x``, given as level ``m`` on a grid
+    whose basis lies ``m`` steps below ``x``."""
+    return error_metric(QuantizerState(x - m * delta, delta), m, x_star, spread)
+
+
 def test_error_zero_at_optimum():
-    assert error_metric(F(3), F(3), per_node_spread([F(1), F(5)], F(3))) == 0.0
+    assert error_at(F(3), F(3), per_node_spread([F(1), F(5)], F(3))) == 0.0
     assert per_node_error([F(3), F(3)], [F(1), F(5)], F(3)) == 0.0
 
 
@@ -73,12 +79,12 @@ def test_error_is_sqrt_n_at_start():
     x20 = [F(k % 4 + 1) for k in range(20)]
     assert per_node_error(x20, x20, F(-7)) == pytest.approx(4.4721, abs=5e-5)
     # so does a common estimate as far from x* as every start
-    assert error_metric(F(1), F(3), per_node_spread([F(1), F(5), F(5), F(1)], F(3))) == math.sqrt(4)
-    assert error_metric(F(1), F(-7), per_node_spread([F(1), F(-15)] * 10, F(-7))) == pytest.approx(4.4721, abs=5e-5)
+    assert error_at(F(1), F(3), per_node_spread([F(1), F(5), F(5), F(1)], F(3))) == math.sqrt(4)
+    assert error_at(F(1), F(-7), per_node_spread([F(1), F(-15)] * 10, F(-7))) == pytest.approx(4.4721, abs=5e-5)
 
 
 def test_error_hand_example():
-    got = error_metric(F(1, 2), F(1), per_node_spread([F(0), F(2)], F(1)))
+    got = error_at(F(1, 2), F(1), per_node_spread([F(0), F(2)], F(1)))
     assert got == math.sqrt(0.5)  # sqrt(1/4 + 1/4)
     assert per_node_error([F(1, 2), F(3, 2)], [F(0), F(2)], F(1)) == math.sqrt(0.5)
 
@@ -98,8 +104,8 @@ def test_error_rejects_degenerate_start():
 
 def test_error_normalizes_per_node():
     # a node that starts close to the optimum dominates the metric
-    loose = error_metric(F(1, 10), F(0), per_node_spread([F(1), F(1)], F(0)))
-    tight = error_metric(F(1, 10), F(0), per_node_spread([F(1), F(1, 5)], F(0)))
+    loose = error_at(F(1, 10), F(0), per_node_spread([F(1), F(1)], F(0)))
+    tight = error_at(F(1, 10), F(0), per_node_spread([F(1), F(1, 5)], F(0)))
     assert tight > loose
 
 
@@ -111,7 +117,7 @@ RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
 def test_error_metric_matches_per_node_oracle(x_init, x, x_star):
     # (x - x*)^2 * S is the per-node sum's rational, so the floats are equal
     assume(all(x0 != x_star for x0 in x_init))
-    got = error_metric(x, x_star, per_node_spread(x_init, x_star))
+    got = error_at(x, x_star, per_node_spread(x_init, x_star))
     assert got == per_node_error([x] * len(x_init), x_init, x_star)
 
 
@@ -129,23 +135,30 @@ MAGNITUDE = st.fractions(min_value=1, max_value=2, max_denominator=10**6)
 WIDE = scaled(MAGNITUDE, st.integers(-200, 200))  # 2**-200 .. 2**201 in size
 
 
+LEVELS = st.one_of(st.integers(-300, 300), st.integers(-(2**70), 2**70))
+
+
 @settings(max_examples=500, deadline=None)
-@given(WIDE, WIDE, st.booleans(), scaled(MAGNITUDE, st.integers(-700, 700)).map(abs))
-@example(F(2) ** 200, F(-(2**200)), False, F(2) ** 700)  # (x - x*)^2 * S ~ 2**1102: beyond a float
-@example(F(3, 7), F(3, 7), True, F(5, 11))
-def test_error_metric_matches_the_fraction_formula(x, x_star, at_optimum, spread):
-    # error_metric divides integers it never reduces; the Fraction formula
-    # reduces first.  Both round the same rational once, so the floats agree
-    # bit for bit, from underflow to 0.0 up to the OverflowError both raise.
+@given(WIDE, WIDE.map(abs), LEVELS, WIDE, st.booleans(), scaled(MAGNITUDE, st.integers(-700, 700)).map(abs))
+@example(F(2) ** 200, F(1), 0, F(-(2**200)), False, F(2) ** 700)  # (x - x*)^2 * S ~ 2**1102: beyond a float
+@example(F(3, 7), F(1, 2), 0, F(3, 7), True, F(5, 11))
+def test_error_metric_matches_the_fraction_formula(b_q, delta, m, x_star, at_optimum, spread):
+    # error_metric reads the estimate x = b_q + m*delta as its grid's
+    # integers and divides integers it never reduces; the Fraction formula
+    # builds x and reduces first.  Both round the same rational once, so
+    # the floats agree bit for bit, from underflow to 0.0 up to the
+    # OverflowError both raise.
+    x = b_q + m * delta
     if at_optimum:
-        x = x_star
+        x_star = x
+    q = QuantizerState(b_q, delta)
     try:
         want = fraction_error_metric(x, x_star, spread)
     except OverflowError:
         with pytest.raises(OverflowError):
-            error_metric(x, x_star, spread)
+            error_metric(q, m, x_star, spread)
         return
-    assert error_metric(x, x_star, spread).hex() == want.hex()
+    assert error_metric(q, m, x_star, spread).hex() == want.hex()
     if at_optimum:
         assert want == 0.0
 
@@ -211,7 +224,8 @@ def test_envelope_warns_outside_admissible_range():
 
 
 def rec(k, x, delta):
-    return RunRecord(k, x, 0.0, delta, F(0), "none", 1, 1, 3, 3)
+    # the estimate x as level 0 on a grid based at x
+    return RunRecord(k, 0, 0.0, delta, x, "none", 1, 1, 3, 3)
 
 
 def test_envelope_from_history_anchoring():

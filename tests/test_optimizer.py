@@ -9,7 +9,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bidirectional_pair, per_node_spread, per_node_step, saturation_half_range
+from conftest import (
+    bidirectional_pair,
+    consensus_point,
+    fraction_zoom_decide,
+    per_node_spread,
+    per_node_step,
+    saturation_half_range,
+)
 from zoomgrad import optimizer
 from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import init_consensus
@@ -63,60 +70,62 @@ def test_gradient_step_zero_alpha():
 
 
 # --- zoom decisions ---------------------------------------------------------
+# zoom_decide reads levels on the grid Q0 (b_q = 0, delta = 1/2): level m is
+# the point m/2, and the 3-bit range [-3, 3) of levels is [-3/2, 3/2).
 
 
 def test_no_event_without_repeat():
-    q, event = zoom_decide(Q0, F(7, 4), F(1), AdaptiveZoom())
+    q, event = zoom_decide(Q0, 3, 2, AdaptiveZoom())
     assert event == "none"
     assert q == Q0
 
 
 def test_adaptive_out_of_range_zooms_out():
-    q, event = zoom_decide(Q0, F(2), F(2), AdaptiveZoom())
+    q, event = zoom_decide(Q0, 4, 4, AdaptiveZoom())  # x = 2
     assert event == "zoom_out"
     assert q == QuantizerState(F(2), F(1))
 
 
 def test_adaptive_in_range_zooms_in():
-    q, event = zoom_decide(Q0, F(1), F(1), AdaptiveZoom())
+    q, event = zoom_decide(Q0, 2, 2, AdaptiveZoom())  # x = 1
     assert event == "zoom_in"
     assert q == QuantizerState(F(1), F(3, 8))
 
 
 def test_adaptive_range_boundaries():
     # dynamic range is [b_q - 3d, b_q + 3d): the upper edge saturates, the
-    # lower edge is still inside
-    hi, event = zoom_decide(Q0, F(3, 2), F(3, 2), AdaptiveZoom())
+    # lower edge is still inside, the level below it is out
+    hi, event = zoom_decide(Q0, 3, 3, AdaptiveZoom())
     assert event == "zoom_out"
     assert hi.delta == F(1)
-    lo, event = zoom_decide(Q0, F(-3, 2), F(-3, 2), AdaptiveZoom())
+    lo, event = zoom_decide(Q0, -3, -3, AdaptiveZoom())
     assert event == "zoom_in"
-    below, event = zoom_decide(Q0, F(-8, 5), F(-8, 5), AdaptiveZoom())
+    below, event = zoom_decide(Q0, -4, -4, AdaptiveZoom())
     assert event == "zoom_out"
-    assert below.b_q == F(-8, 5)
+    assert below.b_q == F(-2)
 
 
 def test_refine_only_shrinks_in_place():
-    q, event = zoom_decide(Q0, F(1), F(1), RefineOnly())
+    q, event = zoom_decide(Q0, 2, 2, RefineOnly())
     assert event == "refine"
     assert q.delta == F(1, 20)
     assert q.b_q == Q0.b_q  # basis never moves
 
 
 def test_fixed_level_never_changes():
-    q, event = zoom_decide(Q0, F(1), F(1), FixedLevel(b_pm=7))
+    q, event = zoom_decide(Q0, 2, 2, FixedLevel(b_pm=7))
     assert event == "none"
     assert q == Q0
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(TypeError):
-        zoom_decide(Q0, F(1), F(1), object())
+        zoom_decide(Q0, 2, 2, object())
 
 
-# Where x_new sits against the width-bit range [b_q - H*delta, b_q + H*delta):
-# on either rim, a hair inside or outside it, or anywhere.
-RIM_OFFSETS = {"upper": (1, 0), "upper-": (1, -1), "lower": (-1, 0), "lower-": (-1, -1)}
+# Where the level sits against the width-bit range [-H, H) of levels: on
+# either rim, one level under it, or anywhere.
+RIM_LEVELS = {"upper": (1, 0), "upper-": (1, -1), "lower": (-1, 0), "lower-": (-1, -1)}
 
 
 @settings(max_examples=400, deadline=None)
@@ -124,26 +133,31 @@ RIM_OFFSETS = {"upper": (1, 0), "upper-": (1, -1), "lower": (-1, 0), "lower-": (
     st.fractions(min_value=-50, max_value=50, max_denominator=997),  # negative and non-grid bases
     st.fractions(min_value=F(1, 997), max_value=20, max_denominator=997),
     st.integers(min_value=1, max_value=8),
-    st.sampled_from(sorted(RIM_OFFSETS) + ["free"]),
-    st.fractions(min_value=-3000, max_value=3000, max_denominator=1009),
+    st.sampled_from(sorted(RIM_LEVELS) + ["free"]),
+    st.one_of(st.integers(min_value=-300, max_value=300), st.integers(min_value=-(10**6), max_value=10**6)),
     st.sampled_from([(F(4, 3), F(2)), (F(3, 2), F(5, 2)), (F(7), F(10, 9))]),
 )
-def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, x_free, factors):
-    # zoom_decide cross-multiplies integers; the rule it replaces compares
-    # Fractions against saturation_half_range.  Same event, same next grid.
+def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free, factors):
+    # zoom_decide compares integer levels; the rule it replaces compares
+    # the estimates, as Fractions against saturation_half_range and as the
+    # cross-multiplied integers of fraction_zoom_decide.  Same event, same
+    # next grid, and no event when the previous level differs.
     q = QuantizerState(b_q, delta)
     half = saturation_half_range(q, width)
     if where == "free":
-        x_new = x_free
+        m = m_free
     else:
-        side, nudge = RIM_OFFSETS[where]
-        x_new = b_q + side * half + nudge * delta / 1013
+        side, nudge = RIM_LEVELS[where]
+        m = int(side * half / delta) + nudge
+    x_new = b_q + m * delta
     policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
     if x_new >= q.b_q + half or x_new < q.b_q - half:
         expected = zoom_out(q, x_new, policy.c_out), "zoom_out"
     else:
         expected = zoom_in(q, x_new, policy.c_in), "zoom_in"
-    assert zoom_decide(q, x_new, x_new, policy) == expected
+    assert fraction_zoom_decide(q, x_new, x_new, policy) == expected
+    assert zoom_decide(q, m, m, policy) == expected
+    assert zoom_decide(q, m, m + 1, policy) == fraction_zoom_decide(q, x_new, x_new + delta, policy) == (q, "none")
     if where in ("upper", "lower-"):
         assert expected[1] == "zoom_out"  # the upper rim saturates, below the lower rim too
     if where in ("lower", "upper-") and width > 1:
@@ -203,7 +217,7 @@ def test_step_counts_and_bits():
     state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
-    result, stats = run_consensus(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
+    result, stats = consensus_point(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
     assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
     assert rec.mass_transmissions == stats.mass_transmissions
@@ -289,7 +303,7 @@ def test_per_node_quantizer_copies_stay_identical():
         x_prev = state.x_init if state.x is None else [state.x] * 5
         state, rec = step(state, g, s, ALPHA, policy, rng)
         per_node = [
-            zoom_decide(q, rec.x_value, x_prev[i], policy)[0]
+            zoom_decide(q, (rec.x_value - q.b_q) / q.delta, (x_prev[i] - q.b_q) / q.delta, policy)[0]
             for i, q in enumerate(per_node)
         ]
         assert all(q == state.q for q in per_node)
@@ -398,7 +412,7 @@ def test_grid_masses_match_the_per_node_path(data):
     # The masses come from one integer floor per cost class; the oracle is
     # n exact gradient steps, each quantized on the unsaturated grid.  x and
     # b_q are drawn independently, so x - b_q need not be a whole number of
-    # steps.
+    # steps: the level (x - b_q)/delta is any rational, as after a refine.
     n = data.draw(st.integers(min_value=1, max_value=40))
     s = draw_suite(data, n)
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
@@ -408,7 +422,7 @@ def test_grid_masses_match_the_per_node_path(data):
         delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
     )
     want = init_consensus(gradient_step([x] * n, s, alpha), q)
-    assert grid_masses(cost_classes(s, alpha), x, q) == want
+    assert grid_masses(cost_classes(s, alpha), (x - q.b_q) / q.delta, q) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,12 +512,41 @@ def run_instances(draw):
     return g, s, x_init, q, alpha, policy, draw(st.integers(0, 2**32 - 1))
 
 
+def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
+    """One ``run_until`` with ``optimizer.step`` replaced by ``step_fn``.
+
+    Returns the history, the final quantizer, the RNG state and, after
+    every step, the state's level and its estimate twice: for the product
+    ``state.x`` and ``rec.x_value``, for the oracle the ``Fraction`` it
+    keeps.  The oracle's error spread is the per-node sum.
+    """
+    estimates = []
+
+    def recorded(state, *args, **kwargs):
+        state, rec = step_fn(state, *args, **kwargs)
+        if step_fn is per_node_step:
+            estimates.append((state.level, state.oracle_x, state.oracle_x))
+        else:
+            estimates.append((state.level, state.x, rec.x_value))
+        return state, rec
+
+    state = initial_state(x_init, q)
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "step", recorded)
+        if step_fn is per_node_step:
+            mp.setattr(optimizer, "start_spread", per_node_spread)
+        run_until(state, g, s, alpha, policy, stop, rng)
+    return state.history, state.q, rng.getstate(), estimates
+
+
 @pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
 def test_runs_match_the_per_node_oracle(backend, request):
-    # Every RunRecord (estimate, error, quantizer, event, rounds, bits), the
+    # Every RunRecord (level, error, quantizer, event, rounds, bits), the
     # final quantizer and the RNG position equal the per-node path's, step 1
     # and the error's spread included, for all three policies, widths 3 and
-    # 5 and a non-integer refine factor.
+    # 5 and a non-integer refine factor; after every step the state's level,
+    # state.x and the record's x_value equal the oracle's Fraction estimate.
     request.getfixturevalue(backend)
 
     @settings(max_examples=40, deadline=None)
@@ -512,20 +555,77 @@ def test_runs_match_the_per_node_oracle(backend, request):
         g, s, x_init, q, alpha, policy, seed = instance
         if s.global_optimum in x_init:
             return  # run_until rejects a start at the optimum
-
-        def run():
-            state = initial_state(x_init, q)
-            rng = PCG32(seed, STREAM_PROTOCOL)
-            run_until(state, g, s, alpha, policy, {"max_steps": 15, "target_error": 1e-9}, rng)
-            return state.history, state.q, rng.getstate()
-
-        got = run()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "step", per_node_step)
-            mp.setattr(optimizer, "start_spread", per_node_spread)
-            assert run() == got
+        args = (g, s, x_init, q, alpha, policy, seed, {"max_steps": 15, "target_error": 1e-9})
+        assert oracle_run(step, *args) == oracle_run(per_node_step, *args)
 
     check()
+
+
+def test_a_refine_by_five_halves_leaves_a_half_level_and_matches_the_oracle():
+    # A refine by c_refine = 5/2 turns the level m into 5m/2, a half level
+    # on the finer grid when m is odd; the next step's masses, repeat test
+    # and error read it as a numerator/denominator pair.
+    state, g, s = until_instance()
+    args = (g, s, state.x_init, state.q, ALPHA, RefineOnly(c_refine=F(5, 2)), 1, {"max_steps": 15})
+    got = oracle_run(step, *args)
+    assert got == oracle_run(per_node_step, *args)
+    history, levels = got[0], [level for level, _, _ in got[3]]
+    assert [r.zoom_event for r in history].count("refine") == 5
+    assert levels[1] == F(15, 2) and levels[2] == 7  # 3 on the step-1 grid, then a repeat
+    assert sum(1 for level in levels if F(level).denominator != 1) == 4
+
+
+def fraction_constructions(monkeypatch):
+    """A list that gains one entry per ``Fraction`` built from here on."""
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    if "_from_coprime_ints" in vars(F):  # Python >= 3.12 builds arithmetic results here
+        from_coprime = F._from_coprime_ints.__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return from_coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
+@pytest.mark.parametrize("policy", [FixedLevel(b_pm=7), AdaptiveZoom(), RefineOnly(c_refine=F(5, 2))])
+def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
+    # Between zooms the estimate is a grid level: after step 1, a step whose
+    # event is none (every step of a fixed level, its absorbing repeats
+    # included) builds no Fraction, error metric included.  A record's
+    # x_value and the state's x are built only when read.
+    g = generate_random_digraph(5, F(1, 2), 3)
+    s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
+    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], QuantizerState(b_q=F(0), delta=F(1, 10)))
+    built = fraction_constructions(monkeypatch)
+    per_step = []
+    real_step = optimizer.step
+
+    def counted(*args, **kwargs):
+        before = len(built)
+        out = real_step(*args, **kwargs)
+        per_step.append((out[1].zoom_event, len(built) - before))
+        return out
+
+    monkeypatch.setattr(optimizer, "step", counted)
+    run_until(state, g, s, ALPHA, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
+    quiet = [count for event, count in per_step[1:] if event == "none"]
+    assert len(quiet) >= 10
+    assert quiet == [0] * len(quiet)
+    if isinstance(policy, FixedLevel):
+        assert state.masses is not None  # the absorbing repeat sends its masses again
+    before = len(built)
+    x = state.history[-1].x_value
+    assert len(built) > before
+    assert x == state.x == state.history[-1].b_q + state.history[-1].level * state.history[-1].delta
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
