@@ -1,8 +1,10 @@
-/* The simulator's three hot loops in C: the epoch-snapshot consensus
+/* The simulator's hot loops in C: the epoch-snapshot consensus
  * (engine._run_snapshot), the random digraph's edge draws
- * (graph.generate_random_digraph) and the graph's diameter (graph.diameter).
- * The first two consume the same PCG32 stream as the pure paths, draw for
- * draw, so every result and the final RNG state are bit-for-bit equal.
+ * (graph.generate_random_digraph), the graph's diameter (graph.diameter) and
+ * bulk bounded draws (graph.randbelow_each: the digraph's shuffle, the cost
+ * suite's draws and the initial estimates' grid indices).  The draws consume
+ * the same PCG32 stream as the pure paths, draw for draw, so every result and
+ * the final RNG state are bit-for-bit equal.
  *
  * csr flattens a graph's out-adjacency once into a CSR handle (a capsule);
  * the graph keeps it, and run_rounds and diameter read it on every call.
@@ -40,6 +42,10 @@
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
  * self-pair nor a cycle pair, kept when it falls below the threshold.
  *
+ * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
+ * sequence in turn, through the same draw_below as run_rounds: a bound <= 1
+ * takes no draw, and a bound above 2**32 raises ValueError.
+ *
  * Build: setup.py compiles it as the optional extension zoomgrad._ckernel;
  * no code generator is involved.  The module exports ABI = KERNEL_ABI;
  * graph.py uses a build only when that equals its own KERNEL_ABI, so bump
@@ -51,7 +57,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 2
+#define KERNEL_ABI 3
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -64,21 +70,31 @@ static uint32_t next_u32(uint64_t *state, uint64_t inc)
     return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
 }
 
-/* A node's draw bound 1 + out-degree, with what PCG32.randbelow derives from
- * it on every call, computed once per run_rounds call instead: the rejection
- * threshold (2**32 - bound) % bound and Lemire's fastmod constant
- * ceil(2**64 / bound), taken as UINT64_MAX / bound + 1 (0 for bound 1, which
- * never draws). */
+/* A draw bound in 1 .. 2**32 with what PCG32.randbelow derives from it on
+ * every call, computed once per bound instead (once per node per run_rounds
+ * call): the rejection threshold (2**32 - bound) % bound and Lemire's fastmod
+ * constant ceil(2**64 / bound), taken as UINT64_MAX / bound + 1 (0 for bound
+ * 1, which never draws). */
 typedef struct {
-    uint64_t fastmod;
-    uint32_t bound, threshold;
+    uint64_t fastmod, bound;
+    uint32_t threshold;
 } Bound;
 
-/* r % d from fastmod = ceil(2**64 / d), for 32-bit r and d >= 2 (Lemire,
- * Kaser and Kurz, "Faster Remainder by Direct Computation", 2019): the high
- * 64 bits of the 64x32 product (fastmod * r mod 2**64) * d, formed from its
- * two 32-bit halves because C99 has no 128-bit integer. */
-static uint32_t fastmod_u32(uint32_t r, uint64_t fastmod, uint32_t d)
+static Bound make_bound(uint64_t bound)
+{
+    Bound b;
+    b.bound = bound;
+    b.threshold = (uint32_t)(((UINT64_C(1) << 32) - bound) % bound);
+    b.fastmod = UINT64_MAX / bound + 1;
+    return b;
+}
+
+/* r % d from fastmod = ceil(2**64 / d), for 32-bit r and 2 <= d <= 2**32
+ * (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation", 2019):
+ * the high 64 bits of the product (fastmod * r mod 2**64) * d, formed from
+ * its two 32-bit halves because C99 has no 128-bit integer.  Neither partial
+ * sum passes 2**64: the high half is below 2**32 and d at most 2**32. */
+static uint32_t fastmod_u32(uint32_t r, uint64_t fastmod, uint64_t d)
 {
     uint64_t low = fastmod * r;
     return (uint32_t)(((low >> 32) * d + (((low & 0xFFFFFFFFu) * d) >> 32)) >> 32);
@@ -368,12 +384,8 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         abs_sum += y[i] < 0 ? -y[i] : y[i];
         z[i] = 2;
     }
-    for (i = 0; i < n; i++) {
-        uint32_t bound = 1 + (uint32_t)(g->ptr[i + 1] - g->ptr[i]);
-        bounds[i].bound = bound;
-        bounds[i].threshold = (0u - bound) % bound;
-        bounds[i].fastmod = UINT64_MAX / bound + 1;
-    }
+    for (i = 0; i < n; i++)
+        bounds[i] = make_bound(1 + (uint64_t)(g->ptr[i + 1] - g->ptr[i]));
     pieces = &g->pieces;
     if (pieces_begin(pieces) < 0)
         goto done;
@@ -583,6 +595,54 @@ done:
     return ret;
 }
 
+static PyObject *randbelow_each(PyObject *self, PyObject *args)
+{
+    PyObject *bounds_obj, *bounds, *draws = NULL, *ret = NULL;
+    unsigned long long state_in, inc_in;
+    uint64_t state, inc;
+    Py_ssize_t i, n;
+    Bound b = make_bound(1);
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OKK", &bounds_obj, &state_in, &inc_in))
+        return NULL;
+    state = state_in;
+    inc = inc_in;
+    bounds = PySequence_Fast(bounds_obj, "bounds must be a sequence");
+    if (bounds == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(bounds);
+    if ((draws = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(bounds, i), *draw;
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow > 0 || v > (1LL << 32)) {
+            PyErr_Format(PyExc_ValueError, "randbelow bound %S exceeds the 32-bit output range", item);
+            goto done;
+        }
+        /* a bound <= 1, however negative, takes no draw; a run of equal
+           bounds derives its threshold and fastmod constant once */
+        if (overflow < 0 || v < 1)
+            v = 1;
+        if ((uint64_t)v != b.bound)
+            b = make_bound((uint64_t)v);
+        if ((draw = PyLong_FromUnsignedLong(draw_below(&b, &state, inc))) == NULL)
+            goto done;
+        PyList_SET_ITEM(draws, i, draw);
+    }
+    /* (draws, rng state): one int per bound and the state after the last draw */
+    ret = Py_BuildValue("(OK)", draws, (unsigned long long)state);
+
+done:
+    Py_XDECREF(draws);
+    Py_DECREF(bounds);
+    return ret;
+}
+
 static PyMethodDef methods[] = {
     {"csr", csr, METH_O,
      "csr(out_adj)\n\n"
@@ -610,6 +670,12 @@ static PyMethodDef methods[] = {
      "and keeps any other pair when the next 32-bit draw is below threshold.\n"
      "Returns (rows, rng_state): a tuple of sorted int tuples and the\n"
      "generator state after the last draw."},
+    {"randbelow_each", randbelow_each, METH_VARARGS,
+     "randbelow_each(bounds, rng_state, rng_inc)\n\n"
+     "PCG32.randbelow(b) for each bound b in turn, on the generator with that\n"
+     "state and increment: a bound <= 1 gives 0 and takes no draw, and a bound\n"
+     "above 2**32 raises ValueError.  Returns (draws, rng_state): a list of\n"
+     "ints and the generator state after the last draw."},
     {NULL, NULL, 0, NULL},
 };
 

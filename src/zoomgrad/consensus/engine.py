@@ -44,8 +44,8 @@ identical RNG stream.  The per-round flood lives in the tests, as the oracle
 this path is checked against.
 
 Two implementations run these rounds.  The package's optional C extension
-(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws and
-the diameter; ``graph`` imports it and checks its ``ABI`` once, and the
+(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws,
+the diameter and the bulk draws; ``graph`` imports it and checks its ``ABI`` once, and the
 engine binds the same object) runs them in int64 as ``run_rounds`` when it
 is built: same node order, same PCG32 draws, same stop rule, so the output,
 rounds, set of distinct pieces and RNG state are bit-for-bit equal to the

@@ -5,9 +5,10 @@ out-neighbor lists ``out_adj``.  Random generation is cycle-first: a
 directed Hamiltonian cycle over a seeded random permutation guarantees strong
 connectivity, then every remaining ordered pair is added independently with
 probability ``edge_prob``.  Construction therefore never retries and is fully
-determined by ``(n, edge_prob, seed)``.  The n(n-1) pair draws run in the C
-kernel (``_ckernel.random_out_adj``) when it is built, else in a pure loop
-over the same PCG32 stream; both give the same rows and RNG state.
+determined by ``(n, edge_prob, seed)``.  The permutation's n - 1 shuffle
+draws (``randbelow_each``) and the n(n-1) pair draws
+(``_ckernel.random_out_adj``) run in the C kernel when it is built, else in
+pure loops over the same PCG32 stream; both give the same rows and RNG state.
 
 The diameter, which sets the consensus flooding epoch, is computed by
 bitset unions over out-edges, O(D*E) row ORs with no all-pairs BFS: in the
@@ -17,7 +18,10 @@ flattened into C once per graph (``Digraph.kernel_handle``); the diameter
 and every consensus run on the graph share it.  This module imports the
 kernel for the package: a build whose ``ABI`` differs from ``KERNEL_ABI``
 (an in-place build left from an older source) is refused with a
-``RuntimeWarning``, and the pure paths run.
+``RuntimeWarning``, and the pure paths run.  ``randbelow_each``, the
+package's bulk bounded draws (this shuffle, the cost suite's draws and the
+initial estimates' grid indices), is here for that reason: it is the one
+entry point to the kernel that is not about graphs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 
 def _checked_kernel(module):
@@ -56,6 +60,7 @@ __all__ = [
     "Digraph",
     "generate_random_digraph",
     "diameter",
+    "randbelow_each",
 ]
 
 
@@ -187,8 +192,7 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     rng = PCG32(seed, STREAM_GRAPH)
 
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), randbelow_each(rng, range(n, 1, -1))):
         perm[i], perm[j] = perm[j], perm[i]
     succ = [0] * n
     for k in range(n):
@@ -215,3 +219,16 @@ def _draw_out_adj(succ: list[int], threshold: int, rng: PCG32) -> tuple:
     for u, s in enumerate(succ):
         rows.append(tuple(v for v in range(n) if v != u and (v == s or rng.next_u32() < threshold)))
     return tuple(rows)
+
+
+def randbelow_each(rng: PCG32, bounds) -> list[int]:
+    """``[rng.randbelow(b) for b in bounds]``: the same draws, leaving ``rng``
+    in the same state, in one call to the C kernel when it is built.
+
+    A bound above 2**32 raises ValueError on both paths; ``rng`` has then
+    taken the draws before it on the pure path and none on the kernel's.
+    """
+    if _kernel is None:
+        return [rng.randbelow(b) for b in bounds]
+    draws, rng.state = _kernel.randbelow_each(bounds, rng.state, rng.inc)
+    return draws

@@ -13,14 +13,17 @@ step size on repeats or never touch it.
 
 A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table,
-built once per run and kept on the state, holds those coefficients as
-integers, so each initial mass is one integer floor division over a common
-denominator.  Step 1 applies the floor to every node's own start
-(``start_masses``); from step 2 on every node holds the one common estimate,
-so the floor runs once per class (``grid_masses``).  The per-node path, an
-exact ``Fraction`` gradient step (``gradient_step``) quantized node by node
-(``engine.init_consensus``), is the oracle both are tested against; no step
-calls it.
+built once per run from the suite's own class table and kept on the state,
+holds those coefficients as integers, so each initial mass is one integer
+floor division over a common denominator.  Step 1 applies the floor to every
+node's own start (``start_masses``), scaling each distinct start to the
+common denominator once; from step 2 on every node holds the one common
+estimate, so the floor runs once per class (``grid_masses``).  The per-node
+path, an exact ``Fraction`` gradient step (``gradient_step``) quantized node
+by node (``engine.init_consensus``), is the oracle both are tested against;
+no step calls it.  The error's normalizer ``start_spread`` is summed once
+per distinct start, weighted by its multiplicity, as a balanced tree of
+unreduced integer fractions reduced once at the end.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
 ``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
@@ -151,19 +154,18 @@ class CostClasses:
 
 
 def cost_classes(s, alpha):
-    """The ``CostClasses`` table of suite ``s`` under step size ``alpha``."""
-    index = {}  # keyed on integers: hashing a Fraction computes a modular inverse
-    node_class = tuple(
-        index.setdefault((c.beta.numerator, c.beta.denominator, c.x0.numerator, c.x0.denominator), len(index))
-        for c in s.costs
-    )
+    """The ``CostClasses`` table of suite ``s`` under step size ``alpha``.
+
+    One row per class of the suite's own table (``CostSuite.classes``), whose
+    node indices it shares.
+    """
     pulls = []
-    for bn, bd, xn, xd in index:
-        pull = alpha * Fraction(bn, bd)
-        pulls.append((1 - pull, pull * Fraction(xn, xd)))
+    for c in s.classes:
+        pull = alpha * c.beta
+        pulls.append((1 - pull, pull * c.x0))
     lcm = math.lcm(*(r.denominator for pair in pulls for r in pair))
     coeffs = tuple((int(u * lcm), int(v * lcm)) for u, v in pulls)
-    return CostClasses(node_class, lcm, coeffs)
+    return CostClasses(s.node_class, lcm, coeffs)
 
 
 def _masses(classes, q, d, points):
@@ -184,16 +186,30 @@ def _masses(classes, q, d, points):
     return [2 * ((u * a + v * w + k) // den) + 1 for (u, v), a in points]
 
 
+def _distinct(x_init):
+    """The distinct start objects of ``x_init``, keyed on identity.
+
+    ``runner.sample_x_init`` hands every node that drew the same grid index
+    the same object, so this finds its distinct starts without hashing a
+    ``Fraction`` (which computes a modular inverse).  Equal starts held by
+    distinct objects become equal entries, which changes no sum.
+    """
+    return {id(x): x for x in x_init}
+
+
 def start_masses(classes, x_init, q):
     """Step 1's initial masses: every node's half-step from its own start.
 
     Equal to ``init_consensus(gradient_step(x_init, s, alpha), q)``, over one
-    denominator shared by ``b_q`` and every start.
+    denominator shared by ``b_q`` and every start; each distinct start is
+    scaled to it once.
     """
-    d = math.lcm(q.b_q.denominator, *(x.denominator for x in x_init))
+    starts = _distinct(x_init)
+    d = math.lcm(q.b_q.denominator, *(x.denominator for x in starts.values()))
     dd = q.delta.denominator
+    scaled = {i: x.numerator * (d // x.denominator) * dd for i, x in starts.items()}
     pulls = map(classes.coeffs.__getitem__, classes.node_class)
-    return _masses(classes, q, d, zip(pulls, (x.numerator * (d // x.denominator) * dd for x in x_init)))
+    return _masses(classes, q, d, zip(pulls, map(scaled.__getitem__, map(id, x_init))))
 
 
 def grid_masses(classes, level, q):
@@ -214,21 +230,40 @@ def grid_masses(classes, level, q):
 def start_spread(x_init, x_star):
     """``sum_j 1/(x_init_j - x*)^2``, the error's normalizer, exact.
 
-    Summed over the distinct starts, each weighted by its multiplicity: the
-    same rational as the per-node sum.  Raises ValueError, naming the first
-    node, when a start equals the optimum.
+    Summed over the distinct starts, each weighted by its multiplicity k:
+    with every start over one denominator ``d`` and ``x* = sn/sd``, a start
+    ``a/d`` adds ``k/g^2`` with the integer ``g = a*sd - sn*d``, and the sum
+    is ``(d*sd)^2`` times the tree sum of those terms (``_tree_sum``), reduced
+    once: the same ``Fraction`` as the per-node sum.  Raises ValueError,
+    naming the first node, when a start equals the optimum.
     """
-    # Keyed on integers: hashing a Fraction computes a modular inverse.
-    counts = Counter((x0.numerator, x0.denominator) for x0 in x_init)
+    counts = Counter(map(id, x_init))
+    starts = _distinct(x_init)
+    d = math.lcm(*(x.denominator for x in starts.values()))
     sn, sd = x_star.numerator, x_star.denominator
-    spread = Fraction(0)
-    for (xn, xd), k in counts.items():
-        gap = xn * sd - sn * xd  # (x0 - x*) * xd * sd
+    terms = []
+    for i, x in starts.items():
+        gap = x.numerator * (d // x.denominator) * sd - sn * d
         if gap == 0:
             j = next(j for j, x0 in enumerate(x_init) if x0 == x_star)
             raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
-        spread += Fraction(k * (xd * sd) ** 2, gap**2)
-    return spread
+        terms.append((counts[i], gap * gap))
+    num, den = _tree_sum(terms)
+    return Fraction(num * (d * sd) ** 2, den)
+
+
+def _tree_sum(terms):
+    """``sum n/d`` over the integer pairs ``(n, d)``, d > 0, as one unreduced pair.
+
+    Neighbours are added pairwise, level by level, so each multiply takes
+    operands of about equal size and no pair is reduced: a left-to-right
+    ``Fraction`` sum would reduce a denominator that grows with every term.
+    """
+    terms = terms or [(0, 1)]
+    while len(terms) > 1:
+        paired = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in zip(terms[0::2], terms[1::2])]
+        terms = paired + terms[2 * len(paired) :]
+    return terms[0]
 
 
 @dataclass

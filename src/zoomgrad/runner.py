@@ -9,6 +9,7 @@ labeled backend column.
 """
 
 import csv
+import io
 import math
 import os
 import statistics
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .config import ConfigError, parse_rational
 from .consensus import ConsensusCapError, active_backend
-from .graph import generate_random_digraph
+from .graph import generate_random_digraph, randbelow_each
 from .metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS, decimal_fixed, exact_decimal, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
 from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, initial_state, run_until
@@ -64,25 +65,27 @@ def sample_x_init(config, x_star):
 
     A draw that lands exactly on the optimum is nudged one grid cell (up,
     or down at the top of the range) so the normalized error metric stays
-    well defined.  Each node draws one grid index; each distinct index is
-    turned into its point, and checked against the optimum, once.
+    well defined.  Each node draws one grid index, all in one
+    ``randbelow_each`` call.  Each distinct index is turned into its point
+    once, in integers over the common denominator ``d`` of ``lo`` and the
+    grid, checked against the optimum by cross-multiplying, and built as one
+    ``Fraction`` that every node drawing that index shares.
     """
     lo, hi = config.x_init_range
     grid = config.x_init_grid
     count = int((hi - lo) // grid) + 1
-    rng = PCG32(config.seed, STREAM_XINIT)
+    draws = randbelow_each(PCG32(config.seed, STREAM_XINIT), [count] * config.n)
+    d = math.lcm(lo.denominator, grid.denominator)
+    base = lo.numerator * (d // lo.denominator)
+    step = grid.numerator * (d // grid.denominator)
+    sn, sd = x_star.numerator, x_star.denominator
     points = {}  # grid index -> start
-    xs = []
-    for _ in range(config.n):
-        r = rng.randbelow(count)
-        x = points.get(r)
-        if x is None:
-            x = lo + r * grid
-            if x == x_star:
-                x = x + grid if x + grid <= hi else x - grid
-            points[r] = x
-        xs.append(x)
-    return xs
+    for r in set(draws):
+        a = base + r * step  # the start is a/d
+        if a * sd == sn * d:
+            a = a + step if (a + step) * hi.denominator <= hi.numerator * d else a - step
+        points[r] = Fraction(a, d)
+    return list(map(points.__getitem__, draws))
 
 
 def run_single(config):
@@ -180,42 +183,37 @@ HISTORY_COLUMNS = [
 ]
 
 
-def _open_csv(path):
-    f = open(path, "w", newline="")
-    return f, csv.writer(f, lineterminator="\n")
+def write_history_csv(f, history):
+    """Write the per-step log as CSV to the text stream ``f``."""
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(HISTORY_COLUMNS)
+    for r in history:
+        x = r.x_value
+        w.writerow(
+            [
+                r.k,
+                str(x),
+                repr(float(x)),
+                repr(r.error),
+                str(r.delta),
+                repr(float(r.delta)),
+                str(r.b_q),
+                repr(float(r.b_q)),
+                r.zoom_event,
+                r.consensus_rounds,
+                r.mass_transmissions,
+                r.bits_paper_mode,
+                r.bits_measured_mode,
+            ]
+        )
 
 
-def write_history_csv(path, history):
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(HISTORY_COLUMNS)
-        for r in history:
-            x = r.x_value
-            w.writerow(
-                [
-                    r.k,
-                    str(x),
-                    repr(float(x)),
-                    repr(r.error),
-                    str(r.delta),
-                    repr(float(r.delta)),
-                    str(r.b_q),
-                    repr(float(r.b_q)),
-                    r.zoom_event,
-                    r.consensus_rounds,
-                    r.mass_transmissions,
-                    r.bits_paper_mode,
-                    r.bits_measured_mode,
-                ]
-            )
-
-
-def write_rows_csv(path, columns, rows):
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([row.get(c, "") for c in columns])
+def write_rows_csv(f, columns, rows):
+    """Write ``rows`` (dicts; a missing key is a blank cell) as CSV to the text stream ``f``."""
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([row.get(c, "") for c in columns])
 
 
 def resolve_out_dir(path):
@@ -228,8 +226,10 @@ class CommandError(Exception):
     """A command refused its arguments; the message is printed as is."""
 
 
-# Every way a command can fail; ``report_failure`` gives each its line.
-FAILURES = (ConfigError, CommandError, ConsensusCapError, OSError)
+# Every way a command can fail; ``report_failure`` gives each its line.  An
+# OverflowError is a value too large for a float: a diverging run's error
+# metric, or a rational that a report renders as a float.
+FAILURES = (ConfigError, CommandError, ConsensusCapError, OverflowError, OSError)
 
 
 def report_failure(exc):
@@ -239,6 +239,8 @@ def report_failure(exc):
         error = "invalid config - %s" % exc
     elif isinstance(exc, ConsensusCapError):
         error = "consensus did not settle (round cap %s) at optimization step %d" % (exc.rounds, exc.step)
+    elif isinstance(exc, OverflowError):
+        error = "a value overflowed a float - %s" % exc
     else:
         error = str(exc)
     print("error: %s" % error, file=sys.stderr)
@@ -246,21 +248,27 @@ def report_failure(exc):
 
 
 def _command(out_dir, compute):
-    """The one command path: compute the reports, then write them.
+    """The one command path: compute the reports, render them, then write them.
 
     ``compute()`` returns the command's reports as (file name, writer,
-    writer arguments...) tuples.  The output directory is made only after
-    they are computed; every report is then written and one ``wrote ...``
-    line names them.  Any failure, computing or writing, goes to
-    ``report_failure`` and exits 1.
+    writer arguments...) tuples; a writer writes its CSV to a text stream.
+    Every report is rendered to text before the output directory is made or
+    any file is opened, so a failure in computing or rendering writes
+    nothing.  Then the texts are written and one ``wrote ...`` line names
+    them.  Any failure goes to ``report_failure`` and exits 1.
     """
     try:
-        reports = compute()
+        texts = []
+        for name, write, *args in compute():
+            f = io.StringIO()
+            write(f, *args)
+            texts.append((name, f.getvalue()))
         out = resolve_out_dir(out_dir)
         paths = []
-        for name, write, *args in reports:
+        for name, text in texts:
             paths.append(os.path.join(out, name))
-            write(paths[-1], *args)
+            with open(paths[-1], "w", newline="") as f:
+                f.write(text)
     except FAILURES as exc:
         return report_failure(exc)
     print("wrote %s" % " and ".join(paths))

@@ -252,6 +252,31 @@ def test_round_cap_failure_exits_1(command, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_report_value_beyond_a_float_exits_1_and_writes_nothing(tmp_path, capsys):
+    # history.csv renders b_q as a float too; a basis of 1e400 overflows it.
+    # The reports are rendered before the output directory is made, so no
+    # partial history.csv is left behind.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"b_q0": "1e400", "stop": {"max_steps": 2}}))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: a value overflowed a float - ")
+    assert not out.exists()
+
+
+def test_a_diverging_error_metric_exits_1_and_writes_nothing(tmp_path, capsys):
+    # At alpha = 100 the estimate diverges until the logged error, a float,
+    # overflows mid-run.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": "100", "stop": {"max_steps": 300}}))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: a value overflowed a float - ")
+    assert not out.exists()
+
+
 def test_bad_choice_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--policy", "warp_drive"])

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    BULK_DRAW_BOUNDS,
     CC,
     bidirectional_pair,
     build_kernel,
@@ -686,6 +687,8 @@ TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, s
 # complete-graph handle per node count, and checks that an instance run
 # again gives the same output.  States 0-4 never bring node 0 of
 # [-(2**63 - 1), 0, 0] to z = 3 with all the mass; state 5 does, in round 1.
+# Then takes the bulk draws of every bound sequence from the same states,
+# and checks that a bound beyond 2**32 raises.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -699,6 +702,16 @@ for y in json.loads(sys.argv[2]):
     for seed in range(10):
         out = kernel.run_rounds(y, handles[n], 2, 100000, seed, 2 * seed + 1)
         assert seen.setdefault((str(y), seed), out) == out, (n, seed)
+for bounds in json.loads(sys.argv[3]):
+    for seed in range(10):
+        out = kernel.randbelow_each(bounds, seed, 2 * seed + 1)
+        assert kernel.randbelow_each(bounds, seed, 2 * seed + 1) == out, (bounds, seed)
+try:
+    kernel.randbelow_each([2, 2**32 + 1], 0, 1)
+except ValueError:
+    pass
+else:
+    raise AssertionError("bound 2**32 + 1 was accepted")
 """
 
 
@@ -709,7 +722,7 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     # Without the decline rule, [2**63 - 1] * 4 traps with "signed integer
     # overflow", and a split that forms q*z traps on [-(2**63 - 1), 0, 0].
     # The same build then passes alphabets of different sizes through one
-    # reused handle.
+    # reused handle, and takes the bulk draws of every bound sequence.
     if shutil.which(CC) is None:
         pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
     runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
@@ -718,7 +731,14 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     env = dict(os.environ, CFLAGS="-fno-wrapv -fsanitize=signed-integer-overflow -fno-sanitize-recover=all")
     path, _ = build_kernel(tmp_path, env)
     proc = subprocess.run(
-        [sys.executable, "-c", SANITIZED_RUN, path, json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE)],
+        [
+            sys.executable,
+            "-c",
+            SANITIZED_RUN,
+            path,
+            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE),
+            json.dumps(list(BULK_DRAW_BOUNDS.values())),
+        ],
         capture_output=True,
         text=True,
         env=dict(os.environ, LD_PRELOAD=runtime),

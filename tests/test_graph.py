@@ -2,7 +2,8 @@
 
 networkx and an all-pairs BFS (``bfs_diameter``) are the independent
 oracles for strong connectivity and diameter; the pure edge-draw loop is
-the oracle for the C kernel's ``random_out_adj``.  The generator's own
+the oracle for the C kernel's ``random_out_adj``, and ``PCG32.randbelow``
+bound by bound for its bulk draws ``randbelow_each``.  The generator's own
 guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
@@ -19,13 +20,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete, ring
-from zoomgrad import graph
+from conftest import BULK_DRAW_BOUNDS, CC, complete, ring
+from zoomgrad import graph, objective, runner
+from zoomgrad.config import RunConfig
 from zoomgrad.graph import (
     Digraph,
     diameter,
     generate_random_digraph,
 )
+from zoomgrad.objective import random_cost_suite
 from zoomgrad.rng import PCG32, STREAM_GRAPH
 
 
@@ -279,6 +282,83 @@ def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
         assert all(row == (succ[u],) for u, row in enumerate(got))
 
 
+# --- bulk bounded draws ------------------------------------------------------
+
+
+def per_draw(bounds, state, inc):
+    """``randbelow`` bound by bound from the raw generator state: (draws, state)."""
+    rng = PCG32(0)
+    rng.setstate((state, inc))
+    return [rng.randbelow(b) for b in bounds], rng.state
+
+
+@pytest.mark.parametrize("name", sorted(BULK_DRAW_BOUNDS))
+@pytest.mark.parametrize("state, inc", [(0, 1), PCG32(7, STREAM_GRAPH).getstate()], ids=["state0", "seeded"])
+def test_kernel_bulk_draws_match_randbelow(kernel, name, state, inc):
+    bounds = BULK_DRAW_BOUNDS[name]
+    assert kernel.randbelow_each(bounds, state, inc) == per_draw(bounds, state, inc)
+
+
+def test_kernel_bulk_draws_reject_what_randbelow_rejects(kernel):
+    # From state 0 the first two outputs are 0, below randbelow(3)'s
+    # threshold 1, so bound 3 takes the third; bounds 0 and 1 before it take
+    # none.
+    probe = PCG32(0)
+    probe.setstate((0, 1))
+    outputs = [probe.next_u32() for _ in range(3)]
+    assert outputs[:2] == [0, 0] and outputs[2] > 0
+    assert kernel.randbelow_each([0, 1, 3], 0, 1) == ([0, 0, outputs[2] % 3], probe.state)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+@pytest.mark.parametrize("bound", [2**32 + 1, 2**64, 2**100])
+def test_bulk_draws_refuse_a_bound_beyond_32_bits(backend, bound, request):
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    with pytest.raises(ValueError, match="bound %d exceeds the 32-bit output range" % bound):
+        graph.randbelow_each(PCG32(0), [2, bound])
+
+
+def with_draw_states(monkeypatch, build):
+    """``build()`` and the RNG state after each bulk draw it takes."""
+    states = []
+    draw = graph.randbelow_each
+
+    def recording(rng, bounds):
+        out = draw(rng, bounds)
+        states.append(rng.getstate())
+        return out
+
+    for module in (graph, objective, runner):
+        monkeypatch.setattr(module, "randbelow_each", recording)
+    return build(), states
+
+
+def suite_table(s):
+    return s.classes, s.node_class
+
+
+INSTANCE_BUILDERS = {
+    "digraph": lambda: generate_random_digraph(300, Fraction(1, 20), 5).out_adj,
+    "costs": lambda: suite_table(random_cost_suite(500, 3)),
+    "costs-shared-x0": lambda: suite_table(random_cost_suite(500, 3, shared_x0=True)),
+    # x* = 3 is on the start grid, so the draws that land on it are nudged
+    "x_init": lambda: runner.sample_x_init(RunConfig(n=500, seed=4), Fraction(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_BUILDERS))
+def test_instance_builders_draw_alike_on_both_backends(built_kernel, name):
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    runs = []
+    for backend in (None, built_kernel):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_kernel", backend)
+            runs.append(with_draw_states(mp, INSTANCE_BUILDERS[name]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 1  # every builder takes its draws in one call
+
+
 # sha256(repr(out_adj)) of generated instances, pinned from the all-Python
 # generator so that a change breaking both backends the same way still fails.
 PINNED = [
@@ -314,10 +394,13 @@ def fake_kernel(tmp_path, **attrs):
     return module
 
 
-@pytest.mark.parametrize("attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}])
+@pytest.mark.parametrize(
+    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}]
+)
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
     # the pure paths run, and the warning names the file and the rebuild.
+    # ABI 2 is the kernel before randbelow_each.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None

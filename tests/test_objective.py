@@ -99,3 +99,63 @@ def test_draw_order_contract():
         want.append((beta, x0))
     s = random_cost_suite(4, 9)
     assert [(c.beta, c.x0) for c in s] == want
+
+
+def test_shared_x0_draw_order_contract():
+    # the common x0 first, then one beta per node
+    rng = PCG32(9, STREAM_COSTS)
+    values = [F(v) for v in (1, 2, 3, 4, 5)]
+    x0 = values[rng.randbelow(5)]
+    want = [(values[rng.randbelow(5)], x0) for _ in range(6)]
+    s = random_cost_suite(6, 9, shared_x0=True)
+    assert [(c.beta, c.x0) for c in s] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_random_suite_table_is_the_per_node_table(n, seed, value_set, shared_x0):
+    # The table built from the draws is the one CostSuite builds from the
+    # same costs node by node: distinct classes in order of first
+    # appearance, even when the value set repeats a value.
+    s = random_cost_suite(n, seed, value_set=tuple(value_set), shared_x0=shared_x0)
+    again = CostSuite(s.costs)
+    assert (s.classes, s.node_class) == (again.classes, again.node_class)
+    assert len(s) == n
+    assert len(s.classes) <= len(set(value_set)) ** 2
+
+
+def fresh(c):
+    """An equal cost held by new objects."""
+    return QuadraticCost(F(c.beta.numerator, c.beta.denominator), F(c.x0.numerator, c.x0.denominator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50),
+            st.fractions(min_value=-20, max_value=20, max_denominator=50),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_class_table_matches_the_per_node_costs(pool, data):
+    # Equal costs share a class whether they are one object or several;
+    # the optimum summed per class is the per-node one.
+    classes = [QuadraticCost(b, x) for b, x in pool]
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(classes) - 1), st.booleans()), min_size=1, max_size=40))
+    costs = [fresh(classes[i]) if copy else classes[i] for i, copy in picks]
+    s = CostSuite(costs)
+    assert s.costs == tuple(costs)
+    assert len(set(s.classes)) == len(s.classes)
+    for i, c in enumerate(costs):
+        for j, d in enumerate(costs):
+            assert (s.node_class[i] == s.node_class[j]) == (c == d)
+    assert s.global_optimum == per_node_optimum(s)

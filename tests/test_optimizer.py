@@ -466,6 +466,50 @@ def test_spread_names_the_first_node_at_the_optimum():
         start_spread([F(1), F(3, 2), F(2), F(5, 2), F(2)], F(2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tree_spread_matches_the_per_node_sum(data):
+    # Repeated starts, as one object or as equal distinct objects, negative
+    # starts and a fractional optimum off the start grid: the tree sum over
+    # the distinct starts, reduced once, is the per-node Fraction sum.
+    negative = st.fractions(min_value=-30, max_value=-F(1, 7), max_denominator=40)
+    pool = data.draw(st.lists(negative, min_size=1, max_size=10))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=80))
+    x_init = [F(pool[i].numerator, pool[i].denominator) if copy else pool[i] for i, copy in picks]
+    x_init += data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=20))
+    fractional = st.fractions(min_value=-10, max_value=10, max_denominator=97).filter(lambda f: f.denominator > 1)
+    x_star = data.draw(fractional)
+    if x_star in x_init:
+        with pytest.raises(ValueError, match="node %d equals" % x_init.index(x_star)):
+            start_spread(x_init, x_star)
+    else:
+        assert start_spread(x_init, x_star) == per_node_spread(x_init, x_star)
+
+
+def test_spread_names_the_first_node_among_repeats():
+    # The optimum's value is held by node 1 and again, as another object,
+    # by node 3.
+    x_init = [F(1), F(-3, 2), F(1), F(-3, 2), F(5, 3)]
+    with pytest.raises(ValueError, match="node 1 equals the optimum"):
+        start_spread(x_init, F(-3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cost_classes_match_the_per_node_pulls(data):
+    # Every node's row of the table is its own exact pull (1 - alpha*beta,
+    # alpha*beta*x0) over the table's denominator, also when equal costs
+    # are held by distinct objects.
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    costs = [QuadraticCost(F(c.beta.numerator, c.beta.denominator), c.x0) for c in draw_suite(data, n).costs]
+    alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
+    classes = cost_classes(CostSuite(costs), alpha)
+    assert len(classes.coeffs) == len({(c.beta, c.x0) for c in costs})
+    for j, c in enumerate(costs):
+        u, v = classes.coeffs[classes.node_class[j]]
+        assert (F(u, classes.lcm), F(v, classes.lcm)) == (1 - alpha * c.beta, alpha * c.beta * c.x0)
+
+
 def test_cost_classes_group_equal_costs():
     s = suite([(2, 1), (1, 4), (2, 1), (1, "-1/3"), (1, 4)])
     classes = cost_classes(s, F(1, 10))

@@ -1,6 +1,7 @@
 """Pinned report bytes: the SHA-256 of every CSV that acceptance criterion
 10's ``run``, ``sweep`` and ``compare`` commands write, of two n=400
-``run`` reports, and of the two Table 1 reports, on both backends.
+``run`` reports, of an n=1000 ``run`` shaped like the benchmark's
+sparse-n1000 workload, and of the two Table 1 reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -35,6 +36,11 @@ COMMANDS = {
             stop={"max_steps": 6},
         )
     ),
+    # n=1000, p=1/50: the instance build's bulk draws, the cost-class table
+    # and the distinct starts at the size the benchmark times.
+    "run-n1000": lambda d: cmd_run(
+        RunConfig(n=1000, edge_prob=Fraction(1, 50), seed=0, out_dir=d, stop={"max_steps": 8})
+    ),
     "table1": cmd_table1,
 }
 
@@ -49,6 +55,8 @@ DIGESTS = {
     ("run-n400", "summary.csv"): "c14a6938745993e46f35a2cd2d9db42182a2d5eb9d5e7e2b13ba62d09cddf21c",
     ("run-n400-fractional", "history.csv"): "e45561d821dcd7cc356a3eacb7395170e77773b6f1747fd61839b12ed772fb4b",
     ("run-n400-fractional", "summary.csv"): "77551816d19bcda72db0635ba84e2616e1d90571365e88dbbaa2c73c85178505",
+    ("run-n1000", "history.csv"): "d125233d65486ed22fc952a9bf4246d3c56adfe24dbde458befc4397ee18477d",
+    ("run-n1000", "summary.csv"): "bd7ed1c7a742d8af0f5b25933c23df9f943bee1542821758932f960918c6549e",
     ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
     ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }

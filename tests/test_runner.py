@@ -1,6 +1,7 @@
 """End-to-end run orchestration: config -> problem instance -> history ->
 CSV reports, plus the sweep/compare/table entry points."""
 
+import io
 import math
 import os
 from dataclasses import replace as dc_replace
@@ -334,16 +335,18 @@ def test_steps_to_threshold():
 # --- CSV output -------------------------------------------------------------
 
 
-def test_history_csv_shape_and_determinism(tmp_path, default_run):
+def rendered(write, *args):
+    f = io.StringIO()
+    write(f, *args)
+    return f.getvalue()
+
+
+def test_history_csv_shape_and_determinism(default_run):
     _, result = default_run
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    write_history_csv(p1, result["history"])
-    write_history_csv(p2, result["history"])
-    raw = p1.read_bytes()
-    assert raw == p2.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().splitlines()
+    text = rendered(write_history_csv, result["history"])
+    assert text == rendered(write_history_csv, result["history"])
+    assert "\r" not in text
+    lines = text.splitlines()
     assert lines[0] == ",".join(HISTORY_COLUMNS)
     assert len(lines) == 1 + len(result["history"])
     first = lines[1].split(",")
@@ -352,10 +355,8 @@ def test_history_csv_shape_and_determinism(tmp_path, default_run):
     assert float(F(first[1])) == float(first[2])
 
 
-def test_write_rows_csv_missing_keys_blank(tmp_path):
-    p = tmp_path / "rows.csv"
-    write_rows_csv(p, ["a", "b"], [{"a": 1}, {"b": "x", "a": 2}])
-    assert p.read_text() == "a,b\n1,\n2,x\n"
+def test_write_rows_csv_missing_keys_blank():
+    assert rendered(write_rows_csv, ["a", "b"], [{"a": 1}, {"b": "x", "a": 2}]) == "a,b\n1,\n2,x\n"
 
 
 def test_resolve_out_dir(tmp_path, monkeypatch):
