@@ -10,8 +10,10 @@ Subcommands:
 
 Configuration comes from an optional JSON file (--config) with individual
 flag overrides on top; the merged config is validated once, and every run is
-fully determined by it.  compare drops the policy block, since it runs its
-own five.  Rational-valued flags accept "num/den" or decimal strings.
+fully determined by it.  A stop flag sets its one key of the file's stop
+block, or of the default block when the file has none.  compare drops the
+policy block, since it runs its own five.  Rational-valued flags accept
+"num/den" or decimal strings.
 
 Every failure, of the config, the computation or the report writing, exits
 1 with the one stderr line that ``runner.report_failure`` prints.
@@ -40,10 +42,11 @@ def _add_common(p):
 
 
 def _build_config(args):
-    d = RunConfig().to_dict()
+    """The flags merged onto the config file's object; ``from_dict`` fills the rest."""
+    d = {}
     if args.config:
         with open(args.config, "rb") as f:
-            d.update(json_object(f.read()))
+            d = json_object(f.read())
     for key in ("seed", "n", "alpha", "delta0", "c_in", "c_out", "out_dir"):
         value = getattr(args, key)
         if value is not None:
@@ -51,11 +54,12 @@ def _build_config(args):
     if args.policy is not None:
         d["policy"] = {"variant": args.policy}
     if args.command == "compare":
-        del d["policy"]  # neither run nor validated
-    if isinstance(d["stop"], dict):  # else from_dict reports the bad block
-        for key in ("max_steps", "target_error"):
-            if getattr(args, key) is not None:
-                d["stop"] = dict(d["stop"], **{key: getattr(args, key)})
+        d.pop("policy", None)  # neither run nor validated
+    stop = {key: getattr(args, key) for key in ("max_steps", "target_error") if getattr(args, key) is not None}
+    if stop:
+        base = d.get("stop", RunConfig().stop)
+        if isinstance(base, dict):  # else from_dict reports the bad block
+            d["stop"] = dict(base, **stop)
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}
     return RunConfig.from_dict(d)
@@ -72,23 +76,25 @@ def _parse_seeds(spec, default):
     return list(range(*seeds)) if sep else seeds
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="zoomgrad",
-        description="Distributed quantized-gradient optimization simulator",
-    )
+def _parser():
+    parser = argparse.ArgumentParser(prog="zoomgrad", description="Distributed quantized-gradient optimization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("run", help="single optimization run"))
     p_sweep = sub.add_parser("sweep", help="same config across many seeds")
     _add_common(p_sweep)
-    p_sweep.add_argument(
-        "--seeds", help='seed list: "0:100" (half-open range) or "3,7,11"'
-    )
+    p_sweep.add_argument("--seeds", help='seed list: "0:100" (half-open range) or "3,7,11"')
     _add_common(sub.add_parser("compare", help="adaptive policy vs. baselines"))
     p_table = sub.add_parser("table1", help="reference communication-cost table")
     p_table.add_argument("--out", dest="out_dir", metavar="DIR")
-    args = parser.parse_args(argv)
+    return parser
 
+
+# Built once per process: every call of ``main`` parses with it.
+PARSER = _parser()
+
+
+def main(argv=None):
+    args = PARSER.parse_args(argv)
     if args.command == "table1":
         return cmd_table1(args.out_dir)
     try:

@@ -1,5 +1,7 @@
-"""Run configuration: defaults, validation, exact-rational parsing, and a
-JSON round-trip so a run can be replayed from its config file alone.
+"""Run configuration: defaults, validation and exact-rational parsing.
+
+A config file is one JSON object (``json_object``) that ``RunConfig.from_dict``
+fills with the defaults and validates; every run is fully determined by it.
 
 Rationals are written as strings ("3/25", "0.12", "2") and parsed exactly;
 raw JSON floats are accepted but go through their shortest decimal repr, so
@@ -9,7 +11,7 @@ raw JSON floats are accepted but go through their shortest decimal repr, so
 import copy
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .metrics import FIXED_LEVEL_WIDTHS
@@ -39,10 +41,6 @@ def parse_rational(value, field_name="value"):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(field_name, "not a rational: %r (%s)" % (value, exc))
     raise ConfigError(field_name, "cannot parse %r as a rational" % (value,))
-
-
-def _rat_str(fr):
-    return str(Fraction(fr))
 
 
 # Each nested block's selector key and, per variant, every key that variant
@@ -191,26 +189,6 @@ class RunConfig:
                 )
         return {**defaults, **spec}
 
-    def to_dict(self):
-        d = asdict(self)
-        for key in ("edge_prob", "alpha", "delta0", "c_in", "c_out", "b_q0", "x_init_grid"):
-            d[key] = _rat_str(getattr(self, key))
-        d["x_init_range"] = [_rat_str(v) for v in self.x_init_range]
-        d["policy"] = dict(self.policy)
-        if "c_refine" in d["policy"]:
-            d["policy"]["c_refine"] = _rat_str(
-                parse_rational(d["policy"]["c_refine"], "policy.c_refine")
-            )
-        d["cost_spec"] = dict(self.cost_spec)
-        if "value_set" in d["cost_spec"]:
-            d["cost_spec"]["value_set"] = list(d["cost_spec"]["value_set"])
-        if d["cost_spec"].get("kind") == "explicit":
-            d["cost_spec"]["costs"] = [
-                [_rat_str(parse_rational(b, "beta")), _rat_str(parse_rational(x, "x0"))]
-                for b, x in self.cost_spec["costs"]
-            ]
-        return d
-
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
@@ -238,13 +216,6 @@ class RunConfig:
                     raise ConfigError(key, "expected an object")
                 kwargs[key] = dict(d[key])
         return cls(**kwargs).validate()
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json_object(text))
 
 
 def json_object(text):

@@ -14,7 +14,8 @@ same masses in integers) and ``z[i] = 2``.  The output is the level ``m``
 of the common grid point ``b_q + m*delta``; the caller, which owns the grid,
 maps it back when it needs the point.  ``run_consensus`` still takes the
 quantizer as its second argument, unread, because the benchmark's backend
-parity replay passes it positionally.
+parity replay (``perfbench/run.py`` ``parity_run``) passes it positionally,
+with ``force_backend``.
 Masses stay integers forever — every transmitted piece is a floor of a
 ratio — which is what makes the stop test reachable and the protocol
 finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
@@ -139,9 +140,8 @@ def init_consensus(x_half, q: QuantizerState) -> list[int]:
 
     The optimizer computes its masses in integers (``start_masses`` and
     ``grid_masses``); this per-node path is the oracle they are tested
-    against.  It stays here, rather than in ``tests/``, while the
-    benchmark's tracing hooks (``perfbench/tracing.py``) still name it and
-    ``quantize`` in this module.
+    against.  It stays here, rather than in ``tests/``, because the
+    benchmark's ``perfbench/tracing.py`` ``HOOKS`` hook it and ``quantize``.
     """
     out = []
     for xh in x_half:

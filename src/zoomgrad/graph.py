@@ -1,7 +1,7 @@
 """Directed graphs: generation and diameter.
 
 Graphs are immutable once built and hold one adjacency, the sorted
-out-neighbor lists ``out_adj``.  Random generation is cycle-first: a
+out-neighbor rows: ``Digraph(out_adj)``.  Random generation is cycle-first: a
 directed Hamiltonian cycle over a seeded random permutation guarantees strong
 connectivity, then every remaining ordered pair is added independently with
 probability ``edge_prob``.  Construction therefore never retries and is fully
@@ -65,40 +65,24 @@ __all__ = [
 
 
 class Digraph:
-    """Immutable digraph on nodes 0..n-1 with sorted out-adjacency lists.
+    """Immutable digraph on nodes 0..n-1, given by its out-adjacency rows.
 
-    Self-loops are rejected: the consensus layer models self-delivery in its
-    sampling set instead, keeping BFS/diameter standard.
+    ``out_adj[u]``, taken as given, is the sorted tuple of u's out-neighbors,
+    none of them u: the consensus layer models self-delivery in its sampling
+    set instead, keeping BFS/diameter standard.
     """
 
     __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle")
 
-    def __init__(self, n: int, edges):
-        if n < 2:
-            raise ValueError(f"n: need at least 2 nodes, got {n}")
-        out_adj = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at node {u} not allowed")
-            out_adj[u].add(v)
-        self.out_adj = tuple(tuple(sorted(s)) for s in out_adj)
-        self.n = n
+    def __init__(self, out_adj: tuple):
+        self.n = len(out_adj)
+        self.out_adj = out_adj
         self._diameter = None
         self._kernel_handle = None
 
-    @classmethod
-    def _from_rows(cls, out_adj: tuple) -> Digraph:
-        """Wrap rows that are already sorted, in range and loop-free."""
-        g = cls.__new__(cls)
-        g.n = len(out_adj)
-        g.out_adj = out_adj
-        g._diameter = None
-        g._kernel_handle = None
-        return g
-
     def edge_count(self) -> int:
+        """The number of edges, read only by the benchmark's
+        ``perfbench/tracing.py`` ``_count_graph`` (the ``graph.edges`` counter)."""
         return sum(len(a) for a in self.out_adj)
 
     @property
@@ -116,18 +100,6 @@ class Digraph:
         if self._kernel_handle is None or self._kernel_handle[0] is not kernel:
             self._kernel_handle = (kernel, kernel.csr(self.out_adj))
         return self._kernel_handle[1]
-
-    def __reduce__(self):
-        # The C handle can be neither copied nor pickled: a copy carries the
-        # rows only and builds its own handle on first use.
-        return Digraph._from_rows, (self.out_adj,)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.out_adj == other.out_adj
-        )
 
 
 def diameter(g: Digraph) -> int:
@@ -199,7 +171,7 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
         succ[perm[k]] = perm[(k + 1) % n]
 
     threshold = (p.numerator << 32) // p.denominator
-    return Digraph._from_rows(_draw_out_adj(succ, threshold, rng))
+    return Digraph(_draw_out_adj(succ, threshold, rng))
 
 
 def _draw_out_adj(succ: list[int], threshold: int, rng: PCG32) -> tuple:

@@ -5,12 +5,12 @@ Each node i owns f_i(x) = beta_i/2 * (x - x0_i)^2, so the network objective
 For this family the strong-convexity and gradient-Lipschitz constants of the
 summed objective coincide: mu = L = sum(beta_i).
 
-A suite is a class table: its distinct costs (beta, x0), one
-``QuadraticCost`` each, and every node's index into them.  A random suite
-draws from a value set of v values, so it has at most v**2 classes however
-many nodes it has; the optimum here and the optimizer's cost-class table
-(``optimizer.cost_classes``) work once per class, and no per-node cost is
-built.  ``CostSuite.costs`` still reads the costs node by node.
+A suite is a class table, ``CostSuite(classes, node_class)``: its distinct
+costs (beta, x0), one ``QuadraticCost`` each, and every node's index into
+them.  A random suite draws from a value set of v values, so it has at most
+v**2 classes however many nodes it has; the optimum here and the
+optimizer's cost-class table (``optimizer.cost_classes``) work once per
+class, and no per-node cost is built.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class QuadraticCost:
             raise ValueError("beta must be positive")
 
     def grad(self, x: Fraction) -> Fraction:
+        """f_i'(x), read only by the oracle ``optimizer.gradient_step``, which
+        the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pins."""
         return self.beta * (x - self.x0)
 
 
@@ -45,31 +47,10 @@ class CostSuite:
 
     ``classes`` holds each distinct cost once, in order of first appearance,
     and ``node_class`` the index into ``classes`` of every node's cost.
-    ``CostSuite(costs)`` takes the costs node by node and groups equal ones,
-    keyed on their integers (hashing a ``Fraction`` computes a modular
-    inverse), so equal costs held by distinct objects share one class.
+    ``random_cost_suite`` and ``runner.build_costs`` group the costs.
     """
 
-    def __init__(self, costs):
-        index = {}  # (beta, x0) as reduced integers -> class index
-        classes = []
-        node_class = []
-        for c in costs:
-            key = (c.beta.numerator, c.beta.denominator, c.x0.numerator, c.x0.denominator)
-            if key not in index:
-                index[key] = len(classes)
-                classes.append(c)
-            node_class.append(index[key])
-        self._set_table(tuple(classes), tuple(node_class))
-
-    @classmethod
-    def _from_table(cls, classes: tuple, node_class: tuple) -> CostSuite:
-        """Wrap a table whose classes are already distinct and each used."""
-        s = cls.__new__(cls)
-        s._set_table(classes, node_class)
-        return s
-
-    def _set_table(self, classes, node_class):
+    def __init__(self, classes: tuple, node_class: tuple):
         if not classes:
             raise ValueError("need at least one cost")
         self.classes = classes
@@ -77,14 +58,9 @@ class CostSuite:
 
     @property
     def costs(self) -> tuple:
-        """The cost of every node, in node order."""
+        """The cost of every node, in node order; read only by the oracle
+        ``optimizer.gradient_step``, which ``perfbench/tracing.py`` ``HOOKS`` pins."""
         return tuple(map(self.classes.__getitem__, self.node_class))
-
-    def __len__(self):
-        return len(self.node_class)
-
-    def __iter__(self):
-        return iter(self.costs)
 
     @cached_property
     def global_optimum(self) -> Fraction:
@@ -133,4 +109,4 @@ def random_cost_suite(
         codes = [v * first[b] + first[x] for b, x in zip(draws[0::2], draws[1::2])]
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
     classes = tuple(QuadraticCost(values[code // v], values[code % v]) for code in index)
-    return CostSuite._from_table(classes, tuple(map(index.__getitem__, codes)))
+    return CostSuite(classes, tuple(map(index.__getitem__, codes)))

@@ -5,10 +5,10 @@ the quantizer between steps.
 One iteration is: every node takes a gradient step on its private cost,
 the quantized half-steps enter ``run_consensus`` as integer masses (so all
 nodes land on one common grid point, the estimate the state keeps), and
-then the shared quantizer is updated according to the active zoom policy.
-The adaptive policy zooms out (coarser, recentered) when the common value
-sits in a saturated outer cell and zooms in (finer, recentered) when it
-repeats inside the range; the two baseline policies either only refine the
+then, on a repeat, the active zoom policy's ``on_repeat`` updates the
+shared quantizer.  The adaptive policy zooms out (coarser, recentered) when
+the common value sits in a saturated outer cell and zooms in (finer,
+recentered) otherwise; the two baseline policies either only refine the
 step size on repeats or never touch it.
 
 A node's half-step is a linear function of the estimate it holds, with
@@ -21,8 +21,9 @@ common denominator once; from step 2 on every node holds the one common
 estimate, so the floor runs once per class (``grid_masses``).  The per-node
 path, an exact ``Fraction`` gradient step (``gradient_step``) quantized node
 by node (``engine.init_consensus``), is the oracle both are tested against;
-no step calls it.  The error's normalizer ``start_spread`` is summed once
-per distinct start, weighted by its multiplicity, as a balanced tree of
+no step calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS``
+pin both.  The error's normalizer ``start_spread`` is summed once per
+distinct start, weighted by its multiplicity, as a balanced tree of
 unreduced integer fractions reduced once at the end.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
@@ -33,10 +34,10 @@ keeps the estimate as its level on the current grid
 zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
 refine.  The masses, the repeat and saturation tests and the error metric
 read the level and the grid's integers, so a step without an event builds
-no ``Fraction``; the estimate itself (``OptimizerState.x``,
-``RunRecord.x_value``) is built only when read, and a zoom builds the point
-it re-centres on.  A fixed level's repeat leaves grid and estimate
-unchanged, so the next step sends the same masses again.
+no ``Fraction``; the estimate itself (``RunRecord.x_value``) is built only
+when read, and a zoom builds the point it re-centres on.  A fixed level's
+repeat leaves grid and estimate unchanged, so the next step sends the same
+masses again.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
@@ -50,7 +51,7 @@ from itertools import repeat
 
 from .consensus import run_consensus
 from .metrics import REFINE_WIDTH_SCHEDULE, error_metric, schedule_width
-from .quantizer import QuantizerState, grid_point, zoom_in, zoom_out
+from .quantizer import QuantizerState, grid_point
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,15 @@ class AdaptiveZoom:
     def message_width(self, k):
         return self.quantizer_width if self.b_pm is None else self.b_pm
 
+    def on_repeat(self, q, m):
+        """Re-centre on the estimate ``b_q + m*delta`` (its new level is 0):
+        zoom out when ``m >= H or m < -H``, ``H = 2**(width-1) - 1``, else in.
+        The test compares bit lengths, so no ``2**(width-1)`` is built."""
+        x_new = grid_point(q.b_q, q.delta, m)
+        if (m + 1 if m >= 0 else -m).bit_length() >= self.quantizer_width:
+            return QuantizerState(x_new, q.delta * self.c_out), "zoom_out", 0
+        return QuantizerState(x_new, q.delta / self.c_in), "zoom_in", 0
+
 
 @dataclass(frozen=True)
 class RefineOnly:
@@ -95,6 +105,10 @@ class RefineOnly:
 
     def message_width(self, k):
         return schedule_width(REFINE_WIDTH_SCHEDULE, k)
+
+    def on_repeat(self, q, m):
+        """Divide the step in place: the level ``m`` becomes ``m*c_refine``."""
+        return QuantizerState(q.b_q, q.delta / self.c_refine), "refine", m * self.c_refine
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,10 @@ class FixedLevel:
 
     def message_width(self, k):
         return self.b_pm
+
+    def on_repeat(self, q, m):
+        """Leave grid and estimate as they are."""
+        return q, "none", m
 
 
 @dataclass(frozen=True)
@@ -275,11 +293,6 @@ class OptimizerState:
     classes: CostClasses | None = None  # built at step 1 for the run's (s, alpha)
     masses: list | None = None  # set after a fixed level's repeat: the next step's masses
 
-    @property
-    def x(self):
-        """The common estimate ``b_q + level*delta``; None before step 1."""
-        return None if self.level is None else grid_point(self.q.b_q, self.q.delta, self.level)
-
 
 def initial_state(x_init, q):
     return OptimizerState(x_init=tuple(x_init), q=q)
@@ -290,39 +303,27 @@ def gradient_step(x, s, alpha):
 
     No step calls it: the masses come from ``start_masses`` and
     ``grid_masses``, which the tests check against this per-node path.  It
-    stays here, rather than in ``tests/``, while the benchmark's tracing
-    hooks (``perfbench/tracing.py``) still name it.
+    stays here, rather than in ``tests/``, because the benchmark's
+    ``perfbench/tracing.py`` ``HOOKS`` hooks it for the
+    ``optimizer.gradient_step_s`` layer.
     """
     return [xi - alpha * c.grad(xi) for xi, c in zip(x, s.costs)]
 
 
 def zoom_decide(q, m_new, level_old, policy):
-    """Quantizer update after a consensus step.
+    """Quantizer update after a consensus step: (grid, event, level).
 
     ``m_new`` is the consensus output's level on the grid ``q`` and
     ``level_old`` the previous estimate's (None when the nodes held no
-    common estimate).  Fires only on an exact repeat (``m_new ==
-    level_old``).  The adaptive policy then recenters on ``x_new = b_q +
-    m_new*delta`` and either coarsens (when x_new sits at or beyond the
-    saturation range ``[b_q - H*delta, b_q + H*delta)`` that was in force,
-    ``H = 2**(width-1) - 1``, i.e. ``m_new >= H`` or ``m_new < -H``) or
-    refines; the refine baseline shrinks the step in place; the fixed
-    baseline does nothing.  Returns (updated quantizer, event string).
-    ``x_new`` is built only when a zoom fires.
+    common estimate).  On an exact repeat (``m_new == level_old``) the
+    policy's ``on_repeat`` gives the next grid, the event and the
+    estimate's level on that grid; otherwise nothing changes and the event
+    is "none".  The event stays at index 1: the benchmark's
+    ``perfbench/tracing.py`` hooks this function and counts zooms from it.
     """
     if m_new != level_old:
-        return q, "none"
-    if isinstance(policy, AdaptiveZoom):
-        rim = 2 ** (policy.quantizer_width - 1) - 1
-        x_new = grid_point(q.b_q, q.delta, m_new)
-        if m_new >= rim or m_new < -rim:
-            return zoom_out(q, x_new, policy.c_out), "zoom_out"
-        return zoom_in(q, x_new, policy.c_in), "zoom_in"
-    if isinstance(policy, RefineOnly):
-        return QuantizerState(q.b_q, q.delta / policy.c_refine), "refine"
-    if isinstance(policy, FixedLevel):
-        return q, "none"
-    raise TypeError("unknown zoom policy %r" % (policy,))
+        return q, "none", m_new
+    return policy.on_repeat(q, m_new)
 
 
 def step(state, g, s, alpha, policy, rng, error_fn=None):
@@ -358,20 +359,12 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
         x_new = grid_point(pre_q.b_q, pre_q.delta, m)
         if all(x0 == x_new for x0 in state.x_init):
             level_old = m
-    new_q, event = zoom_decide(pre_q, m, level_old, policy)
+    state.q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
 
     k = len(state.history)
     width = policy.message_width(k)
-    state.q = new_q
-    # The estimate's level on the new grid: a zoom re-centres the grid on
-    # it, a refine divides delta by c_refine.  A repeat without an event
-    # keeps grid and estimate, and with them the masses.
-    if event == "none":
-        state.level = m
-    elif event == "refine":
-        state.level = m * policy.c_refine
-    else:
-        state.level = 0
+    # A repeat without an event keeps grid and estimate, and with them the
+    # masses.
     state.masses = y if event == "none" and m == level_old else None
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0

@@ -1,19 +1,21 @@
-"""Mid-rise uniform quantizer on a shiftable grid, and the zoom moves on it.
+"""Mid-rise uniform quantizer on a shiftable grid.
 
 The quantizer the network shares is a grid: a basis ``b_q`` (center of the
 dynamic range) and a level ``delta`` (bin width).  Bins are closed on the
 left and open on the right, and the bin ``[b_q + t*delta, b_q + (t+1)*delta)``
 has the midpoint ``b_q + (2t + 1) * delta / 2``; ``quantize`` returns it, for
 any input and with unlimited levels.  The width of the adaptive policy's
-dynamic range is not part of the grid: ``optimizer.zoom_decide`` tests
-against that range itself, and the clamped ``width``-bit quantizer is the
-tests' oracle.
+dynamic range is not part of the grid: ``optimizer.AdaptiveZoom.on_repeat``
+tests against that range itself, and the clamped ``width``-bit quantizer is
+the tests' oracle.  The zoom moves, which re-center the grid and scale its
+step, are each policy's ``on_repeat`` too.
 
 A point of the grid is ``b_q + level*delta``; ``grid_point`` builds it from
 its level, which is how the optimizer keeps its estimate between zooms.
-``zoom_in`` and ``zoom_out`` re-center the grid and divide or multiply its
-step by a factor the caller supplies; the zoom policy that fires them owns
-the factors and the width.
+
+``quantize`` is an oracle: only ``engine.init_consensus``, itself one, calls
+it, and it stays because ``perfbench/tracing.py`` ``HOOKS`` hooks the
+engine's import of it.
 
 All arithmetic is exact: values are `fractions.Fraction`, and zoom updates
 multiply/divide ``delta`` by exact rational factors, so repeat detection and
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["QuantizerState", "grid_point", "quantize", "zoom_in", "zoom_out"]
+__all__ = ["QuantizerState", "grid_point", "quantize"]
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,3 @@ def quantize(q: QuantizerState, xi: Fraction) -> Fraction:
     so it maps to ``b_q + delta/2``.
     """
     return q.b_q + (2 * ((xi - q.b_q) // q.delta) + 1) * q.delta / 2
-
-
-def zoom_out(q: QuantizerState, x_new: Fraction, c_out: Fraction) -> QuantizerState:
-    """Re-center on x_new and widen the range: delta *= c_out."""
-    return QuantizerState(x_new, q.delta * c_out)
-
-
-def zoom_in(q: QuantizerState, x_new: Fraction, c_in: Fraction) -> QuantizerState:
-    """Re-center on x_new and refine the grid: delta /= c_in."""
-    return QuantizerState(x_new, q.delta / c_in)

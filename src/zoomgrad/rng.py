@@ -81,13 +81,11 @@ class PCG32:
             if r >= threshold:
                 return r % n
 
+    # Only the benchmark's backend parity replay (``perfbench/run.py``
+    # ``parity_run``) reads getstate and setstate.
     def getstate(self) -> tuple[int, int]:
         return (self.state, self.inc)
 
     def setstate(self, snapshot: tuple[int, int]) -> None:
         self.state, self.inc = snapshot
 
-
-if __name__ == "__main__":
-    g = PCG32(42, 54)
-    print([hex(g.next_u32()) for _ in range(6)])

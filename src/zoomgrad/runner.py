@@ -45,13 +45,12 @@ def build_policy(config):
 def build_costs(config):
     spec = config.block("cost_spec")
     if spec["kind"] == "explicit":
-        return CostSuite(
-            QuadraticCost(
-                parse_rational(b, "cost_spec.costs.beta"),
-                parse_rational(x, "cost_spec.costs.x0"),
-            )
+        costs = [
+            QuadraticCost(parse_rational(b, "cost_spec.costs.beta"), parse_rational(x, "cost_spec.costs.x0"))
             for b, x in spec["costs"]
-        )
+        ]
+        index = {c: i for i, c in enumerate(dict.fromkeys(costs))}  # equal costs share one class
+        return CostSuite(tuple(index), tuple(map(index.__getitem__, costs)))
     return random_cost_suite(
         config.n,
         config.seed if spec["seed"] is None else spec["seed"],

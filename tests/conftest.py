@@ -24,11 +24,17 @@ and ``engine.init_consensus``, with the estimate kept as a ``Fraction``),
 ``fraction_error_metric``, ``saturation_half_range`` and
 ``fraction_zoom_decide`` are the ``Fraction`` forms of the error metric, of
 the zoom rule's range and of the zoom rule, which ``metrics.error_metric``
-and ``optimizer.zoom_decide`` evaluate on grid levels.
+and ``optimizer.zoom_decide`` (with the policy's ``on_repeat``) evaluate on
+grid levels.
 ``clamped_quantize`` (with its ``level_index``) is the width-bit quantizer
 that saturates at the ends of that range: ``quantizer.quantize`` is its
 unclamped form, and the product never clamps.
 ``total_curvature`` is the suite's mu = L, which only the tests read.
+
+The product builds graphs and cost suites from their tables alone
+(``Digraph(out_adj)``, ``CostSuite(classes, node_class)``); ``digraph`` builds
+a graph from an edge list and ``cost_suite`` a suite from per-node costs,
+through ``runner.build_costs``' explicit branch.
 
 The theory helpers ``contraction_envelope``, ``envelope_from_history``
 (with its ``EnvelopePoint``) and ``zoom_out_bound`` give the analysis's
@@ -52,13 +58,15 @@ from fractions import Fraction
 import pytest
 
 from zoomgrad import graph
+from zoomgrad.config import RunConfig
 from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, gradient_step
-from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
+from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_XINIT
+from zoomgrad.runner import build_costs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The compiler setuptools will call: $CC, else the one Python was built with.
@@ -217,8 +225,8 @@ def fraction_zoom_decide(q, x_new, x_old, policy):
         gap = (xn * bd - bn * xd) * q.delta.denominator
         rim = (2 ** (policy.quantizer_width - 1) - 1) * q.delta.numerator * xd * bd
         if gap >= rim or gap < -rim:
-            return zoom_out(q, x_new, policy.c_out), "zoom_out"
-        return zoom_in(q, x_new, policy.c_in), "zoom_in"
+            return QuantizerState(x_new, q.delta * policy.c_out), "zoom_out"
+        return QuantizerState(x_new, q.delta / policy.c_in), "zoom_in"
     if isinstance(policy, RefineOnly):
         return QuantizerState(q.b_q, q.delta / policy.c_refine), "refine"
     if isinstance(policy, FixedLevel):
@@ -420,18 +428,33 @@ BULK_DRAW_BOUNDS = {
 }
 
 
+def digraph(n, edges):
+    """The ``Digraph`` on nodes 0..n-1 with the loop-free edge list ``edges``."""
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+    return Digraph(tuple(tuple(sorted(r)) for r in rows))
+
+
 def ring(n):
     """Directed n-cycle 0 -> 1 -> ... -> n-1 -> 0 (diameter n-1)."""
-    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
     """Complete digraph on n nodes (diameter 1)."""
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    return digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
 def bidirectional_pair():
-    return Digraph(2, [(0, 1), (1, 0)])
+    return digraph(2, [(0, 1), (1, 0)])
+
+
+def cost_suite(costs):
+    """The ``CostSuite`` of the per-node ``QuadraticCost``s ``costs``, grouped
+    into classes as ``runner.build_costs`` groups an explicit cost list."""
+    pairs = [(c.beta, c.x0) for c in costs]
+    return build_costs(RunConfig(n=len(pairs), cost_spec={"kind": "explicit", "costs": pairs}))
 
 
 @pytest.fixture

@@ -27,7 +27,8 @@ from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.metrics import TABLE_N_TT, TABLE_ROWS, TABLE_THRESHOLDS
-from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
+from zoomgrad.optimizer import AdaptiveZoom
+from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import (
     cmd_compare,
@@ -201,8 +202,8 @@ def test_criterion_01_quantizer_branch_table(acceptance):
     for xi, mid, code in table:
         ok = ok and clamped_quantize(q, xi, 3) == mid and level_index(q, xi, 3) == code
     # re-parameterization arithmetic used by the adaptive policy (c_out=2, c_in=4/3)
-    ok = ok and zoom_out(q, F(7, 4), F(2)).delta == F(1)
-    ok = ok and zoom_in(q, F(1, 4), F(4, 3)).delta == F(3, 8)
+    ok = ok and AdaptiveZoom().on_repeat(q, 4)[0].delta == F(1)
+    ok = ok and AdaptiveZoom().on_repeat(q, 1)[0].delta == F(3, 8)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     acceptance(1, ok, "18 branch/boundary/saturation rows exact, %.3fs" % elapsed)

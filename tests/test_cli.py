@@ -1,15 +1,17 @@
 """Command-line interface: flag parsing, config layering, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 import zoomgrad
 from zoomgrad import optimizer
-from zoomgrad.cli import _parse_seeds, main
+from zoomgrad.cli import _build_config, _parse_seeds, main
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus import ConsensusCapError
 from zoomgrad.runner import SUMMARY_COLUMNS, SWEEP_COLUMNS
@@ -65,6 +67,40 @@ def test_config_file_plus_flag_override(tmp_path):
     assert row["seed"] == "12"  # the flag wins over the file
     assert row["n"] == "4"  # untouched file values survive
     assert row["steps"] == "6"
+
+
+def cli_args(command, config=None, **flags):
+    """The namespace the parser gives ``command`` with ``flags`` set and every other flag unset."""
+    unset = dict.fromkeys(("seed", "n", "alpha", "delta0", "c_in", "c_out", "policy", "max_steps", "target_error"))
+    return argparse.Namespace(command=command, config=config, **dict(unset, accounting=None, out_dir=None, **flags))
+
+
+def write_config(tmp_path, d):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_build_config_merge_rules(tmp_path):
+    # A stop flag sets its one key: the other keeps the default block's value.
+    assert _build_config(cli_args("run", max_steps=7)) == RunConfig(stop={"max_steps": 7, "target_error": 1e-5})
+    assert _build_config(cli_args("run", target_error=0.5)) == RunConfig(stop={"max_steps": 200, "target_error": 0.5})
+    # ... or the file's stop block's, when the file has one.
+    path = write_config(tmp_path, {"n": 4, "stop": {"max_steps": 6}})
+    assert _build_config(cli_args("run", path, target_error=0.5)) == RunConfig(
+        n=4, stop={"max_steps": 6, "target_error": 0.5}
+    )
+    # Without a flag the file's stop block replaces the default block whole.
+    assert _build_config(cli_args("run", path)) == RunConfig(n=4, stop={"max_steps": 6})
+    # compare drops the file's policy block; run and sweep keep it.
+    policy = {"variant": "refine_only", "c_refine": "5/2"}
+    path = write_config(tmp_path, {"seed": 3, "policy": policy})
+    assert _build_config(cli_args("compare", path)) == RunConfig(seed=3)
+    assert _build_config(cli_args("sweep", path)) == RunConfig(seed=3, policy=policy)
+    # A flag wins over the file, and an unset one leaves the file's value.
+    assert _build_config(cli_args("run", path, seed=8, alpha="1/10")) == RunConfig(
+        seed=8, alpha=F(1, 10), policy=policy
+    )
 
 
 def test_flags_match_api_run(tmp_path):
@@ -275,6 +311,34 @@ def test_a_diverging_error_metric_exits_1_and_writes_nothing(tmp_path, capsys):
     assert rc == 1
     assert one_error_line(capsys).startswith("error: a value overflowed a float - ")
     assert not out.exists()
+
+
+def test_a_huge_quantizer_width_runs_in_bounded_time_and_memory(tmp_path):
+    # The saturation test used to build 2**(width - 1): at width 2**40 a
+    # 2**40-bit integer.  The run goes in a child process capped at 1 GiB of
+    # address space, so a build that does that fails fast instead of
+    # exhausting the host's memory.
+    path = write_config(tmp_path, {
+        "n": 2, "seed": 7, "policy": {"variant": "adaptive_zoom", "quantizer_width": 2**40}, "stop": {"max_steps": 3},
+    })
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from zoomgrad.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(zoomgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "run", "--config", path, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) < 1.0
+    assert summary_row(tmp_path / "out" / "summary.csv")["steps"] == "3"
 
 
 def test_bad_choice_is_usage_error(capsys):

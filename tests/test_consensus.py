@@ -26,6 +26,7 @@ from conftest import (
     clamped_quantize,
     complete,
     consensus_point,
+    digraph,
     flood_consensus,
     ring,
 )
@@ -38,7 +39,7 @@ from zoomgrad.consensus.engine import (
     run_consensus,
     sample_out_target,
 )
-from zoomgrad.graph import Digraph, generate_random_digraph
+from zoomgrad.graph import generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
@@ -558,13 +559,13 @@ def test_fastmod_equals_the_remainder_for_every_32_bit_bound(r, d):
 def star(n):
     """Hub 0 linked both ways to n - 1 leaves: the hub draws below n and,
     fed by every leaf, holds z far above 2."""
-    return Digraph(n, [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)])
+    return digraph(n, [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)])
 
 
 def ladder(n):
     """Node u sends to the next 1 + u % (n - 1) nodes around the ring, so the
     out-degrees run through 1 .. n - 1 and the draws through every bound."""
-    return Digraph(n, [(u, (u + k) % n) for u in range(n) for k in range(1, 2 + u % (n - 1))])
+    return digraph(n, [(u, (u + k) % n) for u in range(n) for k in range(1, 2 + u % (n - 1))])
 
 
 @st.composite
@@ -654,7 +655,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
 def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
     # A graph built from an edge list, not generated, gets its handle on the
     # first kernel call, keeps it, and runs like the pure path.
-    g = Digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 0), (1, 4)])
+    g = digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 0), (1, 4)])
     assert g._kernel_handle is None
     y = masses([F(k, 3) for k in (-4, 1, 7, 2, -1, 5)], Q_HALF)
     compiled = outcome(consensus_point, y, Q_HALF, g, 7, force_backend="compiled")

@@ -8,9 +8,7 @@ guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
 
-import copy
 import hashlib
-import pickle
 import random
 import types
 import warnings
@@ -20,11 +18,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BULK_DRAW_BOUNDS, CC, complete, ring
+from conftest import BULK_DRAW_BOUNDS, CC, complete, digraph, ring
 from zoomgrad import graph, objective, runner
 from zoomgrad.config import RunConfig
 from zoomgrad.graph import (
-    Digraph,
     diameter,
     generate_random_digraph,
 )
@@ -87,15 +84,15 @@ def test_generated_graphs_match_networkx(n, p):
 def test_generation_deterministic():
     a = generate_random_digraph(12, Fraction(1, 2), 3)
     b = generate_random_digraph(12, Fraction(1, 2), 3)
-    assert a == b
+    assert a.out_adj == b.out_adj
     c = generate_random_digraph(12, Fraction(1, 2), 4)
-    assert a != c
+    assert a.out_adj != c.out_adj
 
 
 def test_edge_prob_accepts_strings_and_floats():
     a = generate_random_digraph(8, Fraction(1, 4), 1)
-    assert a == generate_random_digraph(8, "1/4", 1)
-    assert a == generate_random_digraph(8, 0.25, 1)
+    assert a.out_adj == generate_random_digraph(8, "1/4", 1).out_adj
+    assert a.out_adj == generate_random_digraph(8, 0.25, 1).out_adj
 
 
 def test_p_zero_gives_hamiltonian_cycle():
@@ -148,7 +145,7 @@ def test_diameter_matches_bfs_on_random_digraphs(n, p, seed):
     # Low p leaves most of these not strongly connected: both must raise.
     rnd = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p]
-    assert_diameter_matches_bfs(Digraph(n, edges))
+    assert_diameter_matches_bfs(digraph(n, edges))
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,15 +157,6 @@ def test_diameter_matches_bfs_on_random_digraphs(n, p, seed):
 def test_diameter_matches_bfs_on_generated_instances(n, p, seed):
     g = generate_random_digraph(n, p, seed)
     assert diameter(g) == bfs_diameter(g)
-
-
-def test_digraph_rejects_bad_edges():
-    with pytest.raises(ValueError, match="self-loop"):
-        Digraph(3, [(0, 0)])
-    with pytest.raises(ValueError, match="out of range"):
-        Digraph(3, [(0, 5)])
-    with pytest.raises(ValueError, match="at least 2"):
-        Digraph(1, [])
 
 
 NOT_STRONGLY_CONNECTED = [
@@ -183,7 +171,7 @@ NOT_STRONGLY_CONNECTED = [
 
 def test_not_strongly_connected_detected():
     for edges in NOT_STRONGLY_CONNECTED:
-        g = Digraph(3, edges)
+        g = digraph(3, edges)
         assert not nx.is_strongly_connected(to_nx(g))
         with pytest.raises(ValueError, match="not strongly connected"):
             bfs_diameter(g)
@@ -206,7 +194,7 @@ def test_diameter_across_word_boundaries(backend, request):
     outcomes = set()
     for n, p, seed in WIDE_RANDOM:
         rnd = random.Random(seed)
-        g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p])
+        g = digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p])
         assert_diameter_matches_bfs(g)
         outcomes.add(nx.is_strongly_connected(to_nx(g)))
     assert outcomes == {True, False}
@@ -216,23 +204,17 @@ def test_diameter_across_word_boundaries(backend, request):
             assert diameter(g) == bfs_diameter(g)
     for edges in NOT_STRONGLY_CONNECTED:
         with pytest.raises(ValueError, match="diameter undefined: digraph is not strongly connected"):
-            diameter(Digraph(3, edges))
-
-
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_graph_copies_and_pickles_after_its_diameter(backend, request):
-    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
-    g = generate_random_digraph(70, Fraction(1, 10), 2)
-    want = g.diameter
-    for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert h == g and h.n == g.n
-        assert h.diameter == want
+            diameter(digraph(3, edges))
 
 
 def test_adjacency_is_sorted_and_deduplicated():
-    g = Digraph(4, [(2, 1), (2, 3), (2, 1), (0, 1), (1, 0), (3, 0)])
+    g = digraph(4, [(2, 1), (2, 3), (2, 1), (0, 1), (1, 0), (3, 0)])
     assert g.out_adj == ((1,), (0,), (1, 3), (0,))
     assert g.edge_count() == 5
+    # Digraph takes its rows as given: the generator's are sorted and
+    # loop-free, with no repeats.
+    g = generate_random_digraph(30, Fraction(1, 3), 5)
+    assert all(list(row) == sorted(set(row) - {u}) for u, row in enumerate(g.out_adj))
 
 
 def test_graph_stream_isolated_from_other_draws():
@@ -240,7 +222,7 @@ def test_graph_stream_isolated_from_other_draws():
     # draws other components consumed; regenerating is enough to prove it
     # (fresh stream), but also pin one concrete graph for regressions.
     g = generate_random_digraph(5, Fraction(1, 2), 1)
-    assert g == generate_random_digraph(5, Fraction(1, 2), 1)
+    assert g.out_adj == generate_random_digraph(5, Fraction(1, 2), 1).out_adj
     assert nx.is_strongly_connected(to_nx(g))
 
 

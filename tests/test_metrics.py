@@ -15,6 +15,7 @@ from conftest import (
     EnvelopePoint,
     bidirectional_pair,
     contraction_envelope,
+    cost_suite,
     envelope_from_history,
     fraction_error_metric,
     per_node_spread,
@@ -33,7 +34,7 @@ from zoomgrad.metrics import (
     schedule_width,
     table_cells,
 )
-from zoomgrad.objective import CostSuite, QuadraticCost
+from zoomgrad.objective import QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, RunRecord, initial_state, run_until
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
@@ -93,7 +94,7 @@ def test_error_rejects_degenerate_start():
     # run_until computes the normalizer once, before the first step, and
     # names the node whose start sits on the optimum
     g = bidirectional_pair()
-    s = CostSuite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
+    s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
     state = initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)))
     with pytest.raises(ValueError, match="node 1"):
         run_until(state, g, s, F(3, 25), AdaptiveZoom(), {"max_steps": 3}, PCG32(1, STREAM_PROTOCOL))

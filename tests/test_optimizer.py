@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     bidirectional_pair,
     consensus_point,
+    cost_suite,
     fraction_zoom_decide,
     per_node_spread,
     per_node_step,
@@ -21,7 +22,7 @@ from zoomgrad import optimizer
 from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
-from zoomgrad.objective import CostSuite, QuadraticCost
+from zoomgrad.objective import QuadraticCost
 from zoomgrad.optimizer import (
     AdaptiveZoom,
     FixedLevel,
@@ -38,7 +39,7 @@ from zoomgrad.optimizer import (
     step,
     zoom_decide,
 )
-from zoomgrad.quantizer import QuantizerState, zoom_in, zoom_out
+from zoomgrad.quantizer import QuantizerState, grid_point
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
@@ -46,7 +47,7 @@ ALPHA = F(3, 25)
 
 
 def suite(pairs):
-    return CostSuite(QuadraticCost(F(b), F(x)) for b, x in pairs)
+    return cost_suite([QuadraticCost(F(b), F(x)) for b, x in pairs])
 
 
 # --- gradient step ----------------------------------------------------------
@@ -75,52 +76,41 @@ def test_gradient_step_zero_alpha():
 
 
 def test_no_event_without_repeat():
-    q, event = zoom_decide(Q0, 3, 2, AdaptiveZoom())
-    assert event == "none"
-    assert q == Q0
+    assert zoom_decide(Q0, 3, 2, AdaptiveZoom()) == (Q0, "none", 3)
 
 
 def test_adaptive_out_of_range_zooms_out():
-    q, event = zoom_decide(Q0, 4, 4, AdaptiveZoom())  # x = 2
-    assert event == "zoom_out"
-    assert q == QuantizerState(F(2), F(1))
+    # The grid re-centres on the estimate, whose level on it is 0.
+    assert zoom_decide(Q0, 4, 4, AdaptiveZoom()) == (QuantizerState(F(2), F(1)), "zoom_out", 0)  # x = 2
 
 
 def test_adaptive_in_range_zooms_in():
-    q, event = zoom_decide(Q0, 2, 2, AdaptiveZoom())  # x = 1
-    assert event == "zoom_in"
-    assert q == QuantizerState(F(1), F(3, 8))
+    assert zoom_decide(Q0, 2, 2, AdaptiveZoom()) == (QuantizerState(F(1), F(3, 8)), "zoom_in", 0)  # x = 1
 
 
 def test_adaptive_range_boundaries():
     # dynamic range is [b_q - 3d, b_q + 3d): the upper edge saturates, the
     # lower edge is still inside, the level below it is out
-    hi, event = zoom_decide(Q0, 3, 3, AdaptiveZoom())
+    hi, event, _ = zoom_decide(Q0, 3, 3, AdaptiveZoom())
     assert event == "zoom_out"
     assert hi.delta == F(1)
-    lo, event = zoom_decide(Q0, -3, -3, AdaptiveZoom())
+    lo, event, _ = zoom_decide(Q0, -3, -3, AdaptiveZoom())
     assert event == "zoom_in"
-    below, event = zoom_decide(Q0, -4, -4, AdaptiveZoom())
+    below, event, _ = zoom_decide(Q0, -4, -4, AdaptiveZoom())
     assert event == "zoom_out"
     assert below.b_q == F(-2)
 
 
 def test_refine_only_shrinks_in_place():
-    q, event = zoom_decide(Q0, 2, 2, RefineOnly())
+    q, event, level = zoom_decide(Q0, 2, 2, RefineOnly())
     assert event == "refine"
     assert q.delta == F(1, 20)
     assert q.b_q == Q0.b_q  # basis never moves
+    assert level == 20  # the same point on the finer grid
 
 
 def test_fixed_level_never_changes():
-    q, event = zoom_decide(Q0, 2, 2, FixedLevel(b_pm=7))
-    assert event == "none"
-    assert q == Q0
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(TypeError):
-        zoom_decide(Q0, 2, 2, object())
+    assert zoom_decide(Q0, 2, 2, FixedLevel(b_pm=7)) == (Q0, "none", 2)
 
 
 # Where the level sits against the width-bit range [-H, H) of levels: on
@@ -152,16 +142,28 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free,
     x_new = b_q + m * delta
     policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
     if x_new >= q.b_q + half or x_new < q.b_q - half:
-        expected = zoom_out(q, x_new, policy.c_out), "zoom_out"
+        expected = QuantizerState(x_new, delta * policy.c_out), "zoom_out"
     else:
-        expected = zoom_in(q, x_new, policy.c_in), "zoom_in"
+        expected = QuantizerState(x_new, delta / policy.c_in), "zoom_in"
     assert fraction_zoom_decide(q, x_new, x_new, policy) == expected
-    assert zoom_decide(q, m, m, policy) == expected
-    assert zoom_decide(q, m, m + 1, policy) == fraction_zoom_decide(q, x_new, x_new + delta, policy) == (q, "none")
+    assert zoom_decide(q, m, m, policy) == expected + (0,)
+    assert zoom_decide(q, m, m + 1, policy)[:2] == fraction_zoom_decide(q, x_new, x_new + delta, policy) == (q, "none")
     if where in ("upper", "lower-"):
         assert expected[1] == "zoom_out"  # the upper rim saturates, below the lower rim too
     if where in ("lower", "upper-") and width > 1:
         assert expected[1] == "zoom_in"  # the lower rim and just under the upper one are inside
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(min_value=1, max_value=70), st.sampled_from([1, -1]), st.integers(min_value=-3, max_value=3))
+def test_the_saturation_test_by_bit_length_is_the_power_form(width, side, nudge):
+    # on_repeat tests m >= H or m < -H, H = 2**(width-1) - 1, as the bit
+    # length of m + 1 (or of -m) reaching the width, so that a huge width
+    # builds no huge power.  Both forms agree at and around either rim.
+    m = side * 2 ** (width - 1) + nudge
+    rim = 2 ** (width - 1) - 1
+    _, event, _ = AdaptiveZoom(quantizer_width=width).on_repeat(Q0, m)
+    assert (event == "zoom_out") == (m >= rim or m < -rim)
 
 
 # --- message width schedules ------------------------------------------------
@@ -202,7 +204,7 @@ def test_step_agreement_and_grid():
     state = initial_state([F(1), F(2)], Q0)
     rng = PCG32(3, STREAM_PROTOCOL)
     state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), rng)
-    assert state.x == rec.x_value  # one common estimate, stored once
+    assert grid_point(state.q.b_q, state.q.delta, state.level) == rec.x_value  # one common estimate
     assert len(state.history) == 1 == rec.k
     # consensus output is a whole number of steps from the pre-step basis
     assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
@@ -300,10 +302,10 @@ def test_per_node_quantizer_copies_stay_identical():
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
-        x_prev = state.x_init if state.x is None else [state.x] * 5
+        x_prev = [state.history[-1].x_value] * 5 if state.history else state.x_init
         state, rec = step(state, g, s, ALPHA, policy, rng)
         per_node = [
-            zoom_decide(q, (rec.x_value - q.b_q) / q.delta, (x_prev[i] - q.b_q) / q.delta, policy)[0]
+            zoom_decide(q, int((rec.x_value - q.b_q) / q.delta), (x_prev[i] - q.b_q) / q.delta, policy)[0]
             for i, q in enumerate(per_node)
         ]
         assert all(q == state.q for q in per_node)
@@ -374,7 +376,7 @@ def test_run_until_stops_at_target():
     assert all(r.error > 1e-4 for r in history[:-1])
     assert len(history) < 200
     # distance to the known optimum shrank accordingly
-    assert abs(state.x - F(3, 2)) < F(1, 100)
+    assert abs(history[-1].x_value - F(3, 2)) < F(1, 100)
 
 
 def test_run_record_is_frozen():
@@ -388,7 +390,7 @@ def test_initial_state_copies_inputs():
     st = initial_state(xs, Q0)
     xs.append(F(3))
     assert st.x_init == (F(1), F(2))
-    assert st.x is None and st.history == []  # no common estimate before step 1
+    assert st.level is None and st.history == []  # no common estimate before step 1
     assert isinstance(st, OptimizerState)
 
 
@@ -403,7 +405,7 @@ def draw_suite(data, n, betas=BETAS, x0s=X0S):
     pool = data.draw(st.lists(st.tuples(betas, x0s), min_size=1, max_size=n))
     extra = n - len(pool)
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=extra, max_size=extra))
-    return CostSuite(QuadraticCost(b, x0) for b, x0 in pool + [pool[i] for i in picks])
+    return cost_suite([QuadraticCost(b, x0) for b, x0 in pool + [pool[i] for i in picks]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,7 +505,7 @@ def test_cost_classes_match_the_per_node_pulls(data):
     n = data.draw(st.integers(min_value=1, max_value=30))
     costs = [QuadraticCost(F(c.beta.numerator, c.beta.denominator), c.x0) for c in draw_suite(data, n).costs]
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
-    classes = cost_classes(CostSuite(costs), alpha)
+    classes = cost_classes(cost_suite(costs), alpha)
     assert len(classes.coeffs) == len({(c.beta, c.x0) for c in costs})
     for j, c in enumerate(costs):
         u, v = classes.coeffs[classes.node_class[j]]
@@ -516,7 +518,7 @@ def test_cost_classes_group_equal_costs():
     assert classes.node_class == (0, 1, 0, 2, 1)
     assert len(classes.coeffs) == 3
     # Keys are the reduced integers, so 4/2 and 2 are one class.
-    again = cost_classes(CostSuite([QuadraticCost(F(4, 2), F(1)), QuadraticCost(F(2), F(2, 2))]), F(1, 10))
+    again = cost_classes(cost_suite([QuadraticCost(F(4, 2), F(1)), QuadraticCost(F(2), F(2, 2))]), F(1, 10))
     assert again.node_class == (0, 0)
 
 
@@ -561,8 +563,8 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
 
     Returns the history, the final quantizer, the RNG state and, after
     every step, the state's level and its estimate twice: for the product
-    ``state.x`` and ``rec.x_value``, for the oracle the ``Fraction`` it
-    keeps.  The oracle's error spread is the per-node sum.
+    the state's level on its grid and ``rec.x_value``, for the oracle the
+    ``Fraction`` it keeps.  The oracle's error spread is the per-node sum.
     """
     estimates = []
 
@@ -571,7 +573,7 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
         if step_fn is per_node_step:
             estimates.append((state.level, state.oracle_x, state.oracle_x))
         else:
-            estimates.append((state.level, state.x, rec.x_value))
+            estimates.append((state.level, grid_point(state.q.b_q, state.q.delta, state.level), rec.x_value))
         return state, rec
 
     state = initial_state(x_init, q)
@@ -590,7 +592,8 @@ def test_runs_match_the_per_node_oracle(backend, request):
     # final quantizer and the RNG position equal the per-node path's, step 1
     # and the error's spread included, for all three policies, widths 3 and
     # 5 and a non-integer refine factor; after every step the state's level,
-    # state.x and the record's x_value equal the oracle's Fraction estimate.
+    # the point it names on the state's grid and the record's x_value equal
+    # the oracle's Fraction estimate.
     request.getfixturevalue(backend)
 
     @settings(max_examples=40, deadline=None)
@@ -645,7 +648,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # Between zooms the estimate is a grid level: after step 1, a step whose
     # event is none (every step of a fixed level, its absorbing repeats
     # included) builds no Fraction, error metric included.  A record's
-    # x_value and the state's x are built only when read.
+    # x_value is built only when read.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], QuantizerState(b_q=F(0), delta=F(1, 10)))
@@ -669,7 +672,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     before = len(built)
     x = state.history[-1].x_value
     assert len(built) > before
-    assert x == state.x == state.history[-1].b_q + state.history[-1].level * state.history[-1].delta
+    assert x == state.history[-1].b_q + state.history[-1].level * state.history[-1].delta
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):

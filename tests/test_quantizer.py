@@ -10,10 +10,11 @@ from hypothesis import given, strategies as st
 
 from conftest import clamped_quantize, level_index, saturation_half_range
 from zoomgrad.optimizer import AdaptiveZoom
-from zoomgrad.quantizer import QuantizerState, quantize, zoom_in, zoom_out
+from zoomgrad.quantizer import QuantizerState, quantize
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
 C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
+ZOOM = AdaptiveZoom()  # 3 bits: levels in [-3, 3) zoom in, the others out
 
 # (input, midpoint, code) for b_q=0, delta=1/2: every one of the 8 output
 # cells is hit in its interior and at its left (closed) boundary, plus both
@@ -83,21 +84,21 @@ def test_unsaturated_variant():
 
 
 def test_zoom_out_examples():
-    q1 = zoom_out(Q0, F(2), C_OUT)
-    assert q1 == QuantizerState(F(2), F(1))
-    q2 = zoom_out(Q0, F(-5), C_OUT)
+    # on Q0 level m is the point m/2
+    assert ZOOM.on_repeat(Q0, 4) == (QuantizerState(F(2), F(1)), "zoom_out", 0)
+    q2, _, _ = ZOOM.on_repeat(Q0, -10)
     assert (q2.b_q, q2.delta) == (F(-5), F(1))
-    q3 = zoom_out(q1, q1.b_q, C_OUT)
+    q3, _, _ = AdaptiveZoom(quantizer_width=1).on_repeat(q2, 0)  # a 1-bit range holds no level
     assert q3.delta == F(2)  # delta_0 * c_out^2
-    assert zoom_out(Q0, F(2), F(5, 2)).delta == F(5, 4)
+    assert AdaptiveZoom(c_out=F(5, 2)).on_repeat(Q0, 4)[0].delta == F(5, 4)
 
 
 def test_zoom_in_examples():
-    q1 = zoom_in(Q0, F(1), C_IN)
-    assert q1 == QuantizerState(F(1), F(3, 8))
-    q2 = zoom_in(q1, q1.b_q, C_IN)
+    q1, event, _ = ZOOM.on_repeat(Q0, 2)
+    assert (q1, event) == (QuantizerState(F(1), F(3, 8)), "zoom_in")
+    q2, _, _ = ZOOM.on_repeat(q1, 0)
     assert q2.delta == F(9, 32)
-    assert zoom_in(Q0, F(1), F(7, 5)).delta == F(5, 14)
+    assert AdaptiveZoom(c_in=F(7, 5)).on_repeat(Q0, 2)[0].delta == F(5, 14)
 
 
 def test_validation():
@@ -171,7 +172,7 @@ def test_delta_trajectory_identity(zoom_sequence):
     # delta = delta_0 * c_out^nu_out / c_in^nu_in after any interleaving
     q = Q0
     for out in zoom_sequence:
-        q = zoom_out(q, q.b_q + 5, C_OUT) if out else zoom_in(q, q.b_q, C_IN)
+        q, _, _ = ZOOM.on_repeat(q, 10 if out else 0)
     n_out = sum(zoom_sequence)
     n_in = len(zoom_sequence) - n_out
     assert q.delta == Q0.delta * C_OUT**n_out / C_IN**n_in

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
+from conftest import cost_suite, per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
 from zoomgrad import optimizer
 from zoomgrad.config import ConfigError, RunConfig
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError
@@ -77,26 +77,29 @@ def test_build_policy_fixed():
 
 def test_build_costs_explicit():
     c = RunConfig(
-        n=2,
-        cost_spec={"kind": "explicit", "costs": [["3", "1/2"], ["1", "4"]]},
+        n=3,
+        cost_spec={"kind": "explicit", "costs": [["3", "1/2"], ["1", "4"], ["6/2", "0.5"]]},
     )
     suite = build_costs(c)
-    assert [(q.beta, q.x0) for q in suite] == [(F(3), F(1, 2)), (F(1), F(4))]
+    assert [(q.beta, q.x0) for q in suite.costs] == [(F(3), F(1, 2)), (F(1), F(4)), (F(3), F(1, 2))]
+    # equal costs, however written, share one class
+    assert [(q.beta, q.x0) for q in suite.classes] == [(F(3), F(1, 2)), (F(1), F(4))]
+    assert suite.node_class == (0, 1, 0)
 
 
 def test_build_costs_random_uses_config_seed():
     a = build_costs(RunConfig(seed=11))
     b = build_costs(RunConfig(seed=11))
-    assert [(q.beta, q.x0) for q in a] == [(q.beta, q.x0) for q in b]
+    assert [(q.beta, q.x0) for q in a.costs] == [(q.beta, q.x0) for q in b.costs]
     other = build_costs(RunConfig(seed=12))
-    assert [(q.beta, q.x0) for q in a] != [(q.beta, q.x0) for q in other]
+    assert [(q.beta, q.x0) for q in a.costs] != [(q.beta, q.x0) for q in other.costs]
 
 
 def test_build_costs_spec_seed_overrides_run_seed():
     spec = {"kind": "random", "seed": 77, "value_set": [1, 2, 3, 4, 5]}
     a = build_costs(RunConfig(seed=1, cost_spec=dict(spec)))
     b = build_costs(RunConfig(seed=2, cost_spec=dict(spec)))
-    assert [(q.beta, q.x0) for q in a] == [(q.beta, q.x0) for q in b]
+    assert [(q.beta, q.x0) for q in a.costs] == [(q.beta, q.x0) for q in b.costs]
 
 
 def test_sample_x_init_grid_and_range():
@@ -159,7 +162,7 @@ def fractional_configs(draw):
             max_size=n,
         )
     )
-    x_star = per_node_optimum(CostSuite(QuadraticCost(b, x) for b, x in costs))
+    x_star = per_node_optimum(cost_suite([QuadraticCost(b, x) for b, x in costs]))
     grid = draw(st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12))
     below, above = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     offset = draw(st.sampled_from([0, 0, grid / 3]))  # x* on the grid, mostly
