@@ -46,9 +46,10 @@ this path is checked against.
 
 Two implementations run these rounds.  The package's optional C extension
 (``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws,
-the diameter and the bulk draws; ``graph`` imports it and checks its ``ABI`` once, and the
-engine binds the same object) runs them in int64 as ``run_rounds`` when it
-is built: same node order, same PCG32 draws, same stop rule, so the output,
+the diameter and the bulk draws; ``graph`` imports it and checks its
+``ABI`` once, and the engine reads ``graph._kernel`` at each call, so one
+name selects the backend) runs them in int64 as ``run_rounds`` when it is
+built: same node order, same PCG32 draws, same stop rule, so the output,
 rounds, set of distinct pieces and RNG state are bit-for-bit equal to the
 pure snapshot path.  The pure path sheds a node's ``z - 1`` pieces one
 floor division at a time (``_split_and_deliver``) and is the per-piece
@@ -79,7 +80,8 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from ..graph import Digraph, _kernel
+from .. import graph
+from ..graph import Digraph
 from ..quantizer import QuantizerState, quantize
 from ..rng import PCG32
 
@@ -119,7 +121,7 @@ class ConsensusCapError(RuntimeError):
 
 def active_backend() -> str:
     """Which implementation runs use by default: 'compiled' or 'pure'."""
-    return "compiled" if _kernel is not None else "pure"
+    return "compiled" if graph._kernel is not None else "pure"
 
 
 def effective_epoch(diam: int) -> int:
@@ -208,13 +210,14 @@ def run_consensus(
     """
     if force_backend not in (None, "pure", "compiled"):
         raise ValueError(f"unknown backend {force_backend!r}")
-    if force_backend == "compiled" and _kernel is None:
+    kernel = graph._kernel
+    if force_backend == "compiled" and kernel is None:
         raise RuntimeError("compiled consensus kernel is not available")
 
     d_eff = effective_epoch(g.diameter)
     out = None
-    if _kernel is not None and force_backend != "pure":
-        out = _run_kernel(y, g, d_eff, rng, max_rounds)
+    if kernel is not None and force_backend != "pure":
+        out = _run_kernel(kernel, y, g, d_eff, rng, max_rounds)
         if out is None and force_backend == "compiled":
             raise RuntimeError("compiled consensus kernel declined: sum(|y|) exceeds int64")
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
@@ -245,7 +248,7 @@ def _run_snapshot(y, g, d_eff, rng, max_rounds):
     raise ConsensusCapError(max_rounds)
 
 
-def _run_kernel(y, g, d_eff, rng, max_rounds):
+def _run_kernel(kernel, y, g, d_eff, rng, max_rounds):
     """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
     The kernel reads the graph through its cached handle and returns the
@@ -253,7 +256,7 @@ def _run_kernel(y, g, d_eff, rng, max_rounds):
     of format ``'q'``.  It copies ``y`` and runs on a copy of the RNG state,
     so a decline leaves both untouched and the pure replay is bit-identical.
     """
-    out = _kernel.run_rounds(y, g.kernel_handle(_kernel), d_eff, max_rounds, rng.state, rng.inc)
+    out = kernel.run_rounds(y, g.kernel_handle(kernel), d_eff, max_rounds, rng.state, rng.inc)
     if out is None:
         return None
     stopped, rounds, m, alphabet, rng.state = out

@@ -12,19 +12,21 @@ recentered) otherwise; the two baseline policies either only refine the
 step size on repeats or never touch it.
 
 A node's half-step is a linear function of the estimate it holds, with
-coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table,
-built once per run from the suite's own class table and kept on the state,
+coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
-floor division over a common denominator.  Step 1 applies the floor to every
-node's own start (``start_masses``), scaling each distinct start to the
-common denominator once; from step 2 on every node holds the one common
-estimate, so the floor runs once per class (``grid_masses``).  The per-node
-path, an exact ``Fraction`` gradient step (``gradient_step``) quantized node
-by node (``engine.init_consensus``), is the oracle both are tested against;
-no step calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS``
-pin both.  The error's normalizer ``start_spread`` is summed once per
-distinct start, weighted by its multiplicity, as a balanced tree of
-unreduced integer fractions reduced once at the end.
+floor division over a common denominator.  ``initial_state`` builds
+everything the run's fixed inputs determine: the table, step 1's masses
+(``start_masses``: the floor applied to every node's own start, each
+distinct start scaled to the common denominator once) and the start level.
+After step 1 every node holds the one common estimate, so a step that moves
+the grid or the estimate refreshes the next step's masses with one floor
+per class (``grid_masses``).  The per-node path, an exact ``Fraction``
+gradient step (``gradient_step``) quantized node by node
+(``engine.init_consensus``), is the oracle both are tested against; no step
+calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
+The error's normalizer ``start_spread`` is summed once per distinct start,
+weighted by its multiplicity, as a balanced tree of unreduced integer
+fractions reduced once at the end.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
 ``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
@@ -32,12 +34,14 @@ is passed, which stays for the benchmark's parity replay), and the state
 keeps the estimate as its level on the current grid
 (``OptimizerState.level``): ``m`` after a step without an event, 0 after a
 zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
-refine.  The masses, the repeat and saturation tests and the error metric
-read the level and the grid's integers, so a step without an event builds
-no ``Fraction``; the estimate itself (``RunRecord.x_value``) is built only
-when read, and a zoom builds the point it re-centres on.  A fixed level's
-repeat leaves grid and estimate unchanged, so the next step sends the same
-masses again.
+refine.  Before step 1 the level is the start's when every node starts at
+one value, else None, so step 1 is a repeat only when every start equals
+its output.  The masses, the repeat and saturation tests and the error
+metric read the level and the grid's integers, so a step without an event
+builds no ``Fraction``; the estimate itself (``RunRecord.x_value``) is built
+only when read, and a zoom builds the point it re-centres on.  A fixed
+level's repeat leaves grid and estimate unchanged, so the next step sends
+the same masses again.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
@@ -287,15 +291,26 @@ def _tree_sum(terms):
 @dataclass
 class OptimizerState:
     x_init: tuple  # per-node starting estimates
-    q: QuantizerState
-    level: int | Fraction | None = None  # the common estimate's level on q's grid; None before step 1
+    q: QuantizerState  # the current grid
+    level: int | Fraction | None  # the common estimate's level on q's grid; None while the starts differ
+    classes: CostClasses  # the run's cost-class table, for its (s, alpha)
+    masses: list  # the next step's initial consensus masses
     history: list = field(default_factory=list)  # one RunRecord per step taken
-    classes: CostClasses | None = None  # built at step 1 for the run's (s, alpha)
-    masses: list | None = None  # set after a fixed level's repeat: the next step's masses
 
 
-def initial_state(x_init, q):
-    return OptimizerState(x_init=tuple(x_init), q=q)
+def initial_state(x_init, q, s, alpha):
+    """The state before step 1 of a run on suite ``s`` with step size ``alpha``.
+
+    Step 1's masses are every node's half-step from its own start.  When
+    every start equals one value ``x0`` the nodes already hold a common
+    estimate, at level ``(x0 - b_q)/delta``, so step 1 is a repeat exactly
+    when its output equals ``x0``; otherwise the level is None.
+    """
+    x_init = tuple(x_init)
+    classes = cost_classes(s, alpha)
+    x0 = x_init[0]
+    level = (x0 - q.b_q) / q.delta if all(x == x0 for x in x_init) else None
+    return OptimizerState(x_init, q, level, classes, start_masses(classes, x_init, q))
 
 
 def gradient_step(x, s, alpha):
@@ -326,11 +341,9 @@ def zoom_decide(q, m_new, level_old, policy):
     return policy.on_repeat(q, m_new)
 
 
-def step(state, g, s, alpha, policy, rng, error_fn=None):
+def step(state, g, policy, rng, error_fn=None):
     """Advance one full iteration in place and append its RunRecord.
 
-    ``s`` and ``alpha`` must stay the same for all steps of one state: the
-    cost-class table built at step 1 serves every later step.
     ``error_fn(q, m)`` maps the post-step common estimate, the level ``m``
     on the grid ``q`` of this step's consensus, to the logged error (NaN
     when absent, e.g. in unit tests that only exercise dynamics).
@@ -344,55 +357,38 @@ def step(state, g, s, alpha, policy, rng, error_fn=None):
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below and the idealized per-message bit price.
-    if level_old is None:
-        state.classes = cost_classes(s, alpha)
-        y = start_masses(state.classes, state.x_init, pre_q)
-    elif state.masses is not None:
-        y = state.masses
-    else:
-        y = grid_masses(state.classes, level_old, pre_q)
-    m, stats = run_consensus(y, pre_q, g, rng)
-
-    if level_old is None:
-        # A repeat needs every node's previous estimate, its start, to equal
-        # the output.
-        x_new = grid_point(pre_q.b_q, pre_q.delta, m)
-        if all(x0 == x_new for x0 in state.x_init):
-            level_old = m
+    m, stats = run_consensus(state.masses, pre_q, g, rng)
     state.q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
-
-    k = len(state.history)
-    width = policy.message_width(k)
     # A repeat without an event keeps grid and estimate, and with them the
     # masses.
-    state.masses = y if event == "none" and m == level_old else None
-    n_symbols = len(stats.measured_alphabet)
-    measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
-    error = float("nan") if error_fn is None else error_fn(pre_q, m)
+    if event != "none" or m != level_old:
+        state.masses = grid_masses(state.classes, state.level, state.q)
+
+    k = len(state.history)
     tx = stats.mass_transmissions
     rec = RunRecord(
         k=k + 1,
         level=m,
-        error=error,
+        error=float("nan") if error_fn is None else error_fn(pre_q, m),
         delta=pre_q.delta,
         b_q=pre_q.b_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,
         mass_transmissions=tx,
-        bits_paper_mode=width * tx,
-        bits_measured_mode=measured_width * tx,
+        bits_paper_mode=policy.message_width(k) * tx,
+        bits_measured_mode=(len(stats.measured_alphabet) - 1).bit_length() * tx,
     )
     state.history.append(rec)
     return state, rec
 
 
-def run_until(state, g, s, alpha, policy, stop, rng):
+def run_until(state, g, s, policy, stop, rng):
     """Iterate ``step`` until an error target or a step budget is hit.
 
     ``stop`` carries ``max_steps`` and/or ``target_error``; at least one
     must be set (a non-finite target_error counts as unset).  The error is
     measured against the closed-form optimum, normalized by the spread of
-    the starting estimates.
+    the starting estimates.  ``s`` is the suite the state was built for.
     """
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
@@ -408,7 +404,7 @@ def run_until(state, g, s, alpha, policy, stop, rng):
         return error_metric(q, m, x_star, spread)
 
     while max_steps is None or len(state.history) < max_steps:
-        _, rec = step(state, g, s, alpha, policy, rng, error_fn=error_fn)
+        _, rec = step(state, g, policy, rng, error_fn=error_fn)
         if target is not None and rec.error <= target:
             break
     return state.history

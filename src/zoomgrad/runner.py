@@ -95,10 +95,10 @@ def run_single(config):
     s = build_costs(config)
     x_star = s.global_optimum
     x_init = sample_x_init(config, x_star)
-    state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0))
+    state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0), s, config.alpha)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
-        history = run_until(state, g, s, config.alpha, policy, config.block("stop"), rng)
+        history = run_until(state, g, s, policy, config.block("stop"), rng)
     except ConsensusCapError as exc:
         exc.step = len(state.history) + 1
         raise

@@ -147,18 +147,16 @@ def built_kernel(tmp_path_factory):
 
 @pytest.fixture
 def kernel(built_kernel, monkeypatch):
-    """The freshly built kernel, installed as the engine's and the graph's backend."""
+    """The freshly built kernel, installed as the package's backend (``graph._kernel``)."""
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
-    monkeypatch.setattr(engine, "_kernel", built_kernel)
     monkeypatch.setattr(graph, "_kernel", built_kernel)
     return built_kernel
 
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """Neither the engine nor the graph module sees a compiled kernel."""
-    monkeypatch.setattr(engine, "_kernel", None)
+    """No module of the package sees a compiled kernel."""
     monkeypatch.setattr(graph, "_kernel", None)
 
 
@@ -242,7 +240,10 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     included, and the zoom rule compares estimates.  The oracle keeps its
     estimate as a ``Fraction`` in ``state.oracle_x`` and derives the levels
     the product keeps from it: the record's on the step's grid, the state's
-    on the next one.
+    on the next one.  It takes the suite ``s`` and the step size ``alpha``,
+    which ``optimizer.step`` finds in the tables ``initial_state`` built, and
+    derives step 1's repeat rule from the starts itself; a caller that
+    patches it in for ``optimizer.step`` binds ``s`` and ``alpha``.
     """
     pre_q = state.q
     x_prev = getattr(state, "oracle_x", None)

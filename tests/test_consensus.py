@@ -30,6 +30,7 @@ from conftest import (
     flood_consensus,
     ring,
 )
+from zoomgrad import graph
 from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
@@ -367,7 +368,7 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
 
     def run(max_rounds=ROUND_CAP, backend="pure"):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_kernel", built_kernel)
+            mp.setattr(graph, "_kernel", built_kernel)
             return outcome(consensus_point, y, q, g, seed, max_rounds, force_backend=backend)
 
     snap = run()
@@ -380,6 +381,48 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     if built_kernel is not None:
         assert snap == run(backend="compiled")
         assert capped == run(rounds - 1, backend="compiled")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parity_graphs(),
+    st.lists(st.integers(-(10**6), 10**6), min_size=12, max_size=12),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, offsets, seed):
+    # The alphabet's two bounds.  A split sends and keeps values in
+    # [floor(y/z), ceil(y/z)] and a delivery averages, so every piece sent
+    # in an epoch lies in that epoch's snapshot [m_e, M_e], and every piece
+    # of a call in the first snapshot [m0, M0].  The kernel's alphabet lies
+    # in [m0, M0] too.
+    y = [2 * k + 1 for k in offsets[: g.n]]
+    m0, M0 = min(v // 2 for v in y), max(-(-v // 2) for v in y)
+    d_eff = effective_epoch(g.diameter)
+    split_and_deliver = engine._split_and_deliver
+    rounds = []  # (snapshot of the round's epoch, pieces sent in the round)
+
+    def recorded(y, z, g, rng, alphabet):
+        if len(rounds) % d_eff == 0:  # an epoch starts
+            snapshot = (min(yi // zi for yi, zi in zip(y, z)), max(-(-yi // zi) for yi, zi in zip(y, z)))
+        else:
+            snapshot = rounds[-1][0]
+        pieces = set()
+        split_and_deliver(y, z, g, rng, pieces)
+        alphabet.update(pieces)
+        rounds.append((snapshot, pieces))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_split_and_deliver", recorded)
+        _, stats = run_consensus(y, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")
+    assert len(rounds) == stats.rounds
+    assert rounds[0][0] == (m0, M0)
+    for (m_e, M_e), pieces in rounds:
+        assert all(m_e <= c <= M_e for c in pieces)
+    assert all(m0 <= c <= M0 for c in stats.measured_alphabet)
+    if built_kernel is not None:
+        alphabet = memoryview(kernel_run(built_kernel, y, g, seed)[3]).cast("q")
+        assert set(alphabet) == stats.measured_alphabet
+        assert all(m0 <= c <= M0 for c in alphabet)
 
 
 def kernel_run(kernel, y, g, seed, max_rounds=ROUND_CAP):
@@ -596,7 +639,7 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     g, y = instance
     with pytest.MonkeyPatch.context() as mp:  # "compiled" raises if the kernel declines
-        mp.setattr(engine, "_kernel", built_kernel)
+        mp.setattr(graph, "_kernel", built_kernel)
         compiled = outcome(consensus_point, y, Q_HALF, g, seed, force_backend="compiled")
     assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
 
@@ -648,7 +691,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
     if built_kernel is not None:
         assert kernel_run(built_kernel, y, g, seed)[2] == m
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_kernel", built_kernel)
+            mp.setattr(graph, "_kernel", built_kernel)
             assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="compiled")[0] == m
 
 

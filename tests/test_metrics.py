@@ -95,9 +95,9 @@ def test_error_rejects_degenerate_start():
     # names the node whose start sits on the optimum
     g = bidirectional_pair()
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
-    state = initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)))
+    state = initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
     with pytest.raises(ValueError, match="node 1"):
-        run_until(state, g, s, F(3, 25), AdaptiveZoom(), {"max_steps": 3}, PCG32(1, STREAM_PROTOCOL))
+        run_until(state, g, s, AdaptiveZoom(), {"max_steps": 3}, PCG32(1, STREAM_PROTOCOL))
     assert state.history == []
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))

@@ -18,8 +18,8 @@ from conftest import (
     per_node_step,
     saturation_half_range,
 )
-from zoomgrad import optimizer
-from zoomgrad.consensus import engine, run_consensus
+from zoomgrad import graph, optimizer
+from zoomgrad.consensus import run_consensus
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.objective import QuadraticCost
@@ -201,9 +201,9 @@ def two_node_instance(x0_pair=((1, 1), (1, 2))):
 
 def test_step_agreement_and_grid():
     g, s = two_node_instance()
-    state = initial_state([F(1), F(2)], Q0)
+    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
-    state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), rng)
+    state, rec = step(state, g, AdaptiveZoom(), rng)
     assert grid_point(state.q.b_q, state.q.delta, state.level) == rec.x_value  # one common estimate
     assert len(state.history) == 1 == rec.k
     # consensus output is a whole number of steps from the pre-step basis
@@ -215,8 +215,8 @@ def test_step_agreement_and_grid():
 def test_step_counts_and_bits():
     g, s = two_node_instance()
     seed = 6
-    state = initial_state([F(1), F(2)], Q0)
-    state, rec = step(state, g, s, ALPHA, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
+    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
+    state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
     result, stats = consensus_point(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
@@ -236,10 +236,8 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
     # 2 levels, so every reachable output (1/2 or 1) equals one node's init
     g, s = two_node_instance(((1, "1/2"), (1, 1)))
     for seed in range(10):
-        state = initial_state([F(1, 2), F(1)], Q0)
-        state, rec = step(
-            state, g, s, F(1, 1000), AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL)
-        )
+        state = initial_state([F(1, 2), F(1)], Q0, s, F(1, 1000))
+        state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
         assert state.q == Q0
@@ -251,12 +249,10 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
     g = bidirectional_pair()
     s = suite([(1, "1/2"), (1, "1/2")])
     for seed in range(5):
-        state = initial_state([F(1, 2), F(1, 2)], Q0)
+        state = initial_state([F(1, 2), F(1, 2)], Q0, s, F(1, 100))
         events = []
         for _ in range(2):
-            state, rec = step(
-                state, g, s, F(1, 100), AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL)
-            )
+            state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
             events.append(rec.zoom_event)
             assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
         assert any(e != "none" for e in events)
@@ -269,10 +265,10 @@ def test_zoom_exclusivity_and_delta_sync():
     # shared quantizer's step moves exactly with the logged events.
     g = generate_random_digraph(6, F(1, 2), 9)
     s = suite([(2, 1), (1, 4), (3, 2), (1, 5), (2, 3), (4, 2)])
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5, 1)], Q0)
+    state = initial_state([F(k) for k in (1, 2, 3, 4, 5, 1)], Q0, s, ALPHA)
     rng = PCG32(9, STREAM_PROTOCOL)
     for _ in range(40):
-        step(state, g, s, ALPHA, AdaptiveZoom(), rng)
+        step(state, g, AdaptiveZoom(), rng)
     ins = sum(1 for r in state.history if r.zoom_event == "zoom_in")
     outs = sum(1 for r in state.history if r.zoom_event == "zoom_out")
     assert ins > 0
@@ -298,12 +294,12 @@ def test_per_node_quantizer_copies_stay_identical():
     g = generate_random_digraph(5, F(1, 2), 4)
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
     policy = AdaptiveZoom()
-    state = initial_state([F(2)] * 5, Q0)
+    state = initial_state([F(2)] * 5, Q0, s, ALPHA)
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
         x_prev = [state.history[-1].x_value] * 5 if state.history else state.x_init
-        state, rec = step(state, g, s, ALPHA, policy, rng)
+        state, rec = step(state, g, policy, rng)
         per_node = [
             zoom_decide(q, int((rec.x_value - q.b_q) / q.delta), (x_prev[i] - q.b_q) / q.delta, policy)[0]
             for i, q in enumerate(per_node)
@@ -317,10 +313,10 @@ def test_fixed_level_repeat_is_absorbing():
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState(b_q=F(0), delta=F(1, 10))
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q)
+    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
-        step(state, g, s, ALPHA, FixedLevel(b_pm=7), rng)
+        step(state, g, FixedLevel(b_pm=7), rng)
     xs = [r.x_value for r in state.history]
     stall = next((i for i in range(1, len(xs)) if xs[i] == xs[i - 1]), None)
     assert stall is not None
@@ -334,14 +330,14 @@ def test_fixed_level_repeat_is_absorbing():
 def until_instance():
     g = bidirectional_pair()
     s = suite([(1, 1), (1, 2)])  # optimum 3/2
-    state = initial_state([F(1), F(2)], Q0)
+    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
     return state, g, s
 
 
 def test_run_until_max_steps_exact():
     state, g, s = until_instance()
     history = run_until(
-        state, g, s, ALPHA, AdaptiveZoom(),
+        state, g, s, AdaptiveZoom(),
         {"max_steps": 5, "target_error": float("inf")},
         PCG32(1, STREAM_PROTOCOL),
     )
@@ -352,7 +348,7 @@ def test_run_until_max_steps_exact():
 def test_run_until_nan_target_means_unset():
     state, g, s = until_instance()
     history = run_until(
-        state, g, s, ALPHA, AdaptiveZoom(),
+        state, g, s, AdaptiveZoom(),
         {"max_steps": 4, "target_error": float("nan")},
         PCG32(1, STREAM_PROTOCOL),
     )
@@ -362,13 +358,13 @@ def test_run_until_nan_target_means_unset():
 def test_run_until_needs_some_bound():
     state, g, s = until_instance()
     with pytest.raises(ValueError, match="max_steps or"):
-        run_until(state, g, s, ALPHA, AdaptiveZoom(), {}, PCG32(1, STREAM_PROTOCOL))
+        run_until(state, g, s, AdaptiveZoom(), {}, PCG32(1, STREAM_PROTOCOL))
 
 
 def test_run_until_stops_at_target():
     state, g, s = until_instance()
     history = run_until(
-        state, g, s, ALPHA, AdaptiveZoom(),
+        state, g, s, AdaptiveZoom(),
         {"max_steps": 200, "target_error": 1e-4},
         PCG32(1, STREAM_PROTOCOL),
     )
@@ -386,12 +382,25 @@ def test_run_record_is_frozen():
 
 
 def test_initial_state_copies_inputs():
+    s = suite([(1, 1), (1, 2)])
     xs = [F(1), F(2)]
-    st = initial_state(xs, Q0)
+    st = initial_state(xs, Q0, s, ALPHA)
     xs.append(F(3))
     assert st.x_init == (F(1), F(2))
     assert st.level is None and st.history == []  # no common estimate before step 1
+    assert st.classes == cost_classes(s, ALPHA)
+    assert st.masses == start_masses(st.classes, [F(1), F(2)], Q0)
     assert isinstance(st, OptimizerState)
+
+
+@pytest.mark.parametrize("x0, level", [(F(3, 2), 3), (F(3, 4), F(3, 2)), (F(-1, 3), F(-2, 3))])
+def test_equal_starts_hold_their_level_before_step_1(x0, level):
+    # Nodes that all start at one value already share an estimate: its
+    # level on the start grid, on or off the grid.
+    s = suite([(1, 1), (2, 3), (1, 5)])
+    st = initial_state([x0, F(x0.numerator, x0.denominator), x0], Q0, s, ALPHA)
+    assert st.level == level
+    assert st.masses == grid_masses(st.classes, level, Q0)
 
 
 # --- grid-index half-steps against the per-node oracle ---------------------
@@ -528,6 +537,7 @@ POLICIES = [
     RefineOnly(),
     RefineOnly(c_refine=F(5, 2)),
     FixedLevel(b_pm=7),
+    FixedLevel(b_pm=10),
 ]
 
 
@@ -543,13 +553,21 @@ def run_instances(draw):
         st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4),
         st.fractions(min_value=-5, max_value=5, max_denominator=8),
     )
-    starts = st.fractions(min_value=-5, max_value=5, max_denominator=16)
-    x_init = draw(st.lists(starts, min_size=n, max_size=n))
     policy = draw(st.sampled_from(POLICIES))
     q = QuantizerState(
         b_q=draw(st.fractions(min_value=-2, max_value=2, max_denominator=8)),
         delta=draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)),
     )
+    kind = draw(st.sampled_from(["distinct", "equal on the grid", "equal off the grid"]))
+    if kind == "distinct":
+        starts = st.fractions(min_value=-5, max_value=5, max_denominator=16)
+        x_init = draw(st.lists(starts, min_size=n, max_size=n))
+    else:
+        # One start for every node, a few cells from the optimum, so that
+        # step 1's output often equals it (a repeat at step 1).
+        near = (s.global_optimum - q.b_q) // q.delta + draw(st.integers(-3, 3))
+        off = 0 if kind == "equal on the grid" else draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        x_init = [q.b_q + (near + off) * q.delta] * n
     c_in = draw(st.sampled_from([F(4, 3), F(7, 5)]))
     c_out = draw(st.sampled_from([F(2), F(5, 2)]))
     if isinstance(policy, AdaptiveZoom):
@@ -568,21 +586,22 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
     """
     estimates = []
 
-    def recorded(state, *args, **kwargs):
-        state, rec = step_fn(state, *args, **kwargs)
+    def recorded(state, g, policy, rng, error_fn=None):
         if step_fn is per_node_step:
+            state, rec = per_node_step(state, g, s, alpha, policy, rng, error_fn)
             estimates.append((state.level, state.oracle_x, state.oracle_x))
         else:
+            state, rec = step_fn(state, g, policy, rng, error_fn)
             estimates.append((state.level, grid_point(state.q.b_q, state.q.delta, state.level), rec.x_value))
         return state, rec
 
-    state = initial_state(x_init, q)
+    state = initial_state(x_init, q, s, alpha)
     rng = PCG32(seed, STREAM_PROTOCOL)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "step", recorded)
         if step_fn is per_node_step:
             mp.setattr(optimizer, "start_spread", per_node_spread)
-        run_until(state, g, s, alpha, policy, stop, rng)
+        run_until(state, g, s, policy, stop, rng)
     return state.history, state.q, rng.getstate(), estimates
 
 
@@ -591,12 +610,13 @@ def test_runs_match_the_per_node_oracle(backend, request):
     # Every RunRecord (level, error, quantizer, event, rounds, bits), the
     # final quantizer and the RNG position equal the per-node path's, step 1
     # and the error's spread included, for all three policies, widths 3 and
-    # 5 and a non-integer refine factor; after every step the state's level,
-    # the point it names on the state's grid and the record's x_value equal
-    # the oracle's Fraction estimate.
+    # 5 and a non-integer refine factor, from distinct starts and from one
+    # start on or off the grid (step 1's repeat rule); after every step the
+    # state's level, the point it names on the state's grid and the record's
+    # x_value equal the oracle's Fraction estimate.
     request.getfixturevalue(backend)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(run_instances())
     def check(instance):
         g, s, x_init, q, alpha, policy, seed = instance
@@ -651,7 +671,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # x_value is built only when read.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], QuantizerState(b_q=F(0), delta=F(1, 10)))
+    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], QuantizerState(b_q=F(0), delta=F(1, 10)), s, ALPHA)
     built = fraction_constructions(monkeypatch)
     per_step = []
     real_step = optimizer.step
@@ -663,16 +683,15 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
         return out
 
     monkeypatch.setattr(optimizer, "step", counted)
-    run_until(state, g, s, ALPHA, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
+    run_until(state, g, s, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
     quiet = [count for event, count in per_step[1:] if event == "none"]
     assert len(quiet) >= 10
     assert quiet == [0] * len(quiet)
-    if isinstance(policy, FixedLevel):
-        assert state.masses is not None  # the absorbing repeat sends its masses again
     before = len(built)
     x = state.history[-1].x_value
     assert len(built) > before
     assert x == state.history[-1].b_q + state.history[-1].level * state.history[-1].delta
+    assert state.masses == grid_masses(state.classes, state.level, state.q)  # the next step's
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
@@ -692,9 +711,9 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     monkeypatch.setattr(optimizer, "run_consensus", recording)
 
     def run():
-        state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q)
+        state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
         rng = PCG32(4, STREAM_PROTOCOL)
-        run_until(state, g, s, ALPHA, AdaptiveZoom(), {"max_steps": 4}, rng)
+        run_until(state, g, s, AdaptiveZoom(), {"max_steps": 4}, rng)
         return state.history, state.q, rng.getstate()
 
     compiled = run()
@@ -702,5 +721,5 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     for y in masses:
         assert sum(map(abs, y)) > 2**63 - 1
         assert kernel.run_rounds(y, g.kernel_handle(kernel), 2, 10, 0, 1) is None
-    monkeypatch.setattr(engine, "_kernel", None)
+    monkeypatch.setattr(graph, "_kernel", None)
     assert run() == compiled

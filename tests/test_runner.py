@@ -191,8 +191,8 @@ def test_run_single_matches_the_per_node_oracles(config):
     def run(mp):
         rng_states = []
 
-        def recording(state, g, s, alpha, policy, stop, rng):
-            out = optimizer.run_until(state, g, s, alpha, policy, stop, rng)
+        def recording(state, g, s, policy, stop, rng):
+            out = optimizer.run_until(state, g, s, policy, stop, rng)
             rng_states.append(rng.getstate())
             return out
 
@@ -203,7 +203,12 @@ def test_run_single_matches_the_per_node_oracles(config):
     with pytest.MonkeyPatch.context() as mp:
         got = run(mp)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "step", per_node_step)
+        s = build_costs(config)
+
+        def oracle_step(state, g, policy, rng, error_fn=None):
+            return per_node_step(state, g, s, config.alpha, policy, rng, error_fn)
+
+        mp.setattr(optimizer, "step", oracle_step)
         mp.setattr(optimizer, "start_spread", per_node_spread)
         mp.setattr(CostSuite, "global_optimum", property(per_node_optimum))
         mp.setattr(runner_mod, "sample_x_init", per_draw_x_init)
