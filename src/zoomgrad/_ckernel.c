@@ -29,7 +29,9 @@
  * floor/ceil helper never forms q z, which that bound does not cover: at
  * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where it
- * was and the pure path replays the identical run.  The distinct pieces sent
+ * was and the pure path replays the identical run.  At a stop it checks, in
+ * O(n), that z sums to 2n, that y kept its initial sum and that m lies in
+ * the first snapshot; a violation raises RuntimeError.  The distinct pieces sent
  * are collected in an open-addressing hash set on the handle, which a new call
  * empties in O(1), and returned as one bytes object of native int64 values in
  * first-send order: the copy out is O(distinct pieces), with no Python int
@@ -332,7 +334,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
-    int64_t M = 0, m = 0, abs_sum = 0;
+    int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0;
     Bound *bounds = NULL;
     PieceSet *pieces;
     Csr *g;
@@ -382,6 +384,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
             goto done;
         }
         abs_sum += y[i] < 0 ? -y[i] : y[i];
+        y_start += y[i];
         z[i] = 2;
     }
     for (i = 0; i < n; i++)
@@ -399,6 +402,10 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                 int64_t hi = floor_ceil(y[i], z[i], &lo, &rem);
                 M = hi > M ? hi : M;
                 m = lo < m ? lo : m;
+            }
+            if (lam == 1) {
+                M0 = M;
+                m0 = m;
             }
         }
 
@@ -438,6 +445,22 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         if (lam % d_eff == 0 && M - m <= 1) {
             stopped = 1;
             break;
+        }
+    }
+
+    /* the stop's invariants, in O(n): both masses conserved, and the output
+       inside the first snapshot.  Every partial sum of y lies within the
+       initial sum |y| (see Headroom), and z sums to 2n, so no sum wraps */
+    if (stopped) {
+        for (i = 0; i < n; i++) {
+            y_end += y[i];
+            z_end += z[i];
+        }
+        if (z_end != 2 * (int64_t)n || y_end != y_start || m < m0 || m > M0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, "
+                            "or the output left the first snapshot");
+            goto done;
         }
     }
 
@@ -657,7 +680,9 @@ static PyMethodDef methods[] = {
      "runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
      "rng_state): the common floor m on a stop, the distinct pieces sent as\n"
      "bytes of packed native int64 in first-send order (memoryview(alphabet)\n"
-     ".cast('q') reads them), and the generator state after the last round."},
+     ".cast('q') reads them), and the generator state after the last round.\n"
+     "Raises RuntimeError when a stop breaks sum(z) = 2n, moves sum(y) or\n"
+     "puts m outside the first snapshot [min floor, max ceil]."},
     {"diameter", diameter, METH_O,
      "diameter(graph)\n\n"
      "Longest shortest directed path of the graph handle made by csr, or -1\n"

@@ -25,7 +25,7 @@ class ConfigError(ValueError):
         super().__init__("%s: %s" % (field_name, message))
 
 
-def parse_rational(value, field_name="value"):
+def parse_rational(value, field_name):
     """Exact rational from "num/den", decimal string, int, or float."""
     if isinstance(value, Fraction):
         return value

@@ -15,7 +15,7 @@ of the common grid point ``b_q + m*delta``; the caller, which owns the grid,
 maps it back when it needs the point.  ``run_consensus`` still takes the
 quantizer as its second argument, unread, because the benchmark's backend
 parity replay (``perfbench/run.py`` ``parity_run``) passes it positionally,
-with ``force_backend``.
+with ``force_backend="pure"``.
 Masses stay integers forever — every transmitted piece is a floor of a
 ratio — which is what makes the stop test reachable and the protocol
 finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
@@ -72,7 +72,12 @@ native int64, which the engine exposes as a ``memoryview`` of format
 the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it),
 so the kernel's one decline rule is that sum exceeding int64; it declines
 before any draw, and the pure path, which runs whenever the extension is
-not built, then replays the instance from the same initial masses.
+not built, then replays the instance from the same initial masses.  At the
+stop both paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept
+its initial value and that the output level lies in ``[m0, M0]``, the
+first snapshot's extremes; the kernel raises RuntimeError on a violation,
+which is never replayed.  A run that reaches ``ROUND_CAP`` rounds raises
+``ConsensusCapError`` on either path.
 """
 
 from __future__ import annotations
@@ -183,15 +188,7 @@ def _split_and_deliver(y: list[int], z: list[int], g: Digraph, rng: PCG32, alpha
     alphabet.update(c for _, c in queue)
 
 
-def run_consensus(
-    y,
-    q: QuantizerState,
-    g: Digraph,
-    rng: PCG32,
-    *,
-    max_rounds: int = ROUND_CAP,
-    force_backend: str | None = None,
-):
+def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend: str | None = None):
     """Run the whole protocol from the initial value masses ``y``.
 
     Returns (m, ConsensusStats): every node stops holding the same grid
@@ -201,32 +198,27 @@ def run_consensus(
     not read: the level needs no grid.  It stays the second positional
     argument because the benchmark's backend parity replay
     (``perfbench/run.py``) calls this function positionally with it and
-    compares the returned levels.  The compiled kernel is used when available
-    unless ``force_backend="pure"``.  By default the pure snapshot path runs
-    when the kernel is not built or declines the instance (its ``sum(|y|)``
-    exceeds int64); ``force_backend="compiled"`` demands the kernel and
-    raises RuntimeError in both cases instead.  Both paths yield identical
-    output and leave the RNG in the identical state.
+    compares the returned levels.  The compiled kernel is used when it is
+    built, unless ``force_backend="pure"``, which the parity replay passes;
+    the pure snapshot path runs otherwise, and when the kernel declines the
+    instance (its ``sum(|y|)`` exceeds int64).  Both paths yield identical
+    output and leave the RNG in the identical state.  A run that reaches
+    ``ROUND_CAP`` rounds, read at each call, raises ConsensusCapError.
     """
-    if force_backend not in (None, "pure", "compiled"):
+    if force_backend not in (None, "pure"):
         raise ValueError(f"unknown backend {force_backend!r}")
     kernel = graph._kernel
-    if force_backend == "compiled" and kernel is None:
-        raise RuntimeError("compiled consensus kernel is not available")
-
     d_eff = effective_epoch(g.diameter)
     out = None
-    if kernel is not None and force_backend != "pure":
-        out = _run_kernel(kernel, y, g, d_eff, rng, max_rounds)
-        if out is None and force_backend == "compiled":
-            raise RuntimeError("compiled consensus kernel declined: sum(|y|) exceeds int64")
+    if kernel is not None and force_backend is None:
+        out = _run_kernel(kernel, y, g, d_eff, rng)
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
-        out = _run_snapshot(list(y), g, d_eff, rng, max_rounds)  # updates its copy in place
+        out = _run_snapshot(list(y), g, d_eff, rng)  # updates its copy in place
     rounds, m, alphabet = out
     return m, ConsensusStats(g.n, rounds, alphabet)
 
 
-def _run_snapshot(y, g, d_eff, rng, max_rounds):
+def _run_snapshot(y, g, d_eff, rng):
     """Pure path: one O(n) extremes snapshot per epoch, no flood.
 
     Returns (rounds, m, alphabet) at the stop; raises at the round cap.
@@ -236,30 +228,35 @@ def _run_snapshot(y, g, d_eff, rng, max_rounds):
     y0 = sum(y)
     alphabet: set = set()
 
-    for lam in range(1, max_rounds + 1):
+    for lam in range(1, ROUND_CAP + 1):
         if lam % d_eff == 1:
             M = max(-(-yi // zi) for yi, zi in zip(y, z))
             m = min(yi // zi for yi, zi in zip(y, z))
+            if lam == 1:
+                M0, m0 = M, m
         _split_and_deliver(y, z, g, rng, alphabet)
         if lam % d_eff == 0 and M - m <= 1:
             assert sum(z) == 2 * n, "count mass not conserved"
             assert sum(y) == y0, "value mass not conserved"
+            assert m0 <= m <= M0, "output outside the first snapshot"
             return lam, m, alphabet
-    raise ConsensusCapError(max_rounds)
+    raise ConsensusCapError(ROUND_CAP)
 
 
-def _run_kernel(kernel, y, g, d_eff, rng, max_rounds):
+def _run_kernel(kernel, y, g, d_eff, rng):
     """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
     The kernel reads the graph through its cached handle and returns the
     alphabet as bytes of packed int64, exposed here as a ``memoryview``
     of format ``'q'``.  It copies ``y`` and runs on a copy of the RNG state,
     so a decline leaves both untouched and the pure replay is bit-identical.
+    A broken invariant at the stop raises RuntimeError, which is never
+    replayed on the pure path.
     """
-    out = kernel.run_rounds(y, g.kernel_handle(kernel), d_eff, max_rounds, rng.state, rng.inc)
+    out = kernel.run_rounds(y, g.kernel_handle(kernel), d_eff, ROUND_CAP, rng.state, rng.inc)
     if out is None:
         return None
     stopped, rounds, m, alphabet, rng.state = out
     if not stopped:
-        raise ConsensusCapError(max_rounds)
+        raise ConsensusCapError(ROUND_CAP)
     return rounds, m, memoryview(alphabet).cast("q")

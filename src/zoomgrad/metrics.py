@@ -70,13 +70,13 @@ TABLE_N_TT = Fraction(21188, 100)  # mean transmissions per consensus execution
 TABLE_THRESHOLDS = ("1e-2", "1e-3", "1e-5")
 
 # Table 1: label, width schedule, steps to reach each threshold (None =
-# never).  The fixed levels' widths are their FIXED_LEVEL_WIDTHS.
+# never).  A fixed level's row charges its FIXED_LEVEL_WIDTHS width.
 TABLE_ROWS = (
     ("adaptive_zoom", ((None, 3),), (18, 27, 40)),
     ("refine_only", TABLE_REFINE_WIDTH_SCHEDULE, (3, 8, 16)),
-    ("fixed_0.1", ((None, 7),), (3, None, None)),
-    ("fixed_0.01", ((None, 10),), (3, 5, None)),
-    ("fixed_0.001", ((None, 14),), (3, 5, 11)),
+    ("fixed_0.1", ((None, FIXED_LEVEL_WIDTHS[Fraction(1, 10)]),), (3, None, None)),
+    ("fixed_0.01", ((None, FIXED_LEVEL_WIDTHS[Fraction(1, 100)]),), (3, 5, None)),
+    ("fixed_0.001", ((None, FIXED_LEVEL_WIDTHS[Fraction(1, 1000)]),), (3, 5, 11)),
 )
 
 

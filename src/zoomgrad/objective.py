@@ -81,12 +81,7 @@ class CostSuite:
         return Fraction(weighted, curvature)
 
 
-def random_cost_suite(
-    n: int,
-    seed: int,
-    value_set=(1, 2, 3, 4, 5),
-    shared_x0: bool = False,
-) -> CostSuite:
+def random_cost_suite(n: int, seed: int, value_set, shared_x0: bool) -> CostSuite:
     """Draw beta_i and x0_i uniformly from ``value_set``.
 
     Draw order is part of the determinism contract: with per-node optima the

@@ -24,9 +24,11 @@ per class (``grid_masses``).  The per-node path, an exact ``Fraction``
 gradient step (``gradient_step``) quantized node by node
 (``engine.init_consensus``), is the oracle both are tested against; no step
 calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
-The error's normalizer ``start_spread`` is summed once per distinct start,
-weighted by its multiplicity, as a balanced tree of unreduced integer
-fractions reduced once at the end.
+The error's inputs are fixed at the start too: ``initial_state`` stores the
+optimum ``x_star`` and the normalizer ``start_spread``, summed once per
+distinct start, weighted by its multiplicity, as a balanced tree of
+unreduced integer fractions reduced once at the end; each step logs its
+error from them.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
 ``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
@@ -73,10 +75,10 @@ class AdaptiveZoom:
     paper_faithful accounting and leaves it ``None`` under measured.
     """
 
-    quantizer_width: int = 3
-    c_in: Fraction = Fraction(4, 3)
-    c_out: Fraction = Fraction(2)
-    b_pm: int | None = None
+    quantizer_width: int
+    c_in: Fraction
+    c_out: Fraction
+    b_pm: int | None
 
     def __post_init__(self):
         if self.quantizer_width < 1:
@@ -105,7 +107,7 @@ class RefineOnly:
     priced by the width schedule ``metrics.REFINE_WIDTH_SCHEDULE``.
     """
 
-    c_refine: Fraction = Fraction(10)
+    c_refine: Fraction
 
     def message_width(self, k):
         return schedule_width(REFINE_WIDTH_SCHEDULE, k)
@@ -290,12 +292,13 @@ def _tree_sum(terms):
 
 @dataclass
 class OptimizerState:
-    x_init: tuple  # per-node starting estimates
     q: QuantizerState  # the current grid
     level: int | Fraction | None  # the common estimate's level on q's grid; None while the starts differ
     classes: CostClasses  # the run's cost-class table, for its (s, alpha)
     masses: list  # the next step's initial consensus masses
-    history: list = field(default_factory=list)  # one RunRecord per step taken
+    x_star: Fraction  # the suite's optimum
+    spread: Fraction  # the error's normalizer, start_spread of the starts
+    history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
 
 
 def initial_state(x_init, q, s, alpha):
@@ -304,13 +307,16 @@ def initial_state(x_init, q, s, alpha):
     Step 1's masses are every node's half-step from its own start.  When
     every start equals one value ``x0`` the nodes already hold a common
     estimate, at level ``(x0 - b_q)/delta``, so step 1 is a repeat exactly
-    when its output equals ``x0``; otherwise the level is None.
+    when its output equals ``x0``; otherwise the level is None.  The error
+    is measured against the suite's optimum, normalized by the spread of
+    the starts; ``start_spread`` raises ValueError when a start equals it.
     """
-    x_init = tuple(x_init)
     classes = cost_classes(s, alpha)
     x0 = x_init[0]
     level = (x0 - q.b_q) / q.delta if all(x == x0 for x in x_init) else None
-    return OptimizerState(x_init, q, level, classes, start_masses(classes, x_init, q))
+    x_star = s.global_optimum
+    masses = start_masses(classes, x_init, q)
+    return OptimizerState(q, level, classes, masses, x_star, start_spread(x_init, x_star))
 
 
 def gradient_step(x, s, alpha):
@@ -341,12 +347,12 @@ def zoom_decide(q, m_new, level_old, policy):
     return policy.on_repeat(q, m_new)
 
 
-def step(state, g, policy, rng, error_fn=None):
-    """Advance one full iteration in place and append its RunRecord.
+def step(state, g, policy, rng):
+    """Advance one full iteration in place; append and return its RunRecord.
 
-    ``error_fn(q, m)`` maps the post-step common estimate, the level ``m``
-    on the grid ``q`` of this step's consensus, to the logged error (NaN
-    when absent, e.g. in unit tests that only exercise dynamics).
+    The record's error is ``error_metric`` of the common estimate, the level
+    ``m`` on the grid of this step's consensus, against the state's optimum
+    and spread.
     """
     pre_q = state.q
     level_old = state.level
@@ -369,7 +375,7 @@ def step(state, g, policy, rng, error_fn=None):
     rec = RunRecord(
         k=k + 1,
         level=m,
-        error=float("nan") if error_fn is None else error_fn(pre_q, m),
+        error=error_metric(pre_q, m, state.x_star, state.spread),
         delta=pre_q.delta,
         b_q=pre_q.b_q,
         zoom_event=event,
@@ -379,16 +385,15 @@ def step(state, g, policy, rng, error_fn=None):
         bits_measured_mode=(len(stats.measured_alphabet) - 1).bit_length() * tx,
     )
     state.history.append(rec)
-    return state, rec
+    return rec
 
 
-def run_until(state, g, s, policy, stop, rng):
+def run_until(state, g, policy, stop, rng):
     """Iterate ``step`` until an error target or a step budget is hit.
 
     ``stop`` carries ``max_steps`` and/or ``target_error``; at least one
-    must be set (a non-finite target_error counts as unset).  The error is
-    measured against the closed-form optimum, normalized by the spread of
-    the starting estimates.  ``s`` is the suite the state was built for.
+    must be set (a non-finite target_error counts as unset).  The steps'
+    records are ``state.history``.
     """
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
@@ -396,15 +401,7 @@ def run_until(state, g, s, policy, stop, rng):
         target = None
     if max_steps is None and target is None:
         raise ValueError("stop needs max_steps or a finite target_error")
-
-    x_star = s.global_optimum
-    spread = start_spread(state.x_init, x_star)
-
-    def error_fn(q, m):
-        return error_metric(q, m, x_star, spread)
-
     while max_steps is None or len(state.history) < max_steps:
-        _, rec = step(state, g, policy, rng, error_fn=error_fn)
+        rec = step(state, g, policy, rng)
         if target is not None and rec.error <= target:
             break
-    return state.history

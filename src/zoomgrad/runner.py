@@ -88,29 +88,21 @@ def sample_x_init(config, x_star):
 
 
 def run_single(config):
-    """Execute one configured run; returns history plus problem objects."""
+    """Execute one configured run; returns its final ``OptimizerState``,
+    whose ``history`` is the per-step log."""
     config.validate()
     policy = build_policy(config)
     g = generate_random_digraph(config.n, config.edge_prob, config.seed)
     s = build_costs(config)
-    x_star = s.global_optimum
-    x_init = sample_x_init(config, x_star)
+    x_init = sample_x_init(config, s.global_optimum)
     state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0), s, config.alpha)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
-        history = run_until(state, g, s, policy, config.block("stop"), rng)
+        run_until(state, g, policy, config.block("stop"), rng)
     except ConsensusCapError as exc:
         exc.step = len(state.history) + 1
         raise
-    return {
-        "history": history,
-        "state": state,
-        "graph": g,
-        "costs": s,
-        "x_init": x_init,
-        "x_star": x_star,
-        "policy": policy,
-    }
+    return state
 
 
 SUMMARY_COLUMNS = [
@@ -135,8 +127,8 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def summarize(config, result):
-    history = result["history"]
+def summarize(config, state):
+    history = state.history
     steps = len(history)
     target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
@@ -151,7 +143,7 @@ def summarize(config, result):
         "converged": int(target is not None and steps > 0 and final_error <= target),
         "final_error": repr(final_error),
         "x_final": str(history[-1].x_value) if history else "",
-        "x_star": str(result["x_star"]),
+        "x_star": str(state.x_star),
         "zoom_in_events": sum(1 for r in history if r.zoom_event == "zoom_in"),
         "zoom_out_events": sum(1 for r in history if r.zoom_event == "zoom_out"),
         "refine_events": sum(1 for r in history if r.zoom_event == "refine"),
@@ -278,10 +270,10 @@ def cmd_run(config):
     """Single run -> history.csv + summary.csv in the output directory."""
 
     def reports():
-        result = run_single(config)
+        state = run_single(config)
         return [
-            ("history.csv", write_history_csv, result["history"]),
-            ("summary.csv", write_rows_csv, SUMMARY_COLUMNS, [summarize(config, result)]),
+            ("history.csv", write_history_csv, state.history),
+            ("summary.csv", write_rows_csv, SUMMARY_COLUMNS, [summarize(config, state)]),
         ]
 
     return _command(config.out_dir, reports)
@@ -317,17 +309,17 @@ def sweep(config, seeds):
     for seed in seeds:
         c = dc_replace(config, seed=seed)
         try:
-            result = run_single(c)
+            state = run_single(c)
         except ConsensusCapError as exc:
             per_seed.append({"seed": seed, "n": config.n, "status": "step %d: %s" % (exc.step, exc)})
             continue
-        row = summarize(c, result)
+        row = summarize(c, state)
         row["status"] = "ok"
         for label in TABLE_THRESHOLDS:
-            k = steps_to_threshold(result["history"], float(label))
+            k = steps_to_threshold(state.history, float(label))
             row["steps_to_%s" % label] = "" if k is None else k
         per_seed.append(row)
-        records += result["history"]
+        records += state.history
     aggregate = {"runs": len(per_seed), "failures": sum(row["status"] != "ok" for row in per_seed)}
     for label in TABLE_THRESHOLDS:
         column = "steps_to_%s" % label
@@ -370,35 +362,35 @@ def compare(config):
 
     The graph, costs, and initial estimates are identical across variants
     (they come from dedicated seed streams); only the zoom policy and its
-    conventional starting step differ.  Returns {label: (config, result)},
-    each result as ``run_single`` gives it.
+    conventional starting step differ.  Returns {label: (config, state)},
+    each final state as ``run_single`` gives it.
     """
-    histories = {}
+    runs = {}
     for label, policy_spec, delta0 in COMPARE_VARIANTS:
         c = dc_replace(config, policy=dict(policy_spec))
         if delta0 is not None:
             c = dc_replace(c, delta0=delta0)
-        histories[label] = (c, run_single(c))
-    return histories
+        runs[label] = (c, run_single(c))
+    return runs
 
 
 def cmd_compare(config):
     # compare replaces the policy block (and delta0 for the fixed levels), so
     # only what it runs is validated: each variant, in run_single.
     def reports():
-        histories = compare(config)
+        runs = compare(config)
         labels = [label for label, _, _ in COMPARE_VARIANTS]
         columns = ["k"] + ["error_%s" % label for label in labels]
         k0 = repr(math.sqrt(config.n))
         rows = [dict({"k": 0}, **{"error_%s" % label: k0 for label in labels})]
-        deepest = max(len(res["history"]) for _, res in histories.values())
+        deepest = max(len(state.history) for _, state in runs.values())
         for i in range(deepest):
             row = {"k": i + 1}
             for label in labels:
-                history = histories[label][1]["history"]
+                history = runs[label][1].history
                 row["error_%s" % label] = repr(history[i].error) if i < len(history) else ""
             rows.append(row)
-        summaries = [summarize(c, result) for c, result in histories.values()]
+        summaries = [summarize(c, state) for c, state in runs.values()]
         return [
             ("compare.csv", write_rows_csv, columns, rows),
             ("compare_summary.csv", write_rows_csv, SUMMARY_COLUMNS, summaries),
@@ -407,7 +399,7 @@ def cmd_compare(config):
     return _command(config.out_dir, reports)
 
 
-def cmd_table1(out_dir=None):
+def cmd_table1(out_dir):
     """Emit the reference communication-cost table.
 
     Every cell is recomputed from the fixed step counts and message-width

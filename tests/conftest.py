@@ -14,7 +14,13 @@ not an in-place build is present.
 ``flood_consensus`` is the per-round flood, the protocol as specified: the
 oracle that the engine's epoch-snapshot path and the kernel are checked
 against.  It returns the common grid point, as ``consensus_point`` does for
-``run_consensus``, which returns only the point's level.
+``run_consensus``, which returns only the point's level.  Like the engine it
+reads the round cap ``engine.ROUND_CAP`` at each call, so a test that needs a
+small cap patches that name.
+
+``ADAPTIVE`` and ``REFINE`` are the reference config's adaptive and
+refine-only policies, built by ``runner.build_policy``: their defaults are
+declared once, in ``zoomgrad.config``.
 
 The per-node oracles below are the product's former exact-``Fraction``
 paths, which its integer, grid-level and distinct-value paths are checked
@@ -60,13 +66,13 @@ import pytest
 from zoomgrad import graph
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus import engine, run_consensus
-from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError, ConsensusStats, effective_epoch
+from zoomgrad.consensus.engine import ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, gradient_step
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_XINIT
-from zoomgrad.runner import build_costs
+from zoomgrad.runner import build_costs, build_policy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The compiler setuptools will call: $CC, else the one Python was built with.
@@ -160,7 +166,7 @@ def no_kernel(monkeypatch):
     monkeypatch.setattr(graph, "_kernel", None)
 
 
-def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
+def flood_consensus(y, q, g, rng, round_hook):
     """The per-round flood: ``run_consensus``'s oracle, with a round hook.
 
     Every node keeps flood values ``M`` and ``m``, resets them to its own
@@ -169,9 +175,11 @@ def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
     has ``M - m <= 1``.  Splits and deliveries go through the engine's own
     ``_split_and_deliver``, so the RNG is consumed exactly as in
     ``run_consensus``, and the return value is the same (common value,
-    ConsensusStats).  ``round_hook(lambda, record)`` runs after every round;
-    the record holds the post-reset values (``reset_M``, ``reset_m``; None
-    off epoch starts) and the end-of-round ``M``, ``m``, ``y`` and ``z``.
+    ConsensusStats).  Every piece a round sends must lie in its epoch's
+    snapshot ``[min reset_m, max reset_M]`` and in the first one.
+    ``round_hook(lambda, record)`` runs after every round; the record holds
+    the post-reset values (``reset_M``, ``reset_m``; None off epoch starts)
+    and the end-of-round ``M``, ``m``, ``y`` and ``z``.
     """
     y = list(y)
     n = g.n
@@ -179,11 +187,14 @@ def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
     d_eff = effective_epoch(g.diameter)
     alphabet = set()
 
-    for lam in range(1, max_rounds + 1):
+    for lam in range(1, engine.ROUND_CAP + 1):
         reset_M = reset_m = None
         if lam % d_eff == 1:
             M = reset_M = [-(-yi // zi) for yi, zi in zip(y, z)]
             m = reset_m = [yi // zi for yi, zi in zip(y, z)]
+            lo, hi = min(reset_m), max(reset_M)  # this epoch's snapshot
+            if lam == 1:
+                lo0, hi0 = lo, hi
         new_M, new_m = M[:], m[:]
         for u, targets in enumerate(g.out_adj):
             Mu, mu = M[u], m[u]
@@ -193,12 +204,16 @@ def flood_consensus(y, q, g, rng, round_hook, *, max_rounds=ROUND_CAP):
                 if mu < new_m[v]:
                     new_m[v] = mu
         M, m = new_M, new_m
-        engine._split_and_deliver(y, z, g, rng, alphabet)
+        pieces = set()
+        engine._split_and_deliver(y, z, g, rng, pieces)
+        assert all(lo <= c <= hi for c in pieces), "a piece left its epoch's snapshot"
+        assert all(lo0 <= c <= hi0 for c in pieces), "a piece left the first snapshot"
+        alphabet |= pieces
         round_hook(lam, {"reset_M": reset_M, "reset_m": reset_m, "M": M, "m": m, "y": y[:], "z": z[:]})
         if lam % d_eff == 0 and all(Mi - mi <= 1 for Mi, mi in zip(M, m)):
             assert len(set(m)) == 1, "stop fired with disagreeing nodes"
             return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, alphabet)
-    raise ConsensusCapError(max_rounds)
+    raise ConsensusCapError(engine.ROUND_CAP)
 
 
 def consensus_point(y, q, g, rng, **kwargs):
@@ -232,7 +247,7 @@ def fraction_zoom_decide(q, x_new, x_old, policy):
     raise TypeError("unknown zoom policy %r" % (policy,))
 
 
-def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
+def per_node_step(state, g, x_init, s, alpha, policy, rng):
     """``optimizer.step`` on the per-node path: the oracle.
 
     Every node takes its own exact gradient step from the estimate it holds
@@ -240,16 +255,18 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     included, and the zoom rule compares estimates.  The oracle keeps its
     estimate as a ``Fraction`` in ``state.oracle_x`` and derives the levels
     the product keeps from it: the record's on the step's grid, the state's
-    on the next one.  It takes the suite ``s`` and the step size ``alpha``,
-    which ``optimizer.step`` finds in the tables ``initial_state`` built, and
-    derives step 1's repeat rule from the starts itself; a caller that
-    patches it in for ``optimizer.step`` binds ``s`` and ``alpha``.
+    on the next one; its error is ``fraction_error_metric`` against the
+    state's optimum and spread.  It takes the starts ``x_init``, the suite
+    ``s`` and the step size ``alpha``, which ``optimizer.step`` finds in the
+    tables ``initial_state`` built, and derives step 1's repeat rule from the
+    starts itself; a caller that patches it in for ``optimizer.step`` binds
+    ``x_init``, ``s`` and ``alpha``.
     """
     pre_q = state.q
     x_prev = getattr(state, "oracle_x", None)
-    xs = state.x_init if x_prev is None else [x_prev] * len(state.x_init)
+    xs = x_init if x_prev is None else [x_prev] * len(x_init)
     x_new, stats = consensus_point(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
-    x_old = x_new if x_prev is None and all(x0 == x_new for x0 in state.x_init) else x_prev
+    x_old = x_new if x_prev is None and all(x0 == x_new for x0 in x_init) else x_prev
     new_q, event = fraction_zoom_decide(pre_q, x_new, x_old, policy)
     level = (x_new - pre_q.b_q) / pre_q.delta
     assert level.denominator == 1, "consensus output off the grid"
@@ -260,7 +277,7 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     rec = RunRecord(
         k=k + 1,
         level=level.numerator,
-        error=float("nan") if error_fn is None else error_fn(pre_q, level.numerator),
+        error=fraction_error_metric(x_new, state.x_star, state.spread),
         delta=pre_q.delta,
         b_q=pre_q.b_q,
         zoom_event=event,
@@ -272,7 +289,12 @@ def per_node_step(state, g, s, alpha, policy, rng, error_fn=None):
     state.oracle_x, state.q = x_new, new_q
     state.level = (x_new - new_q.b_q) / new_q.delta
     state.history.append(rec)
-    return state, rec
+    return rec
+
+
+# The reference config's policies.
+ADAPTIVE = build_policy(RunConfig())
+REFINE = build_policy(RunConfig(policy={"variant": "refine_only"}))
 
 
 def fraction_error_metric(x, x_star, spread):

@@ -10,12 +10,12 @@ table's fixed-level cells.
 
 import math
 import time
-from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import (
+    ADAPTIVE,
     clamped_quantize,
     envelope_from_history,
     flood_consensus,
@@ -27,17 +27,17 @@ from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.metrics import TABLE_N_TT, TABLE_ROWS, TABLE_THRESHOLDS
-from zoomgrad.optimizer import AdaptiveZoom
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import (
+    build_costs,
     cmd_compare,
     cmd_run,
     cmd_sweep,
     cmd_table1,
     run_single,
+    sample_x_init,
     steps_to_threshold,
-    sweep,
 )
 
 SWEEP_SEEDS = range(100)
@@ -72,13 +72,14 @@ def table_error(x_value, x_init, x_star):
     return len(x_init) * (x_value - x_star) ** 2 / spread
 
 
-def table_steps(result, threshold):
-    """First step whose e_T is at or below ``threshold`` (None if never)."""
-    x_init, x_star = result["x_init"], result["x_star"]
+def table_steps(config, state, threshold):
+    """First step of the run of ``config`` whose e_T is at or below
+    ``threshold`` (None if never); its starts are drawn again."""
+    x_init, x_star = sample_x_init(config, state.x_star), state.x_star
     return next(
         (
             r.k
-            for r in result["history"]
+            for r in state.history
             if table_error(r.x_value, x_init, x_star) <= threshold
         ),
         None,
@@ -109,20 +110,20 @@ def reference_default_sweep():
 @pytest.fixture(scope="module")
 def fixed_level_runs():
     """21 fixed-level baseline runs (seeds 1-7 x delta in {1/10, 1/100,
-    1/1000}, at most 200 steps), keyed by (seed, delta); shared by the
-    stall criterion and the Table 1 metric identification."""
-    return {
-        (seed, level): run_single(
-            RunConfig(
+    1/1000}, at most 200 steps), (config, final state) keyed by (seed,
+    delta); shared by the stall criterion and the Table 1 metric
+    identification."""
+    runs = {}
+    for seed in FIXED_SEEDS:
+        for level in FIXED_LEVELS:
+            config = RunConfig(
                 seed=seed,
                 policy={"variant": "fixed_level"},
                 delta0=level,
                 stop={"max_steps": 200, "target_error": 1e-5},
             )
-        )
-        for seed in FIXED_SEEDS
-        for level in FIXED_LEVELS
-    }
+            runs[seed, level] = config, run_single(config)
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +203,8 @@ def test_criterion_01_quantizer_branch_table(acceptance):
     for xi, mid, code in table:
         ok = ok and clamped_quantize(q, xi, 3) == mid and level_index(q, xi, 3) == code
     # re-parameterization arithmetic used by the adaptive policy (c_out=2, c_in=4/3)
-    ok = ok and AdaptiveZoom().on_repeat(q, 4)[0].delta == F(1)
-    ok = ok and AdaptiveZoom().on_repeat(q, 1)[0].delta == F(3, 8)
+    ok = ok and ADAPTIVE.on_repeat(q, 4)[0].delta == F(1)
+    ok = ok and ADAPTIVE.on_repeat(q, 1)[0].delta == F(3, 8)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     acceptance(1, ok, "18 branch/boundary/saturation rows exact, %.3fs" % elapsed)
@@ -244,14 +245,14 @@ def test_criterion_04_convergence_medians(acceptance, reference_default_sweep):
     logged_medians = {}
     all_reach = True
     for label in bands:
-        logged_ks = [steps_to_threshold(r["history"], float(label)) for _, r in runs]
+        logged_ks = [steps_to_threshold(state.history, float(label)) for _, state in runs]
         all_reach = all_reach and None not in logged_ks
         logged_medians[label] = median_steps(logged_ks)
-        medians[label] = median_steps(table_steps(r, F(label)) for _, r in runs)
+        medians[label] = median_steps(table_steps(c, state, F(label)) for c, state in runs)
     in_band = all(
         lo <= medians[label] <= hi for label, (lo, hi) in bands.items()
     )
-    within_200 = all(len(r["history"]) <= 200 for _, r in runs)
+    within_200 = all(len(state.history) <= 200 for _, state in runs)
     ok = in_band and all_reach and within_200 and elapsed < 120
     acceptance(
         4,
@@ -287,7 +288,7 @@ def test_criterion_05_fixed_level_floors_vs_adaptive(
     adaptive_passes = True
     for seed in FIXED_SEEDS:
         for level in FIXED_LEVELS:
-            history = fixed_level_runs[seed, level]["history"]
+            history = fixed_level_runs[seed, level][1].history
             first_repeat = next(
                 (
                     i
@@ -303,7 +304,7 @@ def test_criterion_05_fixed_level_floors_vs_adaptive(
             later = min(r.error for r in history[first_repeat:])
             if later < e_stall / 2:
                 floor_respected = False
-        adaptive_history = adaptive_by_seed[seed]["history"]
+        adaptive_history = adaptive_by_seed[seed].history
         if adaptive_history[-1].error > 1e-5:
             adaptive_passes = False
     ok = stalled == 21 and floor_respected and adaptive_passes
@@ -326,7 +327,7 @@ def test_table1_metric_matches_fixed_level_cells(fixed_level_runs):
             continue
         level = F(label.split("_")[1])
         for threshold, table_k in zip(TABLE_THRESHOLDS, table_ks):
-            ks = [table_steps(fixed_level_runs[s, level], F(threshold)) for s in FIXED_SEEDS]
+            ks = [table_steps(*fixed_level_runs[s, level], F(threshold)) for s in FIXED_SEEDS]
             if table_k is None:
                 assert ks == [None] * len(FIXED_SEEDS), (label, threshold, ks)
             else:
@@ -338,10 +339,10 @@ def test_criterion_06_contraction_envelope_holds(acceptance, reference_default_s
     _, runs = reference_default_sweep
     violations = 0
     points_checked = 0
-    for config, result in runs:
-        curv = total_curvature(result["costs"])
+    for config, state in runs:
+        curv = total_curvature(build_costs(config))
         points = envelope_from_history(
-            result["history"], config.alpha, curv, curv, config.n, result["x_star"]
+            state.history, config.alpha, curv, curv, config.n, state.x_star
         )
         points_checked += len(points)
         violations += sum(1 for p in points if p.empirical > p.bound)
@@ -364,9 +365,9 @@ def test_criterion_07_zoom_out_recovery(acceptance):
         },
         stop={"max_steps": 200, "target_error": 1e-3},
     )
-    result = run_single(config)
-    history = result["history"]
-    assert result["x_star"] == 100
+    state = run_single(config)
+    history = state.history
+    assert state.x_star == 100
     zoom_outs = sum(1 for r in history if r.zoom_event == "zoom_out")
     _, corrected = zoom_out_bound(F(100), F(1, 2), F(2))
     limit = corrected + 2
@@ -416,16 +417,16 @@ def test_criterion_09_transmission_statistics(acceptance, reference_default_swee
     n = runs[0][0].n
     # Table 1's runs end at e_T <= 1e-5; the logged metric's 1e-5 comes
     # about 2.5x later, so pool each run up to its first e_T crossing.
-    pooled = [res["history"][: table_steps(res, F("1e-5"))] for _, res in runs]
+    pooled = [state.history[: table_steps(c, state, F("1e-5"))] for c, state in runs]
     executions = sum(len(h) for h in pooled)
     mean_tx = sum(r.mass_transmissions for h in pooled for r in h) / executions
     mean_rounds = sum(r.consensus_rounds for h in pooled for r in h) / executions
-    full_executions = sum(len(res["history"]) for _, res in runs)
+    full_executions = sum(len(state.history) for _, state in runs)
     full_mean_tx = (
-        sum(r.mass_transmissions for _, res in runs for r in res["history"])
+        sum(r.mass_transmissions for _, state in runs for r in state.history)
         / full_executions
     )
-    seed3 = runs[3][1]["history"]
+    seed3 = runs[3][1].history
     ok = 100 <= mean_tx <= 350
     acceptance(
         9,

@@ -1,13 +1,19 @@
 """Every name that ``src/zoomgrad`` defines has a caller in ``src/zoomgrad``,
-and every parameter is read.
+every parameter is read, every default is both used and overridden by the
+package, and no module imports a name it never uses.
 
 The package's Python is parsed with ``ast``.  A module-level function or
 class, or a method that is not a dunder, fails the check when no ``Name`` or
 ``Attribute`` node anywhere in the package uses its name.  A parameter fails
 when no function of its name that takes it reads it, so a method whose
 sibling on another class reads an argument (``message_width(k)``) passes.
-The allowlists hold the names that only the benchmark uses, each with the
-file under ``perfbench/`` that pins it: removing one breaks the benchmark.
+A defaulted parameter or dataclass field fails when every call in the
+package that reaches it passes it (only the tests use the default) or none
+does (only the tests use the option); calls are matched by name, a class's
+name standing for its ``__init__`` or its fields, and ``RunConfig``, the
+table of defaults, is exempt.  The allowlists hold the names that only the
+benchmark or the console script uses, each with its reason: removing one
+breaks that user.  The import check covers ``tests/`` too.
 """
 
 import ast
@@ -16,6 +22,7 @@ import os
 import zoomgrad
 
 PACKAGE = os.path.dirname(zoomgrad.__file__)
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 BENCHMARK_PINS = {
     "optimizer.gradient_step": "perfbench/tracing.py HOOKS",
@@ -29,9 +36,17 @@ UNREAD_PARAMETER_PINS = {
     "run_consensus.q": "perfbench/run.py parity_run",
 }
 
+DEFAULT_PINS = {
+    "main.argv": "the console script calls main()",
+    "PCG32.initseq": "perfbench/run.py parity_run calls type(rng)(0)",
+    "run_consensus.force_backend": "perfbench/run.py parity_run passes it",
+}
 
-def package_trees():
-    for root, _, files in os.walk(PACKAGE):
+DEFAULT_TABLE = "RunConfig"
+
+
+def package_trees(top=PACKAGE):
+    for root, _, files in os.walk(top):
         for name in sorted(files):
             if name.endswith(".py"):
                 with open(os.path.join(root, name)) as f:
@@ -86,3 +101,121 @@ def test_every_parameter_is_read_by_a_function_of_its_name():
     unread = taken - read
     assert sorted(unread - set(UNREAD_PARAMETER_PINS)) == []
     assert sorted(set(UNREAD_PARAMETER_PINS) - unread) == []  # a pin that became read leaves the allowlist
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _field_default(value):
+    """Whether a dataclass field's value gives its ``__init__`` parameter a
+    default; None when the field is no parameter (``field(init=False)``)."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+        keywords = {k.arg: k.value for k in value.keywords}
+        if "init" in keywords and isinstance(keywords["init"], ast.Constant) and keywords["init"].value is False:
+            return None
+        return "default" in keywords or "default_factory" in keywords
+    return value is not None
+
+
+def defaulted_parameters(tree):
+    """(callee, parameter, positional index or None) of each defaulted
+    parameter and dataclass field in ``tree``.
+
+    The callee is the name a call uses: a function's own, or its class's for
+    ``__init__`` and for dataclass fields.  A method's positional index
+    counts from the argument after ``self``; a keyword-only parameter has
+    none.
+    """
+    functions = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name == DEFAULT_TABLE:
+            continue
+        functions += [(node.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        if _is_dataclass(node):
+            index = 0  # of the field among __init__'s parameters
+            for item in node.body:
+                if not isinstance(item, ast.AnnAssign) or _field_default(item.value) is None:
+                    continue
+                if _field_default(item.value):
+                    yield node.name, item.target.id, index
+                index += 1
+    for cls, node in functions:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        callee = node.name
+        if cls is not None:
+            positional = positional[1:]
+            callee = cls if node.name == "__init__" else node.name
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield callee, positional[i].arg, i
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, a.arg, None
+
+
+def passes(call, parameter, index):
+    """Whether ``call`` sets ``parameter`` (at ``index`` when positional)."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def calls_by_name(trees):
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def one_sided_defaults(top=PACKAGE):
+    """``callee.parameter`` of each default that every call in ``top``
+    overrides, or that no call there sets."""
+    trees = [tree for _, tree in package_trees(top)]
+    calls = calls_by_name(trees)
+    flagged = set()
+    for tree in trees:
+        for callee, parameter, index in defaulted_parameters(tree):
+            passed = [passes(call, parameter, index) for call in calls.get(callee, [])]
+            if all(passed) or not any(passed):  # no call at all is "none sets it"
+                flagged.add("%s.%s" % (callee, parameter))
+    return flagged
+
+
+def test_every_default_is_both_used_and_overridden_by_the_package():
+    flagged = one_sided_defaults()
+    assert sorted(flagged - set(DEFAULT_PINS)) == []
+    assert sorted(set(DEFAULT_PINS) - flagged) == []  # a pin the package now uses both ways leaves the allowlist
+
+
+def unused_imports(top):
+    """``module.name`` of each name that a module under ``top`` imports and
+    never uses; a name listed in the module's ``__all__`` counts as used."""
+    unused = set()
+    for module, tree in package_trees(top):
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(e.value for e in node.value.elts)
+        unused.update("%s.%s" % (module, name) for name in imported - used)
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert sorted(unused_imports(PACKAGE) | unused_imports(TESTS)) == []

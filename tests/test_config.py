@@ -50,7 +50,7 @@ def test_default_blocks_are_not_shared():
     ],
 )
 def test_parse_rational(raw, want):
-    assert parse_rational(raw) == want
+    assert parse_rational(raw, "alpha") == want
 
 
 @pytest.mark.parametrize("bad", [True, False, "abc", "1/0", None, [1]])

@@ -35,6 +35,7 @@ from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
     ConsensusCapError,
+    ConsensusStats,
     effective_epoch,
     init_consensus,
     run_consensus,
@@ -318,17 +319,29 @@ PARITY_QUANTIZERS = [  # (grid, width)
 ]
 
 
-def outcome(run, y, q, g, seed, max_rounds=ROUND_CAP, **kw):
-    """Everything observable of one run from a fresh generator.
+def kernel_point(y, q, g, rng):
+    """``consensus_point`` on the kernel alone (``graph._kernel``): a decline
+    fails the test instead of replaying on the pure path."""
+    out = engine._run_kernel(graph._kernel, y, g, effective_epoch(g.diameter), rng)
+    assert out is not None, "the kernel declined the instance"
+    rounds, m, alphabet = out
+    return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, alphabet)
+
+
+def outcome(run, y, q, g, seed, cap=ROUND_CAP, **kw):
+    """Everything observable of one run from a fresh generator, with the
+    round cap ``engine.ROUND_CAP`` set to ``cap``.
 
     (result, rounds, transmissions, alphabet as a set, RNG state) on a stop,
     and ("cap", rounds, RNG state) when the round cap is hit.
     """
     rng = PCG32(seed, STREAM_PROTOCOL)
-    try:
-        res, stats = run(y, q, g, rng, max_rounds=max_rounds, **kw)
-    except ConsensusCapError as exc:
-        return "cap", exc.rounds, rng.getstate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "ROUND_CAP", cap)
+        try:
+            res, stats = run(y, q, g, rng, **kw)
+        except ConsensusCapError as exc:
+            return "cap", exc.rounds, rng.getstate()
     return res, stats.rounds, stats.mass_transmissions, set(stats.measured_alphabet), rng.getstate()
 
 
@@ -357,19 +370,22 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     q, width = q_width
     y = masses(xs, q, width)  # every run below starts from this one list
 
-    def flood(max_rounds=ROUND_CAP):
+    def flood(cap=ROUND_CAP):
         abs_sums = [sum(map(abs, y))]
 
         def abs_sum_never_grows(lam, rec):
             abs_sums.append(sum(map(abs, rec["y"])))
             assert abs_sums[-1] <= abs_sums[-2]
 
-        return outcome(flood_consensus, y, q, g, seed, max_rounds, round_hook=abs_sum_never_grows)
+        return outcome(flood_consensus, y, q, g, seed, cap, round_hook=abs_sum_never_grows)
 
-    def run(max_rounds=ROUND_CAP, backend="pure"):
+    def run(cap=ROUND_CAP):
+        return outcome(consensus_point, y, q, g, seed, cap, force_backend="pure")
+
+    def compiled(cap=ROUND_CAP):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_kernel", built_kernel)
-            return outcome(consensus_point, y, q, g, seed, max_rounds, force_backend=backend)
+            return outcome(kernel_point, y, q, g, seed, cap)
 
     snap = run()
     assert snap == flood()
@@ -379,8 +395,8 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     assert capped[:2] == ("cap", rounds - 1)
     assert capped == flood(rounds - 1)
     if built_kernel is not None:
-        assert snap == run(backend="compiled")
-        assert capped == run(rounds - 1, backend="compiled")
+        assert snap == compiled()
+        assert capped == compiled(rounds - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,18 +441,18 @@ def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, o
         assert all(m0 <= c <= M0 for c in alphabet)
 
 
-def kernel_run(kernel, y, g, seed, max_rounds=ROUND_CAP):
+def kernel_run(kernel, y, g, seed, cap=ROUND_CAP):
     """The kernel's raw output on masses ``y``, or None when it declines."""
     state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
-    return kernel.run_rounds(y, g.kernel_handle(kernel), effective_epoch(g.diameter), max_rounds, state, inc)
+    return kernel.run_rounds(y, g.kernel_handle(kernel), effective_epoch(g.diameter), cap, state, inc)
 
 
-def assert_same_run(y, g, seed, max_rounds=ROUND_CAP):
-    """The default path stops within ``max_rounds`` and agrees with
+def assert_same_run(y, g, seed, cap=ROUND_CAP):
+    """The default path stops within ``cap`` rounds and agrees with
     force_backend="pure" on everything observable."""
-    auto = outcome(consensus_point, y, Q_HALF, g, seed, max_rounds)
+    auto = outcome(consensus_point, y, Q_HALF, g, seed, cap)
     assert auto[0] != "cap"
-    assert auto == outcome(consensus_point, y, Q_HALF, g, seed, max_rounds, force_backend="pure")
+    assert auto == outcome(consensus_point, y, Q_HALF, g, seed, cap, force_backend="pure")
 
 
 @pytest.mark.parametrize("n", [3, 5, 10, 20])
@@ -448,7 +464,7 @@ def test_backend_parity(kernel, n):
         g, x, _ = random_instance(seed, n)
         y = masses(x, Q_HALF)
         assert outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure") == outcome(
-            consensus_point, y, Q_HALF, g, seed, force_backend="compiled"
+            kernel_point, y, Q_HALF, g, seed
         )
 
 
@@ -528,11 +544,11 @@ def test_kernel_alphabet_survives_table_growth(kernel):
     # count and the RNG state equal the pure path's.
     g = generate_random_digraph(40, F(1, 5), 0)
     y = spread_masses(g.n, 2, 10**9)
-    _, stats = consensus_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
+    _, stats = kernel_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL))
     packed = stats.measured_alphabet
     assert type(packed) is memoryview and packed.format == "q" and packed.itemsize == 8
     assert len(packed) > 1000 and len(set(packed)) == len(packed)
-    compiled = outcome(consensus_point, y, Q_HALF, g, 0, force_backend="compiled")
+    compiled = outcome(kernel_point, y, Q_HALF, g, 0)
     assert compiled == outcome(consensus_point, y, Q_HALF, g, 0, force_backend="pure")
     assert compiled[3] == set(packed)
 
@@ -548,7 +564,7 @@ def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
     runs = [(large, 0), (spread_masses(g.n, 5, 3), 1), ([1] * g.n, 2), (spread_masses(g.n, 6, 40), 3), (large, 0)]
     sizes = []
     for y, seed in runs:
-        compiled = outcome(consensus_point, y, Q_HALF, g, seed, force_backend="compiled")
+        compiled = outcome(kernel_point, y, Q_HALF, g, seed)
         assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
         sizes.append(len(compiled[3]))
     assert g.kernel_handle(kernel) is handle
@@ -638,9 +654,9 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     g, y = instance
-    with pytest.MonkeyPatch.context() as mp:  # "compiled" raises if the kernel declines
+    with pytest.MonkeyPatch.context() as mp:  # kernel_point fails if the kernel declines
         mp.setattr(graph, "_kernel", built_kernel)
-        compiled = outcome(consensus_point, y, Q_HALF, g, seed, force_backend="compiled")
+        compiled = outcome(kernel_point, y, Q_HALF, g, seed)
     assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
 
 
@@ -654,10 +670,10 @@ def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
     probe.setstate((0, 1))
     assert probe.next_u32() == 0
     runs = []
-    for backend in ("pure", "compiled"):
+    for run, kw in ((consensus_point, {"force_backend": "pure"}), (kernel_point, {})):
         rng = PCG32(0)
         rng.setstate((0, 1))
-        res, stats = consensus_point([5, -3, 1], Q_HALF, complete(3), rng, force_backend=backend)
+        res, stats = run([5, -3, 1], Q_HALF, complete(3), rng, **kw)
         runs.append((res, stats.rounds, set(stats.measured_alphabet), rng.getstate()))
     assert runs[0] == runs[1]
 
@@ -684,7 +700,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
     q = QuantizerState(b_q=b_q, delta=delta)
     y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
     d_eff = effective_epoch(g.diameter)
-    _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL), ROUND_CAP)
+    _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL))
     expected = q.b_q + m * q.delta
     assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == m
     assert grid_point(q.b_q, q.delta, m) == expected
@@ -692,7 +708,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
         assert kernel_run(built_kernel, y, g, seed)[2] == m
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_kernel", built_kernel)
-            assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="compiled")[0] == m
+            assert kernel_point(y, q, g, PCG32(seed, STREAM_PROTOCOL))[0] == expected
 
 
 def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
@@ -701,10 +717,10 @@ def test_kernel_handle_is_built_lazily_for_a_constructed_graph(kernel):
     g = digraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 0), (1, 4)])
     assert g._kernel_handle is None
     y = masses([F(k, 3) for k in (-4, 1, 7, 2, -1, 5)], Q_HALF)
-    compiled = outcome(consensus_point, y, Q_HALF, g, 7, force_backend="compiled")
+    compiled = outcome(kernel_point, y, Q_HALF, g, 7)
     handle = g.kernel_handle(kernel)
     assert g._kernel_handle == (kernel, handle)
-    assert outcome(consensus_point, y, Q_HALF, g, 7, force_backend="compiled") == compiled
+    assert outcome(kernel_point, y, Q_HALF, g, 7) == compiled
     assert g.kernel_handle(kernel) is handle
     assert compiled == outcome(consensus_point, y, Q_HALF, g, 7, force_backend="pure")
 
@@ -792,39 +808,49 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
 
 
 def test_force_backend_validation():
+    # Only the parity replay's "pure" forces a backend; the kernel's own
+    # result is engine._run_kernel's.
     g, x, rng = random_instance(1, 3)
-    with pytest.raises(ValueError, match="unknown backend"):
-        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="gpu")
+    for backend in ("gpu", "compiled"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, force_backend=backend)
 
 
-def test_force_compiled_without_kernel_errors(no_kernel):
+def test_a_broken_kernel_invariant_raises_and_is_not_replayed(kernel, monkeypatch):
+    # The kernel checks its stop's invariants and raises RuntimeError on a
+    # violation; the engine passes it on rather than replaying the call on
+    # the pure path, which would hide the fault.
     g, x, rng = random_instance(1, 3)
-    with pytest.raises(RuntimeError, match="not available"):
-        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, force_backend="compiled")
+    state = rng.getstate()
 
+    class Broken:
+        csr, diameter = kernel.csr, kernel.diameter
 
-def test_force_compiled_refuses_a_declined_instance(kernel):
-    # A decline means the kernel did not run, so "compiled" raises instead of
-    # letting the pure path stand in for it; the default still replays.
-    y = [2**63 - 1] * 4
-    g = complete(4)
-    with pytest.raises(RuntimeError, match="declined"):
-        consensus_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL), force_backend="compiled")
-    assert_same_run(y, g, 0)
+        @staticmethod
+        def run_rounds(*args):
+            raise RuntimeError("consensus invariant broken at the stop")
+
+    monkeypatch.setattr(graph, "_kernel", Broken)
+    monkeypatch.setattr(engine, "_run_snapshot", None)  # a replay would call it
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng)
+    assert rng.getstate() == state
 
 
 # --- failure modes and plumbing -------------------------------------------
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_round_cap_raises(backend, request):
+def test_round_cap_raises(backend, request, monkeypatch):
     # No epoch-end check can fire within a single round (d_eff >= 2), so a
-    # one-round budget must always trip the cap, on either backend.
+    # one-round cap must always trip, on either backend.
     if backend == "compiled":
         request.getfixturevalue("kernel")
+    run, kw = (kernel_point, {}) if backend == "compiled" else (consensus_point, {"force_backend": "pure"})
     g, x, rng = random_instance(2, 5)
+    monkeypatch.setattr(engine, "ROUND_CAP", 1)
     with pytest.raises(ConsensusCapError) as exc:
-        consensus_point(masses(x, Q_HALF), Q_HALF, g, rng, max_rounds=1, force_backend=backend)
+        run(masses(x, Q_HALF), Q_HALF, g, rng, **kw)
     assert exc.value.rounds == 1
     assert "1 rounds" in str(exc.value)
 

@@ -25,7 +25,6 @@ from zoomgrad.graph import (
     diameter,
     generate_random_digraph,
 )
-from zoomgrad.objective import random_cost_suite
 from zoomgrad.rng import PCG32, STREAM_GRAPH
 
 
@@ -321,8 +320,10 @@ def suite_table(s):
 
 INSTANCE_BUILDERS = {
     "digraph": lambda: generate_random_digraph(300, Fraction(1, 20), 5).out_adj,
-    "costs": lambda: suite_table(random_cost_suite(500, 3)),
-    "costs-shared-x0": lambda: suite_table(random_cost_suite(500, 3, shared_x0=True)),
+    "costs": lambda: suite_table(runner.build_costs(RunConfig(n=500, seed=3))),
+    "costs-shared-x0": lambda: suite_table(
+        runner.build_costs(RunConfig(n=500, seed=3, cost_spec={"kind": "random", "shared_x0": True}))
+    ),
     # x* = 3 is on the start grid, so the draws that land on it are nudged
     "x_init": lambda: runner.sample_x_init(RunConfig(n=500, seed=4), Fraction(3)),
 }

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     EnvelopePoint,
-    bidirectional_pair,
     contraction_envelope,
     cost_suite,
     envelope_from_history,
@@ -35,10 +34,9 @@ from zoomgrad.metrics import (
     table_cells,
 )
 from zoomgrad.objective import QuadraticCost
-from zoomgrad.optimizer import AdaptiveZoom, RunRecord, initial_state, run_until
+from zoomgrad.optimizer import RunRecord, initial_state
 from zoomgrad.quantizer import QuantizerState
-from zoomgrad.rng import PCG32, STREAM_PROTOCOL
-from zoomgrad.runner import run_single
+from zoomgrad.runner import run_single, sample_x_init
 
 N_TT = F(21188, 100)  # the reference mean transmissions per consensus
 
@@ -91,14 +89,11 @@ def test_error_hand_example():
 
 
 def test_error_rejects_degenerate_start():
-    # run_until computes the normalizer once, before the first step, and
+    # initial_state computes the normalizer once, before the first step, and
     # names the node whose start sits on the optimum
-    g = bidirectional_pair()
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
-    state = initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
     with pytest.raises(ValueError, match="node 1"):
-        run_until(state, g, s, AdaptiveZoom(), {"max_steps": 3}, PCG32(1, STREAM_PROTOCOL))
-    assert state.history == []
+        initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 
@@ -170,10 +165,10 @@ def test_error_metric_matches_the_fraction_formula(b_q, delta, m, x_star, at_opt
 def test_logged_error_matches_per_node_oracle(policy, delta0):
     # every logged error of a run equals the per-node sum over its starts
     config = RunConfig(n=6, seed=4, delta0=delta0, policy={"variant": policy}, stop={"max_steps": 60})
-    result = run_single(config)
-    x_init, x_star = result["x_init"], result["x_star"]
-    for rec in result["history"]:
-        assert rec.error == per_node_error([rec.x_value] * 6, x_init, x_star)
+    state = run_single(config)
+    x_init = sample_x_init(config, state.x_star)
+    for rec in state.history:
+        assert rec.error == per_node_error([rec.x_value] * 6, x_init, state.x_star)
 
 
 # --- message widths -------------------------------------------------------

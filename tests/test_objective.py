@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cost_suite, per_node_optimum, total_curvature
+from zoomgrad.config import RunConfig
 from zoomgrad.objective import QuadraticCost, random_cost_suite
 from zoomgrad.rng import PCG32, STREAM_COSTS
+from zoomgrad.runner import build_costs
+
+
+def random_suite(n, seed, **spec):
+    """The random suite of a config whose cost block sets ``spec``, the rest
+    at the defaults of ``config.BLOCKS`` (``runner.build_costs``)."""
+    return build_costs(RunConfig(n=n, seed=seed, cost_spec=dict(kind="random", **spec)))
 
 
 def test_value_and_grad_exact():
@@ -67,22 +75,22 @@ def test_integer_optimum_matches_the_fraction_sums(pairs):
 
 
 def test_random_suite_deterministic():
-    a = random_cost_suite(10, 42)
-    b = random_cost_suite(10, 42)
+    a = random_suite(10, 42)
+    b = random_suite(10, 42)
     assert a.costs == b.costs
-    c = random_cost_suite(10, 43)
+    c = random_suite(10, 43)
     assert a.costs != c.costs
 
 
 def test_random_suite_values_from_value_set():
-    s = random_cost_suite(50, 7, value_set=(2, 3))
+    s = random_cost_suite(50, 7, value_set=(2, 3), shared_x0=False)
     for c in s.costs:
         assert c.beta in (F(2), F(3))
         assert c.x0 in (F(2), F(3))
 
 
 def test_shared_x0():
-    s = random_cost_suite(12, 5, shared_x0=True)
+    s = random_suite(12, 5, shared_x0=True)
     assert len({c.x0 for c in s.costs}) == 1
     assert s.global_optimum == s.classes[0].x0  # optimum is the common x0
 
@@ -97,7 +105,7 @@ def test_draw_order_contract():
         beta = values[rng.randbelow(5)]
         x0 = values[rng.randbelow(5)]
         want.append((beta, x0))
-    s = random_cost_suite(4, 9)
+    s = random_suite(4, 9)
     assert [(c.beta, c.x0) for c in s.costs] == want
 
 
@@ -107,7 +115,7 @@ def test_shared_x0_draw_order_contract():
     values = [F(v) for v in (1, 2, 3, 4, 5)]
     x0 = values[rng.randbelow(5)]
     want = [(values[rng.randbelow(5)], x0) for _ in range(6)]
-    s = random_cost_suite(6, 9, shared_x0=True)
+    s = random_suite(6, 9, shared_x0=True)
     assert [(c.beta, c.x0) for c in s.costs] == want
 
 

@@ -2,7 +2,6 @@
 agreement/grid invariants, and the stopping logic.
 """
 
-import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -10,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    ADAPTIVE,
+    REFINE,
     bidirectional_pair,
     consensus_point,
     cost_suite,
+    fraction_error_metric,
     fraction_zoom_decide,
     per_node_spread,
     per_node_step,
@@ -76,33 +78,33 @@ def test_gradient_step_zero_alpha():
 
 
 def test_no_event_without_repeat():
-    assert zoom_decide(Q0, 3, 2, AdaptiveZoom()) == (Q0, "none", 3)
+    assert zoom_decide(Q0, 3, 2, ADAPTIVE) == (Q0, "none", 3)
 
 
 def test_adaptive_out_of_range_zooms_out():
     # The grid re-centres on the estimate, whose level on it is 0.
-    assert zoom_decide(Q0, 4, 4, AdaptiveZoom()) == (QuantizerState(F(2), F(1)), "zoom_out", 0)  # x = 2
+    assert zoom_decide(Q0, 4, 4, ADAPTIVE) == (QuantizerState(F(2), F(1)), "zoom_out", 0)  # x = 2
 
 
 def test_adaptive_in_range_zooms_in():
-    assert zoom_decide(Q0, 2, 2, AdaptiveZoom()) == (QuantizerState(F(1), F(3, 8)), "zoom_in", 0)  # x = 1
+    assert zoom_decide(Q0, 2, 2, ADAPTIVE) == (QuantizerState(F(1), F(3, 8)), "zoom_in", 0)  # x = 1
 
 
 def test_adaptive_range_boundaries():
     # dynamic range is [b_q - 3d, b_q + 3d): the upper edge saturates, the
     # lower edge is still inside, the level below it is out
-    hi, event, _ = zoom_decide(Q0, 3, 3, AdaptiveZoom())
+    hi, event, _ = zoom_decide(Q0, 3, 3, ADAPTIVE)
     assert event == "zoom_out"
     assert hi.delta == F(1)
-    lo, event, _ = zoom_decide(Q0, -3, -3, AdaptiveZoom())
+    lo, event, _ = zoom_decide(Q0, -3, -3, ADAPTIVE)
     assert event == "zoom_in"
-    below, event, _ = zoom_decide(Q0, -4, -4, AdaptiveZoom())
+    below, event, _ = zoom_decide(Q0, -4, -4, ADAPTIVE)
     assert event == "zoom_out"
     assert below.b_q == F(-2)
 
 
 def test_refine_only_shrinks_in_place():
-    q, event, level = zoom_decide(Q0, 2, 2, RefineOnly())
+    q, event, level = zoom_decide(Q0, 2, 2, REFINE)
     assert event == "refine"
     assert q.delta == F(1, 20)
     assert q.b_q == Q0.b_q  # basis never moves
@@ -140,7 +142,7 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free,
         side, nudge = RIM_LEVELS[where]
         m = int(side * half / delta) + nudge
     x_new = b_q + m * delta
-    policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
+    policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1], b_pm=None)
     if x_new >= q.b_q + half or x_new < q.b_q - half:
         expected = QuantizerState(x_new, delta * policy.c_out), "zoom_out"
     else:
@@ -162,7 +164,7 @@ def test_the_saturation_test_by_bit_length_is_the_power_form(width, side, nudge)
     # builds no huge power.  Both forms agree at and around either rim.
     m = side * 2 ** (width - 1) + nudge
     rim = 2 ** (width - 1) - 1
-    _, event, _ = AdaptiveZoom(quantizer_width=width).on_repeat(Q0, m)
+    _, event, _ = replace(ADAPTIVE, quantizer_width=width).on_repeat(Q0, m)
     assert (event == "zoom_out") == (m >= rim or m < -rim)
 
 
@@ -170,13 +172,13 @@ def test_the_saturation_test_by_bit_length_is_the_power_form(width, side, nudge)
 
 
 def test_adaptive_width():
-    assert AdaptiveZoom().message_width(0) == 3
-    assert AdaptiveZoom(quantizer_width=4).message_width(9) == 4
-    assert AdaptiveZoom(quantizer_width=5, b_pm=3).message_width(5) == 3
+    assert ADAPTIVE.message_width(0) == 3
+    assert replace(ADAPTIVE, quantizer_width=4, b_pm=None).message_width(9) == 4
+    assert replace(ADAPTIVE, quantizer_width=5, b_pm=3).message_width(5) == 3
 
 
 def test_refine_width_schedule():
-    p = RefineOnly()
+    p = REFINE
     widths = [p.message_width(k) for k in range(12)]
     assert widths == [7, 7, 7, 10, 10, 10, 10, 10, 10, 14, 14, 14]
     assert p.message_width(1000) == 14
@@ -203,20 +205,21 @@ def test_step_agreement_and_grid():
     g, s = two_node_instance()
     state = initial_state([F(1), F(2)], Q0, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
-    state, rec = step(state, g, AdaptiveZoom(), rng)
+    rec = step(state, g, ADAPTIVE, rng)
     assert grid_point(state.q.b_q, state.q.delta, state.level) == rec.x_value  # one common estimate
-    assert len(state.history) == 1 == rec.k
+    assert state.history == [rec] and rec.k == 1
     # consensus output is a whole number of steps from the pre-step basis
     assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
     assert rec.delta == Q0.delta and rec.b_q == Q0.b_q  # pre-zoom values logged
-    assert math.isnan(rec.error)  # no error_fn supplied
+    # the error against the optimum 3/2, normalized by the starts' spread
+    assert rec.error == fraction_error_metric(rec.x_value, F(3, 2), per_node_spread([F(1), F(2)], F(3, 2)))
 
 
 def test_step_counts_and_bits():
     g, s = two_node_instance()
     seed = 6
     state = initial_state([F(1), F(2)], Q0, s, ALPHA)
-    state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
+    rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
     result, stats = consensus_point(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
@@ -237,22 +240,23 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
     g, s = two_node_instance(((1, "1/2"), (1, 1)))
     for seed in range(10):
         state = initial_state([F(1, 2), F(1)], Q0, s, F(1, 1000))
-        state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
+        rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
         assert state.q == Q0
 
 
 def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
-    # Both nodes at the optimum grid point with a tiny step size: the
-    # iterate has nowhere to go, so a repeat (and its zoom) fires by k=2.
+    # Both nodes at the grid point 1/2, a hundredth below the optimum, with
+    # a tiny step size: the half-steps stay in the start's cell, so the
+    # iterate has nowhere to go, and a repeat (and its zoom) fires by k=2.
     g = bidirectional_pair()
-    s = suite([(1, "1/2"), (1, "1/2")])
+    s = suite([(1, "51/100"), (1, "51/100")])
     for seed in range(5):
         state = initial_state([F(1, 2), F(1, 2)], Q0, s, F(1, 100))
         events = []
         for _ in range(2):
-            state, rec = step(state, g, AdaptiveZoom(), PCG32(seed, STREAM_PROTOCOL))
+            rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
             events.append(rec.zoom_event)
             assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
         assert any(e != "none" for e in events)
@@ -268,7 +272,7 @@ def test_zoom_exclusivity_and_delta_sync():
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5, 1)], Q0, s, ALPHA)
     rng = PCG32(9, STREAM_PROTOCOL)
     for _ in range(40):
-        step(state, g, AdaptiveZoom(), rng)
+        step(state, g, ADAPTIVE, rng)
     ins = sum(1 for r in state.history if r.zoom_event == "zoom_in")
     outs = sum(1 for r in state.history if r.zoom_event == "zoom_out")
     assert ins > 0
@@ -293,13 +297,14 @@ def test_per_node_quantizer_copies_stay_identical():
     # the shared state at every step.
     g = generate_random_digraph(5, F(1, 2), 4)
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
-    policy = AdaptiveZoom()
-    state = initial_state([F(2)] * 5, Q0, s, ALPHA)
+    policy = ADAPTIVE
+    x_init = [F(2)] * 5
+    state = initial_state(x_init, Q0, s, ALPHA)
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
-        x_prev = [state.history[-1].x_value] * 5 if state.history else state.x_init
-        state, rec = step(state, g, policy, rng)
+        x_prev = [state.history[-1].x_value] * 5 if state.history else x_init
+        rec = step(state, g, policy, rng)
         per_node = [
             zoom_decide(q, int((rec.x_value - q.b_q) / q.delta), (x_prev[i] - q.b_q) / q.delta, policy)[0]
             for i, q in enumerate(per_node)
@@ -327,47 +332,38 @@ def test_fixed_level_repeat_is_absorbing():
 # --- run_until --------------------------------------------------------------
 
 
+UNTIL_STARTS = [F(1), F(2)]
+
+
 def until_instance():
     g = bidirectional_pair()
     s = suite([(1, 1), (1, 2)])  # optimum 3/2
-    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
+    state = initial_state(UNTIL_STARTS, Q0, s, ALPHA)
     return state, g, s
 
 
 def test_run_until_max_steps_exact():
-    state, g, s = until_instance()
-    history = run_until(
-        state, g, s, AdaptiveZoom(),
-        {"max_steps": 5, "target_error": float("inf")},
-        PCG32(1, STREAM_PROTOCOL),
-    )
-    assert len(history) == 5
-    assert [r.k for r in history] == [1, 2, 3, 4, 5]
+    state, g, _ = until_instance()
+    run_until(state, g, ADAPTIVE, {"max_steps": 5, "target_error": float("inf")}, PCG32(1, STREAM_PROTOCOL))
+    assert [r.k for r in state.history] == [1, 2, 3, 4, 5]
 
 
 def test_run_until_nan_target_means_unset():
-    state, g, s = until_instance()
-    history = run_until(
-        state, g, s, AdaptiveZoom(),
-        {"max_steps": 4, "target_error": float("nan")},
-        PCG32(1, STREAM_PROTOCOL),
-    )
-    assert len(history) == 4
+    state, g, _ = until_instance()
+    run_until(state, g, ADAPTIVE, {"max_steps": 4, "target_error": float("nan")}, PCG32(1, STREAM_PROTOCOL))
+    assert len(state.history) == 4
 
 
 def test_run_until_needs_some_bound():
-    state, g, s = until_instance()
+    state, g, _ = until_instance()
     with pytest.raises(ValueError, match="max_steps or"):
-        run_until(state, g, s, AdaptiveZoom(), {}, PCG32(1, STREAM_PROTOCOL))
+        run_until(state, g, ADAPTIVE, {}, PCG32(1, STREAM_PROTOCOL))
 
 
 def test_run_until_stops_at_target():
-    state, g, s = until_instance()
-    history = run_until(
-        state, g, s, AdaptiveZoom(),
-        {"max_steps": 200, "target_error": 1e-4},
-        PCG32(1, STREAM_PROTOCOL),
-    )
+    state, g, _ = until_instance()
+    run_until(state, g, ADAPTIVE, {"max_steps": 200, "target_error": 1e-4}, PCG32(1, STREAM_PROTOCOL))
+    history = state.history
     assert history[-1].error <= 1e-4
     assert all(r.error > 1e-4 for r in history[:-1])
     assert len(history) < 200
@@ -382,11 +378,13 @@ def test_run_record_is_frozen():
 
 
 def test_initial_state_copies_inputs():
+    # The state keeps what the starts fix, not the starts themselves: the
+    # optimum, the error's spread and step 1's masses.
     s = suite([(1, 1), (1, 2)])
     xs = [F(1), F(2)]
     st = initial_state(xs, Q0, s, ALPHA)
     xs.append(F(3))
-    assert st.x_init == (F(1), F(2))
+    assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
     assert st.classes == cost_classes(s, ALPHA)
     assert st.masses == start_masses(st.classes, [F(1), F(2)], Q0)
@@ -532,9 +530,9 @@ def test_cost_classes_group_equal_costs():
 
 
 POLICIES = [
-    AdaptiveZoom(),
-    AdaptiveZoom(quantizer_width=5),
-    RefineOnly(),
+    ADAPTIVE,
+    replace(ADAPTIVE, quantizer_width=5, b_pm=None),
+    REFINE,
     RefineOnly(c_refine=F(5, 2)),
     FixedLevel(b_pm=7),
     FixedLevel(b_pm=10),
@@ -586,22 +584,22 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
     """
     estimates = []
 
-    def recorded(state, g, policy, rng, error_fn=None):
+    def recorded(state, g, policy, rng):
         if step_fn is per_node_step:
-            state, rec = per_node_step(state, g, s, alpha, policy, rng, error_fn)
+            rec = per_node_step(state, g, x_init, s, alpha, policy, rng)
             estimates.append((state.level, state.oracle_x, state.oracle_x))
         else:
-            state, rec = step_fn(state, g, policy, rng, error_fn)
+            rec = step_fn(state, g, policy, rng)
             estimates.append((state.level, grid_point(state.q.b_q, state.q.delta, state.level), rec.x_value))
-        return state, rec
+        return rec
 
-    state = initial_state(x_init, q, s, alpha)
     rng = PCG32(seed, STREAM_PROTOCOL)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "step", recorded)
         if step_fn is per_node_step:
             mp.setattr(optimizer, "start_spread", per_node_spread)
-        run_until(state, g, s, policy, stop, rng)
+        state = initial_state(x_init, q, s, alpha)
+        run_until(state, g, policy, stop, rng)
     return state.history, state.q, rng.getstate(), estimates
 
 
@@ -621,7 +619,7 @@ def test_runs_match_the_per_node_oracle(backend, request):
     def check(instance):
         g, s, x_init, q, alpha, policy, seed = instance
         if s.global_optimum in x_init:
-            return  # run_until rejects a start at the optimum
+            return  # initial_state rejects a start at the optimum
         args = (g, s, x_init, q, alpha, policy, seed, {"max_steps": 15, "target_error": 1e-9})
         assert oracle_run(step, *args) == oracle_run(per_node_step, *args)
 
@@ -633,7 +631,7 @@ def test_a_refine_by_five_halves_leaves_a_half_level_and_matches_the_oracle():
     # on the finer grid when m is odd; the next step's masses, repeat test
     # and error read it as a numerator/denominator pair.
     state, g, s = until_instance()
-    args = (g, s, state.x_init, state.q, ALPHA, RefineOnly(c_refine=F(5, 2)), 1, {"max_steps": 15})
+    args = (g, s, UNTIL_STARTS, state.q, ALPHA, RefineOnly(c_refine=F(5, 2)), 1, {"max_steps": 15})
     got = oracle_run(step, *args)
     assert got == oracle_run(per_node_step, *args)
     history, levels = got[0], [level for level, _, _ in got[3]]
@@ -663,7 +661,7 @@ def fraction_constructions(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("policy", [FixedLevel(b_pm=7), AdaptiveZoom(), RefineOnly(c_refine=F(5, 2))])
+@pytest.mark.parametrize("policy", [FixedLevel(b_pm=7), ADAPTIVE, RefineOnly(c_refine=F(5, 2))])
 def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # Between zooms the estimate is a grid level: after step 1, a step whose
     # event is none (every step of a fixed level, its absorbing repeats
@@ -678,12 +676,12 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
 
     def counted(*args, **kwargs):
         before = len(built)
-        out = real_step(*args, **kwargs)
-        per_step.append((out[1].zoom_event, len(built) - before))
-        return out
+        rec = real_step(*args, **kwargs)
+        per_step.append((rec.zoom_event, len(built) - before))
+        return rec
 
     monkeypatch.setattr(optimizer, "step", counted)
-    run_until(state, g, s, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
+    run_until(state, g, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
     quiet = [count for event, count in per_step[1:] if event == "none"]
     assert len(quiet) >= 10
     assert quiet == [0] * len(quiet)
@@ -713,7 +711,7 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     def run():
         state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
         rng = PCG32(4, STREAM_PROTOCOL)
-        run_until(state, g, s, AdaptiveZoom(), {"max_steps": 4}, rng)
+        run_until(state, g, ADAPTIVE, {"max_steps": 4}, rng)
         return state.history, state.q, rng.getstate()
 
     compiled = run()

@@ -3,18 +3,18 @@ and the structural properties (accuracy, idempotence, monotonicity,
 index bijection, step-size trajectory identity).
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import clamped_quantize, level_index, saturation_half_range
-from zoomgrad.optimizer import AdaptiveZoom
+from conftest import ADAPTIVE, clamped_quantize, level_index, saturation_half_range
 from zoomgrad.quantizer import QuantizerState, quantize
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
 C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
-ZOOM = AdaptiveZoom()  # 3 bits: levels in [-3, 3) zoom in, the others out
+ZOOM = ADAPTIVE  # 3 bits: levels in [-3, 3) zoom in, the others out
 
 # (input, midpoint, code) for b_q=0, delta=1/2: every one of the 8 output
 # cells is hit in its interior and at its left (closed) boundary, plus both
@@ -88,9 +88,9 @@ def test_zoom_out_examples():
     assert ZOOM.on_repeat(Q0, 4) == (QuantizerState(F(2), F(1)), "zoom_out", 0)
     q2, _, _ = ZOOM.on_repeat(Q0, -10)
     assert (q2.b_q, q2.delta) == (F(-5), F(1))
-    q3, _, _ = AdaptiveZoom(quantizer_width=1).on_repeat(q2, 0)  # a 1-bit range holds no level
+    q3, _, _ = replace(ZOOM, quantizer_width=1).on_repeat(q2, 0)  # a 1-bit range holds no level
     assert q3.delta == F(2)  # delta_0 * c_out^2
-    assert AdaptiveZoom(c_out=F(5, 2)).on_repeat(Q0, 4)[0].delta == F(5, 4)
+    assert replace(ZOOM, c_out=F(5, 2)).on_repeat(Q0, 4)[0].delta == F(5, 4)
 
 
 def test_zoom_in_examples():
@@ -98,7 +98,7 @@ def test_zoom_in_examples():
     assert (q1, event) == (QuantizerState(F(1), F(3, 8)), "zoom_in")
     q2, _, _ = ZOOM.on_repeat(q1, 0)
     assert q2.delta == F(9, 32)
-    assert AdaptiveZoom(c_in=F(7, 5)).on_repeat(Q0, 2)[0].delta == F(5, 14)
+    assert replace(ZOOM, c_in=F(7, 5)).on_repeat(Q0, 2)[0].delta == F(5, 14)
 
 
 def test_validation():
@@ -108,11 +108,11 @@ def test_validation():
         QuantizerState(b_q=F(0), delta=F(-1, 2))
     # the zoom rule's factors and width are checked by the policy that owns them
     with pytest.raises(ValueError):
-        AdaptiveZoom(c_in=F(1))
+        replace(ZOOM, c_in=F(1))
     with pytest.raises(ValueError):
-        AdaptiveZoom(c_out=F(9, 10))
+        replace(ZOOM, c_out=F(9, 10))
     with pytest.raises(ValueError):
-        AdaptiveZoom(quantizer_width=0)
+        replace(ZOOM, quantizer_width=0)
 
 
 # --- property tests -------------------------------------------------------

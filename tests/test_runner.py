@@ -3,7 +3,6 @@ CSV reports, plus the sweep/compare/table entry points."""
 
 import io
 import math
-import os
 from dataclasses import replace as dc_replace
 from fractions import Fraction as F
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cost_suite, per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
 from zoomgrad import optimizer
-from zoomgrad.config import ConfigError, RunConfig
+from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError
 from zoomgrad.metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS
 from zoomgrad.objective import CostSuite, QuadraticCost
@@ -186,27 +185,32 @@ def fractional_configs(draw):
 def test_run_single_matches_the_per_node_oracles(config):
     # The whole run, with step 1's masses, the spread, the optimum and the
     # start draws each on its per-node Fraction path, equals the run on the
-    # integer and distinct-value paths: history, starts, final quantizer and
-    # protocol RNG state.
+    # integer and distinct-value paths: history, starts, optimum, spread,
+    # final quantizer and protocol RNG state.
     def run(mp):
-        rng_states = []
+        starts, rng_states = [], []
+        draw = runner_mod.sample_x_init
 
-        def recording(state, g, s, policy, stop, rng):
-            out = optimizer.run_until(state, g, s, policy, stop, rng)
+        def drawing(config, x_star):
+            starts.append(draw(config, x_star))
+            return starts[-1]
+
+        def recording(state, g, policy, stop, rng):
+            optimizer.run_until(state, g, policy, stop, rng)
             rng_states.append(rng.getstate())
-            return out
 
+        mp.setattr(runner_mod, "sample_x_init", drawing)
         mp.setattr(runner_mod, "run_until", recording)
-        result = run_single(config)
-        return result["history"], result["x_init"], result["x_star"], result["state"].q, rng_states
+        state = run_single(config)
+        return state.history, starts, state.x_star, state.spread, state.q, rng_states
 
     with pytest.MonkeyPatch.context() as mp:
         got = run(mp)
     with pytest.MonkeyPatch.context() as mp:
         s = build_costs(config)
 
-        def oracle_step(state, g, policy, rng, error_fn=None):
-            return per_node_step(state, g, s, config.alpha, policy, rng, error_fn)
+        def oracle_step(state, g, policy, rng):
+            return per_node_step(state, g, got[1][0], s, config.alpha, policy, rng)
 
         mp.setattr(optimizer, "step", oracle_step)
         mp.setattr(optimizer, "start_spread", per_node_spread)
@@ -230,7 +234,7 @@ def test_zoom_factors_reach_the_zoom_rule():
     # estimate and rescales the next row's step by exactly its factor.
     c_in, c_out = F(7, 5), F(5, 2)
     config = RunConfig(seed=2, n=6, c_in=c_in, c_out=c_out, stop={"max_steps": 40})
-    history = run_single(config)["history"]
+    history = run_single(config).history
     events = [r.zoom_event for r in history]
     assert "zoom_in" in events and "zoom_out" in events
     factor = {"zoom_in": 1 / c_in, "zoom_out": c_out, "none": 1}
@@ -241,22 +245,22 @@ def test_zoom_factors_reach_the_zoom_rule():
     for policy in ({"variant": "refine_only"}, {"variant": "fixed_level"}):
         base = RunConfig(seed=2, n=6, policy=policy, delta0=F(1, 10), stop={"max_steps": 40})
         other = dc_replace(base, c_in=c_in, c_out=c_out)
-        assert run_single(base)["history"] == run_single(other)["history"]
+        assert run_single(base).history == run_single(other).history
 
 
 def test_run_single_structure(default_run):
-    config, result = default_run
-    history = result["history"]
+    config, state = default_run
+    history = state.history
     assert [r.k for r in history] == list(range(1, len(history) + 1))
-    assert len(result["x_init"]) == config.n
-    assert result["costs"].global_optimum == result["x_star"]
+    assert state.x_star == build_costs(config).global_optimum
+    assert state.spread == per_node_spread(sample_x_init(config, state.x_star), state.x_star)
     assert history[-1].error <= 1e-5
     assert len(history) <= 200
 
 
 def test_run_single_seed1_event_shape(default_run):
-    _, result = default_run
-    events = [r.zoom_event for r in result["history"]]
+    _, state = default_run
+    events = [r.zoom_event for r in state.history]
     flagged = [e for e in events if e != "none"]
     assert flagged[0] == "zoom_out"  # the window must first grow to reach x*
     first_out = events.index("zoom_out")
@@ -268,16 +272,16 @@ def test_run_single_trajectory_independent_of_topology(default_run):
     _, dense = default_run
     sparse = run_single(RunConfig(seed=1, edge_prob=F(1, 5)))
     key = lambda h: [(r.x_value, r.delta, r.zoom_event) for r in h]
-    assert key(sparse["history"]) == key(dense["history"])
+    assert key(sparse.history) == key(dense.history)
     # only the communication counts may differ between topologies
-    assert [r.error for r in sparse["history"]] == [r.error for r in dense["history"]]
+    assert [r.error for r in sparse.history] == [r.error for r in dense.history]
 
 
 def test_summarize_columns_and_consistency(default_run):
-    config, result = default_run
-    row = summarize(config, result)
+    config, state = default_run
+    row = summarize(config, state)
     assert set(row) == set(SUMMARY_COLUMNS)
-    history = result["history"]
+    history = state.history
     assert row["steps"] == len(history)
     assert row["converged"] == 1
     assert row["policy"] == "adaptive_zoom"
@@ -303,8 +307,8 @@ def test_accounting_mode_prices_only_the_adaptive_paper_column():
             stop={"max_steps": 3},
             accounting=accounting,
         )
-        result = run_single(config)
-        return result["history"], summarize(config, result)
+        state = run_single(config)
+        return state.history, summarize(config, state)
 
     paper, _ = run(5, {"mode": "paper_faithful", "b_pm": 3})
     measured, _ = run(5, {"mode": "measured"})
@@ -324,8 +328,7 @@ def test_accounting_mode_prices_only_the_adaptive_paper_column():
 
 def test_summarize_not_converged():
     config = RunConfig(seed=1, stop={"max_steps": 3, "target_error": 1e-5})
-    result = run_single(config)
-    row = summarize(config, result)
+    row = summarize(config, run_single(config))
     assert row["steps"] == 3 and row["converged"] == 0
 
 
@@ -350,13 +353,13 @@ def rendered(write, *args):
 
 
 def test_history_csv_shape_and_determinism(default_run):
-    _, result = default_run
-    text = rendered(write_history_csv, result["history"])
-    assert text == rendered(write_history_csv, result["history"])
+    _, state = default_run
+    text = rendered(write_history_csv, state.history)
+    assert text == rendered(write_history_csv, state.history)
     assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == ",".join(HISTORY_COLUMNS)
-    assert len(lines) == 1 + len(result["history"])
+    assert len(lines) == 1 + len(state.history)
     first = lines[1].split(",")
     assert first[0] == "1"
     # exact-rational and float renderings of the same value agree
@@ -510,22 +513,40 @@ def compared():
     return compare(RunConfig(seed=1))
 
 
-def test_compare_shares_the_instance(compared):
-    stars = {res["x_star"] for _, res in compared.values()}
-    assert len(stars) == 1
-    inits = {tuple(res["x_init"]) for _, res in compared.values()}
-    assert len(inits) == 1
+def test_compare_shares_the_instance(monkeypatch):
+    # Every variant runs on the same graph, costs and starts, recorded as
+    # their builders return them.
+    built = {}
+
+    def recorder(name):
+        real = getattr(runner_mod, name)
+
+        def recorded(*args):
+            built.setdefault(name, []).append(real(*args))
+            return built[name][-1]
+
+        return recorded
+
+    for name in ("generate_random_digraph", "build_costs", "sample_x_init"):
+        monkeypatch.setattr(runner_mod, name, recorder(name))
+    runs = compare(RunConfig(seed=1, stop={"max_steps": 2}))
+    assert len({state.x_star for _, state in runs.values()}) == 1
+    graphs, suites, starts = built.values()
+    assert len(graphs) == len(suites) == len(starts) == len(COMPARE_VARIANTS)
+    assert len({g.out_adj for g in graphs}) == 1
+    assert len({(s.classes, s.node_class) for s in suites}) == 1
+    assert len({tuple(x) for x in starts}) == 1
 
 
 def test_compare_floor_ordering(compared):
-    final = {label: res["history"][-1].error for label, (_, res) in compared.items()}
+    final = {label: state.history[-1].error for label, (_, state) in compared.items()}
     # coarser fixed grids stall at higher error floors
     assert final["fixed_0.1"] > final["fixed_0.01"] > final["fixed_0.001"]
     assert final["fixed_0.001"] > 1e-3  # none of the fixed floors reach the target
     assert final["adaptive_zoom"] <= 1e-5
     assert final["refine_only"] <= 1e-5
     for label in ("fixed_0.1", "fixed_0.01", "fixed_0.001"):
-        assert len(compared[label][1]["history"]) == 200  # ran out the clock
+        assert len(compared[label][1].history) == 200  # ran out the clock
 
 
 def test_compare_variant_spellings(compared):
