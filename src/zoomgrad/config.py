@@ -45,7 +45,7 @@ def parse_rational(value, field_name):
 
 # Each nested block's selector key and, per variant, every key that variant
 # reads with its default (``stop`` has no selector).  None means unset:
-# validate, build_policy, build_costs and run_until say what that does.
+# validate, width_schedule, build_costs and run_until say what that does.
 Block = namedtuple("Block", "selector variants")
 BLOCKS = {
     "policy": Block("variant", {

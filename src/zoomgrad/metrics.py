@@ -1,11 +1,11 @@
 """Reporting-side math: the normalized error metric, the message widths
 that price each transmission, and the reference communication-cost table.
 
-A width that changes with the step index is a ``((end, width), ...)``
-schedule, read by ``schedule_width``: the refine-only baseline's live
-schedule and every row of Table 1 (``TABLE_ROWS``, whose cells
-``table_cells`` builds).  ``FIXED_LEVEL_WIDTHS`` holds the width that a
-fixed level charges by default.
+Every price is a ``((end, width), ...)`` width schedule, read by
+``schedule_width`` (a constant width is a one-entry schedule): each live
+run's, which ``runner.width_schedule`` picks from its config, and every row
+of Table 1 (``TABLE_ROWS``, whose cells ``table_cells`` builds).
+``FIXED_LEVEL_WIDTHS`` holds the width that a fixed level charges by default.
 
 Everything here is a pure function.  Internal arithmetic sticks to exact
 rationals; floats appear only where a quantity is explicitly a reported
@@ -40,7 +40,7 @@ def error_metric(q, m, x_star, spread):
 
 
 # Standard message width (bits) of each fixed quantizer level: what the
-# fixed-level baseline charges per transmission unless b_pm is given.
+# fixed-level baseline charges per transmission unless policy.b_pm is given.
 FIXED_LEVEL_WIDTHS = {
     Fraction(1, 10): 7,
     Fraction(1, 100): 10,

@@ -1,6 +1,8 @@
 """Outer optimization loop: local gradient steps glued together by the
 quantized consensus subroutine, plus the zoom policies that re-parameterize
-the quantizer between steps.
+the quantizer between steps.  A policy is its zoom rule and nothing else:
+what a message costs is the run's width schedule, which ``runner`` picks
+and its report writers apply.
 
 One iteration is: every node takes a gradient step on its private cost,
 the quantized half-steps enter ``run_consensus`` as integer masses (so all
@@ -56,7 +58,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .consensus import run_consensus
-from .metrics import REFINE_WIDTH_SCHEDULE, error_metric, schedule_width
+from .metrics import error_metric
 from .quantizer import QuantizerState, grid_point
 
 
@@ -67,27 +69,17 @@ class AdaptiveZoom:
     The policy owns the zoom rule: the ``quantizer_width``-bit dynamic range
     around the grid's basis, and the factors ``c_in`` and ``c_out`` by which
     a zoom-in divides and a zoom-out multiplies the grid's step.
-
-    ``b_pm`` is the width each mass transmission is charged in the
-    ``bits_paper_mode`` column; ``None`` charges the quantizer width (a
-    w-bit quantizer has 2**w cells, and the payloads are modeled as w-bit
-    symbols).  ``runner.build_policy`` sets it to ``accounting.b_pm`` under
-    paper_faithful accounting and leaves it ``None`` under measured.
     """
 
     quantizer_width: int
     c_in: Fraction
     c_out: Fraction
-    b_pm: int | None
 
     def __post_init__(self):
         if self.quantizer_width < 1:
             raise ValueError("width must be >= 1 bit")
         if self.c_in <= 1 or self.c_out <= 1:
             raise ValueError("zoom factors must exceed 1")
-
-    def message_width(self, k):
-        return self.quantizer_width if self.b_pm is None else self.b_pm
 
     def on_repeat(self, q, m):
         """Re-centre on the estimate ``b_q + m*delta`` (its new level is 0):
@@ -103,14 +95,10 @@ class AdaptiveZoom:
 class RefineOnly:
     """Baseline: on every repeated estimate, divide the step by c_refine.
 
-    The basis never moves and the quantizer is unsaturated.  Step ``k`` is
-    priced by the width schedule ``metrics.REFINE_WIDTH_SCHEDULE``.
+    The basis never moves and the quantizer is unsaturated.
     """
 
     c_refine: Fraction
-
-    def message_width(self, k):
-        return schedule_width(REFINE_WIDTH_SCHEDULE, k)
 
     def on_repeat(self, q, m):
         """Divide the step in place: the level ``m`` becomes ``m*c_refine``."""
@@ -119,17 +107,7 @@ class RefineOnly:
 
 @dataclass(frozen=True)
 class FixedLevel:
-    """Baseline: the quantizer is never re-parameterized.
-
-    Every message costs ``b_pm`` bits; a run without an explicit width
-    takes its level's standard one from ``metrics.FIXED_LEVEL_WIDTHS``
-    (``runner.build_policy``).
-    """
-
-    b_pm: int
-
-    def message_width(self, k):
-        return self.b_pm
+    """Baseline: the quantizer is never re-parameterized."""
 
     def on_repeat(self, q, m):
         """Leave grid and estimate as they are."""
@@ -154,7 +132,6 @@ class RunRecord:
     zoom_event: str  # none | zoom_in | zoom_out | refine
     consensus_rounds: int
     mass_transmissions: int
-    bits_paper_mode: int
     bits_measured_mode: int
 
     @property
@@ -362,7 +339,7 @@ def step(state, g, policy, rng):
     # the optimum (where individual gradient pulls stay O(1) while delta
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
-    # decision below and the idealized per-message bit price.
+    # decision below.
     m, stats = run_consensus(state.masses, pre_q, g, rng)
     state.q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
     # A repeat without an event keeps grid and estimate, and with them the
@@ -370,10 +347,9 @@ def step(state, g, policy, rng):
     if event != "none" or m != level_old:
         state.masses = grid_masses(state.classes, state.level, state.q)
 
-    k = len(state.history)
     tx = stats.mass_transmissions
     rec = RunRecord(
-        k=k + 1,
+        k=len(state.history) + 1,
         level=m,
         error=error_metric(pre_q, m, state.x_star, state.spread),
         delta=pre_q.delta,
@@ -381,7 +357,6 @@ def step(state, g, policy, rng):
         zoom_event=event,
         consensus_rounds=stats.rounds,
         mass_transmissions=tx,
-        bits_paper_mode=policy.message_width(k) * tx,
         bits_measured_mode=(len(stats.measured_alphabet) - 1).bit_length() * tx,
     )
     state.history.append(rec)

@@ -1,6 +1,10 @@
 """Experiment orchestration: build a problem instance from a RunConfig,
 drive the optimizer, and emit deterministic CSV artifacts.
 
+The runner also prices the run: ``width_schedule`` turns the config's
+policy and accounting blocks into the run's message-width schedule, and the
+report writers charge each step's mass transmissions at its width.
+
 Determinism contract: the pair (config, seed) fixes every byte of every
 output file.  All floats are written with repr() (shortest round-trip
 form), rationals as "num/den", rows in a fixed order, newline="\\n", and
@@ -14,13 +18,15 @@ import math
 import os
 import statistics
 import sys
+from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
 from .config import ConfigError, parse_rational
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph, randbelow_each
-from .metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS, decimal_fixed, exact_decimal, table_cells
+from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
+from .metrics import schedule_width, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
 from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, initial_state, run_until
 from .quantizer import QuantizerState
@@ -30,16 +36,30 @@ from .rng import PCG32, STREAM_PROTOCOL, STREAM_XINIT
 def build_policy(config):
     spec = config.block("policy")
     if spec["variant"] == "adaptive_zoom":
-        accounting = config.block("accounting")
-        return AdaptiveZoom(
-            quantizer_width=spec["quantizer_width"],
-            c_in=config.c_in,
-            c_out=config.c_out,
-            b_pm=accounting["b_pm"] if accounting["mode"] == "paper_faithful" else None,
-        )
+        return AdaptiveZoom(spec["quantizer_width"], config.c_in, config.c_out)
     if spec["variant"] == "refine_only":
-        return RefineOnly(c_refine=parse_rational(spec["c_refine"], "policy.c_refine"))
-    return FixedLevel(FIXED_LEVEL_WIDTHS[config.delta0] if spec["b_pm"] is None else spec["b_pm"])
+        return RefineOnly(parse_rational(spec["c_refine"], "policy.c_refine"))
+    return FixedLevel()
+
+
+def width_schedule(config):
+    """The run's message-width schedule (read by ``metrics.schedule_width``).
+
+    The adaptive policy charges ``accounting.b_pm`` bits under paper_faithful
+    accounting and its quantizer width under measured (a w-bit quantizer has
+    2**w cells, and the payloads are modeled as w-bit symbols); refine-only
+    follows ``metrics.REFINE_WIDTH_SCHEDULE``; a fixed level charges
+    ``policy.b_pm``, or its level's standard width when that is unset.
+    """
+    spec = config.block("policy")
+    if spec["variant"] == "refine_only":
+        return REFINE_WIDTH_SCHEDULE
+    if spec["variant"] == "adaptive_zoom":
+        accounting = config.block("accounting")
+        width = accounting["b_pm"] if accounting["mode"] == "paper_faithful" else spec["quantizer_width"]
+    else:
+        width = FIXED_LEVEL_WIDTHS[config.delta0] if spec["b_pm"] is None else spec["b_pm"]
+    return ((None, width),)
 
 
 def build_costs(config):
@@ -132,9 +152,10 @@ def summarize(config, state):
     steps = len(history)
     target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
-    total_tx = sum(r.mass_transmissions for r in history)
-    total_rounds = sum(r.consensus_rounds for r in history)
+    total_tx = config.n * sum(r.consensus_rounds for r in history)  # every round sends n pieces
     mean_tx = float(Fraction(total_tx, steps)) if steps else float("nan")
+    events = Counter(r.zoom_event for r in history)
+    widths = width_schedule(config)
     return {
         "seed": config.seed,
         "n": config.n,
@@ -144,14 +165,14 @@ def summarize(config, state):
         "final_error": repr(final_error),
         "x_final": str(history[-1].x_value) if history else "",
         "x_star": str(state.x_star),
-        "zoom_in_events": sum(1 for r in history if r.zoom_event == "zoom_in"),
-        "zoom_out_events": sum(1 for r in history if r.zoom_event == "zoom_out"),
-        "refine_events": sum(1 for r in history if r.zoom_event == "refine"),
-        "total_bits_paper_mode": sum(r.bits_paper_mode for r in history),
+        "zoom_in_events": events["zoom_in"],
+        "zoom_out_events": events["zoom_out"],
+        "refine_events": events["refine"],
+        "total_bits_paper_mode": sum(schedule_width(widths, r.k - 1) * r.mass_transmissions for r in history),
         "total_bits_measured_mode": sum(r.bits_measured_mode for r in history),
         "mean_mass_tx_per_consensus": repr(mean_tx),
         "total_mass_transmissions": total_tx,
-        "total_flood_broadcasts": config.n * total_rounds,
+        "total_flood_broadcasts": total_tx,
         "accounting_mode": config.accounting["mode"],
         "backend": active_backend(),
     }
@@ -174,8 +195,9 @@ HISTORY_COLUMNS = [
 ]
 
 
-def write_history_csv(f, history):
-    """Write the per-step log as CSV to the text stream ``f``."""
+def write_history_csv(f, history, widths):
+    """Write the per-step log as CSV to the text stream ``f``; the paper-mode
+    bits charge each step's transmissions at the width schedule ``widths``."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(HISTORY_COLUMNS)
     for r in history:
@@ -193,7 +215,7 @@ def write_history_csv(f, history):
                 r.zoom_event,
                 r.consensus_rounds,
                 r.mass_transmissions,
-                r.bits_paper_mode,
+                schedule_width(widths, r.k - 1) * r.mass_transmissions,
                 r.bits_measured_mode,
             ]
         )
@@ -272,7 +294,7 @@ def cmd_run(config):
     def reports():
         state = run_single(config)
         return [
-            ("history.csv", write_history_csv, state.history),
+            ("history.csv", write_history_csv, state.history, width_schedule(config)),
             ("summary.csv", write_rows_csv, SUMMARY_COLUMNS, [summarize(config, state)]),
         ]
 
@@ -302,10 +324,10 @@ def sweep(config, seeds):
 
     A run that hits the consensus round cap is recorded in its row's status
     and the sweep continues.  The aggregate is folded from the rows and the
-    finished runs' steps.
+    finished runs' step and round counts.
     """
     per_seed = []
-    records = []  # every step of every run that finished
+    steps = rounds = 0  # over every run that finished
     for seed in seeds:
         c = dc_replace(config, seed=seed)
         try:
@@ -319,19 +341,19 @@ def sweep(config, seeds):
             k = steps_to_threshold(state.history, float(label))
             row["steps_to_%s" % label] = "" if k is None else k
         per_seed.append(row)
-        records += state.history
+        steps += len(state.history)
+        rounds += sum(r.consensus_rounds for r in state.history)
     aggregate = {"runs": len(per_seed), "failures": sum(row["status"] != "ok" for row in per_seed)}
     for label in TABLE_THRESHOLDS:
         column = "steps_to_%s" % label
         ks = [row[column] for row in per_seed if row.get(column, "") != ""]
         aggregate["reached_%s" % label] = len(ks)
         aggregate["median_steps_to_%s" % label] = repr(float(statistics.median(ks))) if ks else ""
-    for column, attr in (
-        ("mean_mass_tx_per_consensus", "mass_transmissions"),
-        ("mean_consensus_rounds", "consensus_rounds"),
+    for column, total in (
+        ("mean_mass_tx_per_consensus", config.n * rounds),  # every round sends n pieces
+        ("mean_consensus_rounds", rounds),
     ):
-        total = sum(getattr(r, attr) for r in records)
-        aggregate[column] = repr(float(Fraction(total, len(records)))) if records else ""
+        aggregate[column] = repr(float(Fraction(total, steps))) if steps else ""
     return per_seed, aggregate
 
 

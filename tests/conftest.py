@@ -270,12 +270,10 @@ def per_node_step(state, g, x_init, s, alpha, policy, rng):
     new_q, event = fraction_zoom_decide(pre_q, x_new, x_old, policy)
     level = (x_new - pre_q.b_q) / pre_q.delta
     assert level.denominator == 1, "consensus output off the grid"
-    k = len(state.history)
-    width = policy.message_width(k)
     n_symbols = len(stats.measured_alphabet)
     measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
     rec = RunRecord(
-        k=k + 1,
+        k=len(state.history) + 1,
         level=level.numerator,
         error=fraction_error_metric(x_new, state.x_star, state.spread),
         delta=pre_q.delta,
@@ -283,7 +281,6 @@ def per_node_step(state, g, x_init, s, alpha, policy, rng):
         zoom_event=event,
         consensus_rounds=stats.rounds,
         mass_transmissions=stats.mass_transmissions,
-        bits_paper_mode=width * stats.mass_transmissions,
         bits_measured_mode=measured_width * stats.mass_transmissions,
     )
     state.oracle_x, state.q = x_new, new_q

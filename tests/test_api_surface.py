@@ -5,8 +5,9 @@ package, and no module imports a name it never uses.
 The package's Python is parsed with ``ast``.  A module-level function or
 class, or a method that is not a dunder, fails the check when no ``Name`` or
 ``Attribute`` node anywhere in the package uses its name.  A parameter fails
-when no function of its name that takes it reads it, so a method whose
-sibling on another class reads an argument (``message_width(k)``) passes.
+when no function of its name that takes it reads it, so one of a
+protocol's methods (a zoom policy's ``on_repeat(q, m)``) may ignore an
+argument that a sibling on another class reads.
 A defaulted parameter or dataclass field fails when every call in the
 package that reaches it passes it (only the tests use the default) or none
 does (only the tests use the option); calls are matched by name, a class's

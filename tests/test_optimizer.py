@@ -112,7 +112,7 @@ def test_refine_only_shrinks_in_place():
 
 
 def test_fixed_level_never_changes():
-    assert zoom_decide(Q0, 2, 2, FixedLevel(b_pm=7)) == (Q0, "none", 2)
+    assert zoom_decide(Q0, 2, 2, FixedLevel()) == (Q0, "none", 2)
 
 
 # Where the level sits against the width-bit range [-H, H) of levels: on
@@ -142,7 +142,7 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free,
         side, nudge = RIM_LEVELS[where]
         m = int(side * half / delta) + nudge
     x_new = b_q + m * delta
-    policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1], b_pm=None)
+    policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
     if x_new >= q.b_q + half or x_new < q.b_q - half:
         expected = QuantizerState(x_new, delta * policy.c_out), "zoom_out"
     else:
@@ -166,30 +166,6 @@ def test_the_saturation_test_by_bit_length_is_the_power_form(width, side, nudge)
     rim = 2 ** (width - 1) - 1
     _, event, _ = replace(ADAPTIVE, quantizer_width=width).on_repeat(Q0, m)
     assert (event == "zoom_out") == (m >= rim or m < -rim)
-
-
-# --- message width schedules ------------------------------------------------
-
-
-def test_adaptive_width():
-    assert ADAPTIVE.message_width(0) == 3
-    assert replace(ADAPTIVE, quantizer_width=4, b_pm=None).message_width(9) == 4
-    assert replace(ADAPTIVE, quantizer_width=5, b_pm=3).message_width(5) == 3
-
-
-def test_refine_width_schedule():
-    p = REFINE
-    widths = [p.message_width(k) for k in range(12)]
-    assert widths == [7, 7, 7, 10, 10, 10, 10, 10, 10, 14, 14, 14]
-    assert p.message_width(1000) == 14
-
-
-def test_fixed_width_lookup():
-    # The width is fixed when the policy is built (runner.build_policy looks
-    # the level up); every step charges it.
-    assert [FixedLevel(b_pm=6).message_width(k) for k in (0, 1, 1000)] == [6, 6, 6]
-    with pytest.raises(TypeError):
-        FixedLevel()
 
 
 # --- single steps -----------------------------------------------------------
@@ -226,7 +202,6 @@ def test_step_counts_and_bits():
     assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
     assert rec.mass_transmissions == stats.mass_transmissions
-    assert rec.bits_paper_mode == 3 * stats.mass_transmissions
     width = (len(stats.measured_alphabet) - 1).bit_length()
     assert rec.bits_measured_mode == width * stats.mass_transmissions
 
@@ -321,7 +296,7 @@ def test_fixed_level_repeat_is_absorbing():
     state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
-        step(state, g, FixedLevel(b_pm=7), rng)
+        step(state, g, FixedLevel(), rng)
     xs = [r.x_value for r in state.history]
     stall = next((i for i in range(1, len(xs)) if xs[i] == xs[i - 1]), None)
     assert stall is not None
@@ -372,7 +347,7 @@ def test_run_until_stops_at_target():
 
 
 def test_run_record_is_frozen():
-    rec = RunRecord(1, F(0), 0.0, F(1, 2), F(0), "none", 1, 1, 3, 3)
+    rec = RunRecord(1, F(0), 0.0, F(1, 2), F(0), "none", 1, 1, 3)
     with pytest.raises(AttributeError):
         rec.k = 2
 
@@ -531,11 +506,10 @@ def test_cost_classes_group_equal_costs():
 
 POLICIES = [
     ADAPTIVE,
-    replace(ADAPTIVE, quantizer_width=5, b_pm=None),
+    replace(ADAPTIVE, quantizer_width=5),
     REFINE,
     RefineOnly(c_refine=F(5, 2)),
-    FixedLevel(b_pm=7),
-    FixedLevel(b_pm=10),
+    FixedLevel(),
 ]
 
 
@@ -661,7 +635,7 @@ def fraction_constructions(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("policy", [FixedLevel(b_pm=7), ADAPTIVE, RefineOnly(c_refine=F(5, 2))])
+@pytest.mark.parametrize("policy", [FixedLevel(), ADAPTIVE, RefineOnly(c_refine=F(5, 2))])
 def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # Between zooms the estimate is a grid level: after step 1, a step whose
     # event is none (every step of a fixed level, its absorbing repeats

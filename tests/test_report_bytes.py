@@ -1,7 +1,9 @@
 """Pinned report bytes: the SHA-256 of every CSV that acceptance criterion
 10's ``run``, ``sweep`` and ``compare`` commands write, of two n=400
 ``run`` reports, of an n=1000 ``run`` shaped like the benchmark's
-sparse-n1000 workload, and of the two Table 1 reports, on both backends.
+sparse-n1000 workload, of one ``run`` per way of pricing a message (the
+refine-only schedule, measured accounting, an explicit fixed-level width),
+and of the two Table 1 reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -41,6 +43,31 @@ COMMANDS = {
     "run-n1000": lambda d: cmd_run(
         RunConfig(n=1000, edge_prob=Fraction(1, 50), seed=0, out_dir=d, stop={"max_steps": 8})
     ),
+    # One run per width schedule that is not the default's 3 bits: the
+    # refine-only schedule across its breaks after steps 3 and 9, measured
+    # accounting's quantizer width, and an explicit width at a level that has
+    # no standard one.
+    "run-refine": lambda d: cmd_run(
+        RunConfig(seed=1, policy={"variant": "refine_only"}, out_dir=d, stop={"max_steps": 14})
+    ),
+    "run-measured": lambda d: cmd_run(
+        RunConfig(
+            seed=1,
+            policy={"variant": "adaptive_zoom", "quantizer_width": 5},
+            accounting={"mode": "measured"},
+            out_dir=d,
+            stop={"max_steps": 40},
+        )
+    ),
+    "run-fixed-b6": lambda d: cmd_run(
+        RunConfig(
+            seed=1,
+            delta0=Fraction(1, 7),
+            policy={"variant": "fixed_level", "b_pm": 6},
+            out_dir=d,
+            stop={"max_steps": 10},
+        )
+    ),
     "table1": cmd_table1,
 }
 
@@ -57,6 +84,12 @@ DIGESTS = {
     ("run-n400-fractional", "summary.csv"): "77551816d19bcda72db0635ba84e2616e1d90571365e88dbbaa2c73c85178505",
     ("run-n1000", "history.csv"): "d125233d65486ed22fc952a9bf4246d3c56adfe24dbde458befc4397ee18477d",
     ("run-n1000", "summary.csv"): "bd7ed1c7a742d8af0f5b25933c23df9f943bee1542821758932f960918c6549e",
+    ("run-refine", "history.csv"): "786e2f7358f59ef63866b0024c2773c934dbdfcdc0a169872ce7a08f6762e965",
+    ("run-refine", "summary.csv"): "c467fc0a64ff2a891ae34cfe0c26c87b1f7035e6db2b939388ef3c027626d066",
+    ("run-measured", "history.csv"): "16c44f7caf06dc2faf21fc43ea19ab5673dbe36074ddb11f31ced494481d78ca",
+    ("run-measured", "summary.csv"): "72ce670677970f396b116bea1487b92ef030be3cf0f480636eb48bcaece63884",
+    ("run-fixed-b6", "history.csv"): "00a46f0d576a86d2a42a9df9f3702fa2c13ffa3e7024a7030ea3f72314dcab21",
+    ("run-fixed-b6", "summary.csv"): "83d5ecb0fef98bf41821f64af62d7748618126a2311d412ba9f7e9396fd20b4b",
     ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
     ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }

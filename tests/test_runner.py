@@ -13,7 +13,13 @@ from conftest import cost_suite, per_draw_x_init, per_node_optimum, per_node_spr
 from zoomgrad import optimizer
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError
-from zoomgrad.metrics import FIXED_LEVEL_WIDTHS, TABLE_THRESHOLDS
+from zoomgrad.metrics import (
+    FIXED_LEVEL_WIDTHS,
+    REFINE_WIDTH_SCHEDULE,
+    TABLE_ROWS,
+    TABLE_THRESHOLDS,
+    schedule_width,
+)
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord
 from zoomgrad.runner import (
@@ -35,6 +41,7 @@ from zoomgrad.runner import (
     steps_to_threshold,
     summarize,
     sweep,
+    width_schedule,
     write_history_csv,
     write_rows_csv,
 )
@@ -46,16 +53,15 @@ import zoomgrad.runner as runner_mod
 
 
 def test_build_policy_adaptive_paper_faithful():
-    p = build_policy(RunConfig())
-    assert isinstance(p, AdaptiveZoom)
-    assert p.quantizer_width == 3
-    assert p.b_pm == 3  # the default accounting mode prices 3-bit symbols
+    p = build_policy(RunConfig(c_in=F(7, 5)))
+    assert p == AdaptiveZoom(quantizer_width=3, c_in=F(7, 5), c_out=F(2))
 
 
 def test_build_policy_adaptive_measured():
-    c = RunConfig(accounting={"mode": "measured"})
-    p = build_policy(c)
-    assert isinstance(p, AdaptiveZoom) and p.b_pm is None
+    # accounting prices the run's messages (width_schedule); it never
+    # reaches the zoom rule
+    c = RunConfig(policy={"variant": "adaptive_zoom", "quantizer_width": 5}, accounting={"mode": "measured"})
+    assert build_policy(c) == build_policy(dc_replace(c, accounting={"mode": "paper_faithful", "b_pm": 3}))
 
 
 def test_build_policy_refine_parses_ratio():
@@ -65,13 +71,51 @@ def test_build_policy_refine_parses_ratio():
 
 
 def test_build_policy_fixed():
-    p = build_policy(RunConfig(policy={"variant": "fixed_level", "b_pm": 9}))
-    assert isinstance(p, FixedLevel) and p.b_pm == 9
-    # without b_pm, the level's standard width, for every standard level
-    for level, width in FIXED_LEVEL_WIDTHS.items():
-        assert build_policy(RunConfig(policy={"variant": "fixed_level"}, delta0=level)) == FixedLevel(width)
-    p = build_policy(RunConfig(policy={"variant": "fixed_level", "b_pm": 6}, delta0=F(1, 7)))
-    assert p == FixedLevel(6)
+    # a fixed level has no zoom rule to configure, whatever its width
+    assert build_policy(RunConfig(policy={"variant": "fixed_level", "b_pm": 9})) == FixedLevel()
+    assert build_policy(RunConfig(policy={"variant": "fixed_level"}, delta0=F(1, 100))) == FixedLevel()
+
+
+# --- message width schedules ------------------------------------------------
+
+
+def widths(config, ks):
+    return [schedule_width(width_schedule(config), k) for k in ks]
+
+
+def test_adaptive_width():
+    assert widths(RunConfig(), (0, 1, 1000)) == [3, 3, 3]
+    measured = {"mode": "measured"}
+    assert widths(RunConfig(policy={"variant": "adaptive_zoom", "quantizer_width": 4}, accounting=measured), (9,)) == [4]
+    paper = {"mode": "paper_faithful", "b_pm": 3}
+    assert widths(RunConfig(policy={"variant": "adaptive_zoom", "quantizer_width": 5}, accounting=paper), (5,)) == [3]
+
+
+def test_refine_width_schedule():
+    config = RunConfig(policy={"variant": "refine_only"})
+    assert widths(config, range(12)) == [7, 7, 7, 10, 10, 10, 10, 10, 10, 14, 14, 14]
+    assert widths(config, (1000,)) == [14]
+    # accounting does not move the refine-only baseline's schedule
+    assert width_schedule(dc_replace(config, accounting={"mode": "measured"})) == REFINE_WIDTH_SCHEDULE
+
+
+def test_fixed_width_lookup():
+    config = RunConfig(policy={"variant": "fixed_level", "b_pm": 6}, delta0=F(1, 7))
+    assert widths(config, (0, 1, 1000)) == [6, 6, 6]
+    # an explicit width wins over the level's standard one
+    assert widths(dc_replace(config, delta0=F(1, 10)), (0,)) == [6]
+
+
+def test_live_schedules_are_table_1_rows():
+    # Table 1 and the live runs price messages in one representation: the
+    # default run's schedule is the adaptive row's, and each fixed level's
+    # is its row's.  The refine-only row keeps the table's own convention
+    # (test_metrics.py::test_table_refine_schedule_switches_one_step_earlier).
+    rows = {label: schedule for label, schedule, _ in TABLE_ROWS}
+    assert width_schedule(RunConfig()) == rows["adaptive_zoom"]
+    for level in FIXED_LEVEL_WIDTHS:
+        config = RunConfig(policy={"variant": "fixed_level"}, delta0=level)
+        assert width_schedule(config) == rows["fixed_%s" % float(level)]
 
 
 def test_build_costs_explicit():
@@ -285,9 +329,12 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["steps"] == len(history)
     assert row["converged"] == 1
     assert row["policy"] == "adaptive_zoom"
-    assert row["zoom_in_events"] == sum(r.zoom_event == "zoom_in" for r in history)
-    assert row["total_bits_paper_mode"] == sum(r.bits_paper_mode for r in history)
+    for event in ("zoom_in", "zoom_out", "refine"):
+        assert row["%s_events" % event] == sum(r.zoom_event == event for r in history)
     assert row["total_mass_transmissions"] == sum(r.mass_transmissions for r in history)
+    assert row["total_flood_broadcasts"] == config.n * sum(r.consensus_rounds for r in history)
+    assert row["total_bits_paper_mode"] == 3 * row["total_mass_transmissions"]
+    assert row["total_bits_measured_mode"] == sum(r.bits_measured_mode for r in history)
     assert row["mean_mass_tx_per_consensus"] == repr(
         float(F(row["total_mass_transmissions"], row["steps"]))
     )
@@ -297,9 +344,10 @@ def test_summarize_columns_and_consistency(default_run):
 
 
 def test_accounting_mode_prices_only_the_adaptive_paper_column():
-    # Both bit columns are always logged; the mode decides only what the
+    # Both bit columns are always reported; the mode decides only what the
     # adaptive policy's paper-mode column charges per message: accounting.b_pm
-    # under paper_faithful, the quantizer width under measured.
+    # under paper_faithful, the quantizer width under measured.  The runs
+    # themselves are equal.
     def run(width, accounting):
         config = RunConfig(
             seed=3,
@@ -308,20 +356,23 @@ def test_accounting_mode_prices_only_the_adaptive_paper_column():
             accounting=accounting,
         )
         state = run_single(config)
-        return state.history, summarize(config, state)
+        lines = rendered(write_history_csv, state.history, width_schedule(config)).splitlines()
+        column = lines[0].split(",").index("bits_paper_mode")
+        bits = [int(line.split(",")[column]) for line in lines[1:]]
+        return state.history, bits, summarize(config, state)
 
-    paper, _ = run(5, {"mode": "paper_faithful", "b_pm": 3})
-    measured, _ = run(5, {"mode": "measured"})
-    assert (paper[0].mass_transmissions, paper[0].bits_paper_mode) == (240, 720)
-    assert (measured[0].mass_transmissions, measured[0].bits_paper_mode) == (240, 1200)
-    for p, m in zip(paper, measured):
-        assert p.bits_paper_mode == 3 * p.mass_transmissions
-        assert m.bits_paper_mode == 5 * m.mass_transmissions
-        assert dc_replace(p, bits_paper_mode=0) == dc_replace(m, bits_paper_mode=0)
+    paper, paper_bits, paper_row = run(5, {"mode": "paper_faithful", "b_pm": 3})
+    measured, measured_bits, measured_row = run(5, {"mode": "measured"})
+    assert paper == measured
+    assert (paper[0].mass_transmissions, paper_bits[0], measured_bits[0]) == (240, 720, 1200)
+    assert paper_bits == [3 * r.mass_transmissions for r in paper]
+    assert measured_bits == [5 * r.mass_transmissions for r in measured]
+    assert paper_row["total_bits_paper_mode"] == sum(paper_bits)
+    assert measured_row["total_bits_paper_mode"] == sum(measured_bits)
     # At the defaults (3-bit quantizer, 3-bit b_pm) the summaries differ
     # only in the accounting_mode cell.
-    _, paper_row = run(3, {"mode": "paper_faithful", "b_pm": 3})
-    _, measured_row = run(3, {"mode": "measured"})
+    _, _, paper_row = run(3, {"mode": "paper_faithful", "b_pm": 3})
+    _, _, measured_row = run(3, {"mode": "measured"})
     differ = sorted(c for c in SUMMARY_COLUMNS if paper_row[c] != measured_row[c])
     assert differ == ["accounting_mode"]
 
@@ -334,7 +385,7 @@ def test_summarize_not_converged():
 
 def test_steps_to_threshold():
     def r(k, e):
-        return RunRecord(k, F(0), e, F(1), F(0), "none", 1, 1, 3, 3)
+        return RunRecord(k, F(0), e, F(1), F(0), "none", 1, 1, 3)
 
     history = [r(1, 2.0), r(2, 0.5), r(3, 0.009), r(4, 0.0001)]
     assert steps_to_threshold(history, 1e-2) == 3
@@ -353,9 +404,9 @@ def rendered(write, *args):
 
 
 def test_history_csv_shape_and_determinism(default_run):
-    _, state = default_run
-    text = rendered(write_history_csv, state.history)
-    assert text == rendered(write_history_csv, state.history)
+    config, state = default_run
+    text = rendered(write_history_csv, state.history, width_schedule(config))
+    assert text == rendered(write_history_csv, state.history, width_schedule(config))
     assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == ",".join(HISTORY_COLUMNS)
