@@ -6,9 +6,13 @@
  * the same PCG32 stream as the pure paths, draw for draw, so every result and
  * the final RNG state are bit-for-bit equal.
  *
- * csr flattens a graph's out-adjacency once into a CSR handle (a capsule);
- * the graph keeps it, and run_rounds and diameter read it on every call.
- * The handle also keeps run_rounds' piece table between calls.
+ * A graph's out-adjacency lives in C as one CSR handle (a capsule), which
+ * the graph keeps and run_rounds and diameter read on every call.  A
+ * generated graph gets it from random_out_adj's edge scan, which writes the
+ * kept ids into the handle as it draws them; csr flattens the rows of a graph
+ * given as rows, on its first kernel call.  Both build it through csr_new and
+ * csr_capsule, so there is one layout and one free path.  The handle also
+ * keeps run_rounds' piece table between calls.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
@@ -42,7 +46,9 @@
  *
  * random_out_adj runs the generator's lexicographic (u, v) scan after the
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
- * self-pair nor a cycle pair, kept when it falls below the threshold.
+ * self-pair nor a cycle pair, kept when it falls below the threshold.  The
+ * keep is branchless (at p = 1/2 a branch on the draw is a coin flip), and
+ * the scan returns the graph's CSR handle with its rows.
  *
  * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
  * sequence in turn, through the same draw_below as run_rounds: a bound <= 1
@@ -59,7 +65,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 3
+#define KERNEL_ABI 4
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -238,9 +244,9 @@ static int pieces_add(PieceSet *s, int64_t c)
 }
 
 /* A graph's out-adjacency in CSR form: node i's out-neighbours, in the order
- * of its out_adj row, are idx[ptr[i]:ptr[i+1]].  csr() builds one per graph and hands it
- * to Python as a capsule; run_rounds and diameter read it, and run_rounds
- * keeps its piece table there between calls. */
+ * of its out_adj row, are idx[ptr[i]:ptr[i+1]].  csr() and random_out_adj
+ * build one per graph and hand it to Python as a capsule; run_rounds and
+ * diameter read it, and run_rounds keeps its piece table there between calls. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
@@ -263,27 +269,69 @@ static void csr_capsule_free(PyObject *capsule)
     csr_free(PyCapsule_GetPointer(capsule, CSR_NAME));
 }
 
-/* Flatten the out-adjacency into CSR arrays; -1 with an exception set on error. */
-static int load_adjacency(PyObject *out_adj, Py_ssize_t n, Py_ssize_t **ptr, int **idx)
+/* A Csr on n nodes with ptr allocated and no idx yet; NULL with an exception
+ * set on error.  what names the sequence of length n in the message. */
+static Csr *csr_new(Py_ssize_t n, const char *what)
 {
-    Py_ssize_t i, j, e = 0, total = 0;
+    Csr *g;
+    if (n < 1 || n > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= len(%s) <= INT_MAX", what);
+        return NULL;
+    }
+    g = PyMem_Calloc(1, sizeof(Csr));
+    if (g != NULL && (g->ptr = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t))) == NULL) {
+        csr_free(g);
+        g = NULL;
+    }
+    if (g == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    g->n = n;
+    return g;
+}
+
+/* g in a capsule that frees it, or NULL with an exception set and g freed. */
+static PyObject *csr_capsule(Csr *g)
+{
+    PyObject *handle = PyCapsule_New(g, CSR_NAME, csr_capsule_free);
+    if (handle == NULL)
+        csr_free(g);
+    return handle;
+}
+
+/* Resize g->idx to room for cap ids (at least one), keeping the ids it
+ * holds; -1 with an exception set, and g->idx unchanged, on error. */
+static int idx_resize(Csr *g, size_t cap)
+{
+    int *idx = NULL;
+    if (cap <= (size_t)PY_SSIZE_T_MAX / sizeof(int))
+        idx = PyMem_Realloc(g->idx, (cap ? cap : 1) * sizeof(int));
+    if (idx == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    g->idx = idx;
+    return 0;
+}
+
+/* Flatten the out-adjacency into g's CSR arrays; -1 with an exception set on error. */
+static int load_adjacency(PyObject *out_adj, Csr *g)
+{
+    Py_ssize_t i, j, n = g->n, e = 0, total = 0;
     for (i = 0; i < n; i++) {
         Py_ssize_t deg = PySequence_Size(PySequence_Fast_GET_ITEM(out_adj, i));
         if (deg < 0)
             return -1;
         total += deg;
     }
-    *ptr = PyMem_Malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
-    *idx = PyMem_Malloc((size_t)(total ? total : 1) * sizeof(int));
-    if (*ptr == NULL || *idx == NULL) {
-        PyErr_NoMemory();
+    if (idx_resize(g, (size_t)total) < 0)
         return -1;
-    }
     for (i = 0; i < n; i++) {
         PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(out_adj, i), "out_adj rows must be sequences");
         if (row == NULL)
             return -1;
-        (*ptr)[i] = e;
+        g->ptr[i] = e;
         for (j = 0; j < PySequence_Fast_GET_SIZE(row) && e < total; j++) {
             long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(row, j));
             if ((v < 0 || v >= n) && !PyErr_Occurred())
@@ -292,11 +340,11 @@ static int load_adjacency(PyObject *out_adj, Py_ssize_t n, Py_ssize_t **ptr, int
                 Py_DECREF(row);
                 return -1;
             }
-            (*idx)[e++] = (int)v;
+            g->idx[e++] = (int)v;
         }
         Py_DECREF(row);
     }
-    (*ptr)[n] = e;
+    g->ptr[n] = e;
     return 0;
 }
 
@@ -309,20 +357,13 @@ static PyObject *csr(PyObject *self, PyObject *out_adj)
     adj = PySequence_Fast(out_adj, "out_adj must be a sequence");
     if (adj == NULL)
         return NULL;
-    g = PyMem_Calloc(1, sizeof(Csr));
-    if (g == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    g = csr_new(PySequence_Fast_GET_SIZE(adj), "out_adj");
+    if (g != NULL) {
+        if (load_adjacency(adj, g) == 0)
+            handle = csr_capsule(g);
+        else
+            csr_free(g);
     }
-    g->n = PySequence_Fast_GET_SIZE(adj);
-    if (g->n < 1 || g->n > INT_MAX)
-        PyErr_SetString(PyExc_ValueError, "need 1 <= len(out_adj) <= INT_MAX");
-    else if (load_adjacency(adj, g->n, &g->ptr, &g->idx) == 0)
-        handle = PyCapsule_New(g, CSR_NAME, csr_capsule_free);
-    if (handle == NULL)
-        csr_free(g);
-
-done:
     Py_DECREF(adj);
     return handle;
 }
@@ -557,10 +598,13 @@ done:
 
 static PyObject *random_out_adj(PyObject *self, PyObject *args)
 {
-    PyObject *succ_obj, *succ = NULL, *rows = NULL, *ret = NULL, **nodes = NULL;
+    PyObject *succ_obj, *succ = NULL, *rows = NULL, *handle = NULL, *ret = NULL, **nodes = NULL;
     unsigned long long threshold, state_in, inc_in;
     uint64_t state, inc;
-    Py_ssize_t n, u, v, k, *keep = NULL;
+    Py_ssize_t n, u, v, e = 0, *cycle = NULL;
+    double want, most;
+    size_t cap;
+    Csr *g;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "OKKK", &succ_obj, &threshold, &state_in, &inc_in))
@@ -571,13 +615,38 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
     if (succ == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(succ);
-    nodes = PyMem_Calloc((size_t)(n ? n : 1), sizeof(PyObject *));
-    keep = PyMem_Malloc((size_t)(n ? n : 1) * sizeof(Py_ssize_t));
+    if ((g = csr_new(n, "succ")) == NULL)
+        goto done;
+    /* idx starts at the expected edge count n + n(n-2)p plus 2n: n for the
+       row being scanned, which may write n - 1 ids, and at least two
+       standard deviations of the count, sqrt(n(n-2)p(1-p)) <= n/2.  It
+       grows only past that, and is cut to fit at the end.  n(n - 1) ids
+       always do, and capping at what idx_resize allows keeps the cast
+       defined */
+    want = 3.0 * (double)n + (double)n * (double)(n - 2) * ((double)threshold / 4294967296.0);
+    most = (double)n * (double)(n - 1);
+    if (most > (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int)))
+        most = (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int));
+    cap = (size_t)(want < most ? want : most);
+    cycle = PyMem_Malloc((size_t)n * sizeof(Py_ssize_t));
+    nodes = PyMem_Calloc((size_t)n, sizeof(PyObject *));
     rows = PyTuple_New(n);
-    if (nodes == NULL || keep == NULL || rows == NULL) {
+    if (cycle == NULL || nodes == NULL || rows == NULL) {
         if (rows != NULL)
             PyErr_NoMemory();
         goto done;
+    }
+    if (idx_resize(g, cap) < 0)
+        goto done;
+    /* every cycle successor is checked before the first draw */
+    for (u = 0; u < n; u++) {
+        cycle[u] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(succ, u));
+        if (cycle[u] == -1 && PyErr_Occurred())
+            goto done;
+        if (cycle[u] < 0 || cycle[u] >= n) {
+            PyErr_SetString(PyExc_ValueError, "succ holds a node id out of range");
+            goto done;
+        }
     }
     /* one int object per node id, shared by every row that holds it */
     for (v = 0; v < n; v++)
@@ -586,35 +655,62 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
 
     for (u = 0; u < n; u++) {
         PyObject *row;
-        Py_ssize_t s = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(succ, u));
-        if (s == -1 && PyErr_Occurred())
-            goto done;
-        k = 0;
-        for (v = 0; v < n; v++) {
-            /* the cycle pair is kept without a draw; threshold is compared
-               as uint64 because p = 1 gives 2**32 */
-            if (v != u && (v == s || (uint64_t)next_u32(&state, inc) < threshold))
-                keep[k++] = v;
+        Py_ssize_t s = cycle[u], first = e;
+        int *idx;
+        if ((size_t)(e + n - 1) > cap) {
+            size_t grown = cap + cap / 2;
+            if (grown < (size_t)(e + n - 1))
+                grown = (size_t)(e + n - 1);
+            if (idx_resize(g, grown) < 0)
+                goto done;
+            cap = grown;
         }
-        if ((row = PyTuple_New(k)) == NULL)
+        idx = g->idx;
+        g->ptr[u] = e;
+        for (v = 0; v < n; v++) {
+            /* v is written to the next free slot, which the pair then takes
+               or leaves: no branch on the draw.  The self-pair and the
+               cycle pair (kept without a draw) fire once per row, so their
+               branches predict well.  threshold is compared as uint64
+               because p = 1 gives 2**32 */
+            if (v == u)
+                continue;
+            idx[e] = (int)v;
+            if (v == s)
+                e++;
+            else
+                e += (uint64_t)next_u32(&state, inc) < threshold;
+        }
+        if ((row = PyTuple_New(e - first)) == NULL)
             goto done;
-        for (v = 0; v < k; v++) {
-            Py_INCREF(nodes[keep[v]]);
-            PyTuple_SET_ITEM(row, v, nodes[keep[v]]);
+        for (v = first; v < e; v++) {
+            Py_INCREF(nodes[idx[v]]);
+            PyTuple_SET_ITEM(row, v - first, nodes[idx[v]]);
         }
         PyTuple_SET_ITEM(rows, u, row);
     }
-    /* (rows, rng state): sorted out-adjacency tuples and the state after the last draw */
-    ret = Py_BuildValue("(OK)", rows, (unsigned long long)state);
+    g->ptr[n] = e;
+    if (idx_resize(g, (size_t)e) < 0)
+        goto done;
+    handle = csr_capsule(g);
+    g = NULL;
+    if (handle == NULL)
+        goto done;
+    /* (rows, handle, rng state): sorted out-adjacency tuples, the same
+       adjacency as a CSR handle, and the state after the last draw */
+    ret = Py_BuildValue("(OOK)", rows, handle, (unsigned long long)state);
 
 done:
+    if (g != NULL)
+        csr_free(g);
     if (nodes != NULL)
         for (v = 0; v < n; v++)
             Py_XDECREF(nodes[v]);
+    Py_XDECREF(handle);
     Py_XDECREF(rows);
     Py_XDECREF(succ);
     PyMem_Free(nodes);
-    PyMem_Free(keep);
+    PyMem_Free(cycle);
     return ret;
 }
 
@@ -669,15 +765,16 @@ done:
 static PyMethodDef methods[] = {
     {"csr", csr, METH_O,
      "csr(out_adj)\n\n"
-     "The out-adjacency rows flattened once into C, as an opaque handle that\n"
-     "run_rounds and diameter take in place of the rows."},
+     "The out-adjacency rows flattened into C, as an opaque handle that\n"
+     "run_rounds and diameter take in place of the rows.  random_out_adj\n"
+     "returns a generated graph's handle itself."},
     {"run_rounds", run_rounds, METH_VARARGS,
      "run_rounds(w, graph, d_eff, max_rounds, rng_state, rng_inc)\n\n"
      "Run the epoch-snapshot consensus on initial value masses w (count mass 2\n"
-     "each) over the graph handle made by csr, whose node count must be\n"
-     "len(w).  Returns None, before any draw, when the sum of |w| exceeds\n"
-     "int64: no value in the run can exceed that sum, so every other instance\n"
-     "runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
+     "each) over a graph handle from csr or random_out_adj, whose node count\n"
+     "must be len(w).  Returns None, before any draw, when the sum of |w|\n"
+     "exceeds int64: no value in the run can exceed that sum, so every other\n"
+     "instance runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
      "rng_state): the common floor m on a stop, the distinct pieces sent as\n"
      "bytes of packed native int64 in first-send order (memoryview(alphabet)\n"
      ".cast('q') reads them), and the generator state after the last round.\n"
@@ -685,15 +782,17 @@ static PyMethodDef methods[] = {
      "puts m outside the first snapshot [min floor, max ceil]."},
     {"diameter", diameter, METH_O,
      "diameter(graph)\n\n"
-     "Longest shortest directed path of the graph handle made by csr, or -1\n"
-     "when some node does not reach another."},
+     "Longest shortest directed path of a graph handle from csr or\n"
+     "random_out_adj, or -1 when some node does not reach another."},
     {"random_out_adj", random_out_adj, METH_VARARGS,
      "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
      "Out-adjacency of the random digraph on n = len(succ) nodes whose\n"
      "Hamiltonian cycle sends u to succ[u].  Scans the pairs (u, v) in\n"
      "lexicographic order: skips u == v, keeps v == succ[u] without a draw,\n"
      "and keeps any other pair when the next 32-bit draw is below threshold.\n"
-     "Returns (rows, rng_state): a tuple of sorted int tuples and the\n"
+     "Raises ValueError, before any draw, when succ holds an id outside\n"
+     "[0, n).  Returns (rows, graph, rng_state): a tuple of sorted int tuples,\n"
+     "the same adjacency as the handle csr(rows) would make, and the\n"
      "generator state after the last draw."},
     {"randbelow_each", randbelow_each, METH_VARARGS,
      "randbelow_each(bounds, rng_state, rng_inc)\n\n"

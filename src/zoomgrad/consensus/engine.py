@@ -63,12 +63,13 @@ node's draw bound ``1 + out-degree``, its rejection threshold and its
 fastmod constant (Lemire, Kaser and Kurz, "Faster Remainder by Direct
 Computation", 2019) are computed once per call, so a draw takes its
 remainder by multiplies, not by a division.  The kernel reads the graph
-through the handle the graph caches (``Digraph.kernel_handle``, flattened
-once per graph, not per call) and collects the distinct pieces in a C hash
-set kept on that handle, which a call empties in O(1).  The pure path
-returns its pieces as a Python ``set``; the kernel returns them packed as
-native int64, which the engine exposes as a ``memoryview`` of format
-``'q'``, so no Python int is built per piece.  No value in a run exceeds
+through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
+the edge scan for a generated graph, by flattening the rows once on first
+use for a graph given as rows, never per call) and collects the distinct
+pieces in a C hash set kept on that handle, which a call empties in O(1).
+The pure path returns its pieces as a Python ``set``; the kernel returns
+them packed as native int64, which the engine exposes as a ``memoryview``
+of format ``'q'``, so no Python int is built per piece.  No value in a run exceeds
 the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it),
 so the kernel's one decline rule is that sum exceeding int64; it declines
 before any draw, and the pure path, which runs whenever the extension is

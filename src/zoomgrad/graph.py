@@ -13,9 +13,11 @@ pure loops over the same PCG32 stream; both give the same rows and RNG state.
 The diameter, which sets the consensus flooding epoch, is computed by
 bitset unions over out-edges, O(D*E) row ORs with no all-pairs BFS: in the
 C kernel on rows of 64-bit words when it is built, else by a pure loop over
-big-int rows.  The kernel reads a graph through one handle, the out-rows
-flattened into C once per graph (``Digraph.kernel_handle``); the diameter
-and every consensus run on the graph share it.  This module imports the
+big-int rows.  The kernel reads a graph through one CSR handle
+(``Digraph.kernel_handle``), which the diameter and every consensus run on
+the graph share.  A generated graph gets it from the kernel's edge scan,
+which writes the kept ids into it as it draws them; a graph given as rows
+gets it on first use, its rows flattened into C once.  This module imports the
 kernel for the package: a build whose ``ABI`` differs from ``KERNEL_ABI``
 (an in-place build left from an older source) is refused with a
 ``RuntimeWarning``, and the pure paths run.  ``randbelow_each``, the
@@ -33,7 +35,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 
 def _checked_kernel(module):
@@ -69,7 +71,9 @@ class Digraph:
 
     ``out_adj[u]``, taken as given, is the sorted tuple of u's out-neighbors,
     none of them u: the consensus layer models self-delivery in its sampling
-    set instead, keeping BFS/diameter standard.
+    set instead, keeping BFS/diameter standard.  ``generate_random_digraph``
+    also hands over the kernel's CSR handle, built by its edge scan; a graph
+    given as rows gets one on first use (``kernel_handle``).
     """
 
     __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle")
@@ -92,10 +96,12 @@ class Digraph:
         return self._diameter
 
     def kernel_handle(self, kernel):
-        """The out-rows flattened into C by ``kernel.csr``, built on first use.
+        """The graph's CSR handle for ``kernel``.
 
-        The handle is kept with the kernel module that built it, so a kernel
-        is only ever given a handle in its own layout.
+        A generated graph comes with the handle its edge scan built; a graph
+        given as rows gets its rows flattened into C by ``kernel.csr`` on
+        first use.  The handle is kept with the kernel module that built it,
+        so a kernel is only ever given a handle in its own layout.
         """
         if self._kernel_handle is None or self._kernel_handle[0] is not kernel:
             self._kernel_handle = (kernel, kernel.csr(self.out_adj))
@@ -171,26 +177,29 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
         succ[perm[k]] = perm[(k + 1) % n]
 
     threshold = (p.numerator << 32) // p.denominator
-    return Digraph(_draw_out_adj(succ, threshold, rng))
+    return _draw_digraph(succ, threshold, rng)
 
 
-def _draw_out_adj(succ: list[int], threshold: int, rng: PCG32) -> tuple:
-    """Sorted out-rows of the cycle ``u -> succ[u]`` plus the drawn pairs.
+def _draw_digraph(succ: list[int], threshold: int, rng: PCG32) -> Digraph:
+    """The digraph of the cycle ``u -> succ[u]`` plus the drawn pairs.
 
     Pairs (u, v) are scanned in lexicographic order: ``u == v`` is skipped,
     the cycle pair ``v == succ[u]`` is kept without a draw, and any other
     pair is kept when the next 32-bit draw is below ``threshold``.  The C
-    kernel runs the scan when it is built; otherwise this loop does, on the
-    same stream, leaving ``rng`` in the same state.
+    kernel runs the scan when it is built, and the graph keeps the CSR
+    handle the scan built; otherwise this loop does, on the same stream,
+    leaving ``rng`` in the same state.
     """
     if _kernel is not None:
-        out_adj, rng.state = _kernel.random_out_adj(succ, threshold, rng.state, rng.inc)
-        return out_adj
+        out_adj, handle, rng.state = _kernel.random_out_adj(succ, threshold, rng.state, rng.inc)
+        g = Digraph(out_adj)
+        g._kernel_handle = (_kernel, handle)
+        return g
     n = len(succ)
     rows = []
     for u, s in enumerate(succ):
         rows.append(tuple(v for v in range(n) if v != u and (v == s or rng.next_u32() < threshold)))
-    return tuple(rows)
+    return Digraph(tuple(rows))
 
 
 def randbelow_each(rng: PCG32, bounds) -> list[int]:

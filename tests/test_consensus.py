@@ -736,6 +736,11 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
             kernel.diameter(not_a_handle)
     with pytest.raises(ValueError, match="out of range"):
         kernel.csr([(1,), (2,)])
+    # A cycle successor outside [0, n) is refused before the first draw,
+    # not left to drop the cycle edge silently.
+    for succ in ([1, 2], [1, 0, -1], [3, 0, 1]):
+        with pytest.raises(ValueError, match="out of range"):
+            kernel.random_out_adj(succ, 2**31, 0, 1)
 
 
 # Masses on complete(40) whose alphabets differ in size: over a thousand
@@ -748,7 +753,9 @@ TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, s
 # again gives the same output.  States 0-4 never bring node 0 of
 # [-(2**63 - 1), 0, 0] to z = 3 with all the mass; state 5 does, in round 1.
 # Then takes the bulk draws of every bound sequence from the same states,
-# and checks that a bound beyond 2**32 raises.
+# and checks that a bound beyond 2**32 raises.  Last, generates graphs on a
+# ring cycle at p = 0, 1/2**32, 1/2 and 1, with n across a 64-bit word, and
+# runs the diameter and a consensus on each handle the scan returns.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -772,6 +779,13 @@ except ValueError:
     pass
 else:
     raise AssertionError("bound 2**32 + 1 was accepted")
+for n in (2, 3, 65):
+    for threshold in (0, 1, 2**31, 2**32):
+        rows, handle, state = kernel.random_out_adj([(u + 1) % n for u in range(n)], threshold, 5, 11)
+        d = kernel.diameter(handle)
+        assert 1 <= d <= n - 1 and kernel.diameter(kernel.csr(rows)) == d, (n, threshold)
+        out = kernel.run_rounds([3 * u - n for u in range(n)], handle, max(d, 2), 100000, state, 11)
+        assert out is not None and out[0], (n, threshold)
 """
 
 
@@ -782,7 +796,8 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     # Without the decline rule, [2**63 - 1] * 4 traps with "signed integer
     # overflow", and a split that forms q*z traps on [-(2**63 - 1), 0, 0].
     # The same build then passes alphabets of different sizes through one
-    # reused handle, and takes the bulk draws of every bound sequence.
+    # reused handle, takes the bulk draws of every bound sequence, and
+    # generates graphs whose handles it runs.
     if shutil.which(CC) is None:
         pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
     runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()

@@ -25,7 +25,9 @@ from zoomgrad.graph import (
     diameter,
     generate_random_digraph,
 )
-from zoomgrad.rng import PCG32, STREAM_GRAPH
+from zoomgrad.consensus.engine import ROUND_CAP, effective_epoch, run_consensus
+from zoomgrad.quantizer import QuantizerState
+from zoomgrad.rng import PCG32, STREAM_GRAPH, STREAM_PROTOCOL
 
 
 def bfs_diameter(g):
@@ -237,9 +239,13 @@ DRAW_PROBS = [
 ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 64])
+DRAW_NODES = [2, 3, 17, 64]
+DRAW_SEEDS = [0, 1, 7, 2**32]
+
+
+@pytest.mark.parametrize("n", DRAW_NODES)
 @pytest.mark.parametrize("p", DRAW_PROBS)
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32])
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
@@ -251,9 +257,9 @@ def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
     pure_rng = PCG32(seed, STREAM_GRAPH)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_kernel", None)
-        want = graph._draw_out_adj(succ, threshold, pure_rng)
+        want = graph._draw_digraph(succ, threshold, pure_rng).out_adj
     rng = PCG32(seed, STREAM_GRAPH)
-    got = graph._draw_out_adj(succ, threshold, rng)
+    got = graph._draw_digraph(succ, threshold, rng).out_adj
     assert got == want
     assert rng.getstate() == pure_rng.getstate()
     assert all(succ[u] in row and u not in row for u, row in enumerate(got))
@@ -261,6 +267,47 @@ def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
         assert all(len(row) == n - 1 for row in got)
     if p == 0:
         assert all(row == (succ[u],) for u, row in enumerate(got))
+
+
+# n = 65 puts a row's reach set across two 64-bit words.
+@pytest.mark.parametrize("n", DRAW_NODES + [65])
+@pytest.mark.parametrize("p", DRAW_PROBS)
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_generated_handle_matches_the_flattened_rows(kernel, n, p, seed):
+    # The handle the edge scan builds and the one csr builds from the
+    # scan's rows are the same graph to the kernel: the same diameter, and
+    # the same consensus run, result, alphabet bytes and RNG state.
+    g = generate_random_digraph(n, p, seed)
+    assert g._kernel_handle[0] is kernel
+    own, flat = g.kernel_handle(kernel), kernel.csr(g.out_adj)
+    assert own is g._kernel_handle[1]
+    assert kernel.diameter(own) == kernel.diameter(flat) == bfs_diameter(g)
+    y = [(u * u * 7919) % 61 - 30 for u in range(n)]
+    d_eff = effective_epoch(g.diameter)
+    state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
+    want = kernel.run_rounds(y, flat, d_eff, ROUND_CAP, state, inc)
+    assert want is not None and want[0]
+    assert kernel.run_rounds(y, own, d_eff, ROUND_CAP, state, inc) == want
+
+
+def test_a_generated_graph_never_flattens_its_rows(kernel, monkeypatch):
+    # Generation, the diameter and a consensus run all read the handle the
+    # edge scan built: a kernel whose csr fails is never asked to flatten.
+    class NoCsr:
+        ABI, random_out_adj, randbelow_each = kernel.ABI, kernel.random_out_adj, kernel.randbelow_each
+        diameter, run_rounds = kernel.diameter, kernel.run_rounds
+
+        @staticmethod
+        def csr(out_adj):
+            raise AssertionError("a generated graph's rows were flattened again")
+
+    monkeypatch.setattr(graph, "_kernel", NoCsr)
+    g = generate_random_digraph(65, Fraction(1, 2), 3)
+    assert g.diameter == bfs_diameter(g)
+    y = [2 * (u % 7) - 5 for u in range(g.n)]  # odd masses, as init_consensus gives
+    q = QuantizerState(b_q=Fraction(0), delta=Fraction(1))
+    assert run_consensus(y, q, g, PCG32(3, STREAM_PROTOCOL))[1].rounds > 0
+    assert g._kernel_handle[0] is NoCsr
 
 
 # --- bulk bounded draws ------------------------------------------------------
@@ -378,12 +425,13 @@ def fake_kernel(tmp_path, **attrs):
 
 
 @pytest.mark.parametrize(
-    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}]
+    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}]
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
     # the pure paths run, and the warning names the file and the rebuild.
-    # ABI 2 is the kernel before randbelow_each.
+    # ABI 2 is the kernel before randbelow_each; ABI 3 is the kernel before
+    # the generator handed over its handle.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None
