@@ -3,7 +3,9 @@
 ``run`` reports, of an n=1000 ``run`` shaped like the benchmark's
 sparse-n1000 workload, of one ``run`` per way of pricing a message (the
 refine-only schedule, measured accounting, an explicit fixed-level width),
-and of the two Table 1 reports, on both backends.
+of two small ``run`` reports whose starts collide (a nudged draw on a
+drawn grid point, every node at one start), and of the two Table 1
+reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -68,6 +70,36 @@ COMMANDS = {
             stop={"max_steps": 10},
         )
     ),
+    # Two start tables that the draws alone do not show.  The optimum is 2,
+    # and the nudged draw 2 + 1/3 is also a drawn grid point: the nodes hold
+    # three distinct starts from four grid indices.
+    "run-start-collision": lambda d: cmd_run(
+        RunConfig(
+            n=6,
+            seed=3,
+            b_q0=Fraction(1, 7),
+            x_init_range=(Fraction(2), Fraction(3)),
+            x_init_grid=Fraction(1, 3),
+            cost_spec={"kind": "random", "value_set": [1, 2], "shared_x0": True},
+            out_dir=d,
+            stop={"max_steps": 40, "target_error": 1e-9},
+        )
+    ),
+    # Every node starts at 19/10, drawn from two grid indices (one of them
+    # nudged off the optimum 2): the nodes already share an estimate, so
+    # step 1 is a repeat and zooms in.
+    "run-one-start": lambda d: cmd_run(
+        RunConfig(
+            n=6,
+            seed=3,
+            b_q0=Fraction(19, 10),
+            x_init_range=(Fraction(19, 10), Fraction(2)),
+            x_init_grid=Fraction(1, 10),
+            cost_spec={"kind": "explicit", "costs": [[1, 2], [2, 2], [3, 2]] * 2},
+            out_dir=d,
+            stop={"max_steps": 40, "target_error": 1e-9},
+        )
+    ),
     "table1": cmd_table1,
 }
 
@@ -90,6 +122,10 @@ DIGESTS = {
     ("run-measured", "summary.csv"): "72ce670677970f396b116bea1487b92ef030be3cf0f480636eb48bcaece63884",
     ("run-fixed-b6", "history.csv"): "00a46f0d576a86d2a42a9df9f3702fa2c13ffa3e7024a7030ea3f72314dcab21",
     ("run-fixed-b6", "summary.csv"): "83d5ecb0fef98bf41821f64af62d7748618126a2311d412ba9f7e9396fd20b4b",
+    ("run-start-collision", "history.csv"): "5db9c9ff3621532ac6bfe2cc70b912fff277310ab8a8e6dee662ddce527d0823",
+    ("run-start-collision", "summary.csv"): "66a14603c3bb632a74cfe15bc9772a8d2aba12ef759a75700d2179f8872a7653",
+    ("run-one-start", "history.csv"): "b11c815142a85411662d4c98513fbd3cc58f15f8c3dc82ab234b95478691265d",
+    ("run-one-start", "summary.csv"): "c1f10d2cb42fb9de9759028356bedf77fe1b50eda5ea6f7d2daa5e3aa31e37bc",
     ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
     ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }
