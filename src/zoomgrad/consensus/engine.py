@@ -76,9 +76,9 @@ before any draw, and the pure path, which runs whenever the extension is
 not built, then replays the instance from the same initial masses.  At the
 stop both paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept
 its initial value and that the output level lies in ``[m0, M0]``, the
-first snapshot's extremes; the kernel raises RuntimeError on a violation,
-which is never replayed.  A run that reaches ``ROUND_CAP`` rounds raises
-``ConsensusCapError`` on either path.
+first snapshot's extremes; either raises the same RuntimeError on a
+violation, and the kernel's is never replayed.  A run that reaches
+``ROUND_CAP`` rounds raises ``ConsensusCapError`` on either path.
 """
 
 from __future__ import annotations
@@ -237,9 +237,11 @@ def _run_snapshot(y, g, d_eff, rng):
                 M0, m0 = M, m
         _split_and_deliver(y, z, g, rng, alphabet)
         if lam % d_eff == 0 and M - m <= 1:
-            assert sum(z) == 2 * n, "count mass not conserved"
-            assert sum(y) == y0, "value mass not conserved"
-            assert m0 <= m <= M0, "output outside the first snapshot"
+            if sum(z) != 2 * n or sum(y) != y0 or not m0 <= m <= M0:
+                raise RuntimeError(
+                    "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, "
+                    "or the output left the first snapshot"
+                )
             return lam, m, alphabet
     raise ConsensusCapError(ROUND_CAP)
 

@@ -29,7 +29,6 @@ entry point to the kernel that is not about graphs.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .rng import PCG32, STREAM_GRAPH
 
@@ -158,12 +157,11 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     A Hamiltonian cycle over a Fisher-Yates-shuffled permutation is laid down
     first; each remaining ordered pair (u, v), scanned in lexicographic
     order, then draws one 32-bit variate and keeps the edge when it falls
-    below ``edge_prob * 2**32``.  ``edge_prob`` may be int, float, Fraction,
-    or a decimal/ratio string; it is converted exactly.  Both arguments are
+    below ``edge_prob * 2**32``.  ``edge_prob`` is an exact rational, a
+    ``Fraction`` or an int, as ``RunConfig`` holds it.  Both arguments are
     validated before the first draw.
     """
-    p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(str(edge_prob))
-    if not 0 <= p <= 1:
+    if not 0 <= edge_prob <= 1:
         raise ValueError(f"edge_prob: expected probability in [0,1], got {edge_prob}")
     if n < 2:
         raise ValueError(f"n: need at least 2 nodes, got {n}")
@@ -176,7 +174,7 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     for k in range(n):
         succ[perm[k]] = perm[(k + 1) % n]
 
-    threshold = (p.numerator << 32) // p.denominator
+    threshold = (edge_prob.numerator << 32) // edge_prob.denominator
     return _draw_digraph(succ, threshold, rng)
 
 

@@ -16,10 +16,12 @@ step size on repeats or never touch it.
 A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
-floor division over a common denominator.  ``initial_state`` builds
-everything the run's fixed inputs determine: the table, step 1's masses
-(``start_masses``: the floor applied to every node's own start, each
-distinct start scaled to the common denominator once) and the start level.
+floor division over a common denominator.  The starts come as one integer
+table too (``Starts``: distinct numerators over one denominator, and each
+node's index into them), and ``initial_state`` builds everything the run's
+fixed inputs determine: the class table, step 1's masses (``start_masses``:
+the floor applied to every node's own start, each distinct start scaled to
+the common denominator once) and the start level.
 After step 1 every node holds the one common estimate, so a step that moves
 the grid or the estimate refreshes the next step's masses with one floor
 per class (``grid_masses``).  The per-node path, an exact ``Fraction``
@@ -28,9 +30,9 @@ gradient step (``gradient_step``) quantized node by node
 calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
 The error's inputs are fixed at the start too: ``initial_state`` stores the
 optimum ``x_star`` and the normalizer ``start_spread``, summed once per
-distinct start, weighted by its multiplicity, as a balanced tree of
-unreduced integer fractions reduced once at the end; each step logs its
-error from them.
+entry of the starts' table, weighted by its node count, as a balanced
+tree of unreduced integer fractions reduced once at the end; each step logs
+its error from them.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
 ``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
@@ -38,21 +40,21 @@ is passed, which stays for the benchmark's parity replay), and the state
 keeps the estimate as its level on the current grid
 (``OptimizerState.level``): ``m`` after a step without an event, 0 after a
 zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
-refine.  Before step 1 the level is the start's when every node starts at
-one value, else None, so step 1 is a repeat only when every start equals
-its output.  The masses, the repeat and saturation tests and the error
-metric read the level and the grid's integers, so a step without an event
-builds no ``Fraction``; the estimate itself (``RunRecord.x_value``) is built
-only when read, and a zoom builds the point it re-centres on.  A fixed
-level's repeat leaves grid and estimate unchanged, so the next step sends
-the same masses again.
+refine.  Before step 1 the level is the start's when the starts' table
+holds one value, else None, so step 1 is a repeat only when every start
+equals its output.  The masses, the repeat and saturation tests and the
+error metric read the level and the grid's integers, so a step without an
+event builds no ``Fraction``; the estimate itself (``RunRecord.x_value``)
+is built only when read, and a zoom builds the point it re-centres on.  A
+fixed level's repeat leaves grid and estimate unchanged, so the next step
+sends the same masses again.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
 """
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -169,6 +171,13 @@ def cost_classes(s, alpha):
     return CostClasses(s.node_class, lcm, coeffs)
 
 
+# The run's starts as one integer table: start j is ``nums[j]/den``, and
+# node i starts at entry ``node_start[i]``.  The entries of ``nums`` are
+# distinct values, so one entry means that every node holds one estimate
+# (``initial_state`` reads it so).  ``runner.sample_x_init`` builds it.
+Starts = namedtuple("Starts", "den nums node_start")
+
+
 def _masses(classes, q, d, points):
     """Initial consensus mass of the half-step of each point ``((u_c, v_c), a)``.
 
@@ -187,30 +196,19 @@ def _masses(classes, q, d, points):
     return [2 * ((u * a + v * w + k) // den) + 1 for (u, v), a in points]
 
 
-def _distinct(x_init):
-    """The distinct start objects of ``x_init``, keyed on identity.
-
-    ``runner.sample_x_init`` hands every node that drew the same grid index
-    the same object, so this finds its distinct starts without hashing a
-    ``Fraction`` (which computes a modular inverse).  Equal starts held by
-    distinct objects become equal entries, which changes no sum.
-    """
-    return {id(x): x for x in x_init}
-
-
-def start_masses(classes, x_init, q):
+def start_masses(classes, starts, q):
     """Step 1's initial masses: every node's half-step from its own start.
 
-    Equal to ``init_consensus(gradient_step(x_init, s, alpha), q)``, over one
-    denominator shared by ``b_q`` and every start; each distinct start is
-    scaled to it once.
+    Equal to ``init_consensus(gradient_step(xs, s, alpha), q)`` for the
+    per-node starts ``xs`` of the ``Starts`` table ``starts``, over the one
+    denominator ``d`` of ``b_q`` and the table; each start is scaled to it
+    once.
     """
-    starts = _distinct(x_init)
-    d = math.lcm(q.b_q.denominator, *(x.denominator for x in starts.values()))
-    dd = q.delta.denominator
-    scaled = {i: x.numerator * (d // x.denominator) * dd for i, x in starts.items()}
+    d = math.lcm(q.b_q.denominator, starts.den)
+    scale = d // starts.den * q.delta.denominator
+    scaled = [a * scale for a in starts.nums]
     pulls = map(classes.coeffs.__getitem__, classes.node_class)
-    return _masses(classes, q, d, zip(pulls, map(scaled.__getitem__, map(id, x_init))))
+    return _masses(classes, q, d, zip(pulls, map(scaled.__getitem__, starts.node_start)))
 
 
 def grid_masses(classes, level, q):
@@ -228,27 +226,26 @@ def grid_masses(classes, level, q):
     return [ys[c] for c in classes.node_class]
 
 
-def start_spread(x_init, x_star):
-    """``sum_j 1/(x_init_j - x*)^2``, the error's normalizer, exact.
+def start_spread(starts, x_star):
+    """``sum_i 1/(x_i - x*)^2`` over every node's start ``x_i``, exact.
 
-    Summed over the distinct starts, each weighted by its multiplicity k:
-    with every start over one denominator ``d`` and ``x* = sn/sd``, a start
-    ``a/d`` adds ``k/g^2`` with the integer ``g = a*sd - sn*d``, and the sum
-    is ``(d*sd)^2`` times the tree sum of those terms (``_tree_sum``), reduced
+    Summed over the ``Starts`` table's entries, each weighted by the number
+    k of nodes that hold it: with ``x* = sn/sd``, an entry ``a/den`` adds
+    ``k/g^2`` with the integer ``g = a*sd - sn*den``, and the sum is
+    ``(den*sd)^2`` times the tree sum of those terms (``_tree_sum``), reduced
     once: the same ``Fraction`` as the per-node sum.  Raises ValueError,
     naming the first node, when a start equals the optimum.
     """
-    counts = Counter(map(id, x_init))
-    starts = _distinct(x_init)
-    d = math.lcm(*(x.denominator for x in starts.values()))
+    counts = Counter(starts.node_start)
+    d = starts.den
     sn, sd = x_star.numerator, x_star.denominator
     terms = []
-    for i, x in starts.items():
-        gap = x.numerator * (d // x.denominator) * sd - sn * d
+    for j, a in enumerate(starts.nums):
+        gap = a * sd - sn * d
         if gap == 0:
-            j = next(j for j, x0 in enumerate(x_init) if x0 == x_star)
-            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % j)
-        terms.append((counts[i], gap * gap))
+            i = starts.node_start.index(j)
+            raise ValueError("initial estimate at node %d equals the optimum; error metric undefined" % i)
+        terms.append((counts[j], gap * gap))
     num, den = _tree_sum(terms)
     return Fraction(num * (d * sd) ** 2, den)
 
@@ -278,22 +275,22 @@ class OptimizerState:
     history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
 
 
-def initial_state(x_init, q, s, alpha):
+def initial_state(starts, q, s, alpha):
     """The state before step 1 of a run on suite ``s`` with step size ``alpha``.
 
-    Step 1's masses are every node's half-step from its own start.  When
-    every start equals one value ``x0`` the nodes already hold a common
+    ``starts`` is the run's ``Starts`` table.  Step 1's masses are every
+    node's half-step from its own start.  When the table holds one start
+    ``x0`` (its entries are distinct values) the nodes already hold a common
     estimate, at level ``(x0 - b_q)/delta``, so step 1 is a repeat exactly
     when its output equals ``x0``; otherwise the level is None.  The error
     is measured against the suite's optimum, normalized by the spread of
     the starts; ``start_spread`` raises ValueError when a start equals it.
     """
     classes = cost_classes(s, alpha)
-    x0 = x_init[0]
-    level = (x0 - q.b_q) / q.delta if all(x == x0 for x in x_init) else None
+    level = (Fraction(starts.nums[0], starts.den) - q.b_q) / q.delta if len(starts.nums) == 1 else None
     x_star = s.global_optimum
-    masses = start_masses(classes, x_init, q)
-    return OptimizerState(q, level, classes, masses, x_star, start_spread(x_init, x_star))
+    masses = start_masses(classes, starts, q)
+    return OptimizerState(q, level, classes, masses, x_star, start_spread(starts, x_star))
 
 
 def gradient_step(x, s, alpha):
@@ -366,16 +363,12 @@ def step(state, g, policy, rng):
 def run_until(state, g, policy, stop, rng):
     """Iterate ``step`` until an error target or a step budget is hit.
 
-    ``stop`` carries ``max_steps`` and/or ``target_error``; at least one
-    must be set (a non-finite target_error counts as unset).  The steps'
+    ``stop`` is the config's validated stop block: ``max_steps`` and/or a
+    finite ``target_error``, None (or absent) meaning unset.  The steps'
     records are ``state.history``.
     """
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
-    if target is not None and not (float("-inf") < target < float("inf")):  # NaN fails too
-        target = None
-    if max_steps is None and target is None:
-        raise ValueError("stop needs max_steps or a finite target_error")
     while max_steps is None or len(state.history) < max_steps:
         rec = step(state, g, policy, rng)
         if target is not None and rec.error <= target:

@@ -28,7 +28,7 @@ from .graph import generate_random_digraph, randbelow_each
 from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
 from .metrics import schedule_width, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
-from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, initial_state, run_until
+from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, Starts, initial_state, run_until
 from .quantizer import QuantizerState
 from .rng import PCG32, STREAM_PROTOCOL, STREAM_XINIT
 
@@ -80,15 +80,16 @@ def build_costs(config):
 
 
 def sample_x_init(config, x_star):
-    """Per-node initial estimates on the configured grid.
+    """The run's ``Starts`` table: per-node initial estimates on the configured grid.
 
     A draw that lands exactly on the optimum is nudged one grid cell (up,
     or down at the top of the range) so the normalized error metric stays
     well defined.  Each node draws one grid index, all in one
-    ``randbelow_each`` call.  Each distinct index is turned into its point
-    once, in integers over the common denominator ``d`` of ``lo`` and the
-    grid, checked against the optimum by cross-multiplying, and built as one
-    ``Fraction`` that every node drawing that index shares.
+    ``randbelow_each`` call.  Each distinct index, in first-draw order, is
+    turned into its point once, as an integer over the common denominator
+    of ``lo`` and the grid, and checked against the optimum by
+    cross-multiplying; the table keys its entries on that numerator, so two
+    indices that the nudge lands on one value share an entry.
     """
     lo, hi = config.x_init_range
     grid = config.x_init_grid
@@ -98,13 +99,14 @@ def sample_x_init(config, x_star):
     base = lo.numerator * (d // lo.denominator)
     step = grid.numerator * (d // grid.denominator)
     sn, sd = x_star.numerator, x_star.denominator
-    points = {}  # grid index -> start
-    for r in set(draws):
+    entry = {}  # start numerator -> its index in the table
+    index = {}  # grid index -> its entry
+    for r in dict.fromkeys(draws):
         a = base + r * step  # the start is a/d
         if a * sd == sn * d:
             a = a + step if (a + step) * hi.denominator <= hi.numerator * d else a - step
-        points[r] = Fraction(a, d)
-    return list(map(points.__getitem__, draws))
+        index[r] = entry.setdefault(a, len(entry))
+    return Starts(d, tuple(entry), tuple(map(index.__getitem__, draws)))
 
 
 def run_single(config):
@@ -114,8 +116,8 @@ def run_single(config):
     policy = build_policy(config)
     g = generate_random_digraph(config.n, config.edge_prob, config.seed)
     s = build_costs(config)
-    x_init = sample_x_init(config, s.global_optimum)
-    state = initial_state(x_init, QuantizerState(config.b_q0, config.delta0), s, config.alpha)
+    starts = sample_x_init(config, s.global_optimum)
+    state = initial_state(starts, QuantizerState(config.b_q0, config.delta0), s, config.alpha)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
         run_until(state, g, policy, config.block("stop"), rng)

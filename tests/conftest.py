@@ -32,6 +32,10 @@ and ``engine.init_consensus``, with the estimate kept as a ``Fraction``),
 the zoom rule's range and of the zoom rule, which ``metrics.error_metric``
 and ``optimizer.zoom_decide`` (with the policy's ``on_repeat``) evaluate on
 grid levels.
+The product hands the optimizer its starts as one integer table
+(``optimizer.Starts``); ``starts_of`` builds that table from per-node
+starts, one entry per distinct value, and ``start_values`` expands a table
+node by node, so tests state their starts as lists of ``Fraction``.
 ``clamped_quantize`` (with its ``level_index``) is the width-bit quantizer
 that saturates at the ends of that range: ``quantizer.quantize`` is its
 unclamped form, and the product never clamps.
@@ -69,7 +73,7 @@ from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 from zoomgrad.consensus.engine import init_consensus
-from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, gradient_step
+from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, Starts, gradient_step
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_XINIT
 from zoomgrad.runner import build_costs, build_policy
@@ -416,6 +420,23 @@ def zoom_out_bound(x_star, delta0, c_out):
 def per_node_optimum(s):
     """``CostSuite.global_optimum`` as a ``Fraction`` sum over the nodes."""
     return sum(c.beta * c.x0 for c in s.costs) / sum(c.beta for c in s.costs)
+
+
+def starts_of(xs):
+    """The ``optimizer.Starts`` table of the per-node starts ``xs``.
+
+    Equal values share one entry, so ``F(1)`` and ``F(2, 2)`` are one
+    start; the entries keep the order in which the nodes first hold them.
+    """
+    den = math.lcm(*(x.denominator for x in xs))
+    entry = {}
+    node_start = tuple(entry.setdefault(x, len(entry)) for x in xs)
+    return Starts(den, tuple(x.numerator * (den // x.denominator) for x in entry), node_start)
+
+
+def start_values(starts):
+    """Every node's start of the ``Starts`` table ``starts``, as a ``Fraction``."""
+    return [Fraction(starts.nums[j], starts.den) for j in starts.node_start]
 
 
 def per_draw_x_init(config, x_star):

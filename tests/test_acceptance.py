@@ -20,6 +20,7 @@ from conftest import (
     envelope_from_history,
     flood_consensus,
     level_index,
+    start_values,
     total_curvature,
     zoom_out_bound,
 )
@@ -75,7 +76,7 @@ def table_error(x_value, x_init, x_star):
 def table_steps(config, state, threshold):
     """First step of the run of ``config`` whose e_T is at or below
     ``threshold`` (None if never); its starts are drawn again."""
-    x_init, x_star = sample_x_init(config, state.x_star), state.x_star
+    x_init, x_star = start_values(sample_x_init(config, state.x_star)), state.x_star
     return next(
         (
             r.k

@@ -852,6 +852,28 @@ def test_a_broken_kernel_invariant_raises_and_is_not_replayed(kernel, monkeypatc
     assert rng.getstate() == state
 
 
+def test_a_broken_invariant_raises_the_kernels_error_on_the_pure_path(no_kernel, monkeypatch):
+    # The pure path checks the stop's invariants with the kernel's test and
+    # message, not with asserts that ``python -O`` strips: one unit of
+    # value mass planted after the first round moves sum(y).
+    g, x, rng = random_instance(1, 3)
+    split_and_deliver = engine._split_and_deliver
+    planted = []
+
+    def leaking(y, *args):
+        split_and_deliver(y, *args)
+        if not planted:
+            planted.append(1)
+            y[0] += 1
+
+    monkeypatch.setattr(engine, "_split_and_deliver", leaking)
+    with pytest.raises(RuntimeError) as exc:
+        run_consensus(masses(x, Q_HALF), Q_HALF, g, rng)
+    assert str(exc.value) == (
+        "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, or the output left the first snapshot"
+    )
+
+
 # --- failure modes and plumbing -------------------------------------------
 
 

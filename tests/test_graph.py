@@ -90,12 +90,6 @@ def test_generation_deterministic():
     assert a.out_adj != c.out_adj
 
 
-def test_edge_prob_accepts_strings_and_floats():
-    a = generate_random_digraph(8, Fraction(1, 4), 1)
-    assert a.out_adj == generate_random_digraph(8, "1/4", 1).out_adj
-    assert a.out_adj == generate_random_digraph(8, 0.25, 1).out_adj
-
-
 def test_p_zero_gives_hamiltonian_cycle():
     g = generate_random_digraph(9, 0, 5)
     assert g.edge_count() == 9

@@ -18,6 +18,8 @@ from conftest import (
     envelope_from_history,
     fraction_error_metric,
     per_node_spread,
+    start_values,
+    starts_of,
     zoom_out_bound,
 )
 from zoomgrad.config import RunConfig
@@ -93,7 +95,7 @@ def test_error_rejects_degenerate_start():
     # names the node whose start sits on the optimum
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
     with pytest.raises(ValueError, match="node 1"):
-        initial_state([F(1), F(3, 2)], QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
+        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 
@@ -166,7 +168,7 @@ def test_logged_error_matches_per_node_oracle(policy, delta0):
     # every logged error of a run equals the per-node sum over its starts
     config = RunConfig(n=6, seed=4, delta0=delta0, policy={"variant": policy}, stop={"max_steps": 60})
     state = run_single(config)
-    x_init = sample_x_init(config, state.x_star)
+    x_init = start_values(sample_x_init(config, state.x_star))
     for rec in state.history:
         assert rec.error == per_node_error([rec.x_value] * 6, x_init, state.x_star)
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     ADAPTIVE,
@@ -19,6 +19,8 @@ from conftest import (
     per_node_spread,
     per_node_step,
     saturation_half_range,
+    start_values,
+    starts_of,
 )
 from zoomgrad import graph, optimizer
 from zoomgrad.consensus import run_consensus
@@ -31,6 +33,7 @@ from zoomgrad.optimizer import (
     OptimizerState,
     RefineOnly,
     RunRecord,
+    Starts,
     cost_classes,
     gradient_step,
     grid_masses,
@@ -179,7 +182,7 @@ def two_node_instance(x0_pair=((1, 1), (1, 2))):
 
 def test_step_agreement_and_grid():
     g, s = two_node_instance()
-    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
+    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     rec = step(state, g, ADAPTIVE, rng)
     assert grid_point(state.q.b_q, state.q.delta, state.level) == rec.x_value  # one common estimate
@@ -194,7 +197,7 @@ def test_step_agreement_and_grid():
 def test_step_counts_and_bits():
     g, s = two_node_instance()
     seed = 6
-    state = initial_state([F(1), F(2)], Q0, s, ALPHA)
+    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
     rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
@@ -214,7 +217,7 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
     # 2 levels, so every reachable output (1/2 or 1) equals one node's init
     g, s = two_node_instance(((1, "1/2"), (1, 1)))
     for seed in range(10):
-        state = initial_state([F(1, 2), F(1)], Q0, s, F(1, 1000))
+        state = initial_state(starts_of([F(1, 2), F(1)]), Q0, s, F(1, 1000))
         rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
@@ -228,7 +231,7 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
     g = bidirectional_pair()
     s = suite([(1, "51/100"), (1, "51/100")])
     for seed in range(5):
-        state = initial_state([F(1, 2), F(1, 2)], Q0, s, F(1, 100))
+        state = initial_state(starts_of([F(1, 2), F(1, 2)]), Q0, s, F(1, 100))
         events = []
         for _ in range(2):
             rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
@@ -244,7 +247,7 @@ def test_zoom_exclusivity_and_delta_sync():
     # shared quantizer's step moves exactly with the logged events.
     g = generate_random_digraph(6, F(1, 2), 9)
     s = suite([(2, 1), (1, 4), (3, 2), (1, 5), (2, 3), (4, 2)])
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5, 1)], Q0, s, ALPHA)
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5, 1)]), Q0, s, ALPHA)
     rng = PCG32(9, STREAM_PROTOCOL)
     for _ in range(40):
         step(state, g, ADAPTIVE, rng)
@@ -274,7 +277,7 @@ def test_per_node_quantizer_copies_stay_identical():
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
     policy = ADAPTIVE
     x_init = [F(2)] * 5
-    state = initial_state(x_init, Q0, s, ALPHA)
+    state = initial_state(starts_of(x_init), Q0, s, ALPHA)
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
@@ -293,7 +296,7 @@ def test_fixed_level_repeat_is_absorbing():
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState(b_q=F(0), delta=F(1, 10))
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
         step(state, g, FixedLevel(), rng)
@@ -313,26 +316,14 @@ UNTIL_STARTS = [F(1), F(2)]
 def until_instance():
     g = bidirectional_pair()
     s = suite([(1, 1), (1, 2)])  # optimum 3/2
-    state = initial_state(UNTIL_STARTS, Q0, s, ALPHA)
+    state = initial_state(starts_of(UNTIL_STARTS), Q0, s, ALPHA)
     return state, g, s
 
 
 def test_run_until_max_steps_exact():
     state, g, _ = until_instance()
-    run_until(state, g, ADAPTIVE, {"max_steps": 5, "target_error": float("inf")}, PCG32(1, STREAM_PROTOCOL))
+    run_until(state, g, ADAPTIVE, {"max_steps": 5, "target_error": None}, PCG32(1, STREAM_PROTOCOL))
     assert [r.k for r in state.history] == [1, 2, 3, 4, 5]
-
-
-def test_run_until_nan_target_means_unset():
-    state, g, _ = until_instance()
-    run_until(state, g, ADAPTIVE, {"max_steps": 4, "target_error": float("nan")}, PCG32(1, STREAM_PROTOCOL))
-    assert len(state.history) == 4
-
-
-def test_run_until_needs_some_bound():
-    state, g, _ = until_instance()
-    with pytest.raises(ValueError, match="max_steps or"):
-        run_until(state, g, ADAPTIVE, {}, PCG32(1, STREAM_PROTOCOL))
 
 
 def test_run_until_stops_at_target():
@@ -356,22 +347,21 @@ def test_initial_state_copies_inputs():
     # The state keeps what the starts fix, not the starts themselves: the
     # optimum, the error's spread and step 1's masses.
     s = suite([(1, 1), (1, 2)])
-    xs = [F(1), F(2)]
-    st = initial_state(xs, Q0, s, ALPHA)
-    xs.append(F(3))
+    st = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
     assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
     assert st.classes == cost_classes(s, ALPHA)
-    assert st.masses == start_masses(st.classes, [F(1), F(2)], Q0)
+    assert st.masses == start_masses(st.classes, starts_of([F(1), F(2)]), Q0)
     assert isinstance(st, OptimizerState)
 
 
 @pytest.mark.parametrize("x0, level", [(F(3, 2), 3), (F(3, 4), F(3, 2)), (F(-1, 3), F(-2, 3))])
 def test_equal_starts_hold_their_level_before_step_1(x0, level):
     # Nodes that all start at one value already share an estimate: its
-    # level on the start grid, on or off the grid.
+    # level on the start grid, on or off the grid.  The table holds one
+    # entry, over a denominator that need not be the start's own.
     s = suite([(1, 1), (2, 3), (1, 5)])
-    st = initial_state([x0, F(x0.numerator, x0.denominator), x0], Q0, s, ALPHA)
+    st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA)
     assert st.level == level
     assert st.masses == grid_masses(st.classes, level, Q0)
 
@@ -413,10 +403,12 @@ def test_grid_masses_match_the_per_node_path(data):
 @given(st.data())
 def test_start_masses_match_the_per_node_path(data):
     # Step 1: every node takes the integer floor from its own start, over
-    # one denominator shared by b_q and every start.  The starts are drawn
-    # distinct, fractional, and independent of b_q.
+    # one denominator shared by b_q and the starts' table.  The starts are
+    # drawn from a pool, so nodes share entries, fractional, and independent
+    # of b_q.
     ratios = st.builds(F, st.integers(min_value=-50_000, max_value=50_000), st.integers(min_value=1, max_value=1000))
-    x_init = data.draw(st.lists(ratios, min_size=1, max_size=40, unique=True))
+    pool = data.draw(st.lists(ratios, min_size=1, max_size=40, unique=True))
+    x_init = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     s = draw_suite(data, len(x_init))
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
     q = QuantizerState(
@@ -424,7 +416,7 @@ def test_start_masses_match_the_per_node_path(data):
         delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
     )
     want = init_consensus(gradient_step(x_init, s, alpha), q)
-    assert start_masses(cost_classes(s, alpha), x_init, q) == want
+    assert start_masses(cost_classes(s, alpha), starts_of(x_init), q) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,43 +431,65 @@ def test_spread_over_distinct_starts_matches_the_per_node_sum(data):
         want = per_node_spread(x_init, x_star)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            start_spread(x_init, x_star)
+            start_spread(starts_of(x_init), x_star)
         assert str(got.value) == str(exc)
     else:
-        assert start_spread(x_init, x_star) == want
+        assert start_spread(starts_of(x_init), x_star) == want
 
 
 def test_spread_names_the_first_node_at_the_optimum():
     with pytest.raises(ValueError, match="node 2 equals the optimum"):
-        start_spread([F(1), F(3, 2), F(2), F(5, 2), F(2)], F(2))
+        start_spread(starts_of([F(1), F(3, 2), F(2), F(5, 2), F(2)]), F(2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tree_spread_matches_the_per_node_sum(data):
-    # Repeated starts, as one object or as equal distinct objects, negative
-    # starts and a fractional optimum off the start grid: the tree sum over
-    # the distinct starts, reduced once, is the per-node Fraction sum.
+    # Repeated starts, negative starts and a fractional optimum off the
+    # start grid: the tree sum over the table's entries, reduced once, is the
+    # per-node Fraction sum.
     negative = st.fractions(min_value=-30, max_value=-F(1, 7), max_denominator=40)
     pool = data.draw(st.lists(negative, min_size=1, max_size=10))
-    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=80))
-    x_init = [F(pool[i].numerator, pool[i].denominator) if copy else pool[i] for i, copy in picks]
+    x_init = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
     x_init += data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=20))
     fractional = st.fractions(min_value=-10, max_value=10, max_denominator=97).filter(lambda f: f.denominator > 1)
     x_star = data.draw(fractional)
     if x_star in x_init:
         with pytest.raises(ValueError, match="node %d equals" % x_init.index(x_star)):
-            start_spread(x_init, x_star)
+            start_spread(starts_of(x_init), x_star)
     else:
-        assert start_spread(x_init, x_star) == per_node_spread(x_init, x_star)
+        assert start_spread(starts_of(x_init), x_star) == per_node_spread(x_init, x_star)
 
 
 def test_spread_names_the_first_node_among_repeats():
-    # The optimum's value is held by node 1 and again, as another object,
-    # by node 3.
+    # The optimum's value is held by node 1 and again by node 3, one entry
+    # of the table.
     x_init = [F(1), F(-3, 2), F(1), F(-3, 2), F(5, 3)]
     with pytest.raises(ValueError, match="node 1 equals the optimum"):
-        start_spread(x_init, F(-3, 2))
+        start_spread(starts_of(x_init), F(-3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_start_table_over_any_common_denominator_gives_one_state(data):
+    # The runner's table keeps its starts over the grid's denominator, which
+    # need not be their reduced one: the masses, the spread and the start
+    # level read only the values.
+    pool = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=1, max_size=4))
+    x_init = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    s = draw_suite(data, len(x_init))
+    assume(s.global_optimum not in x_init)
+    k = data.draw(st.integers(min_value=2, max_value=30))
+    table = starts_of(x_init)
+    wide = Starts(table.den * k, tuple(a * k for a in table.nums), table.node_start)
+    q = QuantizerState(
+        b_q=data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)),
+        delta=data.draw(st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)),
+    )
+    want, got = initial_state(table, q, s, ALPHA), initial_state(wide, q, s, ALPHA)
+    assert (got.level, got.masses, got.spread) == (want.level, want.masses, want.spread)
+    assert want.masses == init_consensus(gradient_step(x_init, s, ALPHA), q)
+    assert (want.level is None) == (len(set(x_init)) > 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -571,8 +585,8 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "step", recorded)
         if step_fn is per_node_step:
-            mp.setattr(optimizer, "start_spread", per_node_spread)
-        state = initial_state(x_init, q, s, alpha)
+            mp.setattr(optimizer, "start_spread", lambda starts, x_star: per_node_spread(start_values(starts), x_star))
+        state = initial_state(starts_of(x_init), q, s, alpha)
         run_until(state, g, policy, stop, rng)
     return state.history, state.q, rng.getstate(), estimates
 
@@ -643,7 +657,8 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # x_value is built only when read.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
-    state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], QuantizerState(b_q=F(0), delta=F(1, 10)), s, ALPHA)
+    q = QuantizerState(b_q=F(0), delta=F(1, 10))
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
     built = fraction_constructions(monkeypatch)
     per_step = []
     real_step = optimizer.step
@@ -683,7 +698,7 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     monkeypatch.setattr(optimizer, "run_consensus", recording)
 
     def run():
-        state = initial_state([F(k) for k in (1, 2, 3, 4, 5)], q, s, ALPHA)
+        state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
         rng = PCG32(4, STREAM_PROTOCOL)
         run_until(state, g, ADAPTIVE, {"max_steps": 4}, rng)
         return state.history, state.q, rng.getstate()

@@ -9,7 +9,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cost_suite, per_draw_x_init, per_node_optimum, per_node_spread, per_node_step
+from conftest import (
+    cost_suite,
+    per_draw_x_init,
+    per_node_optimum,
+    per_node_spread,
+    per_node_step,
+    start_values,
+    starts_of,
+)
 from zoomgrad import optimizer
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus.engine import ROUND_CAP, ConsensusCapError
@@ -21,7 +29,7 @@ from zoomgrad.metrics import (
     schedule_width,
 )
 from zoomgrad.objective import CostSuite, QuadraticCost
-from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord
+from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, Starts
 from zoomgrad.runner import (
     AGGREGATE_COLUMNS,
     COMPARE_VARIANTS,
@@ -147,21 +155,23 @@ def test_build_costs_spec_seed_overrides_run_seed():
 
 def test_sample_x_init_grid_and_range():
     c = RunConfig(seed=4)
-    xs = sample_x_init(c, F(-100))  # optimum far outside the range: no nudges
+    xs = start_values(sample_x_init(c, F(-100)))  # optimum far outside the range: no nudges
     lo, hi = c.x_init_range
     assert len(xs) == c.n
     for x in xs:
         assert lo <= x <= hi
         assert (x - lo) % c.x_init_grid == 0
-    assert xs == sample_x_init(c, F(-100))
-    assert xs != sample_x_init(dc_replace(c, seed=5), F(-100))
+    assert sample_x_init(c, F(-100)) == sample_x_init(c, F(-100))
+    assert xs != start_values(sample_x_init(dc_replace(c, seed=5), F(-100)))
 
 
 def test_sample_x_init_nudges_off_optimum():
     c = RunConfig(n=3, x_init_range=(F(2), F(2)), x_init_grid=F(1, 100))
-    assert sample_x_init(c, F(2)) == [F(199, 100)] * 3  # top of range: nudged down
+    assert sample_x_init(c, F(2)) == Starts(100, (199,), (0, 0, 0))  # top of range: nudged down
+    # Every draw lands on x* = 2, nudged up to 3, or on 3 itself: the two
+    # grid indices share the table's one entry.
     c = RunConfig(n=5, x_init_range=(F(2), F(3)), x_init_grid=F(1))
-    assert sample_x_init(c, F(2)) == [F(3)] * 5  # every draw lands on or above x*
+    assert sample_x_init(c, F(2)) == Starts(1, (3,), (0,) * 5)
 
 
 @st.composite
@@ -187,7 +197,36 @@ def test_memoized_starts_match_the_per_draw_loop(grid_case, n, seed):
     # starts, nudges off x* (up, or down at the top of the range) included.
     x_range, grid, x_star = grid_case
     c = RunConfig(n=n, seed=seed, x_init_range=x_range, x_init_grid=grid)
-    assert sample_x_init(c, x_star) == per_draw_x_init(c, x_star)
+    assert start_values(sample_x_init(c, x_star)) == per_draw_x_init(c, x_star)
+
+
+@st.composite
+def on_grid_optima(draw):
+    """(x_init_range, x_init_grid, x*) over at most three cells, with x* on
+    the grid: at the bottom, inside, at the top, or at ``lo == hi``."""
+    grid = draw(st.fractions(min_value=F(1, 12), max_value=2, max_denominator=12))
+    lo = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    cells = draw(st.integers(min_value=0, max_value=3))
+    hi = lo + cells * grid + draw(st.sampled_from([0, grid / 3]))
+    return (lo, hi), grid, lo + draw(st.integers(min_value=0, max_value=cells)) * grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(on_grid_optima(), st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_start_table_holds_each_start_once(grid_case, n, seed):
+    # On a few cells a draw on x* is nudged onto another drawn point, or
+    # every draw lands on one value.  The table, expanded node by node, is
+    # the per-draw starts; its entries are distinct values in first-draw
+    # order, so it holds one entry exactly when every node starts at one
+    # value.
+    x_range, grid, x_star = grid_case
+    c = RunConfig(n=n, seed=seed, x_init_range=x_range, x_init_grid=grid)
+    table = sample_x_init(c, x_star)
+    want = per_draw_x_init(c, x_star)
+    assert start_values(table) == want
+    assert len(set(table.nums)) == len(table.nums)
+    assert list(dict.fromkeys(table.node_start)) == list(range(len(table.nums)))
+    assert (len(table.nums) == 1) == (len(set(want)) == 1)
 
 
 @st.composite
@@ -236,8 +275,9 @@ def test_run_single_matches_the_per_node_oracles(config):
         draw = runner_mod.sample_x_init
 
         def drawing(config, x_star):
-            starts.append(draw(config, x_star))
-            return starts[-1]
+            table = draw(config, x_star)
+            starts.append(start_values(table))
+            return table
 
         def recording(state, g, policy, stop, rng):
             optimizer.run_until(state, g, policy, stop, rng)
@@ -257,9 +297,9 @@ def test_run_single_matches_the_per_node_oracles(config):
             return per_node_step(state, g, got[1][0], s, config.alpha, policy, rng)
 
         mp.setattr(optimizer, "step", oracle_step)
-        mp.setattr(optimizer, "start_spread", per_node_spread)
+        mp.setattr(optimizer, "start_spread", lambda starts, x_star: per_node_spread(start_values(starts), x_star))
         mp.setattr(CostSuite, "global_optimum", property(per_node_optimum))
-        mp.setattr(runner_mod, "sample_x_init", per_draw_x_init)
+        mp.setattr(runner_mod, "sample_x_init", lambda c, x_star: starts_of(per_draw_x_init(c, x_star)))
         assert run(mp) == got
 
 
@@ -297,7 +337,7 @@ def test_run_single_structure(default_run):
     history = state.history
     assert [r.k for r in history] == list(range(1, len(history) + 1))
     assert state.x_star == build_costs(config).global_optimum
-    assert state.spread == per_node_spread(sample_x_init(config, state.x_star), state.x_star)
+    assert state.spread == per_node_spread(start_values(sample_x_init(config, state.x_star)), state.x_star)
     assert history[-1].error <= 1e-5
     assert len(history) <= 200
 
