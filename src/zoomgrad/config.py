@@ -62,6 +62,11 @@ BLOCKS = {
 }
 
 
+# The scalar fields that hold an exact rational, as do both bounds of ``x_init_range``:
+# ``from_dict`` parses each, and ``validate`` refuses a float or any other non-rational.
+RATIONALS = ("edge_prob", "alpha", "delta0", "c_in", "c_out", "b_q0", "x_init_grid")
+
+
 def _stored(name, variant):
     """A fresh RunConfig's block: the selector and every set default, copied off the table."""
     selector, variants = BLOCKS[name]
@@ -89,6 +94,11 @@ class RunConfig:
     def validate(self):
         if type(self.n) is not int or self.n < 2:
             raise ConfigError("n", "need an integer node count >= 2")
+        lo, hi = self.x_init_range
+        rationals = [(f, getattr(self, f)) for f in RATIONALS] + [("x_init_range[0]", lo), ("x_init_range[1]", hi)]
+        for name, value in rationals:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ConfigError(name, "need a Fraction or an int, got %r" % (value,))
         if not 0 <= self.edge_prob <= 1:
             raise ConfigError("edge_prob", "must lie in [0, 1]")
         if type(self.seed) is not int or self.seed < 0:
@@ -101,7 +111,6 @@ class RunConfig:
             raise ConfigError("c_in", "zoom-in factor must exceed 1")
         if self.c_out <= 1:
             raise ConfigError("c_out", "zoom-out factor must exceed 1")
-        lo, hi = self.x_init_range
         if lo > hi:
             raise ConfigError("x_init_range", "lower bound exceeds upper bound")
         if self.x_init_grid <= 0:
@@ -199,7 +208,7 @@ class RunConfig:
         for key in ("n", "seed", "out_dir"):
             if key in d:
                 kwargs[key] = d[key]
-        for key in ("edge_prob", "alpha", "delta0", "c_in", "c_out", "b_q0", "x_init_grid"):
+        for key in RATIONALS:
             if key in d:
                 kwargs[key] = parse_rational(d[key], key)
         if "x_init_range" in d:

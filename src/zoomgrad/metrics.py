@@ -19,23 +19,17 @@ from fractions import Fraction
 def error_metric(q, m, x_star, spread):
     """Normalized distance sqrt(sum_j ((x - x*)/(x_init_j - x*))^2).
 
-    The estimate is given in grid coordinates: ``x = b_q + m*delta`` on the
-    grid ``q`` (a ``QuantizerState``), with an integer level ``m``.  Every
-    node holds the common estimate ``x``, so the sum is the exact rational
+    Every node holds the common estimate ``x``, the point of the grid ``q``
+    at the integer level ``m``, so the sum is the exact rational
     ``(x - x*)^2 * spread``, where ``spread`` is sum_j 1/(x_init_j - x*)^2,
-    computed once per run; the root is taken in double precision.  With
-    ``b_q = bn/bd``, ``delta = dn/dd`` and ``x* = sn/sd``,
-    ``x - x* = ((bn*sd - sn*bd)*dd + m*dn*bd*sd) / (bd*sd*dd)``, so with
-    ``x - x* = e/d`` the rational is ``e*e*Sn / (d*d*Sd)`` over the spread's
-    numerator and denominator, and int true division rounds it correctly:
-    the float is the one a ``Fraction`` would give, without building ``x``
-    or reducing the rational first.
+    computed once per run.  It is formed over the unreduced integers of
+    ``q.point(m)`` and ``x*``, and one correctly rounded int true division
+    gives the float whose root is taken.
     """
-    bn, bd = q.b_q.numerator, q.b_q.denominator
-    dn, dd = q.delta.numerator, q.delta.denominator
+    num, den = q.point(m)
     sn, sd = x_star.numerator, x_star.denominator
-    e = (bn * sd - sn * bd) * dd + m * dn * bd * sd
-    d = bd * sd * dd
+    e = num * sd - sn * den
+    d = den * sd
     return math.sqrt(e * e * spread.numerator / (d * d * spread.denominator))
 
 

@@ -16,12 +16,12 @@ step size on repeats or never touch it.
 A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
-floor division over a common denominator.  The starts come as one integer
-table too (``Starts``: distinct numerators over one denominator, and each
-node's index into them), and ``initial_state`` builds everything the run's
-fixed inputs determine: the class table, step 1's masses (``start_masses``:
-the floor applied to every node's own start, each distinct start scaled to
-the common denominator once) and the start level.
+floor division over the grid's integer form (``QuantizerState``).  The
+starts come as one integer table too (``Starts``: distinct numerators over
+one denominator, and each node's index into them), and ``initial_state``
+builds everything the run's fixed inputs determine: the class table, step
+1's masses (``start_masses``, from every node's own start) and the start
+level.
 After step 1 every node holds the one common estimate, so a step that moves
 the grid or the estimate refreshes the next step's masses with one floor
 per class (``grid_masses``).  The per-node path, an exact ``Fraction``
@@ -43,9 +43,9 @@ zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
 refine.  Before step 1 the level is the start's when the starts' table
 holds one value, else None, so step 1 is a repeat only when every start
 equals its output.  The masses, the repeat and saturation tests and the
-error metric read the level and the grid's integers, so a step without an
-event builds no ``Fraction``; the estimate itself (``RunRecord.x_value``)
-is built only when read, and a zoom builds the point it re-centres on.  A
+error metric read the level and the grid's integer form, so a step without
+an event builds no ``Fraction``; the estimate (``RunRecord.x_value``) is
+built only when read, and a zoom builds the point it re-centres on.  A
 fixed level's repeat leaves grid and estimate unchanged, so the next step
 sends the same masses again.
 
@@ -87,7 +87,7 @@ class AdaptiveZoom:
         """Re-centre on the estimate ``b_q + m*delta`` (its new level is 0):
         zoom out when ``m >= H or m < -H``, ``H = 2**(width-1) - 1``, else in.
         The test compares bit lengths, so no ``2**(width-1)`` is built."""
-        x_new = grid_point(q.b_q, q.delta, m)
+        x_new = grid_point(q, m)
         if (m + 1 if m >= 0 else -m).bit_length() >= self.quantizer_width:
             return QuantizerState(x_new, q.delta * self.c_out), "zoom_out", 0
         return QuantizerState(x_new, q.delta / self.c_in), "zoom_in", 0
@@ -116,29 +116,29 @@ class FixedLevel:
         return q, "none", m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One row of the per-step log.
 
-    ``delta`` and ``b_q`` are the quantizer parameters that were in force
-    during this step's consensus (i.e. before any zoom event recorded in
-    the same row), and ``level`` is the consensus output's level on that
-    grid.  The estimate ``x_value = b_q + level*delta`` is built when read.
+    ``q`` is the grid that was in force during this step's consensus (i.e.
+    before any zoom event recorded in the same row), and ``level`` is the
+    consensus output's level on it; the estimate ``x_value`` is that grid
+    point, built when read.  ``alphabet_size`` counts the distinct pieces
+    the consensus sent.  The record holds counts, not prices: the runner
+    charges them (``runner.step_costs``).
     """
 
     k: int
     level: int
     error: float
-    delta: Fraction
-    b_q: Fraction
+    q: QuantizerState
     zoom_event: str  # none | zoom_in | zoom_out | refine
     consensus_rounds: int
-    mass_transmissions: int
-    bits_measured_mode: int
+    alphabet_size: int
 
     @property
     def x_value(self):
-        return grid_point(self.b_q, self.delta, self.level)
+        return grid_point(self.q, self.level)
 
 
 @dataclass(frozen=True)
@@ -181,32 +181,27 @@ Starts = namedtuple("Starts", "den nums node_start")
 def _masses(classes, q, d, points):
     """Initial consensus mass of the half-step of each point ``((u_c, v_c), a)``.
 
-    A node of class c holding the estimate x has the half-step
+    A node of class c holding the estimate ``x = a/d``, over a multiple
+    ``d = den*r`` of the grid's denominator, has the half-step
     ``(u_c*x + v_c) / lcm``; on the unsaturated grid of ``q`` its bin index
-    is ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``.  With x
-    and ``b_q`` over their common denominator ``d`` and ``delta = dn/dd``,
-    ``t = (u_c*a + v_c*w + k) // den`` in integers, where ``a = x*d*dd``,
-    ``w = d*dd``, ``k = -lcm*b_q*d*dd`` and ``den = lcm*d*dn``.  Nothing
-    assumes that ``x - b_q`` is a whole number of steps.
+    is ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``, and in
+    the grid's integers ``t = (u_c*a + (v_c*den - lcm*base)*r) // (lcm*step*r)``.
     """
-    dn, dd = q.delta.numerator, q.delta.denominator
-    w = d * dd
-    k = -classes.lcm * q.b_q.numerator * (d // q.b_q.denominator) * dd
-    den = classes.lcm * d * dn
-    return [2 * ((u * a + v * w + k) // den) + 1 for (u, v), a in points]
+    r = d // q.den
+    offset = classes.lcm * q.base
+    den = classes.lcm * q.step * r
+    return [2 * ((u * a + (v * q.den - offset) * r) // den) + 1 for (u, v), a in points]
 
 
 def start_masses(classes, starts, q):
     """Step 1's initial masses: every node's half-step from its own start.
 
     Equal to ``init_consensus(gradient_step(xs, s, alpha), q)`` for the
-    per-node starts ``xs`` of the ``Starts`` table ``starts``, over the one
-    denominator ``d`` of ``b_q`` and the table; each start is scaled to it
-    once.
+    per-node starts ``xs`` of the ``Starts`` table ``starts``; each start
+    is scaled once to the one denominator of the grid and the table.
     """
-    d = math.lcm(q.b_q.denominator, starts.den)
-    scale = d // starts.den * q.delta.denominator
-    scaled = [a * scale for a in starts.nums]
+    d = math.lcm(q.den, starts.den)
+    scaled = [a * (d // starts.den) for a in starts.nums]
     pulls = map(classes.coeffs.__getitem__, classes.node_class)
     return _masses(classes, q, d, zip(pulls, map(scaled.__getitem__, starts.node_start)))
 
@@ -215,14 +210,10 @@ def grid_masses(classes, level, q):
     """Initial masses of every node from the common estimate ``b_q + level*delta``.
 
     Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` at that
-    estimate, with one floor per class.  With ``level = ln/ld`` the estimate
-    and ``b_q`` share the denominator ``d = bd*ld``, and ``x*d*dd`` is
-    ``bn*dd*ld + ln*dn*bd``.
+    estimate, with one floor per class.
     """
-    ln, ld = level.numerator, level.denominator
-    bn, bd = q.b_q.numerator, q.b_q.denominator
-    a = bn * q.delta.denominator * ld + ln * q.delta.numerator * bd
-    ys = _masses(classes, q, bd * ld, zip(classes.coeffs, repeat(a)))
+    a, d = q.point(level)
+    ys = _masses(classes, q, d, zip(classes.coeffs, repeat(a)))
     return [ys[c] for c in classes.node_class]
 
 
@@ -287,7 +278,7 @@ def initial_state(starts, q, s, alpha):
     the starts; ``start_spread`` raises ValueError when a start equals it.
     """
     classes = cost_classes(s, alpha)
-    level = (Fraction(starts.nums[0], starts.den) - q.b_q) / q.delta if len(starts.nums) == 1 else None
+    level = Fraction(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den) if len(starts.nums) == 1 else None
     x_star = s.global_optimum
     masses = start_masses(classes, starts, q)
     return OptimizerState(q, level, classes, masses, x_star, start_spread(starts, x_star))
@@ -344,17 +335,14 @@ def step(state, g, policy, rng):
     if event != "none" or m != level_old:
         state.masses = grid_masses(state.classes, state.level, state.q)
 
-    tx = stats.mass_transmissions
     rec = RunRecord(
         k=len(state.history) + 1,
         level=m,
         error=error_metric(pre_q, m, state.x_star, state.spread),
-        delta=pre_q.delta,
-        b_q=pre_q.b_q,
+        q=pre_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,
-        mass_transmissions=tx,
-        bits_measured_mode=(len(stats.measured_alphabet) - 1).bit_length() * tx,
+        alphabet_size=len(stats.measured_alphabet),
     )
     state.history.append(rec)
     return rec

@@ -2,8 +2,8 @@
 drive the optimizer, and emit deterministic CSV artifacts.
 
 The runner also prices the run: ``width_schedule`` turns the config's
-policy and accounting blocks into the run's message-width schedule, and the
-report writers charge each step's mass transmissions at its width.
+policy and accounting blocks into the run's message-width schedule, and
+``step_costs`` charges a step's counts at it for both report writers.
 
 Determinism contract: the pair (config, seed) fixes every byte of every
 output file.  All floats are written with repr() (shortest round-trip
@@ -60,6 +60,15 @@ def width_schedule(config):
     else:
         width = FIXED_LEVEL_WIDTHS[config.delta0] if spec["b_pm"] is None else spec["b_pm"]
     return ((None, width),)
+
+
+def step_costs(r, n, widths):
+    """A record's (mass transmissions, paper-mode bits, measured-mode bits).
+
+    n pieces a round, charged at the width schedule ``widths`` and at the
+    width that indexes the step's alphabet."""
+    tx = n * r.consensus_rounds
+    return tx, schedule_width(widths, r.k - 1) * tx, (r.alphabet_size - 1).bit_length() * tx
 
 
 def build_costs(config):
@@ -154,10 +163,13 @@ def summarize(config, state):
     steps = len(history)
     target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
-    total_tx = config.n * sum(r.consensus_rounds for r in history)  # every round sends n pieces
+    widths = width_schedule(config)
+    total_tx = paper_bits = measured_bits = 0
+    for r in history:
+        tx, paper, measured = step_costs(r, config.n, widths)
+        total_tx, paper_bits, measured_bits = total_tx + tx, paper_bits + paper, measured_bits + measured
     mean_tx = float(Fraction(total_tx, steps)) if steps else float("nan")
     events = Counter(r.zoom_event for r in history)
-    widths = width_schedule(config)
     return {
         "seed": config.seed,
         "n": config.n,
@@ -170,8 +182,8 @@ def summarize(config, state):
         "zoom_in_events": events["zoom_in"],
         "zoom_out_events": events["zoom_out"],
         "refine_events": events["refine"],
-        "total_bits_paper_mode": sum(schedule_width(widths, r.k - 1) * r.mass_transmissions for r in history),
-        "total_bits_measured_mode": sum(r.bits_measured_mode for r in history),
+        "total_bits_paper_mode": paper_bits,
+        "total_bits_measured_mode": measured_bits,
         "mean_mass_tx_per_consensus": repr(mean_tx),
         "total_mass_transmissions": total_tx,
         "total_flood_broadcasts": total_tx,
@@ -197,29 +209,17 @@ HISTORY_COLUMNS = [
 ]
 
 
-def write_history_csv(f, history, widths):
-    """Write the per-step log as CSV to the text stream ``f``; the paper-mode
-    bits charge each step's transmissions at the width schedule ``widths``."""
+def write_history_csv(f, history, n, widths):
+    """Write the per-step log of a run on ``n`` nodes as CSV to the text
+    stream ``f``, priced by ``step_costs`` at the width schedule ``widths``."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(HISTORY_COLUMNS)
     for r in history:
-        x = r.x_value
+        x, q = r.x_value, r.q
         w.writerow(
-            [
-                r.k,
-                str(x),
-                repr(float(x)),
-                repr(r.error),
-                str(r.delta),
-                repr(float(r.delta)),
-                str(r.b_q),
-                repr(float(r.b_q)),
-                r.zoom_event,
-                r.consensus_rounds,
-                r.mass_transmissions,
-                schedule_width(widths, r.k - 1) * r.mass_transmissions,
-                r.bits_measured_mode,
-            ]
+            [r.k, str(x), repr(float(x)), repr(r.error)]
+            + [str(q.delta), repr(float(q.delta)), str(q.b_q), repr(float(q.b_q))]
+            + [r.zoom_event, r.consensus_rounds, *step_costs(r, n, widths)]
         )
 
 
@@ -296,7 +296,7 @@ def cmd_run(config):
     def reports():
         state = run_single(config)
         return [
-            ("history.csv", write_history_csv, state.history, width_schedule(config)),
+            ("history.csv", write_history_csv, state.history, config.n, width_schedule(config)),
             ("summary.csv", write_rows_csv, SUMMARY_COLUMNS, [summarize(config, state)]),
         ]
 

@@ -274,18 +274,14 @@ def per_node_step(state, g, x_init, s, alpha, policy, rng):
     new_q, event = fraction_zoom_decide(pre_q, x_new, x_old, policy)
     level = (x_new - pre_q.b_q) / pre_q.delta
     assert level.denominator == 1, "consensus output off the grid"
-    n_symbols = len(stats.measured_alphabet)
-    measured_width = (n_symbols - 1).bit_length() if n_symbols else 0
     rec = RunRecord(
         k=len(state.history) + 1,
         level=level.numerator,
         error=fraction_error_metric(x_new, state.x_star, state.spread),
-        delta=pre_q.delta,
-        b_q=pre_q.b_q,
+        q=pre_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,
-        mass_transmissions=stats.mass_transmissions,
-        bits_measured_mode=measured_width * stats.mass_transmissions,
+        alphabet_size=len(set(stats.measured_alphabet)),
     )
     state.oracle_x, state.q = x_new, new_q
     state.level = (x_new - new_q.b_q) / new_q.delta
@@ -381,7 +377,7 @@ def envelope_from_history(history, alpha, mu, L, n, x_star):
     if not history:
         return []
     d0 = abs(history[0].x_value - x_star)
-    delta_seq = [rec.delta for rec in history[1:]]
+    delta_seq = [rec.q.delta for rec in history[1:]]
     bounds = contraction_envelope(alpha, mu, L, n, delta_seq, d0)
     return [
         EnvelopePoint(k=rec.k, bound=b, empirical=abs(rec.x_value - x_star))

@@ -420,13 +420,11 @@ def test_criterion_09_transmission_statistics(acceptance, reference_default_swee
     # about 2.5x later, so pool each run up to its first e_T crossing.
     pooled = [state.history[: table_steps(c, state, F("1e-5"))] for c, state in runs]
     executions = sum(len(h) for h in pooled)
-    mean_tx = sum(r.mass_transmissions for h in pooled for r in h) / executions
-    mean_rounds = sum(r.consensus_rounds for h in pooled for r in h) / executions
+    rounds = sum(r.consensus_rounds for h in pooled for r in h)
+    mean_tx = n * rounds / executions  # every round sends n pieces
+    mean_rounds = rounds / executions
     full_executions = sum(len(state.history) for _, state in runs)
-    full_mean_tx = (
-        sum(r.mass_transmissions for _, state in runs for r in state.history)
-        / full_executions
-    )
+    full_mean_tx = n * sum(r.consensus_rounds for _, state in runs for r in state.history) / full_executions
     seed3 = runs[3][1].history
     ok = 100 <= mean_tx <= 350
     acceptance(
@@ -446,9 +444,9 @@ def test_criterion_09_transmission_statistics(acceptance, reference_default_swee
             TABLE_N_TT / n,
             n,
             seed3[0].consensus_rounds,
-            seed3[0].delta,
+            seed3[0].q.delta,
             seed3[-1].consensus_rounds,
-            seed3[-1].delta,
+            seed3[-1].q.delta,
         ),
     )
     assert ok, (

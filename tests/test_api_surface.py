@@ -15,6 +15,11 @@ name standing for its ``__init__`` or its fields, and ``RunConfig``, the
 table of defaults, is exempt.  The allowlists hold the names that only the
 benchmark or the console script uses, each with its reason: removing one
 breaks that user.  The import check covers ``tests/`` too.
+
+The grid ``(b_q, delta)`` has one integer form, which ``quantizer.py``
+derives (``QuantizerState.den``, ``base`` and ``step``); no other module
+reads the ``numerator`` or ``denominator`` of an attribute named ``b_q`` or
+``delta``.
 """
 
 import ast
@@ -28,6 +33,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 BENCHMARK_PINS = {
     "optimizer.gradient_step": "perfbench/tracing.py HOOKS",
     "engine.init_consensus": "perfbench/tracing.py HOOKS",
+    "ConsensusStats.mass_transmissions": "perfbench/run.py parity_run and perfbench/tracing.py _count_consensus",
     "Digraph.edge_count": "perfbench/tracing.py _count_graph",
     "PCG32.getstate": "perfbench/run.py parity_run",
     "PCG32.setstate": "perfbench/run.py parity_run",
@@ -220,3 +226,24 @@ def unused_imports(top):
 
 def test_no_module_imports_a_name_it_never_uses():
     assert sorted(unused_imports(PACKAGE) | unused_imports(TESTS)) == []
+
+
+def grid_integer_reads(top=PACKAGE):
+    """``module:line`` of each read of ``.numerator`` or ``.denominator`` of an
+    attribute named ``b_q`` or ``delta`` in a module other than ``quantizer``."""
+    reads = []
+    for module, tree in package_trees(top):
+        for node in ast.walk(tree):
+            if (
+                module != "quantizer"
+                and isinstance(node, ast.Attribute)
+                and node.attr in ("numerator", "denominator")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("b_q", "delta")
+            ):
+                reads.append("%s:%d" % (module, node.lineno))
+    return reads
+
+
+def test_only_the_quantizer_derives_the_grid_integers():
+    assert grid_integer_reads() == []

@@ -10,6 +10,7 @@ import pytest
 
 from zoomgrad.config import ConfigError, RunConfig, json_object, parse_rational
 from zoomgrad.metrics import FIXED_LEVEL_WIDTHS
+from zoomgrad.runner import run_single
 
 
 def test_defaults():
@@ -132,6 +133,22 @@ def test_parse_rational_rejects(bad):
         ({"policy": {"variant": "refine_only", "quantizer_width": 3}}, "policy.quantizer_width"),
         # a fixed level's error has a floor: an error target alone never stops it
         ({"policy": {"variant": "fixed_level"}, "delta0": F(1, 10), "stop": {"target_error": 1e-9}}, "stop.max_steps"),
+        # a rational field that holds no Fraction or int: a config built in
+        # Python skips from_dict's parsing, and a float there crashed the
+        # run (no .denominator) or moved the start grid, since
+        # (5.0 - 1) // (1/100) is 399.0, not 400
+        ({"edge_prob": 0.5}, "edge_prob"),
+        ({"alpha": 0.12}, "alpha"),
+        ({"delta0": 0.5}, "delta0"),
+        ({"c_in": 1.5}, "c_in"),
+        ({"c_out": 2.0}, "c_out"),
+        ({"b_q0": 0.0}, "b_q0"),
+        ({"x_init_grid": 0.01}, "x_init_grid"),
+        ({"x_init_range": (1.0, F(5))}, "x_init_range[0]"),
+        ({"x_init_range": (F(1), 5.0)}, "x_init_range[1]"),
+        ({"alpha": True}, "alpha"),
+        ({"delta0": "1/2"}, "delta0"),
+        ({"x_init_range": (F(1), None)}, "x_init_range[1]"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):
@@ -151,6 +168,28 @@ def test_fixed_level_widths_and_fine_grids_that_validate():
     RunConfig(policy={"variant": "refine_only"}, delta0=F(1, 7)).validate()
     # [1, 5] on a grid of 4/(2**32 - 1) holds exactly 2**32 points
     RunConfig(x_init_grid=F(4, 2**32 - 1)).validate()
+
+
+# A legal integer value of each rational field, and of each bound of x_init_range.
+INT_VALUES = {
+    "edge_prob": 1, "alpha": 1, "delta0": 1, "c_in": 2, "c_out": 3, "b_q0": -2, "x_init_grid": 1,
+    "x_init_range[0]": 1, "x_init_range[1]": 5,
+}
+
+
+def with_rational(field, value):
+    """A small config whose rational ``field`` (or ``x_init_range[i]``) is ``value``."""
+    if field.startswith("x_init_range"):
+        bounds = [F(1), F(5)]
+        bounds[int(field[-2])] = value
+        return RunConfig(n=5, x_init_range=tuple(bounds), stop={"max_steps": 2})
+    return RunConfig(n=5, stop={"max_steps": 2}, **{field: value})
+
+
+@pytest.mark.parametrize("field", sorted(INT_VALUES))
+def test_a_rational_field_takes_an_int_as_its_fraction(field):
+    value = INT_VALUES[field]
+    assert run_single(with_rational(field, value)).history == run_single(with_rational(field, F(value))).history
 
 
 def test_explicit_costs_validate():

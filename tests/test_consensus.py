@@ -694,16 +694,16 @@ def wide_fractions(numerators):
 )
 def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delta, offset, seed, data):
     # run_consensus returns the common floor m on both backends, and
-    # grid_point builds b_q + m*delta from the integers of b_q and delta: on
-    # a non-grid basis with wide denominators, for m of either sign, that
-    # must be the Fraction expression.
+    # grid_point builds b_q + m*delta from the grid's one integer form
+    # (base/den, step/den): on a non-grid basis with wide denominators, for
+    # m of either sign, that must be the Fraction expression.
     q = QuantizerState(b_q=b_q, delta=delta)
     y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
     d_eff = effective_epoch(g.diameter)
     _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL))
     expected = q.b_q + m * q.delta
     assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == m
-    assert grid_point(q.b_q, q.delta, m) == expected
+    assert grid_point(q, m) == expected
     if built_kernel is not None:
         assert kernel_run(built_kernel, y, g, seed)[2] == m
         with pytest.MonkeyPatch.context() as mp:

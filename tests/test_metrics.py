@@ -223,7 +223,7 @@ def test_envelope_warns_outside_admissible_range():
 
 def rec(k, x, delta):
     # the estimate x as level 0 on a grid based at x
-    return RunRecord(k, 0, 0.0, delta, x, "none", 1, 1, 3)
+    return RunRecord(k, 0, 0.0, QuantizerState(x, delta), "none", 1, 3)
 
 
 def test_envelope_from_history_anchoring():

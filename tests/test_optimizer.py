@@ -46,6 +46,7 @@ from zoomgrad.optimizer import (
 )
 from zoomgrad.quantizer import QuantizerState, grid_point
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
+from zoomgrad.runner import step_costs
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
 ALPHA = F(3, 25)
@@ -185,11 +186,11 @@ def test_step_agreement_and_grid():
     state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     rec = step(state, g, ADAPTIVE, rng)
-    assert grid_point(state.q.b_q, state.q.delta, state.level) == rec.x_value  # one common estimate
+    assert grid_point(state.q, state.level) == rec.x_value  # one common estimate
     assert state.history == [rec] and rec.k == 1
     # consensus output is a whole number of steps from the pre-step basis
-    assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
-    assert rec.delta == Q0.delta and rec.b_q == Q0.b_q  # pre-zoom values logged
+    assert ((rec.x_value - rec.q.b_q) / rec.q.delta).denominator == 1
+    assert rec.q == Q0  # the pre-zoom grid is logged
     # the error against the optimum 3/2, normalized by the starts' spread
     assert rec.error == fraction_error_metric(rec.x_value, F(3, 2), per_node_spread([F(1), F(2)], F(3, 2)))
 
@@ -204,9 +205,12 @@ def test_step_counts_and_bits():
     result, stats = consensus_point(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
     assert rec.x_value == result
     assert rec.consensus_rounds == stats.rounds
-    assert rec.mass_transmissions == stats.mass_transmissions
+    assert rec.alphabet_size == len(set(stats.measured_alphabet))
+    # the runner prices those counts: n pieces per round, at 3 bits in paper
+    # mode and at the bits that index the alphabet in measured mode
+    tx = stats.mass_transmissions
     width = (len(stats.measured_alphabet) - 1).bit_length()
-    assert rec.bits_measured_mode == width * stats.mass_transmissions
+    assert step_costs(rec, g.n, ((None, 3),)) == (tx, 3 * tx, width * tx)
 
 
 def test_first_step_repeat_is_disabled_with_distinct_inits():
@@ -236,7 +240,7 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
         for _ in range(2):
             rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
             events.append(rec.zoom_event)
-            assert ((rec.x_value - rec.b_q) / rec.delta).denominator == 1
+            assert ((rec.x_value - rec.q.b_q) / rec.q.delta).denominator == 1
         assert any(e != "none" for e in events)
         # every start equals the step-1 output, so step 1 is already a repeat
         assert events[0] == "zoom_in"
@@ -262,7 +266,7 @@ def test_zoom_exclusivity_and_delta_sync():
     # delta keeps shrinking: over any window after the first zoom-in, at
     # least one strict decrease
     first_in = next(i for i, r in enumerate(state.history) if r.zoom_event == "zoom_in")
-    deltas = [r.delta for r in state.history[first_in:]]
+    deltas = [r.q.delta for r in state.history[first_in:]]
     window = 20
     for start in range(0, len(deltas) - window):
         w = deltas[start : start + window + 1]
@@ -338,7 +342,7 @@ def test_run_until_stops_at_target():
 
 
 def test_run_record_is_frozen():
-    rec = RunRecord(1, F(0), 0.0, F(1, 2), F(0), "none", 1, 1, 3)
+    rec = RunRecord(1, 0, 0.0, Q0, "none", 1, 3)
     with pytest.raises(AttributeError):
         rec.k = 2
 
@@ -578,7 +582,7 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
             estimates.append((state.level, state.oracle_x, state.oracle_x))
         else:
             rec = step_fn(state, g, policy, rng)
-            estimates.append((state.level, grid_point(state.q.b_q, state.q.delta, state.level), rec.x_value))
+            estimates.append((state.level, grid_point(state.q, state.level), rec.x_value))
         return rec
 
     rng = PCG32(seed, STREAM_PROTOCOL)
@@ -628,6 +632,31 @@ def test_a_refine_by_five_halves_leaves_a_half_level_and_matches_the_oracle():
     assert sum(1 for level in levels if F(level).denominator != 1) == 4
 
 
+# A grid whose one denominator, 12, is not the product of its basis's and
+# its step's (6 and 4), and the adaptive policy under each pair of factors.
+DEEP_Q0 = QuantizerState(b_q=F(1, 6), delta=F(1, 4))
+DEEP_POLICIES = [replace(ADAPTIVE, c_in=c_in, c_out=c_out) for c_in in (F(4, 3), F(7, 5)) for c_out in (F(2), F(5, 2))]
+
+
+@pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
+@pytest.mark.parametrize("policy", DEEP_POLICIES + [RefineOnly(c_refine=F(5, 2))], ids=repr)
+def test_a_deep_zoom_chain_matches_the_per_node_oracle(backend, policy, request):
+    # 64 steps, so the grid's denominator grows far past the drawn runs' 15
+    # steps (to 2**29 after 11 refines, to 2**59 and more after the zooms):
+    # every record, the final grid, the RNG position and each step's
+    # estimate equal the per-node path's.
+    request.getfixturevalue(backend)
+    g = generate_random_digraph(5, F(1, 2), 7)
+    s = suite([(1, 2), (2, 5), (1, 3), (3, 4), (2, "7/2")])
+    args = (g, s, [F(k) for k in (1, 2, 3, 4, 5)], DEEP_Q0, ALPHA, policy, 11, {"max_steps": 64})
+    got = oracle_run(step, *args)
+    assert got == oracle_run(per_node_step, *args)
+    history, q = got[0], got[1]
+    events = {r.zoom_event for r in history}
+    assert len(history) == 64 and q.den > 2**25
+    assert events >= ({"zoom_in", "zoom_out"} if isinstance(policy, AdaptiveZoom) else {"refine"})
+
+
 def fraction_constructions(monkeypatch):
     """A list that gains one entry per ``Fraction`` built from here on."""
     built = []
@@ -675,9 +704,10 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     assert len(quiet) >= 10
     assert quiet == [0] * len(quiet)
     before = len(built)
-    x = state.history[-1].x_value
+    last = state.history[-1]
+    x = last.x_value
     assert len(built) > before
-    assert x == state.history[-1].b_q + state.history[-1].level * state.history[-1].delta
+    assert x == last.q.b_q + last.level * last.q.delta
     assert state.masses == grid_masses(state.classes, state.level, state.q)  # the next step's
 
 

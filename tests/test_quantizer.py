@@ -3,6 +3,7 @@ and the structural properties (accuracy, idempotence, monotonicity,
 index bijection, step-size trajectory identity).
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ADAPTIVE, clamped_quantize, level_index, saturation_half_range
-from zoomgrad.quantizer import QuantizerState, quantize
+from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 
 Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
 C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
@@ -176,3 +177,18 @@ def test_delta_trajectory_identity(zoom_sequence):
     n_out = sum(zoom_sequence)
     n_in = len(zoom_sequence) - n_out
     assert q.delta == Q0.delta * C_OUT**n_out / C_IN**n_in
+
+
+wide = st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=2**70)
+
+
+@given(wide, wide.filter(lambda d: d > 0), st.integers(-(2**70), 2**70), wide)
+def test_the_grid_holds_one_integer_form(b_q, delta, m, level):
+    # b_q = base/den and delta = step/den over den = lcm of their
+    # denominators, and the grid's points, at an int or a Fraction level,
+    # are b_q + level*delta.
+    q = QuantizerState(b_q=b_q, delta=delta)
+    assert q.den == math.lcm(b_q.denominator, delta.denominator)
+    assert F(q.base, q.den) == b_q and F(q.step, q.den) == delta
+    for lv in (m, F(m), level):
+        assert grid_point(q, lv) == b_q + lv * delta

@@ -30,6 +30,7 @@ from zoomgrad.metrics import (
 )
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, Starts
+from zoomgrad.quantizer import QuantizerState
 from zoomgrad.runner import (
     AGGREGATE_COLUMNS,
     COMPARE_VARIANTS,
@@ -46,6 +47,7 @@ from zoomgrad.runner import (
     resolve_out_dir,
     run_single,
     sample_x_init,
+    step_costs,
     steps_to_threshold,
     summarize,
     sweep,
@@ -323,8 +325,8 @@ def test_zoom_factors_reach_the_zoom_rule():
     assert "zoom_in" in events and "zoom_out" in events
     factor = {"zoom_in": 1 / c_in, "zoom_out": c_out, "none": 1}
     for row, nxt in zip(history, history[1:]):
-        assert nxt.delta == row.delta * factor[row.zoom_event]
-        assert nxt.b_q == (row.b_q if row.zoom_event == "none" else row.x_value)
+        assert nxt.q.delta == row.q.delta * factor[row.zoom_event]
+        assert nxt.q.b_q == (row.q.b_q if row.zoom_event == "none" else row.x_value)
     # the baselines never read the zoom factors
     for policy in ({"variant": "refine_only"}, {"variant": "fixed_level"}):
         base = RunConfig(seed=2, n=6, policy=policy, delta0=F(1, 10), stop={"max_steps": 40})
@@ -355,7 +357,7 @@ def test_run_single_seed1_event_shape(default_run):
 def test_run_single_trajectory_independent_of_topology(default_run):
     _, dense = default_run
     sparse = run_single(RunConfig(seed=1, edge_prob=F(1, 5)))
-    key = lambda h: [(r.x_value, r.delta, r.zoom_event) for r in h]
+    key = lambda h: [(r.x_value, r.q, r.zoom_event) for r in h]
     assert key(sparse.history) == key(dense.history)
     # only the communication counts may differ between topologies
     assert [r.error for r in sparse.history] == [r.error for r in dense.history]
@@ -371,10 +373,11 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["policy"] == "adaptive_zoom"
     for event in ("zoom_in", "zoom_out", "refine"):
         assert row["%s_events" % event] == sum(r.zoom_event == event for r in history)
-    assert row["total_mass_transmissions"] == sum(r.mass_transmissions for r in history)
+    costs = [step_costs(r, config.n, width_schedule(config)) for r in history]
+    assert row["total_mass_transmissions"] == sum(tx for tx, _, _ in costs)
     assert row["total_flood_broadcasts"] == config.n * sum(r.consensus_rounds for r in history)
-    assert row["total_bits_paper_mode"] == 3 * row["total_mass_transmissions"]
-    assert row["total_bits_measured_mode"] == sum(r.bits_measured_mode for r in history)
+    assert row["total_bits_paper_mode"] == 3 * row["total_mass_transmissions"] == sum(bits for _, bits, _ in costs)
+    assert row["total_bits_measured_mode"] == sum(bits for _, _, bits in costs)
     assert row["mean_mass_tx_per_consensus"] == repr(
         float(F(row["total_mass_transmissions"], row["steps"]))
     )
@@ -396,7 +399,7 @@ def test_accounting_mode_prices_only_the_adaptive_paper_column():
             accounting=accounting,
         )
         state = run_single(config)
-        lines = rendered(write_history_csv, state.history, width_schedule(config)).splitlines()
+        lines = rendered(write_history_csv, state.history, config.n, width_schedule(config)).splitlines()
         column = lines[0].split(",").index("bits_paper_mode")
         bits = [int(line.split(",")[column]) for line in lines[1:]]
         return state.history, bits, summarize(config, state)
@@ -404,9 +407,10 @@ def test_accounting_mode_prices_only_the_adaptive_paper_column():
     paper, paper_bits, paper_row = run(5, {"mode": "paper_faithful", "b_pm": 3})
     measured, measured_bits, measured_row = run(5, {"mode": "measured"})
     assert paper == measured
-    assert (paper[0].mass_transmissions, paper_bits[0], measured_bits[0]) == (240, 720, 1200)
-    assert paper_bits == [3 * r.mass_transmissions for r in paper]
-    assert measured_bits == [5 * r.mass_transmissions for r in measured]
+    tx = [20 * r.consensus_rounds for r in paper]  # every round sends n = 20 pieces
+    assert (tx[0], paper_bits[0], measured_bits[0]) == (240, 720, 1200)
+    assert paper_bits == [3 * t for t in tx]
+    assert measured_bits == [5 * t for t in tx]
     assert paper_row["total_bits_paper_mode"] == sum(paper_bits)
     assert measured_row["total_bits_paper_mode"] == sum(measured_bits)
     # At the defaults (3-bit quantizer, 3-bit b_pm) the summaries differ
@@ -425,7 +429,7 @@ def test_summarize_not_converged():
 
 def test_steps_to_threshold():
     def r(k, e):
-        return RunRecord(k, F(0), e, F(1), F(0), "none", 1, 1, 3)
+        return RunRecord(k, 0, e, QuantizerState(F(0), F(1)), "none", 1, 3)
 
     history = [r(1, 2.0), r(2, 0.5), r(3, 0.009), r(4, 0.0001)]
     assert steps_to_threshold(history, 1e-2) == 3
@@ -445,8 +449,8 @@ def rendered(write, *args):
 
 def test_history_csv_shape_and_determinism(default_run):
     config, state = default_run
-    text = rendered(write_history_csv, state.history, width_schedule(config))
-    assert text == rendered(write_history_csv, state.history, width_schedule(config))
+    text = rendered(write_history_csv, state.history, config.n, width_schedule(config))
+    assert text == rendered(write_history_csv, state.history, config.n, width_schedule(config))
     assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == ",".join(HISTORY_COLUMNS)
