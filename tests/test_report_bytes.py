@@ -4,8 +4,9 @@
 sparse-n1000 workload, of one ``run`` per way of pricing a message (the
 refine-only schedule, measured accounting, an explicit fixed-level width),
 of two small ``run`` reports whose starts collide (a nudged draw on a
-drawn grid point, every node at one start), and of the two Table 1
-reports, on both backends.
+drawn grid point, every node at one start), of two runs under zoom factors
+that the defaults do not use (an adaptive run that zooms out, a refine by
+5/2), and of the two Table 1 reports, on both backends.
 
 Criterion 10 compares reruns with each other; these digests compare them
 with fixed values, so a change that moves one report byte fails here.  The
@@ -100,6 +101,25 @@ COMMANDS = {
             stop={"max_steps": 40, "target_error": 1e-9},
         )
     ),
+    # Zoom factors whose grid moves the other pins do not cover: a 2-bit
+    # range with c_out = 5/2 and c_in = 7/5 on a grid whose basis and step
+    # have different denominators (6 zoom-outs and 26 zoom-ins in 40 steps),
+    # and a refine by 5/2, whose odd levels become half levels.
+    "run-zoom-out": lambda d: cmd_run(
+        RunConfig(
+            seed=1,
+            c_in=Fraction(7, 5),
+            c_out=Fraction(5, 2),
+            b_q0=Fraction(1, 6),
+            delta0=Fraction(1, 4),
+            policy={"variant": "adaptive_zoom", "quantizer_width": 2},
+            out_dir=d,
+            stop={"max_steps": 40},
+        )
+    ),
+    "run-refine-5-2": lambda d: cmd_run(
+        RunConfig(seed=1, policy={"variant": "refine_only", "c_refine": "5/2"}, out_dir=d, stop={"max_steps": 20})
+    ),
     "table1": cmd_table1,
 }
 
@@ -126,6 +146,10 @@ DIGESTS = {
     ("run-start-collision", "summary.csv"): "66a14603c3bb632a74cfe15bc9772a8d2aba12ef759a75700d2179f8872a7653",
     ("run-one-start", "history.csv"): "b11c815142a85411662d4c98513fbd3cc58f15f8c3dc82ab234b95478691265d",
     ("run-one-start", "summary.csv"): "c1f10d2cb42fb9de9759028356bedf77fe1b50eda5ea6f7d2daa5e3aa31e37bc",
+    ("run-zoom-out", "history.csv"): "90fbd36e4e24d28d9f1986d469a38d55b69855f6a8df0f60b949500afb846c29",
+    ("run-zoom-out", "summary.csv"): "56e1b896f0b89c45a09a294dd321b6352cdabc101750c7005f8e49f0b7bd1ba8",
+    ("run-refine-5-2", "history.csv"): "4e454203a52f6da750723671aa2e94e289bb82e7a8ef6de9ec0d7832f1397f71",
+    ("run-refine-5-2", "summary.csv"): "b8f4580ef4a4c4cc2e85da508b92e15bac8c4a5ed7fd5528f3606037edfc189e",
     ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
     ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }
