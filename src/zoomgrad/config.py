@@ -94,6 +94,8 @@ class RunConfig:
     def validate(self):
         if type(self.n) is not int or self.n < 2:
             raise ConfigError("n", "need an integer node count >= 2")
+        if not isinstance(self.x_init_range, (list, tuple)) or len(self.x_init_range) != 2:
+            raise ConfigError("x_init_range", "expected [lo, hi], got %r" % (self.x_init_range,))
         lo, hi = self.x_init_range
         rationals = [(f, getattr(self, f)) for f in RATIONALS] + [("x_init_range[0]", lo), ("x_init_range[1]", hi)]
         for name, value in rationals:

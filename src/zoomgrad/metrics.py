@@ -16,21 +16,32 @@ import math
 from fractions import Fraction
 
 
-def error_metric(q, m, x_star, spread):
+def error_terms(q, x_star, spread):
+    """``error_metric``'s constants on the grid ``q``: ``(E0, S, N, D)``.
+
+    With ``x* = sn/sd`` and the estimate ``x = (base + m*step)/den``,
+    ``x - x* = (E0 + m*S)/(den*sd)`` for ``E0 = base*sd - sn*den`` and
+    ``S = step*sd``; ``N/D`` is ``spread/(den*sd)^2`` over the spread's
+    numerator and ``D = (den*sd)^2 * spread.denominator``.
+    """
+    sn, sd = x_star.numerator, x_star.denominator
+    d = q.den * sd
+    return q.base * sd - sn * q.den, q.step * sd, spread.numerator, d * d * spread.denominator
+
+
+def error_metric(terms, m):
     """Normalized distance sqrt(sum_j ((x - x*)/(x_init_j - x*))^2).
 
-    Every node holds the common estimate ``x``, the point of the grid ``q``
-    at the integer level ``m``, so the sum is the exact rational
-    ``(x - x*)^2 * spread``, where ``spread`` is sum_j 1/(x_init_j - x*)^2,
-    computed once per run.  It is formed over the unreduced integers of
-    ``q.point(m)`` and ``x*``, and one correctly rounded int true division
-    gives the float whose root is taken.
+    Every node holds the common estimate ``x``, the point at the integer
+    level ``m`` of the grid whose ``error_terms`` are ``terms``, so the sum
+    is the exact rational ``(x - x*)^2 * spread``, where ``spread`` is
+    sum_j 1/(x_init_j - x*)^2, computed once per run: ``(E0 + m*S)^2 * N / D``.
+    One correctly rounded int true division gives the float whose root is
+    taken.
     """
-    num, den = q.point(m)
-    sn, sd = x_star.numerator, x_star.denominator
-    e = num * sd - sn * den
-    d = den * sd
-    return math.sqrt(e * e * spread.numerator / (d * d * spread.denominator))
+    e0, s, num, d = terms
+    e = e0 + m * s
+    return math.sqrt(e * e * num / d)
 
 
 # Standard message width (bits) of each fixed quantizer level: what the

@@ -16,23 +16,28 @@ step size on repeats or never touch it.
 A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
-floor division over the grid's integer form (``QuantizerState``).  The
-starts come as one integer table too (``Starts``: distinct numerators over
-one denominator, and each node's index into them), and ``initial_state``
-builds everything the run's fixed inputs determine: the class table, step
-1's masses (``start_masses``, from every node's own start) and the start
-level.
+floor division over the grid's integers (``QuantizerState``).  The part of
+that floor that depends only on the grid is worked out once per grid
+(``grid_offsets``), as is the error's (``metrics.error_terms``); the
+state keeps both and ``OptimizerState.regrid`` refreshes them when the
+grid moves.  They live on the state, not on the grid, because every
+``RunRecord`` keeps its grid alive.  The starts come as one integer table
+too (``Starts``: distinct numerators over one denominator, and each node's
+index into them), and ``initial_state`` builds everything the run's fixed
+inputs determine: the class table, step 1's masses (``start_masses``, from
+every node's own start) and the start level.
 After step 1 every node holds the one common estimate, so a step that moves
 the grid or the estimate refreshes the next step's masses with one floor
-per class (``grid_masses``).  The per-node path, an exact ``Fraction``
-gradient step (``gradient_step``) quantized node by node
-(``engine.init_consensus``), is the oracle both are tested against; no step
-calls it, and the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
+per class (``grid_masses``), on small integers at an integer level.  The
+per-node path, an exact ``Fraction`` gradient step (``gradient_step``)
+quantized node by node (``engine.init_consensus``), is the oracle both are
+tested against; no step calls it, and the benchmark's
+``perfbench/tracing.py`` ``HOOKS`` pin both.
 The error's inputs are fixed at the start too: ``initial_state`` stores the
 optimum ``x_star`` and the normalizer ``start_spread``, summed once per
 entry of the starts' table, weighted by its node count, as a balanced
 tree of unreduced integer fractions reduced once at the end; each step logs
-its error from them.
+its error from the error terms of its grid.
 
 The loop runs in grid coordinates.  ``run_consensus`` returns the level
 ``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
@@ -42,12 +47,14 @@ keeps the estimate as its level on the current grid
 zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
 refine.  Before step 1 the level is the start's when the starts' table
 holds one value, else None, so step 1 is a repeat only when every start
-equals its output.  The masses, the repeat and saturation tests and the
-error metric read the level and the grid's integer form, so a step without
-an event builds no ``Fraction``; the estimate (``RunRecord.x_value``) is
-built only when read, and a zoom builds the point it re-centres on.  A
-fixed level's repeat leaves grid and estimate unchanged, so the next step
-sends the same masses again.
+equals its output.  A zoom or a refine is one ``QuantizerState.moved``,
+integer arithmetic with one gcd.  The masses, the repeat and saturation
+tests, the grid moves and the error metric read only levels and integers,
+so after step 1 no step builds a ``Fraction`` except a refine by a factor
+``c_refine``, which builds the level ``m*c_refine``; the estimate
+(``RunRecord.x_value``) is built only when read.  A fixed level's repeat
+leaves grid and estimate unchanged, so the next step sends the same masses
+again.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
@@ -60,7 +67,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .consensus import run_consensus
-from .metrics import error_metric
+from .metrics import error_metric, error_terms
 from .quantizer import QuantizerState, grid_point
 
 
@@ -87,10 +94,9 @@ class AdaptiveZoom:
         """Re-centre on the estimate ``b_q + m*delta`` (its new level is 0):
         zoom out when ``m >= H or m < -H``, ``H = 2**(width-1) - 1``, else in.
         The test compares bit lengths, so no ``2**(width-1)`` is built."""
-        x_new = grid_point(q, m)
         if (m + 1 if m >= 0 else -m).bit_length() >= self.quantizer_width:
-            return QuantizerState(x_new, q.delta * self.c_out), "zoom_out", 0
-        return QuantizerState(x_new, q.delta / self.c_in), "zoom_in", 0
+            return q.moved(m, self.c_out.numerator, self.c_out.denominator), "zoom_out", 0
+        return q.moved(m, self.c_in.denominator, self.c_in.numerator), "zoom_in", 0
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,8 @@ class RefineOnly:
 
     def on_repeat(self, q, m):
         """Divide the step in place: the level ``m`` becomes ``m*c_refine``."""
-        return QuantizerState(q.b_q, q.delta / self.c_refine), "refine", m * self.c_refine
+        c = self.c_refine
+        return q.moved(0, c.denominator, c.numerator), "refine", m * c
 
 
 @dataclass(frozen=True)
@@ -178,43 +185,61 @@ def cost_classes(s, alpha):
 Starts = namedtuple("Starts", "den nums node_start")
 
 
-def _masses(classes, q, d, points):
-    """Initial consensus mass of the half-step of each point ``((u_c, v_c), a)``.
+def grid_offsets(classes, q):
+    """The masses' constants on the grid ``q``: ``(u_c, K_c, kappa_c)`` per class.
 
-    A node of class c holding the estimate ``x = a/d``, over a multiple
-    ``d = den*r`` of the grid's denominator, has the half-step
-    ``(u_c*x + v_c) / lcm``; on the unsaturated grid of ``q`` its bin index
-    is ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``, and in
-    the grid's integers ``t = (u_c*a + (v_c*den - lcm*base)*r) // (lcm*step*r)``.
+    Class c's half-step of the estimate ``x`` is ``(u_c*x + v_c) / lcm``;
+    on the unsaturated grid its bin index is
+    ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``.  With
+    ``x - b_q = p/(den*r)`` that is ``t = (u_c*p + K_c*r) // (lcm*step*r)``
+    for ``K_c = (u_c - lcm)*base + v_c*den``, and at an integer level ``L``
+    (``p = L*step``, ``r = 1``) the nested floor gives
+    ``t = (u_c*L + kappa_c) // lcm`` with ``kappa_c = K_c // step``.
     """
-    r = d // q.den
-    offset = classes.lcm * q.base
+    lcm, base, den, step = classes.lcm, q.base, q.den, q.step
+    offsets = []
+    for u, v in classes.coeffs:
+        k = (u - lcm) * base + v * den
+        offsets.append((u, k, k // step))
+    return offsets
+
+
+def _masses(classes, q, r, points):
+    """``2*t + 1`` of each point ``((u_c, K_c, kappa_c), p)`` at the estimate
+    ``x = b_q + p/(den*r)`` (``grid_offsets``)."""
     den = classes.lcm * q.step * r
-    return [2 * ((u * a + (v * q.den - offset) * r) // den) + 1 for (u, v), a in points]
+    return [2 * ((u * p + k * r) // den) + 1 for (u, k, _), p in points]
 
 
-def start_masses(classes, starts, q):
+def start_masses(classes, q, offsets, starts):
     """Step 1's initial masses: every node's half-step from its own start.
 
     Equal to ``init_consensus(gradient_step(xs, s, alpha), q)`` for the
-    per-node starts ``xs`` of the ``Starts`` table ``starts``; each start
-    is scaled once to the one denominator of the grid and the table.
+    per-node starts ``xs`` of the ``Starts`` table ``starts``, from the
+    ``grid_offsets`` of ``q``: start ``a/d`` lies at
+    ``b_q + (a*den - base*d)/(den*d)``.
     """
-    d = math.lcm(q.den, starts.den)
-    scaled = [a * (d // starts.den) for a in starts.nums]
-    pulls = map(classes.coeffs.__getitem__, classes.node_class)
-    return _masses(classes, q, d, zip(pulls, map(scaled.__getitem__, starts.node_start)))
+    d = starts.den
+    gaps = [a * q.den - q.base * d for a in starts.nums]
+    pulls = map(offsets.__getitem__, classes.node_class)
+    return _masses(classes, q, d, zip(pulls, map(gaps.__getitem__, starts.node_start)))
 
 
-def grid_masses(classes, level, q):
+def grid_masses(classes, q, offsets, level):
     """Initial masses of every node from the common estimate ``b_q + level*delta``.
 
     Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` at that
-    estimate, with one floor per class.
+    estimate, with one floor per class from the ``grid_offsets`` of ``q``:
+    on small integers at an integer level (a ``Fraction`` of denominator 1
+    counts as one), and at a ``Fraction`` level ``ln/ld`` over ``r = ld``.
     """
-    a, d = q.point(level)
-    ys = _masses(classes, q, d, zip(classes.coeffs, repeat(a)))
-    return [ys[c] for c in classes.node_class]
+    ln, ld = level.numerator, level.denominator
+    if ld == 1:
+        lcm = classes.lcm
+        ys = [2 * ((u * ln + kappa) // lcm) + 1 for u, _, kappa in offsets]
+    else:
+        ys = _masses(classes, q, ld, zip(offsets, repeat(ln * q.step)))
+    return list(map(ys.__getitem__, classes.node_class))
 
 
 def start_spread(starts, x_star):
@@ -257,13 +282,28 @@ def _tree_sum(terms):
 
 @dataclass
 class OptimizerState:
+    """The run between steps.  ``regrid`` moves it to a grid and works out
+    that grid's constants, which live here and not on the grid: every
+    ``RunRecord`` keeps its grid alive."""
+
     q: QuantizerState  # the current grid
     level: int | Fraction | None  # the common estimate's level on q's grid; None while the starts differ
     classes: CostClasses  # the run's cost-class table, for its (s, alpha)
-    masses: list  # the next step's initial consensus masses
     x_star: Fraction  # the suite's optimum
     spread: Fraction  # the error's normalizer, start_spread of the starts
+    masses: list = field(default=None, init=False)  # the next step's initial consensus masses
+    offsets: list = field(init=False)  # grid_offsets of q
+    error_terms: tuple = field(init=False)  # metrics.error_terms of q
     history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
+
+    def __post_init__(self):
+        self.regrid(self.q)
+
+    def regrid(self, q):
+        """Move to the grid ``q``, with its ``grid_offsets`` and ``error_terms``."""
+        self.q = q
+        self.offsets = grid_offsets(self.classes, q)
+        self.error_terms = error_terms(q, self.x_star, self.spread)
 
 
 def initial_state(starts, q, s, alpha):
@@ -280,8 +320,9 @@ def initial_state(starts, q, s, alpha):
     classes = cost_classes(s, alpha)
     level = Fraction(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den) if len(starts.nums) == 1 else None
     x_star = s.global_optimum
-    masses = start_masses(classes, starts, q)
-    return OptimizerState(q, level, classes, masses, x_star, start_spread(starts, x_star))
+    state = OptimizerState(q, level, classes, x_star, start_spread(starts, x_star))
+    state.masses = start_masses(classes, q, state.offsets, starts)
+    return state
 
 
 def gradient_step(x, s, alpha):
@@ -316,8 +357,8 @@ def step(state, g, policy, rng):
     """Advance one full iteration in place; append and return its RunRecord.
 
     The record's error is ``error_metric`` of the common estimate, the level
-    ``m`` on the grid of this step's consensus, against the state's optimum
-    and spread.
+    ``m`` on the grid of this step's consensus, from that grid's
+    ``error_terms``.
     """
     pre_q = state.q
     level_old = state.level
@@ -329,16 +370,19 @@ def step(state, g, policy, rng):
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below.
     m, stats = run_consensus(state.masses, pre_q, g, rng)
-    state.q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
+    error = error_metric(state.error_terms, m)
+    q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
+    if q is not pre_q:
+        state.regrid(q)
     # A repeat without an event keeps grid and estimate, and with them the
     # masses.
     if event != "none" or m != level_old:
-        state.masses = grid_masses(state.classes, state.level, state.q)
+        state.masses = grid_masses(state.classes, q, state.offsets, state.level)
 
     rec = RunRecord(
         k=len(state.history) + 1,
         level=m,
-        error=error_metric(pre_q, m, state.x_star, state.spread),
+        error=error,
         q=pre_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,

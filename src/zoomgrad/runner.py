@@ -126,7 +126,7 @@ def run_single(config):
     g = generate_random_digraph(config.n, config.edge_prob, config.seed)
     s = build_costs(config)
     starts = sample_x_init(config, s.global_optimum)
-    state = initial_state(starts, QuantizerState(config.b_q0, config.delta0), s, config.alpha)
+    state = initial_state(starts, QuantizerState.of(config.b_q0, config.delta0), s, config.alpha)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
         run_until(state, g, policy, config.block("stop"), rng)

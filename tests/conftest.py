@@ -242,10 +242,10 @@ def fraction_zoom_decide(q, x_new, x_old, policy):
         gap = (xn * bd - bn * xd) * q.delta.denominator
         rim = (2 ** (policy.quantizer_width - 1) - 1) * q.delta.numerator * xd * bd
         if gap >= rim or gap < -rim:
-            return QuantizerState(x_new, q.delta * policy.c_out), "zoom_out"
-        return QuantizerState(x_new, q.delta / policy.c_in), "zoom_in"
+            return QuantizerState.of(x_new, q.delta * policy.c_out), "zoom_out"
+        return QuantizerState.of(x_new, q.delta / policy.c_in), "zoom_in"
     if isinstance(policy, RefineOnly):
-        return QuantizerState(q.b_q, q.delta / policy.c_refine), "refine"
+        return QuantizerState.of(q.b_q, q.delta / policy.c_refine), "refine"
     if isinstance(policy, FixedLevel):
         return q, "none"
     raise TypeError("unknown zoom policy %r" % (policy,))

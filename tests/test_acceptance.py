@@ -133,7 +133,7 @@ def consensus_batch():
     instrumented with a per-round mass-conservation check.  The inputs go
     through the 3-bit quantizer, clamped to its range, before the masses are
     formed."""
-    q = QuantizerState(b_q=F(0), delta=F(1, 2))
+    q = QuantizerState.of(b_q=F(0), delta=F(1, 2))
     batch = {
         "runs": 0,
         "agreement_failures": 0,
@@ -177,7 +177,7 @@ def consensus_batch():
 
 def test_criterion_01_quantizer_branch_table(acceptance):
     t0 = time.perf_counter()
-    q = QuantizerState(b_q=F(0), delta=F(1, 2))
+    q = QuantizerState.of(b_q=F(0), delta=F(1, 2))
     # (input, quantized midpoint, level code) for every cell of the 8-cell
     # window, each left-closed cell boundary, and both saturation regions
     table = [

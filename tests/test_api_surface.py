@@ -16,16 +16,19 @@ table of defaults, is exempt.  The allowlists hold the names that only the
 benchmark or the console script uses, each with its reason: removing one
 breaks that user.  The import check covers ``tests/`` too.
 
-The grid ``(b_q, delta)`` has one integer form, which ``quantizer.py``
-derives (``QuantizerState.den``, ``base`` and ``step``); no other module
-reads the ``numerator`` or ``denominator`` of an attribute named ``b_q`` or
-``delta``.
+The grid ``(b_q, delta)`` is one integer form, ``QuantizerState``'s
+``den``, ``base`` and ``step``, and its ``b_q`` and ``delta`` build a
+``Fraction`` on each read.  Outside ``quantizer.py`` only the functions in
+``GRID_FRACTION_READERS`` read an attribute of either name, each with its
+reason, and no module reads their ``numerator`` or ``denominator``: the
+step path works out its per-grid constants from the integers.
 """
 
 import ast
 import os
 
 import zoomgrad
+from zoomgrad.quantizer import QuantizerState
 
 PACKAGE = os.path.dirname(zoomgrad.__file__)
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -50,6 +53,11 @@ DEFAULT_PINS = {
 }
 
 DEFAULT_TABLE = "RunConfig"
+
+GRID_FRACTION_READERS = {
+    "runner.write_history_csv": "the history report renders delta and b_q",
+    "engine.init_consensus": "the per-node oracle of the masses",
+}
 
 
 def package_trees(top=PACKAGE):
@@ -228,22 +236,41 @@ def test_no_module_imports_a_name_it_never_uses():
     assert sorted(unused_imports(PACKAGE) | unused_imports(TESTS)) == []
 
 
-def grid_integer_reads(top=PACKAGE):
-    """``module:line`` of each read of ``.numerator`` or ``.denominator`` of an
-    attribute named ``b_q`` or ``delta`` in a module other than ``quantizer``."""
+def grid_reads(top=PACKAGE):
+    """``module.function:line`` of each read of an attribute named ``b_q`` or
+    ``delta`` in a module other than ``quantizer`` (``<module>`` outside any
+    function), and whether it reads that attribute's ``numerator`` or
+    ``denominator``."""
     reads = []
     for module, tree in package_trees(top):
+        if module == "quantizer":
+            continue
+        owner = {}  # node -> innermost enclosing function: ast.walk visits outer ones first
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, function.name) for node in ast.walk(function))
         for node in ast.walk(tree):
-            if (
-                module != "quantizer"
-                and isinstance(node, ast.Attribute)
-                and node.attr in ("numerator", "denominator")
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr in ("b_q", "delta")
-            ):
-                reads.append("%s:%d" % (module, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                value, split = node.value, True
+            else:
+                value, split = node, False
+            if isinstance(value, ast.Attribute) and value.attr in ("b_q", "delta"):
+                where = "%s.%s:%d" % (module, owner.get(value, "<module>"), value.lineno)
+                reads.append((where, split))
     return reads
 
 
 def test_only_the_quantizer_derives_the_grid_integers():
-    assert grid_integer_reads() == []
+    reads = grid_reads()
+    assert [where for where, split in reads if split] == []
+    readers = {where.split(":")[0] for where, _ in reads}
+    assert sorted(readers - set(GRID_FRACTION_READERS)) == []
+    assert sorted(set(GRID_FRACTION_READERS) - readers) == []  # a reader that stopped reading leaves the allowlist
+
+
+def test_the_grid_holds_its_three_integers_only():
+    # Every RunRecord keeps the grid its step ran on alive, so the grid holds
+    # nothing it can derive: a grid that also cached per-grid constants raised
+    # the reference sweep's peak RSS.  Those constants live on OptimizerState.
+    assert QuantizerState.__slots__ == ("den", "base", "step")
+    assert not hasattr(QuantizerState.of(0, 1), "__dict__")

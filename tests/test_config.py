@@ -149,6 +149,10 @@ def test_parse_rational_rejects(bad):
         ({"alpha": True}, "alpha"),
         ({"delta0": "1/2"}, "delta0"),
         ({"x_init_range": (F(1), None)}, "x_init_range[1]"),
+        # a range of the wrong shape: validate unpacks it, so it checks the shape first
+        ({"x_init_range": (1, 2, 3)}, "x_init_range"),
+        ({"x_init_range": 5}, "x_init_range"),
+        ({"x_init_range": None}, "x_init_range"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

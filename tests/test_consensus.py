@@ -45,7 +45,7 @@ from zoomgrad.graph import generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
-Q_HALF = QuantizerState(b_q=F(0), delta=F(1, 2))
+Q_HALF = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 
 
 def quantized(q, xi, width):
@@ -93,7 +93,7 @@ def test_init_three_nodes():
 def test_init_masses_are_odd_integers(b_q, delta, xs, width):
     # y is twice a midpoint offset: 2*((2t+1)*delta/2)/delta = 2t+1, for any
     # basis -- including the non-grid-aligned bases left behind by zooms.
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     for y in masses(xs, q, width):
         assert type(y) is int
         assert y % 2 == 1
@@ -209,7 +209,7 @@ def test_agreement_accuracy_conservation(n):
     for seed in range(15):
         g, x, rng = random_instance(seed, n)
         for width in (3, None):
-            q = QuantizerState(b_q=F(0), delta=F(1, 2))
+            q = QuantizerState.of(b_q=F(0), delta=F(1, 2))
             y0 = sum(masses(x, q, width))
             violations = []
             final_m = []
@@ -277,7 +277,7 @@ def test_epoch_flooding_reaches_global_extremes():
 def test_non_grid_basis_instance():
     # After zoom events the basis is generally not a multiple of delta; the
     # offsets stay integral and the output stays on the shifted grid.
-    q = QuantizerState(b_q=F(573, 256), delta=F(27, 64))
+    q = QuantizerState.of(b_q=F(573, 256), delta=F(27, 64))
     g = generate_random_digraph(6, F(1, 2), 11)
     x = [F(573, 256) + F(k, 8) for k in (-9, -2, 0, 3, 5, 12)]
     result, _ = consensus_point(init_consensus(x, q), q, g, PCG32(11, STREAM_PROTOCOL))
@@ -313,9 +313,9 @@ def parity_graphs(draw):
 
 
 PARITY_QUANTIZERS = [  # (grid, width)
-    (QuantizerState(b_q=F(0), delta=F(1, 2)), 3),
-    (QuantizerState(b_q=F(0), delta=F(1, 2)), None),
-    (QuantizerState(b_q=F(573, 256), delta=F(27, 64)), None),  # non-grid basis
+    (QuantizerState.of(b_q=F(0), delta=F(1, 2)), 3),
+    (QuantizerState.of(b_q=F(0), delta=F(1, 2)), None),
+    (QuantizerState.of(b_q=F(573, 256), delta=F(27, 64)), None),  # non-grid basis
 ]
 
 
@@ -697,7 +697,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
     # grid_point builds b_q + m*delta from the grid's one integer form
     # (base/den, step/den): on a non-grid basis with wide denominators, for
     # m of either sign, that must be the Fraction expression.
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
     d_eff = effective_epoch(g.diameter)
     _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL))

@@ -299,7 +299,7 @@ def test_a_generated_graph_never_flattens_its_rows(kernel, monkeypatch):
     g = generate_random_digraph(65, Fraction(1, 2), 3)
     assert g.diameter == bfs_diameter(g)
     y = [2 * (u % 7) - 5 for u in range(g.n)]  # odd masses, as init_consensus gives
-    q = QuantizerState(b_q=Fraction(0), delta=Fraction(1))
+    q = QuantizerState.of(b_q=Fraction(0), delta=Fraction(1))
     assert run_consensus(y, q, g, PCG32(3, STREAM_PROTOCOL))[1].rounds > 0
     assert g._kernel_handle[0] is NoCsr
 

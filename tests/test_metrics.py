@@ -31,6 +31,7 @@ from zoomgrad.metrics import (
     TABLE_ROWS,
     decimal_fixed,
     error_metric,
+    error_terms,
     exact_decimal,
     schedule_width,
     table_cells,
@@ -65,7 +66,7 @@ def per_node_error(x, x_init, x_star):
 def error_at(x, x_star, spread, m=3, delta=F(1, 7)):
     """``error_metric`` at the estimate ``x``, given as level ``m`` on a grid
     whose basis lies ``m`` steps below ``x``."""
-    return error_metric(QuantizerState(x - m * delta, delta), m, x_star, spread)
+    return error_metric(error_terms(QuantizerState.of(x - m * delta, delta), x_star, spread), m)
 
 
 def test_error_zero_at_optimum():
@@ -95,7 +96,7 @@ def test_error_rejects_degenerate_start():
     # names the node whose start sits on the optimum
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
     with pytest.raises(ValueError, match="node 1"):
-        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
+        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState.of(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 
@@ -141,22 +142,22 @@ LEVELS = st.one_of(st.integers(-300, 300), st.integers(-(2**70), 2**70))
 @example(F(2) ** 200, F(1), 0, F(-(2**200)), False, F(2) ** 700)  # (x - x*)^2 * S ~ 2**1102: beyond a float
 @example(F(3, 7), F(1, 2), 0, F(3, 7), True, F(5, 11))
 def test_error_metric_matches_the_fraction_formula(b_q, delta, m, x_star, at_optimum, spread):
-    # error_metric reads the estimate x = b_q + m*delta as its grid's
-    # integers and divides integers it never reduces; the Fraction formula
+    # error_metric reads the estimate x = b_q + m*delta from its grid's
+    # error_terms and divides integers it never reduces; the Fraction formula
     # builds x and reduces first.  Both round the same rational once, so
     # the floats agree bit for bit, from underflow to 0.0 up to the
     # OverflowError both raise.
     x = b_q + m * delta
     if at_optimum:
         x_star = x
-    q = QuantizerState(b_q, delta)
+    q = QuantizerState.of(b_q, delta)
     try:
         want = fraction_error_metric(x, x_star, spread)
     except OverflowError:
         with pytest.raises(OverflowError):
-            error_metric(q, m, x_star, spread)
+            error_metric(error_terms(q, x_star, spread), m)
         return
-    assert error_metric(q, m, x_star, spread).hex() == want.hex()
+    assert error_metric(error_terms(q, x_star, spread), m).hex() == want.hex()
     if at_optimum:
         assert want == 0.0
 
@@ -223,7 +224,7 @@ def test_envelope_warns_outside_admissible_range():
 
 def rec(k, x, delta):
     # the estimate x as level 0 on a grid based at x
-    return RunRecord(k, 0, 0.0, QuantizerState(x, delta), "none", 1, 3)
+    return RunRecord(k, 0, 0.0, QuantizerState.of(x, delta), "none", 1, 3)
 
 
 def test_envelope_from_history_anchoring():

@@ -37,6 +37,7 @@ from zoomgrad.optimizer import (
     cost_classes,
     gradient_step,
     grid_masses,
+    grid_offsets,
     initial_state,
     run_until,
     start_masses,
@@ -48,7 +49,7 @@ from zoomgrad.quantizer import QuantizerState, grid_point
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 from zoomgrad.runner import step_costs
 
-Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
+Q0 = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 ALPHA = F(3, 25)
 
 
@@ -87,11 +88,11 @@ def test_no_event_without_repeat():
 
 def test_adaptive_out_of_range_zooms_out():
     # The grid re-centres on the estimate, whose level on it is 0.
-    assert zoom_decide(Q0, 4, 4, ADAPTIVE) == (QuantizerState(F(2), F(1)), "zoom_out", 0)  # x = 2
+    assert zoom_decide(Q0, 4, 4, ADAPTIVE) == (QuantizerState.of(F(2), F(1)), "zoom_out", 0)  # x = 2
 
 
 def test_adaptive_in_range_zooms_in():
-    assert zoom_decide(Q0, 2, 2, ADAPTIVE) == (QuantizerState(F(1), F(3, 8)), "zoom_in", 0)  # x = 1
+    assert zoom_decide(Q0, 2, 2, ADAPTIVE) == (QuantizerState.of(F(1), F(3, 8)), "zoom_in", 0)  # x = 1
 
 
 def test_adaptive_range_boundaries():
@@ -138,7 +139,7 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free,
     # the estimates, as Fractions against saturation_half_range and as the
     # cross-multiplied integers of fraction_zoom_decide.  Same event, same
     # next grid, and no event when the previous level differs.
-    q = QuantizerState(b_q, delta)
+    q = QuantizerState.of(b_q, delta)
     half = saturation_half_range(q, width)
     if where == "free":
         m = m_free
@@ -148,9 +149,9 @@ def test_zoom_decide_matches_the_fraction_rule(b_q, delta, width, where, m_free,
     x_new = b_q + m * delta
     policy = AdaptiveZoom(quantizer_width=width, c_in=factors[0], c_out=factors[1])
     if x_new >= q.b_q + half or x_new < q.b_q - half:
-        expected = QuantizerState(x_new, delta * policy.c_out), "zoom_out"
+        expected = QuantizerState.of(x_new, delta * policy.c_out), "zoom_out"
     else:
-        expected = QuantizerState(x_new, delta / policy.c_in), "zoom_in"
+        expected = QuantizerState.of(x_new, delta / policy.c_in), "zoom_in"
     assert fraction_zoom_decide(q, x_new, x_new, policy) == expected
     assert zoom_decide(q, m, m, policy) == expected + (0,)
     assert zoom_decide(q, m, m + 1, policy)[:2] == fraction_zoom_decide(q, x_new, x_new + delta, policy) == (q, "none")
@@ -299,7 +300,7 @@ def test_fixed_level_repeat_is_absorbing():
     # again -- the mechanism behind the error floor.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
-    q = QuantizerState(b_q=F(0), delta=F(1, 10))
+    q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
     state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
@@ -355,7 +356,7 @@ def test_initial_state_copies_inputs():
     assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
     assert st.classes == cost_classes(s, ALPHA)
-    assert st.masses == start_masses(st.classes, starts_of([F(1), F(2)]), Q0)
+    assert st.masses == start_masses(st.classes, Q0, grid_offsets(st.classes, Q0), starts_of([F(1), F(2)]))
     assert isinstance(st, OptimizerState)
 
 
@@ -367,7 +368,7 @@ def test_equal_starts_hold_their_level_before_step_1(x0, level):
     s = suite([(1, 1), (2, 3), (1, 5)])
     st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA)
     assert st.level == level
-    assert st.masses == grid_masses(st.classes, level, Q0)
+    assert st.masses == grid_masses(st.classes, Q0, grid_offsets(st.classes, Q0), level)
 
 
 # --- grid-index half-steps against the per-node oracle ---------------------
@@ -384,23 +385,46 @@ def draw_suite(data, n, betas=BETAS, x0s=X0S):
     return cost_suite([QuadraticCost(b, x0) for b, x0 in pool + [pool[i] for i in picks]])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_grid_masses_match_the_per_node_path(data):
-    # The masses come from one integer floor per cost class; the oracle is
-    # n exact gradient steps, each quantized on the unsaturated grid.  x and
-    # b_q are drawn independently, so x - b_q need not be a whole number of
-    # steps: the level (x - b_q)/delta is any rational, as after a refine.
+    # The masses come from one integer floor per cost class, from the
+    # per-grid constants of grid_offsets; the oracle is n exact gradient
+    # steps, each quantized on the unsaturated grid.  The grid is drawn, or
+    # is the one a zoom-out, a zoom-in or a refine moves a drawn grid to.
+    # The level is an int (the floor on small integers), a Fraction of
+    # denominator 1, a Fraction, negative ones included, or the level of an
+    # estimate x drawn independently of b_q, so x - b_q need not be a whole
+    # number of steps: any rational, as after a refine.
     n = data.draw(st.integers(min_value=1, max_value=40))
     s = draw_suite(data, n)
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
-    x = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000))
-    q = QuantizerState(
+    q = QuantizerState.of(
         b_q=data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
         delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
     )
-    want = init_consensus(gradient_step([x] * n, s, alpha), q)
-    assert grid_masses(cost_classes(s, alpha), (x - q.b_q) / q.delta, q) == want
+    c = data.draw(st.fractions(min_value=F(10, 9), max_value=4, max_denominator=9))
+    m = data.draw(st.integers(-40, 40))
+    move = data.draw(st.sampled_from(["none", "zoom_out", "zoom_in", "refine"]))
+    if move == "zoom_out":
+        q = q.moved(m, c.numerator, c.denominator)
+    elif move == "zoom_in":
+        q = q.moved(m, c.denominator, c.numerator)
+    elif move == "refine":
+        q = q.moved(0, c.denominator, c.numerator)
+    levels = st.integers(-60, 60)
+    estimates = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+    level = data.draw(
+        st.one_of(
+            levels,
+            levels.map(F),
+            st.fractions(min_value=-60, max_value=60, max_denominator=12),
+            estimates.map(lambda x: (x - q.b_q) / q.delta),
+        )
+    )
+    classes = cost_classes(s, alpha)
+    want = init_consensus(gradient_step([grid_point(q, level)] * n, s, alpha), q)
+    assert grid_masses(classes, q, grid_offsets(classes, q), level) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,12 +439,13 @@ def test_start_masses_match_the_per_node_path(data):
     x_init = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     s = draw_suite(data, len(x_init))
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
-    q = QuantizerState(
+    q = QuantizerState.of(
         b_q=data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=1000)),
         delta=data.draw(st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000)),
     )
     want = init_consensus(gradient_step(x_init, s, alpha), q)
-    assert start_masses(cost_classes(s, alpha), starts_of(x_init), q) == want
+    classes = cost_classes(s, alpha)
+    assert start_masses(classes, q, grid_offsets(classes, q), starts_of(x_init)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,7 +511,7 @@ def test_a_start_table_over_any_common_denominator_gives_one_state(data):
     k = data.draw(st.integers(min_value=2, max_value=30))
     table = starts_of(x_init)
     wide = Starts(table.den * k, tuple(a * k for a in table.nums), table.node_start)
-    q = QuantizerState(
+    q = QuantizerState.of(
         b_q=data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)),
         delta=data.draw(st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)),
     )
@@ -544,7 +569,7 @@ def run_instances(draw):
         st.fractions(min_value=-5, max_value=5, max_denominator=8),
     )
     policy = draw(st.sampled_from(POLICIES))
-    q = QuantizerState(
+    q = QuantizerState.of(
         b_q=draw(st.fractions(min_value=-2, max_value=2, max_denominator=8)),
         delta=draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16)),
     )
@@ -634,7 +659,7 @@ def test_a_refine_by_five_halves_leaves_a_half_level_and_matches_the_oracle():
 
 # A grid whose one denominator, 12, is not the product of its basis's and
 # its step's (6 and 4), and the adaptive policy under each pair of factors.
-DEEP_Q0 = QuantizerState(b_q=F(1, 6), delta=F(1, 4))
+DEEP_Q0 = QuantizerState.of(b_q=F(1, 6), delta=F(1, 4))
 DEEP_POLICIES = [replace(ADAPTIVE, c_in=c_in, c_out=c_out) for c_in in (F(4, 3), F(7, 5)) for c_out in (F(2), F(5, 2))]
 
 
@@ -655,6 +680,48 @@ def test_a_deep_zoom_chain_matches_the_per_node_oracle(backend, policy, request)
     events = {r.zoom_event for r in history}
     assert len(history) == 64 and q.den > 2**25
     assert events >= ({"zoom_in", "zoom_out"} if isinstance(policy, AdaptiveZoom) else {"refine"})
+
+
+@st.composite
+def zoom_chains(draw):
+    """A run of 40 to 64 steps on a drawn grid under a drawn zoom rule.
+
+    The adaptive rule draws its width and both factors, the refine-only one
+    its factor; the starts come from a small pool, so nodes share them and
+    may all hold one.  Returns (grid, policy, starts, steps, RNG seed).
+    """
+    factors = st.fractions(min_value=F(8, 7), max_value=3, max_denominator=7)
+    if draw(st.booleans()):
+        policy = replace(ADAPTIVE, quantizer_width=draw(st.integers(1, 4)), c_in=draw(factors), c_out=draw(factors))
+    else:
+        policy = RefineOnly(c_refine=draw(factors))
+    q = QuantizerState.of(
+        draw(st.fractions(min_value=-2, max_value=2, max_denominator=12)),
+        draw(st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)),
+    )
+    pool = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=5, unique=True))
+    x_init = draw(st.lists(st.sampled_from(pool), min_size=5, max_size=5))
+    return q, policy, x_init, draw(st.integers(40, 64)), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
+def test_drawn_deep_zoom_chains_match_the_per_node_oracle(backend, request):
+    # The deep chain above over drawn chains: every record, the final grid,
+    # the RNG position and each step's estimate equal the per-node path's,
+    # for any zoom factors, grid, width and starts.
+    request.getfixturevalue(backend)
+    g = generate_random_digraph(5, F(1, 2), 7)
+    s = suite([(1, 2), (2, 5), (1, 3), (3, 4), (2, "7/2")])
+
+    @settings(max_examples=10, deadline=None)
+    @given(zoom_chains())
+    def check(chain):
+        q, policy, x_init, steps, seed = chain
+        assume(s.global_optimum not in x_init)  # initial_state rejects a start at the optimum
+        args = (g, s, x_init, q, ALPHA, policy, seed, {"max_steps": steps})
+        assert oracle_run(step, *args) == oracle_run(per_node_step, *args)
+
+    check()
 
 
 def fraction_constructions(monkeypatch):
@@ -682,11 +749,13 @@ def fraction_constructions(monkeypatch):
 def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     # Between zooms the estimate is a grid level: after step 1, a step whose
     # event is none (every step of a fixed level, its absorbing repeats
-    # included) builds no Fraction, error metric included.  A record's
-    # x_value is built only when read.
+    # included) builds no Fraction, error metric included.  A grid move is
+    # integer arithmetic too: a zoom, in or out, builds none, and a refine
+    # builds at most the level m*c_refine it leaves on the finer grid.  A
+    # record's x_value is built only when read.
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
-    q = QuantizerState(b_q=F(0), delta=F(1, 10))
+    q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
     state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
     built = fraction_constructions(monkeypatch)
     per_step = []
@@ -703,12 +772,18 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     quiet = [count for event, count in per_step[1:] if event == "none"]
     assert len(quiet) >= 10
     assert quiet == [0] * len(quiet)
+    moves = [(event, count) for event, count in per_step[1:] if event != "none"]
+    if isinstance(policy, AdaptiveZoom):
+        assert {event for event, _ in moves} == {"zoom_in", "zoom_out"}
+        assert [count for _, count in moves] == [0] * len(moves)
+    elif isinstance(policy, RefineOnly):
+        assert moves and max(count for _, count in moves) <= 1
     before = len(built)
     last = state.history[-1]
     x = last.x_value
     assert len(built) > before
     assert x == last.q.b_q + last.level * last.q.delta
-    assert state.masses == grid_masses(state.classes, state.level, state.q)  # the next step's
+    assert state.masses == grid_masses(state.classes, state.q, state.offsets, state.level)  # the next step's
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
@@ -718,7 +793,7 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     # kernel.
     g = generate_random_digraph(5, F(1, 2), 4)
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
-    q = QuantizerState(b_q=F(0), delta=F(1, 2**60))
+    q = QuantizerState.of(b_q=F(0), delta=F(1, 2**60))
     masses = []
 
     def recording(y, *args, **kwargs):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from conftest import ADAPTIVE, clamped_quantize, level_index, saturation_half_range
 from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 
-Q0 = QuantizerState(b_q=F(0), delta=F(1, 2))
+Q0 = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 C_IN, C_OUT = F(4, 3), F(2)  # the adaptive policy's default zoom factors
 ZOOM = ADAPTIVE  # 3 bits: levels in [-3, 3) zoom in, the others out
 
@@ -52,7 +52,7 @@ def test_branch_table(xi, midpoint, code):
 
 
 def test_shifted_basis():
-    q = QuantizerState(b_q=F(2), delta=F(1, 2))
+    q = QuantizerState.of(b_q=F(2), delta=F(1, 2))
     assert clamped_quantize(q, F(2), 3) == F(9, 4)  # basis input -> b_q + d/2
     assert clamped_quantize(q, F(2) - F(1, 100), 3) == F(7, 4)
     assert level_index(q, F(100), 3) == 7
@@ -60,14 +60,14 @@ def test_shifted_basis():
 
 
 def test_non_dyadic_grid():
-    q = QuantizerState(b_q=F(1), delta=F(3, 8))
+    q = QuantizerState.of(b_q=F(1), delta=F(3, 8))
     assert clamped_quantize(q, F(1), 3) == F(1) + F(3, 16)
     assert clamped_quantize(q, F(1) - F(3, 8), 3) == F(1) - F(3, 16)
     assert saturation_half_range(q, 3) == F(9, 8)
 
 
 def test_wider_quantizer():
-    q = QuantizerState(b_q=F(0), delta=F(1))
+    q = QuantizerState.of(b_q=F(0), delta=F(1))
     assert saturation_half_range(q, 4) == F(7)  # (2^3 - 1) * delta
     assert clamped_quantize(q, F(100), 4) == F(15, 2)  # (2*15 - 15)/2
     assert clamped_quantize(q, F(-100), 4) == F(-15, 2)
@@ -86,7 +86,7 @@ def test_unsaturated_variant():
 
 def test_zoom_out_examples():
     # on Q0 level m is the point m/2
-    assert ZOOM.on_repeat(Q0, 4) == (QuantizerState(F(2), F(1)), "zoom_out", 0)
+    assert ZOOM.on_repeat(Q0, 4) == (QuantizerState.of(F(2), F(1)), "zoom_out", 0)
     q2, _, _ = ZOOM.on_repeat(Q0, -10)
     assert (q2.b_q, q2.delta) == (F(-5), F(1))
     q3, _, _ = replace(ZOOM, quantizer_width=1).on_repeat(q2, 0)  # a 1-bit range holds no level
@@ -96,7 +96,7 @@ def test_zoom_out_examples():
 
 def test_zoom_in_examples():
     q1, event, _ = ZOOM.on_repeat(Q0, 2)
-    assert (q1, event) == (QuantizerState(F(1), F(3, 8)), "zoom_in")
+    assert (q1, event) == (QuantizerState.of(F(1), F(3, 8)), "zoom_in")
     q2, _, _ = ZOOM.on_repeat(q1, 0)
     assert q2.delta == F(9, 32)
     assert replace(ZOOM, c_in=F(7, 5)).on_repeat(Q0, 2)[0].delta == F(5, 14)
@@ -104,9 +104,9 @@ def test_zoom_in_examples():
 
 def test_validation():
     with pytest.raises(ValueError):
-        QuantizerState(b_q=F(0), delta=F(0))
+        QuantizerState.of(b_q=F(0), delta=F(0))
     with pytest.raises(ValueError):
-        QuantizerState(b_q=F(0), delta=F(-1, 2))
+        QuantizerState.of(b_q=F(0), delta=F(-1, 2))
     # the zoom rule's factors and width are checked by the policy that owns them
     with pytest.raises(ValueError):
         replace(ZOOM, c_in=F(1))
@@ -125,7 +125,7 @@ deltas = st.fractions(min_value=F(1, 64), max_value=4, max_denominator=64)
 @given(bases, deltas, st.fractions(min_value=-4, max_value=4, max_denominator=512))
 def test_in_range_accuracy(b_q, delta, off):
     # |Q(x) - x| <= delta/2 whenever x lies inside the dynamic range
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     xi = b_q + off * delta  # off in [-4, 4] spans the range and beyond
     if not (b_q - 3 * delta <= xi < b_q + 3 * delta):
         return
@@ -134,7 +134,7 @@ def test_in_range_accuracy(b_q, delta, off):
 
 @given(bases, deltas, st.fractions(min_value=-3, max_value=F(295, 100), max_denominator=512))
 def test_idempotent_in_range(b_q, delta, off):
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     y = clamped_quantize(q, b_q + off * delta, 3)
     assert clamped_quantize(q, y, 3) == y
 
@@ -146,14 +146,14 @@ def test_idempotent_in_range(b_q, delta, off):
     st.fractions(min_value=-20, max_value=20, max_denominator=512),
 )
 def test_monotone(b_q, delta, a, b):
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     lo, hi = min(a, b), max(a, b)
     assert clamped_quantize(q, lo, 3) <= clamped_quantize(q, hi, 3)
 
 
 @given(bases, deltas, st.fractions(min_value=-20, max_value=20, max_denominator=512))
 def test_output_is_always_one_of_the_8_midpoints(b_q, delta, xi):
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     midpoints = [b_q + F(2 * c - 7, 2) * delta for c in range(8)]
     y = clamped_quantize(q, xi, 3)
     assert y in midpoints
@@ -162,7 +162,7 @@ def test_output_is_always_one_of_the_8_midpoints(b_q, delta, xi):
 
 @given(bases, deltas, st.integers(min_value=0, max_value=7))
 def test_code_midpoint_bijection(b_q, delta, c):
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     midpoint = b_q + F(2 * c - 7, 2) * delta
     assert level_index(q, midpoint, 3) == c
     assert clamped_quantize(q, midpoint, 3) == midpoint
@@ -187,8 +187,27 @@ def test_the_grid_holds_one_integer_form(b_q, delta, m, level):
     # b_q = base/den and delta = step/den over den = lcm of their
     # denominators, and the grid's points, at an int or a Fraction level,
     # are b_q + level*delta.
-    q = QuantizerState(b_q=b_q, delta=delta)
+    q = QuantizerState.of(b_q=b_q, delta=delta)
     assert q.den == math.lcm(b_q.denominator, delta.denominator)
     assert F(q.base, q.den) == b_q and F(q.step, q.den) == delta
     for lv in (m, F(m), level):
         assert grid_point(q, lv) == b_q + lv * delta
+
+
+@given(wide, wide.filter(lambda d: d > 0), st.integers(-(2**70), 2**70), st.fractions(min_value=F(11, 10), max_value=2**20))
+def test_a_grid_move_is_the_fraction_move_reduced(b_q, delta, m, c):
+    # moved re-centres on level m and scales the step with one gcd; the
+    # grid it gives is the one the Fraction arithmetic gives, in the same
+    # reduced integers (gcd(base, step, den) = 1), for a zoom-out by c, a
+    # zoom-in by c and a refine by c.
+    q = QuantizerState.of(b_q, delta)
+    x = b_q + m * delta
+    moves = [
+        (q.moved(m, c.numerator, c.denominator), QuantizerState.of(x, delta * c)),
+        (q.moved(m, c.denominator, c.numerator), QuantizerState.of(x, delta / c)),
+        (q.moved(0, c.denominator, c.numerator), QuantizerState.of(b_q, delta / c)),
+    ]
+    for got, want in moves:
+        assert got == want
+        assert math.gcd(got.den, got.base, got.step) == 1
+        assert (got.b_q, got.delta) == (want.b_q, want.delta)

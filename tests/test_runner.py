@@ -429,7 +429,7 @@ def test_summarize_not_converged():
 
 def test_steps_to_threshold():
     def r(k, e):
-        return RunRecord(k, 0, e, QuantizerState(F(0), F(1)), "none", 1, 3)
+        return RunRecord(k, 0, e, QuantizerState.of(F(0), F(1)), "none", 1, 3)
 
     history = [r(1, 2.0), r(2, 0.5), r(3, 0.009), r(4, 0.0001)]
     assert steps_to_threshold(history, 1e-2) == 3
