@@ -4,7 +4,8 @@
 sparse-n1000 workload, of one ``run`` per way of pricing a message (the
 refine-only schedule, measured accounting, an explicit fixed-level width),
 of two small ``run`` reports whose starts collide (a nudged draw on a
-drawn grid point, every node at one start), of two runs under zoom factors
+drawn grid point, every node at one start), of a run whose every node
+starts at one value off the quantizer's grid, of two runs under zoom factors
 that the defaults do not use (an adaptive run that zooms out, a refine by
 5/2), and of the two Table 1 reports, on both backends.
 
@@ -101,6 +102,19 @@ COMMANDS = {
             stop={"max_steps": 40, "target_error": 1e-9},
         )
     ),
+    # Every node starts at 19/10, one value that is not a point of the
+    # quantizer's first grid (basis 0, step 1/2): the start level 19/5 is no
+    # integer, so no consensus output repeats it and step 1 moves no grid.
+    "run-one-start-off-grid": lambda d: cmd_run(
+        RunConfig(
+            n=6,
+            seed=3,
+            x_init_range=(Fraction(19, 10), Fraction(19, 10)),
+            x_init_grid=Fraction(1, 10),
+            out_dir=d,
+            stop={"max_steps": 40, "target_error": 1e-9},
+        )
+    ),
     # Zoom factors whose grid moves the other pins do not cover: a 2-bit
     # range with c_out = 5/2 and c_in = 7/5 on a grid whose basis and step
     # have different denominators (6 zoom-outs and 26 zoom-ins in 40 steps),
@@ -146,6 +160,8 @@ DIGESTS = {
     ("run-start-collision", "summary.csv"): "66a14603c3bb632a74cfe15bc9772a8d2aba12ef759a75700d2179f8872a7653",
     ("run-one-start", "history.csv"): "b11c815142a85411662d4c98513fbd3cc58f15f8c3dc82ab234b95478691265d",
     ("run-one-start", "summary.csv"): "c1f10d2cb42fb9de9759028356bedf77fe1b50eda5ea6f7d2daa5e3aa31e37bc",
+    ("run-one-start-off-grid", "history.csv"): "41779557a160f9ebb4eaacb3501e2b6cb671247d18ef914cd8dca6d9dbee1c05",
+    ("run-one-start-off-grid", "summary.csv"): "3c77f1ffa7323773216c0c64d9869f660f16a26e3e555d9f3fd7e01679246762",
     ("run-zoom-out", "history.csv"): "90fbd36e4e24d28d9f1986d469a38d55b69855f6a8df0f60b949500afb846c29",
     ("run-zoom-out", "summary.csv"): "56e1b896f0b89c45a09a294dd321b6352cdabc101750c7005f8e49f0b7bd1ba8",
     ("run-refine-5-2", "history.csv"): "4e454203a52f6da750723671aa2e94e289bb82e7a8ef6de9ec0d7832f1397f71",
