@@ -44,17 +44,25 @@ The loop runs in grid coordinates.  ``run_consensus`` returns the level
 is passed, which stays for the benchmark's parity replay), and the state
 keeps the estimate as its level on the current grid
 (``OptimizerState.level``): ``m`` after a step without an event, 0 after a
-zoom (the grid re-centres on the estimate) and ``m*c_refine`` after a
-refine.  Before step 1 the level is the start's when the starts' table
-holds one value, else None, so step 1 is a repeat only when every start
-equals its output.  A zoom or a refine is one ``QuantizerState.moved``,
-integer arithmetic with one gcd.  The masses, the repeat and saturation
-tests, the grid moves and the error metric read only levels and integers,
-so after step 1 no step builds a ``Fraction`` except a refine by a factor
-``c_refine``, which builds the level ``m*c_refine``; the estimate
-(``RunRecord.x_value``) is built only when read.  A fixed level's repeat
+zoom (the grid re-centres on the estimate) and ``m*c_refine``, a
+``Fraction``, after a refine.  Before step 1 the level is the start's, an
+int, when the starts' table holds one value and that value is a grid point,
+else None, so step 1 is a repeat only when every start equals its output.
+A ``Fraction`` level is left only by a refine, and it is not an integer
+only when ``c_refine`` is not.  A zoom or a refine is one
+``QuantizerState.moved``, integer arithmetic with one gcd.  The masses, the
+repeat and saturation tests, the grid moves and the error metric read only
+levels and integers, so after step 1 no step builds a ``Fraction`` except a
+refine, which builds the level ``m*c_refine``.  A fixed level's repeat
 leaves grid and estimate unchanged, so the next step sends the same masses
 again.
+
+Each step appends one ``RunRecord`` to ``OptimizerState.history``, step k's
+at ``history[k - 1]``: what the step measured and nothing more, the output's
+``level``, the ``error``, the grid ``q`` it ran on, the ``zoom_event``, the
+``consensus_rounds`` and the ``alphabet_size``.  The estimate
+(``RunRecord.x_value``) is built only when read, and the runner takes the
+step number from the record's position.
 
 All estimate arithmetic is exact (``fractions.Fraction`` or integers);
 floats appear only in the logged error column.
@@ -65,6 +73,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .consensus import run_consensus
 from .metrics import error_metric, error_terms
@@ -123,19 +132,19 @@ class FixedLevel:
         return q, "none", m
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    """One row of the per-step log.
+class RunRecord(NamedTuple):
+    """One row of the per-step log: what the step measured, nothing derived.
 
+    Step k's record is ``history[k - 1]``, so it holds no step number.
     ``q`` is the grid that was in force during this step's consensus (i.e.
     before any zoom event recorded in the same row), and ``level`` is the
     consensus output's level on it; the estimate ``x_value`` is that grid
     point, built when read.  ``alphabet_size`` counts the distinct pieces
     the consensus sent.  The record holds counts, not prices: the runner
-    charges them (``runner.step_costs``).
+    charges them (``runner.step_costs``).  Every run keeps every record, and
+    ``step`` builds one per step, positionally.
     """
 
-    k: int
     level: int
     error: float
     q: QuantizerState
@@ -287,7 +296,7 @@ class OptimizerState:
     ``RunRecord`` keeps its grid alive."""
 
     q: QuantizerState  # the current grid
-    level: int | Fraction | None  # the common estimate's level on q's grid; None while the starts differ
+    level: int | Fraction | None  # the common estimate's level on q's grid; None before step 1 unless every node starts at one grid point
     classes: CostClasses  # the run's cost-class table, for its (s, alpha)
     x_star: Fraction  # the suite's optimum
     spread: Fraction  # the error's normalizer, start_spread of the starts
@@ -311,14 +320,17 @@ def initial_state(starts, q, s, alpha):
 
     ``starts`` is the run's ``Starts`` table.  Step 1's masses are every
     node's half-step from its own start.  When the table holds one start
-    ``x0`` (its entries are distinct values) the nodes already hold a common
-    estimate, at level ``(x0 - b_q)/delta``, so step 1 is a repeat exactly
-    when its output equals ``x0``; otherwise the level is None.  The error
+    ``x0`` (its entries are distinct values) on a point of the grid, the
+    nodes already hold a common estimate, at the int level
+    ``(x0 - b_q)/delta``, so step 1 is a repeat exactly when its output
+    equals ``x0``; otherwise the level is None.  A start off the grid needs
+    no level: the consensus output is a grid point, so it never repeats it.  The error
     is measured against the suite's optimum, normalized by the spread of
     the starts; ``start_spread`` raises ValueError when a start equals it.
     """
     classes = cost_classes(s, alpha)
-    level = Fraction(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den) if len(starts.nums) == 1 else None
+    m, off = divmod(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den)
+    level = m if len(starts.nums) == 1 and not off else None
     x_star = s.global_optimum
     state = OptimizerState(q, level, classes, x_star, start_spread(starts, x_star))
     state.masses = start_masses(classes, q, state.offsets, starts)
@@ -379,15 +391,7 @@ def step(state, g, policy, rng):
     if event != "none" or m != level_old:
         state.masses = grid_masses(state.classes, q, state.offsets, state.level)
 
-    rec = RunRecord(
-        k=len(state.history) + 1,
-        level=m,
-        error=error,
-        q=pre_q,
-        zoom_event=event,
-        consensus_rounds=stats.rounds,
-        alphabet_size=len(stats.measured_alphabet),
-    )
+    rec = RunRecord(m, error, pre_q, event, stats.rounds, len(stats.measured_alphabet))
     state.history.append(rec)
     return rec
 

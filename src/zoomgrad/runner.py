@@ -62,13 +62,14 @@ def width_schedule(config):
     return ((None, width),)
 
 
-def step_costs(r, n, widths):
-    """A record's (mass transmissions, paper-mode bits, measured-mode bits).
+def step_costs(k, r, n, widths):
+    """Step ``k``'s (mass transmissions, paper-mode bits, measured-mode bits)
+    from its record ``r``.
 
     n pieces a round, charged at the width schedule ``widths`` and at the
     width that indexes the step's alphabet."""
     tx = n * r.consensus_rounds
-    return tx, schedule_width(widths, r.k - 1) * tx, (r.alphabet_size - 1).bit_length() * tx
+    return tx, schedule_width(widths, k - 1) * tx, (r.alphabet_size - 1).bit_length() * tx
 
 
 def build_costs(config):
@@ -165,8 +166,8 @@ def summarize(config, state):
     final_error = history[-1].error if history else float("nan")
     widths = width_schedule(config)
     total_tx = paper_bits = measured_bits = 0
-    for r in history:
-        tx, paper, measured = step_costs(r, config.n, widths)
+    for k, r in enumerate(history, 1):
+        tx, paper, measured = step_costs(k, r, config.n, widths)
         total_tx, paper_bits, measured_bits = total_tx + tx, paper_bits + paper, measured_bits + measured
     mean_tx = float(Fraction(total_tx, steps)) if steps else float("nan")
     events = Counter(r.zoom_event for r in history)
@@ -214,12 +215,12 @@ def write_history_csv(f, history, n, widths):
     stream ``f``, priced by ``step_costs`` at the width schedule ``widths``."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(HISTORY_COLUMNS)
-    for r in history:
+    for k, r in enumerate(history, 1):
         x, q = r.x_value, r.q
         w.writerow(
-            [r.k, str(x), repr(float(x)), repr(r.error)]
+            [k, str(x), repr(float(x)), repr(r.error)]
             + [str(q.delta), repr(float(q.delta)), str(q.b_q), repr(float(q.b_q))]
-            + [r.zoom_event, r.consensus_rounds, *step_costs(r, n, widths)]
+            + [r.zoom_event, r.consensus_rounds, *step_costs(k, r, n, widths)]
         )
 
 
@@ -304,10 +305,10 @@ def cmd_run(config):
 
 
 def steps_to_threshold(history, threshold):
-    """First step index whose logged error is at or below threshold."""
-    for r in history:
+    """First step number (1-based) whose logged error is at or below threshold."""
+    for k, r in enumerate(history, 1):
         if r.error <= threshold:
-            return r.k
+            return k
     return None
 
 

@@ -275,7 +275,6 @@ def per_node_step(state, g, x_init, s, alpha, policy, rng):
     level = (x_new - pre_q.b_q) / pre_q.delta
     assert level.denominator == 1, "consensus output off the grid"
     rec = RunRecord(
-        k=len(state.history) + 1,
         level=level.numerator,
         error=fraction_error_metric(x_new, state.x_star, state.spread),
         q=pre_q,
@@ -380,8 +379,8 @@ def envelope_from_history(history, alpha, mu, L, n, x_star):
     delta_seq = [rec.q.delta for rec in history[1:]]
     bounds = contraction_envelope(alpha, mu, L, n, delta_seq, d0)
     return [
-        EnvelopePoint(k=rec.k, bound=b, empirical=abs(rec.x_value - x_star))
-        for rec, b in zip(history, bounds)
+        EnvelopePoint(k=k, bound=b, empirical=abs(rec.x_value - x_star))
+        for k, (rec, b) in enumerate(zip(history, bounds), 1)
     ]
 
 

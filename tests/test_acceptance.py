@@ -79,8 +79,8 @@ def table_steps(config, state, threshold):
     x_init, x_star = start_values(sample_x_init(config, state.x_star)), state.x_star
     return next(
         (
-            r.k
-            for r in state.history
+            k
+            for k, r in enumerate(state.history, 1)
             if table_error(r.x_value, x_init, x_star) <= threshold
         ),
         None,

@@ -28,6 +28,7 @@ import ast
 import os
 
 import zoomgrad
+from zoomgrad.optimizer import RunRecord
 from zoomgrad.quantizer import QuantizerState
 
 PACKAGE = os.path.dirname(zoomgrad.__file__)
@@ -274,3 +275,12 @@ def test_the_grid_holds_its_three_integers_only():
     # the reference sweep's peak RSS.  Those constants live on OptimizerState.
     assert QuantizerState.__slots__ == ("den", "base", "step")
     assert not hasattr(QuantizerState.of(0, 1), "__dict__")
+
+
+def test_a_record_holds_only_what_its_step_measured():
+    # Every run keeps every RunRecord, so a field that another one or the
+    # record's place in the history gives (a step number, a price, the
+    # estimate) costs every step of every run.  Step k's record is
+    # history[k - 1]; the runner prices the counts and x_value builds the
+    # estimate when read.
+    assert RunRecord._fields == ("level", "error", "q", "zoom_event", "consensus_rounds", "alphabet_size")

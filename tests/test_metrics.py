@@ -222,14 +222,14 @@ def test_envelope_warns_outside_admissible_range():
         contraction_envelope(F(1), MU, L, 20, [F(1, 2)], F(1))
 
 
-def rec(k, x, delta):
+def rec(x, delta):
     # the estimate x as level 0 on a grid based at x
-    return RunRecord(k, 0, 0.0, QuantizerState.of(x, delta), "none", 1, 3)
+    return RunRecord(0, 0.0, QuantizerState.of(x, delta), "none", 1, 3)
 
 
 def test_envelope_from_history_anchoring():
     x_star = F(2)
-    history = [rec(1, F(4), F(1, 2)), rec(2, F(3), F(1, 2)), rec(3, F(5, 2), F(3, 8))]
+    history = [rec(F(4), F(1, 2)), rec(F(3), F(1, 2)), rec(F(5, 2), F(3, 8))]
     points = envelope_from_history(history, ALPHA, MU, L, 20, x_star)
     assert [p.k for p in points] == [1, 2, 3]
     assert points[0].bound == F(2)  # anchored at |x1 - x*|

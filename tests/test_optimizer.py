@@ -188,7 +188,7 @@ def test_step_agreement_and_grid():
     rng = PCG32(3, STREAM_PROTOCOL)
     rec = step(state, g, ADAPTIVE, rng)
     assert grid_point(state.q, state.level) == rec.x_value  # one common estimate
-    assert state.history == [rec] and rec.k == 1
+    assert state.history == [rec]  # step 1's record is history[0]
     # consensus output is a whole number of steps from the pre-step basis
     assert ((rec.x_value - rec.q.b_q) / rec.q.delta).denominator == 1
     assert rec.q == Q0  # the pre-zoom grid is logged
@@ -211,7 +211,7 @@ def test_step_counts_and_bits():
     # mode and at the bits that index the alphabet in measured mode
     tx = stats.mass_transmissions
     width = (len(stats.measured_alphabet) - 1).bit_length()
-    assert step_costs(rec, g.n, ((None, 3),)) == (tx, 3 * tx, width * tx)
+    assert step_costs(1, rec, g.n, ((None, 3),)) == (tx, 3 * tx, width * tx)
 
 
 def test_first_step_repeat_is_disabled_with_distinct_inits():
@@ -328,7 +328,7 @@ def until_instance():
 def test_run_until_max_steps_exact():
     state, g, _ = until_instance()
     run_until(state, g, ADAPTIVE, {"max_steps": 5, "target_error": None}, PCG32(1, STREAM_PROTOCOL))
-    assert [r.k for r in state.history] == [1, 2, 3, 4, 5]
+    assert len(state.history) == 5
 
 
 def test_run_until_stops_at_target():
@@ -343,9 +343,10 @@ def test_run_until_stops_at_target():
 
 
 def test_run_record_is_frozen():
-    rec = RunRecord(1, 0, 0.0, Q0, "none", 1, 3)
-    with pytest.raises(AttributeError):
-        rec.k = 2
+    rec = RunRecord(0, 0.0, Q0, "none", 1, 3)
+    with pytest.raises(AttributeError, match="can't set attribute|has no setter"):
+        rec.level = 2
+    assert rec.level == 0
 
 
 def test_initial_state_copies_inputs():
@@ -362,12 +363,17 @@ def test_initial_state_copies_inputs():
 
 @pytest.mark.parametrize("x0, level", [(F(3, 2), 3), (F(3, 4), F(3, 2)), (F(-1, 3), F(-2, 3))])
 def test_equal_starts_hold_their_level_before_step_1(x0, level):
-    # Nodes that all start at one value already share an estimate: its
-    # level on the start grid, on or off the grid.  The table holds one
-    # entry, over a denominator that need not be the start's own.
+    # Nodes that all start at one value already share an estimate, at
+    # ``level`` on the start grid.  On the grid the state holds it as an
+    # int; off it the state's level is None, as no consensus output (a grid
+    # point) can equal the start.  The table holds one entry, over a
+    # denominator that need not be the start's own.
     s = suite([(1, 1), (2, 3), (1, 5)])
     st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA)
-    assert st.level == level
+    want = level if F(level).denominator == 1 else None
+    assert st.level == want and type(st.level) is type(want)
+    # step 1's masses are every node's half-step from the start, on or off
+    # the grid: those of its own level
     assert st.masses == grid_masses(st.classes, Q0, grid_offsets(st.classes, Q0), level)
 
 
@@ -518,7 +524,10 @@ def test_a_start_table_over_any_common_denominator_gives_one_state(data):
     want, got = initial_state(table, q, s, ALPHA), initial_state(wide, q, s, ALPHA)
     assert (got.level, got.masses, got.spread) == (want.level, want.masses, want.spread)
     assert want.masses == init_consensus(gradient_step(x_init, s, ALPHA), q)
-    assert (want.level is None) == (len(set(x_init)) > 1)
+    on_grid = len(set(x_init)) == 1 and ((x_init[0] - q.b_q) / q.delta).denominator == 1
+    assert (want.level is None) == (not on_grid)
+    if on_grid:
+        assert want.level == (x_init[0] - q.b_q) / q.delta and type(want.level) is int
 
 
 @settings(max_examples=60, deadline=None)

@@ -337,7 +337,9 @@ def test_zoom_factors_reach_the_zoom_rule():
 def test_run_single_structure(default_run):
     config, state = default_run
     history = state.history
-    assert [r.k for r in history] == list(range(1, len(history) + 1))
+    # step k's record is history[k - 1]: history.csv numbers its rows so
+    rows = rendered(write_history_csv, history, config.n, width_schedule(config)).splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, len(history) + 1)]
     assert state.x_star == build_costs(config).global_optimum
     assert state.spread == per_node_spread(start_values(sample_x_init(config, state.x_star)), state.x_star)
     assert history[-1].error <= 1e-5
@@ -373,7 +375,7 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["policy"] == "adaptive_zoom"
     for event in ("zoom_in", "zoom_out", "refine"):
         assert row["%s_events" % event] == sum(r.zoom_event == event for r in history)
-    costs = [step_costs(r, config.n, width_schedule(config)) for r in history]
+    costs = [step_costs(k, r, config.n, width_schedule(config)) for k, r in enumerate(history, 1)]
     assert row["total_mass_transmissions"] == sum(tx for tx, _, _ in costs)
     assert row["total_flood_broadcasts"] == config.n * sum(r.consensus_rounds for r in history)
     assert row["total_bits_paper_mode"] == 3 * row["total_mass_transmissions"] == sum(bits for _, bits, _ in costs)
@@ -428,10 +430,10 @@ def test_summarize_not_converged():
 
 
 def test_steps_to_threshold():
-    def r(k, e):
-        return RunRecord(k, 0, e, QuantizerState.of(F(0), F(1)), "none", 1, 3)
+    def r(e):
+        return RunRecord(0, e, QuantizerState.of(F(0), F(1)), "none", 1, 3)
 
-    history = [r(1, 2.0), r(2, 0.5), r(3, 0.009), r(4, 0.0001)]
+    history = [r(2.0), r(0.5), r(0.009), r(0.0001)]
     assert steps_to_threshold(history, 1e-2) == 3
     assert steps_to_threshold(history, 0.5) == 2
     assert steps_to_threshold(history, 1e-6) is None
