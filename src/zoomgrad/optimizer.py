@@ -44,18 +44,17 @@ The loop runs in grid coordinates.  ``run_consensus`` returns the level
 is passed, which stays for the benchmark's parity replay), and the state
 keeps the estimate as its level on the current grid
 (``OptimizerState.level``): ``m`` after a step without an event, 0 after a
-zoom (the grid re-centres on the estimate) and ``m*c_refine``, a
-``Fraction``, after a refine.  Before step 1 the level is the start's, an
-int, when the starts' table holds one value and that value is a grid point,
-else None, so step 1 is a repeat only when every start equals its output.
-A ``Fraction`` level is left only by a refine, and it is not an integer
-only when ``c_refine`` is not.  A zoom or a refine is one
+zoom (the grid re-centres on the estimate) and the ``Fraction``
+``m*c_refine`` after a refine, the one place a ``Fraction`` level comes
+from (not an integer only when ``c_refine`` is not).  Before step 1 the
+level is the start's, an int, when the starts' table holds one value and
+that value is a grid point, else None, so step 1 is a repeat only when
+every start equals its output.  A zoom or a refine is one
 ``QuantizerState.moved``, integer arithmetic with one gcd.  The masses, the
 repeat and saturation tests, the grid moves and the error metric read only
-levels and integers, so after step 1 no step builds a ``Fraction`` except a
-refine, which builds the level ``m*c_refine``.  A fixed level's repeat
-leaves grid and estimate unchanged, so the next step sends the same masses
-again.
+levels and integers, so after step 1 no step builds a ``Fraction`` but a
+refine's level.  A fixed level's repeat leaves grid and estimate
+unchanged, so the next step sends the same masses again.
 
 Each step appends one ``RunRecord`` to ``OptimizerState.history``, step k's
 at ``history[k - 1]``: what the step measured and nothing more, the output's
@@ -141,8 +140,8 @@ class RunRecord(NamedTuple):
     consensus output's level on it; the estimate ``x_value`` is that grid
     point, built when read.  ``alphabet_size`` counts the distinct pieces
     the consensus sent.  The record holds counts, not prices: the runner
-    charges them (``runner.step_costs``).  Every run keeps every record, and
-    ``step`` builds one per step, positionally.
+    charges them (``runner.step_costs``).  A run keeps every record, and
+    ``step`` builds one per step, positionally: a tuple is the cheapest.
     """
 
     level: int
@@ -296,7 +295,7 @@ class OptimizerState:
     ``RunRecord`` keeps its grid alive."""
 
     q: QuantizerState  # the current grid
-    level: int | Fraction | None  # the common estimate's level on q's grid; None before step 1 unless every node starts at one grid point
+    level: int | Fraction | None  # the common estimate's level on q's grid; None until the nodes share a grid point
     classes: CostClasses  # the run's cost-class table, for its (s, alpha)
     x_star: Fraction  # the suite's optimum
     spread: Fraction  # the error's normalizer, start_spread of the starts
@@ -324,9 +323,10 @@ def initial_state(starts, q, s, alpha):
     nodes already hold a common estimate, at the int level
     ``(x0 - b_q)/delta``, so step 1 is a repeat exactly when its output
     equals ``x0``; otherwise the level is None.  A start off the grid needs
-    no level: the consensus output is a grid point, so it never repeats it.  The error
-    is measured against the suite's optimum, normalized by the spread of
-    the starts; ``start_spread`` raises ValueError when a start equals it.
+    no level: a consensus output is a grid point, so it never repeats it.
+    The error is measured against the suite's optimum, normalized by the
+    spread of the starts; ``start_spread`` raises ValueError when a start
+    equals it.
     """
     classes = cost_classes(s, alpha)
     m, off = divmod(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den)

@@ -278,9 +278,8 @@ def test_the_grid_holds_its_three_integers_only():
 
 
 def test_a_record_holds_only_what_its_step_measured():
-    # Every run keeps every RunRecord, so a field that another one or the
-    # record's place in the history gives (a step number, a price, the
-    # estimate) costs every step of every run.  Step k's record is
-    # history[k - 1]; the runner prices the counts and x_value builds the
+    # Every run keeps every RunRecord, so a derived field (a step number, a
+    # price, the estimate) costs every step of every run: step k's record is
+    # history[k - 1], the runner prices the counts, and x_value builds the
     # estimate when read.
     assert RunRecord._fields == ("level", "error", "q", "zoom_event", "consensus_rounds", "alphabet_size")
