@@ -58,7 +58,7 @@ def _build_config(args):
     stop = {key: getattr(args, key) for key in ("max_steps", "target_error") if getattr(args, key) is not None}
     if stop:
         base = d.get("stop", RunConfig().stop)
-        if isinstance(base, dict):  # else from_dict reports the bad block
+        if isinstance(base, dict):  # else validate reports the bad block
             d["stop"] = dict(base, **stop)
     if args.accounting is not None:
         d["accounting"] = {"mode": args.accounting}

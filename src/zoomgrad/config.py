@@ -1,14 +1,16 @@
 """Run configuration: defaults, validation and exact-rational parsing.
 
-A config file is one JSON object (``json_object``) that ``RunConfig.from_dict``
-fills with the defaults and validates; every run is fully determined by it.
+A config file is one JSON object (``json_object``).  ``RunConfig.from_dict``
+parses it, ``validate`` checks it, and ``RunConfig.block`` is the one read
+of a nested block: a block is stored as given (a default one as its
+selector alone) and ``block`` completes it from ``BLOCKS``.  Every run is
+fully determined by the config.
 
 Rationals are written as strings ("3/25", "0.12", "2") and parsed exactly;
 raw JSON floats are accepted but go through their shortest decimal repr, so
 "0.1" means 1/10, never 0x1.999...p-4.
 """
 
-import copy
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -46,6 +48,7 @@ def parse_rational(value, field_name):
 # Each nested block's selector key and, per variant, every key that variant
 # reads with its default (``stop`` has no selector).  None means unset:
 # validate, width_schedule, build_costs and run_until say what that does.
+# No default is mutable, so every ``block`` view may share them.
 Block = namedtuple("Block", "selector variants")
 BLOCKS = {
     "policy": Block("variant", {
@@ -54,7 +57,7 @@ BLOCKS = {
         "fixed_level": {"b_pm": None},
     }),
     "cost_spec": Block("kind", {
-        "random": {"value_set": [1, 2, 3, 4, 5], "seed": None, "shared_x0": False},
+        "random": {"value_set": (1, 2, 3, 4, 5), "seed": None, "shared_x0": False},
         "explicit": {"costs": None},
     }),
     "stop": Block(None, {None: {"max_steps": None, "target_error": None}}),
@@ -64,13 +67,8 @@ BLOCKS = {
 
 # The scalar fields that hold an exact rational, as do both bounds of ``x_init_range``:
 # ``from_dict`` parses each, and ``validate`` refuses a float or any other non-rational.
+# ``block`` parses the nested rationals, ``policy.c_refine`` and the explicit costs.
 RATIONALS = ("edge_prob", "alpha", "delta0", "c_in", "c_out", "b_q0", "x_init_grid")
-
-
-def _stored(name, variant):
-    """A fresh RunConfig's block: the selector and every set default, copied off the table."""
-    selector, variants = BLOCKS[name]
-    return copy.deepcopy({selector: variant, **{k: v for k, v in variants[variant].items() if v is not None}})
 
 
 @dataclass
@@ -86,9 +84,9 @@ class RunConfig:
     policy: dict = field(default_factory=lambda: {"variant": "adaptive_zoom"})
     x_init_range: tuple = (Fraction(1), Fraction(5))
     x_init_grid: Fraction = Fraction(1, 100)
-    cost_spec: dict = field(default_factory=lambda: _stored("cost_spec", "random"))
+    cost_spec: dict = field(default_factory=lambda: {"kind": "random"})
     stop: dict = field(default_factory=lambda: {"max_steps": 200, "target_error": 1e-5})
-    accounting: dict = field(default_factory=lambda: _stored("accounting", "paper_faithful"))
+    accounting: dict = field(default_factory=lambda: {"mode": "paper_faithful"})
     out_dir: str = ""
 
     def validate(self):
@@ -125,7 +123,7 @@ class RunConfig:
             if type(width) is not int or width < 1:
                 raise ConfigError("policy.quantizer_width", "need an integer width >= 1")
         elif policy["variant"] == "refine_only":
-            if parse_rational(policy["c_refine"], "policy.c_refine") <= 1:
+            if policy["c_refine"] <= 1:
                 raise ConfigError("policy.c_refine", "refine factor must exceed 1")
         elif policy["b_pm"] is None:
             if self.delta0 not in FIXED_LEVEL_WIDTHS:
@@ -145,16 +143,9 @@ class RunConfig:
             if type(costs["shared_x0"]) is not bool:
                 raise ConfigError("cost_spec.shared_x0", "need true or false")
         else:
-            pairs = costs["costs"]
-            if not isinstance(pairs, (list, tuple)) or len(pairs) != self.n:
-                raise ConfigError("cost_spec.costs", "need a list of one (beta, x0) pair per node")
-            for i, pair in enumerate(pairs):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ConfigError("cost_spec.costs[%d]" % i, "need a (beta, x0) pair")
-                beta = parse_rational(pair[0], "cost_spec.costs[%d].beta" % i)
+            for i, (beta, _) in enumerate(costs["costs"]):
                 if beta <= 0:
                     raise ConfigError("cost_spec.costs[%d].beta" % i, "must be positive")
-                parse_rational(pair[1], "cost_spec.costs[%d].x0" % i)
         stop = self.block("stop")
         max_steps, target = stop["max_steps"], stop["target_error"]
         if max_steps is None and target is None:
@@ -177,10 +168,12 @@ class RunConfig:
         return self
 
     def block(self, name):
-        """Block ``name`` merged over its variant's defaults.
+        """A new dict: block ``name`` merged over its variant's defaults, with
+        ``policy.c_refine`` and each ``cost_spec.costs`` pair parsed.
 
-        ConfigError names ``name.selector`` for an unknown variant and
-        ``name.key`` for a key that the variant does not read.
+        ConfigError names ``name.selector`` for an unknown variant,
+        ``name.key`` for a key that the variant does not read, and the
+        field of a rational or a cost pair that does not parse.
         """
         selector, variants = BLOCKS[name]
         spec = getattr(self, name)
@@ -198,34 +191,36 @@ class RunConfig:
                     "%s.%s" % (name, key),
                     "not read by %s; it reads %s" % (variant or name, ", ".join(defaults) or "no other key"),
                 )
-        return {**defaults, **spec}
+        view = {**defaults, **spec}
+        if variant == "refine_only":
+            view["c_refine"] = parse_rational(view["c_refine"], "policy.c_refine")
+        elif variant == "explicit":
+            pairs = view["costs"]
+            if not isinstance(pairs, (list, tuple)) or len(pairs) != self.n:
+                raise ConfigError("cost_spec.costs", "need a list of one (beta, x0) pair per node")
+            parsed = []
+            for i, pair in enumerate(pairs):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError("cost_spec.costs[%d]" % i, "need a (beta, x0) pair")
+                at = "cost_spec.costs[%d]." % i
+                parsed.append((parse_rational(pair[0], at + "beta"), parse_rational(pair[1], at + "x0")))
+            view["costs"] = tuple(parsed)
+        return view
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
+        """The validated config of the object ``d``: its top-level rationals
+        and each item of a list ``x_init_range`` parsed, every other value as given."""
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration key")
-        kwargs = {}
-        for key in ("n", "seed", "out_dir"):
-            if key in d:
-                kwargs[key] = d[key]
+        kwargs = dict(d)
         for key in RATIONALS:
             if key in d:
                 kwargs[key] = parse_rational(d[key], key)
-        if "x_init_range" in d:
-            rng = d["x_init_range"]
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                raise ConfigError("x_init_range", "expected [lo, hi]")
-            kwargs["x_init_range"] = (
-                parse_rational(rng[0], "x_init_range[0]"),
-                parse_rational(rng[1], "x_init_range[1]"),
-            )
-        for key in ("policy", "cost_spec", "stop", "accounting"):
-            if key in d:
-                if not isinstance(d[key], dict):
-                    raise ConfigError(key, "expected an object")
-                kwargs[key] = dict(d[key])
+        bounds = d.get("x_init_range")
+        if isinstance(bounds, (list, tuple)):
+            kwargs["x_init_range"] = tuple(parse_rational(v, "x_init_range[%d]" % i) for i, v in enumerate(bounds))
         return cls(**kwargs).validate()
 
 

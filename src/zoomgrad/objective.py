@@ -36,11 +36,6 @@ class QuadraticCost:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
-    def grad(self, x: Fraction) -> Fraction:
-        """f_i'(x), read only by the oracle ``optimizer.gradient_step``, which
-        the benchmark's ``perfbench/tracing.py`` ``HOOKS`` pins."""
-        return self.beta * (x - self.x0)
-
 
 class CostSuite:
     """The n per-node costs of one experiment instance, as a class table.
@@ -55,12 +50,6 @@ class CostSuite:
             raise ValueError("need at least one cost")
         self.classes = classes
         self.node_class = node_class
-
-    @property
-    def costs(self) -> tuple:
-        """The cost of every node, in node order; read only by the oracle
-        ``optimizer.gradient_step``, which ``perfbench/tracing.py`` ``HOOKS`` pins."""
-        return tuple(map(self.classes.__getitem__, self.node_class))
 
     @cached_property
     def global_optimum(self) -> Fraction:

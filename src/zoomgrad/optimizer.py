@@ -338,7 +338,8 @@ def initial_state(starts, q, s, alpha):
 
 
 def gradient_step(x, s, alpha):
-    """Per-node local update x_i - alpha * grad f_i(x_i), exact.
+    """Per-node local update x_i - alpha * grad f_i(x_i), exact, where
+    grad f_i(x) = beta_i * (x - x0_i) for node i's cost class.
 
     No step calls it: the masses come from ``start_masses`` and
     ``grid_masses``, which the tests check against this per-node path.  It
@@ -346,7 +347,8 @@ def gradient_step(x, s, alpha):
     ``perfbench/tracing.py`` ``HOOKS`` hooks it for the
     ``optimizer.gradient_step_s`` layer.
     """
-    return [xi - alpha * c.grad(xi) for xi, c in zip(x, s.costs)]
+    costs = map(s.classes.__getitem__, s.node_class)
+    return [xi - alpha * (c.beta * (xi - c.x0)) for xi, c in zip(x, costs)]
 
 
 def zoom_decide(q, m_new, level_old, policy):

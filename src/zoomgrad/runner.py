@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
-from .config import ConfigError, parse_rational
+from .config import ConfigError
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph, randbelow_each
 from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
@@ -38,7 +38,7 @@ def build_policy(config):
     if spec["variant"] == "adaptive_zoom":
         return AdaptiveZoom(spec["quantizer_width"], config.c_in, config.c_out)
     if spec["variant"] == "refine_only":
-        return RefineOnly(parse_rational(spec["c_refine"], "policy.c_refine"))
+        return RefineOnly(spec["c_refine"])
     return FixedLevel()
 
 
@@ -75,16 +75,13 @@ def step_costs(k, r, n, widths):
 def build_costs(config):
     spec = config.block("cost_spec")
     if spec["kind"] == "explicit":
-        costs = [
-            QuadraticCost(parse_rational(b, "cost_spec.costs.beta"), parse_rational(x, "cost_spec.costs.x0"))
-            for b, x in spec["costs"]
-        ]
+        costs = [QuadraticCost(beta, x0) for beta, x0 in spec["costs"]]
         index = {c: i for i, c in enumerate(dict.fromkeys(costs))}  # equal costs share one class
         return CostSuite(tuple(index), tuple(map(index.__getitem__, costs)))
     return random_cost_suite(
         config.n,
         config.seed if spec["seed"] is None else spec["seed"],
-        value_set=tuple(spec["value_set"]),
+        value_set=spec["value_set"],
         shared_x0=spec["shared_x0"],
     )
 
@@ -96,18 +93,18 @@ def sample_x_init(config, x_star):
     or down at the top of the range) so the normalized error metric stays
     well defined.  Each node draws one grid index, all in one
     ``randbelow_each`` call.  Each distinct index, in first-draw order, is
-    turned into its point once, as an integer over the common denominator
-    of ``lo`` and the grid, and checked against the optimum by
-    cross-multiplying; the table keys its entries on that numerator, so two
-    indices that the nudge lands on one value share an entry.
+    turned into its point once, as an integer over the denominator of the
+    start grid ``QuantizerState.of(lo, x_init_grid)``, and checked against
+    the optimum by cross-multiplying; the table keys its entries on that
+    numerator, so two indices that the nudge lands on one value share an
+    entry.
     """
     lo, hi = config.x_init_range
     grid = config.x_init_grid
     count = int((hi - lo) // grid) + 1
     draws = randbelow_each(PCG32(config.seed, STREAM_XINIT), [count] * config.n)
-    d = math.lcm(lo.denominator, grid.denominator)
-    base = lo.numerator * (d // lo.denominator)
-    step = grid.numerator * (d // grid.denominator)
+    start_grid = QuantizerState.of(lo, grid)
+    d, base, step = start_grid.den, start_grid.base, start_grid.step
     sn, sd = x_star.numerator, x_star.denominator
     entry = {}  # start numerator -> its index in the table
     index = {}  # grid index -> its entry
@@ -174,7 +171,7 @@ def summarize(config, state):
     return {
         "seed": config.seed,
         "n": config.n,
-        "policy": config.policy["variant"],
+        "policy": config.block("policy")["variant"],
         "steps": steps,
         "converged": int(target is not None and steps > 0 and final_error <= target),
         "final_error": repr(final_error),
@@ -188,7 +185,7 @@ def summarize(config, state):
         "mean_mass_tx_per_consensus": repr(mean_tx),
         "total_mass_transmissions": total_tx,
         "total_flood_broadcasts": total_tx,
-        "accounting_mode": config.accounting["mode"],
+        "accounting_mode": config.block("accounting")["mode"],
         "backend": active_backend(),
     }
 

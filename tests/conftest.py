@@ -329,9 +329,15 @@ def per_node_spread(x_init, x_star):
     return spread
 
 
+def node_costs(s):
+    """The ``QuadraticCost`` of every node of the cost suite ``s``, in node
+    order: the per-node view that ``optimizer.gradient_step`` walks."""
+    return tuple(map(s.classes.__getitem__, s.node_class))
+
+
 def total_curvature(s):
     """mu = L = sum of beta_i for the summed objective of the cost suite ``s``."""
-    return sum(c.beta for c in s.costs)
+    return sum(c.beta for c in node_costs(s))
 
 
 @dataclass(frozen=True)
@@ -414,7 +420,7 @@ def zoom_out_bound(x_star, delta0, c_out):
 
 def per_node_optimum(s):
     """``CostSuite.global_optimum`` as a ``Fraction`` sum over the nodes."""
-    return sum(c.beta * c.x0 for c in s.costs) / sum(c.beta for c in s.costs)
+    return sum(c.beta * c.x0 for c in node_costs(s)) / total_curvature(s)
 
 
 def starts_of(xs):

@@ -22,6 +22,11 @@ The grid ``(b_q, delta)`` is one integer form, ``QuantizerState``'s
 ``GRID_FRACTION_READERS`` read an attribute of either name, each with its
 reason, and no module reads their ``numerator`` or ``denominator``: the
 step path works out its per-grid constants from the integers.
+
+A config is read one way: outside ``config.py`` no module calls
+``parse_rational`` or subscripts a nested block field (``config.policy[...]``
+and its siblings in ``BLOCK_FIELDS``); ``RunConfig.block`` is the one read
+of a block, with its rationals already parsed.
 """
 
 import ast
@@ -59,6 +64,8 @@ GRID_FRACTION_READERS = {
     "runner.write_history_csv": "the history report renders delta and b_q",
     "engine.init_consensus": "the per-node oracle of the masses",
 }
+
+BLOCK_FIELDS = ("policy", "cost_spec", "stop", "accounting")
 
 
 def package_trees(top=PACKAGE):
@@ -237,6 +244,15 @@ def test_no_module_imports_a_name_it_never_uses():
     assert sorted(unused_imports(PACKAGE) | unused_imports(TESTS)) == []
 
 
+def owners(tree):
+    """node -> name of its innermost enclosing function: ast.walk visits outer ones first."""
+    owner = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            owner.update((node, function.name) for node in ast.walk(function))
+    return owner
+
+
 def grid_reads(top=PACKAGE):
     """``module.function:line`` of each read of an attribute named ``b_q`` or
     ``delta`` in a module other than ``quantizer`` (``<module>`` outside any
@@ -246,10 +262,7 @@ def grid_reads(top=PACKAGE):
     for module, tree in package_trees(top):
         if module == "quantizer":
             continue
-        owner = {}  # node -> innermost enclosing function: ast.walk visits outer ones first
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                owner.update((node, function.name) for node in ast.walk(function))
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
                 value, split = node.value, True
@@ -267,6 +280,29 @@ def test_only_the_quantizer_derives_the_grid_integers():
     readers = {where.split(":")[0] for where, _ in reads}
     assert sorted(readers - set(GRID_FRACTION_READERS)) == []
     assert sorted(set(GRID_FRACTION_READERS) - readers) == []  # a reader that stopped reading leaves the allowlist
+
+
+def config_reads(top=PACKAGE):
+    """``module.function:line`` of each call of ``parse_rational`` and each
+    subscript of a block field (``<expr>.policy[...]``, ...) in a module
+    other than ``config``."""
+    reads = []
+    for module, tree in package_trees(top):
+        if module == "config":
+            continue
+        owner = owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                hit = getattr(node.func, "id", getattr(node.func, "attr", None)) == "parse_rational"
+            else:
+                hit = isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in BLOCK_FIELDS
+            if hit:
+                reads.append("%s.%s:%d" % (module, owner.get(node, "<module>"), node.lineno))
+    return reads
+
+
+def test_a_block_is_read_only_through_the_config():
+    assert config_reads() == []
 
 
 def test_the_grid_holds_its_three_integers_only():

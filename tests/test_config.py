@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from zoomgrad.config import ConfigError, RunConfig, json_object, parse_rational
+from zoomgrad.config import BLOCKS, ConfigError, RunConfig, json_object, parse_rational
 from zoomgrad.metrics import FIXED_LEVEL_WIDTHS
 from zoomgrad.runner import run_single
 
@@ -26,16 +26,50 @@ def test_defaults():
     assert c.policy == {"variant": "adaptive_zoom"}
     assert c.x_init_range == (F(1), F(5))
     assert c.x_init_grid == F(1, 100)
-    assert c.cost_spec["kind"] == "random"
+    assert c.cost_spec == {"kind": "random"}
     assert c.stop == {"max_steps": 200, "target_error": 1e-5}
-    assert c.accounting == {"mode": "paper_faithful", "b_pm": 3}
+    assert c.accounting == {"mode": "paper_faithful"}
+    # a default block is stored as its selector alone, and block() completes it
+    assert c.block("cost_spec") == {"kind": "random", "value_set": (1, 2, 3, 4, 5), "seed": None, "shared_x0": False}
+    assert c.block("accounting") == {"mode": "paper_faithful", "b_pm": 3}
     c.validate()  # defaults validate as-is
 
 
 def test_default_blocks_are_not_shared():
-    RunConfig().cost_spec["value_set"].append(9)
-    assert RunConfig().cost_spec["value_set"] == [1, 2, 3, 4, 5]
-    assert RunConfig().block("cost_spec")["value_set"] == [1, 2, 3, 4, 5]
+    a = RunConfig()
+    a.cost_spec["value_set"] = [9]
+    a.block("accounting")["b_pm"] = 7
+    assert a.block("cost_spec")["value_set"] == [9]
+    assert a.block("accounting")["b_pm"] == 3
+    assert RunConfig().block("cost_spec")["value_set"] == (1, 2, 3, 4, 5)
+    assert RunConfig().block("accounting")["b_pm"] == 3
+
+
+def test_block_defaults_are_immutable_and_each_view_is_new():
+    # A mutable default would be shared by every view that leaves its key
+    # out: one caller's append would change every later config's draws.
+    for name, (_, variants) in BLOCKS.items():
+        for variant, defaults in variants.items():
+            for key, value in defaults.items():
+                assert not isinstance(value, (list, dict, set)), (name, variant, key)
+    config = RunConfig()
+    assert config.block("cost_spec") is not config.block("cost_spec")
+    # a default block and the same block written out are one config
+    assert RunConfig.from_dict({}) == RunConfig.from_dict({"cost_spec": {"kind": "random"}})
+
+
+def test_block_parses_its_rationals():
+    config = RunConfig(
+        n=2,
+        policy={"variant": "refine_only", "c_refine": "5/2"},
+        cost_spec={"kind": "explicit", "costs": [["3", "0.5"], [2, F(1, 3)]]},
+    )
+    assert config.block("policy")["c_refine"] == F(5, 2)
+    assert config.block("cost_spec")["costs"] == ((F(3), F(1, 2)), (F(2), F(1, 3)))
+    bad = RunConfig(n=2, cost_spec={"kind": "explicit", "costs": [["3", "0.5"], ["2", "x"]]})
+    with pytest.raises(ConfigError) as exc:
+        bad.block("cost_spec")
+    assert exc.value.field == "cost_spec.costs[1].x0"
 
 
 @pytest.mark.parametrize(
@@ -261,6 +295,12 @@ def test_x_init_range_shape_checked():
         RunConfig.from_dict({"x_init_range": [1, 2, 3]})
     with pytest.raises(ConfigError, match="expected an object"):
         RunConfig.from_dict({"stop": 5})
+    # validate alone checks the shape: from_dict passes a string through
+    # and parses each item of a list of any length
+    for text in ('{"x_init_range": "1, 5"}', '{"x_init_range": ["1", "2", "3"]}'):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(json_object(text))
+        assert exc.value.field == "x_init_range"
 
 
 def test_readme_example_config_loads():

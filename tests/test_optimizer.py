@@ -16,6 +16,7 @@ from conftest import (
     cost_suite,
     fraction_error_metric,
     fraction_zoom_decide,
+    node_costs,
     per_node_spread,
     per_node_step,
     saturation_half_range,
@@ -537,7 +538,7 @@ def test_cost_classes_match_the_per_node_pulls(data):
     # alpha*beta*x0) over the table's denominator, also when equal costs
     # are held by distinct objects.
     n = data.draw(st.integers(min_value=1, max_value=30))
-    costs = [QuadraticCost(F(c.beta.numerator, c.beta.denominator), c.x0) for c in draw_suite(data, n).costs]
+    costs = [QuadraticCost(F(c.beta.numerator, c.beta.denominator), c.x0) for c in node_costs(draw_suite(data, n))]
     alpha = data.draw(st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100))
     classes = cost_classes(cost_suite(costs), alpha)
     assert len(classes.coeffs) == len({(c.beta, c.x0) for c in costs})

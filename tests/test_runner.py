@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cost_suite,
+    node_costs,
     per_draw_x_init,
     per_node_optimum,
     per_node_spread,
@@ -134,7 +135,7 @@ def test_build_costs_explicit():
         cost_spec={"kind": "explicit", "costs": [["3", "1/2"], ["1", "4"], ["6/2", "0.5"]]},
     )
     suite = build_costs(c)
-    assert [(q.beta, q.x0) for q in suite.costs] == [(F(3), F(1, 2)), (F(1), F(4)), (F(3), F(1, 2))]
+    assert [(q.beta, q.x0) for q in node_costs(suite)] == [(F(3), F(1, 2)), (F(1), F(4)), (F(3), F(1, 2))]
     # equal costs, however written, share one class
     assert [(q.beta, q.x0) for q in suite.classes] == [(F(3), F(1, 2)), (F(1), F(4))]
     assert suite.node_class == (0, 1, 0)
@@ -143,16 +144,16 @@ def test_build_costs_explicit():
 def test_build_costs_random_uses_config_seed():
     a = build_costs(RunConfig(seed=11))
     b = build_costs(RunConfig(seed=11))
-    assert [(q.beta, q.x0) for q in a.costs] == [(q.beta, q.x0) for q in b.costs]
+    assert [(q.beta, q.x0) for q in node_costs(a)] == [(q.beta, q.x0) for q in node_costs(b)]
     other = build_costs(RunConfig(seed=12))
-    assert [(q.beta, q.x0) for q in a.costs] != [(q.beta, q.x0) for q in other.costs]
+    assert [(q.beta, q.x0) for q in node_costs(a)] != [(q.beta, q.x0) for q in node_costs(other)]
 
 
 def test_build_costs_spec_seed_overrides_run_seed():
     spec = {"kind": "random", "seed": 77, "value_set": [1, 2, 3, 4, 5]}
     a = build_costs(RunConfig(seed=1, cost_spec=dict(spec)))
     b = build_costs(RunConfig(seed=2, cost_spec=dict(spec)))
-    assert [(q.beta, q.x0) for q in a.costs] == [(q.beta, q.x0) for q in b.costs]
+    assert [(q.beta, q.x0) for q in node_costs(a)] == [(q.beta, q.x0) for q in node_costs(b)]
 
 
 def test_sample_x_init_grid_and_range():
