@@ -15,14 +15,17 @@
  * keeps run_rounds' piece table between calls.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
- * same draw sequence, one O(n) max ceil(y/z) / min floor(y/z) snapshot at
- * each epoch start and the stop test M - m <= 1 at each epoch end.  The pure
+ * same draw sequence, the max ceil(y/z) / min floor(y/z) snapshot at each
+ * epoch start and the stop test M - m <= 1 at each epoch end.  The pure
  * path sheds a node's z - 1 pieces one floor division at a time and is the
  * per-piece oracle; the kernel splits a node in closed form instead.  With
  * y = q z + r and 0 <= r < z, those pieces are z - max(r, 1) copies of q and
  * then max(r, 1) - 1 copies of q + 1, and the node keeps q + (r > 0) with
- * z = 1.  So a node pays one division per round, none when z is 1 or 2, the
- * snapshot one per node, and at most two piece-set inserts per node, in the
+ * z = 1.  The snapshot is taken during the split, each node folding its own
+ * floor and ceil into it at its turn (both are y when z is 1): deliveries
+ * wait until every node has split, so no (y, z) changes before its turn.  So
+ * a node pays one division per round, none when z is 1 or 2, snapshot
+ * included, and at most two piece-set inserts per node, in the
  * oracle's first-send order.  Each piece still takes its own draw, in the
  * same order.  The draw bound 1 + out-degree, its rejection threshold and
  * its fastmod constant (Lemire, Kaser and Kurz, 2019) are computed once per
@@ -435,19 +438,14 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         goto done;
 
     for (lam = 1; lam <= max_rounds; lam++) {
-        /* epoch start: snapshot the global extremes of ceil/floor(y/z) */
-        if (lam % d_eff == 1) {
-            int64_t lo, rem;
-            M = floor_ceil(y[0], z[0], &m, &rem);
-            for (i = 1; i < n; i++) {
-                int64_t hi = floor_ceil(y[i], z[i], &lo, &rem);
-                M = hi > M ? hi : M;
-                m = lo < m ? lo : m;
-            }
-            if (lam == 1) {
-                M0 = M;
-                m0 = m;
-            }
+        /* epoch start: the split below snapshots the global extremes of
+           ceil/floor(y/z), each node at its turn.  No node's (y, z) changes
+           before its turn, since deliveries wait, and max and min ignore
+           order, so this is the snapshot of the round's start */
+        int snapshot = lam % d_eff == 1;
+        if (snapshot) {
+            M = INT64_MIN;
+            m = INT64_MAX;
         }
 
         /* split: with y = q z + r, 0 <= r < z, shedding z - 1 pieces
@@ -455,14 +453,24 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
            max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.
            Each piece goes to the node itself or a random out-neighbour, by
            one draw per piece in sending order; deliveries wait until every
-           node has split */
+           node has split.  A node with z = 1 sends nothing, and its floor
+           and ceil are both y */
         for (i = 0; i < n; i++) {
-            int64_t q, r, k, zi = z[i];
+            int64_t q, r, k, hi, zi = z[i];
             const Bound *b = &bounds[i];
             const int *adj = g->idx + g->ptr[i];
-            if (zi == 1)
+            if (zi == 1) {
+                if (snapshot) {
+                    M = y[i] > M ? y[i] : M;
+                    m = y[i] < m ? y[i] : m;
+                }
                 continue;
-            floor_ceil(y[i], zi, &q, &r);
+            }
+            hi = floor_ceil(y[i], zi, &q, &r);
+            if (snapshot) {
+                M = hi > M ? hi : M;
+                m = q < m ? q : m;
+            }
             if (pieces_add(pieces, q) < 0 || (r > 1 && pieces_add(pieces, q + 1) < 0))
                 goto done;
             for (k = 1; k < zi; k++) {
@@ -471,8 +479,12 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                 dy[tgt] += k <= zi - r ? q : q + 1;  /* piece k of z - 1 */
                 dz[tgt] += 1;
             }
-            y[i] = q + (r > 0);
+            y[i] = hi;
             z[i] = 1;
+        }
+        if (lam == 1) {
+            M0 = M;
+            m0 = m;
         }
 
         /* deliver everything sent this round */

@@ -56,13 +56,17 @@ floor division at a time (``_split_and_deliver``) and is the per-piece
 oracle.  The kernel splits a node in closed form instead: with
 ``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
 copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
-node keeps ``q + (r > 0)`` with ``z = 1``.  So a node pays one division
-per round (none when ``z`` is 1 or 2) and at most two piece-set inserts,
-while each piece still takes its own draw in the oracle's order.  Each
-node's draw bound ``1 + out-degree``, its rejection threshold and its
-fastmod constant (Lemire, Kaser and Kurz, "Faster Remainder by Direct
-Computation", 2019) are computed once per call, so a draw takes its
-remainder by multiplies, not by a division.  The kernel reads the graph
+node keeps ``q + (r > 0)`` with ``z = 1``.  The kernel takes the
+epoch-start snapshot during that split: each node folds its own floor and
+ceil into the extremes at its turn (both are ``y`` when ``z`` is 1), which
+is exact because deliveries wait until every node has split, so no
+node's ``(y, z)`` changes before its turn.  So a node pays one division
+per round, snapshot included (none when ``z`` is 1 or 2), and at most two
+piece-set inserts, while each piece still takes its own draw in the
+oracle's order.  Each node's draw bound ``1 + out-degree``, its rejection
+threshold and its fastmod constant (Lemire, Kaser and Kurz, "Faster
+Remainder by Direct Computation", 2019) are computed once per call, so a
+draw takes its remainder by multiplies, not by a division.  The kernel reads the graph
 through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
 the edge scan for a generated graph, by flattening the rows once on first
 use for a graph given as rows, never per call) and collects the distinct

@@ -175,14 +175,20 @@ def cost_classes(s, alpha):
     """The ``CostClasses`` table of suite ``s`` under step size ``alpha``.
 
     One row per class of the suite's own table (``CostSuite.classes``), whose
-    node indices it shares.
+    node indices it shares.  In integers: each class's pull
+    ``alpha*beta = pn/pd`` and ``alpha*beta*x0 = vn/vd`` is reduced by one
+    gcd each, ``1 - pn/pd`` has the reduced denominator ``pd`` too, and
+    ``lcm`` is the least common multiple of every ``pd`` and ``vd``.
     """
+    an, ad = alpha.numerator, alpha.denominator
     pulls = []
     for c in s.classes:
-        pull = alpha * c.beta
-        pulls.append((1 - pull, pull * c.x0))
-    lcm = math.lcm(*(r.denominator for pair in pulls for r in pair))
-    coeffs = tuple((int(u * lcm), int(v * lcm)) for u, v in pulls)
+        pn, pd = an * c.beta.numerator, ad * c.beta.denominator
+        vn, vd = pn * c.x0.numerator, pd * c.x0.denominator
+        g, h = math.gcd(pn, pd), math.gcd(vn, vd)
+        pulls.append((pn // g, pd // g, vn // h, vd // h))
+    lcm = math.lcm(*(d for _, pd, _, vd in pulls for d in (pd, vd)))
+    coeffs = tuple((lcm - pn * (lcm // pd), vn * (lcm // vd)) for pn, pd, vn, vd in pulls)
     return CostClasses(s.node_class, lcm, coeffs)
 
 

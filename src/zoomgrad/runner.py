@@ -116,14 +116,23 @@ def sample_x_init(config, x_star):
     return Starts(d, tuple(entry), tuple(map(index.__getitem__, draws)))
 
 
-def run_single(config):
-    """Execute one configured run; returns its final ``OptimizerState``,
-    whose ``history`` is the per-step log."""
-    config.validate()
-    policy = build_policy(config)
+def build_instance(config):
+    """The problem instance of a validated config: (graph, cost suite, ``Starts``).
+
+    It reads only ``n``, ``edge_prob``, ``seed``, the cost spec and the
+    start range and grid, each from its own seed stream, so configs that
+    differ in nothing else share one instance; no run modifies it.
+    """
     g = generate_random_digraph(config.n, config.edge_prob, config.seed)
     s = build_costs(config)
-    starts = sample_x_init(config, s.global_optimum)
+    return g, s, sample_x_init(config, s.global_optimum)
+
+
+def run_instance(config, instance):
+    """Run a validated config on its ``build_instance`` instance; returns
+    the final ``OptimizerState``, whose ``history`` is the per-step log."""
+    g, s, starts = instance
+    policy = build_policy(config)
     state = initial_state(starts, QuantizerState.of(config.b_q0, config.delta0), s, config.alpha)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
@@ -132,6 +141,13 @@ def run_single(config):
         exc.step = len(state.history) + 1
         raise
     return state
+
+
+def run_single(config):
+    """Execute one configured run on its own instance; returns its final
+    ``OptimizerState``."""
+    config.validate()
+    return run_instance(config, build_instance(config))
 
 
 SUMMARY_COLUMNS = [
@@ -382,36 +398,35 @@ COMPARE_VARIANTS = (
 def compare(config):
     """Run the adaptive policy and the baselines on one shared instance.
 
-    The graph, costs, and initial estimates are identical across variants
-    (they come from dedicated seed streams); only the zoom policy and its
-    conventional starting step differ.  Returns {label: (config, state)},
-    each final state as ``run_single`` gives it.
+    Only the zoom policy and its conventional starting step differ between
+    the variants, so every variant config is validated first, the graph,
+    costs and initial estimates are built once, from the first, and each
+    variant runs on them (``run_instance``).  Returns {label: (config,
+    state)}, each final state as ``run_single`` would give it.
     """
-    runs = {}
+    configs = {}
     for label, policy_spec, delta0 in COMPARE_VARIANTS:
         c = dc_replace(config, policy=dict(policy_spec))
         if delta0 is not None:
             c = dc_replace(c, delta0=delta0)
-        runs[label] = (c, run_single(c))
-    return runs
+        c.validate()
+        configs[label] = c
+    instance = build_instance(configs[COMPARE_VARIANTS[0][0]])
+    return {label: (c, run_instance(c, instance)) for label, c in configs.items()}
 
 
 def cmd_compare(config):
     # compare replaces the policy block (and delta0 for the fixed levels), so
-    # only what it runs is validated: each variant, in run_single.
+    # only what it runs is validated: each variant, in compare.
     def reports():
-        runs = compare(config)
-        labels = [label for label, _, _ in COMPARE_VARIANTS]
-        columns = ["k"] + ["error_%s" % label for label in labels]
+        runs = compare(config)  # in COMPARE_VARIANTS order
+        columns = ["k"] + ["error_%s" % label for label, _, _ in COMPARE_VARIANTS]
+        histories = [state.history for _, state in runs.values()]
         k0 = repr(math.sqrt(config.n))
-        rows = [dict({"k": 0}, **{"error_%s" % label: k0 for label in labels})]
-        deepest = max(len(state.history) for _, state in runs.values())
-        for i in range(deepest):
-            row = {"k": i + 1}
-            for label in labels:
-                history = runs[label][1].history
-                row["error_%s" % label] = repr(history[i].error) if i < len(history) else ""
-            rows.append(row)
+        rows = [dict(zip(columns, [0] + [k0] * len(histories)))]
+        for i in range(max(map(len, histories))):
+            errors = [repr(h[i].error) if i < len(h) else "" for h in histories]
+            rows.append(dict(zip(columns, [i + 1] + errors)))
         summaries = [summarize(c, state) for c, state in runs.values()]
         return [
             ("compare.csv", write_rows_csv, columns, rows),

@@ -26,7 +26,9 @@ The per-node oracles below are the product's former exact-``Fraction``
 paths, which its integer, grid-level and distinct-value paths are checked
 against: ``per_node_step`` (one outer step from ``optimizer.gradient_step``
 and ``engine.init_consensus``, with the estimate kept as a ``Fraction``),
-``per_node_spread``, ``per_node_optimum`` and ``per_draw_x_init``.
+``per_node_spread``, ``per_node_optimum``, ``per_draw_x_init`` and
+``fraction_cost_classes`` (``optimizer.cost_classes`` in ``Fraction``
+arithmetic).
 ``fraction_error_metric``, ``saturation_half_range`` and
 ``fraction_zoom_decide`` are the ``Fraction`` forms of the error metric, of
 the zoom rule's range and of the zoom rule, which ``metrics.error_metric``
@@ -73,7 +75,7 @@ from zoomgrad.consensus import engine, run_consensus
 from zoomgrad.consensus.engine import ConsensusCapError, ConsensusStats, effective_epoch
 from zoomgrad.graph import Digraph
 from zoomgrad.consensus.engine import init_consensus
-from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, Starts, gradient_step
+from zoomgrad.optimizer import AdaptiveZoom, CostClasses, FixedLevel, RefineOnly, RunRecord, Starts, gradient_step
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.rng import PCG32, STREAM_XINIT
 from zoomgrad.runner import build_costs, build_policy
@@ -421,6 +423,19 @@ def zoom_out_bound(x_star, delta0, c_out):
 def per_node_optimum(s):
     """``CostSuite.global_optimum`` as a ``Fraction`` sum over the nodes."""
     return sum(c.beta * c.x0 for c in node_costs(s)) / total_curvature(s)
+
+
+def fraction_cost_classes(s, alpha):
+    """``optimizer.cost_classes`` in ``Fraction`` arithmetic: each class's
+    pulls ``(1 - alpha*beta, alpha*beta*x0)`` over their least common
+    denominator."""
+    pulls = []
+    for c in s.classes:
+        pull = alpha * c.beta
+        pulls.append((1 - pull, pull * c.x0))
+    lcm = math.lcm(*(r.denominator for pair in pulls for r in pair))
+    coeffs = tuple((int(u * lcm), int(v * lcm)) for u, v in pulls)
+    return CostClasses(s.node_class, lcm, coeffs)
 
 
 def starts_of(xs):

@@ -571,6 +571,77 @@ def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
     assert sizes[0] == sizes[-1] > 1000 and max(sizes[1:-1]) < 100
 
 
+# Graphs whose epochs last D' = 2, 3, 4 and 6 rounds: complete(4) has
+# diameter 1, the directed ring(n) diameter n - 1.
+EPOCH_GRAPHS = {"d_eff-2": complete(4), "d_eff-3": ring(4), "d_eff-4": ring(5), "d_eff-6": ring(7)}
+
+
+def lone_extremes(y, g, seed):
+    """(max, min) counts of the pure run's later epoch starts at which only
+    nodes holding z == 1 reach that extreme of the snapshot.
+
+    Such a node does not split, so a snapshot taken node by node during the
+    split must still fold in its y; one that skipped it would differ there.
+    """
+    d_eff = effective_epoch(g.diameter)
+    split_and_deliver = engine._split_and_deliver
+    lam, counts = [0], [0, 0]
+
+    def recorded(y, z, g, rng, alphabet):
+        lam[0] += 1
+        if lam[0] > 1 and lam[0] % d_eff == 1:
+            split = [(yi, zi) for yi, zi in zip(y, z) if zi > 1]  # never empty: sum(z) = 2n
+            counts[0] += max(-(-yi // zi) for yi, zi in zip(y, z)) > max(-(-yi // zi) for yi, zi in split)
+            counts[1] += min(yi // zi for yi, zi in zip(y, z)) < min(yi // zi for yi, zi in split)
+        split_and_deliver(y, z, g, rng, alphabet)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_split_and_deliver", recorded)
+        run_consensus(y, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", EPOCH_GRAPHS)
+def test_kernel_snapshot_folds_in_the_nodes_that_do_not_split(built_kernel, name):
+    # Every epoch start's extremes must count each node, also one whose
+    # z == 1 leaves it out of the split.  On each graph, many runs reach a
+    # later epoch start where such nodes alone hold the max, or the min;
+    # the kernel must agree with the pure path on level, rounds, alphabet
+    # and RNG state in every run.
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    g = EPOCH_GRAPHS[name]
+    lone = [0, 0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", built_kernel)
+        for seed in range(40):
+            for span in (9, 1000):
+                y = spread_masses(g.n, seed, span)
+                compiled = outcome(kernel_point, y, Q_HALF, g, seed)
+                assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure"), (seed, span)
+                lone = [a + b for a, b in zip(lone, lone_extremes(y, g, seed))]
+    assert min(lone) > 0, lone
+
+
+def test_kernel_matches_the_pure_path_at_every_round_cap(built_kernel):
+    # A capped call stops mid-epoch, with its snapshot half taken or not
+    # yet read: every cap short of the stop must leave the kernel and the
+    # pure path at the same round count and RNG state.
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    g = EPOCH_GRAPHS["d_eff-4"]
+    y = spread_masses(g.n, 3, 1000)
+    assert min(lone_extremes(y, g, 3)) > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", built_kernel)
+        rounds = outcome(kernel_point, y, Q_HALF, g, 3)[1]
+        assert rounds > 3 * effective_epoch(g.diameter)
+        for cap in range(1, rounds + 1):
+            compiled = outcome(kernel_point, y, Q_HALF, g, 3, cap)
+            assert compiled == outcome(consensus_point, y, Q_HALF, g, 3, cap, force_backend="pure"), cap
+            assert (compiled[0] == "cap") == (cap < rounds)
+
+
 # --- the kernel's closed-form split and fastmod draws ---------------------
 
 INT64_MAX = 2**63 - 1
@@ -753,9 +824,12 @@ TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, s
 # again gives the same output.  States 0-4 never bring node 0 of
 # [-(2**63 - 1), 0, 0] to z = 3 with all the mass; state 5 does, in round 1.
 # Then takes the bulk draws of every bound sequence from the same states,
-# and checks that a bound beyond 2**32 raises.  Last, generates graphs on a
+# and checks that a bound beyond 2**32 raises.  Then generates graphs on a
 # ring cycle at p = 0, 1/2**32, 1/2 and 1, with n across a 64-bit word, and
-# runs the diameter and a consensus on each handle the scan returns.
+# runs the diameter and a consensus on each handle the scan returns, and
+# the diameter of a path, which is not strongly connected.  Last, runs
+# spread masses on the directed ring(7) (D' = 6) to the stop and again
+# capped one round short of it, mid-epoch.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -786,7 +860,40 @@ for n in (2, 3, 65):
         assert 1 <= d <= n - 1 and kernel.diameter(kernel.csr(rows)) == d, (n, threshold)
         out = kernel.run_rounds([3 * u - n for u in range(n)], handle, max(d, 2), 100000, state, 11)
         assert out is not None and out[0], (n, threshold)
+assert kernel.diameter(kernel.csr([[1], [2], []])) == -1
+ring = kernel.csr([[(u + 1) % 7] for u in range(7)])
+y = [10**6 * (2 * u - 7) + 1 for u in range(7)]
+stopped, rounds = kernel.run_rounds(y, ring, 6, 100000, 3, 7)[:2]
+assert stopped and rounds > 12 and rounds % 6 == 0, rounds
+assert kernel.run_rounds(y, ring, 6, rounds - 1, 3, 7)[:2] == (False, rounds - 1)
 """
+
+
+def compiler_runtime(name):
+    """Path of the C compiler's runtime library ``name``, or None."""
+    path = subprocess.run([CC, "-print-file-name=" + name], capture_output=True, text=True).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+def run_sanitized(tmp_path, cflags, runtimes, **env):
+    """Build the kernel with ``cflags`` and run ``SANITIZED_RUN`` on it with
+    the sanitizer ``runtimes`` preloaded and ``env`` set; fails on a report."""
+    path, _ = build_kernel(tmp_path, dict(os.environ, CFLAGS=cflags))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            SANITIZED_RUN,
+            path,
+            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE),
+            json.dumps(list(BULK_DRAW_BOUNDS.values())),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, LD_PRELOAD=" ".join(runtimes), **env),
+        timeout=60,  # a probe loop on a full piece table would spin forever
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
@@ -800,26 +907,32 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
     # generates graphs whose handles it runs.
     if shutil.which(CC) is None:
         pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
-    runtime = subprocess.run([CC, "-print-file-name=libubsan.so"], capture_output=True, text=True).stdout.strip()
-    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+    runtime = compiler_runtime("libubsan.so")
+    if runtime is None:
         pytest.skip("compiler %r has no UBSan runtime (libubsan.so)" % CC)
-    env = dict(os.environ, CFLAGS="-fno-wrapv -fsanitize=signed-integer-overflow -fno-sanitize-recover=all")
-    path, _ = build_kernel(tmp_path, env)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            SANITIZED_RUN,
-            path,
-            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE),
-            json.dumps(list(BULK_DRAW_BOUNDS.values())),
-        ],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, LD_PRELOAD=runtime),
-        timeout=60,  # a probe loop on a full piece table would spin forever
+    run_sanitized(tmp_path, "-fno-wrapv -fsanitize=signed-integer-overflow -fno-sanitize-recover=all", [runtime])
+
+
+def test_kernel_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # The same run on a kernel built with ASan and every UBSan check, each
+    # fatal: no read or write outside a buffer (the piece table's growth
+    # and reuse, the CSR rows, the per-call arrays), no use after free and
+    # no undefined shift, cast or overflow.  PYTHONMALLOC=malloc sends the
+    # kernel's PyMem allocations through malloc, where ASan guards them.
+    # CPython's own allocations at exit would swamp LeakSanitizer, so it is
+    # off.
+    if shutil.which(CC) is None:
+        pytest.skip("no C compiler %r found, so the sanitized kernel was not built" % CC)
+    runtimes = [compiler_runtime("libasan.so"), compiler_runtime("libubsan.so")]
+    if None in runtimes:
+        pytest.skip("compiler %r lacks the ASan or the UBSan runtime (libasan.so, libubsan.so)" % CC)
+    run_sanitized(
+        tmp_path,
+        "-fno-wrapv -fsanitize=address,undefined -fno-sanitize-recover=all",
+        runtimes,
+        ASAN_OPTIONS="detect_leaks=0",
+        PYTHONMALLOC="malloc",
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_force_backend_validation():

@@ -14,6 +14,7 @@ from conftest import (
     bidirectional_pair,
     consensus_point,
     cost_suite,
+    fraction_cost_classes,
     fraction_error_metric,
     fraction_zoom_decide,
     node_costs,
@@ -555,6 +556,31 @@ def test_cost_classes_group_equal_costs():
     # Keys are the reduced integers, so 4/2 and 2 are one class.
     again = cost_classes(cost_suite([QuadraticCost(F(4, 2), F(1)), QuadraticCost(F(2), F(2, 2))]), F(1, 10))
     assert again.node_class == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cost_classes_equal_the_fraction_formula(data):
+    # The integer table equals the Fraction formula's, field for field.
+    s = draw_suite(data, data.draw(st.integers(min_value=1, max_value=30)))
+    alpha = data.draw(st.fractions(min_value=F(1, 1000), max_value=3, max_denominator=1000))
+    assert cost_classes(s, alpha) == fraction_cost_classes(s, alpha)
+
+
+@pytest.mark.parametrize("alpha", [F(3, 25), F(1, 3), F(1), F(7, 4), F(1, 10**6)])
+def test_cost_classes_equal_the_fraction_formula_on_explicit_suites(alpha):
+    # Negative and zero x0, alpha*beta above, at and below 1, and numbers
+    # that reduce: the table equals the Fraction formula's, field for field.
+    suites = [
+        [(2, 3)],
+        [(1, -4), (5, "-7/3"), (10, 0)],
+        [("3/2", "-1/6"), (4, 4), ("9/4", -100), ("25/3", "6/4")],
+        [(25, 1), ("1/4", "-3/8"), (2 * 10**6, "1/2")],
+    ]
+    for pairs in suites:
+        s = suite(pairs)
+        assert cost_classes(s, alpha) == fraction_cost_classes(s, alpha), pairs
+    assert any(alpha * F(b) > 1 for pairs in suites for b, _ in pairs)
 
 
 POLICIES = [

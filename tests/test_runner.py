@@ -612,9 +612,10 @@ def compared():
 
 
 def test_compare_shares_the_instance(monkeypatch):
-    # Every variant runs on the same graph, costs and starts, recorded as
-    # their builders return them.
+    # compare builds the graph, costs and starts once, recorded as their
+    # builders return them, and every variant runs on that one graph.
     built = {}
+    ran_on = []
 
     def recorder(name):
         real = getattr(runner_mod, name)
@@ -625,15 +626,26 @@ def test_compare_shares_the_instance(monkeypatch):
 
         return recorded
 
+    def run_until(state, g, *args):
+        ran_on.append(g)
+        return real_run_until(state, g, *args)
+
+    real_run_until = runner_mod.run_until
     for name in ("generate_random_digraph", "build_costs", "sample_x_init"):
         monkeypatch.setattr(runner_mod, name, recorder(name))
+    monkeypatch.setattr(runner_mod, "run_until", run_until)
     runs = compare(RunConfig(seed=1, stop={"max_steps": 2}))
-    assert len({state.x_star for _, state in runs.values()}) == 1
-    graphs, suites, starts = built.values()
-    assert len(graphs) == len(suites) == len(starts) == len(COMPARE_VARIANTS)
-    assert len({g.out_adj for g in graphs}) == 1
-    assert len({(s.classes, s.node_class) for s in suites}) == 1
-    assert len({tuple(x) for x in starts}) == 1
+    (shared,), (suite,), (starts,) = built.values()
+    assert len(ran_on) == len(runs) == len(COMPARE_VARIANTS)
+    assert all(g is shared for g in ran_on)
+    assert {state.x_star for _, state in runs.values()} == {suite.global_optimum}
+    assert all(state.classes.node_class == suite.node_class for _, state in runs.values())
+    # The shared instance is the one each variant would build on its own.
+    for c, _ in runs.values():
+        g, s, x = runner_mod.build_instance(c)
+        assert g.out_adj == shared.out_adj
+        assert (s.classes, s.node_class) == (suite.classes, suite.node_class)
+        assert x == starts
 
 
 def test_compare_floor_ordering(compared):
