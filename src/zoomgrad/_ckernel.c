@@ -7,12 +7,15 @@
  * the final RNG state are bit-for-bit equal.
  *
  * A graph's out-adjacency lives in C as one CSR handle (a capsule), which
- * the graph keeps and run_rounds and diameter read on every call.  A
- * generated graph gets it from random_out_adj's edge scan, which writes the
- * kept ids into the handle as it draws them; csr flattens the rows of a graph
- * given as rows, on its first kernel call.  Both build it through csr_new and
- * csr_capsule, so there is one layout and one free path.  The handle also
- * keeps run_rounds' piece table between calls.
+ * the graph keeps and run_rounds and diameter read on every call.  Node i's
+ * row starts with i itself, then lists its out-neighbours in out_adj order,
+ * so a consensus draw k in [0, 1 + out-degree) picks row[k] with no branch;
+ * diameter skips that first slot.  A generated graph gets its handle from
+ * random_out_adj's edge scan, which writes the kept ids into the handle as
+ * it draws them; csr flattens the rows of a graph given as rows, on its
+ * first kernel call.  Both build it through csr_new and csr_capsule, so
+ * there is one layout and one free path.  The handle also keeps run_rounds'
+ * piece set between calls.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, the max ceil(y/z) / min floor(y/z) snapshot at each
@@ -21,28 +24,47 @@
  * per-piece oracle; the kernel splits a node in closed form instead.  With
  * y = q z + r and 0 <= r < z, those pieces are z - max(r, 1) copies of q and
  * then max(r, 1) - 1 copies of q + 1, and the node keeps q + (r > 0) with
- * z = 1.  The snapshot is taken during the split, each node folding its own
- * floor and ceil into it at its turn (both are y when z is 1): deliveries
- * wait until every node has split, so no (y, z) changes before its turn.  So
- * a node pays one division per round, none when z is 1 or 2, snapshot
- * included, and at most two piece-set inserts per node, in the
- * oracle's first-send order.  Each piece still takes its own draw, in the
- * same order.  The draw bound 1 + out-degree, its rejection threshold and
- * its fastmod constant (Lemire, Kaser and Kurz, 2019) are computed once per
- * node per call, so a draw's r % bound takes three multiplies, no division.
+ * z = 1.  A round is four flat passes, each doing one kind of work:
+ *   - split: per node one floor division, whatever z is, a fold of the
+ *     node's floor and ceil into the round's extremes (the epoch-start
+ *     snapshot: deliveries wait until every node has split, so no (y, z)
+ *     changes before its turn), y = ceil, z = 1, and a record of q, z, r
+ *     and the index of the node's first piece in the round's sending order,
+ *     the running sum of z - 1.  No piece-set call and no draw.
+ *   - collect: in node order, q (when z > 1) and q + 1 (when r > 1) go into
+ *     the piece set, which keeps the oracle's first-send order.
+ *   - draw: one loop over the round's n pieces (z sums to 2n, so z - 1 sums
+ *     to n), in sending order.  A piece's owner is the last node whose first
+ *     index is at most the piece's, read from a histogram of the first
+ *     indices by a running sum; the piece takes one draw, as in the oracle,
+ *     and goes to row[draw].
+ *   - deliver: every node adds what it was sent.
+ * The draw bound 1 + out-degree, its rejection threshold and its fastmod
+ * constant (Lemire, Kaser and Kurz, 2019) are computed once per node per
+ * call, so a draw's r % bound takes three multiplies, no division.
+ *
+ * The piece set.  While an epoch's range is wide, the call's distinct pieces
+ * go into an open-addressing hash set on the handle, which a new call
+ * empties in O(1).  At the first epoch start whose snapshot range M - m is
+ * below WINDOW, the set becomes a bitmap over [m, m + WINDOW) for the rest
+ * of the call, seeded from the pieces already sent, and is updated without
+ * branches.  That is exact because the ranges nest: once every y/z lies in
+ * [m, M], every piece (a floor) and every kept value (a ceil) does too, so
+ * every later holding, being their average, and every later piece and
+ * snapshot stay in [m, M].  Either way the pieces are also listed in
+ * first-send order, and returned as one bytes object of native int64
+ * values: the copy out is O(distinct pieces), with no Python int built per
+ * piece.
+ *
  * Masses are plain int64.  One check before the first round bounds every
  * value the run computes by the initial sum of |y|; an instance whose sum
- * does not fit int64 is declined (returns None) before any draw.  The
- * floor/ceil helper never forms q z, which that bound does not cover: at
- * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
- * copy of the RNG state, so a decline leaves the caller's generator where it
- * was and the pure path replays the identical run.  At a stop it checks, in
- * O(n), that z sums to 2n, that y kept its initial sum and that m lies in
- * the first snapshot; a violation raises RuntimeError.  The distinct pieces sent
- * are collected in an open-addressing hash set on the handle, which a new call
- * empties in O(1), and returned as one bytes object of native int64 values in
- * first-send order: the copy out is O(distinct pieces), with no Python int
- * built per piece.
+ * does not fit int64 is declined (returns None) before any draw.  The split
+ * never forms q z, which that bound does not cover: at y = -(2**63 - 1),
+ * z = 3 it is below INT64_MIN.  The kernel works on a copy of the RNG state,
+ * so a decline leaves the caller's generator where it was and the pure path
+ * replays the identical run.  At a stop it checks, in O(n), that z sums to
+ * 2n, that y kept its initial sum and that m lies in the first snapshot; a
+ * violation raises RuntimeError.
  *
  * diameter runs graph.diameter's reach recurrence on rows of uint64 words
  * and returns -1 when the graph is not strongly connected.
@@ -124,37 +146,22 @@ static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
     return fastmod_u32(r, b->fastmod, b->bound);
 }
 
-/* floor(num / den) in *lo and the remainder num - *lo * den, in [0, den), in
- * *rem, for den >= 1; returns ceil(num / den).  One truncating division, and
- * none for den 1 or 2, the commonest holdings.  The product *lo * den is
- * never formed: at num = -(2**63 - 1), den = 3 it is below INT64_MIN. */
-static int64_t floor_ceil(int64_t num, int64_t den, int64_t *lo, int64_t *rem)
-{
-    if (den == 1) {
-        *lo = num;
-        *rem = 0;
-    } else if (den == 2) {
-        *rem = (int64_t)((uint64_t)num & 1);
-        *lo = (num - *rem) / 2;
-    } else {
-        *lo = num / den;
-        *rem = num % den;
-        if (*rem < 0) {
-            *lo -= 1;
-            *rem += den;
-        }
-    }
-    return *lo + (*rem != 0);
-}
+/* The piece set's window: once an epoch's snapshot range M - m is below
+ * WINDOW, every later piece of the call lies in [m, m + WINDOW). */
+#define WINDOW 1024
+#define WINDOW_WORDS (WINDOW / 64)
 
-/* Open-addressing set of the distinct pieces a run sends, kept on the graph
- * handle and reused by every run_rounds call on it, so the table stays at its
- * largest size instead of starting small and regrowing on each call.  A slot
- * holds a piece of the current call only when its stamp equals the call's
- * number; each call takes a new number, which empties every slot at once.
- * The call's pieces are also listed in first-send order in seen, which is
- * what the call returns.  The table is kept at most half full, so seen needs
- * half as many entries as there are slots. */
+/* The distinct pieces a run sends, kept on the graph handle and reused by
+ * every run_rounds call on it, so its arrays stay at their largest size
+ * instead of starting small and regrowing on each call.
+ *
+ * While the call's ranges are wide the set is an open-addressing hash
+ * table.  A slot holds a piece of the current call only when its stamp
+ * equals the call's number; each call takes a new number, which empties
+ * every slot at once.  The table is kept at most half full.  Once windowed,
+ * the set is the bitmap bits over [base, base + WINDOW) instead, and the
+ * table is no longer read.  Either way the call's pieces are listed in
+ * first-send order in seen, which is what the call returns. */
 typedef struct {
     int64_t piece;
     uint64_t call;
@@ -163,14 +170,34 @@ typedef struct {
 typedef struct {
     Slot *slot;
     int64_t *seen;
-    size_t mask, len;
+    uint64_t *bits;
+    size_t mask, len, seen_cap;
     uint64_t call;
+    int64_t base;
+    int windowed;
 } PieceSet;
 
 static void pieces_free(PieceSet *s)
 {
     PyMem_Free(s->slot);
     PyMem_Free(s->seen);
+    PyMem_Free(s->bits);
+}
+
+/* Room in seen for cap pieces, keeping those it lists; -1 with an
+ * exception set, and s unchanged, on error. */
+static int seen_reserve(PieceSet *s, size_t cap)
+{
+    int64_t *seen;
+    if (cap <= s->seen_cap)
+        return 0;
+    if ((seen = PyMem_Realloc(s->seen, cap * sizeof(int64_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->seen = seen;
+    s->seen_cap = cap;
+    return 0;
 }
 
 /* Multiplicative hash, in uint64 so that it wraps without signed overflow. */
@@ -180,76 +207,128 @@ static size_t piece_slot(int64_t c, size_t mask)
     return (size_t)(h ^ (h >> 32)) & mask;
 }
 
-/* Give s empty arrays: cap slots, all stamped 0, which no call uses, and
- * cap / 2 seen entries.  The arrays s held are not freed.  -1 with an
- * exception set, and s unchanged, on error. */
-static int pieces_alloc(PieceSet *s, size_t cap)
-{
-    Slot *slot = PyMem_Calloc(cap, sizeof(Slot));
-    int64_t *seen = PyMem_Malloc(cap / 2 * sizeof(int64_t));
-    if (slot == NULL || seen == NULL) {
-        PyMem_Free(slot);
-        PyMem_Free(seen);
-        PyErr_NoMemory();
-        return -1;
-    }
-    s->slot = slot;
-    s->seen = seen;
-    s->mask = cap - 1;
-    return 0;
-}
-
-/* Start a call: the first call allocates 64 slots, every call empties the
- * table by taking the next stamp.  O(1); -1 with an exception set on error. */
-static int pieces_begin(PieceSet *s)
-{
-    if (s->slot == NULL && pieces_alloc(s, 64) < 0)
-        return -1;
-    s->call++;
-    s->len = 0;
-    return 0;
-}
-
-/* Insert c unless this call already sent it; the table must have a free slot. */
-static void pieces_insert(PieceSet *s, int64_t c)
+/* Put c in the table unless this call already has it there; 1 when c was
+ * new.  The table must have a free slot. */
+static int slot_put(PieceSet *s, int64_t c)
 {
     size_t i = piece_slot(c, s->mask);
     while (s->slot[i].call == s->call) {
         if (s->slot[i].piece == c)
-            return;
+            return 0;
         i = (i + 1) & s->mask;
     }
     s->slot[i].piece = c;
     s->slot[i].call = s->call;
-    s->seen[s->len++] = c;
+    return 1;
 }
 
-/* Double the table and reinsert this call's pieces in first-send order; -1
- * with an exception set on error. */
-static int pieces_grow(PieceSet *s)
+/* A new table of cap slots, holding the pieces seen lists, with room in
+ * seen for cap / 2 pieces.  New slots are stamped 0, which no call uses.
+ * -1 with an exception set, and the old table kept, on error. */
+static int pieces_table(PieceSet *s, size_t cap)
 {
-    PieceSet old = *s;
+    Slot *slot;
     size_t i;
-    if (pieces_alloc(s, 2 * (old.mask + 1)) < 0)
+    if (seen_reserve(s, cap / 2) < 0)
         return -1;
-    s->len = 0;
-    for (i = 0; i < old.len; i++)
-        pieces_insert(s, old.seen[i]);
-    pieces_free(&old);
+    if ((slot = PyMem_Calloc(cap, sizeof(Slot))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    PyMem_Free(s->slot);
+    s->slot = slot;
+    s->mask = cap - 1;
+    for (i = 0; i < s->len; i++)
+        slot_put(s, s->seen[i]);
     return 0;
 }
 
-/* Insert c unless present; -1 with an exception set when growing fails. */
-static int pieces_add(PieceSet *s, int64_t c)
+/* Start a call with an empty set: the first call allocates the bitmap and
+ * 64 slots, every call takes the next stamp.  O(1); -1 with an exception
+ * set on error. */
+static int pieces_begin(PieceSet *s)
 {
-    pieces_insert(s, c);
-    return 2 * s->len > s->mask ? pieces_grow(s) : 0;
+    s->len = 0;
+    s->windowed = 0;
+    if (s->bits == NULL && (s->bits = PyMem_Malloc(WINDOW_WORDS * sizeof(uint64_t))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (s->slot == NULL && pieces_table(s, 64) < 0)
+        return -1;
+    s->call++;
+    return 0;
 }
 
-/* A graph's out-adjacency in CSR form: node i's out-neighbours, in the order
- * of its out_adj row, are idx[ptr[i]:ptr[i+1]].  csr() and random_out_adj
- * build one per graph and hand it to Python as a capsule; run_rounds and
- * diameter read it, and run_rounds keeps its piece table there between calls. */
+/* Insert c into the table unless present, and double the table when it is
+ * half full; -1 with an exception set when growing fails. */
+static int pieces_add(PieceSet *s, int64_t c)
+{
+    if (!slot_put(s, c))
+        return 0;
+    s->seen[s->len++] = c;
+    return 2 * s->len > s->mask ? pieces_table(s, 2 * (s->mask + 1)) : 0;
+}
+
+/* Window the set on [lo, lo + span), span <= WINDOW, for the rest of the
+ * call: the pieces already seen that lie there are set in the bitmap, and
+ * seen gets room for every value of the window plus the one entry that
+ * window_collect writes past the last.  -1 with an exception set on error. */
+static int pieces_window(PieceSet *s, int64_t lo, uint64_t span)
+{
+    size_t i;
+    if (seen_reserve(s, s->len + span + 1) < 0)
+        return -1;
+    memset(s->bits, 0, WINDOW_WORDS * sizeof(uint64_t));
+    for (i = 0; i < s->len; i++) {
+        uint64_t off = (uint64_t)s->seen[i] - (uint64_t)lo;
+        if (off < span)
+            s->bits[off / 64] |= UINT64_C(1) << (off % 64);
+    }
+    s->base = lo;
+    s->windowed = 1;
+    return 0;
+}
+
+/* One node's split in a round: y = q z + r with 0 <= r < z, and the index
+ * of its first piece in the round's sending order. */
+typedef struct {
+    int64_t q, z, r;
+    Py_ssize_t first;
+} Split;
+
+/* The collect pass on a windowed set: each node's q, then q + (r > 1), in
+ * node order.  Both lie in the window whether the node sends them or not,
+ * so each goes in without a branch: it is written past the last piece
+ * either way, and counted only when it is sent and new.  The set's fields
+ * are read into locals first, as a store to the bitmap could alias them. */
+static void window_collect(PieceSet *s, const Split *split, Py_ssize_t n)
+{
+    uint64_t *bits = s->bits, base = (uint64_t)s->base;
+    int64_t *seen = s->seen;
+    size_t len = s->len;
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        int64_t c = split[i].q, c2 = c + (split[i].r > 1);
+        uint64_t off = (uint64_t)c - base, off2 = (uint64_t)c2 - base;
+        uint64_t bit = (uint64_t)(split[i].z > 1) << (off % 64), bit2 = (uint64_t)(split[i].r > 1) << (off2 % 64);
+        uint64_t *word = &bits[off / 64];
+        seen[len] = c;
+        len += (bit & ~*word) != 0;
+        *word |= bit;
+        word = &bits[off2 / 64];
+        seen[len] = c2;
+        len += (bit2 & ~*word) != 0;
+        *word |= bit2;
+    }
+    s->len = len;
+}
+
+/* A graph's out-adjacency in CSR form: node i's row idx[ptr[i]:ptr[i+1]]
+ * is i itself, then its out-neighbours in the order of its out_adj row.
+ * csr() and random_out_adj build one per graph and hand it to Python as a
+ * capsule; run_rounds and diameter read it, and run_rounds keeps its piece
+ * set there between calls. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
@@ -318,7 +397,8 @@ static int idx_resize(Csr *g, size_t cap)
     return 0;
 }
 
-/* Flatten the out-adjacency into g's CSR arrays; -1 with an exception set on error. */
+/* Flatten the out-adjacency into g's CSR rows, each led by its own node;
+ * -1 with an exception set on error. */
 static int load_adjacency(PyObject *out_adj, Csr *g)
 {
     Py_ssize_t i, j, n = g->n, e = 0, total = 0;
@@ -326,7 +406,7 @@ static int load_adjacency(PyObject *out_adj, Csr *g)
         Py_ssize_t deg = PySequence_Size(PySequence_Fast_GET_ITEM(out_adj, i));
         if (deg < 0)
             return -1;
-        total += deg;
+        total += 1 + deg;
     }
     if (idx_resize(g, (size_t)total) < 0)
         return -1;
@@ -335,6 +415,7 @@ static int load_adjacency(PyObject *out_adj, Csr *g)
         if (row == NULL)
             return -1;
         g->ptr[i] = e;
+        g->idx[e++] = (int)i;
         for (j = 0; j < PySequence_Fast_GET_SIZE(row) && e < total; j++) {
             long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(row, j));
             if ((v < 0 || v >= n) && !PyErr_Occurred())
@@ -374,12 +455,14 @@ static PyObject *csr(PyObject *self, PyObject *out_adj)
 static PyObject *run_rounds(PyObject *self, PyObject *args)
 {
     PyObject *w_obj, *handle, *w = NULL, *ret = NULL, *alphabet;
-    Py_ssize_t d_eff, max_rounds, n, i, lam;
+    Py_ssize_t d_eff, max_rounds, n, i, j, lam, phase;
+    Py_ssize_t *starts = NULL;
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
     int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0;
     Bound *bounds = NULL;
+    Split *split = NULL;
     PieceSet *pieces;
     Csr *g;
     int stopped = 0, overflow;
@@ -405,7 +488,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     dy = PyMem_Calloc((size_t)n, sizeof(int64_t));
     dz = PyMem_Calloc((size_t)n, sizeof(int64_t));
     bounds = PyMem_Malloc((size_t)n * sizeof(Bound));
-    if (y == NULL || z == NULL || dy == NULL || dz == NULL || bounds == NULL) {
+    split = PyMem_Malloc((size_t)n * sizeof(Split));
+    starts = PyMem_Calloc((size_t)n + 1, sizeof(Py_ssize_t));
+    if (y == NULL || z == NULL || dy == NULL || dz == NULL || bounds == NULL || split == NULL || starts == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -432,60 +517,80 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         z[i] = 2;
     }
     for (i = 0; i < n; i++)
-        bounds[i] = make_bound(1 + (uint64_t)(g->ptr[i + 1] - g->ptr[i]));
+        bounds[i] = make_bound((uint64_t)(g->ptr[i + 1] - g->ptr[i]));
     pieces = &g->pieces;
     if (pieces_begin(pieces) < 0)
         goto done;
 
-    for (lam = 1; lam <= max_rounds; lam++) {
-        /* epoch start: the split below snapshots the global extremes of
-           ceil/floor(y/z), each node at its turn.  No node's (y, z) changes
-           before its turn, since deliveries wait, and max and min ignore
-           order, so this is the snapshot of the round's start */
-        int snapshot = lam % d_eff == 1;
-        if (snapshot) {
-            M = INT64_MIN;
-            m = INT64_MAX;
-        }
+    /* phase is lam % d_eff, kept without a division */
+    for (lam = phase = 1; lam <= max_rounds; lam++, phase = phase + 1 == d_eff ? 0 : phase + 1) {
+        int64_t hi_max = INT64_MIN, lo_min = INT64_MAX;
+        Py_ssize_t first = 0, owner = -1;
 
         /* split: with y = q z + r, 0 <= r < z, shedding z - 1 pieces
            floor(y/z) one at a time sends z - max(r, 1) pieces q, then
-           max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.
-           Each piece goes to the node itself or a random out-neighbour, by
-           one draw per piece in sending order; deliveries wait until every
-           node has split.  A node with z = 1 sends nothing, and its floor
-           and ceil are both y */
+           max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.  A
+           node with z = 1 has q = y and r = 0, sends nothing, and its floor
+           and ceil are both y.  The division truncates, so a negative
+           remainder moves q down by one and r up by z */
         for (i = 0; i < n; i++) {
-            int64_t q, r, k, hi, zi = z[i];
-            const Bound *b = &bounds[i];
-            const int *adj = g->idx + g->ptr[i];
-            if (zi == 1) {
-                if (snapshot) {
-                    M = y[i] > M ? y[i] : M;
-                    m = y[i] < m ? y[i] : m;
-                }
-                continue;
-            }
-            hi = floor_ceil(y[i], zi, &q, &r);
-            if (snapshot) {
-                M = hi > M ? hi : M;
-                m = q < m ? q : m;
-            }
-            if (pieces_add(pieces, q) < 0 || (r > 1 && pieces_add(pieces, q + 1) < 0))
-                goto done;
-            for (k = 1; k < zi; k++) {
-                uint32_t pick = draw_below(b, &state, inc);
-                Py_ssize_t tgt = pick == 0 ? i : adj[pick - 1];
-                dy[tgt] += k <= zi - r ? q : q + 1;  /* piece k of z - 1 */
-                dz[tgt] += 1;
-            }
+            int64_t zi = z[i], q = y[i] / zi, r = y[i] % zi, hi;
+            int neg = r < 0;
+            q -= neg;
+            r += neg ? zi : 0;
+            hi = q + (r != 0);
+            hi_max = hi > hi_max ? hi : hi_max;
+            lo_min = q < lo_min ? q : lo_min;
+            split[i].q = q;
+            split[i].z = zi;
+            split[i].r = r;
+            split[i].first = first;
+            starts[first]++;
+            first += zi - 1;
             y[i] = hi;
             z[i] = 1;
         }
-        if (lam == 1) {
-            M0 = M;
-            m0 = m;
+        /* epoch start: those extremes are the snapshot of the round's start,
+           since no node's (y, z) changed before its turn */
+        if (phase == 1) {
+            M = hi_max;
+            m = lo_min;
+            if (lam == 1) {
+                M0 = M;
+                m0 = m;
+            }
         }
+
+        /* collect: q, then q + 1, of each node that sends them, in node
+           order.  Once an epoch's range fits the window, every later piece
+           lies in it (the ranges nest), so the set is a bitmap from then on */
+        if (!pieces->windowed && M - m < WINDOW && pieces_window(pieces, m, (uint64_t)(M - m) + 1) < 0)
+            goto done;
+        if (pieces->windowed)
+            window_collect(pieces, split, n);
+        else
+            for (i = 0; i < n; i++)
+                if ((split[i].z > 1 && pieces_add(pieces, split[i].q) < 0) ||
+                    (split[i].r > 1 && pieces_add(pieces, split[i].q + 1) < 0))
+                    goto done;
+
+        /* draw: the round's n pieces (z sums to 2n, so z - 1 sums to n) in
+           sending order, one draw each, to the node itself (row slot 0) or
+           an out-neighbour.  Piece j is its owner's piece k = j - first + 1
+           of z - 1, which is q + (k > z - r); the owner is the last node
+           whose first index is at most j.  The histogram of first indices
+           is cleared as it is read */
+        for (j = 0; j < n; j++) {
+            const Split *sp;
+            Py_ssize_t tgt;
+            owner += starts[j];
+            starts[j] = 0;
+            sp = &split[owner];
+            tgt = g->idx[g->ptr[owner] + draw_below(&bounds[owner], &state, inc)];
+            dy[tgt] += sp->q + (j - sp->first >= sp->z - sp->r);
+            dz[tgt] += 1;
+        }
+        starts[n] = 0;
 
         /* deliver everything sent this round */
         for (i = 0; i < n; i++) {
@@ -495,7 +600,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         }
 
         /* epoch end: every node would now hold the snapshot's extremes */
-        if (lam % d_eff == 0 && M - m <= 1) {
+        if (phase == 0 && M - m <= 1) {
             stopped = 1;
             break;
         }
@@ -532,6 +637,8 @@ done:
     PyMem_Free(dy);
     PyMem_Free(dz);
     PyMem_Free(bounds);
+    PyMem_Free(split);
+    PyMem_Free(starts);
     return ret;
 }
 
@@ -576,7 +683,7 @@ static PyObject *diameter(PyObject *self, PyObject *handle)
             memcpy(dst, src, (size_t)words * sizeof(uint64_t));
             if (full[u])
                 continue;
-            for (e = g->ptr[u]; e < g->ptr[u + 1]; e++) {
+            for (e = g->ptr[u] + 1; e < g->ptr[u + 1]; e++) {  /* past u itself */
                 const uint64_t *r = reach + (Py_ssize_t)g->idx[e] * words;
                 for (k = 0; k < words; k++)
                     dst[k] |= r[k];
@@ -629,14 +736,14 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
     n = PySequence_Fast_GET_SIZE(succ);
     if ((g = csr_new(n, "succ")) == NULL)
         goto done;
-    /* idx starts at the expected edge count n + n(n-2)p plus 2n: n for the
-       row being scanned, which may write n - 1 ids, and at least two
-       standard deviations of the count, sqrt(n(n-2)p(1-p)) <= n/2.  It
-       grows only past that, and is cut to fit at the end.  n(n - 1) ids
-       always do, and capping at what idx_resize allows keeps the cast
-       defined */
-    want = 3.0 * (double)n + (double)n * (double)(n - 2) * ((double)threshold / 4294967296.0);
-    most = (double)n * (double)(n - 1);
+    /* idx starts at the expected id count 2n + n(n-2)p (each row's own
+       node, its cycle successor and its drawn pairs) plus 2n: n for the row
+       being scanned, which may write n ids, and at least two standard
+       deviations of the count, sqrt(n(n-2)p(1-p)) <= n/2.  It grows only
+       past that, and is cut to fit at the end.  n * n ids always do, and
+       capping at what idx_resize allows keeps the cast defined */
+    want = 4.0 * (double)n + (double)n * (double)(n - 2) * ((double)threshold / 4294967296.0);
+    most = (double)n * (double)n;
     if (most > (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int)))
         most = (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int));
     cap = (size_t)(want < most ? want : most);
@@ -667,18 +774,20 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
 
     for (u = 0; u < n; u++) {
         PyObject *row;
-        Py_ssize_t s = cycle[u], first = e;
+        Py_ssize_t s = cycle[u], first;
         int *idx;
-        if ((size_t)(e + n - 1) > cap) {
+        if ((size_t)(e + n) > cap) {
             size_t grown = cap + cap / 2;
-            if (grown < (size_t)(e + n - 1))
-                grown = (size_t)(e + n - 1);
+            if (grown < (size_t)(e + n))
+                grown = (size_t)(e + n);
             if (idx_resize(g, grown) < 0)
                 goto done;
             cap = grown;
         }
         idx = g->idx;
         g->ptr[u] = e;
+        idx[e++] = (int)u;  /* the row starts with u itself, which its tuple leaves out */
+        first = e;
         for (v = 0; v < n; v++) {
             /* v is written to the next free slot, which the pair then takes
                or leaves: no branch on the draw.  The self-pair and the

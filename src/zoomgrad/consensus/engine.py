@@ -56,21 +56,32 @@ floor division at a time (``_split_and_deliver``) and is the per-piece
 oracle.  The kernel splits a node in closed form instead: with
 ``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
 copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
-node keeps ``q + (r > 0)`` with ``z = 1``.  The kernel takes the
-epoch-start snapshot during that split: each node folds its own floor and
-ceil into the extremes at its turn (both are ``y`` when ``z`` is 1), which
-is exact because deliveries wait until every node has split, so no
-node's ``(y, z)`` changes before its turn.  So a node pays one division
-per round, snapshot included (none when ``z`` is 1 or 2), and at most two
-piece-set inserts, while each piece still takes its own draw in the
-oracle's order.  Each node's draw bound ``1 + out-degree``, its rejection
+node keeps ``q + (r > 0)`` with ``z = 1``.  A kernel round is four flat
+passes, each doing one kind of work, so none branches per node.  The split
+pass makes one floor division per node, whatever its ``z``, folds the
+node's floor and ceil into the epoch-start snapshot (exact because
+deliveries wait until every node has split, so no node's ``(y, z)``
+changes before its turn), and records ``q``, ``z``, ``r`` and the index of
+the node's first piece in the round's sending order.  The collect pass
+puts each node's ``q`` and ``q + 1``, when it sends them, into the piece
+set in node order.  The draw pass walks the round's ``n`` pieces in
+sending order, each taking its own draw as in the oracle; a piece's owner
+is read from a running sum over the first-piece indices, and its target
+is ``row[draw]``, since each of the handle's rows starts with the node
+itself.  Then every node takes its deliveries.  Each node's draw bound ``1 + out-degree``, its rejection
 threshold and its fastmod constant (Lemire, Kaser and Kurz, "Faster
 Remainder by Direct Computation", 2019) are computed once per call, so a
 draw takes its remainder by multiplies, not by a division.  The kernel reads the graph
 through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
 the edge scan for a generated graph, by flattening the rows once on first
 use for a graph given as rows, never per call) and collects the distinct
-pieces in a C hash set kept on that handle, which a call empties in O(1).
+pieces in a C set kept on that handle, which a call empties in O(1): a
+hash table while the epochs' ranges are wide, and from the first epoch
+start whose snapshot range ``M - m`` is below 1024 a bitmap over
+``[m, m + 1024)`` for the rest of the call.  That is exact because the
+ranges nest: once every ``y/z`` lies in ``[m, M]``, every piece (a floor)
+and every kept value (a ceil) does too, so every later holding, piece and
+snapshot stays there.
 The pure path returns its pieces as a Python ``set``; the kernel returns
 them packed as native int64, which the engine exposes as a ``memoryview``
 of format ``'q'``, so no Python int is built per piece.  No value in a run exceeds

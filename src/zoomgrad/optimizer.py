@@ -320,7 +320,7 @@ class OptimizerState:
         self.error_terms = error_terms(q, self.x_star, self.spread)
 
 
-def initial_state(starts, q, s, alpha):
+def initial_state(starts, q, s, alpha, like):
     """The state before step 1 of a run on suite ``s`` with step size ``alpha``.
 
     ``starts`` is the run's ``Starts`` table.  Step 1's masses are every
@@ -332,13 +332,18 @@ def initial_state(starts, q, s, alpha):
     no level: a consensus output is a grid point, so it never repeats it.
     The error is measured against the suite's optimum, normalized by the
     spread of the starts; ``start_spread`` raises ValueError when a start
-    equals it.
+    equals it.  The class table, the optimum and the spread depend only on
+    ``starts``, ``s`` and ``alpha``: ``like`` is None, or a state of a run on
+    the same three, which lends its own instead of working them out again.
     """
-    classes = cost_classes(s, alpha)
+    if like is None:
+        x_star = s.global_optimum
+        classes, spread = cost_classes(s, alpha), start_spread(starts, x_star)
+    else:
+        classes, x_star, spread = like.classes, like.x_star, like.spread
     m, off = divmod(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den)
     level = m if len(starts.nums) == 1 and not off else None
-    x_star = s.global_optimum
-    state = OptimizerState(q, level, classes, x_star, start_spread(starts, x_star))
+    state = OptimizerState(q, level, classes, x_star, spread)
     state.masses = start_masses(classes, q, state.offsets, starts)
     return state
 

@@ -128,12 +128,14 @@ def build_instance(config):
     return g, s, sample_x_init(config, s.global_optimum)
 
 
-def run_instance(config, instance):
+def run_instance(config, instance, like=None):
     """Run a validated config on its ``build_instance`` instance; returns
-    the final ``OptimizerState``, whose ``history`` is the per-step log."""
+    the final ``OptimizerState``, whose ``history`` is the per-step log.
+    ``like``, a state of a run on the same instance and ``alpha``, lends
+    ``initial_state`` what depends on nothing else."""
     g, s, starts = instance
     policy = build_policy(config)
-    state = initial_state(starts, QuantizerState.of(config.b_q0, config.delta0), s, config.alpha)
+    state = initial_state(starts, QuantizerState.of(config.b_q0, config.delta0), s, config.alpha, like)
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
         run_until(state, g, policy, config.block("stop"), rng)
@@ -401,8 +403,11 @@ def compare(config):
     Only the zoom policy and its conventional starting step differ between
     the variants, so every variant config is validated first, the graph,
     costs and initial estimates are built once, from the first, and each
-    variant runs on them (``run_instance``).  Returns {label: (config,
-    state)}, each final state as ``run_single`` would give it.
+    variant runs on them (``run_instance``).  The cost-class table and the
+    error's spread, which depend on the instance and ``alpha`` alone, are
+    worked out for the first variant and lent to the others.  Returns
+    {label: (config, state)}, each final state as ``run_single`` would give
+    it.
     """
     configs = {}
     for label, policy_spec, delta0 in COMPARE_VARIANTS:
@@ -412,7 +417,12 @@ def compare(config):
         c.validate()
         configs[label] = c
     instance = build_instance(configs[COMPARE_VARIANTS[0][0]])
-    return {label: (c, run_instance(c, instance)) for label, c in configs.items()}
+    runs, first = {}, None
+    for label, c in configs.items():
+        state = run_instance(c, instance, first)
+        first = first or state
+        runs[label] = (c, state)
+    return runs
 
 
 def cmd_compare(config):

@@ -16,7 +16,8 @@ oracle that the engine's epoch-snapshot path and the kernel are checked
 against.  It returns the common grid point, as ``consensus_point`` does for
 ``run_consensus``, which returns only the point's level.  Like the engine it
 reads the round cap ``engine.ROUND_CAP`` at each call, so a test that needs a
-small cap patches that name.
+small cap patches that name.  ``ordered_alphabet`` lists the pure path's
+distinct pieces in first-send order, the order of the kernel's alphabet.
 
 ``ADAPTIVE`` and ``REFINE`` are the reference config's adaptive and
 refine-only policies, built by ``runner.build_policy``: their defaults are
@@ -115,8 +116,8 @@ def acceptance(request):
     return record
 
 
-def build_kernel(tmp, env=None):
-    """Build ``_ckernel`` from this checkout under ``tmp``.
+def build_kernel(tmp, env=None, root=ROOT):
+    """Build ``_ckernel`` from the checkout at ``root`` under ``tmp``.
 
     Returns (path of the built module, compiler output) and fails the
     calling test when the build fails.  ``env`` replaces the build's
@@ -124,7 +125,7 @@ def build_kernel(tmp, env=None):
     """
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "temp")],
-        cwd=ROOT,
+        cwd=root,
         capture_output=True,
         text=True,
         env=env,
@@ -151,6 +152,11 @@ def built_kernel(tmp_path_factory):
     path, log = build_kernel(tmp_path_factory.mktemp("ckernel"), env)
     if "warning:" in log:
         pytest.fail("the kernel built with compiler warnings:\n%s" % log)
+    return load_kernel(path)
+
+
+def load_kernel(path):
+    """The ``_ckernel`` module built at ``path``, imported without installing it."""
     spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -226,6 +232,32 @@ def consensus_point(y, q, g, rng, **kwargs):
     """``run_consensus`` with its level ``m`` mapped to the grid point ``b_q + m*delta``."""
     m, stats = run_consensus(y, q, g, rng, **kwargs)
     return q.b_q + m * q.delta, stats
+
+
+def ordered_alphabet(y, g, rng):
+    """The distinct pieces of the pure run from masses ``y``, as a list in
+    first-send order: each round's queue order, each piece kept at its first
+    sending.  This is the order the kernel's alphabet promises.
+
+    Runs ``engine._run_snapshot`` on a copy of ``y``, with each round's
+    split handing its pieces over as the list the engine queued them in.
+    """
+    sent = {}
+    split_and_deliver = engine._split_and_deliver
+
+    class Queue(list):
+        update = list.extend  # how the engine adds a round's pieces
+
+    def recorded(y, z, g, rng, alphabet):
+        queue = Queue()
+        split_and_deliver(y, z, g, rng, queue)
+        sent.update(dict.fromkeys(queue))
+        alphabet.update(queue)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_split_and_deliver", recorded)
+        engine._run_snapshot(list(y), g, effective_epoch(g.diameter), rng)
+    return list(sent)
 
 
 def fraction_zoom_decide(q, x_new, x_old, policy):

@@ -8,11 +8,13 @@ quantization step of that average.
 """
 
 import datetime
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     BULK_DRAW_BOUNDS,
     CC,
+    ROOT,
     bidirectional_pair,
     build_kernel,
     clamped_quantize,
@@ -28,6 +31,8 @@ from conftest import (
     consensus_point,
     digraph,
     flood_consensus,
+    load_kernel,
+    ordered_alphabet,
     ring,
 )
 from zoomgrad import graph
@@ -41,7 +46,7 @@ from zoomgrad.consensus.engine import (
     run_consensus,
     sample_out_target,
 )
-from zoomgrad.graph import generate_random_digraph
+from zoomgrad.graph import Digraph, generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
 
@@ -397,6 +402,7 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     if built_kernel is not None:
         assert snap == compiled()
         assert capped == compiled(rounds - 1)
+        assert_first_send_order(built_kernel, y, g, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -410,7 +416,7 @@ def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, o
     # [floor(y/z), ceil(y/z)] and a delivery averages, so every piece sent
     # in an epoch lies in that epoch's snapshot [m_e, M_e], and every piece
     # of a call in the first snapshot [m0, M0].  The kernel's alphabet lies
-    # in [m0, M0] too.
+    # in [m0, M0] too, and lists the pure path's pieces in first-send order.
     y = [2 * k + 1 for k in offsets[: g.n]]
     m0, M0 = min(v // 2 for v in y), max(-(-v // 2) for v in y)
     d_eff = effective_epoch(g.diameter)
@@ -436,7 +442,8 @@ def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, o
         assert all(m_e <= c <= M_e for c in pieces)
     assert all(m0 <= c <= M0 for c in stats.measured_alphabet)
     if built_kernel is not None:
-        alphabet = memoryview(kernel_run(built_kernel, y, g, seed)[3]).cast("q")
+        alphabet = memoryview(kernel_run(built_kernel, y, g, seed)[3]).cast("q").tolist()
+        assert alphabet == ordered_alphabet(y, g, PCG32(seed, STREAM_PROTOCOL))
         assert set(alphabet) == stats.measured_alphabet
         assert all(m0 <= c <= M0 for c in alphabet)
 
@@ -445,6 +452,13 @@ def kernel_run(kernel, y, g, seed, cap=ROUND_CAP):
     """The kernel's raw output on masses ``y``, or None when it declines."""
     state, inc = PCG32(seed, STREAM_PROTOCOL).getstate()
     return kernel.run_rounds(y, g.kernel_handle(kernel), effective_epoch(g.diameter), cap, state, inc)
+
+
+def assert_first_send_order(kernel, y, g, seed):
+    """The kernel's alphabet for masses ``y``, read as a list, is the pure
+    path's distinct pieces in first-send order."""
+    alphabet = memoryview(kernel_run(kernel, y, g, seed)[3]).cast("q").tolist()
+    assert alphabet == ordered_alphabet(y, g, PCG32(seed, STREAM_PROTOCOL))
 
 
 def assert_same_run(y, g, seed, cap=ROUND_CAP):
@@ -466,6 +480,7 @@ def test_backend_parity(kernel, n):
         assert outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure") == outcome(
             kernel_point, y, Q_HALF, g, seed
         )
+        assert_first_send_order(kernel, y, g, seed)
 
 
 def test_kernel_bails_to_pure_on_huge_masses(kernel):
@@ -642,6 +657,177 @@ def test_kernel_matches_the_pure_path_at_every_round_cap(built_kernel):
             assert (compiled[0] == "cap") == (cap < rounds)
 
 
+# --- the kernel's window on the piece set, and its self-first rows --------
+
+# The kernel's piece set becomes a bitmap over [m, m + WINDOW) at the first
+# epoch start whose snapshot range M - m is below WINDOW (_ckernel.c).
+WINDOW = 1024
+
+WINDOW_GRAPHS = {"complete-6": complete(6), "ring-7": ring(7), "random-20": generate_random_digraph(20, F(1, 4), 3)}
+
+
+def snapshot_ranges(y, g, seed):
+    """The range M - m of each epoch's snapshot in the pure run from masses ``y``."""
+    d_eff = effective_epoch(g.diameter)
+    split_and_deliver = engine._split_and_deliver
+    lam, ranges = [0], []
+
+    def recorded(y, z, g, rng, alphabet):
+        if lam[0] % d_eff == 0:
+            ranges.append(max(-(-yi // zi) for yi, zi in zip(y, z)) - min(yi // zi for yi, zi in zip(y, z)))
+        lam[0] += 1
+        split_and_deliver(y, z, g, rng, alphabet)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_split_and_deliver", recorded)
+        run_consensus(y, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")
+    return ranges
+
+
+def window_masses(n, span, seed):
+    """n odd masses whose first snapshot is [0, span]: 1 (floor 0 at z = 2),
+    2*span - 1 (ceil span) and odd masses drawn between them."""
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    return [1, 2 * span - 1] + [2 * rng.randbelow(span) + 1 for _ in range(n - 2)]
+
+
+@pytest.mark.parametrize("name", WINDOW_GRAPHS)
+def test_kernel_matches_the_pure_path_across_the_window(kernel, name):
+    # Masses spread over +-10**6 start far wider than the window and narrow
+    # epoch by epoch: the piece set is a hash table first, then a bitmap
+    # seeded from it, and some epochs after the crossing still send pieces.
+    g = WINDOW_GRAPHS[name]
+    for seed in range(4):
+        y = spread_masses(g.n, seed, 10**6)
+        ranges = snapshot_ranges(y, g, seed)
+        assert ranges[0] >= WINDOW and any(1 < r < WINDOW for r in ranges), ranges
+        assert_same_run(y, g, seed)
+        assert_first_send_order(kernel, y, g, seed)
+
+
+@pytest.mark.parametrize("span", [WINDOW - 2, WINDOW - 1, WINDOW])
+@pytest.mark.parametrize("name", WINDOW_GRAPHS)
+def test_kernel_matches_the_pure_path_at_the_window_edge(kernel, name, span):
+    # First ranges of WINDOW - 2 and WINDOW - 1 window the set in round 1,
+    # over every word of the bitmap; a first range of WINDOW keeps the hash
+    # table for the first epoch.
+    g = WINDOW_GRAPHS[name]
+    for seed in range(4):
+        y = window_masses(g.n, span, seed)
+        assert snapshot_ranges(y, g, seed)[0] == span
+        assert_same_run(y, g, seed)
+        assert_first_send_order(kernel, y, g, seed)
+
+
+def test_kernel_on_one_and_two_nodes(kernel):
+    # One node sends its one piece a round to itself: its draw bound is 1, so
+    # it takes no draw, and its first range of 1 stops the run at the first
+    # epoch end.  Two nodes send each piece to one of the two.
+    lone = Digraph(((),))
+    for y in ([1], [-7], [2**40 + 1]):
+        for seed in range(3):
+            compiled = outcome(kernel_point, y, Q_HALF, lone, seed)
+            assert compiled[1] == 2 and compiled[-1] == PCG32(seed, STREAM_PROTOCOL).getstate()
+            assert_same_run(y, lone, seed)
+            assert_first_send_order(kernel, y, lone, seed)
+    pair = bidirectional_pair()
+    for seed in range(10):
+        y = spread_masses(2, seed, 10**4)
+        assert_same_run(y, pair, seed)
+        assert_first_send_order(kernel, y, pair, seed)
+
+
+def test_scan_and_row_handles_run_alike(kernel):
+    # random_out_adj writes each handle row led by the node itself, and
+    # csr flattens the returned rows, which leave it out, to the same layout:
+    # on either handle the kernel runs as the pure path does, and the
+    # diameter, which skips a row's own node, agrees with the pure one.
+    for n, p, seed in ((2, F(1, 2), 0), (9, F(0), 1), (30, F(1, 4), 5), (65, F(1, 2), 2)):
+        generated = generate_random_digraph(n, p, seed)
+        given = Digraph(generated.out_adj)
+        assert all(u not in row for u, row in enumerate(generated.out_adj))
+        d = graph._bigint_diameter(given)
+        assert kernel.diameter(generated.kernel_handle(kernel)) == kernel.diameter(given.kernel_handle(kernel)) == d
+        y = spread_masses(n, seed, 10**5)
+        for g in (generated, given):
+            assert_same_run(y, g, seed)
+            assert_first_send_order(kernel, y, g, seed)
+    for rows in ([[1], [2], []], [[1], [0], [3], [2]], [[], [0]], [[1], [1]]):
+        assert kernel.diameter(kernel.csr(rows)) == -1, rows
+
+
+def traced_growth(run, times=10):
+    """Traced bytes that ``times`` runs of ``run()`` leave behind, after a
+    first run that makes whatever the interpreter caches on first use."""
+    run()
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    for _ in range(times):
+        run()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
+
+
+# A planted fault for the allocation test: every stop fails its invariant check.
+BROKEN_STOP = ("if (z_end != 2 * (int64_t)n ||", "if (z_end == 2 * (int64_t)n ||")
+
+
+def test_kernel_calls_leave_no_allocation_behind(built_kernel, tmp_path):
+    # Allocation balance, which LeakSanitizer cannot check under CPython:
+    # tracemalloc traces the kernel's PyMem allocations.  Many calls on one
+    # handle, with table growth and window crossings, then the handle
+    # dropped, leave the traced memory where it was.  So does each of a
+    # decline, a capped run and a call that breaks an invariant at its stop
+    # (a build with a planted fault), on a handle whose piece set has grown.
+    # Each is repeated ten times.  Every array a call or a handle on 40
+    # nodes allocates holds at least 40 int64s or the 128-byte bitmap, so
+    # one left behind per repetition leaves over 1000 bytes; the
+    # interpreter's own caches move the count by a few dozen.
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    kernel = built_kernel
+    planted = tmp_path / "planted"
+    (planted / "src" / "zoomgrad").mkdir(parents=True)
+    shutil.copy(os.path.join(ROOT, "setup.py"), planted)
+    with open(os.path.join(ROOT, "src", "zoomgrad", "_ckernel.c")) as f:
+        source = f.read()
+    assert source.count(BROKEN_STOP[0]) == 1
+    (planted / "src" / "zoomgrad" / "_ckernel.c").write_text(source.replace(*BROKEN_STOP))
+    broken_kernel = load_kernel(build_kernel(tmp_path / "build", root=planted)[0])
+
+    rows = complete(40).out_adj
+    large = TABLE_REUSE[0]
+    calls = list(enumerate(TABLE_REUSE)) + [(9, spread_masses(40, 7, 10**6))]
+
+    def many_calls_then_drop():
+        handle = kernel.csr(rows)
+        for seed, y in calls:
+            assert kernel.run_rounds(y, handle, 2, ROUND_CAP, seed, 1)[0]
+
+    handle, broken_handle = kernel.csr(rows), broken_kernel.csr(rows)
+
+    def decline():
+        assert kernel.run_rounds([2**62] * 40, handle, 2, ROUND_CAP, 0, 1) is None
+
+    def capped():
+        assert kernel.run_rounds(large, handle, 2, 5, 0, 1)[:2] == (False, 5)
+
+    def broken():
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            broken_kernel.run_rounds(large, broken_handle, 2, ROUND_CAP, 0, 1)
+
+    kernel.run_rounds(large, handle, 2, ROUND_CAP, 0, 1)  # the piece set grows to its size
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for run in (many_calls_then_drop, decline, capped, broken):
+            assert traced_growth(run) < 320, run.__name__
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 # --- the kernel's closed-form split and fastmod draws ---------------------
 
 INT64_MAX = 2**63 - 1
@@ -729,6 +915,7 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
         mp.setattr(graph, "_kernel", built_kernel)
         compiled = outcome(kernel_point, y, Q_HALF, g, seed)
     assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
+    assert_first_send_order(built_kernel, y, g, seed)
 
 
 def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
@@ -816,13 +1003,19 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
 
 # Masses on complete(40) whose alphabets differ in size: over a thousand
 # distinct pieces, then a handful, then the large instance again, all through
-# the one handle that keeps the piece table.
+# the one handle that keeps the piece set.  The large one starts wide, so its
+# set crosses from the hash table to the window's bitmap.
 TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, spread_masses(40, 2, 10**9)]
+
+# Masses on complete(6) whose first ranges lie at the window's edge.
+WINDOW_EDGES = [window_masses(6, span, 0) for span in (WINDOW - 2, WINDOW - 1, WINDOW)]
 
 # Runs every instance from the raw generator states 0-9 on one
 # complete-graph handle per node count, and checks that an instance run
-# again gives the same output.  States 0-4 never bring node 0 of
-# [-(2**63 - 1), 0, 0] to z = 3 with all the mass; state 5 does, in round 1.
+# again gives the same output.  Among them, TABLE_REUSE's wide masses cross
+# into the piece set's window and WINDOW_EDGES start at its edge.  States
+# 0-4 never bring node 0 of [-(2**63 - 1), 0, 0] to z = 3 with all the
+# mass; state 5 does, in round 1.
 # Then takes the bulk draws of every bound sequence from the same states,
 # and checks that a bound beyond 2**32 raises.  Then generates graphs on a
 # ring cycle at p = 0, 1/2**32, 1/2 and 1, with n across a 64-bit word, and
@@ -885,7 +1078,7 @@ def run_sanitized(tmp_path, cflags, runtimes, **env):
             "-c",
             SANITIZED_RUN,
             path,
-            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE),
+            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE + WINDOW_EDGES),
             json.dumps(list(BULK_DRAW_BOUNDS.values())),
         ],
         capture_output=True,
@@ -916,8 +1109,9 @@ def test_kernel_headroom_under_the_overflow_sanitizer(tmp_path):
 def test_kernel_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
     # The same run on a kernel built with ASan and every UBSan check, each
     # fatal: no read or write outside a buffer (the piece table's growth
-    # and reuse, the CSR rows, the per-call arrays), no use after free and
-    # no undefined shift, cast or overflow.  PYTHONMALLOC=malloc sends the
+    # and reuse, the window's bitmap up to its last word, the CSR rows, the
+    # per-call arrays), no use after free and no undefined shift, cast or
+    # overflow.  PYTHONMALLOC=malloc sends the
     # kernel's PyMem allocations through malloc, where ASan guards them.
     # CPython's own allocations at exit would swamp LeakSanitizer, so it is
     # off.

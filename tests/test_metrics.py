@@ -96,7 +96,7 @@ def test_error_rejects_degenerate_start():
     # names the node whose start sits on the optimum
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
     with pytest.raises(ValueError, match="node 1"):
-        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState.of(b_q=F(0), delta=F(1, 2)), s, F(3, 25))
+        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState.of(b_q=F(0), delta=F(1, 2)), s, F(3, 25), None)
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 

@@ -186,7 +186,7 @@ def two_node_instance(x0_pair=((1, 1), (1, 2))):
 
 def test_step_agreement_and_grid():
     g, s = two_node_instance()
-    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
+    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
     rng = PCG32(3, STREAM_PROTOCOL)
     rec = step(state, g, ADAPTIVE, rng)
     assert grid_point(state.q, state.level) == rec.x_value  # one common estimate
@@ -201,7 +201,7 @@ def test_step_agreement_and_grid():
 def test_step_counts_and_bits():
     g, s = two_node_instance()
     seed = 6
-    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
+    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
     rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
@@ -224,7 +224,7 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
     # 2 levels, so every reachable output (1/2 or 1) equals one node's init
     g, s = two_node_instance(((1, "1/2"), (1, 1)))
     for seed in range(10):
-        state = initial_state(starts_of([F(1, 2), F(1)]), Q0, s, F(1, 1000))
+        state = initial_state(starts_of([F(1, 2), F(1)]), Q0, s, F(1, 1000), None)
         rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
@@ -238,7 +238,7 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
     g = bidirectional_pair()
     s = suite([(1, "51/100"), (1, "51/100")])
     for seed in range(5):
-        state = initial_state(starts_of([F(1, 2), F(1, 2)]), Q0, s, F(1, 100))
+        state = initial_state(starts_of([F(1, 2), F(1, 2)]), Q0, s, F(1, 100), None)
         events = []
         for _ in range(2):
             rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
@@ -254,7 +254,7 @@ def test_zoom_exclusivity_and_delta_sync():
     # shared quantizer's step moves exactly with the logged events.
     g = generate_random_digraph(6, F(1, 2), 9)
     s = suite([(2, 1), (1, 4), (3, 2), (1, 5), (2, 3), (4, 2)])
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5, 1)]), Q0, s, ALPHA)
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5, 1)]), Q0, s, ALPHA, None)
     rng = PCG32(9, STREAM_PROTOCOL)
     for _ in range(40):
         step(state, g, ADAPTIVE, rng)
@@ -284,7 +284,7 @@ def test_per_node_quantizer_copies_stay_identical():
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
     policy = ADAPTIVE
     x_init = [F(2)] * 5
-    state = initial_state(starts_of(x_init), Q0, s, ALPHA)
+    state = initial_state(starts_of(x_init), Q0, s, ALPHA, None)
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
@@ -303,7 +303,7 @@ def test_fixed_level_repeat_is_absorbing():
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
         step(state, g, FixedLevel(), rng)
@@ -323,7 +323,7 @@ UNTIL_STARTS = [F(1), F(2)]
 def until_instance():
     g = bidirectional_pair()
     s = suite([(1, 1), (1, 2)])  # optimum 3/2
-    state = initial_state(starts_of(UNTIL_STARTS), Q0, s, ALPHA)
+    state = initial_state(starts_of(UNTIL_STARTS), Q0, s, ALPHA, None)
     return state, g, s
 
 
@@ -355,7 +355,7 @@ def test_initial_state_copies_inputs():
     # The state keeps what the starts fix, not the starts themselves: the
     # optimum, the error's spread and step 1's masses.
     s = suite([(1, 1), (1, 2)])
-    st = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA)
+    st = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
     assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
     assert st.classes == cost_classes(s, ALPHA)
@@ -371,7 +371,7 @@ def test_equal_starts_hold_their_level_before_step_1(x0, level):
     # point) can equal the start.  The table holds one entry, over a
     # denominator that need not be the start's own.
     s = suite([(1, 1), (2, 3), (1, 5)])
-    st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA)
+    st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA, None)
     want = level if F(level).denominator == 1 else None
     assert st.level == want and type(st.level) is type(want)
     # step 1's masses are every node's half-step from the start, on or off
@@ -523,7 +523,7 @@ def test_a_start_table_over_any_common_denominator_gives_one_state(data):
         b_q=data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)),
         delta=data.draw(st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)),
     )
-    want, got = initial_state(table, q, s, ALPHA), initial_state(wide, q, s, ALPHA)
+    want, got = initial_state(table, q, s, ALPHA, None), initial_state(wide, q, s, ALPHA, None)
     assert (got.level, got.masses, got.spread) == (want.level, want.masses, want.spread)
     assert want.masses == init_consensus(gradient_step(x_init, s, ALPHA), q)
     on_grid = len(set(x_init)) == 1 and ((x_init[0] - q.b_q) / q.delta).denominator == 1
@@ -651,7 +651,7 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
         mp.setattr(optimizer, "step", recorded)
         if step_fn is per_node_step:
             mp.setattr(optimizer, "start_spread", lambda starts, x_star: per_node_spread(start_values(starts), x_star))
-        state = initial_state(starts_of(x_init), q, s, alpha)
+        state = initial_state(starts_of(x_init), q, s, alpha, None)
         run_until(state, g, policy, stop, rng)
     return state.history, state.q, rng.getstate(), estimates
 
@@ -792,7 +792,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
+    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
     built = fraction_constructions(monkeypatch)
     per_step = []
     real_step = optimizer.step
@@ -839,7 +839,7 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     monkeypatch.setattr(optimizer, "run_consensus", recording)
 
     def run():
-        state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA)
+        state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
         rng = PCG32(4, STREAM_PROTOCOL)
         run_until(state, g, ADAPTIVE, {"max_steps": 4}, rng)
         return state.history, state.q, rng.getstate()

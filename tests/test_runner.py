@@ -613,12 +613,14 @@ def compared():
 
 def test_compare_shares_the_instance(monkeypatch):
     # compare builds the graph, costs and starts once, recorded as their
-    # builders return them, and every variant runs on that one graph.
+    # builders return them, and every variant runs on that one graph.  It
+    # works out the cost-class table and the error's spread once too, and
+    # every variant holds the very objects that one call returned.
     built = {}
     ran_on = []
 
-    def recorder(name):
-        real = getattr(runner_mod, name)
+    def recorder(name, module=runner_mod):
+        real = getattr(module, name)
 
         def recorded(*args):
             built.setdefault(name, []).append(real(*args))
@@ -633,11 +635,14 @@ def test_compare_shares_the_instance(monkeypatch):
     real_run_until = runner_mod.run_until
     for name in ("generate_random_digraph", "build_costs", "sample_x_init"):
         monkeypatch.setattr(runner_mod, name, recorder(name))
+    for name in ("cost_classes", "start_spread"):
+        monkeypatch.setattr(optimizer, name, recorder(name, optimizer))
     monkeypatch.setattr(runner_mod, "run_until", run_until)
     runs = compare(RunConfig(seed=1, stop={"max_steps": 2}))
-    (shared,), (suite,), (starts,) = built.values()
+    (shared,), (suite,), (starts,), (classes,), (spread,) = built.values()
     assert len(ran_on) == len(runs) == len(COMPARE_VARIANTS)
     assert all(g is shared for g in ran_on)
+    assert all(state.classes is classes and state.spread is spread for _, state in runs.values())
     assert {state.x_star for _, state in runs.values()} == {suite.global_optimum}
     assert all(state.classes.node_class == suite.node_class for _, state in runs.values())
     # The shared instance is the one each variant would build on its own.
