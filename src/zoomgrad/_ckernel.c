@@ -32,7 +32,7 @@
  *     and the index of the node's first piece in the round's sending order,
  *     the running sum of z - 1.  No piece-set call and no draw.
  *   - collect: in node order, q (when z > 1) and q + 1 (when r > 1) go into
- *     the piece set, which keeps the oracle's first-send order.
+ *     the piece set.  A narrow round (below) has no collect pass.
  *   - draw: one loop over the round's n pieces (z sums to 2n, so z - 1 sums
  *     to n), in sending order.  A piece's owner is the last node whose first
  *     index is at most the piece's, read from a histogram of the first
@@ -46,13 +46,19 @@
  * The piece set.  While an epoch's range is wide, the call's distinct pieces
  * go into an open-addressing hash set on the handle, which a new call
  * empties in O(1).  At the first epoch start whose snapshot range M - m is
- * below WINDOW, the set becomes a bitmap over [m, m + WINDOW) for the rest
- * of the call, seeded from the pieces already sent, and is updated without
- * branches.  That is exact because the ranges nest: once every y/z lies in
- * [m, M], every piece (a floor) and every kept value (a ceil) does too, so
- * every later holding, being their average, and every later piece and
- * snapshot stay in [m, M].  Either way the pieces are also listed in
- * first-send order, and returned as one bytes object of native int64
+ * below WINDOW (16384), the set becomes a bitmap over [m, m + WINDOW) for
+ * the rest of the call, seeded from the pieces already sent, and is updated
+ * without branches.  That is exact because the ranges nest: once every y/z
+ * lies in [m, M], every piece (a floor) and every kept value (a ceil) does
+ * too, so every later holding, being their average, and every later piece
+ * and snapshot stay in [m, M].  By the same argument, once windowed, an
+ * epoch start whose range M - m is below 64 makes every later round narrow:
+ * its pieces lie in [wb, wb + 64) for wb that epoch's m, so the split pass
+ * ORs them into one register word, bit k for the value wb + k, and no
+ * collect pass runs.  The word goes into the bitmap at each later epoch
+ * start, which moves wb to the new m, and after the last round.  The call
+ * returns the number of distinct pieces and the pieces themselves, each
+ * once and in no promised order, as one bytes object of native int64
  * values: the copy out is O(distinct pieces), with no Python int built per
  * piece.
  *
@@ -90,7 +96,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 4
+#define KERNEL_ABI 5
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -147,8 +153,9 @@ static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
 }
 
 /* The piece set's window: once an epoch's snapshot range M - m is below
- * WINDOW, every later piece of the call lies in [m, m + WINDOW). */
-#define WINDOW 1024
+ * WINDOW, every later piece of the call lies in [m, m + WINDOW).  Once it is
+ * below 64, every later piece lies in one word's span [m, m + 64). */
+#define WINDOW 16384
 #define WINDOW_WORDS (WINDOW / 64)
 
 /* The distinct pieces a run sends, kept on the graph handle and reused by
@@ -159,9 +166,10 @@ static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
  * table.  A slot holds a piece of the current call only when its stamp
  * equals the call's number; each call takes a new number, which empties
  * every slot at once.  The table is kept at most half full.  Once windowed,
- * the set is the bitmap bits over [base, base + WINDOW) instead, and the
- * table is no longer read.  Either way the call's pieces are listed in
- * first-send order in seen, which is what the call returns. */
+ * the set is the bitmap bits over [base, base + WINDOW) instead, 2 KiB, and
+ * the table is no longer read.  Either way seen lists each of the call's
+ * pieces once, in no promised order, and is what the call returns; len is
+ * their number. */
 typedef struct {
     int64_t piece;
     uint64_t call;
@@ -273,13 +281,15 @@ static int pieces_add(PieceSet *s, int64_t c)
 /* Window the set on [lo, lo + span), span <= WINDOW, for the rest of the
  * call: the pieces already seen that lie there are set in the bitmap, and
  * seen gets room for every value of the window plus the one entry that
- * window_collect writes past the last.  -1 with an exception set on error. */
+ * window_collect writes past the last.  Only the words the window covers,
+ * and the one after them that a merge may read, are cleared.  -1 with an
+ * exception set on error. */
 static int pieces_window(PieceSet *s, int64_t lo, uint64_t span)
 {
-    size_t i;
+    size_t i, words = (size_t)(span - 1) / 64 + 2;
     if (seen_reserve(s, s->len + span + 1) < 0)
         return -1;
-    memset(s->bits, 0, WINDOW_WORDS * sizeof(uint64_t));
+    memset(s->bits, 0, (words < WINDOW_WORDS ? words : WINDOW_WORDS) * sizeof(uint64_t));
     for (i = 0; i < s->len; i++) {
         uint64_t off = (uint64_t)s->seen[i] - (uint64_t)lo;
         if (off < span)
@@ -322,6 +332,36 @@ static void window_collect(PieceSet *s, const Split *split, Py_ssize_t n)
         *word |= bit2;
     }
     s->len = len;
+}
+
+/* The index of w's lowest set bit, w != 0, by de Bruijn multiplication. */
+static unsigned lowest_bit(uint64_t w)
+{
+    static const unsigned char index[64] = {
+        0,  1,  48, 2,  57, 49, 28, 3,  61, 58, 50, 42, 38, 29, 17, 4,  62, 55, 59, 36, 53, 51,
+        43, 22, 45, 39, 33, 30, 24, 18, 12, 5,  63, 47, 56, 27, 60, 41, 37, 16, 54, 35, 52, 21,
+        44, 32, 23, 11, 46, 26, 40, 15, 34, 20, 31, 10, 25, 14, 19, 9,  13, 8,  7,  6};
+    return index[((w & (~w + 1)) * UINT64_C(0x03F79D71B4CB0A89)) >> 58];
+}
+
+/* Merge a narrow word into the windowed set: bit k stands for the value
+ * wb + k, and wb lies in the window.  The word spans at most two bitmap
+ * words; its bits above the window are clear (they lie above the epoch's
+ * M), so a part past the last word is dropped.  The pieces new to the set
+ * are appended to seen in ascending order. */
+static void pieces_merge(PieceSet *s, uint64_t word, int64_t wb)
+{
+    uint64_t off = (uint64_t)wb - (uint64_t)s->base, part[2];
+    size_t w = (size_t)(off / 64), k;
+    unsigned shift = (unsigned)(off % 64);
+    part[0] = word << shift;
+    part[1] = shift ? word >> (64 - shift) : 0;
+    for (k = 0; k < 2 && w + k < WINDOW_WORDS; k++) {
+        uint64_t fresh = part[k] & ~s->bits[w + k];
+        s->bits[w + k] |= fresh;
+        for (; fresh; fresh &= fresh - 1)
+            s->seen[s->len++] = s->base + (int64_t)((w + k) * 64 + lowest_bit(fresh));
+    }
 }
 
 /* A graph's out-adjacency in CSR form: node i's row idx[ptr[i]:ptr[i+1]]
@@ -460,12 +500,13 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
     int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
-    int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0;
+    int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0, wb = 0;
+    uint64_t word = 0;
     Bound *bounds = NULL;
     Split *split = NULL;
     PieceSet *pieces;
     Csr *g;
-    int stopped = 0, overflow;
+    int stopped = 0, narrow = 0, overflow;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "OOnnKK", &w_obj, &handle, &d_eff, &max_rounds, &state_in, &inc_in))
@@ -532,15 +573,23 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
            max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.  A
            node with z = 1 has q = y and r = 0, sends nothing, and its floor
            and ceil are both y.  The division truncates, so a negative
-           remainder moves q down by one and r up by z */
+           remainder moves q down by one and r up by z.  The pieces sent
+           also go into the narrow word: bits 1 (q, when z > 1) and 2
+           (q + 1, when r > 1) shifted up by q - wb, in unsigned arithmetic
+           and taken mod 64.  In a narrow round that is exact, since
+           q + 1 <= M < wb + 64 when r > 1; in any other the word is dropped
+           unread */
         for (i = 0; i < n; i++) {
             int64_t zi = z[i], q = y[i] / zi, r = y[i] % zi, hi;
+            uint64_t off;
             int neg = r < 0;
             q -= neg;
             r += neg ? zi : 0;
             hi = q + (r != 0);
             hi_max = hi > hi_max ? hi : hi_max;
             lo_min = q < lo_min ? q : lo_min;
+            off = (uint64_t)q - (uint64_t)wb;
+            word |= ((uint64_t)(zi > 1) | (uint64_t)(r > 1) << 1) << (off % 64);
             split[i].q = q;
             split[i].z = zi;
             split[i].r = r;
@@ -559,20 +608,37 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                 M0 = M;
                 m0 = m;
             }
+            /* a narrow epoch ends: its word, this round's pieces included,
+               goes into the bitmap, and the next word counts from the new
+               epoch's m, which lies in the old one's range */
+            if (narrow) {
+                pieces_merge(pieces, word, wb);
+                wb = m;
+                word = 0;
+            }
         }
 
-        /* collect: q, then q + 1, of each node that sends them, in node
-           order.  Once an epoch's range fits the window, every later piece
-           lies in it (the ranges nest), so the set is a bitmap from then on */
-        if (!pieces->windowed && M - m < WINDOW && pieces_window(pieces, m, (uint64_t)(M - m) + 1) < 0)
-            goto done;
-        if (pieces->windowed)
-            window_collect(pieces, split, n);
-        else
-            for (i = 0; i < n; i++)
-                if ((split[i].z > 1 && pieces_add(pieces, split[i].q) < 0) ||
-                    (split[i].r > 1 && pieces_add(pieces, split[i].q + 1) < 0))
-                    goto done;
+        /* collect, unless the round is narrow: q, then q + 1, of each node
+           that sends them, in node order.  Once an epoch's range fits the
+           window, every later piece lies in it (the ranges nest), so the set
+           is a bitmap from then on; once it fits one word, the rounds after
+           the epoch start collect into the narrow word instead */
+        if (!narrow) {
+            if (!pieces->windowed && M - m < WINDOW && pieces_window(pieces, m, (uint64_t)(M - m) + 1) < 0)
+                goto done;
+            if (pieces->windowed)
+                window_collect(pieces, split, n);
+            else
+                for (i = 0; i < n; i++)
+                    if ((split[i].z > 1 && pieces_add(pieces, split[i].q) < 0) ||
+                        (split[i].r > 1 && pieces_add(pieces, split[i].q + 1) < 0))
+                        goto done;
+            if (pieces->windowed && M - m < 64) {
+                narrow = 1;
+                wb = m;
+            }
+            word = 0;
+        }
 
         /* draw: the round's n pieces (z sums to 2n, so z - 1 sums to n) in
            sending order, one draw each, to the node itself (row slot 0) or
@@ -605,6 +671,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
             break;
         }
     }
+    /* the last narrow word, whether the run stopped or hit the cap */
+    if (narrow)
+        pieces_merge(pieces, word, wb);
 
     /* the stop's invariants, in O(n): both masses conserved, and the output
        inside the first snapshot.  Every partial sum of y lies within the
@@ -622,13 +691,14 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         }
     }
 
-    /* the call's distinct pieces, packed as native int64 in first-send order */
+    /* the call's distinct pieces, each once, packed as native int64 */
     alphabet = PyBytes_FromStringAndSize((const char *)pieces->seen, (Py_ssize_t)(pieces->len * sizeof(int64_t)));
     if (alphabet == NULL)
         goto done;
-    /* (stopped, rounds, m, alphabet, rng state); a capped run reports max_rounds */
-    ret = Py_BuildValue("(OnLNK)", stopped ? Py_True : Py_False, stopped ? lam : max_rounds,
-                        (long long)m, alphabet, (unsigned long long)state);
+    /* (stopped, rounds, m, alphabet size, alphabet, rng state); a capped run
+       reports max_rounds */
+    ret = Py_BuildValue("(OnLnNK)", stopped ? Py_True : Py_False, stopped ? lam : max_rounds, (long long)m,
+                        (Py_ssize_t)pieces->len, alphabet, (unsigned long long)state);
 
 done:
     Py_XDECREF(w);
@@ -895,10 +965,11 @@ static PyMethodDef methods[] = {
      "each) over a graph handle from csr or random_out_adj, whose node count\n"
      "must be len(w).  Returns None, before any draw, when the sum of |w|\n"
      "exceeds int64: no value in the run can exceed that sum, so every other\n"
-     "instance runs in int64.  Otherwise returns (stopped, rounds, m, alphabet,\n"
-     "rng_state): the common floor m on a stop, the distinct pieces sent as\n"
-     "bytes of packed native int64 in first-send order (memoryview(alphabet)\n"
-     ".cast('q') reads them), and the generator state after the last round.\n"
+     "instance runs in int64.  Otherwise returns (stopped, rounds, m, size,\n"
+     "alphabet, rng_state): the common floor m on a stop, the number of\n"
+     "distinct pieces sent, those pieces as bytes of packed native int64, each\n"
+     "once and in no promised order (memoryview(alphabet).cast('q') reads\n"
+     "them), and the generator state after the last round.\n"
      "Raises RuntimeError when a stop breaks sum(z) = 2n, moves sum(y) or\n"
      "puts m outside the first snapshot [min floor, max ceil]."},
     {"diameter", diameter, METH_O,

@@ -50,10 +50,10 @@ the diameter and the bulk draws; ``graph`` imports it and checks its
 ``ABI`` once, and the engine reads ``graph._kernel`` at each call, so one
 name selects the backend) runs them in int64 as ``run_rounds`` when it is
 built: same node order, same PCG32 draws, same stop rule, so the output,
-rounds, set of distinct pieces and RNG state are bit-for-bit equal to the
-pure snapshot path.  The pure path sheds a node's ``z - 1`` pieces one
-floor division at a time (``_split_and_deliver``) and is the per-piece
-oracle.  The kernel splits a node in closed form instead: with
+rounds, set of distinct pieces, its size and RNG state are bit-for-bit
+equal to the pure snapshot path.  The pure path sheds a node's ``z - 1``
+pieces one floor division at a time (``_split_and_deliver``) and is the
+per-piece oracle.  The kernel splits a node in closed form instead: with
 ``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
 copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
 node keeps ``q + (r > 0)`` with ``z = 1``.  A kernel round is four flat
@@ -77,16 +77,21 @@ the edge scan for a generated graph, by flattening the rows once on first
 use for a graph given as rows, never per call) and collects the distinct
 pieces in a C set kept on that handle, which a call empties in O(1): a
 hash table while the epochs' ranges are wide, and from the first epoch
-start whose snapshot range ``M - m`` is below 1024 a bitmap over
-``[m, m + 1024)`` for the rest of the call.  That is exact because the
+start whose snapshot range ``M - m`` is below 16384 a bitmap over
+``[m, m + 16384)`` for the rest of the call.  That is exact because the
 ranges nest: once every ``y/z`` lies in ``[m, M]``, every piece (a floor)
 and every kept value (a ceil) does too, so every later holding, piece and
-snapshot stays there.
-The pure path returns its pieces as a Python ``set``; the kernel returns
-them packed as native int64, which the engine exposes as a ``memoryview``
-of format ``'q'``, so no Python int is built per piece.  No value in a run exceeds
-the initial ``sum(|y|)`` (a split keeps it and a delivery never grows it),
-so the kernel's one decline rule is that sum exceeding int64; it declines
+snapshot stays there.  For the same reason, once an epoch start's range is
+below 64, the rounds after it are narrow: the split pass ORs their pieces
+into one 64-bit word counted from that epoch's ``m`` and no collect pass
+runs; the word goes into the bitmap at the next epoch start and at the
+stop.
+A call's ``ConsensusStats`` carries the number of distinct pieces, which
+is what the optimizer reads, and the pieces themselves, each once and in
+no promised order: the pure path's Python ``set``, or the kernel's bytes
+of packed native int64, so no Python int is built per piece.  No value in
+a run exceeds the initial ``sum(|y|)`` (a split keeps it and a delivery
+never grows it), so the kernel's one decline rule is that sum exceeding int64; it declines
 before any draw, and the pure path, which runs whenever the extension is
 not built, then replays the instance from the same initial masses.  At the
 stop both paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept
@@ -99,7 +104,7 @@ violation, and the kernel's is never replayed.  A run that reaches
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .. import graph
 from ..graph import Digraph
@@ -111,19 +116,26 @@ __all__ = ["ConsensusStats", "ConsensusCapError", "ROUND_CAP", "run_consensus", 
 ROUND_CAP = 100_000
 
 
-@dataclass
-class ConsensusStats:
+class ConsensusStats(NamedTuple):
     """Counts of one consensus run.
 
-    ``measured_alphabet`` holds the distinct pieces sent, each once: a
-    ``memoryview`` of packed int64 in first-send order from the kernel, a
-    ``set`` on the pure path.  Only its length is read by the product;
-    compare two runs' alphabets as ``set(...)``.
+    ``alphabet_size`` is the number of distinct pieces sent, which is all
+    the product reads.  ``pieces`` holds them, each once and in no promised
+    order: bytes of packed native int64 from the kernel, a ``set`` on the
+    pure path.  ``measured_alphabet`` reads them as a collection, built when
+    read: a ``memoryview`` of format ``'q'`` over the kernel's bytes, the set
+    itself on the pure path.  Compare two runs' alphabets as ``set(...)``.
     """
 
     n: int
     rounds: int
-    measured_alphabet: Collection[int]
+    alphabet_size: int
+    pieces: bytes | set
+
+    @property
+    def measured_alphabet(self) -> Collection[int]:
+        pieces = self.pieces
+        return memoryview(pieces).cast("q") if isinstance(pieces, bytes) else pieces
 
     @property
     def mass_transmissions(self) -> int:
@@ -230,14 +242,15 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
         out = _run_kernel(kernel, y, g, d_eff, rng)
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
         out = _run_snapshot(list(y), g, d_eff, rng)  # updates its copy in place
-    rounds, m, alphabet = out
-    return m, ConsensusStats(g.n, rounds, alphabet)
+    rounds, m, size, pieces = out
+    return m, ConsensusStats(g.n, rounds, size, pieces)
 
 
 def _run_snapshot(y, g, d_eff, rng):
     """Pure path: one O(n) extremes snapshot per epoch, no flood.
 
-    Returns (rounds, m, alphabet) at the stop; raises at the round cap.
+    Returns (rounds, m, alphabet size, alphabet) at the stop; raises at the
+    round cap.
     """
     n = g.n
     z = [2] * n
@@ -257,7 +270,7 @@ def _run_snapshot(y, g, d_eff, rng):
                     "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, "
                     "or the output left the first snapshot"
                 )
-            return lam, m, alphabet
+            return lam, m, len(alphabet), alphabet
     raise ConsensusCapError(ROUND_CAP)
 
 
@@ -265,8 +278,8 @@ def _run_kernel(kernel, y, g, d_eff, rng):
     """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
 
     The kernel reads the graph through its cached handle and returns the
-    alphabet as bytes of packed int64, exposed here as a ``memoryview``
-    of format ``'q'``.  It copies ``y`` and runs on a copy of the RNG state,
+    alphabet's size and the alphabet as bytes of packed int64, which are
+    passed on as they are.  It copies ``y`` and runs on a copy of the RNG state,
     so a decline leaves both untouched and the pure replay is bit-identical.
     A broken invariant at the stop raises RuntimeError, which is never
     replayed on the pure path.
@@ -274,7 +287,7 @@ def _run_kernel(kernel, y, g, d_eff, rng):
     out = kernel.run_rounds(y, g.kernel_handle(kernel), d_eff, ROUND_CAP, rng.state, rng.inc)
     if out is None:
         return None
-    stopped, rounds, m, alphabet, rng.state = out
+    stopped, rounds, m, size, pieces, rng.state = out
     if not stopped:
         raise ConsensusCapError(ROUND_CAP)
-    return rounds, m, memoryview(alphabet).cast("q")
+    return rounds, m, size, pieces

@@ -34,7 +34,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 
 def _checked_kernel(module):

@@ -404,7 +404,7 @@ def step(state, g, policy, rng):
     if event != "none" or m != level_old:
         state.masses = grid_masses(state.classes, q, state.offsets, state.level)
 
-    rec = RunRecord(m, error, pre_q, event, stats.rounds, len(stats.measured_alphabet))
+    rec = RunRecord(m, error, pre_q, event, stats.rounds, stats.alphabet_size)
     state.history.append(rec)
     return rec
 

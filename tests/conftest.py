@@ -16,8 +16,7 @@ oracle that the engine's epoch-snapshot path and the kernel are checked
 against.  It returns the common grid point, as ``consensus_point`` does for
 ``run_consensus``, which returns only the point's level.  Like the engine it
 reads the round cap ``engine.ROUND_CAP`` at each call, so a test that needs a
-small cap patches that name.  ``ordered_alphabet`` lists the pure path's
-distinct pieces in first-send order, the order of the kernel's alphabet.
+small cap patches that name.
 
 ``ADAPTIVE`` and ``REFINE`` are the reference config's adaptive and
 refine-only policies, built by ``runner.build_policy``: their defaults are
@@ -224,7 +223,7 @@ def flood_consensus(y, q, g, rng, round_hook):
         round_hook(lam, {"reset_M": reset_M, "reset_m": reset_m, "M": M, "m": m, "y": y[:], "z": z[:]})
         if lam % d_eff == 0 and all(Mi - mi <= 1 for Mi, mi in zip(M, m)):
             assert len(set(m)) == 1, "stop fired with disagreeing nodes"
-            return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, alphabet)
+            return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, len(alphabet), alphabet)
     raise ConsensusCapError(engine.ROUND_CAP)
 
 
@@ -232,32 +231,6 @@ def consensus_point(y, q, g, rng, **kwargs):
     """``run_consensus`` with its level ``m`` mapped to the grid point ``b_q + m*delta``."""
     m, stats = run_consensus(y, q, g, rng, **kwargs)
     return q.b_q + m * q.delta, stats
-
-
-def ordered_alphabet(y, g, rng):
-    """The distinct pieces of the pure run from masses ``y``, as a list in
-    first-send order: each round's queue order, each piece kept at its first
-    sending.  This is the order the kernel's alphabet promises.
-
-    Runs ``engine._run_snapshot`` on a copy of ``y``, with each round's
-    split handing its pieces over as the list the engine queued them in.
-    """
-    sent = {}
-    split_and_deliver = engine._split_and_deliver
-
-    class Queue(list):
-        update = list.extend  # how the engine adds a round's pieces
-
-    def recorded(y, z, g, rng, alphabet):
-        queue = Queue()
-        split_and_deliver(y, z, g, rng, queue)
-        sent.update(dict.fromkeys(queue))
-        alphabet.update(queue)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_split_and_deliver", recorded)
-        engine._run_snapshot(list(y), g, effective_epoch(g.diameter), rng)
-    return list(sent)
 
 
 def fraction_zoom_decide(q, x_new, x_old, policy):

@@ -33,6 +33,7 @@ import ast
 import os
 
 import zoomgrad
+from zoomgrad.consensus.engine import ConsensusStats
 from zoomgrad.optimizer import RunRecord
 from zoomgrad.quantizer import QuantizerState
 
@@ -43,6 +44,7 @@ BENCHMARK_PINS = {
     "optimizer.gradient_step": "perfbench/tracing.py HOOKS",
     "engine.init_consensus": "perfbench/tracing.py HOOKS",
     "ConsensusStats.mass_transmissions": "perfbench/run.py parity_run and perfbench/tracing.py _count_consensus",
+    "ConsensusStats.measured_alphabet": "perfbench/tracing.py _count_consensus; the product reads alphabet_size",
     "Digraph.edge_count": "perfbench/tracing.py _count_graph",
     "PCG32.getstate": "perfbench/run.py parity_run",
     "PCG32.setstate": "perfbench/run.py parity_run",
@@ -319,3 +321,11 @@ def test_a_record_holds_only_what_its_step_measured():
     # history[k - 1], the runner prices the counts, and x_value builds the
     # estimate when read.
     assert RunRecord._fields == ("level", "error", "q", "zoom_event", "consensus_rounds", "alphabet_size")
+
+
+def test_a_consensus_call_returns_its_counts_and_its_pieces():
+    # A call hands back numbers: the optimizer reads rounds and
+    # alphabet_size.  The pieces themselves ride along unread by the
+    # product, as the kernel's bytes or the pure path's set, for the
+    # benchmark's measured_alphabet and the tests.
+    assert ConsensusStats._fields == ("n", "rounds", "alphabet_size", "pieces")

@@ -32,7 +32,6 @@ from conftest import (
     digraph,
     flood_consensus,
     load_kernel,
-    ordered_alphabet,
     ring,
 )
 from zoomgrad import graph
@@ -329,16 +328,17 @@ def kernel_point(y, q, g, rng):
     fails the test instead of replaying on the pure path."""
     out = engine._run_kernel(graph._kernel, y, g, effective_epoch(g.diameter), rng)
     assert out is not None, "the kernel declined the instance"
-    rounds, m, alphabet = out
-    return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, alphabet)
+    rounds, m, size, pieces = out
+    return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, size, pieces)
 
 
 def outcome(run, y, q, g, seed, cap=ROUND_CAP, **kw):
     """Everything observable of one run from a fresh generator, with the
     round cap ``engine.ROUND_CAP`` set to ``cap``.
 
-    (result, rounds, transmissions, alphabet as a set, RNG state) on a stop,
-    and ("cap", rounds, RNG state) when the round cap is hit.
+    (result, rounds, transmissions, alphabet size, alphabet as a set, RNG
+    state) on a stop, and ("cap", rounds, RNG state) when the round cap is
+    hit.
     """
     rng = PCG32(seed, STREAM_PROTOCOL)
     with pytest.MonkeyPatch.context() as mp:
@@ -347,7 +347,8 @@ def outcome(run, y, q, g, seed, cap=ROUND_CAP, **kw):
             res, stats = run(y, q, g, rng, **kw)
         except ConsensusCapError as exc:
             return "cap", exc.rounds, rng.getstate()
-    return res, stats.rounds, stats.mass_transmissions, set(stats.measured_alphabet), rng.getstate()
+    alphabet = set(stats.measured_alphabet)
+    return res, stats.rounds, stats.mass_transmissions, stats.alphabet_size, alphabet, rng.getstate()
 
 
 @settings(max_examples=150, deadline=None)
@@ -402,7 +403,7 @@ def test_snapshot_matches_flood(built_kernel, g, q_width, seed, data):
     if built_kernel is not None:
         assert snap == compiled()
         assert capped == compiled(rounds - 1)
-        assert_first_send_order(built_kernel, y, g, seed)
+        assert_each_piece_once(built_kernel, y, g, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -416,7 +417,7 @@ def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, o
     # [floor(y/z), ceil(y/z)] and a delivery averages, so every piece sent
     # in an epoch lies in that epoch's snapshot [m_e, M_e], and every piece
     # of a call in the first snapshot [m0, M0].  The kernel's alphabet lies
-    # in [m0, M0] too, and lists the pure path's pieces in first-send order.
+    # in [m0, M0] too, and lists each of the pure path's pieces once.
     y = [2 * k + 1 for k in offsets[: g.n]]
     m0, M0 = min(v // 2 for v in y), max(-(-v // 2) for v in y)
     d_eff = effective_epoch(g.diameter)
@@ -442,9 +443,7 @@ def test_every_piece_lies_in_its_epoch_snapshot_and_the_first(built_kernel, g, o
         assert all(m_e <= c <= M_e for c in pieces)
     assert all(m0 <= c <= M0 for c in stats.measured_alphabet)
     if built_kernel is not None:
-        alphabet = memoryview(kernel_run(built_kernel, y, g, seed)[3]).cast("q").tolist()
-        assert alphabet == ordered_alphabet(y, g, PCG32(seed, STREAM_PROTOCOL))
-        assert set(alphabet) == stats.measured_alphabet
+        alphabet = assert_each_piece_once(built_kernel, y, g, seed)
         assert all(m0 <= c <= M0 for c in alphabet)
 
 
@@ -454,11 +453,16 @@ def kernel_run(kernel, y, g, seed, cap=ROUND_CAP):
     return kernel.run_rounds(y, g.kernel_handle(kernel), effective_epoch(g.diameter), cap, state, inc)
 
 
-def assert_first_send_order(kernel, y, g, seed):
-    """The kernel's alphabet for masses ``y``, read as a list, is the pure
-    path's distinct pieces in first-send order."""
-    alphabet = memoryview(kernel_run(kernel, y, g, seed)[3]).cast("q").tolist()
-    assert alphabet == ordered_alphabet(y, g, PCG32(seed, STREAM_PROTOCOL))
+def assert_each_piece_once(kernel, y, g, seed):
+    """The kernel's alphabet for masses ``y``, read as a list, holds each of
+    the pure path's distinct pieces exactly once, in no promised order, and
+    its size is their number.  Returns the list."""
+    out = kernel_run(kernel, y, g, seed)
+    alphabet = memoryview(out[4]).cast("q").tolist()
+    pure = engine._run_snapshot(list(y), g, effective_epoch(g.diameter), PCG32(seed, STREAM_PROTOCOL))[3]
+    assert out[3] == len(alphabet) == len(set(alphabet)) == len(pure)
+    assert set(alphabet) == pure
+    return alphabet
 
 
 def assert_same_run(y, g, seed, cap=ROUND_CAP):
@@ -480,7 +484,7 @@ def test_backend_parity(kernel, n):
         assert outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure") == outcome(
             kernel_point, y, Q_HALF, g, seed
         )
-        assert_first_send_order(kernel, y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
 
 
 def test_kernel_bails_to_pure_on_huge_masses(kernel):
@@ -555,17 +559,18 @@ def spread_masses(n, seed, span):
 def test_kernel_alphabet_survives_table_growth(kernel):
     # Masses spread over +-10**9 send thousands of distinct pieces, so the
     # kernel's piece table starts small and grows several times.  It hands
-    # them back packed as int64, each piece once; as a set they, the round
-    # count and the RNG state equal the pure path's.
+    # them back packed as int64, each piece once, with their count; as a set
+    # they, the count, the round count and the RNG state equal the pure
+    # path's.
     g = generate_random_digraph(40, F(1, 5), 0)
     y = spread_masses(g.n, 2, 10**9)
     _, stats = kernel_point(y, Q_HALF, g, PCG32(0, STREAM_PROTOCOL))
     packed = stats.measured_alphabet
     assert type(packed) is memoryview and packed.format == "q" and packed.itemsize == 8
-    assert len(packed) > 1000 and len(set(packed)) == len(packed)
+    assert stats.alphabet_size == len(packed) > 1000 and len(set(packed)) == len(packed)
     compiled = outcome(kernel_point, y, Q_HALF, g, 0)
     assert compiled == outcome(consensus_point, y, Q_HALF, g, 0, force_backend="pure")
-    assert compiled[3] == set(packed)
+    assert compiled[4] == set(packed)
 
 
 def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
@@ -581,7 +586,7 @@ def test_kernel_piece_table_is_reset_between_calls_on_one_handle(kernel):
     for y, seed in runs:
         compiled = outcome(kernel_point, y, Q_HALF, g, seed)
         assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
-        sizes.append(len(compiled[3]))
+        sizes.append(compiled[3])
     assert g.kernel_handle(kernel) is handle
     assert sizes[0] == sizes[-1] > 1000 and max(sizes[1:-1]) < 100
 
@@ -660,28 +665,68 @@ def test_kernel_matches_the_pure_path_at_every_round_cap(built_kernel):
 # --- the kernel's window on the piece set, and its self-first rows --------
 
 # The kernel's piece set becomes a bitmap over [m, m + WINDOW) at the first
-# epoch start whose snapshot range M - m is below WINDOW (_ckernel.c).
-WINDOW = 1024
+# epoch start whose snapshot range M - m is below WINDOW.  Once windowed, an
+# epoch start whose range is below NARROW makes the rounds after it narrow:
+# they collect into one 64-bit word counted from that epoch's m, which is
+# merged into the bitmap, over at most two of its WORDS words, at each later
+# epoch start and at the stop (_ckernel.c).  OLD_WINDOW is the window's
+# earlier width, whose edge now lies inside the window.
+WINDOW = 16384
+WORDS = WINDOW // 64
+NARROW = 64
+OLD_WINDOW = 1024
 
 WINDOW_GRAPHS = {"complete-6": complete(6), "ring-7": ring(7), "random-20": generate_random_digraph(20, F(1, 4), 3)}
 
 
-def snapshot_ranges(y, g, seed):
-    """The range M - m of each epoch's snapshot in the pure run from masses ``y``."""
+def epoch_rounds(y, g, seed):
+    """Each round of the pure run from masses ``y``: its epoch's snapshot
+    (m, M) when it starts an epoch, else None, and the set of pieces it sends."""
     d_eff = effective_epoch(g.diameter)
     split_and_deliver = engine._split_and_deliver
-    lam, ranges = [0], []
+    rounds = []
 
     def recorded(y, z, g, rng, alphabet):
-        if lam[0] % d_eff == 0:
-            ranges.append(max(-(-yi // zi) for yi, zi in zip(y, z)) - min(yi // zi for yi, zi in zip(y, z)))
-        lam[0] += 1
-        split_and_deliver(y, z, g, rng, alphabet)
+        snapshot = None
+        if len(rounds) % d_eff == 0:
+            snapshot = (min(yi // zi for yi, zi in zip(y, z)), max(-(-yi // zi) for yi, zi in zip(y, z)))
+        pieces = set()
+        split_and_deliver(y, z, g, rng, pieces)
+        alphabet.update(pieces)
+        rounds.append((snapshot, pieces))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_split_and_deliver", recorded)
         run_consensus(y, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")
-    return ranges
+    return rounds
+
+
+def snapshot_ranges(y, g, seed):
+    """The range M - m of each epoch's snapshot in the pure run from masses ``y``."""
+    return [snapshot[1] - snapshot[0] for snapshot, _ in epoch_rounds(y, g, seed) if snapshot is not None]
+
+
+def narrow_merges(y, g, seed):
+    """The narrow words the kernel merges in its run from masses ``y``, read
+    off the pure run: per merge, the offset of the word's base from the
+    window's and the offsets of its pieces from the window's base, sorted."""
+    base = wb = None
+    word, merges = None, []
+    for snapshot, pieces in epoch_rounds(y, g, seed):
+        if word is not None:
+            word |= pieces
+        if snapshot is None:
+            continue
+        m, M = snapshot
+        if word is not None:
+            merges.append((wb - base, sorted(c - base for c in word)))
+        elif base is None and M - m < WINDOW:
+            base = m
+        if base is not None and M - m < NARROW:
+            wb, word = m, set()
+    if word is not None:
+        merges.append((wb - base, sorted(c - base for c in word)))
+    return merges
 
 
 def window_masses(n, span, seed):
@@ -689,6 +734,14 @@ def window_masses(n, span, seed):
     2*span - 1 (ceil span) and odd masses drawn between them."""
     rng = PCG32(seed, STREAM_PROTOCOL)
     return [1, 2 * span - 1] + [2 * rng.randbelow(span) + 1 for _ in range(n - 2)]
+
+
+def top_masses(n, span, seed):
+    """n odd masses whose first snapshot is [0, span] and whose average lies
+    within span / n of its top: 1, 2*span - 1 and odd masses drawn from the
+    top three ceilings."""
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    return [1, 2 * span - 1] + [2 * (span - rng.randbelow(3)) - 1 for _ in range(n - 2)]
 
 
 @pytest.mark.parametrize("name", WINDOW_GRAPHS)
@@ -702,21 +755,74 @@ def test_kernel_matches_the_pure_path_across_the_window(kernel, name):
         ranges = snapshot_ranges(y, g, seed)
         assert ranges[0] >= WINDOW and any(1 < r < WINDOW for r in ranges), ranges
         assert_same_run(y, g, seed)
-        assert_first_send_order(kernel, y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
 
 
-@pytest.mark.parametrize("span", [WINDOW - 2, WINDOW - 1, WINDOW])
+@pytest.mark.parametrize("span", [OLD_WINDOW - 2, OLD_WINDOW - 1, OLD_WINDOW, WINDOW - 2, WINDOW - 1, WINDOW])
 @pytest.mark.parametrize("name", WINDOW_GRAPHS)
 def test_kernel_matches_the_pure_path_at_the_window_edge(kernel, name, span):
     # First ranges of WINDOW - 2 and WINDOW - 1 window the set in round 1,
     # over every word of the bitmap; a first range of WINDOW keeps the hash
-    # table for the first epoch.
+    # table for the first epoch.  The old window's edge now windows in
+    # round 1 over its first words.
     g = WINDOW_GRAPHS[name]
     for seed in range(4):
         y = window_masses(g.n, span, seed)
         assert snapshot_ranges(y, g, seed)[0] == span
         assert_same_run(y, g, seed)
-        assert_first_send_order(kernel, y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
+
+
+@pytest.mark.parametrize("span", [NARROW - 2, NARROW - 1, NARROW])
+@pytest.mark.parametrize("name", WINDOW_GRAPHS)
+def test_kernel_matches_the_pure_path_at_the_narrow_edge(kernel, name, span):
+    # First ranges of NARROW - 2 and NARROW - 1 window the set and make
+    # every round after the first narrow, with the word's base at the
+    # window's; a first range of NARROW collects the first epoch into the
+    # bitmap.
+    g = WINDOW_GRAPHS[name]
+    for seed in range(4):
+        y = window_masses(g.n, span, seed)
+        assert snapshot_ranges(y, g, seed)[0] == span
+        merges = narrow_merges(y, g, seed)
+        if span < NARROW:
+            assert merges[0][0] == 0, merges
+        assert_same_run(y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
+
+
+def test_kernel_matches_the_pure_path_at_every_narrow_word_offset(kernel):
+    # A narrow word's base lies 0, 1 or 63 past a bitmap word's start in
+    # some of these runs, and at 63 a word's pieces spill into the next
+    # bitmap word: the merge writes both words.
+    g = WINDOW_GRAPHS["complete-6"]
+    shifts, spills = set(), 0
+    for seed in range(20):
+        y = spread_masses(g.n, seed, 300)
+        merges = narrow_merges(y, g, seed)
+        shifts |= {off % 64 for off, pieces in merges if pieces}
+        spills += sum(off % 64 == 63 and pieces[-1] // 64 > off // 64 for off, pieces in merges if pieces)
+        assert_same_run(y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
+    assert {0, 1, 63} <= shifts and spills > 0, (shifts, spills)
+
+
+@pytest.mark.parametrize("name", ["complete-400", "random-400"])
+def test_kernel_matches_the_pure_path_in_the_bitmaps_top_word(kernel, name):
+    # A first range of WINDOW - 1 windows the whole bitmap, and 398 of 400
+    # nodes near its top pull the average into the last word: narrow words
+    # merge from the word below it into the last word, and from the last
+    # word itself, whose part past the bitmap is dropped.
+    g = complete(400) if name == "complete-400" else generate_random_digraph(400, F(1, 10), 0)
+    into_top = past_top = 0
+    for seed in range(3):
+        y = top_masses(g.n, WINDOW - 1, seed)
+        merges = [(off, pieces) for off, pieces in narrow_merges(y, g, seed) if pieces]
+        into_top += sum(off // 64 == WORDS - 2 and pieces[-1] // 64 == WORDS - 1 for off, pieces in merges)
+        past_top += sum(off // 64 == WORDS - 1 and off % 64 > 0 for off, pieces in merges)
+        assert_same_run(y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
+    assert into_top > 0 and past_top > 0, (into_top, past_top)
 
 
 def test_kernel_on_one_and_two_nodes(kernel):
@@ -729,12 +835,12 @@ def test_kernel_on_one_and_two_nodes(kernel):
             compiled = outcome(kernel_point, y, Q_HALF, lone, seed)
             assert compiled[1] == 2 and compiled[-1] == PCG32(seed, STREAM_PROTOCOL).getstate()
             assert_same_run(y, lone, seed)
-            assert_first_send_order(kernel, y, lone, seed)
+            assert_each_piece_once(kernel, y, lone, seed)
     pair = bidirectional_pair()
     for seed in range(10):
         y = spread_masses(2, seed, 10**4)
         assert_same_run(y, pair, seed)
-        assert_first_send_order(kernel, y, pair, seed)
+        assert_each_piece_once(kernel, y, pair, seed)
 
 
 def test_scan_and_row_handles_run_alike(kernel):
@@ -751,7 +857,7 @@ def test_scan_and_row_handles_run_alike(kernel):
         y = spread_masses(n, seed, 10**5)
         for g in (generated, given):
             assert_same_run(y, g, seed)
-            assert_first_send_order(kernel, y, g, seed)
+            assert_each_piece_once(kernel, y, g, seed)
     for rows in ([[1], [2], []], [[1], [0], [3], [2]], [[], [0]], [[1], [1]]):
         assert kernel.diameter(kernel.csr(rows)) == -1, rows
 
@@ -779,10 +885,11 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, tmp_path):
     # dropped, leave the traced memory where it was.  So does each of a
     # decline, a capped run and a call that breaks an invariant at its stop
     # (a build with a planted fault), on a handle whose piece set has grown.
-    # Each is repeated ten times.  Every array a call or a handle on 40
-    # nodes allocates holds at least 40 int64s or the 128-byte bitmap, so
-    # one left behind per repetition leaves over 1000 bytes; the
-    # interpreter's own caches move the count by a few dozen.
+    # Each is repeated ten times.  The calls on one handle include one that
+    # windows the whole 2 KiB bitmap in round 1 and ends on the narrow word.
+    # Every array a call or a handle on 40 nodes allocates holds at least 40
+    # int64s or the bitmap, so one left behind per repetition leaves over
+    # 1000 bytes; the interpreter's own caches move the count by a few dozen.
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     kernel = built_kernel
@@ -797,7 +904,7 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, tmp_path):
 
     rows = complete(40).out_adj
     large = TABLE_REUSE[0]
-    calls = list(enumerate(TABLE_REUSE)) + [(9, spread_masses(40, 7, 10**6))]
+    calls = list(enumerate(TABLE_REUSE)) + [(9, spread_masses(40, 7, 10**6)), (10, window_masses(40, WINDOW - 1, 0))]
 
     def many_calls_then_drop():
         handle = kernel.csr(rows)
@@ -915,7 +1022,7 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
         mp.setattr(graph, "_kernel", built_kernel)
         compiled = outcome(kernel_point, y, Q_HALF, g, seed)
     assert compiled == outcome(consensus_point, y, Q_HALF, g, seed, force_backend="pure")
-    assert_first_send_order(built_kernel, y, g, seed)
+    assert_each_piece_once(built_kernel, y, g, seed)
 
 
 def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
@@ -958,7 +1065,7 @@ def test_output_is_the_grid_point_of_the_common_floor(built_kernel, g, b_q, delt
     q = QuantizerState.of(b_q=b_q, delta=delta)
     y = [offset + v for v in data.draw(st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n))]
     d_eff = effective_epoch(g.diameter)
-    _, m, _ = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL))
+    m = engine._run_snapshot(list(y), g, d_eff, PCG32(seed, STREAM_PROTOCOL))[1]
     expected = q.b_q + m * q.delta
     assert run_consensus(y, q, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")[0] == m
     assert grid_point(q, m) == expected
@@ -1007,13 +1114,23 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
 # set crosses from the hash table to the window's bitmap.
 TABLE_REUSE = [spread_masses(40, 2, 10**9), spread_masses(40, 5, 3), [1] * 40, spread_masses(40, 2, 10**9)]
 
-# Masses on complete(6) whose first ranges lie at the window's edge.
-WINDOW_EDGES = [window_masses(6, span, 0) for span in (WINDOW - 2, WINDOW - 1, WINDOW)]
+# Masses whose runs reach the edges of the window and of the narrow word:
+# on complete(6), first ranges at the narrow word's edge, at the old and the
+# new window's edge, and spreads whose narrow words start at many offsets
+# within a bitmap word, some spilling into the next; on complete(400), narrow
+# words that merge into the bitmap's last word and from it.
+EDGE_SPANS = (NARROW - 2, NARROW - 1, NARROW, OLD_WINDOW - 2, OLD_WINDOW - 1, OLD_WINDOW, WINDOW - 2, WINDOW - 1, WINDOW)
+WINDOW_EDGES = (
+    [window_masses(6, span, 0) for span in EDGE_SPANS]
+    + [spread_masses(6, seed, 300) for seed in range(4)]
+    + [top_masses(400, WINDOW - 1, 0)]
+)
 
 # Runs every instance from the raw generator states 0-9 on one
 # complete-graph handle per node count, and checks that an instance run
 # again gives the same output.  Among them, TABLE_REUSE's wide masses cross
-# into the piece set's window and WINDOW_EDGES start at its edge.  States
+# into the piece set's window and WINDOW_EDGES reach the window's and the
+# narrow word's edges, up to the bitmap's last word.  States
 # 0-4 never bring node 0 of [-(2**63 - 1), 0, 0] to z = 3 with all the
 # mass; state 5 does, in round 1.
 # Then takes the bulk draws of every bound sequence from the same states,

@@ -419,13 +419,14 @@ def fake_kernel(tmp_path, **attrs):
 
 
 @pytest.mark.parametrize(
-    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}]
+    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}, {"ABI": 4}]
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
     # the pure paths run, and the warning names the file and the rebuild.
     # ABI 2 is the kernel before randbelow_each; ABI 3 is the kernel before
-    # the generator handed over its handle.
+    # the generator handed over its handle; ABI 4 is the kernel before
+    # run_rounds returned its alphabet's size.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None
