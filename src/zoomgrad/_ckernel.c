@@ -15,7 +15,7 @@
  * it draws them; csr flattens the rows of a graph given as rows, on its
  * first kernel call.  Both build it through csr_new and csr_capsule, so
  * there is one layout and one free path.  The handle also keeps run_rounds'
- * piece set between calls.
+ * piece set and workspace between calls: a call allocates only its result.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, the max ceil(y/z) / min floor(y/z) snapshot at each
@@ -24,24 +24,38 @@
  * per-piece oracle; the kernel splits a node in closed form instead.  With
  * y = q z + r and 0 <= r < z, those pieces are z - max(r, 1) copies of q and
  * then max(r, 1) - 1 copies of q + 1, and the node keeps q + (r > 0) with
- * z = 1.  A round is four flat passes, each doing one kind of work:
+ * z = 1.  A round is three flat passes, each doing one kind of work:
  *   - split: per node one floor division, whatever z is, a fold of the
  *     node's floor and ceil into the round's extremes (the epoch-start
  *     snapshot: deliveries wait until every node has split, so no (y, z)
  *     changes before its turn), y = ceil, z = 1, and a record of q, z, r
  *     and the index of the node's first piece in the round's sending order,
- *     the running sum of z - 1.  No piece-set call and no draw.
+ *     the running sum of z - 1.  No piece-set call and no draw.  A narrow
+ *     round (below) divides without a 64-bit divide: every y/z lies in
+ *     [wb, wb + 64), so off = y - z wb, taken mod 2**64, is exact and below
+ *     64 z, and z <= n + 1 since z sums to 2n.  Then q - wb is
+ *     off * ceil(2**57 / z) >> 57, exact while 64 (n + 1)**2 < 2**57, and the
+ *     product stays below 2**64; csr_new refuses n + 1 >= 2**25, so that
+ *     bound always holds.  The two split loops share their per-node body
+ *     and differ only in how q and r are formed.
  *   - collect: in node order, q (when z > 1) and q + 1 (when r > 1) go into
- *     the piece set.  A narrow round (below) has no collect pass.
+ *     the piece set.  A narrow round has no collect pass.
  *   - draw: one loop over the round's n pieces (z sums to 2n, so z - 1 sums
  *     to n), in sending order.  A piece's owner is the last node whose first
  *     index is at most the piece's, read from a histogram of the first
  *     indices by a running sum; the piece takes one draw, as in the oracle,
- *     and goes to row[draw].
- *   - deliver: every node adds what it was sent.
- * The draw bound 1 + out-degree, its rejection threshold and its fastmod
- * constant (Lemire, Kaser and Kurz, 2019) are computed once per node per
- * call, so a draw's r % bound takes three multiplies, no division.
+ *     goes to row[draw] and is added there at once, since the split has
+ *     already left every node at (ceil, 1) and the draw reads only the
+ *     split records.
+ * The workspace lives on the handle, each array its own allocation, made at
+ * the handle's first call and freed with it: y, z, the split records, the
+ * histogram, each row's draw bound 1 + out-degree with its rejection
+ * threshold and fastmod constant (Lemire, Kaser and Kurz, 2019), so a draw's
+ * r % bound takes three multiplies, no division, and the narrow split's
+ * reciprocals.  The bounds and reciprocals are computed once per handle.
+ * The histogram is zeroed at the start of every call rather than trusted
+ * from the last one, because a call that fails in a collect pass exits
+ * between the split, which fills it, and the draw, which clears it.
  *
  * The piece set.  While an epoch's range is wide, the call's distinct pieces
  * go into an open-addressing hash set on the handle, which a new call
@@ -63,12 +77,13 @@
  * piece.
  *
  * Masses are plain int64.  One check before the first round bounds every
- * value the run computes by the initial sum of |y|; an instance whose sum
- * does not fit int64 is declined (returns None) before any draw.  The split
- * never forms q z, which that bound does not cover: at y = -(2**63 - 1),
- * z = 3 it is below INT64_MIN.  The kernel works on a copy of the RNG state,
- * so a decline leaves the caller's generator where it was and the pure path
- * replays the identical run.  At a stop it checks, in O(n), that z sums to
+ * value the run computes, each partial sum of the draw pass included, by
+ * the initial sum of |y|; an instance whose sum does not fit int64 is
+ * declined (returns None) before any draw.  The split never forms q z in
+ * signed arithmetic, where that bound does not cover it: at
+ * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
+ * copy of the RNG state, so a decline leaves the caller's generator where
+ * it was and the pure path replays the identical run.  At a stop it checks, in O(n), that z sums to
  * 2n, that y kept its initial sum and that m lies in the first snapshot; a
  * violation raises RuntimeError.
  *
@@ -79,7 +94,8 @@
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
  * self-pair nor a cycle pair, kept when it falls below the threshold.  The
  * keep is branchless (at p = 1/2 a branch on the draw is a coin flip), and
- * the scan returns the graph's CSR handle with its rows.
+ * the scan returns the graph's CSR handle with its rows, each row tuple
+ * untracked by the cyclic GC, since it holds only ints.
  *
  * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
  * sequence in turn, through the same draw_below as run_rounds: a bound <= 1
@@ -157,6 +173,11 @@ static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
  * below 64, every later piece lies in one word's span [m, m + 64). */
 #define WINDOW 16384
 #define WINDOW_WORDS (WINDOW / 64)
+
+/* The narrow split's shift, and the most nodes a handle takes, so that
+ * 64 (n + 1)**2 < 2**NARROW_SHIFT keeps that split exact (see the header). */
+#define NARROW_SHIFT 57
+#define MAX_NODES ((1 << 25) - 2)
 
 /* The distinct pieces a run sends, kept on the graph handle and reused by
  * every run_rounds call on it, so its arrays stay at their largest size
@@ -307,6 +328,38 @@ typedef struct {
     Py_ssize_t first;
 } Split;
 
+/* What a round's split pass folds over the nodes: the extremes of their
+ * ceils and floors, the narrow word counted from wb, and the index of the
+ * next node's first piece. */
+typedef struct {
+    int64_t hi_max, lo_min, wb;
+    uint64_t word;
+    Py_ssize_t first;
+} Fold;
+
+/* The split pass's per-node body, shared by its wide and narrow loops, for
+ * a node holding (*y, *z) = (q z + r, z) with 0 <= r < z.  It folds the
+ * node's floor q and ceil q + (r > 0) into the extremes, ORs the pieces it
+ * sends into the narrow word (bits 1 for q, when z > 1, and 2 for q + 1,
+ * when r > 1, shifted up by q - wb in unsigned arithmetic and taken mod
+ * 64), records the split, counts its first index in the histogram starts
+ * and keeps (q + (r > 0), 1). */
+static void split_node(Fold *f, Split *sp, Py_ssize_t *starts, int64_t *y, int64_t *z, int64_t q, int64_t r)
+{
+    int64_t zi = *z, hi = q + (r != 0);
+    f->hi_max = hi > f->hi_max ? hi : f->hi_max;
+    f->lo_min = q < f->lo_min ? q : f->lo_min;
+    f->word |= ((uint64_t)(zi > 1) | (uint64_t)(r > 1) << 1) << (((uint64_t)q - (uint64_t)f->wb) % 64);
+    sp->q = q;
+    sp->z = zi;
+    sp->r = r;
+    sp->first = f->first;
+    starts[f->first]++;
+    f->first += zi - 1;
+    *y = hi;
+    *z = 1;
+}
+
 /* The collect pass on a windowed set: each node's q, then q + (r > 1), in
  * node order.  Both lie in the window whether the node sends them or not,
  * so each goes in without a branch: it is written past the last piece
@@ -368,21 +421,71 @@ static void pieces_merge(PieceSet *s, uint64_t word, int64_t wb)
  * is i itself, then its out-neighbours in the order of its out_adj row.
  * csr() and random_out_adj build one per graph and hand it to Python as a
  * capsule; run_rounds and diameter read it, and run_rounds keeps its piece
- * set there between calls. */
+ * set and its workspace there between calls: y, z, the split records, the
+ * histogram of first indices, each row's draw Bound and the reciprocals
+ * recip[z] = ceil(2**NARROW_SHIFT / z) for 1 <= z <= n + 1. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
     int *idx;
     PieceSet pieces;
+    int64_t *y, *z;
+    Split *split;
+    Py_ssize_t *starts;
+    Bound *bounds;
+    uint64_t *recip;
 } Csr;
 
 #define CSR_NAME "zoomgrad._ckernel.csr"
+
+static void workspace_free(Csr *g)
+{
+    PyMem_Free(g->y);
+    PyMem_Free(g->z);
+    PyMem_Free(g->split);
+    PyMem_Free(g->starts);
+    PyMem_Free(g->bounds);
+    PyMem_Free(g->recip);
+    g->y = g->z = NULL;
+    g->split = NULL;
+    g->starts = NULL;
+    g->bounds = NULL;
+    g->recip = NULL;
+}
+
+/* Make g's workspace at its first run_rounds call, each array its own
+ * allocation (so that ASan guards each one), with the bounds and the
+ * reciprocals, which depend only on the graph; -1 with an exception set,
+ * and none of it kept, on error. */
+static int workspace_new(Csr *g)
+{
+    size_t i, n = (size_t)g->n;
+    g->y = PyMem_Malloc(n * sizeof(int64_t));
+    g->z = PyMem_Malloc(n * sizeof(int64_t));
+    g->split = PyMem_Malloc(n * sizeof(Split));
+    g->starts = PyMem_Malloc((n + 1) * sizeof(Py_ssize_t));
+    g->bounds = PyMem_Malloc(n * sizeof(Bound));
+    g->recip = PyMem_Malloc((n + 2) * sizeof(uint64_t));
+    if (g->y == NULL || g->z == NULL || g->split == NULL || g->starts == NULL || g->bounds == NULL ||
+        g->recip == NULL) {
+        workspace_free(g);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < n; i++)
+        g->bounds[i] = make_bound((uint64_t)(g->ptr[i + 1] - g->ptr[i]));
+    g->recip[0] = 0;  /* no node holds z = 0 */
+    for (i = 1; i <= n + 1; i++)
+        g->recip[i] = ((UINT64_C(1) << NARROW_SHIFT) - 1) / i + 1;
+    return 0;
+}
 
 static void csr_free(Csr *g)
 {
     PyMem_Free(g->ptr);
     PyMem_Free(g->idx);
     pieces_free(&g->pieces);
+    workspace_free(g);
     PyMem_Free(g);
 }
 
@@ -396,8 +499,8 @@ static void csr_capsule_free(PyObject *capsule)
 static Csr *csr_new(Py_ssize_t n, const char *what)
 {
     Csr *g;
-    if (n < 1 || n > INT_MAX) {
-        PyErr_Format(PyExc_ValueError, "need 1 <= len(%s) <= INT_MAX", what);
+    if (n < 1 || n > MAX_NODES) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= len(%s) <= %d", what, MAX_NODES);
         return NULL;
     }
     g = PyMem_Calloc(1, sizeof(Csr));
@@ -496,15 +599,18 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
 {
     PyObject *w_obj, *handle, *w = NULL, *ret = NULL, *alphabet;
     Py_ssize_t d_eff, max_rounds, n, i, j, lam, phase;
-    Py_ssize_t *starts = NULL;
+    Py_ssize_t *starts;
+    const Py_ssize_t *ptr;
+    const int *idx;
     unsigned long long state_in, inc_in;
     uint64_t state, inc;
-    int64_t *y = NULL, *z = NULL, *dy = NULL, *dz = NULL;
-    int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0, wb = 0;
-    uint64_t word = 0;
-    Bound *bounds = NULL;
-    Split *split = NULL;
+    const uint64_t *recip;
+    int64_t *y, *z;
+    int64_t M = 0, m = 0, M0 = 0, m0 = 0, abs_sum = 0, y_start = 0, y_end = 0, z_end = 0;
+    const Bound *bounds;
+    Split *split;
     PieceSet *pieces;
+    Fold f;
     Csr *g;
     int stopped = 0, narrow = 0, overflow;
 
@@ -524,27 +630,27 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "need len(w) == the graph's node count and d_eff >= 2");
         goto done;
     }
-    y = PyMem_Malloc((size_t)n * sizeof(int64_t));
-    z = PyMem_Malloc((size_t)n * sizeof(int64_t));
-    dy = PyMem_Calloc((size_t)n, sizeof(int64_t));
-    dz = PyMem_Calloc((size_t)n, sizeof(int64_t));
-    bounds = PyMem_Malloc((size_t)n * sizeof(Bound));
-    split = PyMem_Malloc((size_t)n * sizeof(Split));
-    starts = PyMem_Calloc((size_t)n + 1, sizeof(Py_ssize_t));
-    if (y == NULL || z == NULL || dy == NULL || dz == NULL || bounds == NULL || split == NULL || starts == NULL) {
-        PyErr_NoMemory();
+    if (g->y == NULL && workspace_new(g) < 0)
         goto done;
-    }
+    y = g->y;
+    z = g->z;
+    split = g->split;
+    starts = g->starts;
+    bounds = g->bounds;
+    recip = g->recip;
+    ptr = g->ptr;
+    idx = g->idx;
     /* Headroom.  A piece floor(y/z) and the remainder it leaves both lie
        between 0 and the holder's y, so a split keeps sum |y|; a delivery only
        adds pieces, which can cancel, so sum |y| never grows.  Every holding,
-       every piece, every dy accumulator and the snapshot span M - m therefore
-       stay within the initial S = sum |y| for the whole run.  Decline unless
-       S fits int64: a mass beyond int64, a mass equal to INT64_MIN, or a
-       running sum that would pass INT64_MAX (tested before the add, so the
-       sum never wraps).  Python builds extensions with -fwrapv, where an
-       overflow would wrap silently rather than trap, so nothing else would
-       catch one. */
+       every piece, every partial sum y[tgt] of the draw pass (the node's kept
+       ceil plus some of the pieces sent to it) and the snapshot span M - m
+       therefore stay within the initial S = sum |y| for the whole run.
+       Decline unless S fits int64: a mass beyond int64, a mass equal to
+       INT64_MIN, or a running sum that would pass INT64_MAX (tested before
+       the add, so the sum never wraps).  Python builds extensions with
+       -fwrapv, where an overflow would wrap silently rather than trap, so
+       nothing else would catch one. */
     for (i = 0; i < n; i++) {
         y[i] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(w, i), &overflow);
         if (y[i] == -1 && PyErr_Occurred())
@@ -557,53 +663,51 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
         y_start += y[i];
         z[i] = 2;
     }
-    for (i = 0; i < n; i++)
-        bounds[i] = make_bound((uint64_t)(g->ptr[i + 1] - g->ptr[i]));
+    /* the histogram is zeroed here, not trusted from the last call: a call
+       that fails in a collect pass leaves that round's counts in it */
+    memset(starts, 0, (size_t)(n + 1) * sizeof(Py_ssize_t));
     pieces = &g->pieces;
     if (pieces_begin(pieces) < 0)
         goto done;
 
+    f.wb = 0;
+    f.word = 0;
     /* phase is lam % d_eff, kept without a division */
     for (lam = phase = 1; lam <= max_rounds; lam++, phase = phase + 1 == d_eff ? 0 : phase + 1) {
-        int64_t hi_max = INT64_MIN, lo_min = INT64_MAX;
-        Py_ssize_t first = 0, owner = -1;
+        Py_ssize_t owner = -1;
 
         /* split: with y = q z + r, 0 <= r < z, shedding z - 1 pieces
            floor(y/z) one at a time sends z - max(r, 1) pieces q, then
            max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.  A
            node with z = 1 has q = y and r = 0, sends nothing, and its floor
-           and ceil are both y.  The division truncates, so a negative
-           remainder moves q down by one and r up by z.  The pieces sent
-           also go into the narrow word: bits 1 (q, when z > 1) and 2
-           (q + 1, when r > 1) shifted up by q - wb, in unsigned arithmetic
-           and taken mod 64.  In a narrow round that is exact, since
-           q + 1 <= M < wb + 64 when r > 1; in any other the word is dropped
-           unread */
-        for (i = 0; i < n; i++) {
-            int64_t zi = z[i], q = y[i] / zi, r = y[i] % zi, hi;
-            uint64_t off;
-            int neg = r < 0;
-            q -= neg;
-            r += neg ? zi : 0;
-            hi = q + (r != 0);
-            hi_max = hi > hi_max ? hi : hi_max;
-            lo_min = q < lo_min ? q : lo_min;
-            off = (uint64_t)q - (uint64_t)wb;
-            word |= ((uint64_t)(zi > 1) | (uint64_t)(r > 1) << 1) << (off % 64);
-            split[i].q = q;
-            split[i].z = zi;
-            split[i].r = r;
-            split[i].first = first;
-            starts[first]++;
-            first += zi - 1;
-            y[i] = hi;
-            z[i] = 1;
-        }
+           and ceil are both y.  In a wide round the division truncates, so a
+           negative remainder moves q down by one and r up by z.  In a narrow
+           round every y/z lies in [wb, wb + 64), even in the round that
+           starts a new epoch (its range lies in the old one), so the split
+           takes q - wb = off recip[z] >> NARROW_SHIFT for off = y - z wb mod
+           2**64 (see the header).  The narrow word is exact in a narrow
+           round, since q + 1 <= M < wb + 64 when r > 1; in any other it is
+           dropped unread */
+        f.hi_max = INT64_MIN;
+        f.lo_min = INT64_MAX;
+        f.first = 0;
+        if (narrow)
+            for (i = 0; i < n; i++) {
+                uint64_t zi = (uint64_t)z[i], off = (uint64_t)y[i] - zi * (uint64_t)f.wb;
+                uint64_t d = off * recip[zi] >> NARROW_SHIFT;
+                split_node(&f, &split[i], starts, &y[i], &z[i], f.wb + (int64_t)d, (int64_t)(off - d * zi));
+            }
+        else
+            for (i = 0; i < n; i++) {
+                int64_t zi = z[i], q = y[i] / zi, r = y[i] % zi;
+                int neg = r < 0;
+                split_node(&f, &split[i], starts, &y[i], &z[i], q - neg, r + (neg ? zi : 0));
+            }
         /* epoch start: those extremes are the snapshot of the round's start,
            since no node's (y, z) changed before its turn */
         if (phase == 1) {
-            M = hi_max;
-            m = lo_min;
+            M = f.hi_max;
+            m = f.lo_min;
             if (lam == 1) {
                 M0 = M;
                 m0 = m;
@@ -612,9 +716,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                goes into the bitmap, and the next word counts from the new
                epoch's m, which lies in the old one's range */
             if (narrow) {
-                pieces_merge(pieces, word, wb);
-                wb = m;
-                word = 0;
+                pieces_merge(pieces, f.word, f.wb);
+                f.wb = m;
+                f.word = 0;
             }
         }
 
@@ -635,35 +739,30 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                         goto done;
             if (pieces->windowed && M - m < 64) {
                 narrow = 1;
-                wb = m;
+                f.wb = m;
             }
-            word = 0;
+            f.word = 0;
         }
 
-        /* draw: the round's n pieces (z sums to 2n, so z - 1 sums to n) in
-           sending order, one draw each, to the node itself (row slot 0) or
-           an out-neighbour.  Piece j is its owner's piece k = j - first + 1
-           of z - 1, which is q + (k > z - r); the owner is the last node
-           whose first index is at most j.  The histogram of first indices
-           is cleared as it is read */
+        /* draw and deliver: the round's n pieces (z sums to 2n, so z - 1
+           sums to n) in sending order, one draw each, to the node itself
+           (row slot 0) or an out-neighbour, which adds it at once: every
+           node already holds its kept (ceil, 1), and this pass reads only the
+           split records.  Piece j is its owner's piece k = j - first + 1 of
+           z - 1, which is q + (k > z - r); the owner is the last node whose
+           first index is at most j.  The histogram of first indices is
+           cleared as it is read */
         for (j = 0; j < n; j++) {
             const Split *sp;
             Py_ssize_t tgt;
             owner += starts[j];
             starts[j] = 0;
             sp = &split[owner];
-            tgt = g->idx[g->ptr[owner] + draw_below(&bounds[owner], &state, inc)];
-            dy[tgt] += sp->q + (j - sp->first >= sp->z - sp->r);
-            dz[tgt] += 1;
+            tgt = idx[ptr[owner] + draw_below(&bounds[owner], &state, inc)];
+            y[tgt] += sp->q + (j - sp->first >= sp->z - sp->r);
+            z[tgt] += 1;
         }
         starts[n] = 0;
-
-        /* deliver everything sent this round */
-        for (i = 0; i < n; i++) {
-            y[i] += dy[i];
-            z[i] += dz[i];
-            dy[i] = dz[i] = 0;
-        }
 
         /* epoch end: every node would now hold the snapshot's extremes */
         if (phase == 0 && M - m <= 1) {
@@ -673,7 +772,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     }
     /* the last narrow word, whether the run stopped or hit the cap */
     if (narrow)
-        pieces_merge(pieces, word, wb);
+        pieces_merge(pieces, f.word, f.wb);
 
     /* the stop's invariants, in O(n): both masses conserved, and the output
        inside the first snapshot.  Every partial sum of y lies within the
@@ -702,13 +801,6 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
 
 done:
     Py_XDECREF(w);
-    PyMem_Free(y);
-    PyMem_Free(z);
-    PyMem_Free(dy);
-    PyMem_Free(dz);
-    PyMem_Free(bounds);
-    PyMem_Free(split);
-    PyMem_Free(starts);
     return ret;
 }
 
@@ -878,6 +970,10 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
             Py_INCREF(nodes[idx[v]]);
             PyTuple_SET_ITEM(row, v - first, nodes[idx[v]]);
         }
+        /* a row holds only ints, so it can never be part of a cycle: the
+           collector need not traverse it (it would untrack it itself, but
+           only inside a collection that first walks every id) */
+        PyObject_GC_UnTrack(row);
         PyTuple_SET_ITEM(rows, u, row);
     }
     g->ptr[n] = e;

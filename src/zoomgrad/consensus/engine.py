@@ -56,7 +56,7 @@ pieces one floor division at a time (``_split_and_deliver``) and is the
 per-piece oracle.  The kernel splits a node in closed form instead: with
 ``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
 copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
-node keeps ``q + (r > 0)`` with ``z = 1``.  A kernel round is four flat
+node keeps ``q + (r > 0)`` with ``z = 1``.  A kernel round is three flat
 passes, each doing one kind of work, so none branches per node.  The split
 pass makes one floor division per node, whatever its ``z``, folds the
 node's floor and ceil into the epoch-start snapshot (exact because
@@ -68,10 +68,14 @@ set in node order.  The draw pass walks the round's ``n`` pieces in
 sending order, each taking its own draw as in the oracle; a piece's owner
 is read from a running sum over the first-piece indices, and its target
 is ``row[draw]``, since each of the handle's rows starts with the node
-itself.  Then every node takes its deliveries.  Each node's draw bound ``1 + out-degree``, its rejection
+itself.  The target adds the piece at once: the split has already left
+every node at ``(ceil, 1)``, and the draw pass reads only the split
+records.  Each node's draw bound ``1 + out-degree``, its rejection
 threshold and its fastmod constant (Lemire, Kaser and Kurz, "Faster
-Remainder by Direct Computation", 2019) are computed once per call, so a
-draw takes its remainder by multiplies, not by a division.  The kernel reads the graph
+Remainder by Direct Computation", 2019) are computed once per graph, so a
+draw takes its remainder by multiplies, not by a division; they live on
+the graph's handle with the rest of a call's workspace, so a call
+allocates only its result.  The kernel reads the graph
 through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
 the edge scan for a generated graph, by flattening the rows once on first
 use for a graph given as rows, never per call) and collects the distinct
@@ -82,10 +86,11 @@ start whose snapshot range ``M - m`` is below 16384 a bitmap over
 ranges nest: once every ``y/z`` lies in ``[m, M]``, every piece (a floor)
 and every kept value (a ceil) does too, so every later holding, piece and
 snapshot stays there.  For the same reason, once an epoch start's range is
-below 64, the rounds after it are narrow: the split pass ORs their pieces
-into one 64-bit word counted from that epoch's ``m`` and no collect pass
-runs; the word goes into the bitmap at the next epoch start and at the
-stop.
+below 64, the rounds after it are narrow: every ``y/z`` lies within 64 of
+that epoch's ``m``, so the split pass takes each quotient by a multiply and
+a shift, ORs the round's pieces into one 64-bit word counted from that
+``m``, and no collect pass runs; the word goes into the bitmap at the next
+epoch start and at the stop.
 A call's ``ConsensusStats`` carries the number of distinct pieces, which
 is what the optimizer reads, and the pieces themselves, each once and in
 no promised order: the pure path's Python ``set``, or the kernel's bytes
@@ -158,7 +163,10 @@ def active_backend() -> str:
 
 
 def effective_epoch(diam: int) -> int:
-    """Flooding epoch length D' = max(D, 2) (reset test is vacuous at D=1)."""
+    """Flooding epoch length D' = max(D, 2) (reset test is vacuous at D=1).
+
+    ``run_consensus`` applies the same rule inline on its kernel path, so
+    that no call stands between it and the kernel."""
     return max(diam, 2)
 
 
@@ -232,18 +240,30 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
     instance (its ``sum(|y|)`` exceeds int64).  Both paths yield identical
     output and leave the RNG in the identical state.  A run that reaches
     ``ROUND_CAP`` rounds, read at each call, raises ConsensusCapError.
+
+    The kernel is called from this frame: it reads the graph through its
+    cached handle, copies ``y`` and runs on a copy of the RNG state, so a
+    decline leaves both untouched and the pure replay is bit-identical.  Its
+    alphabet, bytes of packed int64, is passed on as it is.  A broken
+    invariant at the stop raises RuntimeError, which is never replayed on
+    the pure path.
     """
     if force_backend not in (None, "pure"):
         raise ValueError(f"unknown backend {force_backend!r}")
     kernel = graph._kernel
-    d_eff = effective_epoch(g.diameter)
     out = None
     if kernel is not None and force_backend is None:
-        out = _run_kernel(kernel, y, g, d_eff, rng)
+        d = g.diameter
+        out = kernel.run_rounds(y, g.kernel_handle(kernel), d if d > 2 else 2, ROUND_CAP, rng.state, rng.inc)
+        if out is not None:
+            stopped, rounds, m, size, pieces, rng.state = out
+            if not stopped:
+                raise ConsensusCapError(ROUND_CAP)
     if out is None:  # no kernel, or it declined (sum |y| beyond int64)
-        out = _run_snapshot(list(y), g, d_eff, rng)  # updates its copy in place
-    rounds, m, size, pieces = out
-    return m, ConsensusStats(g.n, rounds, size, pieces)
+        rounds, m, size, pieces = _run_snapshot(list(y), g, effective_epoch(g.diameter), rng)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, which costs
+    # twice as much on every call
+    return m, tuple.__new__(ConsensusStats, (g.n, rounds, size, pieces))
 
 
 def _run_snapshot(y, g, d_eff, rng):
@@ -272,22 +292,3 @@ def _run_snapshot(y, g, d_eff, rng):
                 )
             return lam, m, len(alphabet), alphabet
     raise ConsensusCapError(ROUND_CAP)
-
-
-def _run_kernel(kernel, y, g, d_eff, rng):
-    """int64 port of ``_run_snapshot``.  Returns None when the kernel declines.
-
-    The kernel reads the graph through its cached handle and returns the
-    alphabet's size and the alphabet as bytes of packed int64, which are
-    passed on as they are.  It copies ``y`` and runs on a copy of the RNG state,
-    so a decline leaves both untouched and the pure replay is bit-identical.
-    A broken invariant at the stop raises RuntimeError, which is never
-    replayed on the pure path.
-    """
-    out = kernel.run_rounds(y, g.kernel_handle(kernel), d_eff, ROUND_CAP, rng.state, rng.inc)
-    if out is None:
-        return None
-    stopped, rounds, m, size, pieces, rng.state = out
-    if not stopped:
-        raise ConsensusCapError(ROUND_CAP)
-    return rounds, m, size, pieces

@@ -3,7 +3,8 @@ drive the optimizer, and emit deterministic CSV artifacts.
 
 The runner also prices the run: ``width_schedule`` turns the config's
 policy and accounting blocks into the run's message-width schedule, and
-``step_costs`` charges a step's counts at it for both report writers.
+``step_costs`` charges a step's counts at it for the history report, and
+``summarize`` sums the same charges over a run's steps.
 
 Determinism contract: the pair (config, seed) fixes every byte of every
 output file.  All floats are written with repr() (shortest round-trip
@@ -21,6 +22,7 @@ import sys
 from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
+from itertools import zip_longest
 
 from .config import ConfigError
 from .consensus import ConsensusCapError, active_backend
@@ -179,11 +181,21 @@ def summarize(config, state):
     steps = len(history)
     target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
-    widths = width_schedule(config)
-    total_tx = paper_bits = measured_bits = 0
-    for k, r in enumerate(history, 1):
-        tx, paper, measured = step_costs(k, r, config.n, widths)
-        total_tx, paper_bits, measured_bits = total_tx + tx, paper_bits + paper, measured_bits + measured
+    # step_costs summed over the steps: every step sends n pieces a round,
+    # each schedule entry prices its slice of the steps, and a step's
+    # measured width indexes its alphabet
+    n = config.n
+    rounds, measured_bits = [], 0
+    for r in history:
+        rounds.append(r.consensus_rounds)
+        measured_bits += (r.alphabet_size - 1).bit_length() * r.consensus_rounds
+    total_tx, measured_bits = n * sum(rounds), n * measured_bits
+    paper_bits, start = 0, 0
+    for end, width in width_schedule(config):
+        paper_bits += n * width * sum(rounds[start:end])
+        if end is None:
+            break
+        start = max(start, end)
     mean_tx = float(Fraction(total_tx, steps)) if steps else float("nan")
     events = Counter(r.zoom_event for r in history)
     return {
@@ -239,12 +251,16 @@ def write_history_csv(f, history, n, widths):
         )
 
 
-def write_rows_csv(f, columns, rows):
-    """Write ``rows`` (dicts; a missing key is a blank cell) as CSV to the text stream ``f``."""
+def write_table_csv(f, columns, rows):
+    """Write the header ``columns``, then ``rows`` (sequences of cells), as CSV to the text stream ``f``."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(columns)
-    for row in rows:
-        w.writerow([row.get(c, "") for c in columns])
+    w.writerows(rows)
+
+
+def write_rows_csv(f, columns, rows):
+    """Write ``rows`` (dicts; a missing key is a blank cell) as CSV to the text stream ``f``."""
+    write_table_csv(f, columns, ([row.get(c, "") for c in columns] for row in rows))
 
 
 def resolve_out_dir(path):
@@ -431,15 +447,12 @@ def cmd_compare(config):
     def reports():
         runs = compare(config)  # in COMPARE_VARIANTS order
         columns = ["k"] + ["error_%s" % label for label, _, _ in COMPARE_VARIANTS]
-        histories = [state.history for _, state in runs.values()]
-        k0 = repr(math.sqrt(config.n))
-        rows = [dict(zip(columns, [0] + [k0] * len(histories)))]
-        for i in range(max(map(len, histories))):
-            errors = [repr(h[i].error) if i < len(h) else "" for h in histories]
-            rows.append(dict(zip(columns, [i + 1] + errors)))
+        errors = [[repr(r.error) for r in state.history] for _, state in runs.values()]
+        rows = [[0] + [repr(math.sqrt(config.n))] * len(errors)]
+        rows += [[k, *row] for k, row in enumerate(zip_longest(*errors, fillvalue=""), 1)]
         summaries = [summarize(c, state) for c, state in runs.values()]
         return [
-            ("compare.csv", write_rows_csv, columns, rows),
+            ("compare.csv", write_table_csv, columns, rows),
             ("compare_summary.csv", write_rows_csv, SUMMARY_COLUMNS, summaries),
         ]
 

@@ -11,6 +11,9 @@ temporary directory once per session,
 so the compiled paths are checked wherever a C compiler exists, whether or
 not an in-place build is present.
 
+``kernel_consensus`` makes one consensus call on a kernel module alone,
+with the arguments ``run_consensus`` passes it.
+
 ``flood_consensus`` is the per-round flood, the protocol as specified: the
 oracle that the engine's epoch-snapshot path and the kernel are checked
 against.  It returns the common grid point, as ``consensus_point`` does for
@@ -225,6 +228,22 @@ def flood_consensus(y, q, g, rng, round_hook):
             assert len(set(m)) == 1, "stop fired with disagreeing nodes"
             return q.b_q + m[0] * q.delta, ConsensusStats(n, lam, len(alphabet), alphabet)
     raise ConsensusCapError(engine.ROUND_CAP)
+
+
+def kernel_consensus(kernel, y, g, rng):
+    """One consensus call on ``kernel`` alone, made as ``run_consensus``
+    makes it: (rounds, m, alphabet size, pieces), or None when the kernel
+    declines.  Raises ConsensusCapError at the round cap ``engine.ROUND_CAP``,
+    read at each call, and leaves ``rng`` where the kernel left its copy."""
+    out = kernel.run_rounds(
+        y, g.kernel_handle(kernel), effective_epoch(g.diameter), engine.ROUND_CAP, rng.state, rng.inc
+    )
+    if out is None:
+        return None
+    stopped, rounds, m, size, pieces, rng.state = out
+    if not stopped:
+        raise ConsensusCapError(engine.ROUND_CAP)
+    return rounds, m, size, pieces
 
 
 def consensus_point(y, q, g, rng, **kwargs):

@@ -31,6 +31,7 @@ from conftest import (
     consensus_point,
     digraph,
     flood_consensus,
+    kernel_consensus,
     load_kernel,
     ring,
 )
@@ -326,7 +327,7 @@ PARITY_QUANTIZERS = [  # (grid, width)
 def kernel_point(y, q, g, rng):
     """``consensus_point`` on the kernel alone (``graph._kernel``): a decline
     fails the test instead of replaying on the pure path."""
-    out = engine._run_kernel(graph._kernel, y, g, effective_epoch(g.diameter), rng)
+    out = kernel_consensus(graph._kernel, y, g, rng)
     assert out is not None, "the kernel declined the instance"
     rounds, m, size, pieces = out
     return q.b_q + m * q.delta, ConsensusStats(g.n, rounds, size, pieces)
@@ -874,34 +875,44 @@ def traced_growth(run, times=10):
     return tracemalloc.get_traced_memory()[0] - before
 
 
-# A planted fault for the allocation test: every stop fails its invariant check.
+# A planted fault for the allocation and handle-reuse tests: every stop fails
+# its invariant check.
 BROKEN_STOP = ("if (z_end != 2 * (int64_t)n ||", "if (z_end == 2 * (int64_t)n ||")
 
 
-def test_kernel_calls_leave_no_allocation_behind(built_kernel, tmp_path):
-    # Allocation balance, which LeakSanitizer cannot check under CPython:
-    # tracemalloc traces the kernel's PyMem allocations.  Many calls on one
-    # handle, with table growth and window crossings, then the handle
-    # dropped, leave the traced memory where it was.  So does each of a
-    # decline, a capped run and a call that breaks an invariant at its stop
-    # (a build with a planted fault), on a handle whose piece set has grown.
-    # Each is repeated ten times.  The calls on one handle include one that
-    # windows the whole 2 KiB bitmap in round 1 and ends on the narrow word.
-    # Every array a call or a handle on 40 nodes allocates holds at least 40
-    # int64s or the bitmap, so one left behind per repetition leaves over
-    # 1000 bytes; the interpreter's own caches move the count by a few dozen.
+@pytest.fixture(scope="module")
+def planted_kernel(built_kernel, tmp_path_factory):
+    """The kernel built with one planted fault, BROKEN_STOP: every stop fails
+    its invariant check.  It differs from the kernel in that one comparison,
+    so it reads the kernel's handles in their own layout."""
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
-    kernel = built_kernel
-    planted = tmp_path / "planted"
+    tmp = tmp_path_factory.mktemp("planted")
+    planted = tmp / "checkout"
     (planted / "src" / "zoomgrad").mkdir(parents=True)
     shutil.copy(os.path.join(ROOT, "setup.py"), planted)
     with open(os.path.join(ROOT, "src", "zoomgrad", "_ckernel.c")) as f:
         source = f.read()
     assert source.count(BROKEN_STOP[0]) == 1
     (planted / "src" / "zoomgrad" / "_ckernel.c").write_text(source.replace(*BROKEN_STOP))
-    broken_kernel = load_kernel(build_kernel(tmp_path / "build", root=planted)[0])
+    return load_kernel(build_kernel(tmp / "build", root=planted)[0])
 
+
+def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
+    # Allocation balance, which LeakSanitizer cannot check under CPython:
+    # tracemalloc traces the kernel's PyMem allocations.  Many calls on one
+    # handle, with table growth and window crossings, then the handle
+    # dropped, leave the traced memory where it was; so does a handle whose
+    # workspace a declined call built, dropped at once.  So does each of a
+    # decline, a capped run and a call that breaks an invariant at its stop
+    # (the planted build), on a handle whose piece set has grown.  Each is
+    # repeated ten times.  The calls on one handle include one that windows
+    # the whole 2 KiB bitmap in round 1 and ends on the narrow word.  Every
+    # array a call or a handle on 40 nodes allocates, the handle's workspace
+    # included, holds at least 40 int64s or the bitmap, so one left behind
+    # per repetition leaves over 1000 bytes; the interpreter's own caches
+    # move the count by a few dozen.
+    kernel, broken_kernel = built_kernel, planted_kernel
     rows = complete(40).out_adj
     large = TABLE_REUSE[0]
     calls = list(enumerate(TABLE_REUSE)) + [(9, spread_masses(40, 7, 10**6)), (10, window_masses(40, WINDOW - 1, 0))]
@@ -910,6 +921,7 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, tmp_path):
         handle = kernel.csr(rows)
         for seed, y in calls:
             assert kernel.run_rounds(y, handle, 2, ROUND_CAP, seed, 1)[0]
+        assert kernel.run_rounds([2**62] * 40, kernel.csr(rows), 2, ROUND_CAP, 0, 1) is None
 
     handle, broken_handle = kernel.csr(rows), broken_kernel.csr(rows)
 
@@ -1025,6 +1037,137 @@ def test_closed_form_kernel_matches_the_per_piece_path(built_kernel, instance, s
     assert_each_piece_once(built_kernel, y, g, seed)
 
 
+# --- the narrow split and the handle's workspace --------------------------
+
+# The kernel splits a narrow round's nodes by a multiply and a shift:
+# q - wb = (y - z*wb) * ceil(2**NARROW_SHIFT / z) >> NARROW_SHIFT, with
+# y - z*wb taken mod 2**64, exact for z <= n + 1 (_ckernel.c).
+
+
+def hub_counts(y, g, seed):
+    """Node 0's count mass z before each round after the first, in the pure run."""
+    split_and_deliver = engine._split_and_deliver
+    counts = []
+
+    def recorded(y, z, g, rng, alphabet):
+        counts.append(z[0])
+        split_and_deliver(y, z, g, rng, alphabet)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_split_and_deliver", recorded)
+        run_consensus(y, Q_HALF, g, PCG32(seed, STREAM_PROTOCOL), force_backend="pure")
+    return counts[1:]
+
+
+@pytest.mark.parametrize("n", [3, 5, 40, 1000])
+def test_kernel_matches_the_pure_path_on_a_star(kernel, n):
+    # The hub of a star, fed by every leaf, holds the largest count mass a
+    # node can: z = n + 1 when every leaf sends it its piece.  A first range
+    # below NARROW makes every round after the first narrow, so the narrow
+    # split divides by each z the hub reaches: n + 1 itself on 3 and 5
+    # nodes, and about n / 2 on 1000.
+    g = star(n)
+    top = 0
+    for seed in range(2 if n == 1000 else 20):
+        y = window_masses(n, NARROW - 24, seed)
+        top = max(top, max(hub_counts(y, g, seed)))
+        assert_same_run(y, g, seed)
+        assert_each_piece_once(kernel, y, g, seed)
+    assert top == n + 1 if n <= 5 else top > n // 3, top
+
+
+def edge_masses(n, centre, seed):
+    """n odd masses at most 80 from the odd ``centre``, towards zero: a first
+    range below NARROW, so every round after the first is narrow, with the
+    word's base near centre / 2."""
+    rng = PCG32(seed, STREAM_PROTOCOL)
+    step = 2 if centre > 0 else -2
+    return [centre - step * rng.randbelow(40) for _ in range(n)]
+
+
+def int64_edge(n):
+    """The largest odd T with n*T <= INT64_MAX: masses up to T in size on n
+    nodes keep their sum of |y| within int64."""
+    t = INT64_MAX // n
+    return t if t % 2 else t - 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_kernel_narrow_split_near_the_int64_edges(kernel, n, sign):
+    # Narrow rounds whose word base wb lies near +-2**62 / n, and near +-500.
+    # The split forms y - z*wb in uint64: for a negative wb both operands
+    # wrap, and near -2**62 z*wb reaches -2**63, yet the difference must
+    # come back as the small offset that gives the pure path's q and r.
+    g = Digraph(((),)) if n == 1 else complete(n) if n < 5 else star(n)
+    for centre in (sign * int64_edge(n), sign * 1001):
+        for seed in range(5):
+            y = edge_masses(n, centre, seed)
+            assert sum(map(abs, y)) <= INT64_MAX
+            merges = narrow_merges(y, g, seed)
+            assert merges and merges[0][0] == 0, merges  # narrow from round 2, at the window's base
+            wb = min(v // 2 for v in y)
+            assert abs(wb - centre // 2) < 64
+            assert_same_run(y, g, seed)
+            assert_each_piece_once(kernel, y, g, seed)
+
+
+def raw_outcome(call):
+    """``call()``'s result, or the type of the error it raised."""
+    try:
+        out = call()
+    except (RuntimeError, MemoryError) as exc:
+        return type(exc)
+    return out if out is None else out[:4] + (set(memoryview(out[4]).cast("q")),) + out[5:]
+
+
+def test_a_reused_handle_runs_every_call_as_a_fresh_one(built_kernel, planted_kernel):
+    # The workspace lives on the handle: y, z, the split records, the
+    # histogram of first indices, the draw bounds and the reciprocals.  One
+    # handle takes narrow, wide, declined, capped and broken-invariant calls
+    # in turn, and each call, and the calls after it, must equal the same
+    # call on a fresh handle.  A call that fails in a collect pass, where a
+    # piece table's growth is refused memory, leaves that round's histogram
+    # filled; the next call must not read it.
+    kernel = built_kernel
+    rows = star(40).out_adj
+    wide, narrow = spread_masses(40, 2, 10**9), window_masses(40, NARROW - 24, 1)
+    calls = [
+        (kernel, narrow, ROUND_CAP),
+        (kernel, wide, ROUND_CAP),
+        (kernel, [2**62] * 40, ROUND_CAP),  # declined
+        (kernel, wide, 5),  # capped mid-epoch, in the hash table
+        (kernel, narrow, 3),  # capped in a narrow round
+        (planted_kernel, narrow, ROUND_CAP),  # raises at the stop
+        (planted_kernel, wide, ROUND_CAP),
+        (kernel, wide, ROUND_CAP),
+        (kernel, narrow, ROUND_CAP),
+    ]
+    handle = kernel.csr(rows)
+    for seed, (module, y, cap) in enumerate(calls):
+        fresh = raw_outcome(lambda: module.run_rounds(y, kernel.csr(rows), 2, cap, seed, 1))
+        assert raw_outcome(lambda: module.run_rounds(y, handle, 2, cap, seed, 1)) == fresh, seed
+        assert fresh is RuntimeError or fresh is None or fresh[1] <= cap
+    testcapi = pytest.importorskip("_testcapi")
+    for k in range(1, 100):
+        handle = kernel.csr(rows)
+        kernel.run_rounds(narrow, handle, 2, ROUND_CAP, 0, 1)  # makes the workspace and a small table
+        testcapi.set_nomemory(k, k + 1)  # the k-th allocation from here fails
+        try:
+            kernel.run_rounds(wide, handle, 2, ROUND_CAP, 0, 1)
+        except MemoryError:
+            pass
+        else:
+            break  # the call made fewer than k allocations
+        finally:
+            testcapi.remove_mem_hooks()
+        for _, y, cap in calls[:2]:
+            assert raw_outcome(lambda: kernel.run_rounds(y, handle, 2, cap, 7, 1)) == raw_outcome(
+                lambda: kernel.run_rounds(y, kernel.csr(rows), 2, cap, 7, 1)
+            ), k
+    assert k > 4, k  # the piece table grew, and failed to, several times
+
+
 def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
     # From state 0 the first draw is 0, below randbelow(3)'s threshold
     # 2**32 % 3 = 1, so node 0's first piece on complete(3) takes a second
@@ -1126,6 +1269,15 @@ WINDOW_EDGES = (
     + [top_masses(400, WINDOW - 1, 0)]
 )
 
+# Masses whose every round after the first is narrow: on one to three
+# nodes near the ends of int64, where the word's base lies near +-2**62 / n
+# and y - z*wb wraps in uint64; on stars, whose hub's count mass runs up to
+# n + 1, from small masses and from masses near the end of int64.
+NARROW_EDGES = [edge_masses(n, sign * int64_edge(n), 0) for n in (1, 2, 3) for sign in (1, -1)]
+STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
+    edge_masses(40, sign * int64_edge(40), 1) for sign in (1, -1)
+]
+
 # Runs every instance from the raw generator states 0-9 on one
 # complete-graph handle per node count, and checks that an instance run
 # again gives the same output.  Among them, TABLE_REUSE's wide masses cross
@@ -1137,9 +1289,10 @@ WINDOW_EDGES = (
 # and checks that a bound beyond 2**32 raises.  Then generates graphs on a
 # ring cycle at p = 0, 1/2**32, 1/2 and 1, with n across a 64-bit word, and
 # runs the diameter and a consensus on each handle the scan returns, and
-# the diameter of a path, which is not strongly connected.  Last, runs
+# the diameter of a path, which is not strongly connected.  Then runs
 # spread masses on the directed ring(7) (D' = 6) to the stop and again
-# capped one round short of it, mid-epoch.
+# capped one round short of it, mid-epoch.  Last, runs each of STAR_MASSES
+# on a star from the same states, on one handle per node count.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -1176,6 +1329,14 @@ y = [10**6 * (2 * u - 7) + 1 for u in range(7)]
 stopped, rounds = kernel.run_rounds(y, ring, 6, 100000, 3, 7)[:2]
 assert stopped and rounds > 12 and rounds % 6 == 0, rounds
 assert kernel.run_rounds(y, ring, 6, rounds - 1, 3, 7)[:2] == (False, rounds - 1)
+stars = {}
+for y in json.loads(sys.argv[4]):
+    rows = [list(range(1, len(y)))] + [[0]] * (len(y) - 1)
+    if len(y) not in stars:
+        stars[len(y)] = kernel.csr(rows)
+    for seed in range(10):
+        out = kernel.run_rounds(y, stars[len(y)], 2, 100000, seed, 2 * seed + 1)
+        assert out[0] and kernel.run_rounds(y, kernel.csr(rows), 2, 100000, seed, 2 * seed + 1) == out, (len(y), seed)
 """
 
 
@@ -1195,8 +1356,9 @@ def run_sanitized(tmp_path, cflags, runtimes, **env):
             "-c",
             SANITIZED_RUN,
             path,
-            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE + WINDOW_EDGES),
+            json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE + WINDOW_EDGES + NARROW_EDGES),
             json.dumps(list(BULK_DRAW_BOUNDS.values())),
+            json.dumps(STAR_MASSES),
         ],
         capture_output=True,
         text=True,
@@ -1227,7 +1389,7 @@ def test_kernel_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
     # The same run on a kernel built with ASan and every UBSan check, each
     # fatal: no read or write outside a buffer (the piece table's growth
     # and reuse, the window's bitmap up to its last word, the CSR rows, the
-    # per-call arrays), no use after free and no undefined shift, cast or
+    # handle's workspace), no use after free and no undefined shift, cast or
     # overflow.  PYTHONMALLOC=malloc sends the
     # kernel's PyMem allocations through malloc, where ASan guards them.
     # CPython's own allocations at exit would swamp LeakSanitizer, so it is
@@ -1247,8 +1409,8 @@ def test_kernel_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
 
 
 def test_force_backend_validation():
-    # Only the parity replay's "pure" forces a backend; the kernel's own
-    # result is engine._run_kernel's.
+    # Only the parity replay's "pure" forces a backend; the kernel runs by
+    # default.
     g, x, rng = random_instance(1, 3)
     for backend in ("gpu", "compiled"):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -8,6 +8,7 @@ guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
 
+import gc
 import hashlib
 import random
 import types
@@ -256,6 +257,8 @@ def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
     got = graph._draw_digraph(succ, threshold, rng).out_adj
     assert got == want
     assert rng.getstate() == pure_rng.getstate()
+    # the kernel's rows hold only ints, so it keeps them out of the cyclic GC
+    assert not any(gc.is_tracked(row) for row in got)
     assert all(succ[u] in row and u not in row for u, row in enumerate(got))
     if p == 1:
         assert all(len(row) == n - 1 for row in got)

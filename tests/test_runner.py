@@ -55,6 +55,7 @@ from zoomgrad.runner import (
     width_schedule,
     write_history_csv,
     write_rows_csv,
+    write_table_csv,
 )
 
 import zoomgrad.runner as runner_mod
@@ -389,6 +390,25 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["backend"] in ("compiled", "pure")
 
 
+def test_summarize_sums_the_step_costs_over_the_width_schedule():
+    # summarize sums the steps' charges without a step_costs call per step:
+    # the refine-only schedule prices its three slices of the steps at 7, 10
+    # and 14 bits, and each step's measured width indexes its alphabet.
+    config = RunConfig(
+        seed=1, delta0=F(1, 10), policy={"variant": "refine_only", "c_refine": "10"}, stop={"max_steps": 12}
+    )
+    state = run_single(config)
+    history = state.history
+    assert len(history) == 12
+    costs = [step_costs(k, r, config.n, width_schedule(config)) for k, r in enumerate(history, 1)]
+    assert {bits // tx for tx, bits, _ in costs} == {7, 10, 14}
+    row = summarize(config, state)
+    for column, total in zip(
+        ("total_mass_transmissions", "total_bits_paper_mode", "total_bits_measured_mode"), zip(*costs)
+    ):
+        assert row[column] == sum(total), column
+
+
 def test_accounting_mode_prices_only_the_adaptive_paper_column():
     # Both bit columns are always reported; the mode decides only what the
     # adaptive policy's paper-mode column charges per message: accounting.b_pm
@@ -466,6 +486,7 @@ def test_history_csv_shape_and_determinism(default_run):
 
 def test_write_rows_csv_missing_keys_blank():
     assert rendered(write_rows_csv, ["a", "b"], [{"a": 1}, {"b": "x", "a": 2}]) == "a,b\n1,\n2,x\n"
+    assert rendered(write_table_csv, ["a", "b"], [[1, ""], (2, "x")]) == "a,b\n1,\n2,x\n"
 
 
 def test_resolve_out_dir(tmp_path, monkeypatch):
