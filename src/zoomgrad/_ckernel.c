@@ -55,7 +55,10 @@
  * reciprocals.  The bounds and reciprocals are computed once per handle.
  * The histogram is zeroed at the start of every call rather than trusted
  * from the last one, because a call that fails in a collect pass exits
- * between the split, which fills it, and the draw, which clears it.
+ * between the split, which fills it, and the draw, which clears it.  A
+ * handle runs one call at a time: reading w can run an item's __index__,
+ * and a call made from there on the same handle raises RuntimeError rather
+ * than overwrite the workspace under the running one.
  *
  * The piece set.  While an epoch's range is wide, the call's distinct pieces
  * go into an open-addressing hash set on the handle, which a new call
@@ -83,9 +86,9 @@
  * signed arithmetic, where that bound does not cover it: at
  * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where
- * it was and the pure path replays the identical run.  At a stop it checks, in O(n), that z sums to
- * 2n, that y kept its initial sum and that m lies in the first snapshot; a
- * violation raises RuntimeError.
+ * it was and the pure path replays the identical run.  At a stop it
+ * checks, in O(n), that z sums to 2n, that y kept its initial sum and that
+ * m lies in the first snapshot; a violation raises RuntimeError.
  *
  * diameter runs graph.diameter's reach recurrence on rows of uint64 words
  * and returns -1 when the graph is not strongly connected.
@@ -423,7 +426,8 @@ static void pieces_merge(PieceSet *s, uint64_t word, int64_t wb)
  * capsule; run_rounds and diameter read it, and run_rounds keeps its piece
  * set and its workspace there between calls: y, z, the split records, the
  * histogram of first indices, each row's draw Bound and the reciprocals
- * recip[z] = ceil(2**NARROW_SHIFT / z) for 1 <= z <= n + 1. */
+ * recip[z] = ceil(2**NARROW_SHIFT / z) for 1 <= z <= n + 1, and busy while
+ * a run_rounds call holds them. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
@@ -434,6 +438,7 @@ typedef struct {
     Py_ssize_t *starts;
     Bound *bounds;
     uint64_t *recip;
+    int busy;
 } Csr;
 
 #define CSR_NAME "zoomgrad._ckernel.csr"
@@ -622,6 +627,13 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     g = PyCapsule_GetPointer(handle, CSR_NAME);
     if (g == NULL)
         return NULL;
+    /* reading w can run Python code (an item's __index__), which must not
+       run a call on this handle's workspace while this one holds it */
+    if (g->busy) {
+        PyErr_SetString(PyExc_RuntimeError, "run_rounds called on a handle it is already running on");
+        return NULL;
+    }
+    g->busy = 1;
     w = PySequence_Fast(w_obj, "w must be a sequence");
     if (w == NULL)
         goto done;
@@ -800,6 +812,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                         (Py_ssize_t)pieces->len, alphabet, (unsigned long long)state);
 
 done:
+    g->busy = 0;
     Py_XDECREF(w);
     return ret;
 }

@@ -1168,6 +1168,31 @@ def test_a_reused_handle_runs_every_call_as_a_fresh_one(built_kernel, planted_ke
     assert k > 4, k  # the piece table grew, and failed to, several times
 
 
+def test_a_handle_refuses_a_call_made_while_it_runs_one(kernel):
+    # Reading w calls an item's __index__, after the running call has begun
+    # to fill the handle's workspace.  A call made from there on the same
+    # handle would overwrite y and z under it (and a z that no longer sums
+    # to 2n indexes past the histogram), so it must raise instead, and the
+    # running call must end as it would on its own.
+    rows = star(40).out_adj
+    wide = spread_masses(40, 2, 10**9)
+    handle, inner = kernel.csr(rows), []
+
+    class Item:  # not an int, so reading it calls __index__
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            inner.append(raw_outcome(lambda: kernel.run_rounds([2**40] + [0] * 39, handle, 2, ROUND_CAP, 3, 1)))
+            return self.v
+
+    y = wide[:5] + [Item(v) for v in wide[5:]]
+    got = raw_outcome(lambda: kernel.run_rounds(y, handle, 2, ROUND_CAP, 0, 1))
+    assert inner == [RuntimeError] * 35
+    assert got == raw_outcome(lambda: kernel.run_rounds(wide, kernel.csr(rows), 2, ROUND_CAP, 0, 1))
+    assert raw_outcome(lambda: kernel.run_rounds(wide, handle, 2, ROUND_CAP, 0, 1)) == got  # free again
+
+
 def test_kernel_rejects_the_draws_randbelow_rejects(kernel):
     # From state 0 the first draw is 0, below randbelow(3)'s threshold
     # 2**32 % 3 = 1, so node 0's first piece on complete(3) takes a second
