@@ -1,10 +1,12 @@
 /* The simulator's hot loops in C: the epoch-snapshot consensus
  * (engine._run_snapshot), the random digraph's edge draws
- * (graph.generate_random_digraph), the graph's diameter (graph.diameter) and
+ * (graph.generate_random_digraph), the graph's diameter (graph.diameter),
  * bulk bounded draws (graph.randbelow_each: the digraph's shuffle, the cost
- * suite's draws and the initial estimates' grid indices).  The draws consume
- * the same PCG32 stream as the pure paths, draw for draw, so every result and
- * the final RNG state are bit-for-bit equal.
+ * suite's draws and the initial estimates' grid indices) and the
+ * optimizer's per-class arithmetic (optimizer.grid_offsets and
+ * optimizer.grid_masses).  The draws consume the same PCG32 stream as the
+ * pure paths, draw for draw, so every result and the final RNG state are
+ * bit-for-bit equal.
  *
  * A graph's out-adjacency lives in C as one CSR handle (a capsule), which
  * the graph keeps and run_rounds and diameter read on every call.  Node i's
@@ -88,10 +90,58 @@
  * copy of the RNG state, so a decline leaves the caller's generator where
  * it was and the pure path replays the identical run.  At a stop it
  * checks, in O(n), that z sums to 2n, that y kept its initial sum and that
- * m lies in the first snapshot; a violation raises RuntimeError.
+ * m lies in the first snapshot and equals floor(sum(y) / 2n); a violation
+ * raises RuntimeError.
  *
  * diameter runs graph.diameter's reach recurrence on rows of uint64 words
- * and returns -1 when the graph is not strongly connected.
+ * and returns -1 when the graph is not strongly connected.  Level 1 is set
+ * bit by bit from the rows, and from level 2 a row stops taking its
+ * neighbours' rows once it is full, testing that every 8 neighbours.
+ *
+ * class_offsets and class_masses are the optimizer's grid_offsets and
+ * grid_masses on int64 values, one call each per grid move and per step.
+ * Each returns None when a value leaves the range it handles, and the
+ * optimizer then runs its exact Python formula, which stays the oracle.
+ * class_offsets gives kappa_c = floor(K_c / step), K_c = a_c base + v_c den,
+ * a_c = u_c - lcm, for each class (u_c, v_c).  With base = qb step + rb and
+ * den = qd step + rd (one divmod pair per grid, in Python ints),
+ * kappa_c = a_c qb + v_c qd + floor(x_c), x_c = (a_c rb + v_c rd) / step,
+ * and the first two terms are int64 products, checked for overflow.  x_c
+ * is estimated in double as est = a_c fb + v_c fd, where fb = rb / step
+ * and fd = rd / step are correctly rounded divisions, so 0 <= fb, fd <= 1.
+ * The error bound, with s = |a_c| + |v_c| and u = 2**-53: a_c and v_c are
+ * exact in a double (class_offsets declines |a_c| or |v_c| >= 2**53), each
+ * rounding of a value of magnitude at most m errs by at most m u (an
+ * underflow adds at most 2**-1075, far below the bound), and
+ *   - fb and fd each err by at most u, which the products scale by |a_c|
+ *     and |v_c|: together s u;
+ *   - the two products, each at most |a_c| (1 + u) or |v_c| (1 + u),
+ *     round once each: together s u (1 + u);
+ *   - their sum, at most s (1 + u)**2, rounds once: s u (1 + u)**2.
+ * So |est - x_c| < 3.01 s u.  A fused multiply-add or a wider intermediate
+ * only removes or shrinks roundings.  The bound is B_c = s 2**-51 = 4 s u,
+ * computed from s with one rounding, and est is accepted when both
+ * est - floor(est) and floor(est) + 1 - est, each computed with at most one
+ * rounding, exceed it: then the true distances exceed
+ * 4 s u (1 - u) / (1 + u) > 3.01 s u, so x_c lies strictly between the same
+ * two integers and floor(x_c) = floor(est).  A term whose remainder is 0 is
+ * exactly 0 in x_c and in est, so it leaves out its coefficient from s; a
+ * grid whose remainders are both 0 has x_c = est = 0 and B_c = 0.  A class
+ * whose est lies within B_c of an integer (an exact integer x_c among
+ * them, as on most grids of a small step) is resolved exactly when
+ * 0 < step < 2**63 and B_c < 1/4.  With j the integer nearest est,
+ * |x_c - j| < 3.01 s u + 1/2 < 1, so floor(x_c) is j or j - 1, and
+ * D = a_c rb + v_c rd - j step = (x_c - j) step decides it: x_c >= j
+ * exactly when D >= 0.  |D| < step < 2**63, so D's residue mod 2**64,
+ * formed in uint64 where products and sums wrap by definition, has its
+ * top bit set exactly when D < 0.  Otherwise the call declines, as it does
+ * on range: |a_c| or |v_c| reaching 2**53, qb or qd beyond int64, an int64
+ * overflow, lcm < 1 or step 0.
+ * class_masses gives, at an int level L, 2 t_c + 1 with
+ * t_c = floor((u_c L + kappa_c) / lcm) for each class, in int64 with every
+ * product, sum and the doubling checked, and the per-node list in which
+ * the nodes of one class share the class's int; it declines when L or a
+ * value leaves int64.
  *
  * random_out_adj runs the generator's lexicographic (u, v) scan after the
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
@@ -115,7 +165,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 5
+#define KERNEL_ABI 6
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -786,18 +836,22 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     if (narrow)
         pieces_merge(pieces, f.word, f.wb);
 
-    /* the stop's invariants, in O(n): both masses conserved, and the output
-       inside the first snapshot.  Every partial sum of y lies within the
-       initial sum |y| (see Headroom), and z sums to 2n, so no sum wraps */
+    /* the stop's invariants, in O(n): both masses conserved, the output
+       inside the first snapshot, and the output the floor of the mean
+       sum(y) / 2n (engine.py has the proof), taken as a floor for a
+       negative sum too.  Every partial sum of y lies within the initial
+       sum |y| (see Headroom), and z sums to 2n, so no sum wraps */
     if (stopped) {
+        int64_t two_n = 2 * (int64_t)n;
         for (i = 0; i < n; i++) {
             y_end += y[i];
             z_end += z[i];
         }
-        if (z_end != 2 * (int64_t)n || y_end != y_start || m < m0 || m > M0) {
+        if (z_end != 2 * (int64_t)n || y_end != y_start || m < m0 || m > M0 ||
+            m != y_start / two_n - (y_start % two_n < 0)) {
             PyErr_SetString(PyExc_RuntimeError,
-                            "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, "
-                            "or the output left the first snapshot");
+                            "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, the output left "
+                            "the first snapshot, or the output is not floor(sum(y) / 2n)");
             goto done;
         }
     }
@@ -817,14 +871,29 @@ done:
     return ret;
 }
 
+/* 1 when a reach row of words uint64 words holds all n nodes (tail masks
+ * the last word's n % 64 bits, or is all ones). */
+static int row_full(const uint64_t *row, Py_ssize_t words, uint64_t tail)
+{
+    Py_ssize_t k;
+    for (k = 0; k < words - 1; k++)
+        if (row[k] != ~UINT64_C(0))
+            return 0;
+    return row[words - 1] == tail;
+}
+
 /* Level-synchronous reach sets on n-bit rows of uint64 words: the same
- * recurrence as graph.diameter's big-int loop. */
+ * recurrence as graph.diameter's big-int loop.  Level 1, {u} and its
+ * out-neighbours, is set bit by bit from the CSR rows, which start with u
+ * itself; from level 2 a row ORs its out-neighbours' rows, 8 at a time,
+ * and stops once it is full, since a full row cannot change. */
 static PyObject *diameter(PyObject *self, PyObject *handle)
 {
     const Csr *g;
     Py_ssize_t n, words, u, e, k, n_full = 0, d = 0;
     uint64_t *reach, *nxt, tail;
     char *full;
+    int grew = 0;
     PyObject *ret = NULL;
 
     (void)self;
@@ -841,36 +910,49 @@ static PyObject *diameter(PyObject *self, PyObject *handle)
         PyErr_NoMemory();
         goto done;
     }
+    /* level 1; with n = 1, level 0 is already full and the diameter is 0,
+       and with n > 1 a level 1 that adds no node is a short fixed point */
     for (u = 0; u < n; u++)
-        reach[u * words + u / 64] = UINT64_C(1) << (u % 64);
-    if (n == 1) {
-        full[0] = 1;
-        n_full = 1;
-    }
+        for (e = g->ptr[u]; e < g->ptr[u + 1]; e++) {
+            Py_ssize_t v = g->idx[e];
+            reach[u * words + v / 64] |= UINT64_C(1) << (v % 64);
+            grew |= v != u;
+        }
+    if (n > 1)
+        d = grew ? 1 : -1;
+    for (u = 0; u < n; u++)
+        if (row_full(reach + u * words, words, tail)) {
+            full[u] = 1;
+            n_full++;
+        }
 
-    while (n_full < n) {
+    while (d > 0 && n_full < n) {
         int changed = 0;
         uint64_t *swap;
         for (u = 0; u < n; u++) {
             const uint64_t *src = reach + u * words;
             uint64_t *dst = nxt + u * words;
-            int is_full = 1;
+            Py_ssize_t end = g->ptr[u + 1];
             memcpy(dst, src, (size_t)words * sizeof(uint64_t));
             if (full[u])
                 continue;
-            for (e = g->ptr[u] + 1; e < g->ptr[u + 1]; e++) {  /* past u itself */
-                const uint64_t *r = reach + (Py_ssize_t)g->idx[e] * words;
-                for (k = 0; k < words; k++)
-                    dst[k] |= r[k];
+            /* past u itself; fullness is tested once per 8 neighbours, as a
+               test per neighbour costs more than it saves on sparse rows */
+            for (e = g->ptr[u] + 1; e < end;) {
+                Py_ssize_t chunk = e + 8 < end ? e + 8 : end;
+                for (; e < chunk; e++) {
+                    const uint64_t *r = reach + (Py_ssize_t)g->idx[e] * words;
+                    for (k = 0; k < words; k++)
+                        dst[k] |= r[k];
+                }
+                if (row_full(dst, words, tail)) {
+                    full[u] = 1;
+                    n_full++;
+                    break;
+                }
             }
-            for (k = 0; k < words; k++) {
+            for (k = 0; k < words; k++)
                 changed |= dst[k] != src[k];
-                is_full &= dst[k] == (k == words - 1 ? tail : ~UINT64_C(0));
-            }
-            if (is_full) {
-                full[u] = 1;
-                n_full++;
-            }
         }
         if (!changed) {  /* a fixed point with a short row: not strongly connected */
             d = -1;
@@ -1062,6 +1144,241 @@ done:
     return ret;
 }
 
+/* The optimizer's class arithmetic (class_offsets, class_masses; see the
+ * header) on int64 values that report an overflow instead of wrapping. */
+
+/* Magnitudes below EXACT are exact in a double. */
+#define EXACT (INT64_C(1) << 53)
+/* 2**-51, the factor of a class's error bound */
+#define BOUND_SCALE (1.0 / 2251799813685248.0)
+
+/* *out = v: 1 when v fits int64, 0 when it does not, -1 with an exception
+ * set when v is not an int. */
+static int to_i64(PyObject *v, int64_t *out)
+{
+    int overflow;
+    long long x = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *out = (int64_t)x;
+    return !overflow;
+}
+
+/* *out = a + b, or 0 when the sum leaves int64. */
+static int add_i64(int64_t a, int64_t b, int64_t *out)
+{
+    if (b > 0 ? a > INT64_MAX - b : a < INT64_MIN - b)
+        return 0;
+    *out = a + b;
+    return 1;
+}
+
+/* *out = a b, or 0 when the product leaves int64. */
+static int mul_i64(int64_t a, int64_t b, int64_t *out)
+{
+    if (a > 0 ? (b > 0 ? a > INT64_MAX / b : b < INT64_MIN / a)
+              : (b > 0 ? a < INT64_MIN / b : a != 0 && b < INT64_MAX / a))
+        return 0;
+    *out = a * b;
+    return 1;
+}
+
+/* The pair coeffs[c], borrowed, or NULL with an exception set when it is
+ * not a 2-tuple. */
+static PyObject *pair_at(PyObject *coeffs, Py_ssize_t c)
+{
+    PyObject *pair = PySequence_Fast_GET_ITEM(coeffs, c);
+    if (PyTuple_Check(pair) && PyTuple_GET_SIZE(pair) == 2)
+        return pair;
+    PyErr_SetString(PyExc_TypeError, "coeffs must hold (u, v) tuples");
+    return NULL;
+}
+
+static PyObject *class_offsets(PyObject *self, PyObject *args)
+{
+    PyObject *coeffs_obj, *lcm_obj, *base, *den, *step, *coeffs, *rb, *rd;
+    PyObject *qr_b = NULL, *qr_d = NULL, *fb_obj = NULL, *fd_obj = NULL, *out = NULL, *ret = NULL;
+    int64_t lcm, qb, qd, step64 = 0, rb64 = 0, rd64 = 0;
+    double fb, fd;
+    Py_ssize_t c, k;
+    int fits, small, rb_zero, rd_zero;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOO!O!O!", &coeffs_obj, &lcm_obj, &PyLong_Type, &base, &PyLong_Type, &den,
+                          &PyLong_Type, &step))
+        return NULL;
+    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL)
+        return NULL;
+    if ((fits = PyObject_IsTrue(step)) <= 0) {  /* a zero step has no grid */
+        ret = fits < 0 ? NULL : Py_NewRef(Py_None);
+        goto done;
+    }
+    /* base = qb step + rb and den = qd step + rd, and the remainders over
+       the step, correctly rounded (int / int is) */
+    if ((qr_b = PyNumber_Divmod(base, step)) == NULL || (qr_d = PyNumber_Divmod(den, step)) == NULL)
+        goto done;
+    if (!PyTuple_Check(qr_b) || PyTuple_GET_SIZE(qr_b) != 2 || !PyTuple_Check(qr_d) || PyTuple_GET_SIZE(qr_d) != 2) {
+        PyErr_SetString(PyExc_TypeError, "divmod of the grid's ints must give a pair");
+        goto done;
+    }
+    rb = PyTuple_GET_ITEM(qr_b, 1);
+    rd = PyTuple_GET_ITEM(qr_d, 1);
+    if ((fb_obj = PyNumber_TrueDivide(rb, step)) == NULL || (fd_obj = PyNumber_TrueDivide(rd, step)) == NULL)
+        goto done;
+    fb = PyFloat_AsDouble(fb_obj);
+    fd = PyFloat_AsDouble(fd_obj);
+    if (PyErr_Occurred())
+        goto done;
+    if ((rb_zero = PyObject_Not(rb)) < 0 || (rd_zero = PyObject_Not(rd)) < 0)
+        goto done;
+    fits = to_i64(lcm_obj, &lcm);
+    if (fits == 1)
+        fits = to_i64(PyTuple_GET_ITEM(qr_b, 0), &qb);
+    if (fits == 1)
+        fits = to_i64(PyTuple_GET_ITEM(qr_d, 0), &qd);
+    if (fits < 0)
+        goto done;
+    if (!fits || lcm < 1)
+        goto decline;
+    /* the near-integer test's exact resolution needs 0 < step < 2**63, and
+       then the remainders fit too */
+    if ((fits = to_i64(step, &step64)) == 1 && (fits = to_i64(rb, &rb64)) == 1)
+        fits = to_i64(rd, &rd64);
+    if (fits < 0)
+        goto done;
+    small = fits && step64 > 0;
+
+    k = PySequence_Fast_GET_SIZE(coeffs);
+    if ((out = PyTuple_New(k)) == NULL)
+        goto done;
+    for (c = 0; c < k; c++) {
+        int64_t u, v, a, kappa = 0, tv = 0, x;
+        double est, bound;
+        PyObject *pair = pair_at(coeffs, c), *item;
+        if (pair == NULL || (fits = to_i64(PyTuple_GET_ITEM(pair, 0), &u)) < 0 ||
+            (fits && (fits = to_i64(PyTuple_GET_ITEM(pair, 1), &v)) < 0))
+            goto done;
+        /* a = u - lcm with lcm >= 1 cannot pass INT64_MAX */
+        if (!fits || u < INT64_MIN + lcm)
+            goto decline;
+        a = u - lcm;
+        if (a <= -EXACT || a >= EXACT || v <= -EXACT || v >= EXACT || !mul_i64(a, qb, &kappa) ||
+            !mul_i64(v, qd, &tv) || !add_i64(kappa, tv, &kappa))
+            goto decline;
+        /* x = floor(est) when est lies more than the bound from every
+           integer: the truncation, moved down for a negative fraction, is
+           exact since |est| < 2**55.  A term whose remainder is 0 is exact
+           in est and adds nothing to the bound, so a grid whose remainders
+           are both 0 takes x = 0 = est with bound 0.  Nearer an integer,
+           the nearest integer j is x or x + 1, and the sign of
+           a rb + v rd - j step, read mod 2**64, settles x (see the header) */
+        est = (double)a * fb + (double)v * fd;
+        bound = (double)((rb_zero ? 0 : (a < 0 ? -a : a)) + (rd_zero ? 0 : (v < 0 ? -v : v))) * BOUND_SCALE;
+        x = (int64_t)est;
+        x -= (double)x > est;
+        if (bound != 0.0 && !(est - (double)x > bound && ((double)x + 1.0) - est > bound)) {
+            int64_t j = x + (est - (double)x >= 0.5);
+            if (!small || bound >= 0.25)
+                goto decline;
+            x = j - (int64_t)(((uint64_t)a * (uint64_t)rb64 + (uint64_t)v * (uint64_t)rd64 -
+                               (uint64_t)j * (uint64_t)step64) >> 63);
+        }
+        if (!add_i64(kappa, x, &kappa))
+            goto decline;
+        if ((item = PyLong_FromLongLong(kappa)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(out, c, item);
+    }
+    ret = Py_NewRef(out);
+    goto done;
+
+decline:
+    ret = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(out);
+    Py_XDECREF(fb_obj);
+    Py_XDECREF(fd_obj);
+    Py_XDECREF(qr_b);
+    Py_XDECREF(qr_d);
+    Py_DECREF(coeffs);
+    return ret;
+}
+
+static PyObject *class_masses(PyObject *self, PyObject *args)
+{
+    PyObject *coeffs_obj, *lcm_obj, *offsets_obj, *node_class_obj, *level_obj;
+    PyObject *coeffs = NULL, *offsets = NULL, *node_class = NULL, *ys = NULL, *out = NULL, *ret = NULL;
+    int64_t lcm, level;
+    Py_ssize_t c, i, k, n;
+    int fits;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOOOO", &coeffs_obj, &lcm_obj, &offsets_obj, &node_class_obj, &level_obj))
+        return NULL;
+    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL ||
+        (offsets = PySequence_Fast(offsets_obj, "offsets must be a sequence")) == NULL ||
+        (node_class = PySequence_Fast(node_class_obj, "node_class must be a sequence")) == NULL)
+        goto done;
+    k = PySequence_Fast_GET_SIZE(coeffs);
+    n = PySequence_Fast_GET_SIZE(node_class);
+    if (PySequence_Fast_GET_SIZE(offsets) != k) {
+        PyErr_SetString(PyExc_ValueError, "need one offset per class");
+        goto done;
+    }
+    fits = to_i64(lcm_obj, &lcm);
+    if (fits == 1)
+        fits = to_i64(level_obj, &level);
+    if (fits < 0)
+        goto done;
+    if (!fits || lcm < 1)
+        goto decline;
+
+    /* y_c = 2 t_c + 1, t_c = floor((u_c level + kappa_c) / lcm), one int
+       per class; 2 t + 1 fits when INT64_MIN / 2 <= t <= (INT64_MAX - 1) / 2 */
+    if ((ys = PyTuple_New(k)) == NULL)
+        goto done;
+    for (c = 0; c < k; c++) {
+        int64_t u, kappa = 0, t = 0;
+        PyObject *pair = pair_at(coeffs, c), *item;
+        if (pair == NULL || (fits = to_i64(PyTuple_GET_ITEM(pair, 0), &u)) < 0 ||
+            (fits && (fits = to_i64(PySequence_Fast_GET_ITEM(offsets, c), &kappa)) < 0))
+            goto done;
+        if (!fits || !mul_i64(u, level, &t) || !add_i64(t, kappa, &t))
+            goto decline;
+        t = t / lcm - (t % lcm < 0);
+        if (t < INT64_MIN / 2 || t > (INT64_MAX - 1) / 2)
+            goto decline;
+        if ((item = PyLong_FromLongLong(2 * t + 1)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(ys, c, item);
+    }
+    /* every node takes its class's int object */
+    if ((out = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        Py_ssize_t cls = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(node_class, i));
+        if (cls == -1 && PyErr_Occurred())
+            goto done;
+        if (cls < 0 || cls >= k) {
+            PyErr_SetString(PyExc_ValueError, "node_class holds a class index out of range");
+            goto done;
+        }
+        PyList_SET_ITEM(out, i, Py_NewRef(PyTuple_GET_ITEM(ys, cls)));
+    }
+    ret = Py_NewRef(out);
+    goto done;
+
+decline:
+    ret = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(out);
+    Py_XDECREF(ys);
+    Py_XDECREF(coeffs);
+    Py_XDECREF(offsets);
+    Py_XDECREF(node_class);
+    return ret;
+}
+
 static PyMethodDef methods[] = {
     {"csr", csr, METH_O,
      "csr(out_adj)\n\n"
@@ -1101,6 +1418,22 @@ static PyMethodDef methods[] = {
      "state and increment: a bound <= 1 gives 0 and takes no draw, and a bound\n"
      "above 2**32 raises ValueError.  Returns (draws, rng_state): a list of\n"
      "ints and the generator state after the last draw."},
+    {"class_offsets", class_offsets, METH_VARARGS,
+     "class_offsets(coeffs, lcm, base, den, step)\n\n"
+     "The tuple of floor(((u - lcm) base + v den) / step) over the (u, v)\n"
+     "pairs coeffs, for the grid of the ints base, den and step: one divmod\n"
+     "pair per grid and int64 arithmetic per class.  Returns None when a\n"
+     "value leaves the range it handles (|u - lcm| or |v| reaching 2**53,\n"
+     "base // step or den // step beyond int64, an int64 overflow, a class\n"
+     "too near an integer to settle in int64, lcm < 1 or step 0); raises only\n"
+     "on arguments of the wrong type or shape."},
+    {"class_masses", class_masses, METH_VARARGS,
+     "class_masses(coeffs, lcm, offsets, node_class, level)\n\n"
+     "The list of 2 floor((u_c level + offsets[c]) / lcm) + 1 for the class\n"
+     "c = node_class[i] of each node i, computed once per class in int64, so\n"
+     "the nodes of one class share its int.  Returns None when lcm or level\n"
+     "leaves int64, lcm < 1, or a value overflows; raises only on arguments\n"
+     "of the wrong type or shape, or a class index out of range."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -78,7 +78,10 @@ the graph's handle with the rest of a call's workspace, so a call
 allocates only its result.  The kernel reads the graph
 through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
 the edge scan for a generated graph, by flattening the rows once on first
-use for a graph given as rows, never per call) and collects the distinct
+use for a graph given as rows, never per call); ``run_consensus`` keeps
+that handle and the epoch length ``D'`` with the kernel that built it as
+the graph's binding (``_bind``), so a call reads them with one attribute
+load and an identity check of the kernel.  The kernel collects the distinct
 pieces in a C set kept on that handle, which a call empties in O(1): a
 hash table while the epochs' ranges are wide, and from the first epoch
 start whose snapshot range ``M - m`` is below 16384 a bitmap over
@@ -100,10 +103,17 @@ never grows it), so the kernel's one decline rule is that sum exceeding int64; i
 before any draw, and the pure path, which runs whenever the extension is
 not built, then replays the instance from the same initial masses.  At the
 stop both paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept
-its initial value and that the output level lies in ``[m0, M0]``, the
-first snapshot's extremes; either raises the same RuntimeError on a
-violation, and the kernel's is never replayed.  A run that reaches
-``ROUND_CAP`` rounds raises ``ConsensusCapError`` on either path.
+its initial value, that the output level lies in ``[m0, M0]``, the first
+snapshot's extremes, and that it equals ``floor(sum(y) / 2n)``; either
+raises the same RuntimeError on a violation, and the kernel's is never
+replayed.  The last check is the output's closed form.  With ``Y = sum(y)``
+and ``sum(z) = 2n`` conserved, ``Y/2n`` is the average of the ``y_i/z_i``
+weighted by ``z_i/2n``, and at the stop's epoch start every ``y_i/z_i``
+lies in ``[m, M]`` with ``M - m <= 1``, so ``m <= Y/2n <= m + 1``.  Were
+``Y/2n = m + 1``, every ``y_i/z_i`` would equal ``m + 1`` and so would
+every floor, whose minimum is ``m``; hence ``m = floor(Y/2n)`` at every
+stop.  A run that reaches ``ROUND_CAP`` rounds raises
+``ConsensusCapError`` on either path.
 """
 
 from __future__ import annotations
@@ -165,8 +175,8 @@ def active_backend() -> str:
 def effective_epoch(diam: int) -> int:
     """Flooding epoch length D' = max(D, 2) (reset test is vacuous at D=1).
 
-    ``run_consensus`` applies the same rule inline on its kernel path, so
-    that no call stands between it and the kernel."""
+    ``run_consensus``'s kernel path keeps it in the graph's binding
+    (``_bind``), worked out once per graph and kernel."""
     return max(diam, 2)
 
 
@@ -241,8 +251,8 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
     output and leave the RNG in the identical state.  A run that reaches
     ``ROUND_CAP`` rounds, read at each call, raises ConsensusCapError.
 
-    The kernel is called from this frame: it reads the graph through its
-    cached handle, copies ``y`` and runs on a copy of the RNG state, so a
+    The kernel is called from this frame: it reads the graph through the
+    handle of its binding, copies ``y`` and runs on a copy of the RNG state, so a
     decline leaves both untouched and the pure replay is bit-identical.  Its
     alphabet, bytes of packed int64, is passed on as it is.  A broken
     invariant at the stop raises RuntimeError, which is never replayed on
@@ -253,8 +263,10 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
     kernel = graph._kernel
     out = None
     if kernel is not None and force_backend is None:
-        d = g.diameter
-        out = kernel.run_rounds(y, g.kernel_handle(kernel), d if d > 2 else 2, ROUND_CAP, rng.state, rng.inc)
+        binding = g._binding
+        if binding[0] is not kernel:
+            binding = _bind(g, kernel)
+        out = kernel.run_rounds(y, binding[1], binding[2], ROUND_CAP, rng.state, rng.inc)
         if out is not None:
             stopped, rounds, m, size, pieces, rng.state = out
             if not stopped:
@@ -264,6 +276,16 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
     # tuple.__new__ skips the NamedTuple's Python-level __new__, which costs
     # twice as much on every call
     return m, tuple.__new__(ConsensusStats, (g.n, rounds, size, pieces))
+
+
+def _bind(g, kernel):
+    """Keep on ``g`` and return its binding ``(kernel, handle, D')``: the
+    graph's CSR handle for ``kernel`` and its epoch length, which every
+    later kernel call on ``g`` reads with one attribute load.  A binding
+    names its kernel, so a handle is only ever given to the kernel that
+    built it."""
+    g._binding = binding = (kernel, g.kernel_handle(kernel), effective_epoch(g.diameter))
+    return binding
 
 
 def _run_snapshot(y, g, d_eff, rng):
@@ -285,10 +307,10 @@ def _run_snapshot(y, g, d_eff, rng):
                 M0, m0 = M, m
         _split_and_deliver(y, z, g, rng, alphabet)
         if lam % d_eff == 0 and M - m <= 1:
-            if sum(z) != 2 * n or sum(y) != y0 or not m0 <= m <= M0:
+            if sum(z) != 2 * n or sum(y) != y0 or not m0 <= m <= M0 or m != y0 // (2 * n):
                 raise RuntimeError(
-                    "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, "
-                    "or the output left the first snapshot"
+                    "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, the output left the "
+                    "first snapshot, or the output is not floor(sum(y) / 2n)"
                 )
             return lam, m, len(alphabet), alphabet
     raise ConsensusCapError(ROUND_CAP)

@@ -34,7 +34,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 5
+KERNEL_ABI = 6
 
 
 def _checked_kernel(module):
@@ -72,16 +72,19 @@ class Digraph:
     none of them u: the consensus layer models self-delivery in its sampling
     set instead, keeping BFS/diameter standard.  ``generate_random_digraph``
     also hands over the kernel's CSR handle, built by its edge scan; a graph
-    given as rows gets one on first use (``kernel_handle``).
+    given as rows gets one on first use (``kernel_handle``).  The consensus
+    engine keeps its ``(kernel, handle, epoch length)`` binding in
+    ``_binding``, built on its first kernel call on the graph.
     """
 
-    __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle")
+    __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle", "_binding")
 
     def __init__(self, out_adj: tuple):
         self.n = len(out_adj)
         self.out_adj = out_adj
         self._diameter = None
         self._kernel_handle = None
+        self._binding = (None, None, None)
 
     def edge_count(self) -> int:
         """The number of edges, read only by the benchmark's

@@ -17,22 +17,30 @@ A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
 floor division over the grid's integers (``QuantizerState``).  The part of
-that floor that depends only on the grid is worked out once per grid
-(``grid_offsets``), as is the error's (``metrics.error_terms``); the
-state keeps both and ``OptimizerState.regrid`` refreshes them when the
-grid moves.  They live on the state, not on the grid, because every
-``RunRecord`` keeps its grid alive.  The starts come as one integer table
+that floor that depends only on the grid, one integer ``kappa_c`` per
+class, is worked out once per grid (``grid_offsets``), as is the error's
+(``metrics.error_terms``); the state keeps both and
+``OptimizerState.regrid`` refreshes them when the grid moves.  They live
+on the state, not on the grid, because every ``RunRecord`` keeps its grid
+alive.  The starts come as one integer table
 too (``Starts``: distinct numerators over one denominator, and each node's
 index into them), and ``initial_state`` builds everything the run's fixed
 inputs determine: the class table, step 1's masses (``start_masses``, from
 every node's own start) and the start level.
 After step 1 every node holds the one common estimate, so a step that moves
 the grid or the estimate refreshes the next step's masses with one floor
-per class (``grid_masses``), on small integers at an integer level.  The
-per-node path, an exact ``Fraction`` gradient step (``gradient_step``)
-quantized node by node (``engine.init_consensus``), is the oracle both are
-tested against; no step calls it, and the benchmark's
-``perfbench/tracing.py`` ``HOOKS`` pin both.
+per class (``grid_masses``), on small integers at an integer level.
+With the C kernel built (``graph._kernel``, read at each call, as the
+consensus engine reads it) both run there: ``class_offsets`` takes one
+divmod pair of the grid's big integers per grid and int64 arithmetic per
+class, with a proven error bound on its one floating-point estimate, and
+``class_masses`` gives a step's masses in one call.  Each declines (returns
+None) on a value beyond its range, and the exact Python formula runs
+instead: it is the pure backend and the oracle the kernel is tested
+against.  The per-node path, an exact ``Fraction`` gradient step
+(``gradient_step``) quantized node by node (``engine.init_consensus``), is
+the oracle all of them are tested against; no step calls it, and the
+benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
 The error's inputs are fixed at the start too: ``initial_state`` stores the
 optimum ``x_star`` and the normalizer ``start_spread``, summed once per
 entry of the starts' table, weighted by its node count, as a balanced
@@ -74,6 +82,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
+from . import graph
 from .consensus import run_consensus
 from .metrics import error_metric, error_terms
 from .quantizer import QuantizerState, grid_point
@@ -200,42 +209,54 @@ Starts = namedtuple("Starts", "den nums node_start")
 
 
 def grid_offsets(classes, q):
-    """The masses' constants on the grid ``q``: ``(u_c, K_c, kappa_c)`` per class.
+    """The masses' constants on the grid ``q``: the tuple of ``kappa_c`` per class.
 
     Class c's half-step of the estimate ``x`` is ``(u_c*x + v_c) / lcm``;
     on the unsaturated grid its bin index is
     ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``.  With
     ``x - b_q = p/(den*r)`` that is ``t = (u_c*p + K_c*r) // (lcm*step*r)``
-    for ``K_c = (u_c - lcm)*base + v_c*den``, and at an integer level ``L``
-    (``p = L*step``, ``r = 1``) the nested floor gives
+    for ``K_c = (u_c - lcm)*base + v_c*den`` (``_class_constants``), and at
+    an integer level ``L`` (``p = L*step``, ``r = 1``) the nested floor gives
     ``t = (u_c*L + kappa_c) // lcm`` with ``kappa_c = K_c // step``.
+
+    The kernel's ``class_offsets``, when it is built, takes one divmod pair
+    per grid and int64 arithmetic per class; it declines (returns None) on
+    values beyond its range, and this function then runs the exact formula,
+    the oracle.
     """
+    kernel = graph._kernel
+    if kernel is not None:
+        offsets = kernel.class_offsets(classes.coeffs, classes.lcm, q.base, q.den, q.step)
+        if offsets is not None:
+            return offsets
     lcm, base, den, step = classes.lcm, q.base, q.den, q.step
-    offsets = []
-    for u, v in classes.coeffs:
-        k = (u - lcm) * base + v * den
-        offsets.append((u, k, k // step))
-    return offsets
+    return tuple(((u - lcm) * base + v * den) // step for u, v in classes.coeffs)
+
+
+def _class_constants(classes, q):
+    """``(u_c, K_c)`` per class on the grid ``q`` (``grid_offsets``)."""
+    lcm, base, den = classes.lcm, q.base, q.den
+    return [(u, (u - lcm) * base + v * den) for u, v in classes.coeffs]
 
 
 def _masses(classes, q, r, points):
-    """``2*t + 1`` of each point ``((u_c, K_c, kappa_c), p)`` at the estimate
+    """``2*t + 1`` of each point ``((u_c, K_c), p)`` at the estimate
     ``x = b_q + p/(den*r)`` (``grid_offsets``)."""
     den = classes.lcm * q.step * r
-    return [2 * ((u * p + k * r) // den) + 1 for (u, k, _), p in points]
+    return [2 * ((u * p + k * r) // den) + 1 for (u, k), p in points]
 
 
-def start_masses(classes, q, offsets, starts):
+def start_masses(classes, q, starts):
     """Step 1's initial masses: every node's half-step from its own start.
 
     Equal to ``init_consensus(gradient_step(xs, s, alpha), q)`` for the
     per-node starts ``xs`` of the ``Starts`` table ``starts``, from the
-    ``grid_offsets`` of ``q``: start ``a/d`` lies at
-    ``b_q + (a*den - base*d)/(den*d)``.
+    ``K_c`` of ``q`` (``grid_offsets``): start ``a/d`` lies at
+    ``b_q + (a*den - base*d)/(den*d)``.  It runs once per run, in Python.
     """
     d = starts.den
     gaps = [a * q.den - q.base * d for a in starts.nums]
-    pulls = map(offsets.__getitem__, classes.node_class)
+    pulls = map(_class_constants(classes, q).__getitem__, classes.node_class)
     return _masses(classes, q, d, zip(pulls, map(gaps.__getitem__, starts.node_start)))
 
 
@@ -243,16 +264,25 @@ def grid_masses(classes, q, offsets, level):
     """Initial masses of every node from the common estimate ``b_q + level*delta``.
 
     Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` at that
-    estimate, with one floor per class from the ``grid_offsets`` of ``q``:
-    on small integers at an integer level (a ``Fraction`` of denominator 1
-    counts as one), and at a ``Fraction`` level ``ln/ld`` over ``r = ld``.
+    estimate, with one floor per class: at an integer level (a ``Fraction``
+    of denominator 1 counts as one) from the ``grid_offsets`` ``offsets`` of
+    ``q``, on small integers, and at a ``Fraction`` level ``ln/ld`` from the
+    grid's ``K_c`` over ``r = ld``.  At an integer level the kernel's
+    ``class_masses``, when it is built, computes the list in int64 in one
+    call; it declines (returns None) on an overflow, and the exact Python
+    floor, the oracle, runs instead.
     """
     ln, ld = level.numerator, level.denominator
     if ld == 1:
+        kernel = graph._kernel
+        if kernel is not None:
+            ys = kernel.class_masses(classes.coeffs, classes.lcm, offsets, classes.node_class, ln)
+            if ys is not None:
+                return ys
         lcm = classes.lcm
-        ys = [2 * ((u * ln + kappa) // lcm) + 1 for u, _, kappa in offsets]
+        ys = [2 * ((u * ln + kappa) // lcm) + 1 for (u, _), kappa in zip(classes.coeffs, offsets)]
     else:
-        ys = _masses(classes, q, ld, zip(offsets, repeat(ln * q.step)))
+        ys = _masses(classes, q, ld, zip(_class_constants(classes, q), repeat(ln * q.step)))
     return list(map(ys.__getitem__, classes.node_class))
 
 
@@ -298,7 +328,10 @@ def _tree_sum(terms):
 class OptimizerState:
     """The run between steps.  ``regrid`` moves it to a grid and works out
     that grid's constants, which live here and not on the grid: every
-    ``RunRecord`` keeps its grid alive."""
+    ``RunRecord`` keeps its grid alive.  ``offsets`` is the tuple of the
+    grid's ``kappa_c``, one per cost class (``grid_offsets``: in the kernel
+    when it is built and takes the grid, else by the exact formula); the
+    masses read the classes' ``u_c`` from ``classes``."""
 
     q: QuantizerState  # the current grid
     level: int | Fraction | None  # the common estimate's level on q's grid; None until the nodes share a grid point
@@ -306,7 +339,7 @@ class OptimizerState:
     x_star: Fraction  # the suite's optimum
     spread: Fraction  # the error's normalizer, start_spread of the starts
     masses: list = field(default=None, init=False)  # the next step's initial consensus masses
-    offsets: list = field(init=False)  # grid_offsets of q
+    offsets: tuple = field(init=False)  # grid_offsets of q: kappa_c per class
     error_terms: tuple = field(init=False)  # metrics.error_terms of q
     history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
 
@@ -344,7 +377,7 @@ def initial_state(starts, q, s, alpha, like):
     m, off = divmod(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den)
     level = m if len(starts.nums) == 1 and not off else None
     state = OptimizerState(q, level, classes, x_star, spread)
-    state.masses = start_masses(classes, q, state.offsets, starts)
+    state.masses = start_masses(classes, q, starts)
     return state
 
 

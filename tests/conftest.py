@@ -509,6 +509,51 @@ BULK_DRAW_BOUNDS = {
 }
 
 
+# Arguments of the kernel's class arithmetic at its edges, each with
+# whether the call declines.  ``class_offsets(coeffs, lcm, base, den,
+# step)``: both remainders 0; a_c = 3 with rb/step = 1/3, an exact integer
+# x_c = 1 that the near-integer test resolves; a negative base on wide
+# ints; |a_c| just below and at 2**53, on remainders 0 (with a remainder,
+# its bound would reach 1/4, and the call declines); base // step beyond
+# int64; a_c*qb
+# beyond int64; a sum that passes int64 only when floor(x_c) = 1 is added;
+# an exact integer x_c = 1 on a step beyond int64, which cannot be resolved;
+# u_c - lcm below int64, and u_c beyond it; lcm 0; and step 0.
+CLASS_OFFSET_EDGES = [
+    ((((10, 5),), 7, 0, 2, 1), False),
+    ((((10, 5),), 7, 1, 3, 3), False),
+    ((((-7, 11), (4, -3), (5, 5)), 5, -(2**90 + 12345), 2**80 + 7, 2**85 + 3), False),
+    ((((2**53, 3),), 1, 3, 3, 3), False),
+    ((((2**53 + 1, 3),), 1, 3, 3, 3), True),
+    ((((1, 1),), 1, 2**70, 1, 1), True),
+    ((((5, 0),), 1, 3 * 2**62, 1, 3), True),
+    ((((3, 1),), 1, (2**62 - 1) * 7 + 6, 7, 7), True),
+    ((((3, 0),), 1, 2**63, 1, 2**64), True),
+    ((((-(2**63), 0),), 2**63 - 1, 1, 1, 3), True),
+    ((((2**63, 0),), 1, 1, 1, 3), True),
+    ((((1, 1),), 0, 1, 1, 3), True),
+    ((((1, 1),), 1, 1, 1, 0), True),
+]
+
+# ``class_masses(coeffs, lcm, offsets, node_class, level)``: classes shared
+# by nodes, at a negative level; a negative floor; 2t + 1 at both ends of
+# int64 and one past each; u_c*L beyond int64; u_c*L + kappa_c beyond it;
+# a level beyond int64; lcm beyond int64; and lcm 0.
+CLASS_MASS_EDGES = [
+    ((((3, 1), (-5, 2)), 7, (4, -9), (0, 1, 1, 0), -3), False),
+    ((((1, 0),), 4, (-1,), (0,), 0), False),
+    ((((1, 0),), 1, (0,), (0, 0), 2**62 - 1), False),
+    ((((1, 0),), 1, (0,), (0,), 2**62), True),
+    ((((1, 0),), 1, (0,), (0,), -(2**62)), False),
+    ((((1, 0),), 1, (0,), (0,), -(2**62) - 1), True),
+    ((((2**40, 0),), 1, (0,), (0,), 2**30), True),
+    ((((1, 0),), 1, (1,), (0,), 2**63 - 1), True),
+    ((((1, 0),), 1, (0,), (0,), 2**63), True),
+    ((((1, 0),), 2**63, (0,), (0,), 1), True),
+    ((((1, 0),), 0, (0,), (0,), 1), True),
+]
+
+
 def digraph(n, edges):
     """The ``Digraph`` on nodes 0..n-1 with the loop-free edge list ``edges``."""
     rows = [set() for _ in range(n)]

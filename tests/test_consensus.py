@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     BULK_DRAW_BOUNDS,
     CC,
+    CLASS_MASS_EDGES,
+    CLASS_OFFSET_EDGES,
     ROOT,
     bidirectional_pair,
     build_kernel,
@@ -878,13 +880,16 @@ def traced_growth(run, times=10):
 # A planted fault for the allocation and handle-reuse tests: every stop fails
 # its invariant check.
 BROKEN_STOP = ("if (z_end != 2 * (int64_t)n ||", "if (z_end == 2 * (int64_t)n ||")
+# A planted fault that only the stop's closed form catches: the snapshot's
+# max reads the min, so every run stops at its first epoch end on the first
+# snapshot's floor m0, inside [m0, M0] and with both sums conserved.
+WRONG_MEAN = ("M = f.hi_max;", "M = f.lo_min;")
 
 
-@pytest.fixture(scope="module")
-def planted_kernel(built_kernel, tmp_path_factory):
-    """The kernel built with one planted fault, BROKEN_STOP: every stop fails
-    its invariant check.  It differs from the kernel in that one comparison,
-    so it reads the kernel's handles in their own layout."""
+def plant(built_kernel, tmp_path_factory, fault):
+    """The kernel built with one planted fault, the source replacement
+    ``fault``.  It differs from the kernel in that one statement, so it reads
+    the kernel's handles in their own layout."""
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     tmp = tmp_path_factory.mktemp("planted")
@@ -893,9 +898,21 @@ def planted_kernel(built_kernel, tmp_path_factory):
     shutil.copy(os.path.join(ROOT, "setup.py"), planted)
     with open(os.path.join(ROOT, "src", "zoomgrad", "_ckernel.c")) as f:
         source = f.read()
-    assert source.count(BROKEN_STOP[0]) == 1
-    (planted / "src" / "zoomgrad" / "_ckernel.c").write_text(source.replace(*BROKEN_STOP))
+    assert source.count(fault[0]) == 1
+    (planted / "src" / "zoomgrad" / "_ckernel.c").write_text(source.replace(*fault))
     return load_kernel(build_kernel(tmp / "build", root=planted)[0])
+
+
+@pytest.fixture(scope="module")
+def planted_kernel(built_kernel, tmp_path_factory):
+    """The kernel with BROKEN_STOP planted: every stop fails its invariant check."""
+    return plant(built_kernel, tmp_path_factory, BROKEN_STOP)
+
+
+@pytest.fixture(scope="module")
+def wrong_mean_kernel(built_kernel, tmp_path_factory):
+    """The kernel with WRONG_MEAN planted: every stop outputs the first snapshot's floor."""
+    return plant(built_kernel, tmp_path_factory, WRONG_MEAN)
 
 
 def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
@@ -911,7 +928,10 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
     # array a call or a handle on 40 nodes allocates, the handle's workspace
     # included, holds at least 40 int64s or the bitmap, so one left behind
     # per repetition leaves over 1000 bytes; the interpreter's own caches
-    # move the count by a few dozen.
+    # move the count by a few dozen.  The class arithmetic's edge calls,
+    # accepted and declined, run ten times per repetition, so that one
+    # object a call leaves behind (a float, the smallest, is 24 bytes)
+    # leaves over 2000.
     kernel, broken_kernel = built_kernel, planted_kernel
     rows = complete(40).out_adj
     large = TABLE_REUSE[0]
@@ -935,12 +955,19 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
         with pytest.raises(RuntimeError, match="invariant broken"):
             broken_kernel.run_rounds(large, broken_handle, 2, ROUND_CAP, 0, 1)
 
+    def class_arithmetic():
+        for _ in range(10):
+            for args, _ in CLASS_OFFSET_EDGES:
+                kernel.class_offsets(*args)
+            for args, _ in CLASS_MASS_EDGES:
+                kernel.class_masses(*args)
+
     kernel.run_rounds(large, handle, 2, ROUND_CAP, 0, 1)  # the piece set grows to its size
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        for run in (many_calls_then_drop, decline, capped, broken):
+        for run in (many_calls_then_drop, decline, capped, broken, class_arithmetic):
             assert traced_growth(run) < 320, run.__name__
     finally:
         if not tracing:
@@ -1316,8 +1343,10 @@ STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
 # runs the diameter and a consensus on each handle the scan returns, and
 # the diameter of a path, which is not strongly connected.  Then runs
 # spread masses on the directed ring(7) (D' = 6) to the stop and again
-# capped one round short of it, mid-epoch.  Last, runs each of STAR_MASSES
-# on a star from the same states, on one handle per node count.
+# capped one round short of it, mid-epoch.  Then runs each of STAR_MASSES
+# on a star from the same states, on one handle per node count.  Last, makes
+# the class arithmetic's calls at its edges (conftest CLASS_OFFSET_EDGES and
+# CLASS_MASS_EDGES), each accepted or declined as its table says.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -1362,6 +1391,10 @@ for y in json.loads(sys.argv[4]):
     for seed in range(10):
         out = kernel.run_rounds(y, stars[len(y)], 2, 100000, seed, 2 * seed + 1)
         assert out[0] and kernel.run_rounds(y, kernel.csr(rows), 2, 100000, seed, 2 * seed + 1) == out, (len(y), seed)
+for name, edges in (("class_offsets", sys.argv[5]), ("class_masses", sys.argv[6])):
+    for args, declines in json.loads(edges):
+        args[0] = tuple(map(tuple, args[0]))
+        assert (getattr(kernel, name)(*args) is None) == declines, (name, args)
 """
 
 
@@ -1384,6 +1417,8 @@ def run_sanitized(tmp_path, cflags, runtimes, **env):
             json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE + WINDOW_EDGES + NARROW_EDGES),
             json.dumps(list(BULK_DRAW_BOUNDS.values())),
             json.dumps(STAR_MASSES),
+            json.dumps(CLASS_OFFSET_EDGES),
+            json.dumps(CLASS_MASS_EDGES),
         ],
         capture_output=True,
         text=True,
@@ -1463,6 +1498,53 @@ def test_a_broken_kernel_invariant_raises_and_is_not_replayed(kernel, monkeypatc
     assert rng.getstate() == state
 
 
+def spread_instance():
+    """A graph and masses whose first snapshot's floor m0 is not the floor
+    of the mean sum(y) / 2n, with the generator to run them."""
+    g, x, rng = random_instance(1, 3)
+    y = masses(x, Q_HALF)
+    assert min(v // 2 for v in y) < sum(y) // (2 * g.n)
+    return g, y, rng
+
+
+def test_a_kernel_stop_off_the_mean_raises_and_is_not_replayed(wrong_mean_kernel, monkeypatch):
+    # Every stop outputs floor(sum(y) / 2n) (see engine.py).  The planted
+    # kernel stops on m0 instead, which passes every other stop check, and
+    # its RuntimeError is passed on, not replayed on the pure path.
+    g, y, rng = spread_instance()
+    state = rng.getstate()
+    monkeypatch.setattr(graph, "_kernel", wrong_mean_kernel)
+    monkeypatch.setattr(engine, "_run_snapshot", None)  # a replay would call it
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        run_consensus(y, Q_HALF, g, rng)
+    assert rng.getstate() == state
+
+
+def test_a_pure_stop_off_the_mean_raises(no_kernel, monkeypatch):
+    # The same fault on the pure path: its snapshot's max reads the min.
+    g, y, rng = spread_instance()
+    monkeypatch.setattr(engine, "max", min, raising=False)
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        run_consensus(y, Q_HALF, g, rng)
+
+
+def test_a_graph_binds_each_kernel_once(kernel, planted_kernel, monkeypatch):
+    # run_consensus keeps (kernel, handle, D') on the graph at its first
+    # kernel call and reads it on later calls; another kernel gets a new
+    # binding, with its own handle.
+    g, y, rng = spread_instance()
+    run_consensus(y, Q_HALF, g, rng)
+    binding = g._binding
+    assert binding == (kernel, g.kernel_handle(kernel), effective_epoch(g.diameter))
+    run_consensus(y, Q_HALF, g, rng)
+    assert g._binding is binding
+    monkeypatch.setattr(graph, "_kernel", planted_kernel)
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        run_consensus(y, Q_HALF, g, rng)
+    assert g._binding[0] is planted_kernel and g._binding[1] is g.kernel_handle(planted_kernel)
+    assert g._binding[1] is not binding[1]
+
+
 def test_a_broken_invariant_raises_the_kernels_error_on_the_pure_path(no_kernel, monkeypatch):
     # The pure path checks the stop's invariants with the kernel's test and
     # message, not with asserts that ``python -O`` strips: one unit of
@@ -1481,7 +1563,8 @@ def test_a_broken_invariant_raises_the_kernels_error_on_the_pure_path(no_kernel,
     with pytest.raises(RuntimeError) as exc:
         run_consensus(masses(x, Q_HALF), Q_HALF, g, rng)
     assert str(exc.value) == (
-        "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, or the output left the first snapshot"
+        "consensus invariant broken at the stop: sum(z) != 2n, sum(y) moved, the output left the first snapshot, "
+        "or the output is not floor(sum(y) / 2n)"
     )
 
 

@@ -203,6 +203,34 @@ def test_diameter_across_word_boundaries(backend, request):
             diameter(digraph(3, edges))
 
 
+def diameter_cases(n):
+    """Digraphs on n nodes for the kernel's diameter: random ones, most not
+    strongly connected at low p; the same with a ring added, so strongly
+    connected; a path, never strongly connected past one node; a ring with
+    a hub that reaches every node in one step, whose rows fill at every
+    level from 1 to n - 1; and the complete digraph."""
+    rnd = random.Random(n)
+    cycle = [(u, (u + 1) % n) for u in range(n)] if n > 1 else []
+    cases = [digraph(n, cycle), digraph(n, [(u, u + 1) for u in range(n - 1)])]
+    cases.append(digraph(n, cycle + [(0, v) for v in range(1, n)]))
+    cases.append(digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v]))
+    for p in (0.02, 0.1, 0.5, 0.9):
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < p]
+        cases += [digraph(n, edges), digraph(n, edges + cycle)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 130])
+def test_kernel_diameter_equals_the_bigint_recurrence(kernel, n):
+    # The kernel sets level 1 from the rows and stops ORing into a row once
+    # it is full; the big-int recurrence is the oracle, -1 included, on
+    # rows of one, two and three words.
+    ds = [graph._bigint_diameter(g) for g in diameter_cases(n)]
+    assert [kernel.diameter(kernel.csr(g.out_adj)) for g in diameter_cases(n)] == ds
+    if n > 2:
+        assert -1 in ds and n - 1 in ds and 1 in ds
+
+
 def test_adjacency_is_sorted_and_deduplicated():
     g = digraph(4, [(2, 1), (2, 3), (2, 1), (0, 1), (1, 0), (3, 0)])
     assert g.out_adj == ((1,), (0,), (1, 3), (0,))
@@ -422,14 +450,16 @@ def fake_kernel(tmp_path, **attrs):
 
 
 @pytest.mark.parametrize(
-    "attrs", [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}, {"ABI": 4}]
+    "attrs",
+    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}, {"ABI": 4}, {"ABI": 5}],
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
     # the pure paths run, and the warning names the file and the rebuild.
     # ABI 2 is the kernel before randbelow_each; ABI 3 is the kernel before
     # the generator handed over its handle; ABI 4 is the kernel before
-    # run_rounds returned its alphabet's size.
+    # run_rounds returned its alphabet's size; ABI 5 is the kernel before
+    # class_offsets and class_masses.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None

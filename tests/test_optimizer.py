@@ -2,6 +2,7 @@
 agreement/grid invariants, and the stopping logic.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -10,6 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     ADAPTIVE,
+    CC,
+    CLASS_MASS_EDGES,
+    CLASS_OFFSET_EDGES,
     REFINE,
     bidirectional_pair,
     consensus_point,
@@ -25,12 +29,14 @@ from conftest import (
     starts_of,
 )
 from zoomgrad import graph, optimizer
+from zoomgrad.config import RunConfig
 from zoomgrad.consensus import run_consensus
 from zoomgrad.consensus.engine import init_consensus
 from zoomgrad.graph import generate_random_digraph
 from zoomgrad.objective import QuadraticCost
 from zoomgrad.optimizer import (
     AdaptiveZoom,
+    CostClasses,
     FixedLevel,
     OptimizerState,
     RefineOnly,
@@ -49,7 +55,7 @@ from zoomgrad.optimizer import (
 )
 from zoomgrad.quantizer import QuantizerState, grid_point
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
-from zoomgrad.runner import step_costs
+from zoomgrad.runner import compare, step_costs, sweep
 
 Q0 = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 ALPHA = F(3, 25)
@@ -359,7 +365,7 @@ def test_initial_state_copies_inputs():
     assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
     assert st.classes == cost_classes(s, ALPHA)
-    assert st.masses == start_masses(st.classes, Q0, grid_offsets(st.classes, Q0), starts_of([F(1), F(2)]))
+    assert st.masses == start_masses(st.classes, Q0, starts_of([F(1), F(2)]))
     assert isinstance(st, OptimizerState)
 
 
@@ -453,7 +459,7 @@ def test_start_masses_match_the_per_node_path(data):
     )
     want = init_consensus(gradient_step(x_init, s, alpha), q)
     classes = cost_classes(s, alpha)
-    assert start_masses(classes, q, grid_offsets(classes, q), starts_of(x_init)) == want
+    assert start_masses(classes, q, starts_of(x_init)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -851,3 +857,175 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
         assert kernel.run_rounds(y, g.kernel_handle(kernel), 2, 10, 0, 1) is None
     monkeypatch.setattr(graph, "_kernel", None)
     assert run() == compiled
+
+
+# --- the kernel's class arithmetic against the exact formulas -------------
+
+
+@pytest.fixture
+def class_kernel(built_kernel, no_kernel):
+    """The built kernel, called directly, with the package on its pure path,
+    so that ``grid_offsets`` and ``grid_masses`` run the exact formulas."""
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    return built_kernel
+
+
+def kernel_offsets(kernel, classes, q):
+    return kernel.class_offsets(classes.coeffs, classes.lcm, q.base, q.den, q.step)
+
+
+def kernel_masses(kernel, classes, offsets, level):
+    return kernel.class_masses(classes.coeffs, classes.lcm, offsets, classes.node_class, level)
+
+
+def reached_grids(kernel, run):
+    """Every ``(classes, q)`` that ``run()``, on ``kernel``, works out the
+    offsets of, and every ``(classes, q, level)`` it takes masses at."""
+    grids, levels = [], []
+
+    def offsets(classes, q):
+        grids.append((classes, q))
+        return grid_offsets(classes, q)
+
+    def masses(classes, q, offsets, level):
+        levels.append((classes, q, level))
+        return grid_masses(classes, q, offsets, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", kernel)
+        mp.setattr(optimizer, "grid_offsets", offsets)
+        mp.setattr(optimizer, "grid_masses", masses)
+        run()
+    return grids, levels
+
+
+REACHED = {
+    "sweep": lambda: sweep(RunConfig(), range(100)),
+    "compare": lambda: compare(RunConfig(n=20, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACHED))
+def test_class_kernel_matches_the_exact_formulas_on_every_reached_grid(class_kernel, name):
+    # Every grid and level that the compiled 100-seed default sweep and the
+    # five compare variants reach: the kernel's offsets and masses equal the
+    # exact formulas', and it declines none of them.  Every level there is an
+    # integer (a refine by 10 keeps it one).
+    grids, levels = reached_grids(class_kernel, REACHED[name])
+    assert len(grids) >= {"sweep": 5000, "compare": 60}[name] and len(levels) >= {"sweep": 9000, "compare": 140}[name]
+    for classes, q in grids:
+        assert kernel_offsets(class_kernel, classes, q) == grid_offsets(classes, q)
+    for classes, q, level in levels:
+        assert F(level).denominator == 1
+        offsets = grid_offsets(classes, q)
+        assert kernel_masses(class_kernel, classes, offsets, int(level)) == grid_masses(classes, q, offsets, level)
+
+
+def drawn_classes(data, k, mag):
+    coeffs = tuple(data.draw(st.tuples(st.integers(-mag, mag), st.integers(-mag, mag))) for _ in range(k))
+    node_class = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12)))
+    lcm = data.draw(st.one_of(st.integers(1, 1000), st.integers(1, 2**63 - 1)))
+    return CostClasses(node_class, lcm, coeffs)
+
+
+def wide(data, bits, negative=True):
+    top = 2 ** data.draw(st.sampled_from(bits))
+    return data.draw(st.integers(-top if negative else 1, top))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_class_kernel_matches_the_exact_formulas_on_drawn_grids(built_kernel, data):
+    # Grids of wide denominators and steps and negative bases, coefficients
+    # up to and past 2**53, and levels of either sign up to and past int64:
+    # each call equals the exact formula or declines.  A grid and its level
+    # as the product holds them are drawn too: a drawn grid moved by a zoom.
+    if built_kernel is None:
+        pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", None)
+        assert_drawn_class_parity(built_kernel, data)
+
+
+def assert_drawn_class_parity(kernel, data):
+    classes = drawn_classes(data, data.draw(st.integers(1, 6)), data.draw(st.sampled_from([2**10, 2**40, 2**54])))
+    if data.draw(st.booleans()):
+        den, base = wide(data, [1, 40, 100, 300], False), wide(data, [1, 40, 100, 300])
+        q = QuantizerState(den, base, wide(data, [1, 8, 40, 62, 63, 64, 100, 300], False))
+    else:
+        b_q = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=2**70))
+        delta = data.draw(st.fractions(min_value=F(1, 2**60), max_value=10, max_denominator=2**70))
+        q = QuantizerState.of(b_q, delta).moved(data.draw(st.integers(-99, 99)), 9, 7)
+    offsets = grid_offsets(classes, q)
+    got = kernel_offsets(kernel, classes, q)
+    assert got is None or got == offsets
+    level = data.draw(st.one_of(st.integers(-60, 60), st.integers(-(2**64), 2**64)))
+    ys = kernel_masses(kernel, classes, offsets, level)
+    assert ys is None or ys == grid_masses(classes, q, offsets, level)
+
+
+def test_class_kernel_at_its_edges(class_kernel, monkeypatch):
+    # Each edge call accepts or declines as the table says, an accepted one
+    # equals the exact formula, and the product's grid_offsets and
+    # grid_masses give the exact formula's result either way.
+    for (coeffs, lcm, base, den, step), declines in CLASS_OFFSET_EDGES:
+        if step == 0 or lcm == 0:  # no grid or class table holds these
+            assert class_kernel.class_offsets(coeffs, lcm, base, den, step) is None
+            continue
+        classes, q = CostClasses((0,) * len(coeffs), lcm, coeffs), QuantizerState(den, base, step)
+        want = grid_offsets(classes, q)
+        got = kernel_offsets(class_kernel, classes, q)
+        assert (got is None) == declines and got in (None, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(graph, "_kernel", class_kernel)
+            assert grid_offsets(classes, q) == want
+    for (coeffs, lcm, offsets, node_class, level), declines in CLASS_MASS_EDGES:
+        if lcm == 0:
+            assert class_kernel.class_masses(coeffs, lcm, offsets, node_class, level) is None
+            continue
+        classes = CostClasses(node_class, lcm, coeffs)
+        want = grid_masses(classes, Q0, offsets, level)
+        got = kernel_masses(class_kernel, classes, offsets, level)
+        assert (got is None) == declines and got in (None, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(graph, "_kernel", class_kernel)
+            assert grid_masses(classes, Q0, offsets, level) == want
+    # The first two grids: b_q = 0, delta = 1/2 has both remainders 0, and
+    # 1/3 is inexact in a double, though 3 * (1/3) rounds to exactly 1.
+    assert QuantizerState.of(F(0), F(1, 2)) == QuantizerState(2, 0, 1)
+    assert F(1 / 3) != F(1, 3) and 3 * (1 / 3) == 1.0
+
+
+def near_integer_grids(seed, count):
+    """Grids and classes whose x_c = (a*rb + v*rd)/step lies within a hair of
+    an integer, below, at or above it, on steps below 2**62, up to 2**64 and
+    far beyond: rb is the floor of (j*step + e)/a for an integer j between 0
+    and a, and e in -2..2, and a second term v*rd/step stays small."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        step = rnd.randrange(2, 2 ** rnd.choice([20, 62, 64, 120]))
+        a = rnd.randrange(2, 2 ** rnd.choice([3, 20, 45, 48]))
+        j = rnd.randrange(0, a)
+        rb = (j * step + rnd.randrange(-2, 3)) // a
+        if not 0 <= rb < step:
+            continue
+        sign = rnd.choice([1, -1])
+        rd, v = rnd.randrange(0, 3), rnd.randrange(-3, 4)
+        lcm = rnd.randrange(1, 1000)
+        classes = CostClasses((0,), lcm, ((sign * a + lcm, v),))
+        yield classes, QuantizerState(rnd.randrange(1, 5) * step + rd, rnd.randrange(-5, 5) * step + rb, step)
+
+
+def test_class_offsets_near_an_integer(class_kernel):
+    # Where x_c lies within the estimate's error of an integer, the estimate
+    # alone may floor to the wrong side: the kernel must resolve the class
+    # exactly (a step below 2**63) or decline, never return a wrong floor.
+    resolved = declined = 0
+    for classes, q in near_integer_grids(0, 4000):
+        got = kernel_offsets(class_kernel, classes, q)
+        declined += got is None
+        if got is not None:
+            assert got == grid_offsets(classes, q), (classes, q)
+            resolved += q.step < 2**63
+    assert resolved > 1000 and declined > 100
