@@ -3,8 +3,7 @@
  * (graph.generate_random_digraph), the graph's diameter (graph.diameter),
  * bulk bounded draws (graph.randbelow_each: the digraph's shuffle, the cost
  * suite's draws and the initial estimates' grid indices) and the
- * optimizer's per-class arithmetic (optimizer.grid_offsets and
- * optimizer.grid_masses).  The draws consume the same PCG32 stream as the
+ * optimizer's per-class arithmetic (optimizer.grid_masses).  The draws consume the same PCG32 stream as the
  * pure paths, draw for draw, so every result and the final RNG state are
  * bit-for-bit equal.
  *
@@ -98,19 +97,21 @@
  * bit by bit from the rows, and from level 2 a row stops taking its
  * neighbours' rows once it is full, testing that every 8 neighbours.
  *
- * class_offsets and class_masses are the optimizer's grid_offsets and
- * grid_masses on int64 values, one call each per grid move and per step.
- * Each returns None when a value leaves the range it handles, and the
- * optimizer then runs its exact Python formula, which stays the oracle.
- * class_offsets gives kappa_c = floor(K_c / step), K_c = a_c base + v_c den,
- * a_c = u_c - lcm, for each class (u_c, v_c).  With base = qb step + rb and
- * den = qd step + rd (one divmod pair per grid, in Python ints),
- * kappa_c = a_c qb + v_c qd + floor(x_c), x_c = (a_c rb + v_c rd) / step,
- * and the first two terms are int64 products, checked for overflow.  x_c
- * is estimated in double as est = a_c fb + v_c fd, where fb = rb / step
- * and fd = rd / step are correctly rounded divisions, so 0 <= fb, fd <= 1.
+ * class_masses is the optimizer's grid_masses at an int level L on int64
+ * values, one call per step.  It returns None when a value leaves the range
+ * it handles, and the optimizer then runs its exact Python formula, which
+ * stays the oracle.  For each class (u_c, v_c) it gives 2 t_c + 1 with
+ * t_c = floor((u_c L + kappa_c) / lcm), kappa_c = floor(K_c / step),
+ * K_c = a_c base + v_c den, a_c = u_c - lcm, and the per-node list in which
+ * the nodes of one class share the class's int.  With base = qb step + rb
+ * and den = qd step + rd (one divmod pair per call, in Python ints),
+ * kappa_c = a_c qb + v_c qd + floor(x_c), x_c = (a_c rb + v_c rd) / step.
+ * Every product and sum of kappa_c and t_c, and the doubling, is int64
+ * arithmetic checked for overflow.  x_c is estimated in double as
+ * est = a_c fb + v_c fd, where fb = rb / step and fd = rd / step are
+ * correctly rounded divisions, so 0 <= fb, fd <= 1.
  * The error bound, with s = |a_c| + |v_c| and u = 2**-53: a_c and v_c are
- * exact in a double (class_offsets declines |a_c| or |v_c| >= 2**53), each
+ * exact in a double (class_masses declines |a_c| or |v_c| >= 2**53), each
  * rounding of a value of magnitude at most m errs by at most m u (an
  * underflow adds at most 2**-1075, far below the bound), and
  *   - fb and fd each err by at most u, which the products scale by |a_c|
@@ -135,13 +136,8 @@
  * exactly when D >= 0.  |D| < step < 2**63, so D's residue mod 2**64,
  * formed in uint64 where products and sums wrap by definition, has its
  * top bit set exactly when D < 0.  Otherwise the call declines, as it does
- * on range: |a_c| or |v_c| reaching 2**53, qb or qd beyond int64, an int64
- * overflow, lcm < 1 or step 0.
- * class_masses gives, at an int level L, 2 t_c + 1 with
- * t_c = floor((u_c L + kappa_c) / lcm) for each class, in int64 with every
- * product, sum and the doubling checked, and the per-node list in which
- * the nodes of one class share the class's int; it declines when L or a
- * value leaves int64.
+ * on range: |a_c| or |v_c| reaching 2**53, qb, qd, lcm or L beyond int64,
+ * an int64 overflow, lcm < 1 or step 0.
  *
  * random_out_adj runs the generator's lexicographic (u, v) scan after the
  * Hamiltonian cycle is laid down: one draw per pair that is neither a
@@ -165,7 +161,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 6
+#define KERNEL_ABI 7
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -1144,8 +1140,8 @@ done:
     return ret;
 }
 
-/* The optimizer's class arithmetic (class_offsets, class_masses; see the
- * header) on int64 values that report an overflow instead of wrapping. */
+/* The optimizer's class arithmetic (class_masses; see the header) on int64
+ * values that report an overflow instead of wrapping. */
 
 /* Magnitudes below EXACT are exact in a double. */
 #define EXACT (INT64_C(1) << 53)
@@ -1194,21 +1190,23 @@ static PyObject *pair_at(PyObject *coeffs, Py_ssize_t c)
     return NULL;
 }
 
-static PyObject *class_offsets(PyObject *self, PyObject *args)
+static PyObject *class_masses(PyObject *self, PyObject *args)
 {
-    PyObject *coeffs_obj, *lcm_obj, *base, *den, *step, *coeffs, *rb, *rd;
-    PyObject *qr_b = NULL, *qr_d = NULL, *fb_obj = NULL, *fd_obj = NULL, *out = NULL, *ret = NULL;
-    int64_t lcm, qb, qd, step64 = 0, rb64 = 0, rd64 = 0;
+    PyObject *coeffs_obj, *lcm_obj, *node_class_obj, *base, *den, *step, *level_obj, *rb, *rd;
+    PyObject *coeffs = NULL, *node_class = NULL, *qr_b = NULL, *qr_d = NULL, *fb_obj = NULL, *fd_obj = NULL;
+    PyObject *ys = NULL, *out = NULL, *ret = NULL;
+    int64_t lcm, level, qb, qd, step64 = 0, rb64 = 0, rd64 = 0;
     double fb, fd;
-    Py_ssize_t c, k;
+    Py_ssize_t c, i, k, n;
     int fits, small, rb_zero, rd_zero;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO!O!O!", &coeffs_obj, &lcm_obj, &PyLong_Type, &base, &PyLong_Type, &den,
-                          &PyLong_Type, &step))
+    if (!PyArg_ParseTuple(args, "OOOO!O!O!O", &coeffs_obj, &lcm_obj, &node_class_obj, &PyLong_Type, &base,
+                          &PyLong_Type, &den, &PyLong_Type, &step, &level_obj))
         return NULL;
-    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL)
-        return NULL;
+    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL ||
+        (node_class = PySequence_Fast(node_class_obj, "node_class must be a sequence")) == NULL)
+        goto done;
     if ((fits = PyObject_IsTrue(step)) <= 0) {  /* a zero step has no grid */
         ret = fits < 0 ? NULL : Py_NewRef(Py_None);
         goto done;
@@ -1233,6 +1231,8 @@ static PyObject *class_offsets(PyObject *self, PyObject *args)
         goto done;
     fits = to_i64(lcm_obj, &lcm);
     if (fits == 1)
+        fits = to_i64(level_obj, &level);
+    if (fits == 1)
         fits = to_i64(PyTuple_GET_ITEM(qr_b, 0), &qb);
     if (fits == 1)
         fits = to_i64(PyTuple_GET_ITEM(qr_d, 0), &qd);
@@ -1249,10 +1249,11 @@ static PyObject *class_offsets(PyObject *self, PyObject *args)
     small = fits && step64 > 0;
 
     k = PySequence_Fast_GET_SIZE(coeffs);
-    if ((out = PyTuple_New(k)) == NULL)
+    n = PySequence_Fast_GET_SIZE(node_class);
+    if ((ys = PyTuple_New(k)) == NULL)
         goto done;
     for (c = 0; c < k; c++) {
-        int64_t u, v, a, kappa = 0, tv = 0, x;
+        int64_t u, v, a, kappa = 0, tv = 0, x, t = 0;
         double est, bound;
         PyObject *pair = pair_at(coeffs, c), *item;
         if (pair == NULL || (fits = to_i64(PyTuple_GET_ITEM(pair, 0), &u)) < 0 ||
@@ -1283,67 +1284,9 @@ static PyObject *class_offsets(PyObject *self, PyObject *args)
             x = j - (int64_t)(((uint64_t)a * (uint64_t)rb64 + (uint64_t)v * (uint64_t)rd64 -
                                (uint64_t)j * (uint64_t)step64) >> 63);
         }
-        if (!add_i64(kappa, x, &kappa))
-            goto decline;
-        if ((item = PyLong_FromLongLong(kappa)) == NULL)
-            goto done;
-        PyTuple_SET_ITEM(out, c, item);
-    }
-    ret = Py_NewRef(out);
-    goto done;
-
-decline:
-    ret = Py_NewRef(Py_None);
-done:
-    Py_XDECREF(out);
-    Py_XDECREF(fb_obj);
-    Py_XDECREF(fd_obj);
-    Py_XDECREF(qr_b);
-    Py_XDECREF(qr_d);
-    Py_DECREF(coeffs);
-    return ret;
-}
-
-static PyObject *class_masses(PyObject *self, PyObject *args)
-{
-    PyObject *coeffs_obj, *lcm_obj, *offsets_obj, *node_class_obj, *level_obj;
-    PyObject *coeffs = NULL, *offsets = NULL, *node_class = NULL, *ys = NULL, *out = NULL, *ret = NULL;
-    int64_t lcm, level;
-    Py_ssize_t c, i, k, n;
-    int fits;
-
-    (void)self;
-    if (!PyArg_ParseTuple(args, "OOOOO", &coeffs_obj, &lcm_obj, &offsets_obj, &node_class_obj, &level_obj))
-        return NULL;
-    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL ||
-        (offsets = PySequence_Fast(offsets_obj, "offsets must be a sequence")) == NULL ||
-        (node_class = PySequence_Fast(node_class_obj, "node_class must be a sequence")) == NULL)
-        goto done;
-    k = PySequence_Fast_GET_SIZE(coeffs);
-    n = PySequence_Fast_GET_SIZE(node_class);
-    if (PySequence_Fast_GET_SIZE(offsets) != k) {
-        PyErr_SetString(PyExc_ValueError, "need one offset per class");
-        goto done;
-    }
-    fits = to_i64(lcm_obj, &lcm);
-    if (fits == 1)
-        fits = to_i64(level_obj, &level);
-    if (fits < 0)
-        goto done;
-    if (!fits || lcm < 1)
-        goto decline;
-
-    /* y_c = 2 t_c + 1, t_c = floor((u_c level + kappa_c) / lcm), one int
-       per class; 2 t + 1 fits when INT64_MIN / 2 <= t <= (INT64_MAX - 1) / 2 */
-    if ((ys = PyTuple_New(k)) == NULL)
-        goto done;
-    for (c = 0; c < k; c++) {
-        int64_t u, kappa = 0, t = 0;
-        PyObject *pair = pair_at(coeffs, c), *item;
-        if (pair == NULL || (fits = to_i64(PyTuple_GET_ITEM(pair, 0), &u)) < 0 ||
-            (fits && (fits = to_i64(PySequence_Fast_GET_ITEM(offsets, c), &kappa)) < 0))
-            goto done;
-        if (!fits || !mul_i64(u, level, &t) || !add_i64(t, kappa, &t))
+        /* y_c = 2 t_c + 1, t_c = floor((u level + kappa) / lcm); 2 t + 1
+           fits when INT64_MIN / 2 <= t <= (INT64_MAX - 1) / 2 */
+        if (!add_i64(kappa, x, &kappa) || !mul_i64(u, level, &t) || !add_i64(t, kappa, &t))
             goto decline;
         t = t / lcm - (t % lcm < 0);
         if (t < INT64_MIN / 2 || t > (INT64_MAX - 1) / 2)
@@ -1373,8 +1316,11 @@ decline:
 done:
     Py_XDECREF(out);
     Py_XDECREF(ys);
+    Py_XDECREF(fb_obj);
+    Py_XDECREF(fd_obj);
+    Py_XDECREF(qr_b);
+    Py_XDECREF(qr_d);
     Py_XDECREF(coeffs);
-    Py_XDECREF(offsets);
     Py_XDECREF(node_class);
     return ret;
 }
@@ -1418,22 +1364,18 @@ static PyMethodDef methods[] = {
      "state and increment: a bound <= 1 gives 0 and takes no draw, and a bound\n"
      "above 2**32 raises ValueError.  Returns (draws, rng_state): a list of\n"
      "ints and the generator state after the last draw."},
-    {"class_offsets", class_offsets, METH_VARARGS,
-     "class_offsets(coeffs, lcm, base, den, step)\n\n"
-     "The tuple of floor(((u - lcm) base + v den) / step) over the (u, v)\n"
-     "pairs coeffs, for the grid of the ints base, den and step: one divmod\n"
-     "pair per grid and int64 arithmetic per class.  Returns None when a\n"
-     "value leaves the range it handles (|u - lcm| or |v| reaching 2**53,\n"
-     "base // step or den // step beyond int64, an int64 overflow, a class\n"
-     "too near an integer to settle in int64, lcm < 1 or step 0); raises only\n"
-     "on arguments of the wrong type or shape."},
     {"class_masses", class_masses, METH_VARARGS,
-     "class_masses(coeffs, lcm, offsets, node_class, level)\n\n"
-     "The list of 2 floor((u_c level + offsets[c]) / lcm) + 1 for the class\n"
-     "c = node_class[i] of each node i, computed once per class in int64, so\n"
-     "the nodes of one class share its int.  Returns None when lcm or level\n"
-     "leaves int64, lcm < 1, or a value overflows; raises only on arguments\n"
-     "of the wrong type or shape, or a class index out of range."},
+     "class_masses(coeffs, lcm, node_class, base, den, step, level)\n\n"
+     "The list of 2 floor((u_c level + kappa_c) / lcm) + 1 for the class\n"
+     "c = node_class[i] of each node i, where (u_c, v_c) = coeffs[c] and\n"
+     "kappa_c = floor(((u_c - lcm) base + v_c den) / step) on the grid of the\n"
+     "ints base, den and step: one divmod pair per call and int64 arithmetic\n"
+     "per class, so the nodes of one class share its int.  Returns None when\n"
+     "a value leaves the range it handles (|u_c - lcm| or |v_c| reaching\n"
+     "2**53, base // step, den // step, lcm or level beyond int64, an int64\n"
+     "overflow, a class too near an integer to settle in int64, lcm < 1 or\n"
+     "step 0); raises only on arguments of the wrong type or shape, or a\n"
+     "class index out of range."},
     {NULL, NULL, 0, NULL},
 };
 

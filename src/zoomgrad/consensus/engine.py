@@ -4,116 +4,51 @@ One consensus execution computes, in finitely many synchronous rounds, a
 common value within one quantization level of the average of the nodes'
 quantized inputs, using only integer-valued messages.
 
-State: two int lists, the value masses ``y`` and the count masses ``z``.
-``run_consensus`` takes the initial value masses, not the inputs: node i
-starts at ``y[i] = 2*(Q(x_i) - b_q)/delta`` (an odd integer: twice the
-quantized basis-relative level, so the network-wide ratio sum(y)/sum(z)
-equals the average quantized value in basis-relative delta units, as
-``init_consensus`` computes it from the inputs; the optimizer computes the
-same masses in integers) and ``z[i] = 2``.  The output is the level ``m``
-of the common grid point ``b_q + m*delta``; the caller, which owns the grid,
-maps it back when it needs the point.  ``run_consensus`` still takes the
-quantizer as its second argument, unread, because the benchmark's backend
-parity replay (``perfbench/run.py`` ``parity_run``) passes it positionally,
-with ``force_backend="pure"``.
-Masses stay integers forever — every transmitted piece is a floor of a
-ratio — which is what makes the stop test reachable and the protocol
-finite-time.  Both sums are conserved, so ``sum(z) = 2n``; a node
-ends every split with ``z = 1`` and only gains count mass, so every node
-keeps ``z >= 1`` and the round sends exactly ``sum(z) - n = n`` pieces.
-Each round:
+Inputs.  ``run_consensus(y, q, g, rng)`` takes the initial value masses,
+not the inputs: node i starts at ``y[i] = 2*(Q(x_i) - b_q)/delta``, an odd
+integer (``init_consensus`` computes it from the inputs, the optimizer in
+integers), and at count mass ``z[i] = 2``, so ``sum(y)/sum(z)`` is the
+average quantized input in basis-relative ``delta`` units.  ``q`` is not read; it stays
+the second positional argument for the benchmark's backend parity replay
+(``perfbench/run.py`` ``parity_run``), which passes
+``force_backend="pure"``.  ``rng`` is the run's PCG32, the protocol's only
+randomness.
 
-1. at epoch starts (``lambda mod D' == 1``) the extremes are snapshot once,
-   over all nodes: ``M = max ceil(y_i/z_i)``, ``m = min floor(y_i/z_i)``;
-2. every node with ``z > 1`` splits its mass into near-equal integer pieces
-   ``c = floor(y/z)``, sending each piece to itself or a uniformly random
-   out-neighbor (send phase completes network-wide before any delivery);
-3. queued pieces are delivered (``y += c``, ``z += 1``);
-4. at epoch ends (``lambda mod D' == 0``), if ``M - m <= 1`` every node
-   stops and outputs ``b_q + m * delta`` (a grid point within delta of the
-   average quantized input).  ``run_consensus`` returns that common level
-   ``m`` once.
+Each round, with ``D' = max(diameter, 2)``: at an epoch start
+(``lambda mod D' == 1``) the extremes ``M = max ceil(y_i/z_i)`` and
+``m = min floor(y_i/z_i)`` are snapshot over all nodes; every node with
+``z > 1`` splits its mass into ``z - 1`` pieces ``floor(y/z)``, each sent to
+itself or a uniformly random out-neighbour; the pieces are delivered
+(``y += c``, ``z += 1``) once every node has sent; at an epoch end
+(``lambda mod D' == 0``) the run stops when ``M - m <= 1``.  The snapshot
+equals what the protocol's per-round max/min flood holds at each epoch
+end, and the flood draws nothing, so the RNG stream is the same.
 
-``D' = max(diameter, 2)`` so the reset/check cadence stays meaningful on
-diameter-1 graphs.  In the protocol each node floods ``(M, m)`` along its
-out-edges every round, resetting to its own ``ceil(y/z)``, ``floor(y/z)`` at
-epoch starts.  The snapshot is exact in its place: the flood resets only at
-epoch starts and absorbs only max/min, and an epoch has ``D' >= diameter``
-rounds, so at the epoch end every node's flood value equals these global
-extremes; and flooding draws no randomness, so the split phase consumes the
-identical RNG stream.  The per-round flood lives in the tests, as the oracle
-this path is checked against.
+Result.  The level ``m`` of the common grid point ``b_q + m*delta``, and a
+``ConsensusStats``: the rounds and the distinct pieces sent (their number
+and the pieces themselves).  ``y`` is never modified.
 
-Two implementations run these rounds.  The package's optional C extension
-(``zoomgrad/_ckernel.c``, shared with the graph generator's edge draws,
-the diameter and the bulk draws; ``graph`` imports it and checks its
-``ABI`` once, and the engine reads ``graph._kernel`` at each call, so one
-name selects the backend) runs them in int64 as ``run_rounds`` when it is
-built: same node order, same PCG32 draws, same stop rule, so the output,
-rounds, set of distinct pieces, its size and RNG state are bit-for-bit
-equal to the pure snapshot path.  The pure path sheds a node's ``z - 1``
-pieces one floor division at a time (``_split_and_deliver``) and is the
-per-piece oracle.  The kernel splits a node in closed form instead: with
-``y = q*z + r`` and ``0 <= r < z`` those pieces are ``z - max(r, 1)``
-copies of ``q`` followed by ``max(r, 1) - 1`` copies of ``q + 1``, and the
-node keeps ``q + (r > 0)`` with ``z = 1``.  A kernel round is three flat
-passes, each doing one kind of work, so none branches per node.  The split
-pass makes one floor division per node, whatever its ``z``, folds the
-node's floor and ceil into the epoch-start snapshot (exact because
-deliveries wait until every node has split, so no node's ``(y, z)``
-changes before its turn), and records ``q``, ``z``, ``r`` and the index of
-the node's first piece in the round's sending order.  The collect pass
-puts each node's ``q`` and ``q + 1``, when it sends them, into the piece
-set in node order.  The draw pass walks the round's ``n`` pieces in
-sending order, each taking its own draw as in the oracle; a piece's owner
-is read from a running sum over the first-piece indices, and its target
-is ``row[draw]``, since each of the handle's rows starts with the node
-itself.  The target adds the piece at once: the split has already left
-every node at ``(ceil, 1)``, and the draw pass reads only the split
-records.  Each node's draw bound ``1 + out-degree``, its rejection
-threshold and its fastmod constant (Lemire, Kaser and Kurz, "Faster
-Remainder by Direct Computation", 2019) are computed once per graph, so a
-draw takes its remainder by multiplies, not by a division; they live on
-the graph's handle with the rest of a call's workspace, so a call
-allocates only its result.  The kernel reads the graph
-through the CSR handle the graph keeps (``Digraph.kernel_handle``: built by
-the edge scan for a generated graph, by flattening the rows once on first
-use for a graph given as rows, never per call); ``run_consensus`` keeps
-that handle and the epoch length ``D'`` with the kernel that built it as
-the graph's binding (``_bind``), so a call reads them with one attribute
-load and an identity check of the kernel.  The kernel collects the distinct
-pieces in a C set kept on that handle, which a call empties in O(1): a
-hash table while the epochs' ranges are wide, and from the first epoch
-start whose snapshot range ``M - m`` is below 16384 a bitmap over
-``[m, m + 16384)`` for the rest of the call.  That is exact because the
-ranges nest: once every ``y/z`` lies in ``[m, M]``, every piece (a floor)
-and every kept value (a ceil) does too, so every later holding, piece and
-snapshot stays there.  For the same reason, once an epoch start's range is
-below 64, the rounds after it are narrow: every ``y/z`` lies within 64 of
-that epoch's ``m``, so the split pass takes each quotient by a multiply and
-a shift, ORs the round's pieces into one 64-bit word counted from that
-``m``, and no collect pass runs; the word goes into the bitmap at the next
-epoch start and at the stop.
-A call's ``ConsensusStats`` carries the number of distinct pieces, which
-is what the optimizer reads, and the pieces themselves, each once and in
-no promised order: the pure path's Python ``set``, or the kernel's bytes
-of packed native int64, so no Python int is built per piece.  No value in
-a run exceeds the initial ``sum(|y|)`` (a split keeps it and a delivery
-never grows it), so the kernel's one decline rule is that sum exceeding int64; it declines
-before any draw, and the pure path, which runs whenever the extension is
-not built, then replays the instance from the same initial masses.  At the
-stop both paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept
-its initial value, that the output level lies in ``[m0, M0]``, the first
-snapshot's extremes, and that it equals ``floor(sum(y) / 2n)``; either
-raises the same RuntimeError on a violation, and the kernel's is never
-replayed.  The last check is the output's closed form.  With ``Y = sum(y)``
-and ``sum(z) = 2n`` conserved, ``Y/2n`` is the average of the ``y_i/z_i``
-weighted by ``z_i/2n``, and at the stop's epoch start every ``y_i/z_i``
-lies in ``[m, M]`` with ``M - m <= 1``, so ``m <= Y/2n <= m + 1``.  Were
-``Y/2n = m + 1``, every ``y_i/z_i`` would equal ``m + 1`` and so would
-every floor, whose minimum is ``m``; hence ``m = floor(Y/2n)`` at every
-stop.  A run that reaches ``ROUND_CAP`` rounds raises
-``ConsensusCapError`` on either path.
+Backends and decline.  The C kernel's ``run_rounds`` (``_ckernel.c``,
+whose header owns the algorithm) runs when it is built; ``graph._kernel``
+is read at each call, so one name selects the backend.  It gives the same
+level, rounds, pieces and RNG state as the pure path.  It declines
+(returns None) before any draw when the initial ``sum(|y|)`` exceeds
+int64, a bound on every value of the run; it works on copies of ``y`` and
+of the RNG state, so the pure path then replays the identical call.
+
+Invariants.  Both masses' sums are conserved, so ``sum(z) = 2n``, every node
+keeps ``z >= 1`` and a round sends exactly ``n`` pieces.  At the stop both
+paths check, in O(n), that ``sum(z) = 2n``, that ``sum(y)`` kept its value,
+that ``m`` lies in the first snapshot ``[m0, M0]`` and that
+``m = floor(sum(y) / 2n)``, the output's closed form: ``sum(y)/2n`` is a
+weighted average of the ``y_i/z_i``, all in ``[m, m + 1]``, and equals
+``m + 1`` only when every floor does, whose minimum is ``m``.  A violation
+raises RuntimeError, which is never replayed.  A run that reaches
+``ROUND_CAP`` rounds raises ``ConsensusCapError`` on either path.
+
+Oracles.  The pure path (``_run_snapshot``), which sheds a node's pieces one
+floor division at a time, is the per-piece oracle of the kernel; the
+tests' per-round flood is the oracle of the snapshot.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ kernel for the package: a build whose ``ABI`` differs from ``KERNEL_ABI``
 (an in-place build left from an older source) is refused with a
 ``RuntimeWarning``, and the pure paths run.  ``randbelow_each``, the
 package's bulk bounded draws (this shuffle, the cost suite's draws and the
-initial estimates' grid indices), is here for that reason: it is the one
-entry point to the kernel that is not about graphs.
+initial estimates' grid indices), is here for that reason, and the
+optimizer reads its class arithmetic as ``graph._kernel`` too.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 6
+KERNEL_ABI = 7
 
 
 def _checked_kernel(module):

@@ -16,28 +16,23 @@ step size on repeats or never touch it.
 A node's half-step is a linear function of the estimate it holds, with
 coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
 holds those coefficients as integers, so each initial mass is one integer
-floor division over the grid's integers (``QuantizerState``).  The part of
-that floor that depends only on the grid, one integer ``kappa_c`` per
-class, is worked out once per grid (``grid_offsets``), as is the error's
-(``metrics.error_terms``); the state keeps both and
-``OptimizerState.regrid`` refreshes them when the grid moves.  They live
-on the state, not on the grid, because every ``RunRecord`` keeps its grid
-alive.  The starts come as one integer table
-too (``Starts``: distinct numerators over one denominator, and each node's
-index into them), and ``initial_state`` builds everything the run's fixed
-inputs determine: the class table, step 1's masses (``start_masses``, from
-every node's own start) and the start level.
+floor division over the grid's integers (``QuantizerState``).  The starts
+come as one integer table too (``Starts``: distinct numerators over one
+denominator, and each node's index into them), and ``initial_state`` builds
+everything the run's fixed inputs determine: the class table, step 1's
+masses (``start_masses``, from every node's own start) and the start level.
 After step 1 every node holds the one common estimate, so a step that moves
 the grid or the estimate refreshes the next step's masses with one floor
-per class (``grid_masses``), on small integers at an integer level.
-With the C kernel built (``graph._kernel``, read at each call, as the
-consensus engine reads it) both run there: ``class_offsets`` takes one
-divmod pair of the grid's big integers per grid and int64 arithmetic per
-class, with a proven error bound on its one floating-point estimate, and
-``class_masses`` gives a step's masses in one call.  Each declines (returns
-None) on a value beyond its range, and the exact Python formula runs
-instead: it is the pure backend and the oracle the kernel is tested
-against.  The per-node path, an exact ``Fraction`` gradient step
+per class (``grid_masses``).  With the C kernel built (``graph._kernel``,
+read at each call, as the consensus engine reads it) an integer level's
+masses come from one ``class_masses`` call, in int64 (the C header gives
+its arithmetic and error bound); it declines (returns None) on a value
+beyond its range, and the exact Python formula runs instead: it is the
+pure backend and the oracle the kernel is tested against.  The error's
+per-grid constants (``metrics.error_terms``) live on the state, which
+``OptimizerState.regrid`` refreshes when the grid moves: on the state, not
+on the grid, because every ``RunRecord`` keeps its grid alive.
+The per-node path, an exact ``Fraction`` gradient step
 (``gradient_step``) quantized node by node (``engine.init_consensus``), is
 the oracle all of them are tested against; no step calls it, and the
 benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
@@ -208,40 +203,20 @@ def cost_classes(s, alpha):
 Starts = namedtuple("Starts", "den nums node_start")
 
 
-def grid_offsets(classes, q):
-    """The masses' constants on the grid ``q``: the tuple of ``kappa_c`` per class.
-
-    Class c's half-step of the estimate ``x`` is ``(u_c*x + v_c) / lcm``;
-    on the unsaturated grid its bin index is
-    ``t = floor((half - b_q)/delta)`` and its mass ``2*t + 1``.  With
-    ``x - b_q = p/(den*r)`` that is ``t = (u_c*p + K_c*r) // (lcm*step*r)``
-    for ``K_c = (u_c - lcm)*base + v_c*den`` (``_class_constants``), and at
-    an integer level ``L`` (``p = L*step``, ``r = 1``) the nested floor gives
-    ``t = (u_c*L + kappa_c) // lcm`` with ``kappa_c = K_c // step``.
-
-    The kernel's ``class_offsets``, when it is built, takes one divmod pair
-    per grid and int64 arithmetic per class; it declines (returns None) on
-    values beyond its range, and this function then runs the exact formula,
-    the oracle.
-    """
-    kernel = graph._kernel
-    if kernel is not None:
-        offsets = kernel.class_offsets(classes.coeffs, classes.lcm, q.base, q.den, q.step)
-        if offsets is not None:
-            return offsets
-    lcm, base, den, step = classes.lcm, q.base, q.den, q.step
-    return tuple(((u - lcm) * base + v * den) // step for u, v in classes.coeffs)
-
-
 def _class_constants(classes, q):
-    """``(u_c, K_c)`` per class on the grid ``q`` (``grid_offsets``)."""
+    """``(u_c, K_c)`` per class on the grid ``q``, ``K_c = (u_c - lcm)*base + v_c*den``."""
     lcm, base, den = classes.lcm, q.base, q.den
     return [(u, (u - lcm) * base + v * den) for u, v in classes.coeffs]
 
 
 def _masses(classes, q, r, points):
     """``2*t + 1`` of each point ``((u_c, K_c), p)`` at the estimate
-    ``x = b_q + p/(den*r)`` (``grid_offsets``)."""
+    ``x = b_q + p/(den*r)``.
+
+    Class c's half-step of ``x`` is ``(u_c*x + v_c) / lcm``; on the
+    unsaturated grid its bin index is ``t = floor((half - b_q)/delta)``,
+    which is ``(u_c*p + K_c*r) // (lcm*step*r)``.
+    """
     den = classes.lcm * q.step * r
     return [2 * ((u * p + k * r) // den) + 1 for (u, k), p in points]
 
@@ -251,7 +226,7 @@ def start_masses(classes, q, starts):
 
     Equal to ``init_consensus(gradient_step(xs, s, alpha), q)`` for the
     per-node starts ``xs`` of the ``Starts`` table ``starts``, from the
-    ``K_c`` of ``q`` (``grid_offsets``): start ``a/d`` lies at
+    ``K_c`` of ``q`` (``_class_constants``): start ``a/d`` lies at
     ``b_q + (a*den - base*d)/(den*d)``.  It runs once per run, in Python.
     """
     d = starts.den
@@ -260,29 +235,24 @@ def start_masses(classes, q, starts):
     return _masses(classes, q, d, zip(pulls, map(gaps.__getitem__, starts.node_start)))
 
 
-def grid_masses(classes, q, offsets, level):
+def grid_masses(classes, q, level):
     """Initial masses of every node from the common estimate ``b_q + level*delta``.
 
     Equal to ``init_consensus(gradient_step([x]*n, s, alpha), q)`` at that
-    estimate, with one floor per class: at an integer level (a ``Fraction``
-    of denominator 1 counts as one) from the ``grid_offsets`` ``offsets`` of
-    ``q``, on small integers, and at a ``Fraction`` level ``ln/ld`` from the
-    grid's ``K_c`` over ``r = ld``.  At an integer level the kernel's
+    estimate, with one floor per class (``_masses``) at any level ``ln/ld``,
+    an int or a ``Fraction``, over ``r = ld``.  At an integer level (a
+    ``Fraction`` of denominator 1 counts as one) the kernel's
     ``class_masses``, when it is built, computes the list in int64 in one
-    call; it declines (returns None) on an overflow, and the exact Python
-    floor, the oracle, runs instead.
+    call; it declines (returns None) on a value beyond its range, and the
+    exact formula, the oracle, runs instead.
     """
     ln, ld = level.numerator, level.denominator
-    if ld == 1:
-        kernel = graph._kernel
-        if kernel is not None:
-            ys = kernel.class_masses(classes.coeffs, classes.lcm, offsets, classes.node_class, ln)
-            if ys is not None:
-                return ys
-        lcm = classes.lcm
-        ys = [2 * ((u * ln + kappa) // lcm) + 1 for (u, _), kappa in zip(classes.coeffs, offsets)]
-    else:
-        ys = _masses(classes, q, ld, zip(_class_constants(classes, q), repeat(ln * q.step)))
+    kernel = graph._kernel
+    if kernel is not None and ld == 1:
+        ys = kernel.class_masses(classes.coeffs, classes.lcm, classes.node_class, q.base, q.den, q.step, ln)
+        if ys is not None:
+            return ys
+    ys = _masses(classes, q, ld, zip(_class_constants(classes, q), repeat(ln * q.step)))
     return list(map(ys.__getitem__, classes.node_class))
 
 
@@ -327,11 +297,8 @@ def _tree_sum(terms):
 @dataclass
 class OptimizerState:
     """The run between steps.  ``regrid`` moves it to a grid and works out
-    that grid's constants, which live here and not on the grid: every
-    ``RunRecord`` keeps its grid alive.  ``offsets`` is the tuple of the
-    grid's ``kappa_c``, one per cost class (``grid_offsets``: in the kernel
-    when it is built and takes the grid, else by the exact formula); the
-    masses read the classes' ``u_c`` from ``classes``."""
+    that grid's error terms, which live here and not on the grid: every
+    ``RunRecord`` keeps its grid alive."""
 
     q: QuantizerState  # the current grid
     level: int | Fraction | None  # the common estimate's level on q's grid; None until the nodes share a grid point
@@ -339,7 +306,6 @@ class OptimizerState:
     x_star: Fraction  # the suite's optimum
     spread: Fraction  # the error's normalizer, start_spread of the starts
     masses: list = field(default=None, init=False)  # the next step's initial consensus masses
-    offsets: tuple = field(init=False)  # grid_offsets of q: kappa_c per class
     error_terms: tuple = field(init=False)  # metrics.error_terms of q
     history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
 
@@ -347,9 +313,8 @@ class OptimizerState:
         self.regrid(self.q)
 
     def regrid(self, q):
-        """Move to the grid ``q``, with its ``grid_offsets`` and ``error_terms``."""
+        """Move to the grid ``q``, with its ``error_terms``."""
         self.q = q
-        self.offsets = grid_offsets(self.classes, q)
         self.error_terms = error_terms(q, self.x_star, self.spread)
 
 
@@ -435,7 +400,7 @@ def step(state, g, policy, rng):
     # A repeat without an event keeps grid and estimate, and with them the
     # masses.
     if event != "none" or m != level_old:
-        state.masses = grid_masses(state.classes, q, state.offsets, state.level)
+        state.masses = grid_masses(state.classes, q, state.level)
 
     rec = RunRecord(m, error, pre_q, event, stats.rounds, stats.alphabet_size)
     state.history.append(rec)

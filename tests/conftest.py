@@ -6,7 +6,8 @@ a dedicated section at the end of the pytest run so they are visible even
 for passing tests (pytest normally swallows stdout of passing tests).
 
 The ``kernel`` fixture builds the C kernel (consensus rounds, the graph's
-edge draws and its diameter, bulk bounded draws) from this checkout into a
+edge draws and its diameter, bulk bounded draws, the optimizer's class
+arithmetic) from this checkout into a
 temporary directory once per session,
 so the compiled paths are checked wherever a C compiler exists, whether or
 not an in-place build is present.
@@ -51,6 +52,9 @@ The product builds graphs and cost suites from their tables alone
 a graph from an edge list and ``cost_suite`` a suite from per-node costs,
 through ``runner.build_costs``' explicit branch.
 
+``masked_digest`` is the SHA-256 of a report with its ``backend`` column
+masked, which the pinned report digests compare.
+
 The theory helpers ``contraction_envelope``, ``envelope_from_history``
 (with its ``EnvelopePoint``) and ``zoom_out_bound`` give the analysis's
 bounds that acceptance criteria 6 and 7 check runs against; the simulator
@@ -58,6 +62,7 @@ itself never evaluates them.
 """
 
 import glob
+import hashlib
 import importlib.util
 import math
 import os
@@ -510,48 +515,66 @@ BULK_DRAW_BOUNDS = {
 
 
 # Arguments of the kernel's class arithmetic at its edges, each with
-# whether the call declines.  ``class_offsets(coeffs, lcm, base, den,
-# step)``: both remainders 0; a_c = 3 with rb/step = 1/3, an exact integer
-# x_c = 1 that the near-integer test resolves; a negative base on wide
-# ints; |a_c| just below and at 2**53, on remainders 0 (with a remainder,
-# its bound would reach 1/4, and the call declines); base // step beyond
-# int64; a_c*qb
-# beyond int64; a sum that passes int64 only when floor(x_c) = 1 is added;
-# an exact integer x_c = 1 on a step beyond int64, which cannot be resolved;
-# u_c - lcm below int64, and u_c beyond it; lcm 0; and step 0.
-CLASS_OFFSET_EDGES = [
-    ((((10, 5),), 7, 0, 2, 1), False),
-    ((((10, 5),), 7, 1, 3, 3), False),
-    ((((-7, 11), (4, -3), (5, 5)), 5, -(2**90 + 12345), 2**80 + 7, 2**85 + 3), False),
-    ((((2**53, 3),), 1, 3, 3, 3), False),
-    ((((2**53 + 1, 3),), 1, 3, 3, 3), True),
-    ((((1, 1),), 1, 2**70, 1, 1), True),
-    ((((5, 0),), 1, 3 * 2**62, 1, 3), True),
-    ((((3, 1),), 1, (2**62 - 1) * 7 + 6, 7, 7), True),
-    ((((3, 0),), 1, 2**63, 1, 2**64), True),
-    ((((-(2**63), 0),), 2**63 - 1, 1, 1, 3), True),
-    ((((2**63, 0),), 1, 1, 1, 3), True),
-    ((((1, 1),), 0, 1, 1, 3), True),
-    ((((1, 1),), 1, 1, 1, 0), True),
+# whether the call declines: ``class_masses(coeffs, lcm, node_class, base,
+# den, step, level)``.  The grid's edges, each at level 0 and at level -3:
+# both remainders 0; a_c = 3 with rb/step = 1/3, an exact integer x_c = 1
+# that the near-integer test resolves; a negative base on wide ints; |a_c|
+# just below and at 2**53, on remainders 0 (with a remainder, its bound
+# would reach 1/4, and the call declines); base // step beyond int64;
+# a_c*qb beyond int64; a sum that passes int64 only when floor(x_c) = 1 is
+# added; an exact integer x_c = 1 on a step beyond int64, which cannot be
+# resolved; u_c - lcm below int64, and u_c beyond it; lcm 0; and step 0.
+# Then the level's edges, on the grid den 1, base 0, step 1, where
+# kappa_c = v_c exactly: classes shared by nodes, at a negative level; a
+# negative floor; 2t + 1 at both ends of int64 and one past each; u_c*L
+# beyond int64; u_c*L + kappa_c beyond it; a level beyond int64; lcm
+# beyond int64; and lcm 0.
+CLASS_EDGES = [
+    ((coeffs, lcm, (0,) * len(coeffs), base, den, step, level), declines)
+    for (coeffs, lcm, base, den, step), declines in [
+        ((((10, 5),), 7, 0, 2, 1), False),
+        ((((10, 5),), 7, 1, 3, 3), False),
+        ((((-7, 11), (4, -3), (5, 5)), 5, -(2**90 + 12345), 2**80 + 7, 2**85 + 3), False),
+        ((((2**53, 3),), 1, 3, 3, 3), False),
+        ((((2**53 + 1, 3),), 1, 3, 3, 3), True),
+        ((((1, 1),), 1, 2**70, 1, 1), True),
+        ((((5, 0),), 1, 3 * 2**62, 1, 3), True),
+        ((((3, 1),), 1, (2**62 - 1) * 7 + 6, 7, 7), True),
+        ((((3, 0),), 1, 2**63, 1, 2**64), True),
+        ((((-(2**63), 0),), 2**63 - 1, 1, 1, 3), True),
+        ((((2**63, 0),), 1, 1, 1, 3), True),
+        ((((1, 1),), 0, 1, 1, 3), True),
+        ((((1, 1),), 1, 1, 1, 0), True),
+    ]
+    for level in (0, -3)
+] + [
+    ((((3, 4), (-5, -9)), 7, (0, 1, 1, 0), 0, 1, 1, -3), False),
+    ((((1, -1),), 4, (0,), 0, 1, 1, 0), False),
+    ((((1, 0),), 1, (0, 0), 0, 1, 1, 2**62 - 1), False),
+    ((((1, 0),), 1, (0,), 0, 1, 1, 2**62), True),
+    ((((1, 0),), 1, (0,), 0, 1, 1, -(2**62)), False),
+    ((((1, 0),), 1, (0,), 0, 1, 1, -(2**62) - 1), True),
+    ((((2**40, 0),), 1, (0,), 0, 1, 1, 2**30), True),
+    ((((1, 1),), 1, (0,), 0, 1, 1, 2**63 - 1), True),
+    ((((1, 0),), 1, (0,), 0, 1, 1, 2**63), True),
+    ((((1, 0),), 2**63, (0,), 0, 1, 1, 1), True),
+    ((((1, 0),), 0, (0,), 0, 1, 1, 1), True),
 ]
 
-# ``class_masses(coeffs, lcm, offsets, node_class, level)``: classes shared
-# by nodes, at a negative level; a negative floor; 2t + 1 at both ends of
-# int64 and one past each; u_c*L beyond int64; u_c*L + kappa_c beyond it;
-# a level beyond int64; lcm beyond int64; and lcm 0.
-CLASS_MASS_EDGES = [
-    ((((3, 1), (-5, 2)), 7, (4, -9), (0, 1, 1, 0), -3), False),
-    ((((1, 0),), 4, (-1,), (0,), 0), False),
-    ((((1, 0),), 1, (0,), (0, 0), 2**62 - 1), False),
-    ((((1, 0),), 1, (0,), (0,), 2**62), True),
-    ((((1, 0),), 1, (0,), (0,), -(2**62)), False),
-    ((((1, 0),), 1, (0,), (0,), -(2**62) - 1), True),
-    ((((2**40, 0),), 1, (0,), (0,), 2**30), True),
-    ((((1, 0),), 1, (1,), (0,), 2**63 - 1), True),
-    ((((1, 0),), 1, (0,), (0,), 2**63), True),
-    ((((1, 0),), 2**63, (0,), (0,), 1), True),
-    ((((1, 0),), 0, (0,), (0,), 1), True),
-]
+
+def masked_digest(text):
+    """SHA-256 of a CSV with every ``backend`` cell replaced by ``*``."""
+    assert '"' not in text  # no quoted cells, so splitting on commas is exact
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if "backend" in header:
+        col = header.index("backend")
+        for i in range(1, len(lines)):
+            if lines[i]:
+                cells = lines[i].split(",")
+                cells[col] = "*"
+                lines[i] = ",".join(cells)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def digraph(n, edges):

@@ -23,8 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     BULK_DRAW_BOUNDS,
     CC,
-    CLASS_MASS_EDGES,
-    CLASS_OFFSET_EDGES,
+    CLASS_EDGES,
     ROOT,
     bidirectional_pair,
     build_kernel,
@@ -35,9 +34,11 @@ from conftest import (
     flood_consensus,
     kernel_consensus,
     load_kernel,
+    masked_digest,
     ring,
 )
-from zoomgrad import graph
+from zoomgrad import graph, optimizer
+from zoomgrad.config import RunConfig
 from zoomgrad.consensus import engine
 from zoomgrad.consensus.engine import (
     ROUND_CAP,
@@ -51,6 +52,7 @@ from zoomgrad.consensus.engine import (
 from zoomgrad.graph import Digraph, generate_random_digraph
 from zoomgrad.quantizer import QuantizerState, grid_point, quantize
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
+from zoomgrad.runner import cmd_run
 
 Q_HALF = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 
@@ -488,6 +490,46 @@ def test_backend_parity(kernel, n):
             kernel_point, y, Q_HALF, g, seed
         )
         assert_each_piece_once(kernel, y, g, seed)
+
+
+# The reports of the run below, with the backend column masked.
+AT_SCALE_DIGESTS = {
+    "history.csv": "0ee29cfc262ed19c7fa57a3328d6814b7193058e117b06bbb30e6ff94ffbfed5",
+    "summary.csv": "2d7548daabf0620bcef227d3fc1bbcf153eddd03ffeed5ec168d7b38bb325174",
+}
+
+
+def test_kernel_matches_the_pure_path_at_the_size_it_targets(kernel, monkeypatch, tmp_path):
+    # n=1000, p=1/50, seed 0 to the stop rule on the compiled backend (116
+    # steps, no declined call): the reports keep their bytes, and every 10th
+    # consensus call, replayed on the pure path from the same masses and
+    # generator state, gives the same level, rounds, alphabet and generator
+    # state.  The whole run would take the pure path about 24 s.
+    calls, sampled = [], []
+
+    def sampling(y, q, g, rng):
+        before = rng.getstate()
+        m, stats = run_consensus(y, q, g, rng)
+        if len(calls) % 10 == 0:
+            sampled.append((y, q, g, before, m, stats, rng.getstate()))
+        calls.append(m)
+        return m, stats
+
+    monkeypatch.setattr(optimizer, "run_consensus", sampling)
+    assert cmd_run(RunConfig(n=1000, edge_prob=F(1, 50), seed=0, out_dir=str(tmp_path))) == 0
+    assert {path.name: masked_digest(path.read_text()) for path in tmp_path.iterdir()} == AT_SCALE_DIGESTS
+    assert len(calls) == 116 and len(sampled) == 12
+    for y, q, g, before, m, stats, after in sampled:
+        assert isinstance(stats.pieces, bytes)  # the kernel ran it
+        rng = PCG32(0)
+        rng.setstate(before)
+        m_pure, pure = run_consensus(y, q, g, rng, force_backend="pure")
+        assert (m_pure, pure.rounds, set(pure.measured_alphabet), rng.getstate()) == (
+            m,
+            stats.rounds,
+            set(stats.measured_alphabet),
+            after,
+        )
 
 
 def test_kernel_bails_to_pure_on_huge_masses(kernel):
@@ -957,9 +999,7 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
 
     def class_arithmetic():
         for _ in range(10):
-            for args, _ in CLASS_OFFSET_EDGES:
-                kernel.class_offsets(*args)
-            for args, _ in CLASS_MASS_EDGES:
+            for args, _ in CLASS_EDGES:
                 kernel.class_masses(*args)
 
     kernel.run_rounds(large, handle, 2, ROUND_CAP, 0, 1)  # the piece set grows to its size
@@ -1345,8 +1385,8 @@ STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
 # spread masses on the directed ring(7) (D' = 6) to the stop and again
 # capped one round short of it, mid-epoch.  Then runs each of STAR_MASSES
 # on a star from the same states, on one handle per node count.  Last, makes
-# the class arithmetic's calls at its edges (conftest CLASS_OFFSET_EDGES and
-# CLASS_MASS_EDGES), each accepted or declined as its table says.
+# the class arithmetic's calls at its edges (conftest CLASS_EDGES), each
+# accepted or declined as its table says.
 SANITIZED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
@@ -1391,10 +1431,9 @@ for y in json.loads(sys.argv[4]):
     for seed in range(10):
         out = kernel.run_rounds(y, stars[len(y)], 2, 100000, seed, 2 * seed + 1)
         assert out[0] and kernel.run_rounds(y, kernel.csr(rows), 2, 100000, seed, 2 * seed + 1) == out, (len(y), seed)
-for name, edges in (("class_offsets", sys.argv[5]), ("class_masses", sys.argv[6])):
-    for args, declines in json.loads(edges):
-        args[0] = tuple(map(tuple, args[0]))
-        assert (getattr(kernel, name)(*args) is None) == declines, (name, args)
+for args, declines in json.loads(sys.argv[5]):
+    args[0] = tuple(map(tuple, args[0]))
+    assert (kernel.class_masses(*args) is None) == declines, args
 """
 
 
@@ -1417,8 +1456,7 @@ def run_sanitized(tmp_path, cflags, runtimes, **env):
             json.dumps(ABS_SUM_FITS + ABS_SUM_BEYOND + TABLE_REUSE + WINDOW_EDGES + NARROW_EDGES),
             json.dumps(list(BULK_DRAW_BOUNDS.values())),
             json.dumps(STAR_MASSES),
-            json.dumps(CLASS_OFFSET_EDGES),
-            json.dumps(CLASS_MASS_EDGES),
+            json.dumps(CLASS_EDGES),
         ],
         capture_output=True,
         text=True,

@@ -10,7 +10,9 @@ at p in {0, 1}, pinned output bytes) are asserted directly.
 
 import gc
 import hashlib
+import os
 import random
+import re
 import types
 import warnings
 from fractions import Fraction
@@ -451,7 +453,7 @@ def fake_kernel(tmp_path, **attrs):
 
 @pytest.mark.parametrize(
     "attrs",
-    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}, {"ABI": 2}, {"ABI": 3}, {"ABI": 4}, {"ABI": 5}],
+    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}] + [{"ABI": abi} for abi in range(2, 7)],
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
@@ -459,7 +461,8 @@ def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # ABI 2 is the kernel before randbelow_each; ABI 3 is the kernel before
     # the generator handed over its handle; ABI 4 is the kernel before
     # run_rounds returned its alphabet's size; ABI 5 is the kernel before
-    # class_offsets and class_masses.
+    # class_offsets and class_masses; ABI 6 is the kernel before
+    # class_offsets folded into class_masses.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None
@@ -474,6 +477,14 @@ def test_a_kernel_built_for_this_abi_or_none_passes(tmp_path):
         warnings.simplefilter("error")
         assert graph._checked_kernel(current) is current
         assert graph._checked_kernel(None) is None
+
+
+def test_the_kernel_source_declares_this_abi():
+    # Read from the C source's text, so that a source change without the
+    # bump on both sides fails on a host with no C compiler too.
+    with open(os.path.join(os.path.dirname(graph.__file__), "_ckernel.c")) as f:
+        declared = re.findall(r"^#define KERNEL_ABI (\d+)$", f.read(), re.M)
+    assert declared == [str(graph.KERNEL_ABI)]
 
 
 def test_the_built_kernel_passes_the_abi_check(kernel):

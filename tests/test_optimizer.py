@@ -12,8 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     ADAPTIVE,
     CC,
-    CLASS_MASS_EDGES,
-    CLASS_OFFSET_EDGES,
+    CLASS_EDGES,
     REFINE,
     bidirectional_pair,
     consensus_point,
@@ -21,6 +20,7 @@ from conftest import (
     fraction_cost_classes,
     fraction_error_metric,
     fraction_zoom_decide,
+    masked_digest,
     node_costs,
     per_node_spread,
     per_node_step,
@@ -45,7 +45,6 @@ from zoomgrad.optimizer import (
     cost_classes,
     gradient_step,
     grid_masses,
-    grid_offsets,
     initial_state,
     run_until,
     start_masses,
@@ -55,7 +54,7 @@ from zoomgrad.optimizer import (
 )
 from zoomgrad.quantizer import QuantizerState, grid_point
 from zoomgrad.rng import PCG32, STREAM_PROTOCOL
-from zoomgrad.runner import compare, step_costs, sweep
+from zoomgrad.runner import cmd_run, compare, step_costs, sweep
 
 Q0 = QuantizerState.of(b_q=F(0), delta=F(1, 2))
 ALPHA = F(3, 25)
@@ -382,7 +381,7 @@ def test_equal_starts_hold_their_level_before_step_1(x0, level):
     assert st.level == want and type(st.level) is type(want)
     # step 1's masses are every node's half-step from the start, on or off
     # the grid: those of its own level
-    assert st.masses == grid_masses(st.classes, Q0, grid_offsets(st.classes, Q0), level)
+    assert st.masses == grid_masses(st.classes, Q0, level)
 
 
 # --- grid-index half-steps against the per-node oracle ---------------------
@@ -403,7 +402,7 @@ def draw_suite(data, n, betas=BETAS, x0s=X0S):
 @given(st.data())
 def test_grid_masses_match_the_per_node_path(data):
     # The masses come from one integer floor per cost class, from the
-    # per-grid constants of grid_offsets; the oracle is n exact gradient
+    # grid's integers; the oracle is n exact gradient
     # steps, each quantized on the unsaturated grid.  The grid is drawn, or
     # is the one a zoom-out, a zoom-in or a refine moves a drawn grid to.
     # The level is an int (the floor on small integers), a Fraction of
@@ -438,7 +437,7 @@ def test_grid_masses_match_the_per_node_path(data):
     )
     classes = cost_classes(s, alpha)
     want = init_consensus(gradient_step([grid_point(q, level)] * n, s, alpha), q)
-    assert grid_masses(classes, q, grid_offsets(classes, q), level) == want
+    assert grid_masses(classes, q, level) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -825,7 +824,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     x = last.x_value
     assert len(built) > before
     assert x == last.q.b_q + last.level * last.q.delta
-    assert state.masses == grid_masses(state.classes, state.q, state.offsets, state.level)  # the next step's
+    assert state.masses == grid_masses(state.classes, state.q, state.level)  # the next step's
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
@@ -865,39 +864,31 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
 @pytest.fixture
 def class_kernel(built_kernel, no_kernel):
     """The built kernel, called directly, with the package on its pure path,
-    so that ``grid_offsets`` and ``grid_masses`` run the exact formulas."""
+    so that ``grid_masses`` runs the exact formula."""
     if built_kernel is None:
         pytest.skip("no C compiler %r found, so the compiled kernel was not built or checked" % CC)
     return built_kernel
 
 
-def kernel_offsets(kernel, classes, q):
-    return kernel.class_offsets(classes.coeffs, classes.lcm, q.base, q.den, q.step)
+def kernel_masses(kernel, classes, q, level):
+    return kernel.class_masses(classes.coeffs, classes.lcm, classes.node_class, q.base, q.den, q.step, level)
 
 
-def kernel_masses(kernel, classes, offsets, level):
-    return kernel.class_masses(classes.coeffs, classes.lcm, offsets, classes.node_class, level)
+def reached_levels(kernel, run):
+    """Every ``(classes, q, level)`` that ``run()``, on ``kernel``, takes
+    masses at, with the masses it took."""
+    levels = []
 
-
-def reached_grids(kernel, run):
-    """Every ``(classes, q)`` that ``run()``, on ``kernel``, works out the
-    offsets of, and every ``(classes, q, level)`` it takes masses at."""
-    grids, levels = [], []
-
-    def offsets(classes, q):
-        grids.append((classes, q))
-        return grid_offsets(classes, q)
-
-    def masses(classes, q, offsets, level):
-        levels.append((classes, q, level))
-        return grid_masses(classes, q, offsets, level)
+    def masses(classes, q, level):
+        ys = grid_masses(classes, q, level)
+        levels.append((classes, q, level, ys))
+        return ys
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_kernel", kernel)
-        mp.setattr(optimizer, "grid_offsets", offsets)
         mp.setattr(optimizer, "grid_masses", masses)
         run()
-    return grids, levels
+    return levels
 
 
 REACHED = {
@@ -909,17 +900,15 @@ REACHED = {
 @pytest.mark.parametrize("name", sorted(REACHED))
 def test_class_kernel_matches_the_exact_formulas_on_every_reached_grid(class_kernel, name):
     # Every grid and level that the compiled 100-seed default sweep and the
-    # five compare variants reach: the kernel's offsets and masses equal the
-    # exact formulas', and it declines none of them.  Every level there is an
+    # five compare variants reach: the kernel's masses equal the exact
+    # formula's, and it declines none of them.  Every level there is an
     # integer (a refine by 10 keeps it one).
-    grids, levels = reached_grids(class_kernel, REACHED[name])
+    levels = reached_levels(class_kernel, REACHED[name])
+    grids = {(classes, q) for classes, q, _, _ in levels}
     assert len(grids) >= {"sweep": 5000, "compare": 60}[name] and len(levels) >= {"sweep": 9000, "compare": 140}[name]
-    for classes, q in grids:
-        assert kernel_offsets(class_kernel, classes, q) == grid_offsets(classes, q)
-    for classes, q, level in levels:
+    for classes, q, level, ys in levels:
         assert F(level).denominator == 1
-        offsets = grid_offsets(classes, q)
-        assert kernel_masses(class_kernel, classes, offsets, int(level)) == grid_masses(classes, q, offsets, level)
+        assert kernel_masses(class_kernel, classes, q, int(level)) == ys == grid_masses(classes, q, level)
 
 
 def drawn_classes(data, k, mag):
@@ -957,40 +946,26 @@ def assert_drawn_class_parity(kernel, data):
         b_q = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=2**70))
         delta = data.draw(st.fractions(min_value=F(1, 2**60), max_value=10, max_denominator=2**70))
         q = QuantizerState.of(b_q, delta).moved(data.draw(st.integers(-99, 99)), 9, 7)
-    offsets = grid_offsets(classes, q)
-    got = kernel_offsets(kernel, classes, q)
-    assert got is None or got == offsets
     level = data.draw(st.one_of(st.integers(-60, 60), st.integers(-(2**64), 2**64)))
-    ys = kernel_masses(kernel, classes, offsets, level)
-    assert ys is None or ys == grid_masses(classes, q, offsets, level)
+    ys = kernel_masses(kernel, classes, q, level)
+    assert ys is None or ys == grid_masses(classes, q, level)
 
 
 def test_class_kernel_at_its_edges(class_kernel, monkeypatch):
     # Each edge call accepts or declines as the table says, an accepted one
-    # equals the exact formula, and the product's grid_offsets and
-    # grid_masses give the exact formula's result either way.
-    for (coeffs, lcm, base, den, step), declines in CLASS_OFFSET_EDGES:
+    # equals the exact formula, and the product's grid_masses gives the
+    # exact formula's result either way.
+    for (coeffs, lcm, node_class, base, den, step, level), declines in CLASS_EDGES:
         if step == 0 or lcm == 0:  # no grid or class table holds these
-            assert class_kernel.class_offsets(coeffs, lcm, base, den, step) is None
+            assert class_kernel.class_masses(coeffs, lcm, node_class, base, den, step, level) is None
             continue
-        classes, q = CostClasses((0,) * len(coeffs), lcm, coeffs), QuantizerState(den, base, step)
-        want = grid_offsets(classes, q)
-        got = kernel_offsets(class_kernel, classes, q)
+        classes, q = CostClasses(node_class, lcm, coeffs), QuantizerState(den, base, step)
+        want = grid_masses(classes, q, level)
+        got = kernel_masses(class_kernel, classes, q, level)
         assert (got is None) == declines and got in (None, want)
         with monkeypatch.context() as mp:
             mp.setattr(graph, "_kernel", class_kernel)
-            assert grid_offsets(classes, q) == want
-    for (coeffs, lcm, offsets, node_class, level), declines in CLASS_MASS_EDGES:
-        if lcm == 0:
-            assert class_kernel.class_masses(coeffs, lcm, offsets, node_class, level) is None
-            continue
-        classes = CostClasses(node_class, lcm, coeffs)
-        want = grid_masses(classes, Q0, offsets, level)
-        got = kernel_masses(class_kernel, classes, offsets, level)
-        assert (got is None) == declines and got in (None, want)
-        with monkeypatch.context() as mp:
-            mp.setattr(graph, "_kernel", class_kernel)
-            assert grid_masses(classes, Q0, offsets, level) == want
+            assert grid_masses(classes, q, level) == want
     # The first two grids: b_q = 0, delta = 1/2 has both remainders 0, and
     # 1/3 is inexact in a double, though 3 * (1/3) rounds to exactly 1.
     assert QuantizerState.of(F(0), F(1, 2)) == QuantizerState(2, 0, 1)
@@ -1019,13 +994,54 @@ def near_integer_grids(seed, count):
 
 def test_class_offsets_near_an_integer(class_kernel):
     # Where x_c lies within the estimate's error of an integer, the estimate
-    # alone may floor to the wrong side: the kernel must resolve the class
-    # exactly (a step below 2**63) or decline, never return a wrong floor.
+    # alone may floor kappa_c to the wrong side: the kernel must resolve the
+    # class exactly (a step below 2**63) or decline, never return a wrong
+    # mass.  Each grid runs at level 0 with its drawn lcm and again with the
+    # same a_c, lcm 1 and u_c = a_c + 1, whose mass 2*kappa_c + 1 shows an
+    # off-by-one in kappa_c that the floor by a wider lcm could hide.
     resolved = declined = 0
     for classes, q in near_integer_grids(0, 4000):
-        got = kernel_offsets(class_kernel, classes, q)
+        ((u, v),) = classes.coeffs
+        twin = CostClasses((0,), 1, ((u - classes.lcm + 1, v),))
+        got, got_twin = kernel_masses(class_kernel, classes, q, 0), kernel_masses(class_kernel, twin, q, 0)
+        assert (got is None) == (got_twin is None), (classes, q)
         declined += got is None
         if got is not None:
-            assert got == grid_offsets(classes, q), (classes, q)
+            assert got == grid_masses(classes, q, 0) and got_twin == grid_masses(twin, q, 0), (classes, q)
             resolved += q.step < 2**63
     assert resolved > 1000 and declined > 100
+
+
+# The reports of the deep run below, with the backend column masked.
+DEEP_DIGESTS = {
+    "history.csv": "dca1a17839341f3b28e53510585731d061a76423da10bc1cdae181ba31f169a7",
+    "summary.csv": "63e46a8b510bea3ef59b27e59158583d0b93a26c84e211f423584445dc9d8cc6",
+}
+
+
+def test_a_deep_run_declines_class_and_consensus_calls_mid_run(class_kernel, monkeypatch, tmp_path):
+    # n=200, p=1/10, seed 0 to the error target 1e-15 (240 steps): the masses
+    # grow like 1/delta until, mid-run, both kernel calls of a step decline,
+    # the class arithmetic on wide grid ints and the consensus on a sum of
+    # |y| beyond int64.  The pure paths take those calls over, every step's
+    # masses equal the exact formula, and the reports keep their bytes.
+    calls = {"class_masses": [], "run_rounds": []}
+
+    def logged(call, log):
+        def wrapper(*args):
+            log.append(call(*args))
+            return log[-1]
+
+        return wrapper
+
+    for name, log in calls.items():
+        monkeypatch.setattr(class_kernel, name, logged(getattr(class_kernel, name), log))
+    config = RunConfig(
+        n=200, edge_prob=F(1, 10), seed=0, out_dir=str(tmp_path), stop={"max_steps": 400, "target_error": 1e-15}
+    )
+    levels = reached_levels(class_kernel, lambda: cmd_run(config))
+    assert {path.name: masked_digest(path.read_text()) for path in tmp_path.iterdir()} == DEEP_DIGESTS
+    for log in calls.values():
+        assert None in log and any(out is not None for out in log)
+    for classes, q, level, ys in levels:
+        assert ys == grid_masses(classes, q, level)

@@ -15,11 +15,11 @@ with fixed values, so a change that moves one report byte fails here.  The
 every other byte is covered.
 """
 
-import hashlib
 from fractions import Fraction
 
 import pytest
 
+from conftest import masked_digest
 from zoomgrad.config import RunConfig
 from zoomgrad.runner import cmd_compare, cmd_run, cmd_sweep, cmd_table1
 
@@ -169,21 +169,6 @@ DIGESTS = {
     ("table1", "table_avg_bits.csv"): "270c3c4522dce8391ac19b97977714d95d662933c71bf2f6823dd4d95631e15f",
     ("table1", "table_bits.csv"): "da776265ea6ef6e15f25a5f69595f85e4041fc3b50a90942470f8710448dfa77",
 }
-
-
-def masked_digest(text):
-    """SHA-256 of a CSV with every ``backend`` cell replaced by ``*``."""
-    assert '"' not in text  # no quoted cells, so splitting on commas is exact
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    if "backend" in header:
-        col = header.index("backend")
-        for i in range(1, len(lines)):
-            if lines[i]:
-                cells = lines[i].split(",")
-                cells[col] = "*"
-                lines[i] = ",".join(cells)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("backend", ["compiled", "pure"])
