@@ -3,20 +3,36 @@
  * (graph.generate_random_digraph), the graph's diameter (graph.diameter),
  * bulk bounded draws (graph.randbelow_each: the digraph's shuffle, the cost
  * suite's draws and the initial estimates' grid indices) and the
- * optimizer's per-class arithmetic (optimizer.grid_masses).  The draws consume the same PCG32 stream as the
- * pure paths, draw for draw, so every result and the final RNG state are
- * bit-for-bit equal.
+ * optimizer's per-class arithmetic (optimizer.grid_masses).  The draws
+ * consume the same PCG32 stream as the pure paths, draw for draw, so every
+ * result and the final RNG state are bit-for-bit equal.  This header owns
+ * the algorithms and their proofs; the Python docstrings state contracts.
  *
- * A graph's out-adjacency lives in C as one CSR handle (a capsule), which
- * the graph keeps and run_rounds and diameter read on every call.  Node i's
- * row starts with i itself, then lists its out-neighbours in out_adj order,
- * so a consensus draw k in [0, 1 + out-degree) picks row[k] with no branch;
- * diameter skips that first slot.  A generated graph gets its handle from
- * random_out_adj's edge scan, which writes the kept ids into the handle as
- * it draws them; csr flattens the rows of a graph given as rows, on its
- * first kernel call.  Both build it through csr_new and csr_capsule, so
- * there is one layout and one free path.  The handle also keeps run_rounds'
- * piece set and workspace between calls: a call allocates only its result.
+ * The CSR handle.  A graph's out-adjacency lives in C as one handle (a
+ * capsule), which the graph keeps and run_rounds and diameter read on every
+ * call.  Node i's row starts with i itself, then lists its out-neighbours in
+ * out_adj order, so a consensus draw k in [0, 1 + out-degree) picks row[k]
+ * with no branch; diameter skips that first slot.  A generated graph gets
+ * its handle from random_out_adj's edge scan, which writes the kept ids into
+ * the handle as it draws them; csr flattens the rows of a graph given as
+ * rows, on its first kernel call.  Both build it through csr_new and
+ * csr_capsule, so there is one layout and one free path.
+ *
+ * The workspace.  The handle also keeps run_rounds' workspace between
+ * calls, so a call allocates only its result.  workspace_new makes it at the
+ * handle's first call, each array its own allocation so that ASan guards
+ * each one, and workspace_free frees it with the handle: y, z, the split
+ * records, the histogram of first indices, each row's draw bound
+ * 1 + out-degree with its rejection threshold and fastmod constant (Lemire,
+ * Kaser and Kurz, 2019), so a draw's r % bound takes three multiplies and no
+ * division, the narrow split's reciprocals, and the piece set's bitmap and
+ * first table of 64 slots.  The bounds and reciprocals are computed once per
+ * handle.  The histogram is zeroed at the start of every call rather than
+ * trusted from the last one, because a call that fails in a collect pass
+ * exits between the split, which fills it, and the draw, which clears it.  A
+ * handle runs one call at a time: reading w can run an item's __index__, and
+ * a call made from there on the same handle raises RuntimeError rather than
+ * overwrite the workspace under the running one.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, the max ceil(y/z) / min floor(y/z) snapshot at each
@@ -25,16 +41,20 @@
  * per-piece oracle; the kernel splits a node in closed form instead.  With
  * y = q z + r and 0 <= r < z, those pieces are z - max(r, 1) copies of q and
  * then max(r, 1) - 1 copies of q + 1, and the node keeps q + (r > 0) with
- * z = 1.  A round is three flat passes, each doing one kind of work:
+ * z = 1 (a node with z = 1 has q = y and r = 0 and sends nothing).  A round
+ * is three flat passes, each doing one kind of work:
  *   - split: per node one floor division, whatever z is, a fold of the
- *     node's floor and ceil into the round's extremes (the epoch-start
- *     snapshot: deliveries wait until every node has split, so no (y, z)
- *     changes before its turn), y = ceil, z = 1, and a record of q, z, r
- *     and the index of the node's first piece in the round's sending order,
- *     the running sum of z - 1.  No piece-set call and no draw.  A narrow
- *     round (below) divides without a 64-bit divide: every y/z lies in
- *     [wb, wb + 64), so off = y - z wb, taken mod 2**64, is exact and below
- *     64 z, and z <= n + 1 since z sums to 2n.  Then q - wb is
+ *     node's floor and ceil into the round's extremes, y = ceil, z = 1, and a
+ *     record of q, z, r and the index of the node's first piece in the
+ *     round's sending order, the running sum of z - 1.  No piece-set call
+ *     and no draw.  The extremes are the epoch-start snapshot: deliveries
+ *     wait until every node has split, so no (y, z) changes before its turn.
+ *     A wide round's division truncates, so a negative remainder moves q
+ *     down by one and r up by z.  A narrow round (below) divides without a
+ *     64-bit divide: every y/z lies in [wb, wb + 64), even in the round that
+ *     starts a new epoch (its range lies in the old one), so
+ *     off = y - z wb, taken mod 2**64, is exact and below 64 z, and
+ *     z <= n + 1 since z sums to 2n.  Then q - wb is
  *     off * ceil(2**57 / z) >> 57, exact while 64 (n + 1)**2 < 2**57, and the
  *     product stays below 2**64; csr_new refuses n + 1 >= 2**25, so that
  *     bound always holds.  The two split loops share their per-node body
@@ -42,60 +62,61 @@
  *   - collect: in node order, q (when z > 1) and q + 1 (when r > 1) go into
  *     the piece set.  A narrow round has no collect pass.
  *   - draw: one loop over the round's n pieces (z sums to 2n, so z - 1 sums
- *     to n), in sending order.  A piece's owner is the last node whose first
- *     index is at most the piece's, read from a histogram of the first
- *     indices by a running sum; the piece takes one draw, as in the oracle,
- *     goes to row[draw] and is added there at once, since the split has
- *     already left every node at (ceil, 1) and the draw reads only the
- *     split records.
- * The workspace lives on the handle, each array its own allocation, made at
- * the handle's first call and freed with it: y, z, the split records, the
- * histogram, each row's draw bound 1 + out-degree with its rejection
- * threshold and fastmod constant (Lemire, Kaser and Kurz, 2019), so a draw's
- * r % bound takes three multiplies, no division, and the narrow split's
- * reciprocals.  The bounds and reciprocals are computed once per handle.
- * The histogram is zeroed at the start of every call rather than trusted
- * from the last one, because a call that fails in a collect pass exits
- * between the split, which fills it, and the draw, which clears it.  A
- * handle runs one call at a time: reading w can run an item's __index__,
- * and a call made from there on the same handle raises RuntimeError rather
- * than overwrite the workspace under the running one.
+ *     to n), in sending order.  Piece j is its owner's piece
+ *     k = j - first + 1 of z - 1, which is q + (k > z - r); the owner is the
+ *     last node whose first index is at most j, read from the histogram of
+ *     the first indices by a running sum, which clears it.  The piece takes
+ *     one draw, as in the oracle, goes to row[draw] and is added there at
+ *     once, since the split has already left every node at (ceil, 1) and the
+ *     draw reads only the split records.
  *
  * The piece set.  While an epoch's range is wide, the call's distinct pieces
  * go into an open-addressing hash set on the handle, which a new call
- * empties in O(1).  At the first epoch start whose snapshot range M - m is
- * below WINDOW (16384), the set becomes a bitmap over [m, m + WINDOW) for
- * the rest of the call, seeded from the pieces already sent, and is updated
- * without branches.  That is exact because the ranges nest: once every y/z
- * lies in [m, M], every piece (a floor) and every kept value (a ceil) does
- * too, so every later holding, being their average, and every later piece
- * and snapshot stay in [m, M].  By the same argument, once windowed, an
- * epoch start whose range M - m is below 64 makes every later round narrow:
- * its pieces lie in [wb, wb + 64) for wb that epoch's m, so the split pass
- * ORs them into one register word, bit k for the value wb + k, and no
- * collect pass runs.  The word goes into the bitmap at each later epoch
- * start, which moves wb to the new m, and after the last round.  The call
- * returns the number of distinct pieces and the pieces themselves, each
- * once and in no promised order, as one bytes object of native int64
- * values: the copy out is O(distinct pieces), with no Python int built per
- * piece.
+ * empties in O(1) by taking a new stamp.  At the first epoch start whose
+ * snapshot range M - m is below WINDOW (16384), the set becomes a bitmap
+ * over [m, m + WINDOW) for the rest of the call, seeded from the pieces
+ * already sent, and is updated without branches.  That is exact because the
+ * ranges nest: once every y/z lies in [m, M], every piece (a floor) and every
+ * kept value (a ceil) does too, so every later holding, being their average,
+ * and every later piece and snapshot stay in [m, M].  By the same argument,
+ * once windowed, an epoch start whose range M - m is below 64 makes every
+ * later round narrow: its pieces lie in [wb, wb + 64) for wb that epoch's m,
+ * so the split pass ORs them into one register word, bit k for the value
+ * wb + k, and no collect pass runs.  The word is exact in a narrow round,
+ * since q + 1 <= M < wb + 64 when r > 1; in any other it is dropped unread.
+ * It goes into the bitmap at each later epoch start, which moves wb to the
+ * new m, and after the last round.  The call returns the number of distinct
+ * pieces and the pieces themselves, each once and in no promised order, as
+ * one bytes object of native int64 values: the copy out is O(distinct
+ * pieces), with no Python int built per piece.
  *
- * Masses are plain int64.  One check before the first round bounds every
- * value the run computes, each partial sum of the draw pass included, by
- * the initial sum of |y|; an instance whose sum does not fit int64 is
- * declined (returns None) before any draw.  The split never forms q z in
+ * Headroom.  Masses are plain int64.  A piece floor(y/z) and the remainder
+ * it leaves both lie between 0 and the holder's y, so a split keeps sum |y|;
+ * a delivery only adds pieces, which can cancel, so sum |y| never grows.
+ * Every holding, every piece, every partial sum y[tgt] of the draw pass (the
+ * node's kept ceil plus some of the pieces sent to it) and the snapshot span
+ * M - m therefore stay within the initial S = sum |y| for the whole run.  So
+ * one check before the first round suffices: an instance whose S does not
+ * fit int64 is declined (returns None) before any draw.  Python builds
+ * extensions with -fwrapv, where an overflow would wrap silently rather than
+ * trap, so nothing else would catch one.  The split never forms q z in
  * signed arithmetic, where that bound does not cover it: at
  * y = -(2**63 - 1), z = 3 it is below INT64_MIN.  The kernel works on a
  * copy of the RNG state, so a decline leaves the caller's generator where
- * it was and the pure path replays the identical run.  At a stop it
- * checks, in O(n), that z sums to 2n, that y kept its initial sum and that
- * m lies in the first snapshot and equals floor(sum(y) / 2n); a violation
- * raises RuntimeError.
+ * it was and the pure path replays the identical run.
+ *
+ * The stop's invariants.  At a stop it checks, in O(n), that z sums to 2n,
+ * that y kept its initial sum and that m lies in the first snapshot and
+ * equals floor(sum(y) / 2n) (engine.py has the proof), taken as a floor for
+ * a negative sum too; a violation raises RuntimeError.  Every partial sum
+ * of y lies within S (Headroom), and z sums to 2n, so no sum wraps.
  *
  * diameter runs graph.diameter's reach recurrence on rows of uint64 words
- * and returns -1 when the graph is not strongly connected.  Level 1 is set
- * bit by bit from the rows, and from level 2 a row stops taking its
- * neighbours' rows once it is full, testing that every 8 neighbours.
+ * and returns -1 when the graph is not strongly connected.  Level 1, {u}
+ * and its out-neighbours, is set bit by bit from the rows; from level 2 a
+ * row ORs its out-neighbours' rows and stops once it is full, since a full
+ * row cannot change, testing that every 8 neighbours (a test per neighbour
+ * costs more than it saves on sparse rows).
  *
  * class_masses is the optimizer's grid_masses at an int level L on int64
  * values, one call per step.  It returns None when a value leaves the range
@@ -125,7 +146,8 @@
  * est - floor(est) and floor(est) + 1 - est, each computed with at most one
  * rounding, exceed it: then the true distances exceed
  * 4 s u (1 - u) / (1 + u) > 3.01 s u, so x_c lies strictly between the same
- * two integers and floor(x_c) = floor(est).  A term whose remainder is 0 is
+ * two integers and floor(x_c) = floor(est).  The truncation that forms
+ * floor(est) is exact, since |est| < 2**55.  A term whose remainder is 0 is
  * exactly 0 in x_c and in est, so it leaves out its coefficient from s; a
  * grid whose remainders are both 0 has x_c = est = 0 and B_c = 0.  A class
  * whose est lies within B_c of an integer (an exact integer x_c among
@@ -147,8 +169,7 @@
  * untracked by the cyclic GC, since it holds only ints.
  *
  * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
- * sequence in turn, through the same draw_below as run_rounds: a bound <= 1
- * takes no draw, and a bound above 2**32 raises ValueError.
+ * sequence in turn, through the same draw_below as run_rounds.
  *
  * Build: setup.py compiles it as the optional extension zoomgrad._ckernel;
  * no code generator is involved.  The module exports ABI = KERNEL_ABI;
@@ -228,18 +249,12 @@ static uint32_t draw_below(const Bound *b, uint64_t *state, uint64_t inc)
 #define NARROW_SHIFT 57
 #define MAX_NODES ((1 << 25) - 2)
 
-/* The distinct pieces a run sends, kept on the graph handle and reused by
- * every run_rounds call on it, so its arrays stay at their largest size
- * instead of starting small and regrowing on each call.
- *
- * While the call's ranges are wide the set is an open-addressing hash
- * table.  A slot holds a piece of the current call only when its stamp
- * equals the call's number; each call takes a new number, which empties
- * every slot at once.  The table is kept at most half full.  Once windowed,
- * the set is the bitmap bits over [base, base + WINDOW) instead, 2 KiB, and
- * the table is no longer read.  Either way seen lists each of the call's
- * pieces once, in no promised order, and is what the call returns; len is
- * their number. */
+/* The piece set (see the header), reused by every run_rounds call on a
+ * handle, so its arrays stay at their largest size.  A slot holds a piece of
+ * the current call only when its stamp equals the call's number; the table
+ * is kept at most half full.  Once windowed, the set is the bitmap bits over
+ * [base, base + WINDOW), 2 KiB, and the table is no longer read.  Either way
+ * seen lists each of the call's pieces once, and len is their number. */
 typedef struct {
     int64_t piece;
     uint64_t call;
@@ -254,13 +269,6 @@ typedef struct {
     int64_t base;
     int windowed;
 } PieceSet;
-
-static void pieces_free(PieceSet *s)
-{
-    PyMem_Free(s->slot);
-    PyMem_Free(s->seen);
-    PyMem_Free(s->bits);
-}
 
 /* Room in seen for cap pieces, keeping those it lists; -1 with an
  * exception set, and s unchanged, on error. */
@@ -321,21 +329,12 @@ static int pieces_table(PieceSet *s, size_t cap)
     return 0;
 }
 
-/* Start a call with an empty set: the first call allocates the bitmap and
- * 64 slots, every call takes the next stamp.  O(1); -1 with an exception
- * set on error. */
-static int pieces_begin(PieceSet *s)
+/* Start a call with an empty set: the next stamp empties the table.  O(1). */
+static void pieces_begin(PieceSet *s)
 {
     s->len = 0;
     s->windowed = 0;
-    if (s->bits == NULL && (s->bits = PyMem_Malloc(WINDOW_WORDS * sizeof(uint64_t))) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (s->slot == NULL && pieces_table(s, 64) < 0)
-        return -1;
     s->call++;
-    return 0;
 }
 
 /* Insert c into the table unless present, and double the table when it is
@@ -466,14 +465,9 @@ static void pieces_merge(PieceSet *s, uint64_t word, int64_t wb)
     }
 }
 
-/* A graph's out-adjacency in CSR form: node i's row idx[ptr[i]:ptr[i+1]]
- * is i itself, then its out-neighbours in the order of its out_adj row.
- * csr() and random_out_adj build one per graph and hand it to Python as a
- * capsule; run_rounds and diameter read it, and run_rounds keeps its piece
- * set and its workspace there between calls: y, z, the split records, the
- * histogram of first indices, each row's draw Bound and the reciprocals
- * recip[z] = ceil(2**NARROW_SHIFT / z) for 1 <= z <= n + 1, and busy while
- * a run_rounds call holds them. */
+/* The CSR handle (see the header): node i's row idx[ptr[i]:ptr[i+1]], then
+ * run_rounds' workspace, with recip[z] = ceil(2**NARROW_SHIFT / z) for
+ * 1 <= z <= n + 1, and busy while a run_rounds call holds it. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *ptr;
@@ -489,6 +483,7 @@ typedef struct {
 
 #define CSR_NAME "zoomgrad._ckernel.csr"
 
+/* Free g's workspace and piece set, leaving both empty. */
 static void workspace_free(Csr *g)
 {
     PyMem_Free(g->y);
@@ -497,17 +492,22 @@ static void workspace_free(Csr *g)
     PyMem_Free(g->starts);
     PyMem_Free(g->bounds);
     PyMem_Free(g->recip);
+    PyMem_Free(g->pieces.slot);
+    PyMem_Free(g->pieces.seen);
+    PyMem_Free(g->pieces.bits);
     g->y = g->z = NULL;
     g->split = NULL;
     g->starts = NULL;
     g->bounds = NULL;
     g->recip = NULL;
+    memset(&g->pieces, 0, sizeof(PieceSet));
 }
 
 /* Make g's workspace at its first run_rounds call, each array its own
- * allocation (so that ASan guards each one), with the bounds and the
- * reciprocals, which depend only on the graph; -1 with an exception set,
- * and none of it kept, on error. */
+ * allocation (so that ASan guards each one): the arrays, the bounds and
+ * the reciprocals, which depend only on the graph, and the piece set's
+ * bitmap and first table of 64 slots; -1 with an exception set, and none
+ * of it kept, on error. */
 static int workspace_new(Csr *g)
 {
     size_t i, n = (size_t)g->n;
@@ -517,8 +517,9 @@ static int workspace_new(Csr *g)
     g->starts = PyMem_Malloc((n + 1) * sizeof(Py_ssize_t));
     g->bounds = PyMem_Malloc(n * sizeof(Bound));
     g->recip = PyMem_Malloc((n + 2) * sizeof(uint64_t));
+    g->pieces.bits = PyMem_Malloc(WINDOW_WORDS * sizeof(uint64_t));
     if (g->y == NULL || g->z == NULL || g->split == NULL || g->starts == NULL || g->bounds == NULL ||
-        g->recip == NULL) {
+        g->recip == NULL || g->pieces.bits == NULL || pieces_table(&g->pieces, 64) < 0) {
         workspace_free(g);
         PyErr_NoMemory();
         return -1;
@@ -535,7 +536,6 @@ static void csr_free(Csr *g)
 {
     PyMem_Free(g->ptr);
     PyMem_Free(g->idx);
-    pieces_free(&g->pieces);
     workspace_free(g);
     PyMem_Free(g);
 }
@@ -698,17 +698,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     recip = g->recip;
     ptr = g->ptr;
     idx = g->idx;
-    /* Headroom.  A piece floor(y/z) and the remainder it leaves both lie
-       between 0 and the holder's y, so a split keeps sum |y|; a delivery only
-       adds pieces, which can cancel, so sum |y| never grows.  Every holding,
-       every piece, every partial sum y[tgt] of the draw pass (the node's kept
-       ceil plus some of the pieces sent to it) and the snapshot span M - m
-       therefore stay within the initial S = sum |y| for the whole run.
-       Decline unless S fits int64: a mass beyond int64, a mass equal to
-       INT64_MIN, or a running sum that would pass INT64_MAX (tested before
-       the add, so the sum never wraps).  Python builds extensions with
-       -fwrapv, where an overflow would wrap silently rather than trap, so
-       nothing else would catch one. */
+    /* Headroom (see the header): decline unless sum |y| fits int64, on a
+       mass beyond int64, a mass equal to INT64_MIN, or a running sum that
+       would pass INT64_MAX (tested before the add, so it never wraps) */
     for (i = 0; i < n; i++) {
         y[i] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(w, i), &overflow);
         if (y[i] == -1 && PyErr_Occurred())
@@ -725,8 +717,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
        that fails in a collect pass leaves that round's counts in it */
     memset(starts, 0, (size_t)(n + 1) * sizeof(Py_ssize_t));
     pieces = &g->pieces;
-    if (pieces_begin(pieces) < 0)
-        goto done;
+    pieces_begin(pieces);
 
     f.wb = 0;
     f.word = 0;
@@ -734,18 +725,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     for (lam = phase = 1; lam <= max_rounds; lam++, phase = phase + 1 == d_eff ? 0 : phase + 1) {
         Py_ssize_t owner = -1;
 
-        /* split: with y = q z + r, 0 <= r < z, shedding z - 1 pieces
-           floor(y/z) one at a time sends z - max(r, 1) pieces q, then
-           max(r, 1) - 1 pieces q + 1, and keeps q + (r > 0) with z = 1.  A
-           node with z = 1 has q = y and r = 0, sends nothing, and its floor
-           and ceil are both y.  In a wide round the division truncates, so a
-           negative remainder moves q down by one and r up by z.  In a narrow
-           round every y/z lies in [wb, wb + 64), even in the round that
-           starts a new epoch (its range lies in the old one), so the split
-           takes q - wb = off recip[z] >> NARROW_SHIFT for off = y - z wb mod
-           2**64 (see the header).  The narrow word is exact in a narrow
-           round, since q + 1 <= M < wb + 64 when r > 1; in any other it is
-           dropped unread */
+        /* split (see the header): q - wb = off recip[z] >> NARROW_SHIFT
+           for off = y - z wb mod 2**64 in a narrow round, a truncating
+           division moved to the floor in a wide one */
         f.hi_max = INT64_MIN;
         f.lo_min = INT64_MAX;
         f.first = 0;
@@ -761,8 +743,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
                 int neg = r < 0;
                 split_node(&f, &split[i], starts, &y[i], &z[i], q - neg, r + (neg ? zi : 0));
             }
-        /* epoch start: those extremes are the snapshot of the round's start,
-           since no node's (y, z) changed before its turn */
+        /* epoch start: the extremes are its snapshot */
         if (phase == 1) {
             M = f.hi_max;
             m = f.lo_min;
@@ -780,11 +761,9 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
             }
         }
 
-        /* collect, unless the round is narrow: q, then q + 1, of each node
-           that sends them, in node order.  Once an epoch's range fits the
-           window, every later piece lies in it (the ranges nest), so the set
-           is a bitmap from then on; once it fits one word, the rounds after
-           the epoch start collect into the narrow word instead */
+        /* collect, unless the round is narrow; the first range that fits
+           the window windows the set, and the first that fits one word
+           makes the later rounds narrow */
         if (!narrow) {
             if (!pieces->windowed && M - m < WINDOW && pieces_window(pieces, m, (uint64_t)(M - m) + 1) < 0)
                 goto done;
@@ -802,14 +781,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
             f.word = 0;
         }
 
-        /* draw and deliver: the round's n pieces (z sums to 2n, so z - 1
-           sums to n) in sending order, one draw each, to the node itself
-           (row slot 0) or an out-neighbour, which adds it at once: every
-           node already holds its kept (ceil, 1), and this pass reads only the
-           split records.  Piece j is its owner's piece k = j - first + 1 of
-           z - 1, which is q + (k > z - r); the owner is the last node whose
-           first index is at most j.  The histogram of first indices is
-           cleared as it is read */
+        /* draw and deliver the round's n pieces in sending order */
         for (j = 0; j < n; j++) {
             const Split *sp;
             Py_ssize_t tgt;
@@ -832,11 +804,7 @@ static PyObject *run_rounds(PyObject *self, PyObject *args)
     if (narrow)
         pieces_merge(pieces, f.word, f.wb);
 
-    /* the stop's invariants, in O(n): both masses conserved, the output
-       inside the first snapshot, and the output the floor of the mean
-       sum(y) / 2n (engine.py has the proof), taken as a floor for a
-       negative sum too.  Every partial sum of y lies within the initial
-       sum |y| (see Headroom), and z sums to 2n, so no sum wraps */
+    /* the stop's invariants (see the header) */
     if (stopped) {
         int64_t two_n = 2 * (int64_t)n;
         for (i = 0; i < n; i++) {
@@ -878,11 +846,8 @@ static int row_full(const uint64_t *row, Py_ssize_t words, uint64_t tail)
     return row[words - 1] == tail;
 }
 
-/* Level-synchronous reach sets on n-bit rows of uint64 words: the same
- * recurrence as graph.diameter's big-int loop.  Level 1, {u} and its
- * out-neighbours, is set bit by bit from the CSR rows, which start with u
- * itself; from level 2 a row ORs its out-neighbours' rows, 8 at a time,
- * and stops once it is full, since a full row cannot change. */
+/* Level-synchronous reach sets on n-bit rows of uint64 words (see the
+ * header). */
 static PyObject *diameter(PyObject *self, PyObject *handle)
 {
     const Csr *g;
@@ -932,8 +897,7 @@ static PyObject *diameter(PyObject *self, PyObject *handle)
             memcpy(dst, src, (size_t)words * sizeof(uint64_t));
             if (full[u])
                 continue;
-            /* past u itself; fullness is tested once per 8 neighbours, as a
-               test per neighbour costs more than it saves on sparse rows */
+            /* past u itself; fullness is tested once per 8 neighbours */
             for (e = g->ptr[u] + 1; e < end;) {
                 Py_ssize_t chunk = e + 8 < end ? e + 8 : end;
                 for (; e < chunk; e++) {
@@ -1266,13 +1230,9 @@ static PyObject *class_masses(PyObject *self, PyObject *args)
         if (a <= -EXACT || a >= EXACT || v <= -EXACT || v >= EXACT || !mul_i64(a, qb, &kappa) ||
             !mul_i64(v, qd, &tv) || !add_i64(kappa, tv, &kappa))
             goto decline;
-        /* x = floor(est) when est lies more than the bound from every
-           integer: the truncation, moved down for a negative fraction, is
-           exact since |est| < 2**55.  A term whose remainder is 0 is exact
-           in est and adds nothing to the bound, so a grid whose remainders
-           are both 0 takes x = 0 = est with bound 0.  Nearer an integer,
-           the nearest integer j is x or x + 1, and the sign of
-           a rb + v rd - j step, read mod 2**64, settles x (see the header) */
+        /* x = floor(est) unless est lies within the bound of an integer;
+           then the sign of a rb + v rd - j step, for j the nearest integer,
+           read mod 2**64, settles x (see the header) */
         est = (double)a * fb + (double)v * fd;
         bound = (double)((rb_zero ? 0 : (a < 0 ? -a : a)) + (rd_zero ? 0 : (v < 0 ? -v : v))) * BOUND_SCALE;
         x = (int64_t)est;
@@ -1328,54 +1288,37 @@ done:
 static PyMethodDef methods[] = {
     {"csr", csr, METH_O,
      "csr(out_adj)\n\n"
-     "The out-adjacency rows flattened into C, as an opaque handle that\n"
-     "run_rounds and diameter take in place of the rows.  random_out_adj\n"
-     "returns a generated graph's handle itself."},
+     "The graph handle of the out-adjacency rows, for run_rounds and\n"
+     "diameter.  Raises ValueError on an id out of range or on more than\n"
+     "2**25 - 2 nodes."},
     {"run_rounds", run_rounds, METH_VARARGS,
      "run_rounds(w, graph, d_eff, max_rounds, rng_state, rng_inc)\n\n"
-     "Run the epoch-snapshot consensus on initial value masses w (count mass 2\n"
-     "each) over a graph handle from csr or random_out_adj, whose node count\n"
-     "must be len(w).  Returns None, before any draw, when the sum of |w|\n"
-     "exceeds int64: no value in the run can exceed that sum, so every other\n"
-     "instance runs in int64.  Otherwise returns (stopped, rounds, m, size,\n"
-     "alphabet, rng_state): the common floor m on a stop, the number of\n"
-     "distinct pieces sent, those pieces as bytes of packed native int64, each\n"
-     "once and in no promised order (memoryview(alphabet).cast('q') reads\n"
-     "them), and the generator state after the last round.\n"
-     "Raises RuntimeError when a stop breaks sum(z) = 2n, moves sum(y) or\n"
-     "puts m outside the first snapshot [min floor, max ceil]."},
+     "The consensus on initial value masses w over a graph handle of len(w)\n"
+     "nodes: (stopped, rounds, m, size, alphabet, rng_state), the distinct\n"
+     "pieces as bytes of packed native int64, each once in no promised order.\n"
+     "Returns None, before any draw, when the sum of |w| exceeds int64.\n"
+     "Raises RuntimeError when a stop breaks an invariant or the handle is\n"
+     "running another call."},
     {"diameter", diameter, METH_O,
      "diameter(graph)\n\n"
-     "Longest shortest directed path of a graph handle from csr or\n"
-     "random_out_adj, or -1 when some node does not reach another."},
+     "Longest shortest directed path of a graph handle, or -1 when some\n"
+     "node does not reach another."},
     {"random_out_adj", random_out_adj, METH_VARARGS,
      "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
-     "Out-adjacency of the random digraph on n = len(succ) nodes whose\n"
-     "Hamiltonian cycle sends u to succ[u].  Scans the pairs (u, v) in\n"
-     "lexicographic order: skips u == v, keeps v == succ[u] without a draw,\n"
-     "and keeps any other pair when the next 32-bit draw is below threshold.\n"
-     "Raises ValueError, before any draw, when succ holds an id outside\n"
-     "[0, n).  Returns (rows, graph, rng_state): a tuple of sorted int tuples,\n"
-     "the same adjacency as the handle csr(rows) would make, and the\n"
-     "generator state after the last draw."},
+     "The random digraph on len(succ) nodes over the cycle u -> succ[u]:\n"
+     "(rows, graph, rng_state), sorted int tuples and their graph handle.\n"
+     "Raises ValueError, before any draw, on an id of succ outside [0, n)."},
     {"randbelow_each", randbelow_each, METH_VARARGS,
      "randbelow_each(bounds, rng_state, rng_inc)\n\n"
-     "PCG32.randbelow(b) for each bound b in turn, on the generator with that\n"
-     "state and increment: a bound <= 1 gives 0 and takes no draw, and a bound\n"
-     "above 2**32 raises ValueError.  Returns (draws, rng_state): a list of\n"
-     "ints and the generator state after the last draw."},
+     "PCG32.randbelow(b) for each bound b in turn: (draws, rng_state).\n"
+     "Raises ValueError on a bound above 2**32."},
     {"class_masses", class_masses, METH_VARARGS,
      "class_masses(coeffs, lcm, node_class, base, den, step, level)\n\n"
      "The list of 2 floor((u_c level + kappa_c) / lcm) + 1 for the class\n"
      "c = node_class[i] of each node i, where (u_c, v_c) = coeffs[c] and\n"
-     "kappa_c = floor(((u_c - lcm) base + v_c den) / step) on the grid of the\n"
-     "ints base, den and step: one divmod pair per call and int64 arithmetic\n"
-     "per class, so the nodes of one class share its int.  Returns None when\n"
-     "a value leaves the range it handles (|u_c - lcm| or |v_c| reaching\n"
-     "2**53, base // step, den // step, lcm or level beyond int64, an int64\n"
-     "overflow, a class too near an integer to settle in int64, lcm < 1 or\n"
-     "step 0); raises only on arguments of the wrong type or shape, or a\n"
-     "class index out of range."},
+     "kappa_c = floor(((u_c - lcm) base + v_c den) / step).  Returns None\n"
+     "when a value leaves the range it handles; raises only on arguments of\n"
+     "the wrong type or shape, or a class index out of range."},
     {NULL, NULL, 0, NULL},
 };
 

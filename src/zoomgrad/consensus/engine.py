@@ -8,11 +8,8 @@ Inputs.  ``run_consensus(y, q, g, rng)`` takes the initial value masses,
 not the inputs: node i starts at ``y[i] = 2*(Q(x_i) - b_q)/delta``, an odd
 integer (``init_consensus`` computes it from the inputs, the optimizer in
 integers), and at count mass ``z[i] = 2``, so ``sum(y)/sum(z)`` is the
-average quantized input in basis-relative ``delta`` units.  ``q`` is not read; it stays
-the second positional argument for the benchmark's backend parity replay
-(``perfbench/run.py`` ``parity_run``), which passes
-``force_backend="pure"``.  ``rng`` is the run's PCG32, the protocol's only
-randomness.
+average quantized input in basis-relative ``delta`` units.  ``rng`` is the
+run's PCG32, the protocol's only randomness.
 
 Each round, with ``D' = max(diameter, 2)``: at an epoch start
 (``lambda mod D' == 1``) the extremes ``M = max ceil(y_i/z_i)`` and
@@ -25,8 +22,8 @@ equals what the protocol's per-round max/min flood holds at each epoch
 end, and the flood draws nothing, so the RNG stream is the same.
 
 Result.  The level ``m`` of the common grid point ``b_q + m*delta``, and a
-``ConsensusStats``: the rounds and the distinct pieces sent (their number
-and the pieces themselves).  ``y`` is never modified.
+``ConsensusStats``.  ``y`` is never modified, so a caller may run the same
+masses again.
 
 Backends and decline.  The C kernel's ``run_rounds`` (``_ckernel.c``,
 whose header owns the algorithm) runs when it is built; ``graph._kernel``
@@ -67,15 +64,10 @@ ROUND_CAP = 100_000
 
 
 class ConsensusStats(NamedTuple):
-    """Counts of one consensus run.
-
-    ``alphabet_size`` is the number of distinct pieces sent, which is all
-    the product reads.  ``pieces`` holds them, each once and in no promised
-    order: bytes of packed native int64 from the kernel, a ``set`` on the
-    pure path.  ``measured_alphabet`` reads them as a collection, built when
-    read: a ``memoryview`` of format ``'q'`` over the kernel's bytes, the set
-    itself on the pure path.  Compare two runs' alphabets as ``set(...)``.
-    """
+    """Counts of one consensus run: its rounds, and the distinct pieces sent,
+    their number ``alphabet_size`` and the pieces themselves, each once in no
+    promised order (bytes of packed native int64 from the kernel, a ``set``
+    on the pure path)."""
 
     n: int
     rounds: int
@@ -84,12 +76,15 @@ class ConsensusStats(NamedTuple):
 
     @property
     def measured_alphabet(self) -> Collection[int]:
+        """The pieces as a collection; compare two as ``set(...)``.  Read only
+        by the benchmark's ``perfbench/tracing.py`` ``_count_consensus``."""
         pieces = self.pieces
         return memoryview(pieces).cast("q") if isinstance(pieces, bytes) else pieces
 
     @property
     def mass_transmissions(self) -> int:
-        """Every round sends exactly n pieces (sum z = 2n)."""
+        """Every round sends exactly n pieces (sum z = 2n).  Read only by the
+        benchmark's ``parity_run`` and ``_count_consensus``."""
         return self.n * self.rounds
 
 
@@ -108,28 +103,20 @@ def active_backend() -> str:
 
 
 def effective_epoch(diam: int) -> int:
-    """Flooding epoch length D' = max(D, 2) (reset test is vacuous at D=1).
-
-    ``run_consensus``'s kernel path keeps it in the graph's binding
-    (``_bind``), worked out once per graph and kernel."""
+    """Flooding epoch length D' = max(D, 2) (reset test is vacuous at D=1)."""
     return max(diam, 2)
 
 
 def init_consensus(x_half, q: QuantizerState) -> list[int]:
-    """Per-node initial value masses y = 2*(Q(x_i) - b_q)/delta (z starts at 2).
+    """Per-node initial value masses y = 2*(Q(x_i) - b_q)/delta (z starts at 2),
+    for Q the unclamped midpoint quantizer of the grid ``q``.
 
-    Q is the unclamped midpoint quantizer of the grid ``q``; a caller that
-    wants a width-bit range clamps the inputs with ``quantize`` first.
-
-    y is always an odd integer (twice a quantizer midpoint offset).  When
-    b_q = 0 this is exactly 2*Q(x_i)/delta; keeping the basis out of the
-    circulating masses keeps them integral for every (b_q, delta), which the
-    finite-time stop test depends on.
-
-    The optimizer computes its masses in integers (``start_masses`` and
-    ``grid_masses``); this per-node path is the oracle they are tested
-    against.  It stays here, rather than in ``tests/``, because the
-    benchmark's ``perfbench/tracing.py`` ``HOOKS`` hook it and ``quantize``.
+    y is always an odd integer (twice a quantizer midpoint offset): keeping
+    the basis out of the circulating masses keeps them integral for every
+    (b_q, delta), which the finite-time stop test depends on.  This per-node
+    path is the oracle of the optimizer's integer masses; it stays here,
+    rather than in ``tests/``, because the benchmark's
+    ``perfbench/tracing.py`` ``HOOKS`` hook it and its ``quantize``.
     """
     out = []
     for xh in x_half:
@@ -170,28 +157,13 @@ def _split_and_deliver(y: list[int], z: list[int], g: Digraph, rng: PCG32, alpha
 
 
 def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend: str | None = None):
-    """Run the whole protocol from the initial value masses ``y``.
+    """Run the protocol from the masses ``y`` (see the module docstring);
+    returns (m, ConsensusStats).
 
-    Returns (m, ConsensusStats): every node stops holding the same grid
-    point ``b_q + m * delta``, and its integer level ``m`` is returned once.
-    ``y`` holds one odd integer per node (see ``init_consensus``) and is
-    never modified, so a caller may run the same masses again.  ``q`` is
-    not read: the level needs no grid.  It stays the second positional
-    argument because the benchmark's backend parity replay
-    (``perfbench/run.py``) calls this function positionally with it and
-    compares the returned levels.  The compiled kernel is used when it is
-    built, unless ``force_backend="pure"``, which the parity replay passes;
-    the pure snapshot path runs otherwise, and when the kernel declines the
-    instance (its ``sum(|y|)`` exceeds int64).  Both paths yield identical
-    output and leave the RNG in the identical state.  A run that reaches
-    ``ROUND_CAP`` rounds, read at each call, raises ConsensusCapError.
-
-    The kernel is called from this frame: it reads the graph through the
-    handle of its binding, copies ``y`` and runs on a copy of the RNG state, so a
-    decline leaves both untouched and the pure replay is bit-identical.  Its
-    alphabet, bytes of packed int64, is passed on as it is.  A broken
-    invariant at the stop raises RuntimeError, which is never replayed on
-    the pure path.
+    ``q`` is not read: it stays the second positional argument, and
+    ``force_backend="pure"`` the one override of the backend, because the
+    benchmark's backend parity replay (``perfbench/run.py`` ``parity_run``)
+    calls this function so.  ``ROUND_CAP`` is read at each call.
     """
     if force_backend not in (None, "pure"):
         raise ValueError(f"unknown backend {force_backend!r}")
@@ -214,11 +186,8 @@ def run_consensus(y, q: QuantizerState, g: Digraph, rng: PCG32, *, force_backend
 
 
 def _bind(g, kernel):
-    """Keep on ``g`` and return its binding ``(kernel, handle, D')``: the
-    graph's CSR handle for ``kernel`` and its epoch length, which every
-    later kernel call on ``g`` reads with one attribute load.  A binding
-    names its kernel, so a handle is only ever given to the kernel that
-    built it."""
+    """Keep on ``g`` and return its binding ``(kernel, handle, D')``; naming
+    the kernel, it gives a handle only to the kernel that built it."""
     g._binding = binding = (kernel, g.kernel_handle(kernel), effective_epoch(g.diameter))
     return binding
 

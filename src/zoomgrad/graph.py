@@ -1,29 +1,16 @@
-"""Directed graphs: generation and diameter.
+"""Directed graphs: generation and diameter, and the package's C kernel.
 
 Graphs are immutable once built and hold one adjacency, the sorted
-out-neighbor rows: ``Digraph(out_adj)``.  Random generation is cycle-first: a
-directed Hamiltonian cycle over a seeded random permutation guarantees strong
-connectivity, then every remaining ordered pair is added independently with
-probability ``edge_prob``.  Construction therefore never retries and is fully
-determined by ``(n, edge_prob, seed)``.  The permutation's n - 1 shuffle
-draws (``randbelow_each``) and the n(n-1) pair draws
-(``_ckernel.random_out_adj``) run in the C kernel when it is built, else in
-pure loops over the same PCG32 stream; both give the same rows and RNG state.
+out-neighbor rows (``Digraph``).  ``generate_random_digraph`` lays down a
+Hamiltonian cycle first, so every graph is strongly connected with no
+retry, and ``diameter`` sets the consensus flooding epoch.
 
-The diameter, which sets the consensus flooding epoch, is computed by
-bitset unions over out-edges, O(D*E) row ORs with no all-pairs BFS: in the
-C kernel on rows of 64-bit words when it is built, else by a pure loop over
-big-int rows.  The kernel reads a graph through one CSR handle
-(``Digraph.kernel_handle``), which the diameter and every consensus run on
-the graph share.  A generated graph gets it from the kernel's edge scan,
-which writes the kept ids into it as it draws them; a graph given as rows
-gets it on first use, its rows flattened into C once.  This module imports the
-kernel for the package: a build whose ``ABI`` differs from ``KERNEL_ABI``
-(an in-place build left from an older source) is refused with a
-``RuntimeWarning``, and the pure paths run.  ``randbelow_each``, the
-package's bulk bounded draws (this shuffle, the cost suite's draws and the
-initial estimates' grid indices), is here for that reason, and the
-optimizer reads its class arithmetic as ``graph._kernel`` too.
+This module imports the C kernel (``_ckernel.c``, whose header describes
+it) for the package, as ``_kernel``: a build whose ``ABI`` differs from
+``KERNEL_ABI`` (an in-place build left from an older source) is refused
+with a ``RuntimeWarning``, and the pure paths run.  Each kernel path gives
+the same results and RNG state as its pure loop.  ``randbelow_each``, the
+package's bulk bounded draws, is here for that reason.
 """
 
 from __future__ import annotations
@@ -70,11 +57,9 @@ class Digraph:
 
     ``out_adj[u]``, taken as given, is the sorted tuple of u's out-neighbors,
     none of them u: the consensus layer models self-delivery in its sampling
-    set instead, keeping BFS/diameter standard.  ``generate_random_digraph``
-    also hands over the kernel's CSR handle, built by its edge scan; a graph
-    given as rows gets one on first use (``kernel_handle``).  The consensus
-    engine keeps its ``(kernel, handle, epoch length)`` binding in
-    ``_binding``, built on its first kernel call on the graph.
+    set instead, keeping BFS/diameter standard.  The graph keeps its kernel
+    handle (``kernel_handle``) and the consensus engine's binding
+    (``_binding``).
     """
 
     __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle", "_binding")
@@ -88,7 +73,7 @@ class Digraph:
 
     def edge_count(self) -> int:
         """The number of edges, read only by the benchmark's
-        ``perfbench/tracing.py`` ``_count_graph`` (the ``graph.edges`` counter)."""
+        ``perfbench/tracing.py`` ``_count_graph``."""
         return sum(len(a) for a in self.out_adj)
 
     @property
@@ -98,13 +83,10 @@ class Digraph:
         return self._diameter
 
     def kernel_handle(self, kernel):
-        """The graph's CSR handle for ``kernel``.
-
-        A generated graph comes with the handle its edge scan built; a graph
-        given as rows gets its rows flattened into C by ``kernel.csr`` on
-        first use.  The handle is kept with the kernel module that built it,
-        so a kernel is only ever given a handle in its own layout.
-        """
+        """The graph's CSR handle for ``kernel``: the one its edge scan built,
+        or ``kernel.csr`` of the rows, made on first use.  The handle is kept
+        with the kernel that built it, so a kernel is only ever given a
+        handle in its own layout."""
         if self._kernel_handle is None or self._kernel_handle[0] is not kernel:
             self._kernel_handle = (kernel, kernel.csr(self.out_adj))
         return self._kernel_handle[1]
@@ -121,10 +103,8 @@ def diameter(g: Digraph) -> int:
     one only, so the first ``d`` at which every row holds all ``n`` nodes is
     exactly the diameter.  A level that changes no row is a fixed point; if
     a row is still short there, some node never reaches another and
-    ``ValueError`` is raised.
-
-    The C kernel runs the recurrence on rows of 64-bit words when it is
-    built; without it ``_bigint_diameter`` runs it on big-int rows.
+    ``ValueError`` is raised.  The kernel runs the recurrence when it is
+    built, ``_bigint_diameter`` otherwise.
     """
     if _kernel is not None:
         d = _kernel.diameter(g.kernel_handle(_kernel))
@@ -186,10 +166,8 @@ def _draw_digraph(succ: list[int], threshold: int, rng: PCG32) -> Digraph:
 
     Pairs (u, v) are scanned in lexicographic order: ``u == v`` is skipped,
     the cycle pair ``v == succ[u]`` is kept without a draw, and any other
-    pair is kept when the next 32-bit draw is below ``threshold``.  The C
-    kernel runs the scan when it is built, and the graph keeps the CSR
-    handle the scan built; otherwise this loop does, on the same stream,
-    leaving ``rng`` in the same state.
+    pair is kept when the next 32-bit draw is below ``threshold``, by the
+    kernel when it is built, else by this loop.
     """
     if _kernel is not None:
         out_adj, handle, rng.state = _kernel.random_out_adj(succ, threshold, rng.state, rng.inc)
@@ -205,12 +183,13 @@ def _draw_digraph(succ: list[int], threshold: int, rng: PCG32) -> Digraph:
 
 def randbelow_each(rng: PCG32, bounds) -> list[int]:
     """``[rng.randbelow(b) for b in bounds]``: the same draws, leaving ``rng``
-    in the same state, in one call to the C kernel when it is built.
-
-    A bound above 2**32 raises ValueError on both paths; ``rng`` has then
-    taken the draws before it on the pure path and none on the kernel's.
+    in the same state, in one call to the C kernel when it is built.  A
+    bound above 2**32 raises ValueError before any draw.
     """
     if _kernel is None:
+        for b in bounds:
+            if b > 1 << 32:
+                raise ValueError("randbelow bound %d exceeds the 32-bit output range" % b)
         return [rng.randbelow(b) for b in bounds]
     draws, rng.state = _kernel.randbelow_each(bounds, rng.state, rng.inc)
     return draws

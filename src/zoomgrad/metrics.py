@@ -2,7 +2,7 @@
 that price each transmission, and the reference communication-cost table.
 
 Every price is a ``((end, width), ...)`` width schedule, read by
-``schedule_width`` (a constant width is a one-entry schedule): each live
+``step_widths`` (a constant width is a one-entry schedule): each live
 run's, which ``runner.width_schedule`` picks from its config, and every row
 of Table 1 (``TABLE_ROWS``, whose cells ``table_cells`` builds).
 ``FIXED_LEVEL_WIDTHS`` holds the width that a fixed level charges by default.
@@ -14,6 +14,7 @@ real (square roots, CSV cells).
 
 import math
 from fractions import Fraction
+from itertools import islice, repeat
 
 
 def error_terms(q, x_star, spread):
@@ -53,16 +54,19 @@ FIXED_LEVEL_WIDTHS = {
 }
 
 
-def schedule_width(schedule, k):
-    """Message width of 0-based step ``k`` under a width schedule.
+def step_widths(schedule):
+    """The message widths of steps 1, 2, 3, ... under a width schedule, endlessly.
 
     A schedule is a tuple of ``(end, width)`` entries: ``width`` prices
-    every step before ``end`` not covered by an earlier entry, and an
+    every step up to step ``end`` not covered by an earlier entry, and an
     ``end`` of ``None`` covers every remaining step.
     """
+    start = 0
     for end, width in schedule:
-        if end is None or k < end:
-            return width
+        if end is None:
+            yield from repeat(width)
+        yield from repeat(width, end - start)
+        start = max(start, end)
 
 
 # The refine-only baseline's live schedule, and Table 1's, which switches
@@ -102,7 +106,7 @@ def table_cells():
             if steps is None:
                 cells.append((None, None, cells[-1][2]))
                 continue
-            bits = sum(schedule_width(schedule, k) for k in range(steps)) * TABLE_N_TT
+            bits = sum(islice(step_widths(schedule), steps)) * TABLE_N_TT
             cells.append((steps, bits, bits / (steps * 20)))
         rows.append((label, cells))
     return rows

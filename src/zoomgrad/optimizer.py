@@ -1,73 +1,23 @@
 """Outer optimization loop: local gradient steps glued together by the
 quantized consensus subroutine, plus the zoom policies that re-parameterize
-the quantizer between steps.  A policy is its zoom rule and nothing else:
-what a message costs is the run's width schedule, which ``runner`` picks
-and its report writers apply.
+the quantizer between steps.
 
-One iteration is: every node takes a gradient step on its private cost,
-the quantized half-steps enter ``run_consensus`` as integer masses (so all
-nodes land on one common grid point, the estimate the state keeps), and
-then, on a repeat, the active zoom policy's ``on_repeat`` updates the
-shared quantizer.  The adaptive policy zooms out (coarser, recentered) when
-the common value sits in a saturated outer cell and zooms in (finer,
-recentered) otherwise; the two baseline policies either only refine the
-step size on repeats or never touch it.
+One iteration (``step``): every node takes a gradient step on its private
+cost, the quantized half-steps enter ``run_consensus`` as integer masses, so
+all nodes land on one common grid point, and on a repeat the policy's
+``on_repeat`` moves the shared grid.  A policy is its zoom rule and nothing
+else: what a message costs is the run's width schedule, which ``runner``
+picks and its report writers apply.
 
-A node's half-step is a linear function of the estimate it holds, with
-coefficients fixed by its cost class (beta, x0).  The ``CostClasses`` table
-holds those coefficients as integers, so each initial mass is one integer
-floor division over the grid's integers (``QuantizerState``).  The starts
-come as one integer table too (``Starts``: distinct numerators over one
-denominator, and each node's index into them), and ``initial_state`` builds
-everything the run's fixed inputs determine: the class table, step 1's
-masses (``start_masses``, from every node's own start) and the start level.
-After step 1 every node holds the one common estimate, so a step that moves
-the grid or the estimate refreshes the next step's masses with one floor
-per class (``grid_masses``).  With the C kernel built (``graph._kernel``,
-read at each call, as the consensus engine reads it) an integer level's
-masses come from one ``class_masses`` call, in int64 (the C header gives
-its arithmetic and error bound); it declines (returns None) on a value
-beyond its range, and the exact Python formula runs instead: it is the
-pure backend and the oracle the kernel is tested against.  The error's
-per-grid constants (``metrics.error_terms``) live on the state, which
-``OptimizerState.regrid`` refreshes when the grid moves: on the state, not
-on the grid, because every ``RunRecord`` keeps its grid alive.
-The per-node path, an exact ``Fraction`` gradient step
-(``gradient_step``) quantized node by node (``engine.init_consensus``), is
-the oracle all of them are tested against; no step calls it, and the
-benchmark's ``perfbench/tracing.py`` ``HOOKS`` pin both.
-The error's inputs are fixed at the start too: ``initial_state`` stores the
-optimum ``x_star`` and the normalizer ``start_spread``, summed once per
-entry of the starts' table, weighted by its node count, as a balanced
-tree of unreduced integer fractions reduced once at the end; each step logs
-its error from the error terms of its grid.
-
-The loop runs in grid coordinates.  ``run_consensus`` returns the level
-``m`` of its output ``b_q + m*delta`` (it does not read the grid ``q`` it
-is passed, which stays for the benchmark's parity replay), and the state
-keeps the estimate as its level on the current grid
-(``OptimizerState.level``): ``m`` after a step without an event, 0 after a
-zoom (the grid re-centres on the estimate) and the ``Fraction``
-``m*c_refine`` after a refine, the one place a ``Fraction`` level comes
-from (not an integer only when ``c_refine`` is not).  Before step 1 the
-level is the start's, an int, when the starts' table holds one value and
-that value is a grid point, else None, so step 1 is a repeat only when
-every start equals its output.  A zoom or a refine is one
-``QuantizerState.moved``, integer arithmetic with one gcd.  The masses, the
-repeat and saturation tests, the grid moves and the error metric read only
-levels and integers, so after step 1 no step builds a ``Fraction`` but a
-refine's level.  A fixed level's repeat leaves grid and estimate
-unchanged, so the next step sends the same masses again.
-
-Each step appends one ``RunRecord`` to ``OptimizerState.history``, step k's
-at ``history[k - 1]``: what the step measured and nothing more, the output's
-``level``, the ``error``, the grid ``q`` it ran on, the ``zoom_event``, the
-``consensus_rounds`` and the ``alphabet_size``.  The estimate
-(``RunRecord.x_value``) is built only when read, and the runner takes the
-step number from the record's position.
-
-All estimate arithmetic is exact (``fractions.Fraction`` or integers);
-floats appear only in the logged error column.
+The loop runs in integers and grid coordinates.  The state keeps the common
+estimate as its level on the current grid, and a grid move is one
+``QuantizerState.moved``.  ``initial_state`` builds what the run's fixed
+inputs determine (the ``CostClasses`` table, step 1's ``start_masses`` from
+the ``Starts`` table, ``start_spread``), ``grid_masses`` refreshes the
+masses after step 1, and each step logs a ``RunRecord``.  After step 1 no
+step builds a ``Fraction`` but a refine's level, and floats appear only in
+the logged error.  The per-node ``Fraction`` path (``gradient_step``,
+quantized by ``engine.init_consensus``) is the oracle of the integer one.
 """
 
 import math

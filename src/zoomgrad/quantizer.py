@@ -1,27 +1,11 @@
 """Mid-rise uniform quantizer on a shiftable grid.
 
-The quantizer the network shares is a grid: a basis ``b_q`` (center of the
-dynamic range) and a level ``delta`` (bin width).  Bins are closed on the
-left and open on the right, and the bin ``[b_q + t*delta, b_q + (t+1)*delta)``
-has the midpoint ``b_q + (2t + 1) * delta / 2``; ``quantize`` returns it, for
-any input and with unlimited levels.  The adaptive policy's dynamic range
-and the zoom rules belong to each policy's ``on_repeat``, not to the grid;
-the clamped ``width``-bit quantizer is the tests' oracle.
-
-The grid is three integers and nothing else: ``b_q = base/den`` and
-``delta = step/den`` with ``gcd(base, step, den) = 1``, so ``den`` is the
-lcm of the two reduced denominators and equal grids hold equal integers.
-``QuantizerState.of`` builds it from the two rationals, and a grid move
-(a zoom or a refine) is ``moved``: it re-centres on a level and scales the
-step by a rational factor with one three-argument gcd, so no move builds a
-``Fraction``.  ``b_q`` and ``delta`` are built only when read, by the
-report writers and the oracles; the optimizer and the error metric work
-out their per-grid constants from the integers.  ``grid_point`` builds a
-point ``b_q + level*delta`` as a ``Fraction``, for the records' estimate.
-
-``quantize`` is an oracle: only ``engine.init_consensus``, itself one, calls
-it, and it stays because ``perfbench/tracing.py`` ``HOOKS`` hooks the
-engine's import of it.
+The grid the network shares (``QuantizerState``) has a basis ``b_q``, the
+center of the dynamic range, and a level ``delta``, the bin width.  Bins are
+closed on the left and open on the right, and ``quantize`` returns the
+midpoint of an input's bin, with unlimited levels.  The adaptive policy's
+dynamic range and the zoom rules belong to each policy's ``on_repeat``, not
+to the grid; the clamped ``width``-bit quantizer is the tests' oracle.
 
 All arithmetic is exact, so repeat detection and grid membership are
 reliable equality tests.
@@ -38,8 +22,16 @@ __all__ = ["QuantizerState", "grid_point", "quantize"]
 
 @dataclass(frozen=True, slots=True)
 class QuantizerState:
-    """The shared grid ``b_q = base/den``, ``delta = step/den`` > 0, with
-    ``gcd(base, step, den) = 1``.  Build one with ``of`` or ``moved``."""
+    """The shared grid ``b_q = base/den``, ``delta = step/den`` > 0, as three
+    integers and nothing else.
+
+    ``gcd(base, step, den) = 1``, so ``den`` is the lcm of the two reduced
+    denominators and equal grids hold equal integers.  Build one with ``of``
+    or ``moved``, which builds no ``Fraction``.  ``b_q`` and ``delta`` build
+    one on each read, for the report writers and the oracles; the optimizer
+    and the error metric work out their per-grid constants from the
+    integers.
+    """
 
     den: int
     base: int
@@ -81,6 +73,7 @@ def quantize(q: QuantizerState, xi: Fraction) -> Fraction:
     """Midpoint of the bin containing ``xi``.
 
     ``xi = b_q`` falls in the bin just above the basis (left-closed bins),
-    so it maps to ``b_q + delta/2``.
+    so it maps to ``b_q + delta/2``.  Its one caller is the oracle
+    ``engine.init_consensus``.
     """
     return q.b_q + (2 * ((xi - q.b_q) // q.delta) + 1) * q.delta / 2

@@ -48,6 +48,8 @@ class PCG32:
 
     __slots__ = ("state", "inc")
 
+    # initseq keeps its default for the benchmark's backend parity replay
+    # (``perfbench/run.py`` ``parity_run``), which calls ``type(rng)(0)``.
     def __init__(self, initstate: int, initseq: int = 0):
         self.state = 0
         self.inc = ((initseq << 1) | 1) & _MASK64

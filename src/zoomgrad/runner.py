@@ -2,9 +2,9 @@
 drive the optimizer, and emit deterministic CSV artifacts.
 
 The runner also prices the run: ``width_schedule`` turns the config's
-policy and accounting blocks into the run's message-width schedule, and
-``step_costs`` charges a step's counts at it for the history report, and
-``summarize`` sums the same charges over a run's steps.
+policy and accounting blocks into the run's message-width schedule.
+``step_costs`` charges a step's counts at its width (``metrics.step_widths``)
+for the history report, and ``summarize`` sums those charges over a run.
 
 Determinism contract: the pair (config, seed) fixes every byte of every
 output file.  All floats are written with repr() (shortest round-trip
@@ -23,12 +23,13 @@ from collections import Counter
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 
 from .config import ConfigError
 from .consensus import ConsensusCapError, active_backend
 from .graph import generate_random_digraph, randbelow_each
 from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
-from .metrics import schedule_width, table_cells
+from .metrics import step_widths, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
 from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, Starts, initial_state, run_until
 from .quantizer import QuantizerState
@@ -45,7 +46,7 @@ def build_policy(config):
 
 
 def width_schedule(config):
-    """The run's message-width schedule (read by ``metrics.schedule_width``).
+    """The run's message-width schedule (read by ``metrics.step_widths``).
 
     The adaptive policy charges ``accounting.b_pm`` bits under paper_faithful
     accounting and its quantizer width under measured (a w-bit quantizer has
@@ -64,14 +65,12 @@ def width_schedule(config):
     return ((None, width),)
 
 
-def step_costs(k, r, n, widths):
-    """Step ``k``'s (mass transmissions, paper-mode bits, measured-mode bits)
-    from its record ``r``.
-
-    n pieces a round, charged at the width schedule ``widths`` and at the
-    width that indexes the step's alphabet."""
+def step_costs(r, n, width):
+    """A step's (mass transmissions, paper-mode bits, measured-mode bits)
+    from its record ``r``: n pieces a round, charged at the step's schedule
+    ``width`` and at the width that indexes the step's alphabet."""
     tx = n * r.consensus_rounds
-    return tx, schedule_width(widths, k - 1) * tx, (r.alphabet_size - 1).bit_length() * tx
+    return tx, width * tx, (r.alphabet_size - 1).bit_length() * tx
 
 
 def build_costs(config):
@@ -181,21 +180,12 @@ def summarize(config, state):
     steps = len(history)
     target = config.block("stop")["target_error"]
     final_error = history[-1].error if history else float("nan")
-    # step_costs summed over the steps: every step sends n pieces a round,
-    # each schedule entry prices its slice of the steps, and a step's
-    # measured width indexes its alphabet
+    # step_costs summed over the steps
     n = config.n
-    rounds, measured_bits = [], 0
-    for r in history:
-        rounds.append(r.consensus_rounds)
-        measured_bits += (r.alphabet_size - 1).bit_length() * r.consensus_rounds
-    total_tx, measured_bits = n * sum(rounds), n * measured_bits
-    paper_bits, start = 0, 0
-    for end, width in width_schedule(config):
-        paper_bits += n * width * sum(rounds[start:end])
-        if end is None:
-            break
-        start = max(start, end)
+    rounds = [r.consensus_rounds for r in history]
+    total_tx = n * sum(rounds)
+    paper_bits = n * sum(map(mul, step_widths(width_schedule(config)), rounds))
+    measured_bits = n * sum((r.alphabet_size - 1).bit_length() * r.consensus_rounds for r in history)
     mean_tx = float(Fraction(total_tx, steps)) if steps else float("nan")
     events = Counter(r.zoom_event for r in history)
     return {
@@ -242,12 +232,12 @@ def write_history_csv(f, history, n, widths):
     stream ``f``, priced by ``step_costs`` at the width schedule ``widths``."""
     w = csv.writer(f, lineterminator="\n")
     w.writerow(HISTORY_COLUMNS)
-    for k, r in enumerate(history, 1):
+    for k, (r, width) in enumerate(zip(history, step_widths(widths)), 1):
         x, q = r.x_value, r.q
         w.writerow(
             [k, str(x), repr(float(x)), repr(r.error)]
             + [str(q.delta), repr(float(q.delta)), str(q.b_q), repr(float(q.b_q))]
-            + [r.zoom_event, r.consensus_rounds, *step_costs(k, r, n, widths)]
+            + [r.zoom_event, r.consensus_rounds, *step_costs(r, n, width)]
         )
 
 
@@ -357,11 +347,9 @@ def sweep(config, seeds):
     """Run one config across seeds; returns (per-seed rows, aggregate row).
 
     A run that hits the consensus round cap is recorded in its row's status
-    and the sweep continues.  The aggregate is folded from the rows and the
-    finished runs' step and round counts.
+    and the sweep continues.  The aggregate is folded from the rows.
     """
     per_seed = []
-    steps = rounds = 0  # over every run that finished
     for seed in seeds:
         c = dc_replace(config, seed=seed)
         try:
@@ -375,18 +363,16 @@ def sweep(config, seeds):
             k = steps_to_threshold(state.history, float(label))
             row["steps_to_%s" % label] = "" if k is None else k
         per_seed.append(row)
-        steps += len(state.history)
-        rounds += sum(r.consensus_rounds for r in state.history)
-    aggregate = {"runs": len(per_seed), "failures": sum(row["status"] != "ok" for row in per_seed)}
+    ok = [row for row in per_seed if row["status"] == "ok"]
+    aggregate = {"runs": len(per_seed), "failures": len(per_seed) - len(ok)}
     for label in TABLE_THRESHOLDS:
         column = "steps_to_%s" % label
-        ks = [row[column] for row in per_seed if row.get(column, "") != ""]
+        ks = [row[column] for row in ok if row[column] != ""]
         aggregate["reached_%s" % label] = len(ks)
         aggregate["median_steps_to_%s" % label] = repr(float(statistics.median(ks))) if ks else ""
-    for column, total in (
-        ("mean_mass_tx_per_consensus", config.n * rounds),  # every round sends n pieces
-        ("mean_consensus_rounds", rounds),
-    ):
+    steps = sum(row["steps"] for row in ok)
+    tx = sum(row["total_mass_transmissions"] for row in ok)  # n pieces a round
+    for column, total in (("mean_mass_tx_per_consensus", tx), ("mean_consensus_rounds", Fraction(tx, config.n))):
         aggregate[column] = repr(float(Fraction(total, steps))) if steps else ""
     return per_seed, aggregate
 

@@ -311,3 +311,14 @@ def test_readme_example_config_loads():
     example = readme.split("Example config file:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     config = RunConfig.from_dict(json.loads(example))
     assert config.block("policy") == {"variant": "adaptive_zoom", "quantizer_width": 3}
+
+
+def test_readme_python_examples_run(capsys):
+    # Every python block of the README runs as written, so a renamed or
+    # re-signed entry point fails here rather than misleading a reader.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        blocks = [part.split("```", 1)[0] for part in f.read().split("```python")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "final error" in capsys.readouterr().out

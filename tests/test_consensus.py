@@ -1384,11 +1384,15 @@ STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
 # the diameter of a path, which is not strongly connected.  Then runs
 # spread masses on the directed ring(7) (D' = 6) to the stop and again
 # capped one round short of it, mid-epoch.  Then runs each of STAR_MASSES
-# on a star from the same states, on one handle per node count.  Last, makes
+# on a star from the same states, on one handle per node count.  Then makes
 # the class arithmetic's calls at its edges (conftest CLASS_EDGES), each
-# accepted or declined as its table says.
+# accepted or declined as its table says.  Last, with the build installed as
+# the package's kernel, runs every benchmark workload through the
+# benchmark's own harness.invoke, as test_benchmark_workloads.py does, and
+# checks that each matched its fingerprint and that no consensus or class
+# arithmetic call declined, so the sanitized kernel produced those bytes.
 SANITIZED_RUN = """
-import importlib.util, json, sys
+import importlib.util, json, os, sys, tempfile
 spec = importlib.util.spec_from_file_location("zoomgrad._ckernel", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
@@ -1434,6 +1438,24 @@ for y in json.loads(sys.argv[4]):
 for args, declines in json.loads(sys.argv[5]):
     args[0] = tuple(map(tuple, args[0]))
     assert (kernel.class_masses(*args) is None) == declines, args
+sys.path[:0] = [os.path.join(sys.argv[6], "src"), os.path.join(sys.argv[6], "perfbench")]
+sys.modules["zoomgrad._ckernel"] = kernel
+import harness
+from zoomgrad import graph
+from zoomgrad.cli import main
+assert graph._kernel is kernel
+declined = []
+for name in ("run_rounds", "class_masses"):
+    def counted(*args, call=getattr(kernel, name), name=name):
+        out = call(*args)
+        if out is None:
+            declined.append(name)
+        return out
+    setattr(kernel, name, counted)
+with tempfile.TemporaryDirectory() as work_dir:
+    for name, workload in sorted(harness.load_workloads().items()):
+        assert harness.invoke(main, workload, work_dir).error == "", name
+assert declined == [], declined
 """
 
 
@@ -1457,6 +1479,7 @@ def run_sanitized(tmp_path, cflags, runtimes, **env):
             json.dumps(list(BULK_DRAW_BOUNDS.values())),
             json.dumps(STAR_MASSES),
             json.dumps(CLASS_EDGES),
+            ROOT,
         ],
         capture_output=True,
         text=True,

@@ -368,9 +368,14 @@ def test_kernel_bulk_draws_reject_what_randbelow_rejects(kernel):
 @pytest.mark.parametrize("backend", ["compiled", "pure"])
 @pytest.mark.parametrize("bound", [2**32 + 1, 2**64, 2**100])
 def test_bulk_draws_refuse_a_bound_beyond_32_bits(backend, bound, request):
+    # Both backends check every bound before the first draw, so a refused
+    # call leaves the generator where it was.
     request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    rng = PCG32(0)
+    state = rng.getstate()
     with pytest.raises(ValueError, match="bound %d exceeds the 32-bit output range" % bound):
-        graph.randbelow_each(PCG32(0), [2, bound])
+        graph.randbelow_each(rng, [2, bound])
+    assert rng.getstate() == state
 
 
 def with_draw_states(monkeypatch, build):

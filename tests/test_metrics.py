@@ -7,6 +7,7 @@ rationals (steps x width x 211.88), not against the code's own helpers.
 
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,7 +34,7 @@ from zoomgrad.metrics import (
     error_metric,
     error_terms,
     exact_decimal,
-    schedule_width,
+    step_widths,
     table_cells,
 )
 from zoomgrad.objective import QuadraticCost
@@ -180,14 +181,12 @@ def test_logged_error_matches_per_node_oracle(policy, delta0):
 def test_table_refine_schedule_switches_one_step_earlier():
     # Table 1 prices the refine-only baseline's step index 8 at 14 bits,
     # the live schedule at 10; every other step of the first 40 agrees.
-    differ = [
-        k
-        for k in range(40)
-        if schedule_width(TABLE_REFINE_WIDTH_SCHEDULE, k) != schedule_width(REFINE_WIDTH_SCHEDULE, k)
-    ]
+    table = list(islice(step_widths(TABLE_REFINE_WIDTH_SCHEDULE), 40))
+    live = list(islice(step_widths(REFINE_WIDTH_SCHEDULE), 40))
+    differ = [k for k in range(40) if table[k] != live[k]]
     assert differ == [8]
-    assert schedule_width(TABLE_REFINE_WIDTH_SCHEDULE, 8) == 14
-    assert schedule_width(REFINE_WIDTH_SCHEDULE, 8) == 10
+    assert table[8] == 14
+    assert live[8] == 10
 
 
 # --- contraction envelope ---------------------------------------------------

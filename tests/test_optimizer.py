@@ -218,7 +218,7 @@ def test_step_counts_and_bits():
     # mode and at the bits that index the alphabet in measured mode
     tx = stats.mass_transmissions
     width = (len(stats.measured_alphabet) - 1).bit_length()
-    assert step_costs(1, rec, g.n, ((None, 3),)) == (tx, 3 * tx, width * tx)
+    assert step_costs(rec, g.n, 3) == (tx, 3 * tx, width * tx)
 
 
 def test_first_step_repeat_is_disabled_with_distinct_inits():

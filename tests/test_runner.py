@@ -5,6 +5,7 @@ import io
 import math
 from dataclasses import replace as dc_replace
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from zoomgrad.metrics import (
     REFINE_WIDTH_SCHEDULE,
     TABLE_ROWS,
     TABLE_THRESHOLDS,
-    schedule_width,
+    step_widths,
 )
 from zoomgrad.objective import CostSuite, QuadraticCost
 from zoomgrad.optimizer import AdaptiveZoom, FixedLevel, RefineOnly, RunRecord, Starts
@@ -92,7 +93,8 @@ def test_build_policy_fixed():
 
 
 def widths(config, ks):
-    return [schedule_width(width_schedule(config), k) for k in ks]
+    widths = list(islice(step_widths(width_schedule(config)), max(ks) + 1))
+    return [widths[k] for k in ks]
 
 
 def test_adaptive_width():
@@ -377,7 +379,7 @@ def test_summarize_columns_and_consistency(default_run):
     assert row["policy"] == "adaptive_zoom"
     for event in ("zoom_in", "zoom_out", "refine"):
         assert row["%s_events" % event] == sum(r.zoom_event == event for r in history)
-    costs = [step_costs(k, r, config.n, width_schedule(config)) for k, r in enumerate(history, 1)]
+    costs = [step_costs(r, config.n, w) for r, w in zip(history, step_widths(width_schedule(config)))]
     assert row["total_mass_transmissions"] == sum(tx for tx, _, _ in costs)
     assert row["total_flood_broadcasts"] == config.n * sum(r.consensus_rounds for r in history)
     assert row["total_bits_paper_mode"] == 3 * row["total_mass_transmissions"] == sum(bits for _, bits, _ in costs)
@@ -400,7 +402,7 @@ def test_summarize_sums_the_step_costs_over_the_width_schedule():
     state = run_single(config)
     history = state.history
     assert len(history) == 12
-    costs = [step_costs(k, r, config.n, width_schedule(config)) for k, r in enumerate(history, 1)]
+    costs = [step_costs(r, config.n, w) for r, w in zip(history, step_widths(width_schedule(config)))]
     assert {bits // tx for tx, bits, _ in costs} == {7, 10, 14}
     row = summarize(config, state)
     for column, total in zip(
