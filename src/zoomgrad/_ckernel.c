@@ -1,22 +1,23 @@
 /* The simulator's hot loops in C: the epoch-snapshot consensus
- * (engine._run_snapshot), the random digraph's edge draws
+ * (engine._run_snapshot), the random digraph, shuffle and edge draws
  * (graph.generate_random_digraph), the graph's diameter (graph.diameter),
- * bulk bounded draws (graph.randbelow_each: the digraph's shuffle, the cost
- * suite's draws and the initial estimates' grid indices) and the
- * optimizer's per-class arithmetic (optimizer.grid_masses).  The draws
- * consume the same PCG32 stream as the pure paths, draw for draw, so every
- * result and the final RNG state are bit-for-bit equal.  This header owns
- * the algorithms and their proofs; the Python docstrings state contracts.
+ * bulk bounded draws (graph.randbelow_each: the cost suite's draws and the
+ * initial estimates' grid indices) and the optimizer's per-class
+ * arithmetic (optimizer.grid_masses).  The draws consume the same PCG32
+ * stream as the pure paths, draw for draw, so every result and the final
+ * RNG state are bit-for-bit equal.  This header owns the algorithms and
+ * their proofs; the Python docstrings state contracts.
  *
  * The CSR handle.  A graph's out-adjacency lives in C as one handle (a
  * capsule), which the graph keeps and run_rounds and diameter read on every
  * call.  Node i's row starts with i itself, then lists its out-neighbours in
  * out_adj order, so a consensus draw k in [0, 1 + out-degree) picks row[k]
- * with no branch; diameter skips that first slot.  A generated graph gets
- * its handle from random_out_adj's edge scan, which writes the kept ids into
- * the handle as it draws them; csr flattens the rows of a graph given as
- * rows, on its first kernel call.  Both build it through csr_new and
- * csr_capsule, so there is one layout and one free path.
+ * with no branch; diameter skips that first slot.  A generated graph is
+ * its handle: random_out_adj's edge scan writes the kept ids into the
+ * handle as it draws them, and rows makes the row tuples from a handle
+ * only when the pure path first reads them.  csr flattens the rows of a
+ * graph given as rows, on its first kernel call.  Both build it through
+ * csr_new and csr_capsule, so there is one layout and one free path.
  *
  * The workspace.  The handle also keeps run_rounds' workspace between
  * calls, so a call allocates only its result.  workspace_new makes it at the
@@ -161,12 +162,15 @@
  * on range: |a_c| or |v_c| reaching 2**53, qb, qd, lcm or L beyond int64,
  * an int64 overflow, lcm < 1 or step 0.
  *
- * random_out_adj runs the generator's lexicographic (u, v) scan after the
- * Hamiltonian cycle is laid down: one draw per pair that is neither a
- * self-pair nor a cycle pair, kept when it falls below the threshold.  The
- * keep is branchless (at p = 1/2 a branch on the draw is a coin flip), and
- * the scan returns the graph's CSR handle with its rows, each row tuple
- * untracked by the cyclic GC, since it holds only ints.
+ * random_out_adj draws the whole graph.  It shuffles 0..n-1 as the pure
+ * generator does (Fisher-Yates from the top, position i swapping with
+ * draw_below(i + 1), so bounds n, n - 1, ..., 2), lays down the Hamiltonian
+ * cycle perm[k] -> perm[k + 1], and runs the lexicographic (u, v) scan: one
+ * draw per pair that is neither a self-pair nor a cycle pair, kept when it
+ * falls below the threshold.  The keep is branchless (at p = 1/2 a branch on
+ * the draw is a coin flip).  It returns only the handle and the RNG state;
+ * rows(handle) makes the sorted row tuples, each untracked by the cyclic
+ * GC, since it holds only ints.
  *
  * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
  * sequence in turn, through the same draw_below as run_rounds.
@@ -182,7 +186,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 7
+#define KERNEL_ABI 8
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -546,12 +550,13 @@ static void csr_capsule_free(PyObject *capsule)
 }
 
 /* A Csr on n nodes with ptr allocated and no idx yet; NULL with an exception
- * set on error.  what names the sequence of length n in the message. */
-static Csr *csr_new(Py_ssize_t n, const char *what)
+ * set on error, a ValueError naming n as what when n is below least or above
+ * MAX_NODES. */
+static Csr *csr_new(Py_ssize_t n, Py_ssize_t least, const char *what)
 {
     Csr *g;
-    if (n < 1 || n > MAX_NODES) {
-        PyErr_Format(PyExc_ValueError, "need 1 <= len(%s) <= %d", what, MAX_NODES);
+    if (n < least || n > MAX_NODES) {
+        PyErr_Format(PyExc_ValueError, "need %zd <= %s <= %d", least, what, MAX_NODES);
         return NULL;
     }
     g = PyMem_Calloc(1, sizeof(Csr));
@@ -635,7 +640,7 @@ static PyObject *csr(PyObject *self, PyObject *out_adj)
     adj = PySequence_Fast(out_adj, "out_adj must be a sequence");
     if (adj == NULL)
         return NULL;
-    g = csr_new(PySequence_Fast_GET_SIZE(adj), "out_adj");
+    g = csr_new(PySequence_Fast_GET_SIZE(adj), 1, "len(out_adj)");
     if (g != NULL) {
         if (load_adjacency(adj, g) == 0)
             handle = csr_capsule(g);
@@ -934,25 +939,21 @@ done:
 
 static PyObject *random_out_adj(PyObject *self, PyObject *args)
 {
-    PyObject *succ_obj, *succ = NULL, *rows = NULL, *handle = NULL, *ret = NULL, **nodes = NULL;
+    PyObject *handle = NULL;
     unsigned long long threshold, state_in, inc_in;
     uint64_t state, inc;
-    Py_ssize_t n, u, v, e = 0, *cycle = NULL;
+    Py_ssize_t n, u, v, e = 0, *perm = NULL, *cycle = NULL;
     double want, most;
     size_t cap;
-    Csr *g;
+    Csr *g = NULL;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OKKK", &succ_obj, &threshold, &state_in, &inc_in))
+    if (!PyArg_ParseTuple(args, "nKKK", &n, &threshold, &state_in, &inc_in))
         return NULL;
     state = state_in;
     inc = inc_in;
-    succ = PySequence_Fast(succ_obj, "succ must be a sequence");
-    if (succ == NULL)
+    if ((g = csr_new(n, 2, "n")) == NULL)  /* before any allocation sized by n */
         return NULL;
-    n = PySequence_Fast_GET_SIZE(succ);
-    if ((g = csr_new(n, "succ")) == NULL)
-        goto done;
     /* idx starts at the expected id count 2n + n(n-2)p (each row's own
        node, its cycle successor and its drawn pairs) plus 2n: n for the row
        being scanned, which may write n ids, and at least two standard
@@ -964,34 +965,29 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
     if (most > (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int)))
         most = (double)(PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int));
     cap = (size_t)(want < most ? want : most);
+    perm = PyMem_Malloc((size_t)n * sizeof(Py_ssize_t));
     cycle = PyMem_Malloc((size_t)n * sizeof(Py_ssize_t));
-    nodes = PyMem_Calloc((size_t)n, sizeof(PyObject *));
-    rows = PyTuple_New(n);
-    if (cycle == NULL || nodes == NULL || rows == NULL) {
-        if (rows != NULL)
-            PyErr_NoMemory();
+    if (perm == NULL || cycle == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
     if (idx_resize(g, cap) < 0)
         goto done;
-    /* every cycle successor is checked before the first draw */
-    for (u = 0; u < n; u++) {
-        cycle[u] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(succ, u));
-        if (cycle[u] == -1 && PyErr_Occurred())
-            goto done;
-        if (cycle[u] < 0 || cycle[u] >= n) {
-            PyErr_SetString(PyExc_ValueError, "succ holds a node id out of range");
-            goto done;
-        }
+    /* the Fisher-Yates shuffle, position i swapping with randbelow(i + 1)
+       for i = n - 1 down to 1, then the cycle perm[k] -> perm[k + 1] */
+    for (u = 0; u < n; u++)
+        perm[u] = u;
+    for (u = n - 1; u > 0; u--) {
+        Bound b = make_bound((uint64_t)u + 1);
+        Py_ssize_t j = (Py_ssize_t)draw_below(&b, &state, inc), t = perm[u];
+        perm[u] = perm[j];
+        perm[j] = t;
     }
-    /* one int object per node id, shared by every row that holds it */
-    for (v = 0; v < n; v++)
-        if ((nodes[v] = PyLong_FromSsize_t(v)) == NULL)
-            goto done;
+    for (u = 0; u < n; u++)
+        cycle[perm[u]] = perm[(u + 1) % n];
 
     for (u = 0; u < n; u++) {
-        PyObject *row;
-        Py_ssize_t s = cycle[u], first;
+        Py_ssize_t s = cycle[u];
         int *idx;
         if ((size_t)(e + n) > cap) {
             size_t grown = cap + cap / 2;
@@ -1003,8 +999,7 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
         }
         idx = g->idx;
         g->ptr[u] = e;
-        idx[e++] = (int)u;  /* the row starts with u itself, which its tuple leaves out */
-        first = e;
+        idx[e++] = (int)u;  /* the row starts with u itself */
         for (v = 0; v < n; v++) {
             /* v is written to the next free slot, which the pair then takes
                or leaves: no branch on the draw.  The self-pair and the
@@ -1019,41 +1014,71 @@ static PyObject *random_out_adj(PyObject *self, PyObject *args)
             else
                 e += (uint64_t)next_u32(&state, inc) < threshold;
         }
-        if ((row = PyTuple_New(e - first)) == NULL)
-            goto done;
-        for (v = first; v < e; v++) {
-            Py_INCREF(nodes[idx[v]]);
-            PyTuple_SET_ITEM(row, v - first, nodes[idx[v]]);
-        }
-        /* a row holds only ints, so it can never be part of a cycle: the
-           collector need not traverse it (it would untrack it itself, but
-           only inside a collection that first walks every id) */
-        PyObject_GC_UnTrack(row);
-        PyTuple_SET_ITEM(rows, u, row);
     }
     g->ptr[n] = e;
     if (idx_resize(g, (size_t)e) < 0)
         goto done;
     handle = csr_capsule(g);
     g = NULL;
-    if (handle == NULL)
-        goto done;
-    /* (rows, handle, rng state): sorted out-adjacency tuples, the same
-       adjacency as a CSR handle, and the state after the last draw */
-    ret = Py_BuildValue("(OOK)", rows, handle, (unsigned long long)state);
+    if (handle != NULL) {
+        /* (handle, rng state): the graph and the state after the last draw */
+        PyObject *ret = Py_BuildValue("(OK)", handle, (unsigned long long)state);
+        Py_DECREF(handle);
+        handle = ret;
+    }
 
 done:
     if (g != NULL)
         csr_free(g);
-    if (nodes != NULL)
-        for (v = 0; v < n; v++)
-            Py_XDECREF(nodes[v]);
-    Py_XDECREF(handle);
-    Py_XDECREF(rows);
-    Py_XDECREF(succ);
-    PyMem_Free(nodes);
+    PyMem_Free(perm);
     PyMem_Free(cycle);
-    return ret;
+    return handle;
+}
+
+/* The rows of a handle, each without its leading node, as tuples of ints
+ * that share one int object per node id and are untracked by the cyclic GC
+ * (see the header). */
+static PyObject *rows(PyObject *self, PyObject *handle)
+{
+    const Csr *g;
+    PyObject *out = NULL, **nodes;
+    Py_ssize_t n, u, v;
+
+    (void)self;
+    g = PyCapsule_GetPointer(handle, CSR_NAME);
+    if (g == NULL)
+        return NULL;
+    n = g->n;
+    if ((nodes = PyMem_Calloc((size_t)n, sizeof(PyObject *))) == NULL)
+        return PyErr_NoMemory();
+    for (v = 0; v < n; v++)
+        if ((nodes[v] = PyLong_FromSsize_t(v)) == NULL)
+            goto done;
+    if ((out = PyTuple_New(n)) == NULL)
+        goto done;
+    for (u = 0; u < n; u++) {
+        Py_ssize_t first = g->ptr[u] + 1;
+        PyObject *row = PyTuple_New(g->ptr[u + 1] - first);
+        if (row == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        for (v = first; v < g->ptr[u + 1]; v++) {
+            Py_INCREF(nodes[g->idx[v]]);
+            PyTuple_SET_ITEM(row, v - first, nodes[g->idx[v]]);
+        }
+        /* a row holds only ints, so it can never be part of a cycle: the
+           collector need not traverse it (it would untrack it itself, but
+           only inside a collection that first walks every id) */
+        PyObject_GC_UnTrack(row);
+        PyTuple_SET_ITEM(out, u, row);
+    }
+
+done:
+    for (v = 0; v < n; v++)
+        Py_XDECREF(nodes[v]);
+    PyMem_Free(nodes);
+    return out;
 }
 
 static PyObject *randbelow_each(PyObject *self, PyObject *args)
@@ -1304,10 +1329,14 @@ static PyMethodDef methods[] = {
      "Longest shortest directed path of a graph handle, or -1 when some\n"
      "node does not reach another."},
     {"random_out_adj", random_out_adj, METH_VARARGS,
-     "random_out_adj(succ, threshold, rng_state, rng_inc)\n\n"
-     "The random digraph on len(succ) nodes over the cycle u -> succ[u]:\n"
-     "(rows, graph, rng_state), sorted int tuples and their graph handle.\n"
-     "Raises ValueError, before any draw, on an id of succ outside [0, n)."},
+     "random_out_adj(n, threshold, rng_state, rng_inc)\n\n"
+     "The random digraph on n nodes, over the cycle of a shuffled\n"
+     "permutation: (graph, rng_state).  Raises ValueError, before any draw,\n"
+     "when n is below 2 or above 2**25 - 2."},
+    {"rows", rows, METH_O,
+     "rows(graph)\n\n"
+     "The out-adjacency rows of a graph handle, as a tuple of int tuples\n"
+     "in the handle's order, which is sorted for random_out_adj's."},
     {"randbelow_each", randbelow_each, METH_VARARGS,
      "randbelow_each(bounds, rng_state, rng_inc)\n\n"
      "PCG32.randbelow(b) for each bound b in turn: (draws, rng_state).\n"

@@ -1,9 +1,11 @@
 """Directed graphs: generation and diameter, and the package's C kernel.
 
-Graphs are immutable once built and hold one adjacency, the sorted
-out-neighbor rows (``Digraph``).  ``generate_random_digraph`` lays down a
-Hamiltonian cycle first, so every graph is strongly connected with no
-retry, and ``diameter`` sets the consensus flooding epoch.
+Graphs are immutable once built and hold one adjacency (``Digraph``): the
+sorted out-neighbor rows, or, for a graph the kernel generated, its CSR
+handle, from which the rows are made on their first read.
+``generate_random_digraph`` lays down a Hamiltonian cycle first, so every
+graph is strongly connected with no retry, and ``diameter`` sets the
+consensus flooding epoch.
 
 This module imports the C kernel (``_ckernel.c``, whose header describes
 it) for the package, as ``_kernel``: a build whose ``ABI`` differs from
@@ -21,7 +23,7 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 7
+KERNEL_ABI = 8
 
 
 def _checked_kernel(module):
@@ -53,13 +55,16 @@ __all__ = [
 
 
 class Digraph:
-    """Immutable digraph on nodes 0..n-1, given by its out-adjacency rows.
+    """Immutable digraph on nodes 0..n-1 that holds one adjacency, the
+    sorted out-neighbor rows.
 
     ``out_adj[u]``, taken as given, is the sorted tuple of u's out-neighbors,
     none of them u: the consensus layer models self-delivery in its sampling
     set instead, keeping BFS/diameter standard.  The graph keeps its kernel
     handle (``kernel_handle``) and the consensus engine's binding
-    (``_binding``).
+    (``_binding``).  A graph the kernel generated holds its handle alone
+    (``_of_handle``), and ``out_adj`` is made from it by that kernel on its
+    first read, after which it is a plain slot read.
     """
 
     __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle", "_binding")
@@ -71,9 +76,29 @@ class Digraph:
         self._kernel_handle = None
         self._binding = (None, None, None)
 
+    @classmethod
+    def _of_handle(cls, n: int, kernel, handle) -> "Digraph":
+        """The graph on ``n`` nodes of ``kernel``'s CSR ``handle``, with its
+        rows not made yet."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._diameter = None
+        g._kernel_handle = (kernel, handle)
+        g._binding = (None, None, None)
+        return g
+
+    def __getattr__(self, name):
+        # Reached only for a slot that is not set: a generated graph's rows.
+        if name != "out_adj":
+            raise AttributeError(f"'Digraph' object has no attribute {name!r}")
+        kernel, handle = self._kernel_handle
+        self.out_adj = out_adj = kernel.rows(handle)
+        return out_adj
+
     def edge_count(self) -> int:
         """The number of edges, read only by the benchmark's
-        ``perfbench/tracing.py`` ``_count_graph``."""
+        ``perfbench/tracing.py`` ``_count_graph``.  It makes a generated
+        graph's rows."""
         return sum(len(a) for a in self.out_adj)
 
     @property
@@ -83,11 +108,13 @@ class Digraph:
         return self._diameter
 
     def kernel_handle(self, kernel):
-        """The graph's CSR handle for ``kernel``: the one its edge scan built,
+        """The graph's CSR handle for ``kernel``: the one its generator built,
         or ``kernel.csr`` of the rows, made on first use.  The handle is kept
         with the kernel that built it, so a kernel is only ever given a
         handle in its own layout."""
         if self._kernel_handle is None or self._kernel_handle[0] is not kernel:
+            # out_adj is read, and made from the old handle if need be,
+            # before the new handle replaces it
             self._kernel_handle = (kernel, kernel.csr(self.out_adj))
         return self._kernel_handle[1]
 
@@ -104,8 +131,11 @@ def diameter(g: Digraph) -> int:
     exactly the diameter.  A level that changes no row is a fixed point; if
     a row is still short there, some node never reaches another and
     ``ValueError`` is raised.  The kernel runs the recurrence when it is
-    built, ``_bigint_diameter`` otherwise.
+    built, ``_bigint_diameter`` otherwise.  A graph with no nodes has no
+    diameter, and ``ValueError`` is raised on both backends.
     """
+    if g.n < 1:
+        raise ValueError("diameter undefined: digraph has no nodes")
     if _kernel is not None:
         d = _kernel.diameter(g.kernel_handle(_kernel))
     else:
@@ -142,13 +172,19 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     order, then draws one 32-bit variate and keeps the edge when it falls
     below ``edge_prob * 2**32``.  ``edge_prob`` is an exact rational, a
     ``Fraction`` or an int, as ``RunConfig`` holds it.  Both arguments are
-    validated before the first draw.
+    validated before the first draw.  The kernel, when it is built, draws
+    the whole graph in one call and the graph keeps only its handle;
+    otherwise the shuffle below and ``_draw_digraph`` draw it.
     """
     if not 0 <= edge_prob <= 1:
         raise ValueError(f"edge_prob: expected probability in [0,1], got {edge_prob}")
     if n < 2:
         raise ValueError(f"n: need at least 2 nodes, got {n}")
     rng = PCG32(seed, STREAM_GRAPH)
+    threshold = (edge_prob.numerator << 32) // edge_prob.denominator
+    if _kernel is not None:
+        handle, rng.state = _kernel.random_out_adj(n, threshold, rng.state, rng.inc)
+        return Digraph._of_handle(n, _kernel, handle)
 
     perm = list(range(n))
     for i, j in zip(range(n - 1, 0, -1), randbelow_each(rng, range(n, 1, -1))):
@@ -156,8 +192,6 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     succ = [0] * n
     for k in range(n):
         succ[perm[k]] = perm[(k + 1) % n]
-
-    threshold = (edge_prob.numerator << 32) // edge_prob.denominator
     return _draw_digraph(succ, threshold, rng)
 
 
@@ -166,14 +200,8 @@ def _draw_digraph(succ: list[int], threshold: int, rng: PCG32) -> Digraph:
 
     Pairs (u, v) are scanned in lexicographic order: ``u == v`` is skipped,
     the cycle pair ``v == succ[u]`` is kept without a draw, and any other
-    pair is kept when the next 32-bit draw is below ``threshold``, by the
-    kernel when it is built, else by this loop.
+    pair is kept when the next 32-bit draw is below ``threshold``.
     """
-    if _kernel is not None:
-        out_adj, handle, rng.state = _kernel.random_out_adj(succ, threshold, rng.state, rng.inc)
-        g = Digraph(out_adj)
-        g._kernel_handle = (_kernel, handle)
-        return g
     n = len(succ)
     rows = []
     for u, s in enumerate(succ):

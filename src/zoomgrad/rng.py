@@ -3,7 +3,7 @@
 Every random choice in the simulator flows through this generator so that a
 run is reproducible bit-for-bit across platforms and across the pure-Python
 and compiled backends (the C kernel, which runs the consensus rounds, the
-graph's edge draws and bulk ``randbelow`` draws, re-implements the same
+graph's shuffle and edge draws and bulk ``randbelow`` draws, re-implements the same
 three-line state transition and ``randbelow``'s rejection rule on C
 integers).
 

@@ -6,7 +6,7 @@ a dedicated section at the end of the pytest run so they are visible even
 for passing tests (pytest normally swallows stdout of passing tests).
 
 The ``kernel`` fixture builds the C kernel (consensus rounds, the graph's
-edge draws and its diameter, bulk bounded draws, the optimizer's class
+shuffle, edge draws, rows and diameter, bulk bounded draws, the optimizer's class
 arithmetic) from this checkout into a
 temporary directory once per session,
 so the compiled paths are checked wherever a C compiler exists, whether or
@@ -504,7 +504,7 @@ def per_draw_x_init(config, x_star):
 # "edges" gives bounds 0 and 1 and negative ones, which take no draw; 3,
 # which rejects that 0 (randbelow(3)'s threshold is 2**32 % 3 = 1); 2;
 # 2**31 + 1, which rejects nearly half of all outputs; and 2**32, which
-# rejects none.  "shuffle" is the digraph shuffle's falling bounds.
+# rejects none.  "shuffle" is the pure digraph shuffle's falling bounds.
 BULK_DRAW_BOUNDS = {
     "edges": [0, 1, 3, 2, 2**31 + 1, 2**32, -5, -(2**70), 3, 2],
     "heavy-rejection": [2**31 + 1] * 40,

@@ -973,7 +973,12 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
     # move the count by a few dozen.  The class arithmetic's edge calls,
     # accepted and declined, run ten times per repetition, so that one
     # object a call leaves behind (a float, the smallest, is 24 bytes)
-    # leaves over 2000.
+    # leaves over 2000.  Generating a graph on 2, 3 and 65 nodes at four
+    # thresholds, making its rows and dropping both, runs 12 times per
+    # repetition: a handle left behind is over 200 bytes, and one of the
+    # shuffle's arrays over 16 bytes on every call.  The rows of a cycle on
+    # 300 nodes hold ids past the interpreter's cached small ints, so an id
+    # object left behind is 28 bytes, 44 of them per repetition.
     kernel, broken_kernel = built_kernel, planted_kernel
     rows = complete(40).out_adj
     large = TABLE_REUSE[0]
@@ -1002,12 +1007,18 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
             for args, _ in CLASS_EDGES:
                 kernel.class_masses(*args)
 
+    def generate():
+        for n in (2, 3, 65):
+            for threshold in (0, 1, 2**31, 2**32):
+                assert len(kernel.rows(kernel.random_out_adj(n, threshold, 5, 11)[0])) == n
+        assert len(kernel.rows(kernel.random_out_adj(300, 0, 5, 11)[0])) == 300
+
     kernel.run_rounds(large, handle, 2, ROUND_CAP, 0, 1)  # the piece set grows to its size
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        for run in (many_calls_then_drop, decline, capped, broken, class_arithmetic):
+        for run in (many_calls_then_drop, decline, capped, broken, class_arithmetic, generate):
             assert traced_growth(run) < 320, run.__name__
     finally:
         if not tracing:
@@ -1334,13 +1345,10 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
             kernel.run_rounds([1, 1, 1, 1], not_a_handle, 2, 10, 0, 1)
         with pytest.raises(ValueError, match="PyCapsule_GetPointer"):
             kernel.diameter(not_a_handle)
+        with pytest.raises(ValueError, match="PyCapsule_GetPointer"):
+            kernel.rows(not_a_handle)
     with pytest.raises(ValueError, match="out of range"):
         kernel.csr([(1,), (2,)])
-    # A cycle successor outside [0, n) is refused before the first draw,
-    # not left to drop the cycle edge silently.
-    for succ in ([1, 2], [1, 0, -1], [3, 0, 1]):
-        with pytest.raises(ValueError, match="out of range"):
-            kernel.random_out_adj(succ, 2**31, 0, 1)
 
 
 # Masses on complete(40) whose alphabets differ in size: over a thousand
@@ -1378,10 +1386,12 @@ STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
 # 0-4 never bring node 0 of [-(2**63 - 1), 0, 0] to z = 3 with all the
 # mass; state 5 does, in round 1.
 # Then takes the bulk draws of every bound sequence from the same states,
-# and checks that a bound beyond 2**32 raises.  Then generates graphs on a
-# ring cycle at p = 0, 1/2**32, 1/2 and 1, with n across a 64-bit word, and
-# runs the diameter and a consensus on each handle the scan returns, and
-# the diameter of a path, which is not strongly connected.  Then runs
+# and checks that a bound beyond 2**32 raises.  Then generates graphs (the
+# shuffle, the cycle and the scan) at p = 0, 1/2**32, 1/2 and 1, with n
+# across a 64-bit word, makes each one's rows and flattens them again, runs
+# the diameter and a consensus on each generated handle, and checks that
+# node counts 1 and 2**25 - 1 are refused; and runs the diameter of a
+# path, which is not strongly connected.  Then runs
 # spread masses on the directed ring(7) (D' = 6) to the stop and again
 # capped one round short of it, mid-epoch.  Then runs each of STAR_MASSES
 # on a star from the same states, on one handle per node count.  Then makes
@@ -1416,11 +1426,20 @@ else:
     raise AssertionError("bound 2**32 + 1 was accepted")
 for n in (2, 3, 65):
     for threshold in (0, 1, 2**31, 2**32):
-        rows, handle, state = kernel.random_out_adj([(u + 1) % n for u in range(n)], threshold, 5, 11)
+        handle, state = kernel.random_out_adj(n, threshold, 5, 11)
+        rows = kernel.rows(handle)
+        assert kernel.rows(kernel.csr(rows)) == rows == kernel.rows(handle), (n, threshold)
         d = kernel.diameter(handle)
         assert 1 <= d <= n - 1 and kernel.diameter(kernel.csr(rows)) == d, (n, threshold)
         out = kernel.run_rounds([3 * u - n for u in range(n)], handle, max(d, 2), 100000, state, 11)
         assert out is not None and out[0], (n, threshold)
+for n in (1, 2**25 - 1):
+    try:
+        kernel.random_out_adj(n, 2**31, 5, 11)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("node count %d was accepted" % n)
 assert kernel.diameter(kernel.csr([[1], [2], []])) == -1
 ring = kernel.csr([[(u + 1) % 7] for u in range(7)])
 y = [10**6 * (2 * u - 7) + 1 for u in range(7)]

@@ -1,9 +1,9 @@
 """Digraph generation and analysis, cross-checked against oracles.
 
 networkx and an all-pairs BFS (``bfs_diameter``) are the independent
-oracles for strong connectivity and diameter; the pure edge-draw loop is
-the oracle for the C kernel's ``random_out_adj``, and ``PCG32.randbelow``
-bound by bound for its bulk draws ``randbelow_each``.  The generator's own
+oracles for strong connectivity and diameter; the pure shuffle and edge-draw
+loop are the oracle for the C kernel's ``random_out_adj`` and ``rows``, and
+``PCG32.randbelow`` bound by bound for its bulk draws ``randbelow_each``.  The generator's own
 guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
@@ -25,6 +25,7 @@ from conftest import BULK_DRAW_BOUNDS, CC, complete, digraph, ring
 from zoomgrad import graph, objective, runner
 from zoomgrad.config import RunConfig
 from zoomgrad.graph import (
+    Digraph,
     diameter,
     generate_random_digraph,
 )
@@ -268,25 +269,35 @@ DRAW_NODES = [2, 3, 17, 64]
 DRAW_SEEDS = [0, 1, 7, 2**32]
 
 
+def pure_shuffled_cycle(n, rng):
+    """``generate_random_digraph``'s pure shuffle: the cycle's successors."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    succ = [0] * n
+    for k in range(n):
+        succ[perm[k]] = perm[(k + 1) % n]
+    return succ
+
+
 @pytest.mark.parametrize("n", DRAW_NODES)
 @pytest.mark.parametrize("p", DRAW_PROBS)
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    succ = [0] * n
-    for k in range(n):
-        succ[perm[k]] = perm[(k + 1) % n]
+    # The kernel draws the shuffle and the edges in one call; the pure
+    # shuffle and edge scan, drawn from the same state, are its oracle.
     threshold = (p.numerator << 32) // p.denominator
-
     pure_rng = PCG32(seed, STREAM_GRAPH)
+    succ = pure_shuffled_cycle(n, pure_rng)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_kernel", None)
         want = graph._draw_digraph(succ, threshold, pure_rng).out_adj
-    rng = PCG32(seed, STREAM_GRAPH)
-    got = graph._draw_digraph(succ, threshold, rng).out_adj
+    state, inc = PCG32(seed, STREAM_GRAPH).getstate()
+    handle, end_state = kernel.random_out_adj(n, threshold, state, inc)
+    got = kernel.rows(handle)
     assert got == want
-    assert rng.getstate() == pure_rng.getstate()
+    assert (end_state, inc) == pure_rng.getstate()
     # the kernel's rows hold only ints, so it keeps them out of the cyclic GC
     assert not any(gc.is_tracked(row) for row in got)
     assert all(succ[u] in row and u not in row for u, row in enumerate(got))
@@ -294,6 +305,25 @@ def test_kernel_edge_draws_match_pure(kernel, n, p, seed):
         assert all(len(row) == n - 1 for row in got)
     if p == 0:
         assert all(row == (succ[u],) for u, row in enumerate(got))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2**25 - 1])
+def test_kernel_refuses_a_node_count_before_drawing(kernel, n):
+    # The kernel takes 2 to 2**25 - 2 nodes; any other count is refused
+    # before the shuffle's first draw, so the generator stays where it was.
+    rng = PCG32(3, STREAM_GRAPH)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="need 2 <= n <= %d" % (2**25 - 2)):
+        rng.state = kernel.random_out_adj(n, 2**31, rng.state, rng.inc)[1]
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_a_graph_with_no_nodes_has_no_diameter(backend, request):
+    # Both backends refuse it alike, before the kernel would flatten it.
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    with pytest.raises(ValueError, match="diameter undefined: digraph has no nodes"):
+        diameter(Digraph(()))
 
 
 # n = 65 puts a row's reach set across two 64-bit words.
@@ -321,7 +351,7 @@ def test_a_generated_graph_never_flattens_its_rows(kernel, monkeypatch):
     # Generation, the diameter and a consensus run all read the handle the
     # edge scan built: a kernel whose csr fails is never asked to flatten.
     class NoCsr:
-        ABI, random_out_adj, randbelow_each = kernel.ABI, kernel.random_out_adj, kernel.randbelow_each
+        ABI, random_out_adj, rows = kernel.ABI, kernel.random_out_adj, kernel.rows
         diameter, run_rounds = kernel.diameter, kernel.run_rounds
 
         @staticmethod
@@ -335,6 +365,69 @@ def test_a_generated_graph_never_flattens_its_rows(kernel, monkeypatch):
     q = QuantizerState.of(b_q=Fraction(0), delta=Fraction(1))
     assert run_consensus(y, q, g, PCG32(3, STREAM_PROTOCOL))[1].rounds > 0
     assert g._kernel_handle[0] is NoCsr
+
+
+class CountingRows:
+    """``kernel`` with its ``rows`` calls counted in ``made`` and its
+    ``run_rounds`` outcomes in ``declined`` (True for a decline)."""
+
+    def __init__(self, kernel):
+        self.kernel, self.made, self.declined = kernel, 0, []
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def rows(self, handle):
+        self.made += 1
+        return self.kernel.rows(handle)
+
+    def run_rounds(self, *args):
+        out = self.kernel.run_rounds(*args)
+        self.declined.append(out is None)
+        return out
+
+
+def test_generated_rows_are_made_only_when_a_pure_path_reads_them(kernel, monkeypatch):
+    counting = CountingRows(kernel)
+    monkeypatch.setattr(graph, "_kernel", counting)
+    # A compiled run to the stop rule with no decline never makes the rows.
+    state = runner.run_single(RunConfig(n=40, seed=2))
+    assert state.history and counting.declined and not any(counting.declined)
+    assert counting.made == 0
+
+    # A declined consensus call (sum |y| beyond int64) makes them once, for
+    # the pure path, which replays the all-Python run exactly.
+    g = generate_random_digraph(12, Fraction(1, 3), 4)
+    pure = Digraph(pure_generated(12, Fraction(1, 3), 4))
+    y = [2**61 + 2 * u + 1 for u in range(12)]
+    q = QuantizerState.of(b_q=Fraction(0), delta=Fraction(1))
+
+    def run(g, **kw):
+        rng = PCG32(4, STREAM_PROTOCOL)
+        return run_consensus(y, q, g, rng, **kw), rng.getstate()
+
+    want = run(pure, force_backend="pure")
+    for _ in range(2):
+        assert run(g) == want
+        assert counting.declined[-1] and counting.made == 1
+    assert g.out_adj == pure.out_adj
+
+    # Another kernel gets a handle of its own, flattened from the rows that
+    # the generating kernel makes from its handle before it is replaced.
+    counting.made = 0
+    g = generate_random_digraph(65, Fraction(1, 2), 3)
+    own = g.kernel_handle(counting)
+    other = g.kernel_handle(kernel)
+    assert counting.made == 1 and g._kernel_handle == (kernel, other) and other is not own
+    assert g.out_adj == pure_generated(65, Fraction(1, 2), 3)
+    assert kernel.diameter(other) == kernel.diameter(own) == bfs_diameter(g)
+
+
+def pure_generated(n, p, seed):
+    """The rows ``generate_random_digraph`` draws on the pure path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_kernel", None)
+        return generate_random_digraph(n, p, seed).out_adj
 
 
 # --- bulk bounded draws ------------------------------------------------------
@@ -379,8 +472,10 @@ def test_bulk_draws_refuse_a_bound_beyond_32_bits(backend, bound, request):
 
 
 def with_draw_states(monkeypatch, build):
-    """``build()`` and the RNG state after each bulk draw it takes."""
-    states = []
+    """``build()`` and the RNG state after each bulk draw it takes.  A
+    generated graph's draws count as one, ended by its generator's final
+    state: the kernel takes them in one ``random_out_adj`` call."""
+    states, made = [], []
     draw = graph.randbelow_each
 
     def recording(rng, bounds):
@@ -388,9 +483,19 @@ def with_draw_states(monkeypatch, build):
         states.append(rng.getstate())
         return out
 
-    for module in (graph, objective, runner):
+    for module in (objective, runner):
         monkeypatch.setattr(module, "randbelow_each", recording)
-    return build(), states
+
+    class Recorded(PCG32):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(graph, "PCG32", Recorded)
+    built = build()
+    return built, states + [rng.getstate() for rng in made]
 
 
 def suite_table(s):
@@ -458,7 +563,7 @@ def fake_kernel(tmp_path, **attrs):
 
 @pytest.mark.parametrize(
     "attrs",
-    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}] + [{"ABI": abi} for abi in range(2, 7)],
+    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}] + [{"ABI": abi} for abi in range(2, 8)],
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # A build without ABI (older source) or with another one is not used:
@@ -467,7 +572,9 @@ def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
     # the generator handed over its handle; ABI 4 is the kernel before
     # run_rounds returned its alphabet's size; ABI 5 is the kernel before
     # class_offsets and class_masses; ABI 6 is the kernel before
-    # class_offsets folded into class_masses.
+    # class_offsets folded into class_masses; ABI 7 is the kernel before
+    # random_out_adj drew the shuffle and returned only the handle, whose
+    # rows came from rows.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None
