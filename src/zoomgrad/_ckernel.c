@@ -1,7 +1,7 @@
 /* The simulator's hot loops in C: the epoch-snapshot consensus
  * (engine._run_snapshot), the random digraph, shuffle and edge draws
  * (graph.generate_random_digraph), the graph's diameter (graph.diameter),
- * bulk bounded draws (graph.randbelow_each: the cost suite's draws and the
+ * bulk bounded draws (graph.randbelow_n: the cost suite's draws and the
  * initial estimates' grid indices) and the optimizer's per-class
  * arithmetic (optimizer.grid_masses).  The draws consume the same PCG32
  * stream as the pure paths, draw for draw, so every result and the final
@@ -16,8 +16,10 @@
  * its handle: random_out_adj's edge scan writes the kept ids into the
  * handle as it draws them, and rows makes the row tuples from a handle
  * only when the pure path first reads them.  csr flattens the rows of a
- * graph given as rows, on its first kernel call.  Both build it through
- * csr_new and csr_capsule, so there is one layout and one free path.
+ * graph given as rows, on its first kernel call; it takes them as Digraph
+ * holds them and rows returns them, a tuple of int tuples, so
+ * csr(rows(h)) is an exact round trip.  Both build it through csr_new and
+ * csr_capsule, so there is one layout and one free path.
  *
  * The workspace.  The handle also keeps run_rounds' workspace between
  * calls, so a call allocates only its result.  workspace_new makes it at the
@@ -28,12 +30,15 @@
  * Kaser and Kurz, 2019), so a draw's r % bound takes three multiplies and no
  * division, the narrow split's reciprocals, and the piece set's bitmap and
  * first table of 64 slots.  The bounds and reciprocals are computed once per
- * handle.  The histogram is zeroed at the start of every call rather than
- * trusted from the last one, because a call that fails in a collect pass
- * exits between the split, which fills it, and the draw, which clears it.  A
- * handle runs one call at a time: reading w can run an item's __index__, and
- * a call made from there on the same handle raises RuntimeError rather than
- * overwrite the workspace under the running one.
+ * handle.  It stays on the handle because allocating it per call, with the
+ * bounds and reciprocals still made once per handle, ran the reference
+ * sweep 5 % and compare-n20 4 % slower.  The histogram is zeroed at the
+ * start of every call rather than trusted from the last one, because a call
+ * that fails in a collect pass exits between the split, which fills it, and
+ * the draw, which clears it.  A handle runs one call at a time: reading w
+ * can run an item's __index__, and a call made from there on the same
+ * handle raises RuntimeError rather than overwrite the workspace under the
+ * running one.
  *
  * run_rounds mirrors the pure consensus round for round: same node order,
  * same draw sequence, the max ceil(y/z) / min floor(y/z) snapshot at each
@@ -172,8 +177,9 @@
  * rows(handle) makes the sorted row tuples, each untracked by the cyclic
  * GC, since it holds only ints.
  *
- * randbelow_each applies PCG32.randbelow's rejection rule to each bound of a
- * sequence in turn, through the same draw_below as run_rounds.
+ * randbelow_n applies PCG32.randbelow's rejection rule count times to one
+ * bound, through the same draw_below as run_rounds, with the bound's
+ * threshold and fastmod constant made once per call.
  *
  * Build: setup.py compiles it as the optional extension zoomgrad._ckernel;
  * no code generator is involved.  The module exports ABI = KERNEL_ABI;
@@ -186,7 +192,7 @@
 #include <limits.h>
 #include <string.h>
 
-#define KERNEL_ABI 8
+#define KERNEL_ABI 9
 
 #define PCG_MULT 6364136223846793005ULL
 
@@ -596,36 +602,33 @@ static int idx_resize(Csr *g, size_t cap)
     return 0;
 }
 
-/* Flatten the out-adjacency into g's CSR rows, each led by its own node;
- * -1 with an exception set on error. */
+/* Flatten the out-adjacency, a tuple of n int tuples, into g's CSR rows,
+ * each led by its own node; -1 with an exception set on error. */
 static int load_adjacency(PyObject *out_adj, Csr *g)
 {
-    Py_ssize_t i, j, n = g->n, e = 0, total = 0;
+    Py_ssize_t i, j, n = g->n, e = 0;
     for (i = 0; i < n; i++) {
-        Py_ssize_t deg = PySequence_Size(PySequence_Fast_GET_ITEM(out_adj, i));
-        if (deg < 0)
+        PyObject *row = PyTuple_GET_ITEM(out_adj, i);
+        if (!PyTuple_Check(row)) {
+            PyErr_SetString(PyExc_TypeError, "out_adj must be a tuple of int tuples");
             return -1;
-        total += 1 + deg;
+        }
+        e += 1 + PyTuple_GET_SIZE(row);
     }
-    if (idx_resize(g, (size_t)total) < 0)
+    if (idx_resize(g, (size_t)e) < 0)
         return -1;
-    for (i = 0; i < n; i++) {
-        PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(out_adj, i), "out_adj rows must be sequences");
-        if (row == NULL)
-            return -1;
+    for (i = e = 0; i < n; i++) {
+        PyObject *row = PyTuple_GET_ITEM(out_adj, i);
         g->ptr[i] = e;
         g->idx[e++] = (int)i;
-        for (j = 0; j < PySequence_Fast_GET_SIZE(row) && e < total; j++) {
-            long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(row, j));
+        for (j = 0; j < PyTuple_GET_SIZE(row); j++) {
+            long v = PyLong_AsLong(PyTuple_GET_ITEM(row, j));
             if ((v < 0 || v >= n) && !PyErr_Occurred())
                 PyErr_SetString(PyExc_ValueError, "out_adj holds a node id out of range");
-            if (PyErr_Occurred()) {
-                Py_DECREF(row);
+            if (PyErr_Occurred())
                 return -1;
-            }
             g->idx[e++] = (int)v;
         }
-        Py_DECREF(row);
     }
     g->ptr[n] = e;
     return 0;
@@ -633,22 +636,20 @@ static int load_adjacency(PyObject *out_adj, Csr *g)
 
 static PyObject *csr(PyObject *self, PyObject *out_adj)
 {
-    PyObject *adj, *handle = NULL;
     Csr *g;
 
     (void)self;
-    adj = PySequence_Fast(out_adj, "out_adj must be a sequence");
-    if (adj == NULL)
+    if (!PyTuple_Check(out_adj)) {
+        PyErr_SetString(PyExc_TypeError, "out_adj must be a tuple of int tuples");
         return NULL;
-    g = csr_new(PySequence_Fast_GET_SIZE(adj), 1, "len(out_adj)");
-    if (g != NULL) {
-        if (load_adjacency(adj, g) == 0)
-            handle = csr_capsule(g);
-        else
-            csr_free(g);
     }
-    Py_DECREF(adj);
-    return handle;
+    if ((g = csr_new(PyTuple_GET_SIZE(out_adj), 1, "len(out_adj)")) == NULL)
+        return NULL;
+    if (load_adjacency(out_adj, g) < 0) {
+        csr_free(g);
+        return NULL;
+    }
+    return csr_capsule(g);
 }
 
 static PyObject *run_rounds(PyObject *self, PyObject *args)
@@ -1081,52 +1082,43 @@ done:
     return out;
 }
 
-static PyObject *randbelow_each(PyObject *self, PyObject *args)
+static PyObject *randbelow_n(PyObject *self, PyObject *args)
 {
-    PyObject *bounds_obj, *bounds, *draws = NULL, *ret = NULL;
+    PyObject *bound, *draws;
     unsigned long long state_in, inc_in;
-    uint64_t state, inc;
-    Py_ssize_t i, n;
-    Bound b = make_bound(1);
+    uint64_t state;
+    Py_ssize_t i, count;
+    long long v;
+    int overflow;
+    Bound b;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OKK", &bounds_obj, &state_in, &inc_in))
+    if (!PyArg_ParseTuple(args, "O!nKK", &PyLong_Type, &bound, &count, &state_in, &inc_in))
         return NULL;
+    v = PyLong_AsLongLongAndOverflow(bound, &overflow);
+    if (overflow > 0 || v > (1LL << 32)) {
+        PyErr_Format(PyExc_ValueError, "randbelow bound %S exceeds the 32-bit output range", bound);
+        return NULL;
+    }
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "need count >= 0");
+        return NULL;
+    }
+    /* a bound <= 1, however negative, takes no draw */
+    b = make_bound(overflow < 0 || v < 1 ? 1 : (uint64_t)v);
     state = state_in;
-    inc = inc_in;
-    bounds = PySequence_Fast(bounds_obj, "bounds must be a sequence");
-    if (bounds == NULL)
+    if ((draws = PyList_New(count)) == NULL)
         return NULL;
-    n = PySequence_Fast_GET_SIZE(bounds);
-    if ((draws = PyList_New(n)) == NULL)
-        goto done;
-    for (i = 0; i < n; i++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(bounds, i), *draw;
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(item, &overflow);
-        if (v == -1 && PyErr_Occurred())
-            goto done;
-        if (overflow > 0 || v > (1LL << 32)) {
-            PyErr_Format(PyExc_ValueError, "randbelow bound %S exceeds the 32-bit output range", item);
-            goto done;
+    for (i = 0; i < count; i++) {
+        PyObject *draw = PyLong_FromUnsignedLong(draw_below(&b, &state, inc_in));
+        if (draw == NULL) {
+            Py_DECREF(draws);
+            return NULL;
         }
-        /* a bound <= 1, however negative, takes no draw; a run of equal
-           bounds derives its threshold and fastmod constant once */
-        if (overflow < 0 || v < 1)
-            v = 1;
-        if ((uint64_t)v != b.bound)
-            b = make_bound((uint64_t)v);
-        if ((draw = PyLong_FromUnsignedLong(draw_below(&b, &state, inc))) == NULL)
-            goto done;
         PyList_SET_ITEM(draws, i, draw);
     }
-    /* (draws, rng state): one int per bound and the state after the last draw */
-    ret = Py_BuildValue("(OK)", draws, (unsigned long long)state);
-
-done:
-    Py_XDECREF(draws);
-    Py_DECREF(bounds);
-    return ret;
+    /* (draws, rng state): count ints and the state after the last draw */
+    return Py_BuildValue("(NK)", draws, (unsigned long long)state);
 }
 
 /* The optimizer's class arithmetic (class_masses; see the header) on int64
@@ -1172,7 +1164,7 @@ static int mul_i64(int64_t a, int64_t b, int64_t *out)
  * not a 2-tuple. */
 static PyObject *pair_at(PyObject *coeffs, Py_ssize_t c)
 {
-    PyObject *pair = PySequence_Fast_GET_ITEM(coeffs, c);
+    PyObject *pair = PyTuple_GET_ITEM(coeffs, c);
     if (PyTuple_Check(pair) && PyTuple_GET_SIZE(pair) == 2)
         return pair;
     PyErr_SetString(PyExc_TypeError, "coeffs must hold (u, v) tuples");
@@ -1181,8 +1173,8 @@ static PyObject *pair_at(PyObject *coeffs, Py_ssize_t c)
 
 static PyObject *class_masses(PyObject *self, PyObject *args)
 {
-    PyObject *coeffs_obj, *lcm_obj, *node_class_obj, *base, *den, *step, *level_obj, *rb, *rd;
-    PyObject *coeffs = NULL, *node_class = NULL, *qr_b = NULL, *qr_d = NULL, *fb_obj = NULL, *fd_obj = NULL;
+    PyObject *coeffs, *lcm_obj, *node_class, *base, *den, *step, *level_obj, *rb, *rd;
+    PyObject *qr_b = NULL, *qr_d = NULL, *fb_obj = NULL, *fd_obj = NULL;
     PyObject *ys = NULL, *out = NULL, *ret = NULL;
     int64_t lcm, level, qb, qd, step64 = 0, rb64 = 0, rd64 = 0;
     double fb, fd;
@@ -1190,12 +1182,9 @@ static PyObject *class_masses(PyObject *self, PyObject *args)
     int fits, small, rb_zero, rd_zero;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOOO!O!O!O", &coeffs_obj, &lcm_obj, &node_class_obj, &PyLong_Type, &base,
-                          &PyLong_Type, &den, &PyLong_Type, &step, &level_obj))
+    if (!PyArg_ParseTuple(args, "O!OO!O!O!O!O", &PyTuple_Type, &coeffs, &lcm_obj, &PyTuple_Type, &node_class,
+                          &PyLong_Type, &base, &PyLong_Type, &den, &PyLong_Type, &step, &level_obj))
         return NULL;
-    if ((coeffs = PySequence_Fast(coeffs_obj, "coeffs must be a sequence")) == NULL ||
-        (node_class = PySequence_Fast(node_class_obj, "node_class must be a sequence")) == NULL)
-        goto done;
     if ((fits = PyObject_IsTrue(step)) <= 0) {  /* a zero step has no grid */
         ret = fits < 0 ? NULL : Py_NewRef(Py_None);
         goto done;
@@ -1237,8 +1226,8 @@ static PyObject *class_masses(PyObject *self, PyObject *args)
         goto done;
     small = fits && step64 > 0;
 
-    k = PySequence_Fast_GET_SIZE(coeffs);
-    n = PySequence_Fast_GET_SIZE(node_class);
+    k = PyTuple_GET_SIZE(coeffs);
+    n = PyTuple_GET_SIZE(node_class);
     if ((ys = PyTuple_New(k)) == NULL)
         goto done;
     for (c = 0; c < k; c++) {
@@ -1284,7 +1273,7 @@ static PyObject *class_masses(PyObject *self, PyObject *args)
     if ((out = PyList_New(n)) == NULL)
         goto done;
     for (i = 0; i < n; i++) {
-        Py_ssize_t cls = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(node_class, i));
+        Py_ssize_t cls = PyLong_AsSsize_t(PyTuple_GET_ITEM(node_class, i));
         if (cls == -1 && PyErr_Occurred())
             goto done;
         if (cls < 0 || cls >= k) {
@@ -1305,17 +1294,15 @@ done:
     Py_XDECREF(fd_obj);
     Py_XDECREF(qr_b);
     Py_XDECREF(qr_d);
-    Py_XDECREF(coeffs);
-    Py_XDECREF(node_class);
     return ret;
 }
 
 static PyMethodDef methods[] = {
     {"csr", csr, METH_O,
      "csr(out_adj)\n\n"
-     "The graph handle of the out-adjacency rows, for run_rounds and\n"
-     "diameter.  Raises ValueError on an id out of range or on more than\n"
-     "2**25 - 2 nodes."},
+     "The graph handle of the out-adjacency rows, a tuple of int tuples,\n"
+     "for run_rounds and diameter.  Raises ValueError on an id out of range\n"
+     "or on more than 2**25 - 2 nodes."},
     {"run_rounds", run_rounds, METH_VARARGS,
      "run_rounds(w, graph, d_eff, max_rounds, rng_state, rng_inc)\n\n"
      "The consensus on initial value masses w over a graph handle of len(w)\n"
@@ -1337,17 +1324,18 @@ static PyMethodDef methods[] = {
      "rows(graph)\n\n"
      "The out-adjacency rows of a graph handle, as a tuple of int tuples\n"
      "in the handle's order, which is sorted for random_out_adj's."},
-    {"randbelow_each", randbelow_each, METH_VARARGS,
-     "randbelow_each(bounds, rng_state, rng_inc)\n\n"
-     "PCG32.randbelow(b) for each bound b in turn: (draws, rng_state).\n"
-     "Raises ValueError on a bound above 2**32."},
+    {"randbelow_n", randbelow_n, METH_VARARGS,
+     "randbelow_n(bound, count, rng_state, rng_inc)\n\n"
+     "PCG32.randbelow(bound) count times: (draws, rng_state).  Raises\n"
+     "ValueError, before any draw, on a bound above 2**32 or a negative count."},
     {"class_masses", class_masses, METH_VARARGS,
      "class_masses(coeffs, lcm, node_class, base, den, step, level)\n\n"
      "The list of 2 floor((u_c level + kappa_c) / lcm) + 1 for the class\n"
      "c = node_class[i] of each node i, where (u_c, v_c) = coeffs[c] and\n"
-     "kappa_c = floor(((u_c - lcm) base + v_c den) / step).  Returns None\n"
-     "when a value leaves the range it handles; raises only on arguments of\n"
-     "the wrong type or shape, or a class index out of range."},
+     "kappa_c = floor(((u_c - lcm) base + v_c den) / step), for coeffs and\n"
+     "node_class given as tuples.  Returns None when a value leaves the\n"
+     "range it handles; raises only on arguments of the wrong type or\n"
+     "shape, or a class index out of range."},
     {NULL, NULL, 0, NULL},
 };
 

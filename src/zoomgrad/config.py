@@ -16,6 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .graph import MAX_NODES
 from .metrics import FIXED_LEVEL_WIDTHS
 
 
@@ -90,8 +91,8 @@ class RunConfig:
     out_dir: str = ""
 
     def validate(self):
-        if type(self.n) is not int or self.n < 2:
-            raise ConfigError("n", "need an integer node count >= 2")
+        if type(self.n) is not int or not 2 <= self.n <= MAX_NODES:
+            raise ConfigError("n", "need an integer node count from 2 to %d" % MAX_NODES)
         if not isinstance(self.x_init_range, (list, tuple)) or len(self.x_init_range) != 2:
             raise ConfigError("x_init_range", "expected [lo, hi], got %r" % (self.x_init_range,))
         lo, hi = self.x_init_range

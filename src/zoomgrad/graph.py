@@ -11,7 +11,7 @@ This module imports the C kernel (``_ckernel.c``, whose header describes
 it) for the package, as ``_kernel``: a build whose ``ABI`` differs from
 ``KERNEL_ABI`` (an in-place build left from an older source) is refused
 with a ``RuntimeWarning``, and the pure paths run.  Each kernel path gives
-the same results and RNG state as its pure loop.  ``randbelow_each``, the
+the same results and RNG state as its pure loop.  ``randbelow_n``, the
 package's bulk bounded draws, is here for that reason.
 """
 
@@ -23,7 +23,11 @@ from .rng import PCG32, STREAM_GRAPH
 
 # The kernel interface this source calls; _ckernel.c exports the same number
 # as ``ABI``.  A build from another source is refused, not half used.
-KERNEL_ABI = 8
+KERNEL_ABI = 9
+
+# The most nodes a graph may have, the kernel's MAX_NODES: the kernel's
+# narrow consensus split is exact while 64*(n + 1)**2 < 2**57.
+MAX_NODES = 2**25 - 2
 
 
 def _checked_kernel(module):
@@ -50,7 +54,7 @@ __all__ = [
     "Digraph",
     "generate_random_digraph",
     "diameter",
-    "randbelow_each",
+    "randbelow_n",
 ]
 
 
@@ -58,20 +62,21 @@ class Digraph:
     """Immutable digraph on nodes 0..n-1 that holds one adjacency, the
     sorted out-neighbor rows.
 
-    ``out_adj[u]``, taken as given, is the sorted tuple of u's out-neighbors,
-    none of them u: the consensus layer models self-delivery in its sampling
-    set instead, keeping BFS/diameter standard.  The graph keeps its kernel
-    handle (``kernel_handle``) and the consensus engine's binding
-    (``_binding``).  A graph the kernel generated holds its handle alone
-    (``_of_handle``), and ``out_adj`` is made from it by that kernel on its
-    first read, after which it is a plain slot read.
+    ``out_adj[u]`` is the sorted tuple of u's out-neighbors, none of them u:
+    the consensus layer models self-delivery in its sampling set instead,
+    keeping BFS/diameter standard.  ``Digraph(out_adj)`` stores the given
+    rows as a tuple of tuples, the one shape the kernel's ``csr`` takes.
+    The graph keeps its kernel handle (``kernel_handle``) and the consensus
+    engine's binding (``_binding``).  A graph the kernel generated holds its
+    handle alone (``_of_handle``), and ``out_adj`` is made from it by that
+    kernel on its first read, after which it is a plain slot read.
     """
 
     __slots__ = ("n", "out_adj", "_diameter", "_kernel_handle", "_binding")
 
-    def __init__(self, out_adj: tuple):
+    def __init__(self, out_adj):
         self.n = len(out_adj)
-        self.out_adj = out_adj
+        self.out_adj = tuple(map(tuple, out_adj))
         self._diameter = None
         self._kernel_handle = None
         self._binding = (None, None, None)
@@ -172,14 +177,15 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
     order, then draws one 32-bit variate and keeps the edge when it falls
     below ``edge_prob * 2**32``.  ``edge_prob`` is an exact rational, a
     ``Fraction`` or an int, as ``RunConfig`` holds it.  Both arguments are
-    validated before the first draw.  The kernel, when it is built, draws
-    the whole graph in one call and the graph keeps only its handle;
-    otherwise the shuffle below and ``_draw_digraph`` draw it.
+    validated before the first draw, ``n`` against 2 and ``MAX_NODES``.
+    The kernel, when it is built, draws the whole graph in one call and the
+    graph keeps only its handle; otherwise the shuffle below and
+    ``_draw_digraph`` draw it.
     """
     if not 0 <= edge_prob <= 1:
         raise ValueError(f"edge_prob: expected probability in [0,1], got {edge_prob}")
-    if n < 2:
-        raise ValueError(f"n: need at least 2 nodes, got {n}")
+    if not 2 <= n <= MAX_NODES:
+        raise ValueError(f"n: need at least 2 nodes and at most {MAX_NODES}, got {n}")
     rng = PCG32(seed, STREAM_GRAPH)
     threshold = (edge_prob.numerator << 32) // edge_prob.denominator
     if _kernel is not None:
@@ -187,7 +193,8 @@ def generate_random_digraph(n: int, edge_prob, seed: int) -> Digraph:
         return Digraph._of_handle(n, _kernel, handle)
 
     perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), randbelow_each(rng, range(n, 1, -1))):
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     succ = [0] * n
     for k in range(n):
@@ -206,18 +213,20 @@ def _draw_digraph(succ: list[int], threshold: int, rng: PCG32) -> Digraph:
     rows = []
     for u, s in enumerate(succ):
         rows.append(tuple(v for v in range(n) if v != u and (v == s or rng.next_u32() < threshold)))
-    return Digraph(tuple(rows))
+    return Digraph(rows)
 
 
-def randbelow_each(rng: PCG32, bounds) -> list[int]:
-    """``[rng.randbelow(b) for b in bounds]``: the same draws, leaving ``rng``
-    in the same state, in one call to the C kernel when it is built.  A
-    bound above 2**32 raises ValueError before any draw.
+def randbelow_n(rng: PCG32, bound: int, count: int) -> list[int]:
+    """``[rng.randbelow(bound) for _ in range(count)]``: the same draws,
+    leaving ``rng`` in the same state, in one call to the C kernel when it
+    is built.  A bound above 2**32 or a negative count raises ValueError
+    before any draw.
     """
     if _kernel is None:
-        for b in bounds:
-            if b > 1 << 32:
-                raise ValueError("randbelow bound %d exceeds the 32-bit output range" % b)
-        return [rng.randbelow(b) for b in bounds]
-    draws, rng.state = _kernel.randbelow_each(bounds, rng.state, rng.inc)
+        if bound > 1 << 32:
+            raise ValueError("randbelow bound %d exceeds the 32-bit output range" % bound)
+        if count < 0:
+            raise ValueError("need count >= 0")
+        return [rng.randbelow(bound) for _ in range(count)]
+    draws, rng.state = _kernel.randbelow_n(bound, count, rng.state, rng.inc)
     return draws

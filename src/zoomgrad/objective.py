@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import randbelow_each
+from .graph import randbelow_n
 from .rng import PCG32, STREAM_COSTS
 
 __all__ = ["QuadraticCost", "CostSuite", "random_cost_suite"]
@@ -41,7 +41,8 @@ class CostSuite:
     """The n per-node costs of one experiment instance, as a class table.
 
     ``classes`` holds each distinct cost once, in order of first appearance,
-    and ``node_class`` the index into ``classes`` of every node's cost.
+    and ``node_class`` the index into ``classes`` of every node's cost,
+    stored as a tuple, the shape the kernel's ``class_masses`` takes.
     ``random_cost_suite`` and ``runner.build_costs`` group the costs.
     """
 
@@ -49,7 +50,7 @@ class CostSuite:
         if not classes:
             raise ValueError("need at least one cost")
         self.classes = classes
-        self.node_class = node_class
+        self.node_class = tuple(node_class)
 
     @cached_property
     def global_optimum(self) -> Fraction:
@@ -76,7 +77,7 @@ def random_cost_suite(n: int, seed: int, value_set, shared_x0: bool) -> CostSuit
     Draw order is part of the determinism contract: with per-node optima the
     stream is beta_0, x0_0, beta_1, x0_1, ...; with ``shared_x0`` the common
     x0 is drawn first, then the betas.  The draws are taken in one
-    ``randbelow_each`` call and the class table is built from them: node i's
+    ``randbelow_n`` call and the class table is built from them: node i's
     class is the pair of value positions it drew, each position mapped to the
     first one holding an equal value, so the classes are distinct.
     """
@@ -85,11 +86,11 @@ def random_cost_suite(n: int, seed: int, value_set, shared_x0: bool) -> CostSuit
     v = len(values)
     first = [values.index(x) for x in values]
     if shared_x0:
-        draws = randbelow_each(rng, [v] * (n + 1))
+        draws = randbelow_n(rng, v, n + 1)
         x0 = first[draws[0]]
         codes = [v * first[b] + x0 for b in draws[1:]]
     else:
-        draws = randbelow_each(rng, [v] * (2 * n))
+        draws = randbelow_n(rng, v, 2 * n)
         codes = [v * first[b] + first[x] for b, x in zip(draws[0::2], draws[1::2])]
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
     classes = tuple(QuadraticCost(values[code // v], values[code % v]) for code in index)

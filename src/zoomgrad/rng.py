@@ -3,9 +3,9 @@
 Every random choice in the simulator flows through this generator so that a
 run is reproducible bit-for-bit across platforms and across the pure-Python
 and compiled backends (the C kernel, which runs the consensus rounds, the
-graph's shuffle and edge draws and bulk ``randbelow`` draws, re-implements the same
-three-line state transition and ``randbelow``'s rejection rule on C
-integers).
+graph's shuffle and edge draws and the bulk draws ``graph.randbelow_n``,
+many below one bound, re-implements the same three-line state transition
+and ``randbelow``'s rejection rule on C integers).
 
 Algorithm: PCG XSH-RR 64/32 (O'Neill's pcg32).  State advances by a 64-bit
 LCG ``state = state * 6364136223846793005 + inc``; each 32-bit output applies

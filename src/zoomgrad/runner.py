@@ -27,7 +27,7 @@ from operator import mul
 
 from .config import ConfigError
 from .consensus import ConsensusCapError, active_backend
-from .graph import generate_random_digraph, randbelow_each
+from .graph import generate_random_digraph, randbelow_n
 from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
 from .metrics import step_widths, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
@@ -93,7 +93,7 @@ def sample_x_init(config, x_star):
     A draw that lands exactly on the optimum is nudged one grid cell (up,
     or down at the top of the range) so the normalized error metric stays
     well defined.  Each node draws one grid index, all in one
-    ``randbelow_each`` call.  Each distinct index, in first-draw order, is
+    ``randbelow_n`` call.  Each distinct index, in first-draw order, is
     turned into its point once, as an integer over the denominator of the
     start grid ``QuantizerState.of(lo, x_init_grid)``, and checked against
     the optimum by cross-multiplying; the table keys its entries on that
@@ -103,7 +103,7 @@ def sample_x_init(config, x_star):
     lo, hi = config.x_init_range
     grid = config.x_init_grid
     count = int((hi - lo) // grid) + 1
-    draws = randbelow_each(PCG32(config.seed, STREAM_XINIT), [count] * config.n)
+    draws = randbelow_n(PCG32(config.seed, STREAM_XINIT), count, config.n)
     start_grid = QuantizerState.of(lo, grid)
     d, base, step = start_grid.den, start_grid.base, start_grid.step
     sn, sd = x_star.numerator, x_star.denominator

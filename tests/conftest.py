@@ -499,18 +499,20 @@ def per_draw_x_init(config, x_star):
     return xs
 
 
-# Bound sequences for the bulk bounded draws (``graph.randbelow_each``).
-# From the raw generator state 0 (increment 1), whose first output is 0,
-# "edges" gives bounds 0 and 1 and negative ones, which take no draw; 3,
-# which rejects that 0 (randbelow(3)'s threshold is 2**32 % 3 = 1); 2;
-# 2**31 + 1, which rejects nearly half of all outputs; and 2**32, which
-# rejects none.  "shuffle" is the pure digraph shuffle's falling bounds.
+# Bulk bounded draws (``graph.randbelow_n``) as runs of (bound, count),
+# taken one after another with the generator state threaded through.  From
+# the raw generator state 0 (increment 1), whose first output is 0, "edges"
+# gives bounds 0 and 1 and negative ones, which take no draw; 3, which
+# rejects that 0 (randbelow(3)'s threshold is 2**32 % 3 = 1); 2; 2**31 + 1,
+# which rejects nearly half of all outputs; and 2**32, which rejects none.
+# "empty" is a count of 0, and "shuffle" the pure digraph shuffle's falling
+# bounds, one draw each.
 BULK_DRAW_BOUNDS = {
-    "edges": [0, 1, 3, 2, 2**31 + 1, 2**32, -5, -(2**70), 3, 2],
-    "heavy-rejection": [2**31 + 1] * 40,
-    "full-range": [2**32] * 10,
-    "empty": [],
-    "shuffle": list(range(300, 1, -1)),
+    "edges": [(b, 1) for b in (0, 1, 3, 2, 2**31 + 1, 2**32, -5, -(2**70), 3, 2)],
+    "heavy-rejection": [(2**31 + 1, 40)],
+    "full-range": [(2**32, 10)],
+    "empty": [(3, 0)],
+    "shuffle": [(b, 1) for b in range(300, 1, -1)],
 }
 
 

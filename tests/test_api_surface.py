@@ -27,10 +27,18 @@ A config is read one way: outside ``config.py`` no module calls
 ``parse_rational`` or subscripts a nested block field (``config.policy[...]``
 and its siblings in ``BLOCK_FIELDS``); ``RunConfig.block`` is the one read
 of a block, with its rationals already parsed.
+
+The C kernel exports exactly what the package calls: the names in
+``_ckernel.c``'s ``methods[]`` table, read from the source text so that the
+check needs no compiler, equal the attributes that ``src/zoomgrad`` reads
+on a kernel (``_kernel.<name>`` and ``kernel.<name>``).  An entry point that
+no package path calls fails, and so does a call to a name the kernel does
+not export.
 """
 
 import ast
 import os
+import re
 
 import zoomgrad
 from zoomgrad.consensus.engine import ConsensusStats
@@ -305,6 +313,29 @@ def config_reads(top=PACKAGE):
 
 def test_a_block_is_read_only_through_the_config():
     assert config_reads() == []
+
+
+def kernel_exports():
+    """The names in ``_ckernel.c``'s ``methods[]`` table."""
+    with open(os.path.join(PACKAGE, "_ckernel.c")) as f:
+        table = re.search(r"^static PyMethodDef methods\[\] = \{$(.*?)^\};$", f.read(), re.M | re.S).group(1)
+    return re.findall(r'^    \{"(\w+)", ', table, re.M)
+
+
+def kernel_reads(top=PACKAGE):
+    """Each attribute that a module under ``top`` reads on a name ``_kernel`` or ``kernel``."""
+    return {
+        node.attr
+        for _, tree in package_trees(top)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("_kernel", "kernel")
+    }
+
+
+def test_the_kernel_exports_exactly_what_the_package_calls():
+    exports = kernel_exports()
+    assert len(exports) == len(set(exports)) > 0
+    assert sorted(exports) == sorted(kernel_reads())
 
 
 def test_the_grid_holds_its_three_integers_only():

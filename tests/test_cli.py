@@ -150,6 +150,16 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_a_node_count_beyond_the_kernel_bound_exits_1(kernel, tmp_path, capsys):
+    # One node more than the kernel takes is a config error, refused before
+    # any graph is drawn: no traceback and no output directory.
+    out = tmp_path / "out"
+    rc = main(["run", "--nodes", "33554431", "--max-steps", "1", "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: invalid config - n: ")
+    assert not out.exists()
+
+
 def test_infinite_target_error_exits_1(tmp_path, capsys):
     rc = main(["run", "--target-error", "inf", "--max-steps", "3", "--out", str(tmp_path)])
     assert rc == 1

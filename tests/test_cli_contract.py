@@ -8,7 +8,8 @@ wrong-type values, and run through ``cli.main`` in process for ``run``,
 ``compare`` and a 2-seed ``sweep``.  An exception that escapes ``main``
 fails the test: it is the traceback the command line would print.
 
-Every run stays small: n is at most 8, and every config has a stop block
+Every run stays small: n is at most 8, or the node count 2**25 - 1 that the
+config refuses, and every config has a stop block
 whose ``max_steps``, when it is valid, is at most 5 (an unset ``max_steps``
 would let a run go on to its error target, so it is never drawn).
 """
@@ -42,7 +43,7 @@ RATIONAL = (
 SMALL_INT = (st.integers(min_value=1, max_value=9), st.one_of(st.sampled_from([0, -1, 2**64, "3", 3.0]), WRONG))
 
 TOP_LEVEL = {
-    "n": (st.integers(min_value=2, max_value=8), st.one_of(st.sampled_from([0, 1, -1, "4", 4.0]), WRONG)),
+    "n": (st.integers(min_value=2, max_value=8), st.one_of(st.sampled_from([0, 1, -1, 2**25 - 1, "4", 4.0]), WRONG)),
     "edge_prob": (st.sampled_from(["1/2", "0", "1", "1/50", 0.3]), RATIONAL[1]),
     "seed": SMALL_INT,
     "alpha": RATIONAL,

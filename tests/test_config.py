@@ -187,6 +187,9 @@ def test_parse_rational_rejects(bad):
         ({"x_init_range": (1, 2, 3)}, "x_init_range"),
         ({"x_init_range": 5}, "x_init_range"),
         ({"x_init_range": None}, "x_init_range"),
+        # one node more than the kernel takes (graph.MAX_NODES): the pure
+        # path would start a 2**25-node shuffle, and the kernel raise mid-run
+        ({"n": 2**25 - 1}, "n"),
     ],
 )
 def test_validation_names_the_offending_field(patch, field):

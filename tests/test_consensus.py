@@ -903,7 +903,7 @@ def test_scan_and_row_handles_run_alike(kernel):
         for g in (generated, given):
             assert_same_run(y, g, seed)
             assert_each_piece_once(kernel, y, g, seed)
-    for rows in ([[1], [2], []], [[1], [0], [3], [2]], [[], [0]], [[1], [1]]):
+    for rows in (((1,), (2,), ()), ((1,), (0,), (3,), (2,)), ((), (0,)), ((1,), (1,))):
         assert kernel.diameter(kernel.csr(rows)) == -1, rows
 
 
@@ -978,7 +978,10 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
     # repetition: a handle left behind is over 200 bytes, and one of the
     # shuffle's arrays over 16 bytes on every call.  The rows of a cycle on
     # 300 nodes hold ids past the interpreter's cached small ints, so an id
-    # object left behind is 28 bytes, 44 of them per repetition.
+    # object left behind is 28 bytes, 44 of them per repetition.  The
+    # generated rows are flattened again by csr, and bulk draws of 300 at
+    # four bounds, and two refused ones, run once per repetition: a list of
+    # draws left behind is over 2400 bytes, and a handle over 200.
     kernel, broken_kernel = built_kernel, planted_kernel
     rows = complete(40).out_adj
     large = TABLE_REUSE[0]
@@ -1010,15 +1013,23 @@ def test_kernel_calls_leave_no_allocation_behind(built_kernel, planted_kernel):
     def generate():
         for n in (2, 3, 65):
             for threshold in (0, 1, 2**31, 2**32):
-                assert len(kernel.rows(kernel.random_out_adj(n, threshold, 5, 11)[0])) == n
+                rows = kernel.rows(kernel.random_out_adj(n, threshold, 5, 11)[0])
+                assert len(rows) == n and kernel.rows(kernel.csr(rows)) == rows
         assert len(kernel.rows(kernel.random_out_adj(300, 0, 5, 11)[0])) == 300
+
+    def bulk_draws():
+        for bound in (0, 3, 2**31 + 1, 2**32):
+            assert len(kernel.randbelow_n(bound, 300, 5, 11)[0]) == 300
+        for bound, count in ((2**32 + 1, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                kernel.randbelow_n(bound, count, 5, 11)
 
     kernel.run_rounds(large, handle, 2, ROUND_CAP, 0, 1)  # the piece set grows to its size
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        for run in (many_calls_then_drop, decline, capped, broken, class_arithmetic, generate):
+        for run in (many_calls_then_drop, decline, capped, broken, class_arithmetic, generate, bulk_draws):
             assert traced_growth(run) < 320, run.__name__
     finally:
         if not tracing:
@@ -1348,7 +1359,10 @@ def test_kernel_rejects_a_foreign_or_mismatched_handle(kernel):
         with pytest.raises(ValueError, match="PyCapsule_GetPointer"):
             kernel.rows(not_a_handle)
     with pytest.raises(ValueError, match="out of range"):
-        kernel.csr([(1,), (2,)])
+        kernel.csr(((1,), (2,)))
+    for not_rows in ([(1,), (0,)], ((1,), [0])):
+        with pytest.raises(TypeError, match="tuple of int tuples"):
+            kernel.csr(not_rows)
 
 
 # Masses on complete(40) whose alphabets differ in size: over a thousand
@@ -1385,8 +1399,8 @@ STAR_MASSES = [window_masses(n, NARROW - 24, 0) for n in (3, 40, 150)] + [
 # narrow word's edges, up to the bitmap's last word.  States
 # 0-4 never bring node 0 of [-(2**63 - 1), 0, 0] to z = 3 with all the
 # mass; state 5 does, in round 1.
-# Then takes the bulk draws of every bound sequence from the same states,
-# and checks that a bound beyond 2**32 raises.  Then generates graphs (the
+# Then takes the bulk draws of every run of bounds from the same states,
+# and checks that a bound beyond 2**32 and a negative count raise.  Then generates graphs (the
 # shuffle, the cycle and the scan) at p = 0, 1/2**32, 1/2 and 1, with n
 # across a 64-bit word, makes each one's rows and flattens them again, runs
 # the diameter and a consensus on each generated handle, and checks that
@@ -1410,20 +1424,27 @@ handles, seen = {}, {}
 for y in json.loads(sys.argv[2]):
     n = len(y)
     if n not in handles:
-        handles[n] = kernel.csr([[v for v in range(n) if v != u] for u in range(n)])
+        handles[n] = kernel.csr(tuple(tuple(v for v in range(n) if v != u) for u in range(n)))
     for seed in range(10):
         out = kernel.run_rounds(y, handles[n], 2, 100000, seed, 2 * seed + 1)
         assert seen.setdefault((str(y), seed), out) == out, (n, seed)
-for bounds in json.loads(sys.argv[3]):
+def bulk_draws(runs, state, inc):
+    out = []
+    for bound, count in runs:
+        draws, state = kernel.randbelow_n(bound, count, state, inc)
+        out += draws
+    return out, state
+for runs in json.loads(sys.argv[3]):
     for seed in range(10):
-        out = kernel.randbelow_each(bounds, seed, 2 * seed + 1)
-        assert kernel.randbelow_each(bounds, seed, 2 * seed + 1) == out, (bounds, seed)
-try:
-    kernel.randbelow_each([2, 2**32 + 1], 0, 1)
-except ValueError:
-    pass
-else:
-    raise AssertionError("bound 2**32 + 1 was accepted")
+        out = bulk_draws(runs, seed, 2 * seed + 1)
+        assert bulk_draws(runs, seed, 2 * seed + 1) == out, (runs, seed)
+for bound, count in ((2**32 + 1, 2), (2, -1)):
+    try:
+        kernel.randbelow_n(bound, count, 0, 1)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("bound %d and count %d were accepted" % (bound, count))
 for n in (2, 3, 65):
     for threshold in (0, 1, 2**31, 2**32):
         handle, state = kernel.random_out_adj(n, threshold, 5, 11)
@@ -1440,22 +1461,22 @@ for n in (1, 2**25 - 1):
         pass
     else:
         raise AssertionError("node count %d was accepted" % n)
-assert kernel.diameter(kernel.csr([[1], [2], []])) == -1
-ring = kernel.csr([[(u + 1) % 7] for u in range(7)])
+assert kernel.diameter(kernel.csr(((1,), (2,), ()))) == -1
+ring = kernel.csr(tuple(((u + 1) % 7,) for u in range(7)))
 y = [10**6 * (2 * u - 7) + 1 for u in range(7)]
 stopped, rounds = kernel.run_rounds(y, ring, 6, 100000, 3, 7)[:2]
 assert stopped and rounds > 12 and rounds % 6 == 0, rounds
 assert kernel.run_rounds(y, ring, 6, rounds - 1, 3, 7)[:2] == (False, rounds - 1)
 stars = {}
 for y in json.loads(sys.argv[4]):
-    rows = [list(range(1, len(y)))] + [[0]] * (len(y) - 1)
+    rows = (tuple(range(1, len(y))),) + ((0,),) * (len(y) - 1)
     if len(y) not in stars:
         stars[len(y)] = kernel.csr(rows)
     for seed in range(10):
         out = kernel.run_rounds(y, stars[len(y)], 2, 100000, seed, 2 * seed + 1)
         assert out[0] and kernel.run_rounds(y, kernel.csr(rows), 2, 100000, seed, 2 * seed + 1) == out, (len(y), seed)
 for args, declines in json.loads(sys.argv[5]):
-    args[0] = tuple(map(tuple, args[0]))
+    args[0], args[2] = tuple(map(tuple, args[0])), tuple(args[2])
     assert (kernel.class_masses(*args) is None) == declines, args
 sys.path[:0] = [os.path.join(sys.argv[6], "src"), os.path.join(sys.argv[6], "perfbench")]
 sys.modules["zoomgrad._ckernel"] = kernel

@@ -3,7 +3,7 @@
 networkx and an all-pairs BFS (``bfs_diameter``) are the independent
 oracles for strong connectivity and diameter; the pure shuffle and edge-draw
 loop are the oracle for the C kernel's ``random_out_adj`` and ``rows``, and
-``PCG32.randbelow`` bound by bound for its bulk draws ``randbelow_each``.  The generator's own
+``PCG32.randbelow`` draw by draw for its bulk draws ``randbelow_n``.  The generator's own
 guarantees (cycle-first construction, determinism, exact edge probabilities
 at p in {0, 1}, pinned output bytes) are asserted directly.
 """
@@ -117,6 +117,17 @@ def test_too_few_nodes_rejected_before_drawing(n, monkeypatch):
     monkeypatch.setattr(graph, "PCG32", no_draws)
     with pytest.raises(ValueError, match="need at least 2 nodes"):
         generate_random_digraph(n, Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_too_many_nodes_rejected_before_drawing(backend, request, monkeypatch):
+    # One node more than the kernel takes is refused before a generator is
+    # made, so no generator moves: the pure path would otherwise start a
+    # 2**25-node shuffle, and the kernel raise from inside its call.
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    monkeypatch.setattr(graph, "PCG32", no_draws)
+    with pytest.raises(ValueError, match="at most %d, got" % graph.MAX_NODES):
+        generate_random_digraph(graph.MAX_NODES + 1, Fraction(1, 2), 0)
 
 
 def test_edge_prob_out_of_range(monkeypatch):
@@ -433,18 +444,29 @@ def pure_generated(n, p, seed):
 # --- bulk bounded draws ------------------------------------------------------
 
 
-def per_draw(bounds, state, inc):
-    """``randbelow`` bound by bound from the raw generator state: (draws, state)."""
+def per_draw(runs, state, inc):
+    """``randbelow`` draw by draw, over the runs of (bound, count), from the
+    raw generator state: (draws, state)."""
     rng = PCG32(0)
     rng.setstate((state, inc))
-    return [rng.randbelow(b) for b in bounds], rng.state
+    return [rng.randbelow(b) for b, count in runs for _ in range(count)], rng.state
+
+
+def bulk_draws(kernel, runs, state, inc):
+    """``kernel.randbelow_n`` on each run of (bound, count) in turn, the
+    state threaded from one to the next: (draws, state)."""
+    draws = []
+    for bound, count in runs:
+        out, state = kernel.randbelow_n(bound, count, state, inc)
+        draws += out
+    return draws, state
 
 
 @pytest.mark.parametrize("name", sorted(BULK_DRAW_BOUNDS))
 @pytest.mark.parametrize("state, inc", [(0, 1), PCG32(7, STREAM_GRAPH).getstate()], ids=["state0", "seeded"])
 def test_kernel_bulk_draws_match_randbelow(kernel, name, state, inc):
-    bounds = BULK_DRAW_BOUNDS[name]
-    assert kernel.randbelow_each(bounds, state, inc) == per_draw(bounds, state, inc)
+    runs = BULK_DRAW_BOUNDS[name]
+    assert bulk_draws(kernel, runs, state, inc) == per_draw(runs, state, inc)
 
 
 def test_kernel_bulk_draws_reject_what_randbelow_rejects(kernel):
@@ -455,19 +477,30 @@ def test_kernel_bulk_draws_reject_what_randbelow_rejects(kernel):
     probe.setstate((0, 1))
     outputs = [probe.next_u32() for _ in range(3)]
     assert outputs[:2] == [0, 0] and outputs[2] > 0
-    assert kernel.randbelow_each([0, 1, 3], 0, 1) == ([0, 0, outputs[2] % 3], probe.state)
+    assert bulk_draws(kernel, [(0, 1), (1, 1), (3, 1)], 0, 1) == ([0, 0, outputs[2] % 3], probe.state)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "pure"])
 @pytest.mark.parametrize("bound", [2**32 + 1, 2**64, 2**100])
 def test_bulk_draws_refuse_a_bound_beyond_32_bits(backend, bound, request):
-    # Both backends check every bound before the first draw, so a refused
-    # call leaves the generator where it was.
+    # Both backends check the bound before the first draw, whatever the
+    # count, so a refused call leaves the generator where it was.
     request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
     rng = PCG32(0)
     state = rng.getstate()
-    with pytest.raises(ValueError, match="bound %d exceeds the 32-bit output range" % bound):
-        graph.randbelow_each(rng, [2, bound])
+    for count in (0, 1, 2):
+        with pytest.raises(ValueError, match="bound %d exceeds the 32-bit output range" % bound):
+            graph.randbelow_n(rng, bound, count)
+        assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_bulk_draws_refuse_a_negative_count(backend, request):
+    request.getfixturevalue("kernel" if backend == "compiled" else "no_kernel")
+    rng = PCG32(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="need count >= 0"):
+        graph.randbelow_n(rng, 3, -1)
     assert rng.getstate() == state
 
 
@@ -476,15 +509,15 @@ def with_draw_states(monkeypatch, build):
     generated graph's draws count as one, ended by its generator's final
     state: the kernel takes them in one ``random_out_adj`` call."""
     states, made = [], []
-    draw = graph.randbelow_each
+    draw = graph.randbelow_n
 
-    def recording(rng, bounds):
-        out = draw(rng, bounds)
+    def recording(rng, bound, count):
+        out = draw(rng, bound, count)
         states.append(rng.getstate())
         return out
 
     for module in (objective, runner):
-        monkeypatch.setattr(module, "randbelow_each", recording)
+        monkeypatch.setattr(module, "randbelow_n", recording)
 
     class Recorded(PCG32):
         __slots__ = ()
@@ -563,18 +596,13 @@ def fake_kernel(tmp_path, **attrs):
 
 @pytest.mark.parametrize(
     "attrs",
-    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}] + [{"ABI": abi} for abi in range(2, 8)],
+    [{}, {"ABI": graph.KERNEL_ABI + 1}, {"ABI": str(graph.KERNEL_ABI)}]
+    + [{"ABI": abi} for abi in range(2, graph.KERNEL_ABI)],
 )
 def test_a_kernel_built_for_another_abi_is_refused(attrs, tmp_path):
-    # A build without ABI (older source) or with another one is not used:
-    # the pure paths run, and the warning names the file and the rebuild.
-    # ABI 2 is the kernel before randbelow_each; ABI 3 is the kernel before
-    # the generator handed over its handle; ABI 4 is the kernel before
-    # run_rounds returned its alphabet's size; ABI 5 is the kernel before
-    # class_offsets and class_masses; ABI 6 is the kernel before
-    # class_offsets folded into class_masses; ABI 7 is the kernel before
-    # random_out_adj drew the shuffle and returned only the handle, whose
-    # rows came from rows.
+    # A build without ABI (older source) or with another one, each earlier
+    # ABI among them, is not used: the pure paths run, and the warning names
+    # the file and the rebuild.
     stale = fake_kernel(tmp_path, diameter=None, **attrs)
     with pytest.warns(RuntimeWarning) as caught:
         assert graph._checked_kernel(stale) is None
@@ -597,6 +625,15 @@ def test_the_kernel_source_declares_this_abi():
     with open(os.path.join(os.path.dirname(graph.__file__), "_ckernel.c")) as f:
         declared = re.findall(r"^#define KERNEL_ABI (\d+)$", f.read(), re.M)
     assert declared == [str(graph.KERNEL_ABI)]
+
+
+def test_the_kernel_source_declares_this_node_bound():
+    # Read from the C source's text like the ABI: the kernel refuses a graph
+    # of more nodes than its narrow split is exact for, and the package
+    # refuses the same count before it reaches the kernel.
+    with open(os.path.join(os.path.dirname(graph.__file__), "_ckernel.c")) as f:
+        declared = re.findall(r"^#define MAX_NODES \(\(1 << (\d+)\) - (\d+)\)$", f.read(), re.M)
+    assert [(1 << int(shift)) - int(less) for shift, less in declared] == [graph.MAX_NODES]
 
 
 def test_the_built_kernel_passes_the_abi_check(kernel):
