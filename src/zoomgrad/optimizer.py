@@ -11,18 +11,19 @@ picks and its report writers apply.
 
 The loop runs in integers and grid coordinates.  The state keeps the common
 estimate as its level on the current grid, and a grid move is one
-``QuantizerState.moved``.  ``initial_state`` builds what the run's fixed
-inputs determine (the ``CostClasses`` table, step 1's ``start_masses`` from
-the ``Starts`` table, ``start_spread``), ``grid_masses`` refreshes the
-masses after step 1, and each step logs a ``RunRecord``.  After step 1 no
-step builds a ``Fraction`` but a refine's level, and floats appear only in
-the logged error.  The per-node ``Fraction`` path (``gradient_step``,
-quantized by ``engine.init_consensus``) is the oracle of the integer one.
+``QuantizerState.moved``.  An ``Instance`` holds what a run only reads (the
+graph, the ``Starts`` table, the ``CostClasses`` table, the optimum and
+``start_spread``), ``initial_state`` adds step 1's ``start_masses``,
+``grid_masses`` refreshes the masses after step 1, and each step logs a
+``RunRecord``.  After step 1 no step builds a ``Fraction`` but a refine's
+level, and floats appear only in the logged error.  The per-node
+``Fraction`` path (``gradient_step``, quantized by ``engine.init_consensus``)
+is the oracle of the integer one.
 """
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
@@ -244,56 +245,61 @@ def _tree_sum(terms):
     return terms[0]
 
 
+class Instance(NamedTuple):
+    """What a run only reads: its graph, its ``Starts`` table, and the
+    ``CostClasses`` table, optimum and error spread that they fix with the
+    cost suite and ``alpha``.  Runs that share it share every one of them."""
+
+    graph: graph.Digraph
+    starts: Starts
+    classes: CostClasses
+    x_star: Fraction  # the suite's optimum
+    spread: Fraction  # the error's normalizer, start_spread of the starts
+
+    @classmethod
+    def of(cls, g, s, starts, alpha):
+        """The instance of graph ``g``, suite ``s``, starts ``starts`` and
+        step size ``alpha``; ``start_spread`` raises ValueError when a start
+        equals the suite's optimum."""
+        x_star = s.global_optimum
+        return cls(g, starts, cost_classes(s, alpha), x_star, start_spread(starts, x_star))
+
+
 @dataclass
 class OptimizerState:
     """The run between steps.  ``regrid`` moves it to a grid and works out
     that grid's error terms, which live here and not on the grid: every
     ``RunRecord`` keeps its grid alive."""
 
+    instance: Instance  # what the run only reads
     q: QuantizerState  # the current grid
     level: int | Fraction | None  # the common estimate's level on q's grid; None until the nodes share a grid point
-    classes: CostClasses  # the run's cost-class table, for its (s, alpha)
-    x_star: Fraction  # the suite's optimum
-    spread: Fraction  # the error's normalizer, start_spread of the starts
-    masses: list = field(default=None, init=False)  # the next step's initial consensus masses
-    error_terms: tuple = field(init=False)  # metrics.error_terms of q
-    history: list = field(default_factory=list, init=False)  # one RunRecord per step taken
-
-    def __post_init__(self):
-        self.regrid(self.q)
+    masses: list  # the next step's initial consensus masses
+    error_terms: tuple  # metrics.error_terms of q
+    history: list  # one RunRecord per step taken
 
     def regrid(self, q):
         """Move to the grid ``q``, with its ``error_terms``."""
         self.q = q
-        self.error_terms = error_terms(q, self.x_star, self.spread)
+        self.error_terms = error_terms(q, self.instance.x_star, self.instance.spread)
 
 
-def initial_state(starts, q, s, alpha, like):
-    """The state before step 1 of a run on suite ``s`` with step size ``alpha``.
+def initial_state(instance, q):
+    """The state before step 1 of a run on ``instance`` from the grid ``q``.
 
-    ``starts`` is the run's ``Starts`` table.  Step 1's masses are every
-    node's half-step from its own start.  When the table holds one start
-    ``x0`` (its entries are distinct values) on a point of the grid, the
-    nodes already hold a common estimate, at the int level
-    ``(x0 - b_q)/delta``, so step 1 is a repeat exactly when its output
-    equals ``x0``; otherwise the level is None.  A start off the grid needs
-    no level: a consensus output is a grid point, so it never repeats it.
-    The error is measured against the suite's optimum, normalized by the
-    spread of the starts; ``start_spread`` raises ValueError when a start
-    equals it.  The class table, the optimum and the spread depend only on
-    ``starts``, ``s`` and ``alpha``: ``like`` is None, or a state of a run on
-    the same three, which lends its own instead of working them out again.
+    Step 1's masses are every node's half-step from its own start.  When
+    the ``Starts`` table holds one start ``x0`` (its entries are distinct
+    values) on a point of the grid, the nodes already hold a common
+    estimate, at the int level ``(x0 - b_q)/delta``, so step 1 is a repeat
+    exactly when its output equals ``x0``; otherwise the level is None.  A
+    start off the grid needs no level: a consensus output is a grid point,
+    so it never repeats it.
     """
-    if like is None:
-        x_star = s.global_optimum
-        classes, spread = cost_classes(s, alpha), start_spread(starts, x_star)
-    else:
-        classes, x_star, spread = like.classes, like.x_star, like.spread
+    starts = instance.starts
     m, off = divmod(starts.nums[0] * q.den - q.base * starts.den, q.step * starts.den)
     level = m if len(starts.nums) == 1 and not off else None
-    state = OptimizerState(q, level, classes, x_star, spread)
-    state.masses = start_masses(classes, q, starts)
-    return state
+    masses = start_masses(instance.classes, q, starts)
+    return OptimizerState(instance, q, level, masses, error_terms(q, instance.x_star, instance.spread), [])
 
 
 def gradient_step(x, s, alpha):
@@ -326,7 +332,7 @@ def zoom_decide(q, m_new, level_old, policy):
     return policy.on_repeat(q, m_new)
 
 
-def step(state, g, policy, rng):
+def step(state, policy, rng):
     """Advance one full iteration in place; append and return its RunRecord.
 
     The record's error is ``error_metric`` of the common estimate, the level
@@ -342,7 +348,7 @@ def step(state, g, policy, rng):
     # shrinks) those extremes cancel into a sign vote that pins the iterate
     # wherever the votes balance — the range limit instead governs the zoom
     # decision below.
-    m, stats = run_consensus(state.masses, pre_q, g, rng)
+    m, stats = run_consensus(state.masses, pre_q, state.instance.graph, rng)
     error = error_metric(state.error_terms, m)
     q, event, state.level = zoom_decide(pre_q, m, level_old, policy)
     if q is not pre_q:
@@ -350,14 +356,14 @@ def step(state, g, policy, rng):
     # A repeat without an event keeps grid and estimate, and with them the
     # masses.
     if event != "none" or m != level_old:
-        state.masses = grid_masses(state.classes, q, state.level)
+        state.masses = grid_masses(state.instance.classes, q, state.level)
 
     rec = RunRecord(m, error, pre_q, event, stats.rounds, stats.alphabet_size)
     state.history.append(rec)
     return rec
 
 
-def run_until(state, g, policy, stop, rng):
+def run_until(state, policy, stop, rng):
     """Iterate ``step`` until an error target or a step budget is hit.
 
     ``stop`` is the config's validated stop block: ``max_steps`` and/or a
@@ -367,6 +373,6 @@ def run_until(state, g, policy, stop, rng):
     max_steps = stop.get("max_steps")
     target = stop.get("target_error")
     while max_steps is None or len(state.history) < max_steps:
-        rec = step(state, g, policy, rng)
+        rec = step(state, policy, rng)
         if target is not None and rec.error <= target:
             break

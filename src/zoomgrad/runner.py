@@ -31,7 +31,7 @@ from .graph import generate_random_digraph, randbelow_n
 from .metrics import FIXED_LEVEL_WIDTHS, REFINE_WIDTH_SCHEDULE, TABLE_THRESHOLDS, decimal_fixed, exact_decimal
 from .metrics import step_widths, table_cells
 from .objective import CostSuite, QuadraticCost, random_cost_suite
-from .optimizer import AdaptiveZoom, FixedLevel, RefineOnly, Starts, initial_state, run_until
+from .optimizer import AdaptiveZoom, FixedLevel, Instance, RefineOnly, Starts, initial_state, run_until
 from .quantizer import QuantizerState
 from .rng import PCG32, STREAM_PROTOCOL, STREAM_XINIT
 
@@ -118,28 +118,26 @@ def sample_x_init(config, x_star):
 
 
 def build_instance(config):
-    """The problem instance of a validated config: (graph, cost suite, ``Starts``).
+    """The ``optimizer.Instance`` of a validated config.
 
-    It reads only ``n``, ``edge_prob``, ``seed``, the cost spec and the
-    start range and grid, each from its own seed stream, so configs that
-    differ in nothing else share one instance; no run modifies it.
+    It reads only ``n``, ``edge_prob``, ``seed``, ``alpha``, the cost spec
+    and the start range and grid (the graph, costs and starts each draw
+    from their own seed stream), so configs that differ in nothing else
+    share one instance; no run modifies it.
     """
     g = generate_random_digraph(config.n, config.edge_prob, config.seed)
     s = build_costs(config)
-    return g, s, sample_x_init(config, s.global_optimum)
+    return Instance.of(g, s, sample_x_init(config, s.global_optimum), config.alpha)
 
 
-def run_instance(config, instance, like=None):
+def run_instance(config, instance):
     """Run a validated config on its ``build_instance`` instance; returns
-    the final ``OptimizerState``, whose ``history`` is the per-step log.
-    ``like``, a state of a run on the same instance and ``alpha``, lends
-    ``initial_state`` what depends on nothing else."""
-    g, s, starts = instance
+    the final ``OptimizerState``, whose ``history`` is the per-step log."""
     policy = build_policy(config)
-    state = initial_state(starts, QuantizerState.of(config.b_q0, config.delta0), s, config.alpha, like)
+    state = initial_state(instance, QuantizerState.of(config.b_q0, config.delta0))
     rng = PCG32(config.seed, STREAM_PROTOCOL)
     try:
-        run_until(state, g, policy, config.block("stop"), rng)
+        run_until(state, policy, config.block("stop"), rng)
     except ConsensusCapError as exc:
         exc.step = len(state.history) + 1
         raise
@@ -196,7 +194,7 @@ def summarize(config, state):
         "converged": int(target is not None and steps > 0 and final_error <= target),
         "final_error": repr(final_error),
         "x_final": str(history[-1].x_value) if history else "",
-        "x_star": str(state.x_star),
+        "x_star": str(state.instance.x_star),
         "zoom_in_events": events["zoom_in"],
         "zoom_out_events": events["zoom_out"],
         "refine_events": events["refine"],
@@ -265,8 +263,9 @@ class CommandError(Exception):
 
 # Every way a command can fail; ``report_failure`` gives each its line.  An
 # OverflowError is a value too large for a float: a diverging run's error
-# metric, or a rational that a report renders as a float.
-FAILURES = (ConfigError, CommandError, ConsensusCapError, OverflowError, OSError)
+# metric, or a rational that a report renders as a float.  A MemoryError is
+# most often an instance too large to build: its diameter takes n**2/4 bytes.
+FAILURES = (ConfigError, CommandError, ConsensusCapError, OverflowError, MemoryError, OSError)
 
 
 def report_failure(exc):
@@ -278,6 +277,8 @@ def report_failure(exc):
         error = "consensus did not settle (round cap %s) at optimization step %d" % (exc.rounds, exc.step)
     elif isinstance(exc, OverflowError):
         error = "a value overflowed a float - %s" % exc
+    elif isinstance(exc, MemoryError):
+        error = "out of memory"
     else:
         error = str(exc)
     print("error: %s" % error, file=sys.stderr)
@@ -403,13 +404,10 @@ def compare(config):
     """Run the adaptive policy and the baselines on one shared instance.
 
     Only the zoom policy and its conventional starting step differ between
-    the variants, so every variant config is validated first, the graph,
-    costs and initial estimates are built once, from the first, and each
-    variant runs on them (``run_instance``).  The cost-class table and the
-    error's spread, which depend on the instance and ``alpha`` alone, are
-    worked out for the first variant and lent to the others.  Returns
-    {label: (config, state)}, each final state as ``run_single`` would give
-    it.
+    the variants, so every variant config is validated first, the
+    ``Instance`` is built once, from the first, and each variant runs on it
+    (``run_instance``).  Returns {label: (config, state)}, each final state
+    as ``run_single`` would give it.
     """
     configs = {}
     for label, policy_spec, delta0 in COMPARE_VARIANTS:
@@ -419,12 +417,7 @@ def compare(config):
         c.validate()
         configs[label] = c
     instance = build_instance(configs[COMPARE_VARIANTS[0][0]])
-    runs, first = {}, None
-    for label, c in configs.items():
-        state = run_instance(c, instance, first)
-        first = first or state
-        runs[label] = (c, state)
-    return runs
+    return {label: (c, run_instance(c, instance)) for label, c in configs.items()}
 
 
 def cmd_compare(config):

@@ -282,7 +282,7 @@ def fraction_zoom_decide(q, x_new, x_old, policy):
     raise TypeError("unknown zoom policy %r" % (policy,))
 
 
-def per_node_step(state, g, x_init, s, alpha, policy, rng):
+def per_node_step(state, x_init, s, alpha, policy, rng):
     """``optimizer.step`` on the per-node path: the oracle.
 
     Every node takes its own exact gradient step from the estimate it holds
@@ -291,23 +291,24 @@ def per_node_step(state, g, x_init, s, alpha, policy, rng):
     estimate as a ``Fraction`` in ``state.oracle_x`` and derives the levels
     the product keeps from it: the record's on the step's grid, the state's
     on the next one; its error is ``fraction_error_metric`` against the
-    state's optimum and spread.  It takes the starts ``x_init``, the suite
-    ``s`` and the step size ``alpha``, which ``optimizer.step`` finds in the
-    tables ``initial_state`` built, and derives step 1's repeat rule from the
-    starts itself; a caller that patches it in for ``optimizer.step`` binds
-    ``x_init``, ``s`` and ``alpha``.
+    instance's optimum and spread.  It runs on the instance's graph, takes
+    the starts ``x_init``, the suite ``s`` and the step size ``alpha``,
+    which ``optimizer.step`` finds in the tables of the state's
+    ``Instance``, and derives step 1's repeat rule from the starts itself; a
+    caller that patches it in for ``optimizer.step`` binds ``x_init``, ``s``
+    and ``alpha``.
     """
     pre_q = state.q
     x_prev = getattr(state, "oracle_x", None)
     xs = x_init if x_prev is None else [x_prev] * len(x_init)
-    x_new, stats = consensus_point(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, g, rng)
+    x_new, stats = consensus_point(init_consensus(gradient_step(xs, s, alpha), pre_q), pre_q, state.instance.graph, rng)
     x_old = x_new if x_prev is None and all(x0 == x_new for x0 in x_init) else x_prev
     new_q, event = fraction_zoom_decide(pre_q, x_new, x_old, policy)
     level = (x_new - pre_q.b_q) / pre_q.delta
     assert level.denominator == 1, "consensus output off the grid"
     rec = RunRecord(
         level=level.numerator,
-        error=fraction_error_metric(x_new, state.x_star, state.spread),
+        error=fraction_error_metric(x_new, state.instance.x_star, state.instance.spread),
         q=pre_q,
         zoom_event=event,
         consensus_rounds=stats.rounds,

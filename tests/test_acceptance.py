@@ -76,7 +76,8 @@ def table_error(x_value, x_init, x_star):
 def table_steps(config, state, threshold):
     """First step of the run of ``config`` whose e_T is at or below
     ``threshold`` (None if never); its starts are drawn again."""
-    x_init, x_star = start_values(sample_x_init(config, state.x_star)), state.x_star
+    x_star = state.instance.x_star
+    x_init = start_values(sample_x_init(config, x_star))
     return next(
         (
             k
@@ -343,7 +344,7 @@ def test_criterion_06_contraction_envelope_holds(acceptance, reference_default_s
     for config, state in runs:
         curv = total_curvature(build_costs(config))
         points = envelope_from_history(
-            state.history, config.alpha, curv, curv, config.n, state.x_star
+            state.history, config.alpha, curv, curv, config.n, state.instance.x_star
         )
         points_checked += len(points)
         violations += sum(1 for p in points if p.empirical > p.bound)
@@ -368,7 +369,7 @@ def test_criterion_07_zoom_out_recovery(acceptance):
     )
     state = run_single(config)
     history = state.history
-    assert state.x_star == 100
+    assert state.instance.x_star == 100
     zoom_outs = sum(1 for r in history if r.zoom_event == "zoom_out")
     _, corrected = zoom_out_bound(F(100), F(1, 2), F(2))
     limit = corrected + 2

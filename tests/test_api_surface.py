@@ -34,15 +34,24 @@ check needs no compiler, equal the attributes that ``src/zoomgrad`` reads
 on a kernel (``_kernel.<name>`` and ``kernel.<name>``).  An entry point that
 no package path calls fails, and so does a call to a name the kernel does
 not export.
+
+README's Library list names each entry point as a call, ``name(params)``;
+each such call whose name resolves in its bullet's module lists that
+function's parameters in order, leaving out only trailing defaulted ones.
+``README_UNCHECKED`` names the calls that cannot be checked so, each with
+its reason.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import re
+from dataclasses import fields
 
 import zoomgrad
 from zoomgrad.consensus.engine import ConsensusStats
-from zoomgrad.optimizer import RunRecord
+from zoomgrad.optimizer import Instance, OptimizerState, RunRecord
 from zoomgrad.quantizer import QuantizerState
 
 PACKAGE = os.path.dirname(zoomgrad.__file__)
@@ -360,3 +369,47 @@ def test_a_consensus_call_returns_its_counts_and_its_pieces():
     # product, as the kernel's bytes or the pure path's set, for the
     # benchmark's measured_alphabet and the tests.
     assert ConsensusStats._fields == ("n", "rounds", "alphabet_size", "pieces")
+
+
+def test_a_state_reads_its_fixed_inputs_from_its_instance():
+    # What a run only reads lives once, on the Instance that the runs on it
+    # share; the state holds what its steps change.
+    assert Instance._fields == ("graph", "starts", "classes", "x_star", "spread")
+    assert [f.name for f in fields(OptimizerState)] == ["instance", "q", "level", "masses", "error_terms", "history"]
+
+
+# README Library calls that the signature check cannot read.
+README_UNCHECKED = {
+    "validate()": "a RunConfig method, named without its class",
+    "block(name)": "a RunConfig method, named without its class",
+    "rng.randbelow(bound)": "a method of a PCG32 the bullet names, not of the module",
+    "q.moved(level, num, den)": "a method of a grid the bullet names, not of the module",
+    "error_metric(error_terms(q, x_star, spread), m)": "an argument is a call, not a parameter name",
+}
+
+
+def readme_library_calls():
+    """(module, name, parameter text) of each `name(params)` in README's Library bullets."""
+    with open(os.path.join(TESTS, os.pardir, "README.md")) as f:
+        library = f.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for module, body in re.findall(r"^- `(zoomgrad[\w.]*)`:(.*?)(?=^- |\Z)", library, re.S | re.M):
+        for name, params in re.findall(r"`([\w.]+)\(([^`]*)\)`", body):
+            yield module, name, params
+
+
+def test_the_readme_library_calls_match_their_signatures():
+    unchecked, wrong = [], []
+    for module, name, params in readme_library_calls():
+        target = importlib.import_module(module)
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        listed = [p.strip() for p in params.split(",")] if params else []
+        if target is None or not all(map(str.isidentifier, listed)):
+            unchecked.append("%s(%s)" % (name, params))
+            continue
+        signature = list(inspect.signature(target).parameters.values())
+        rest = signature[len(listed) :]
+        if [p.name for p in signature[: len(listed)]] != listed or any(p.default is p.empty for p in rest):
+            wrong.append("%s.%s(%s), not %s" % (module, name, params, [p.name for p in signature]))
+    assert wrong == []
+    assert sorted(unchecked) == sorted(README_UNCHECKED)

@@ -9,8 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import CC
 import zoomgrad
-from zoomgrad import optimizer
+from zoomgrad import optimizer, runner
 from zoomgrad.cli import _build_config, _parse_seeds, main
 from zoomgrad.config import RunConfig
 from zoomgrad.consensus import ConsensusCapError
@@ -498,3 +499,63 @@ def test_module_entry_point_fails_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("backend", ["kernel", "no_kernel"])
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_running_out_of_memory_exits_1_and_writes_nothing(command, backend, request, tmp_path, monkeypatch, capsys):
+    request.getfixturevalue(backend)
+
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(runner, "build_instance", exhausted)
+    out = tmp_path / "out"
+    assert main(COMMANDS[command] + ["--out", str(out)]) == 1
+    assert one_error_line(capsys) == "error: out of memory"
+    assert not out.exists()
+
+
+# A child process that caps its own address space at argv[1] bytes, runs on
+# the kernel built at argv[2] (or on the pure paths when it is empty) and
+# calls the CLI with the rest.
+CAPPED_CHILD = (
+    "import importlib.util, resource, sys\n"
+    "limit, path = int(sys.argv[1]), sys.argv[2]\n"
+    "kernel = None\n"
+    "if path:\n"
+    "    spec = importlib.util.spec_from_file_location('zoomgrad._ckernel', path)\n"
+    "    kernel = importlib.util.module_from_spec(spec)\n"
+    "    spec.loader.exec_module(kernel)\n"
+    "sys.modules['zoomgrad._ckernel'] = kernel\n"
+    "from zoomgrad import graph\n"
+    "from zoomgrad.cli import main\n"
+    "assert graph._kernel is kernel\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    "sys.exit(main(sys.argv[3:]))\n"
+)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "pure"])
+def test_an_instance_beyond_the_memory_cap_exits_1_with_one_line(backend, built_kernel, tmp_path):
+    # Building the graph runs out of memory: on the kernel path its first
+    # allocation for 12000 nodes passes a 200 MiB cap at once, and on the
+    # pure path a complete graph on 3000 nodes fills an 80 MiB cap within
+    # a few seconds.  Either exits 1 with one line, no traceback and no
+    # output directory.
+    if backend == "compiled":
+        if built_kernel is None:
+            pytest.skip("no C compiler %r found, so the compiled kernel was not built" % CC)
+        limit, path, args = 200 << 20, built_kernel.__file__, ["--nodes", "12000"]
+    else:
+        limit, path, args = 80 << 20, "", ["--nodes", "3000", "--config", write_config(tmp_path, {"edge_prob": "1"})]
+    src = os.path.dirname(os.path.dirname(zoomgrad.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, str(limit), path, "run", "--max-steps", "1", "--out", str(out), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: out of memory"], proc.stderr
+    assert not out.exists()

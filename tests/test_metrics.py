@@ -38,7 +38,7 @@ from zoomgrad.metrics import (
     table_cells,
 )
 from zoomgrad.objective import QuadraticCost
-from zoomgrad.optimizer import RunRecord, initial_state
+from zoomgrad.optimizer import Instance, RunRecord, initial_state
 from zoomgrad.quantizer import QuantizerState
 from zoomgrad.runner import run_single, sample_x_init
 
@@ -93,11 +93,11 @@ def test_error_hand_example():
 
 
 def test_error_rejects_degenerate_start():
-    # initial_state computes the normalizer once, before the first step, and
+    # the instance computes the normalizer once, before the first step, and
     # names the node whose start sits on the optimum
     s = cost_suite([QuadraticCost(F(1), F(1)), QuadraticCost(F(1), F(2))])  # x* = 3/2
     with pytest.raises(ValueError, match="node 1"):
-        initial_state(starts_of([F(1), F(3, 2)]), QuantizerState.of(b_q=F(0), delta=F(1, 2)), s, F(3, 25), None)
+        initial_state(Instance.of(None, s, starts_of([F(1), F(3, 2)]), F(3, 25)), QuantizerState.of(b_q=F(0), delta=F(1, 2)))
     with pytest.raises(ValueError, match="node 1"):
         per_node_error([F(0), F(0)], [F(1), F(2)], F(2))
 
@@ -170,9 +170,9 @@ def test_logged_error_matches_per_node_oracle(policy, delta0):
     # every logged error of a run equals the per-node sum over its starts
     config = RunConfig(n=6, seed=4, delta0=delta0, policy={"variant": policy}, stop={"max_steps": 60})
     state = run_single(config)
-    x_init = start_values(sample_x_init(config, state.x_star))
+    x_init = start_values(sample_x_init(config, state.instance.x_star))
     for rec in state.history:
-        assert rec.error == per_node_error([rec.x_value] * 6, x_init, state.x_star)
+        assert rec.error == per_node_error([rec.x_value] * 6, x_init, state.instance.x_star)
 
 
 # --- message widths -------------------------------------------------------

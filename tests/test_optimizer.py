@@ -38,6 +38,7 @@ from zoomgrad.optimizer import (
     AdaptiveZoom,
     CostClasses,
     FixedLevel,
+    Instance,
     OptimizerState,
     RefineOnly,
     RunRecord,
@@ -191,9 +192,9 @@ def two_node_instance(x0_pair=((1, 1), (1, 2))):
 
 def test_step_agreement_and_grid():
     g, s = two_node_instance()
-    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of([F(1), F(2)]), ALPHA), Q0)
     rng = PCG32(3, STREAM_PROTOCOL)
-    rec = step(state, g, ADAPTIVE, rng)
+    rec = step(state, ADAPTIVE, rng)
     assert grid_point(state.q, state.level) == rec.x_value  # one common estimate
     assert state.history == [rec]  # step 1's record is history[0]
     # consensus output is a whole number of steps from the pre-step basis
@@ -206,8 +207,8 @@ def test_step_agreement_and_grid():
 def test_step_counts_and_bits():
     g, s = two_node_instance()
     seed = 6
-    state = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
-    rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
+    state = initial_state(Instance.of(g, s, starts_of([F(1), F(2)]), ALPHA), Q0)
+    rec = step(state, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
     # replay the embedded consensus call to cross-check the accounting
     x_half = gradient_step([F(1), F(2)], s, ALPHA)
     result, stats = consensus_point(init_consensus(x_half, Q0), Q0, g, PCG32(seed, STREAM_PROTOCOL))
@@ -229,8 +230,8 @@ def test_first_step_repeat_is_disabled_with_distinct_inits():
     # 2 levels, so every reachable output (1/2 or 1) equals one node's init
     g, s = two_node_instance(((1, "1/2"), (1, 1)))
     for seed in range(10):
-        state = initial_state(starts_of([F(1, 2), F(1)]), Q0, s, F(1, 1000), None)
-        rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
+        state = initial_state(Instance.of(g, s, starts_of([F(1, 2), F(1)]), F(1, 1000)), Q0)
+        rec = step(state, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
         assert rec.x_value in (F(1, 2), F(1))  # the corner case, every run
         assert rec.zoom_event == "none"
         assert state.q == Q0
@@ -243,10 +244,10 @@ def test_equal_start_at_grid_point_triggers_zoom_within_two_steps():
     g = bidirectional_pair()
     s = suite([(1, "51/100"), (1, "51/100")])
     for seed in range(5):
-        state = initial_state(starts_of([F(1, 2), F(1, 2)]), Q0, s, F(1, 100), None)
+        state = initial_state(Instance.of(g, s, starts_of([F(1, 2), F(1, 2)]), F(1, 100)), Q0)
         events = []
         for _ in range(2):
-            rec = step(state, g, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
+            rec = step(state, ADAPTIVE, PCG32(seed, STREAM_PROTOCOL))
             events.append(rec.zoom_event)
             assert ((rec.x_value - rec.q.b_q) / rec.q.delta).denominator == 1
         assert any(e != "none" for e in events)
@@ -259,10 +260,10 @@ def test_zoom_exclusivity_and_delta_sync():
     # shared quantizer's step moves exactly with the logged events.
     g = generate_random_digraph(6, F(1, 2), 9)
     s = suite([(2, 1), (1, 4), (3, 2), (1, 5), (2, 3), (4, 2)])
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5, 1)]), Q0, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of([F(k) for k in (1, 2, 3, 4, 5, 1)]), ALPHA), Q0)
     rng = PCG32(9, STREAM_PROTOCOL)
     for _ in range(40):
-        step(state, g, ADAPTIVE, rng)
+        step(state, ADAPTIVE, rng)
     ins = sum(1 for r in state.history if r.zoom_event == "zoom_in")
     outs = sum(1 for r in state.history if r.zoom_event == "zoom_out")
     assert ins > 0
@@ -289,12 +290,12 @@ def test_per_node_quantizer_copies_stay_identical():
     s = suite([(1, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
     policy = ADAPTIVE
     x_init = [F(2)] * 5
-    state = initial_state(starts_of(x_init), Q0, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of(x_init), ALPHA), Q0)
     rng = PCG32(4, STREAM_PROTOCOL)
     per_node = [Q0] * 5
     for _ in range(25):
         x_prev = [state.history[-1].x_value] * 5 if state.history else x_init
-        rec = step(state, g, policy, rng)
+        rec = step(state, policy, rng)
         per_node = [
             zoom_decide(q, int((rec.x_value - q.b_q) / q.delta), (x_prev[i] - q.b_q) / q.delta, policy)[0]
             for i, q in enumerate(per_node)
@@ -308,10 +309,10 @@ def test_fixed_level_repeat_is_absorbing():
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of([F(k) for k in (1, 2, 3, 4, 5)]), ALPHA), q)
     rng = PCG32(3, STREAM_PROTOCOL)
     for _ in range(30):
-        step(state, g, FixedLevel(), rng)
+        step(state, FixedLevel(), rng)
     xs = [r.x_value for r in state.history]
     stall = next((i for i in range(1, len(xs)) if xs[i] == xs[i - 1]), None)
     assert stall is not None
@@ -328,19 +329,19 @@ UNTIL_STARTS = [F(1), F(2)]
 def until_instance():
     g = bidirectional_pair()
     s = suite([(1, 1), (1, 2)])  # optimum 3/2
-    state = initial_state(starts_of(UNTIL_STARTS), Q0, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of(UNTIL_STARTS), ALPHA), Q0)
     return state, g, s
 
 
 def test_run_until_max_steps_exact():
-    state, g, _ = until_instance()
-    run_until(state, g, ADAPTIVE, {"max_steps": 5, "target_error": None}, PCG32(1, STREAM_PROTOCOL))
+    state, _, _ = until_instance()
+    run_until(state, ADAPTIVE, {"max_steps": 5, "target_error": None}, PCG32(1, STREAM_PROTOCOL))
     assert len(state.history) == 5
 
 
 def test_run_until_stops_at_target():
-    state, g, _ = until_instance()
-    run_until(state, g, ADAPTIVE, {"max_steps": 200, "target_error": 1e-4}, PCG32(1, STREAM_PROTOCOL))
+    state, _, _ = until_instance()
+    run_until(state, ADAPTIVE, {"max_steps": 200, "target_error": 1e-4}, PCG32(1, STREAM_PROTOCOL))
     history = state.history
     assert history[-1].error <= 1e-4
     assert all(r.error > 1e-4 for r in history[:-1])
@@ -357,14 +358,14 @@ def test_run_record_is_frozen():
 
 
 def test_initial_state_copies_inputs():
-    # The state keeps what the starts fix, not the starts themselves: the
-    # optimum, the error's spread and step 1's masses.
+    # The instance keeps what the starts fix, the optimum and the error's
+    # spread, and the state step 1's masses.
     s = suite([(1, 1), (1, 2)])
-    st = initial_state(starts_of([F(1), F(2)]), Q0, s, ALPHA, None)
-    assert st.x_star == F(3, 2) and st.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
+    st = initial_state(Instance.of(None, s, starts_of([F(1), F(2)]), ALPHA), Q0)
+    assert st.instance.x_star == F(3, 2) and st.instance.spread == per_node_spread([F(1), F(2)], F(3, 2)) == 8
     assert st.level is None and st.history == []  # no common estimate before step 1
-    assert st.classes == cost_classes(s, ALPHA)
-    assert st.masses == start_masses(st.classes, Q0, starts_of([F(1), F(2)]))
+    assert st.instance.classes == cost_classes(s, ALPHA)
+    assert st.masses == start_masses(st.instance.classes, Q0, starts_of([F(1), F(2)]))
     assert isinstance(st, OptimizerState)
 
 
@@ -376,12 +377,12 @@ def test_equal_starts_hold_their_level_before_step_1(x0, level):
     # point) can equal the start.  The table holds one entry, over a
     # denominator that need not be the start's own.
     s = suite([(1, 1), (2, 3), (1, 5)])
-    st = initial_state(Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), Q0, s, ALPHA, None)
+    st = initial_state(Instance.of(None, s, Starts(3 * x0.denominator, (3 * x0.numerator,), (0, 0, 0)), ALPHA), Q0)
     want = level if F(level).denominator == 1 else None
     assert st.level == want and type(st.level) is type(want)
     # step 1's masses are every node's half-step from the start, on or off
     # the grid: those of its own level
-    assert st.masses == grid_masses(st.classes, Q0, level)
+    assert st.masses == grid_masses(st.instance.classes, Q0, level)
 
 
 # --- grid-index half-steps against the per-node oracle ---------------------
@@ -528,8 +529,8 @@ def test_a_start_table_over_any_common_denominator_gives_one_state(data):
         b_q=data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)),
         delta=data.draw(st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)),
     )
-    want, got = initial_state(table, q, s, ALPHA, None), initial_state(wide, q, s, ALPHA, None)
-    assert (got.level, got.masses, got.spread) == (want.level, want.masses, want.spread)
+    want, got = initial_state(Instance.of(None, s, table, ALPHA), q), initial_state(Instance.of(None, s, wide, ALPHA), q)
+    assert (got.level, got.masses, got.instance.spread) == (want.level, want.masses, want.instance.spread)
     assert want.masses == init_consensus(gradient_step(x_init, s, ALPHA), q)
     on_grid = len(set(x_init)) == 1 and ((x_init[0] - q.b_q) / q.delta).denominator == 1
     assert (want.level is None) == (not on_grid)
@@ -642,12 +643,12 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
     """
     estimates = []
 
-    def recorded(state, g, policy, rng):
+    def recorded(state, policy, rng):
         if step_fn is per_node_step:
-            rec = per_node_step(state, g, x_init, s, alpha, policy, rng)
+            rec = per_node_step(state, x_init, s, alpha, policy, rng)
             estimates.append((state.level, state.oracle_x, state.oracle_x))
         else:
-            rec = step_fn(state, g, policy, rng)
+            rec = step_fn(state, policy, rng)
             estimates.append((state.level, grid_point(state.q, state.level), rec.x_value))
         return rec
 
@@ -656,8 +657,8 @@ def oracle_run(step_fn, g, s, x_init, q, alpha, policy, seed, stop):
         mp.setattr(optimizer, "step", recorded)
         if step_fn is per_node_step:
             mp.setattr(optimizer, "start_spread", lambda starts, x_star: per_node_spread(start_values(starts), x_star))
-        state = initial_state(starts_of(x_init), q, s, alpha, None)
-        run_until(state, g, policy, stop, rng)
+        state = initial_state(Instance.of(g, s, starts_of(x_init), alpha), q)
+        run_until(state, policy, stop, rng)
     return state.history, state.q, rng.getstate(), estimates
 
 
@@ -797,7 +798,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     g = generate_random_digraph(5, F(1, 2), 3)
     s = suite([(1, 2), (2, 1), (1, 3), (3, 4), (2, 2)])
     q = QuantizerState.of(b_q=F(0), delta=F(1, 10))
-    state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
+    state = initial_state(Instance.of(g, s, starts_of([F(k) for k in (1, 2, 3, 4, 5)]), ALPHA), q)
     built = fraction_constructions(monkeypatch)
     per_step = []
     real_step = optimizer.step
@@ -809,7 +810,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
         return rec
 
     monkeypatch.setattr(optimizer, "step", counted)
-    run_until(state, g, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
+    run_until(state, policy, {"max_steps": 30}, PCG32(3, STREAM_PROTOCOL))
     quiet = [count for event, count in per_step[1:] if event == "none"]
     assert len(quiet) >= 10
     assert quiet == [0] * len(quiet)
@@ -824,7 +825,7 @@ def test_a_step_without_an_event_builds_no_fraction(policy, monkeypatch):
     x = last.x_value
     assert len(built) > before
     assert x == last.q.b_q + last.level * last.q.delta
-    assert state.masses == grid_masses(state.classes, state.q, state.level)  # the next step's
+    assert state.masses == grid_masses(state.instance.classes, state.q, state.level)  # the next step's
 
 
 def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypatch):
@@ -844,9 +845,9 @@ def test_masses_beyond_the_kernel_range_replay_on_the_pure_path(kernel, monkeypa
     monkeypatch.setattr(optimizer, "run_consensus", recording)
 
     def run():
-        state = initial_state(starts_of([F(k) for k in (1, 2, 3, 4, 5)]), q, s, ALPHA, None)
+        state = initial_state(Instance.of(g, s, starts_of([F(k) for k in (1, 2, 3, 4, 5)]), ALPHA), q)
         rng = PCG32(4, STREAM_PROTOCOL)
-        run_until(state, g, ADAPTIVE, {"max_steps": 4}, rng)
+        run_until(state, ADAPTIVE, {"max_steps": 4}, rng)
         return state.history, state.q, rng.getstate()
 
     compiled = run()

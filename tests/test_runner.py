@@ -285,22 +285,22 @@ def test_run_single_matches_the_per_node_oracles(config):
             starts.append(start_values(table))
             return table
 
-        def recording(state, g, policy, stop, rng):
-            optimizer.run_until(state, g, policy, stop, rng)
+        def recording(state, policy, stop, rng):
+            optimizer.run_until(state, policy, stop, rng)
             rng_states.append(rng.getstate())
 
         mp.setattr(runner_mod, "sample_x_init", drawing)
         mp.setattr(runner_mod, "run_until", recording)
         state = run_single(config)
-        return state.history, starts, state.x_star, state.spread, state.q, rng_states
+        return state.history, starts, state.instance.x_star, state.instance.spread, state.q, rng_states
 
     with pytest.MonkeyPatch.context() as mp:
         got = run(mp)
     with pytest.MonkeyPatch.context() as mp:
         s = build_costs(config)
 
-        def oracle_step(state, g, policy, rng):
-            return per_node_step(state, g, got[1][0], s, config.alpha, policy, rng)
+        def oracle_step(state, policy, rng):
+            return per_node_step(state, got[1][0], s, config.alpha, policy, rng)
 
         mp.setattr(optimizer, "step", oracle_step)
         mp.setattr(optimizer, "start_spread", lambda starts, x_star: per_node_spread(start_values(starts), x_star))
@@ -344,8 +344,9 @@ def test_run_single_structure(default_run):
     # step k's record is history[k - 1]: history.csv numbers its rows so
     rows = rendered(write_history_csv, history, config.n, width_schedule(config)).splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [str(k) for k in range(1, len(history) + 1)]
-    assert state.x_star == build_costs(config).global_optimum
-    assert state.spread == per_node_spread(start_values(sample_x_init(config, state.x_star)), state.x_star)
+    x_star = state.instance.x_star
+    assert x_star == build_costs(config).global_optimum
+    assert state.instance.spread == per_node_spread(start_values(sample_x_init(config, x_star)), x_star)
     assert history[-1].error <= 1e-5
     assert len(history) <= 200
 
@@ -634,15 +635,13 @@ def compared():
     return compare(RunConfig(seed=1))
 
 
-def test_compare_shares_the_instance(monkeypatch):
-    # compare builds the graph, costs and starts once, recorded as their
-    # builders return them, and every variant runs on that one graph.  It
-    # works out the cost-class table and the error's spread once too, and
-    # every variant holds the very objects that one call returned.
+def record_builders(monkeypatch):
+    """Record each value that the instance's builders return, per builder
+    name, in the order of their first calls: the graph, the costs, the
+    starts, the cost-class table and the error's spread."""
     built = {}
-    ran_on = []
 
-    def recorder(name, module=runner_mod):
+    def recorder(name, module):
         real = getattr(module, name)
 
         def recorded(*args):
@@ -651,29 +650,54 @@ def test_compare_shares_the_instance(monkeypatch):
 
         return recorded
 
-    def run_until(state, g, *args):
-        ran_on.append(g)
-        return real_run_until(state, g, *args)
-
-    real_run_until = runner_mod.run_until
     for name in ("generate_random_digraph", "build_costs", "sample_x_init"):
-        monkeypatch.setattr(runner_mod, name, recorder(name))
+        monkeypatch.setattr(runner_mod, name, recorder(name, runner_mod))
     for name in ("cost_classes", "start_spread"):
         monkeypatch.setattr(optimizer, name, recorder(name, optimizer))
+    return built
+
+
+def test_compare_shares_the_instance(monkeypatch):
+    # compare builds one Instance: the graph, costs and starts once,
+    # recorded as their builders return them, and the cost-class table and
+    # the error's spread once too.  Every variant runs on that one object,
+    # and so on the very objects that each builder returned.
+    built = record_builders(monkeypatch)
+    ran_on = []
+
+    def run_until(state, *args):
+        ran_on.append(state.instance)
+        return real_run_until(state, *args)
+
+    real_run_until = runner_mod.run_until
     monkeypatch.setattr(runner_mod, "run_until", run_until)
     runs = compare(RunConfig(seed=1, stop={"max_steps": 2}))
     (shared,), (suite,), (starts,), (classes,), (spread,) = built.values()
     assert len(ran_on) == len(runs) == len(COMPARE_VARIANTS)
-    assert all(g is shared for g in ran_on)
-    assert all(state.classes is classes and state.spread is spread for _, state in runs.values())
-    assert {state.x_star for _, state in runs.values()} == {suite.global_optimum}
-    assert all(state.classes.node_class == suite.node_class for _, state in runs.values())
+    assert all(state.instance is ran_on[0] for _, state in runs.values())
+    assert all(instance.graph is shared for instance in ran_on)
+    assert all(state.instance.classes is classes and state.instance.spread is spread for _, state in runs.values())
+    assert {state.instance.x_star for _, state in runs.values()} == {suite.global_optimum}
+    assert all(state.instance.classes.node_class == suite.node_class for _, state in runs.values())
     # The shared instance is the one each variant would build on its own.
     for c, _ in runs.values():
-        g, s, x = runner_mod.build_instance(c)
-        assert g.out_adj == shared.out_adj
+        own = runner_mod.build_instance(c)
+        s = built["build_costs"][-1]
+        assert own.graph.out_adj == shared.out_adj
         assert (s.classes, s.node_class) == (suite.classes, suite.node_class)
-        assert x == starts
+        assert own.starts == starts
+
+
+def test_sweep_builds_one_instance_a_seed(monkeypatch):
+    built = record_builders(monkeypatch)
+    sweep(RunConfig(stop={"max_steps": 2}), [0, 1, 2])
+    assert {name: len(values) for name, values in built.items()} == {
+        "generate_random_digraph": 3,
+        "build_costs": 3,
+        "sample_x_init": 3,
+        "cost_classes": 3,
+        "start_spread": 3,
+    }
 
 
 def test_compare_floor_ordering(compared):
